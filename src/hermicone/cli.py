@@ -314,6 +314,8 @@ def _battery_rows(model, seed, tuples, tol):
 
 
 def _cmd_varcheck(args):
+    if args.tuples < 1:
+        raise _CliFailure(EXIT_SCHEMA, f"--tuples must be at least 1, got {args.tuples}")
     model, source = _load_model(args)
     tol = args.tol if args.tol is not None else DEFAULT_TOL
     rows = _battery_rows(model, args.seed, args.tuples, tol)

@@ -90,6 +90,30 @@ def _wedge_table(n, p1, q1, p2, q2):
 
 
 @lru_cache(maxsize=None)
+def _derivation_table(n, p, q, g, K, L):
+    """Entries of theta_K^thetabar_L ^ iota_g on Lambda^{p,q}, None if there are none.
+
+    iota_g removes generator g (theta^g if g < n, else thetabar^(g-n)) from position
+    m of (I, J) with sign (-1)^m; the wedge with theta_K^thetabar_L then has the signs
+    of _wedge_table.  Returns the target bidegree and (row, col, sign) arrays.
+    """
+    rp, rq = (p - 1, q) if g < n else (p, q - 1)
+    if min(rp, rq) < 0:
+        return None
+    tgt = _basis_index(n, rp + len(K), rq + len(L))
+    out = []
+    for src, (I, J) in enumerate(_basis(n, p, q)):
+        gens = I + tuple(n + j for j in J)
+        if g in gens:
+            m = gens.index(g)
+            rest = (I[:m] + I[m + 1:], J) if m < p else (I, J[:m - p] + J[m - p + 1:])
+            mi, mj = _merge(K, rest[0]), _merge(L, rest[1])
+            if mi is not None and mj is not None:
+                out.append((tgt[(mi[1], mj[1])], src, (-1) ** (m + rp * len(L)) * mi[0] * mj[0]))
+    return ((rp + len(K), rq + len(L)), *map(np.array, zip(*out))) if out else None
+
+
+@lru_cache(maxsize=None)
 def _conj_table(n, p, q):
     # conj(theta_I ^ thetabar_J) = (-1)^(pq) theta_J ^ thetabar_I
     tgt = _basis_index(n, q, p)
@@ -165,16 +189,6 @@ class Form:
         if (p, q) in self.blocks:
             out.set_block(p, q, self.blocks[(p, q)])
         return out
-
-    def degree_part(self, k):
-        out = Form(self.n)
-        for (p, q), vec in self.blocks.items():
-            if p + q == k:
-                out.set_block(p, q, vec)
-        return out
-
-    def is_zero(self, tol=0.0):
-        return all(np.max(np.abs(v)) <= tol for v in self.blocks.values())
 
     def max_abs(self):
         if not self.blocks:
@@ -314,7 +328,7 @@ class ExteriorAlgebra:
             raise DegreeOutOfRange(f"n={n}")
         self.n = int(n)
         self.terms = tuple(terms)
-        self._d_one = [Form.zero(n) for _ in range(n)]
+        d_one = [Form.zero(n) for _ in range(n)]
         for (i, kind, j, k, coeff) in self.terms:
             i0, j0, k0 = i - 1, j - 1, k - 1
             if kind == "holo":
@@ -323,55 +337,41 @@ class ExteriorAlgebra:
                 mono = Form.monomial(n, (j0,), (k0,), coeff)
             else:
                 mono = Form.monomial(n, (), (j0, k0), coeff)
-            self._d_one[i0] = self._d_one[i0] + mono
-        self._dbar_one = [f.conj() for f in self._d_one]
-        self._d_mono_cache = {}
+            d_one[i0] = d_one[i0] + mono
+        # d of the 2n generators: theta^1..theta^n, then their conjugates
+        self._d_gen = d_one + [f.conj() for f in d_one]
         self._d_blocks_cache = {}
         self._d_total_cache = {}
 
     # ----- differential ---------------------------------------------------
 
-    def d_theta(self, i):
-        """d(theta^i), 1-based i."""
-        return self._d_one[i - 1].copy()
-
     def d_monomial(self, p, q, idx):
-        key = (p, q, idx)
-        cached = self._d_mono_cache.get(key)
-        if cached is not None:
-            return cached.copy()
-        I, J = _basis(self.n, p, q)[idx]
-        out = Form.zero(self.n)
-        for m in range(p + q):
-            if m < p:
-                dl = self._d_one[I[m]]
-                pre = (I[:m], ())
-                suf = (I[m + 1:], J)
-            else:
-                jm = m - p
-                dl = self._dbar_one[J[jm]]
-                pre = (I, J[:jm])
-                suf = ((), J[jm + 1:])
-            if dl.is_zero():
-                continue
-            term = wedge(wedge(Form.monomial(self.n, *pre), dl),
-                         Form.monomial(self.n, *suf))
-            out = out + (-1) ** m * term
-        self._d_mono_cache[key] = out
-        return out.copy()
+        """d of the idx-th monomial of Lambda^{p,q}: one column of d_blocks."""
+        return Form(self.n, {tgt: mat[:, idx] for tgt, mat in self.d_blocks(p, q).items()})
 
     def d_blocks(self, p, q):
-        """All matrix blocks of d restricted to Lambda^{p,q}, keyed by target."""
+        """All matrix blocks of d restricted to Lambda^{p,q}, keyed by target.
+
+        d is the odd derivation sum_g d(gen_g) ^ iota_g over the 2n generators;
+        the terms of one entry add up in generator order, the Leibniz order.
+        """
         key = (p, q)
         if key not in self._d_blocks_cache:
-            src_dim = dim_pq(self.n, p, q)
-            acc = {}
-            for idx in range(src_dim):
-                df = self.d_monomial(p, q, idx)
-                for tgt, vec in df.blocks.items():
-                    mat = acc.setdefault(tgt, np.zeros((dim_pq(self.n, *tgt), src_dim), dtype=complex))
-                    mat[:, idx] = vec
-            self._d_blocks_cache[key] = acc
+            n, acc, blocks = self.n, {}, {}
+            for g, dgen in enumerate(self._d_gen):
+                for (a, b), vec in dgen.blocks.items():
+                    for i in np.flatnonzero(vec):
+                        table = _derivation_table(n, p, q, g, *_basis(n, a, b)[i])
+                        if table is not None:
+                            tgt, rows, cols, sign = table
+                            acc.setdefault(tgt, []).append((rows, cols, sign * vec[i]))
+            for tgt, terms in acc.items():
+                mat = np.zeros((dim_pq(n, *tgt), dim_pq(n, p, q)), dtype=complex)
+                rows, cols, vals = map(np.concatenate, zip(*terms))
+                np.add.at(mat, (rows, cols), vals)
+                if np.any(mat):
+                    blocks[tgt] = mat
+            self._d_blocks_cache[key] = blocks
         return self._d_blocks_cache[key]
 
     def del_block(self, p, q):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import (DegenerateDimension, NotBalanced, NotPositive, NotSKT,
                      ToleranceAmbiguity, ToleranceFailure)
-from .exterior import Form, dim_pq, wedge
+from .exterior import Form, _basis_index, _merge, dim_pq
 from .metric import HermitianMetric
 
 DEFAULT_TOL = 1e-9
@@ -286,14 +286,19 @@ def _l2_of_block(bundle, vec, pq):
 def matrix_of_top_minus_one(alg, form):
     """Hermitian matrix B of an (n-1,n-1)-form via wedge pairing with i theta^k^thetabar^j.
 
-    For omega_{n-1} this recovers det(H) H^{-1}.
+    For omega_{n-1} this recovers det(H) H^{-1}.  Only the monomial without
+    theta^k and thetabar^j pairs with the probe, with the sign of _wedge_table.
     """
     n = alg.n
+    full, coeffs = tuple(range(n)), form.block(n - 1, n - 1)
     b = np.zeros((n, n), dtype=complex)
     for j in range(n):
         for k in range(n):
-            probe = Form.monomial(n, (k,), (j,), 1j)
-            b[j, k] = alg.integrate(wedge(form, probe))
+            I, J = full[:k] + full[k + 1:], full[:j] + full[j + 1:]
+            sign = _merge(I, (k,))[0] * _merge(J, (j,))[0] * (-1) ** (n - 1)
+            top = np.zeros(1, dtype=complex)  # summed onto +0 as in wedge: -0 becomes +0
+            top[0] += sign * coeffs[_basis_index(n, n - 1, n - 1)[(I, J)]] * 1j
+            b[j, k] = alg.integrate(Form(n, {(n, n): top}))
     return b
 
 

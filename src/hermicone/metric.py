@@ -22,7 +22,7 @@ import scipy.linalg
 
 from .errors import (DegreeOutOfRange, DimensionMismatch, NotPositiveDefinite,
                      SchemaError)
-from .exterior import Form, _basis, _combos, dim_pq, random_form, wedge, wedge_power
+from .exterior import Form, _basis, _combos, _merge, dim_pq, random_form, wedge_power
 from .model import algebra_for, require_valid
 
 HERMITICITY_TOL = 1e-12
@@ -62,17 +62,30 @@ class HermitianMetric:
             for cell in row:
                 if not isinstance(cell, dict) or "re" not in cell or "im" not in cell:
                     raise SchemaError("metric entries must be objects with 're' and 'im'")
-                vals.append(complex(cell["re"], cell["im"]))
+                try:
+                    vals.append(complex(cell["re"], cell["im"]))
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise SchemaError(f"metric entry is not a number: {exc}") from None
             rows.append(vals)
+        if not np.all(np.isfinite(rows)):
+            raise SchemaError("metric entries must be finite")
         return cls(np.array(rows))
 
     def to_json_obj(self):
         return [[{"re": float(c.real), "im": float(c.imag)} for c in row] for row in self.h]
 
     def check(self):
+        if not np.all(np.isfinite(self.h)):
+            raise SchemaError("metric entries must be finite")
         if np.max(np.abs(self.h - self.h.conj().T)) > HERMITICITY_TOL:
             raise NotPositiveDefinite("metric matrix is not Hermitian within 1e-12")
-        if self.min_eigenvalue() <= 0:
+        try:
+            lam = self.min_eigenvalue()
+        except np.linalg.LinAlgError as exc:
+            raise SchemaError(f"metric matrix has no eigenvalues: {exc}") from None
+        if not np.isfinite(lam):
+            raise SchemaError("metric matrix overflows: its eigenvalues are not finite")
+        if lam <= 0:
             raise NotPositiveDefinite("metric matrix is not positive definite")
         return self
 
@@ -95,10 +108,6 @@ class HermitianMetric:
         n = form.n
         vec = form.block(1, 1)
         return cls((vec / 1j).reshape(n, n))
-
-
-def metric_of_11_form(form):
-    return HermitianMetric.from_form(form)
 
 
 def random_metric(n, rng, eps=0.5):
@@ -132,8 +141,8 @@ class OperatorBundle:
         self.metric = metric
         self.h = np.asarray(metric.h)
         self.h_inv = np.linalg.inv(self.h)
-        det = np.linalg.det(self.h)
-        self.det_h = float(det.real)
+        self.det_h = float(np.linalg.det(self.h).real)
+        self._compound = {}
         self._gram = {}
         self._gram_total = {}
         self._star = {}
@@ -160,25 +169,24 @@ class OperatorBundle:
             self._omega_pow[k] = wedge_power(self.omega, k)
         return self._omega_pow[k].copy()
 
-    @property
-    def volume_form(self):
-        return self.omega_power(self.n)
-
     def integrate(self, form):
         return self.alg.integrate(form)
 
     # ----- inner products ---------------------------------------------------
 
+    def compound(self, p):
+        """p-th compound of H^{-1}: C[I, K] = det(H^{-1}[I, K]) over p-subsets."""
+        if p not in self._compound:
+            combos = _combos(self.n, p)
+            rows = np.array(combos, dtype=np.intp).reshape(len(combos), 1, p, 1)
+            self._compound[p] = np.linalg.det(self.h_inv[rows, rows.transpose(1, 0, 3, 2)])
+        return self._compound[p]
+
     def gram(self, p, q):
         key = (p, q)
         if key not in self._gram:
-            combos_p = _combos(self.n, p)
-            combos_q = _combos(self.n, q)
-            a = np.array([[np.linalg.det(self.h_inv[np.ix_(I, K)]) for K in combos_p]
-                          for I in combos_p])
-            b = np.array([[np.linalg.det(self.h_inv[np.ix_(L, J)]) for L in combos_q]
-                          for J in combos_q])
-            g = np.kron(a, b)
+            # <theta_I^thetabar_J, theta_K^thetabar_L> = C_p[I, K] * C_q[L, J]
+            g = np.kron(self.compound(p), self.compound(q).T)
             self._gram[key] = 0.5 * (g + g.conj().T)
         return self._gram[key]
 
@@ -213,7 +221,7 @@ class OperatorBundle:
             n = self.n
             dim_src = dim_pq(n, a, b)
             dim_u = dim_pq(n, b, a)
-            # pairing of the test space (b,a) with the target space (n-b,n-a)
+            # pairing of (b,a) with (n-b,n-a): complementary monomials wedge to +-(top)
             pair = np.zeros((dim_u, dim_src), dtype=complex)
             tgt_index = {m: i for i, m in enumerate(_basis(n, n - b, n - a))}
             full = tuple(range(n))
@@ -221,8 +229,8 @@ class OperatorBundle:
                 Ic = tuple(sorted(set(full) - set(I)))
                 Jc = tuple(sorted(set(full) - set(J)))
                 t = tgt_index[(Ic, Jc)]
-                prod = wedge(Form.monomial(n, I, J), Form.monomial(n, Ic, Jc))
-                pair[r, t] = self.alg.integrate(prod)
+                top = _merge(I, Ic)[0] * _merge(J, Jc)[0] * (-1) ** ((n - b) * a)
+                pair[r, t] = self.alg.integrate(Form.monomial(n, full, full, top))
             # right side: <u_r, conj(w_s)> with conj(w_s) = sign * e_{c(s)} in (b,a)
             g = self.gram(b, a)
             rhs = np.zeros((dim_u, dim_src), dtype=complex)
@@ -273,14 +281,6 @@ class OperatorBundle:
                 self._trace[key] = _adjoint(self.lefschetz_block(p - 1, q - 1),
                                             self.gram(p - 1, q - 1), self.gram(p, q))
         return self._trace[key]
-
-    def lefschetz(self, form):
-        out = Form.zero(self.n)
-        for (p, q), vec in form.blocks.items():
-            if p + 1 <= self.n and q + 1 <= self.n:
-                out = out + self.alg.from_blockvec((p + 1, q + 1),
-                                                   self.lefschetz_block(p, q) @ vec)
-        return out
 
     def trace_contract(self, form):
         out = Form.zero(self.n)

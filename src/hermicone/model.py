@@ -8,6 +8,7 @@ d(theta^i).  Terms are normalized on entry: ordered index pairs inside
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -71,6 +72,8 @@ def _normalize_terms(n, raw):
             if not 1 <= idx <= n:
                 raise SchemaError(f"index {idx} outside 1..{n}")
         coeff = complex(coeff)
+        if not cmath.isfinite(coeff):
+            raise SchemaError(f"term coefficient {coeff} is not finite")
         if kind in ("holo", "anti"):
             if j == k:
                 raise SchemaError(f"term d(theta^{i}) uses repeated index {j} in kind {kind}")
@@ -120,8 +123,11 @@ def parse_model(text):
         if not all(isinstance(entry[f], (int, float)) and not isinstance(entry[f], bool)
                    for f in ("re", "im")):
             raise SchemaError("term coefficients 're'/'im' must be numbers")
-        terms.append((entry["i"], entry["kind"], entry["j"], entry["k"],
-                      complex(entry["re"], entry["im"])))
+        try:
+            coeff = complex(entry["re"], entry["im"])
+        except OverflowError as exc:
+            raise SchemaError(f"term coefficient does not fit a float: {exc}") from None
+        terms.append((entry["i"], entry["kind"], entry["j"], entry["k"], coeff))
     return make_model(obj["name"], obj["n"], terms)
 
 

@@ -195,3 +195,30 @@ def test_descend_random_start_seeded(capsys):
     assert a == b
     assert a["report"]["termination"] == "GradientSmall"
     assert a["report"]["final_value"] == 0.0
+
+
+@pytest.mark.parametrize("tuples", ["0", "-3"])
+def test_varcheck_refuses_zero_tuples(capsys, tuples):
+    code, out, err = run(capsys, "varcheck", "--catalog", "torus2", "--tuples", tuples)
+    assert code == 2 and "--tuples" in err
+    assert out == ""
+
+
+def test_non_finite_or_overflowing_metric_exits_schema(tmp_path, capsys):
+    nan_metric = write_metric(tmp_path, [[np.nan, 0.0], [0.0, 1.0]], "nan.json")
+    code, _, err = run(capsys, "eval", "--catalog", "kodaira_thurston",
+                       "--functional", "F", "--metric", nan_metric)
+    assert code == 2 and "finite" in err
+    big_metric = write_metric(tmp_path, [[1e308, 0.0], [0.0, 1.0]], "big.json")
+    code, _, err = run(capsys, "eval", "--catalog", "kodaira_thurston",
+                       "--functional", "F", "--metric", big_metric)
+    assert code == 2 and "overflows" in err
+
+
+@pytest.mark.parametrize("coeff", ["NaN", "Infinity", "1e400"])
+def test_non_finite_model_coefficient_exits_schema(tmp_path, capsys, coeff):
+    path = tmp_path / "model.json"
+    path.write_text('{"name": "kt", "n": 2, "terms": [{"i": 2, "kind": "mixed", '
+                    f'"j": 1, "k": 1, "re": {coeff}, "im": 0.0}}]}}')
+    code, _, err = run(capsys, "eval", "--model", str(path), "--functional", "F")
+    assert code == 2 and "finite" in err

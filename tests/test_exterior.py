@@ -11,7 +11,7 @@ from hermicone.exterior import (
     wedge,
     wedge_power,
 )
-from hermicone.model import algebra_for, catalog
+from hermicone.model import algebra_for, catalog, make_model
 
 from .oracles import naive_d, naive_wedge
 
@@ -114,6 +114,36 @@ def test_d_matches_oracle(name):
         got = alg.d_form(u)
         want = naive_d(model, u)
         assert (got - want).max_abs() <= 1e-13
+
+
+DERIVATION_MODELS = {
+    # Kodaira-Thurston x T^2: d(theta^2) = theta^1 ^ thetabar^1
+    "kt_x_torus2": (4, [(2, "mixed", 1, 1, 1.3)]),
+    # complex Heisenberg: d(theta^5) = c1 theta^1^theta^2 + c2 theta^3^theta^4
+    "heisenberg5": (5, [(5, "holo", 1, 2, 0.7), (5, "holo", 3, 4, -1.9)]),
+    # not integrable, but d is still a derivation: every term kind, complex coefficients
+    "all_kinds3": (3, [(1, "mixed", 2, 3, 0.3 + 0.2j), (1, "anti", 2, 3, -1.1j),
+                       (2, "holo", 1, 3, 1.7 - 0.4j), (3, "mixed", 3, 1, 0.9)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVATION_MODELS))
+def test_d_total_matches_oracle_on_every_monomial(name):
+    model = make_model(name, *DERIVATION_MODELS[name])
+    alg = algebra_for(model)
+    for k in range(2 * model.n):
+        mat = alg.d_total(k)
+        for col, unit in enumerate(np.eye(alg.dim_total(k))):
+            want = alg.to_vector(naive_d(model, alg.from_vector(unit, k)), k + 1)
+            assert np.max(np.abs(mat[:, col] - want)) <= 1e-14, (k, col)
+
+
+def test_d_monomial_is_a_column_of_d_blocks():
+    alg = algebra_for(make_model("heisenberg5", *DERIVATION_MODELS["heisenberg5"]))
+    for idx in range(dim_pq(5, 2, 1)):
+        got = alg.d_monomial(2, 1, idx)
+        for tgt, mat in alg.d_blocks(2, 1).items():
+            assert np.array_equal(got.block(*tgt), mat[:, idx])
 
 
 @pytest.mark.parametrize("name", ["torus2", "torus3", "kodaira_thurston", "iwasawa"])

@@ -9,7 +9,7 @@ from hermicone.errors import (
     NotSKT,
     ToleranceAmbiguity,
 )
-from hermicone.exterior import random_form, wedge_power
+from hermicone.exterior import Form, random_form, wedge, wedge_power
 from hermicone.hodge import (
     DEFAULT_TOL,
     d_potential,
@@ -19,6 +19,7 @@ from hermicone.hodge import (
     image_projector_d_star,
     kernel_dimension,
     kernel_mask,
+    matrix_of_top_minus_one,
     predicates,
     root_n_minus_1,
     three_space_residuals,
@@ -26,7 +27,7 @@ from hermicone.hodge import (
     torsion_rho,
 )
 from hermicone.metric import HermitianMetric, bundle_for_algebra, random_metric
-from hermicone.model import algebra_for, catalog
+from hermicone.model import algebra_for, catalog, make_model
 
 from .conftest import CATALOG_NAMES, seeded_bundle
 from .oracles import oracle_gamma, oracle_rho
@@ -183,6 +184,17 @@ def test_root_roundtrip_random_metrics(name):
         b = bundle_for_algebra(alg, m)
         back = root_n_minus_1(alg, b.omega_power(alg.n - 1))
         assert np.max(np.abs(back.h - m.h)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_top_minus_one_matrix_equals_wedge_pairing(n):
+    alg = algebra_for(make_model(f"flat{n}", n))
+    rng = np.random.default_rng(29 + n)
+    for pqs in ([(n - 1, n - 1)], [(n - 1, n - 1), (1, 0)], [(n, n - 1)]):
+        form = random_form(n, pqs, rng)
+        want = np.array([[alg.integrate(wedge(form, Form.monomial(n, (k,), (j,), 1j)))
+                          for k in range(n)] for j in range(n)])
+        assert np.array_equal(matrix_of_top_minus_one(alg, form), want)
 
 
 def test_root_scaling_law():

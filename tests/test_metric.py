@@ -1,19 +1,20 @@
 """Metric layer: Hermitian matrices, the operator bundle, identity residuals."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from hermicone.errors import DimensionMismatch, NotPositiveDefinite, SchemaError
-from hermicone.exterior import random_form
+from hermicone.exterior import Form, _basis, random_form, wedge
 from hermicone.metric import (
     HermitianMetric,
     bundle_for_algebra,
     identity_suite,
     random_metric,
 )
-from hermicone.model import algebra_for, catalog
+from hermicone.model import algebra_for, catalog, make_model
 
 from .conftest import CATALOG_NAMES, seeded_bundle
 
@@ -63,6 +64,60 @@ def test_metric_check_gates():
     with pytest.raises(NotPositiveDefinite):
         HermitianMetric(not_pd).check()
     HermitianMetric.identity(4).check()
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400", '"1"'])
+def test_metric_from_json_rejects_non_numbers(bad):
+    doc = f'[[{{"re": {bad}, "im": 0}}, {{"re": 0, "im": 0}}], ' \
+          '[{"re": 0, "im": 0}, {"re": 1, "im": 0}]]'
+    with pytest.raises(SchemaError):
+        HermitianMetric.from_json(doc)
+
+
+def test_metric_check_rejects_overflow():
+    # 0.5 * (H + H^H) overflows, so the eigenvalues are not finite
+    with pytest.raises(SchemaError):
+        HermitianMetric(np.diag([1e308, 1.0])).check()
+    with pytest.raises(SchemaError):
+        HermitianMetric(np.diag([np.nan, 1.0])).check()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_gram_equals_per_minor_definition(n):
+    rng = np.random.default_rng(100 + n)
+    alg = algebra_for(make_model(f"flat{n}", n))
+    for _ in range(2):
+        metric = random_metric(n, rng)
+        bundle = bundle_for_algebra(alg, metric)
+        h_inv = np.linalg.inv(metric.h)
+        for p in range(n + 1):
+            for q in range(n + 1):
+                combos_p = list(itertools.combinations(range(n), p))
+                combos_q = list(itertools.combinations(range(n), q))
+                # <theta_I^thetabar_J, theta_K^thetabar_L> = det Hinv[I,K] * det Hinv[L,J]
+                a = np.array([[np.linalg.det(h_inv[np.ix_(I, K)]) for K in combos_p]
+                              for I in combos_p])
+                b = np.array([[np.linalg.det(h_inv[np.ix_(L, J)]) for L in combos_q]
+                              for J in combos_q])
+                g = np.kron(a, b)
+                assert np.array_equal(bundle.gram(p, q), 0.5 * (g + g.conj().T)), (p, q)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_star_equals_wedge_pairing_definition(name):
+    # <u, conj(w)> det(H) = integral of u ^ star(w), solved against wedge pairings
+    bundle = seeded_bundle(name, seed=3)
+    alg, n = bundle.alg, bundle.n
+    for a in range(n + 1):
+        for b in range(n + 1):
+            test_basis = _basis(n, b, a)
+            pair = np.array([[alg.integrate(wedge(Form.monomial(n, I, J), Form.monomial(n, K, L)))
+                              for (K, L) in _basis(n, n - b, n - a)] for (I, J) in test_basis])
+            g = bundle.gram(b, a)
+            rhs = np.array([(-1) ** (a * b) * g[test_basis.index((J, I)), :]
+                            for (I, J) in _basis(n, a, b)]).T
+            want = np.linalg.solve(pair, bundle.det_h * rhs)
+            assert np.array_equal(bundle.star_block(a, b), want), (a, b)
 
 
 def test_random_metric_positive_definite():
