@@ -29,12 +29,19 @@ flat = descend(catalog("torus3"), "F", start="random", seed=0, steps=5)
 print(f"\ntorus3 F: {flat.termination} after {len(flat.records)} record(s), "
       f"final value {flat.final_value}")
 
-# The volume-side energy decreases monotonically; near rounding scale the
-# probes stop being evaluable and the trace says so instead of converging.
+# The volume-side energy from the identity data: the exact closed-form
+# gradient takes it to rounding scale in two steps, where the gradient
+# vanishes to rounding as well and the run stops on GradientSmall.
 vol = descend(catalog("iwasawa"), "G", steps=100)
 print(f"\niwasawa G: {vol.termination}, {len(vol.records)} iterates, "
       f"monotone={vol.monotone}")
 print(f"  value {vol.initial_value:.6f} -> {vol.final_value:.3e} (> 0)")
-for r in vol.records[:3] + vol.records[-2:]:
+for r in vol.records:
     print(f"  it {r.index:3d}  value {r.value:.6e}  |grad| {r.gradient_norm:.2e} "
           f"  step {r.step_size:.2e}")
+
+# From a random start the iterates drift towards a kernel-ambiguity cliff:
+# no trial step stays evaluable, and the stall is reported, not hidden.
+rnd = descend(catalog("iwasawa"), "G", start="random", seed=0, steps=100)
+print(f"\niwasawa G, random start: {rnd.termination} after {len(rnd.records)} "
+      f"iterates, value {rnd.initial_value:.4f} -> {rnd.final_value:.3e}")

@@ -2,8 +2,10 @@
 
 Runs a fixed list of in-process ``hermicone.cli.main`` jobs and prints, per
 job, its exit code, the sha256 of its stdout report and its label, then
-one digest over all of those lines.  A change that claims to leave every
-report unchanged must print the same corpus digest as its parent:
+one digest over all of those lines and one over the lines of every job
+but the descents.  A change that claims to leave every report unchanged
+must print the same corpus digest as its parent; a change to descent
+alone must print the same non-descend digest:
 
     python3 scripts/report_corpus.py
 
@@ -103,15 +105,21 @@ def run_job(argv):
     return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
 
 
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
 def main_corpus():
-    lines = []
+    lines, others = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for label, job_argv in jobs(_write_inputs(Path(tmp))):
             code, digest = run_job(job_argv)
             lines.append(f"{code}\t{digest}\t{label}")
+            if job_argv[0] != "descend":
+                others.append(lines[-1])
             print(lines[-1], flush=True)
-    corpus = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    print(f"corpus\t{corpus}\t{len(lines)} jobs")
+    print(f"corpus\t{_digest(lines)}\t{len(lines)} jobs")
+    print(f"non-descend\t{_digest(others)}\t{len(others)} jobs")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import (DegreeOutOfRange, DimensionMismatch, EmptyCone,
-                     InfeasibleStart, LineSearchFailure, ModelInvalid,
+                     InfeasibleStart, KernelJump, LineSearchFailure, ModelInvalid,
                      ModelNotUnimodular, NotBalanced, NotPositive,
                      NotPositiveDefinite, NotSKT, SchemaError,
                      ToleranceAmbiguity, ToleranceFailure, UnknownCatalogName)
@@ -459,7 +459,9 @@ _ERROR_CODES = (
     ((ModelInvalid, ModelNotUnimodular, UnknownCatalogName, DimensionMismatch,
       DegreeOutOfRange), EXIT_VALIDATION),
     ((NotSKT, NotBalanced, NotPositive, NotPositiveDefinite), EXIT_PREDICATE),
-    ((ToleranceFailure, ToleranceAmbiguity), EXIT_TOLERANCE),
+    # a singular solve: a badly scaled metric whose Gram blocks underflow
+    ((ToleranceFailure, ToleranceAmbiguity, KernelJump, np.linalg.LinAlgError),
+     EXIT_TOLERANCE),
     ((InfeasibleStart, EmptyCone, LineSearchFailure), EXIT_INFEASIBLE),
 )
 

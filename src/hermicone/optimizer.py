@@ -6,7 +6,9 @@ coclosed volume data (d Omega = 0) parametrized by real (n-1,n-1) forms.
 Both slices are computed once as SVD null spaces over an explicit real
 basis, then orthonormalized against a reference inner product, and the
 energies are minimized by projected gradient descent with a backtracking
-line search that never leaves the positivity cone.
+line search that never leaves the positivity cone.  The slice gradient
+is the exact closed-form first variation from the variation module;
+finite differences only audit it (variation.fd_derivative in the tests).
 """
 
 from __future__ import annotations
@@ -16,14 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DimensionMismatch, EmptyCone, InfeasibleStart,
-                     LineSearchFailure, NotPositive, NotPositiveDefinite,
-                     ToleranceAmbiguity, ToleranceFailure)
+                     KernelJump, LineSearchFailure, NotPositive,
+                     NotPositiveDefinite, ToleranceAmbiguity, ToleranceFailure)
 from .exterior import ExteriorAlgebra, Form, _combos, wedge, wedge_power
 from .functionals import eval_F, eval_F_tilde, eval_G, eval_H
 from .hodge import DEFAULT_TOL, predicates, root_n_minus_1
 from .metric import HermitianMetric, bundle_for_algebra
 from .model import algebra_for
-from .variation import form_of_hermitian, hermitian_of_form
+from .variation import (hermitian_of_form, make_direction, spectral_gap,
+                        variation_at)
 
 NULLSPACE_RTOL = 1e-10
 DEGENERACY_RTOL = 1e-6
@@ -57,31 +60,38 @@ def real_block_basis(n, p):
 class ConstraintBasis:
     """Orthonormal real basis of an admissible linear slice.
 
-    forms spans the null space of the constraint map inside the ambient
-    real basis; columns of coefficients express them over that ambient
-    basis.  Orthonormality is w.r.t. Re of the reference L2 product.
+    The columns of matrix are the (p,p) blocks of the basis forms, which
+    span the null space of the constraint map inside the ambient real
+    basis; columns of coefficients express them over that ambient basis.
+    Orthonormality is w.r.t. Re of the reference L2 product.
     """
 
     kind: str
     pq: tuple
-    forms: list
+    matrix: np.ndarray
     coefficients: np.ndarray
     ambient: list
     reference: object
 
     @property
     def dimension(self):
-        return len(self.forms)
+        return self.matrix.shape[1]
+
+    @property
+    def forms(self):
+        return [self._form(col) for col in self.matrix.T]
+
+    def _form(self, block):
+        return self.reference.alg.from_blockvec(self.pq, block)
 
     def combine(self, x):
-        out = Form.zero(self.ambient[0].n)
-        for c, f in zip(x, self.forms):
-            out = out + float(c) * f
-        return out
+        return self._form(self.matrix @ np.asarray(x, dtype=float))
 
     def coordinates(self, form):
         """Reference-orthogonal coordinates of a form (exact when it lies in the slice)."""
-        return np.array([self.reference.l2_inner(form, f).real for f in self.forms])
+        ref = self.reference
+        pairing = self.matrix.conj().T @ (ref.gram(*self.pq) @ form.block(*self.pq))
+        return (pairing * ref.det_h).real
 
 
 def _constraint_map(alg, kind, form):
@@ -126,32 +136,19 @@ def constraint_basis(model, kind, reference=None, tol=NULLSPACE_RTOL, probe=True
 
     reference = reference if reference is not None else \
         bundle_for_algebra(alg, HermitianMetric.identity(n))
-    raw_forms = []
-    for col in null.T:
-        f = Form.zero(n)
-        for c, amb in zip(col, ambient):
-            f = f + float(c) * amb
-        raw_forms.append(f)
+    ambient_blocks = np.stack([f.block(p, p) for f in ambient], axis=1)
+    raw = ambient_blocks @ null
     # orthonormalize w.r.t. the real part of the reference L2 product
-    gram = np.array([[reference.l2_inner(fb, fa).real for fb in raw_forms]
-                     for fa in raw_forms])
-    if raw_forms:
+    gram = (raw.conj().T @ (reference.gram(p, p) @ raw) * reference.det_h).real
+    if null.shape[1]:
         w, v = np.linalg.eigh(0.5 * (gram + gram.T))
         if w.min(initial=1.0) <= 0:
             raise ToleranceFailure("constraint basis Gram matrix is not positive")
-        transform = v / np.sqrt(w)
-        coeffs = null @ transform
-        forms = []
-        for col in coeffs.T:
-            f = Form.zero(n)
-            for c, amb in zip(col, ambient):
-                f = f + float(c) * amb
-            forms.append(f)
+        coeffs = null @ (v / np.sqrt(w))
     else:
         coeffs = null
-        forms = []
-
-    basis = ConstraintBasis(kind, (p, p), forms, coeffs, ambient, reference)
+    basis = ConstraintBasis(kind, (p, p), ambient_blocks @ coeffs, coeffs, ambient,
+                            reference)
     if probe:
         target = reference.omega if kind == "skt" else reference.omega_power(n - 1)
         proj = basis.combine(basis.coordinates(target))
@@ -265,13 +262,18 @@ class DescentTrace:
         return rows
 
 
+_UNEVALUABLE = (NotPositive, NotPositiveDefinite, ToleranceAmbiguity,
+                ToleranceFailure, ValueError)
+
+
 class _Objective:
     """Coordinates -> energy value, None when the point is not admissible.
 
     With normalize on, evaluation happens at the rescaled representative
     with unit normalization integral, so the composed objective is
     constant along rays and monotone line searches survive the rescaling
-    of accepted iterates.
+    of accepted iterates.  The normalization integral is linear in the
+    coordinates: covector holds its value on each basis form.
     """
 
     def __init__(self, alg, basis, functional, nu, weight_bundle, tol, normalize):
@@ -283,6 +285,19 @@ class _Objective:
         self.tol = tol
         self.normalize = normalize
         self.kind = "volume" if functional == "G" else "metric"
+        forms = basis.forms
+        nu_form = nu.form()
+        if self.kind == "metric":
+            nu_pow = wedge_power(nu_form, alg.n - 1)
+            integrals = [alg.integrate(wedge(f, nu_pow)) for f in forms]
+        else:
+            integrals = [alg.integrate(wedge(nu_form, f)) for f in forms]
+        self.covector = np.array(integrals, dtype=complex).real
+        self.directions = [make_direction(alg, f, kind=self.kind, tol=tol) for f in forms]
+        n = alg.n
+        self._last = None
+        self.moving_projector = {"F": ("d", 3), "F_tilde": ("d", 3),
+                                 "G": ("dbar", (n - 1, n - 1))}.get(functional)
 
     def metric_at(self, x):
         form = self.basis.combine(x)
@@ -292,18 +307,13 @@ class _Objective:
 
     def min_eigenvalue(self, x):
         try:
-            return self.metric_at(self.retract(x) if self.normalize else x) \
-                .min_eigenvalue()
+            return self._bundle(self.retract(x) if self.normalize else x) \
+                .metric.min_eigenvalue()
         except (NotPositive, NotPositiveDefinite, ValueError):
             return -np.inf
 
     def normalization(self, x):
-        form = self.basis.combine(x)
-        nu_form = self.nu.form()
-        if self.kind == "metric":
-            return self.alg.integrate(
-                wedge(form, wedge_power(nu_form, self.alg.n - 1))).real
-        return self.alg.integrate(wedge(nu_form, form)).real
+        return float(self.covector @ x)
 
     def retract(self, x):
         """Rescale onto the unit normalization slice; the integral is linear."""
@@ -316,12 +326,18 @@ class _Objective:
         return _constraint_map(self.alg, self.basis.kind,
                                self.basis.combine(x)).max_abs()
 
+    def _bundle(self, x):
+        """Bundle at an evaluation point.  The last one is kept: a trial
+        point's positivity check and value share it, and so do the
+        gradient and the record at an accepted iterate."""
+        key = x.tobytes()
+        if self._last is None or self._last[0] != key:
+            self._last = (key, bundle_for_algebra(self.alg, self.metric_at(x)))
+        return self._last[1]
+
     def __call__(self, x):
         try:
-            if self.normalize:
-                x = self.retract(x)
-            metric = self.metric_at(x)
-            bundle = bundle_for_algebra(self.alg, metric)
+            bundle = self._bundle(self.retract(x) if self.normalize else x)
             if self.functional == "F":
                 return eval_F(bundle, self.tol).value
             if self.functional == "F_tilde":
@@ -331,28 +347,29 @@ class _Objective:
             if self.functional == "H":
                 return eval_H(bundle, self.weight_bundle).value
             raise ValueError(f"unknown functional {self.functional!r}")
-        except (NotPositive, NotPositiveDefinite, ToleranceAmbiguity,
-                ToleranceFailure, ValueError):
+        except _UNEVALUABLE:
             return None
 
+    def gradient(self, x):
+        """Exact slice gradient at x, None when it is not evaluable there.
 
-def _fd_gradient(obj, x, h0):
-    """Central-difference gradient in slice coordinates, None when a
-    coordinate stays unevaluable down to the smallest probe step."""
-    grad = np.zeros(x.size)
-    for a in range(x.size):
-        h = h0
-        for _ in range(8):
-            e = np.zeros_like(x)
-            e[a] = h
-            fp, fm = obj(x + e), obj(x - e)
-            if fp is not None and fm is not None:
-                grad[a] = (fp - fm) / (2 * h)
-                break
-            h *= 0.25
-        else:
+        One bundle at the (retracted) iterate; each entry is the closed-form
+        derivative along a basis form.  With normalize on, the chain rule
+        through x -> x / c(x) gives (g - covector (g . x_r)) / c(x).
+        """
+        try:
+            x_r = self.retract(x) if self.normalize else x
+            bundle = self._bundle(x_r)
+            if self.moving_projector is not None:
+                spectral_gap(bundle, *self.moving_projector, tol=self.tol)
+            at = variation_at(bundle, self.functional, self.nu, self.weight_bundle,
+                              self.tol)
+            grad = np.array([at(d).derivative for d in self.directions])
+        except _UNEVALUABLE + (KernelJump,):
             return None
-    return grad
+        if self.normalize:
+            grad = (grad - self.covector * (grad @ x_r)) / self.normalization(x)
+        return grad
 
 
 def _line_search(obj, x, grad, gnorm, value, alpha0):
@@ -383,7 +400,7 @@ def _line_search(obj, x, grad, gnorm, value, alpha0):
 
 def descend(model, functional="F_tilde", start=None, nu=None, weight=None,
             steps=100, seed=0, tol=DEFAULT_TOL, gradient_tol=1e-8,
-            normalize=None, grad_step=1e-4, max_step=None):
+            normalize=None, max_step=None):
     """Projected gradient descent of one torsion energy inside its cone.
 
     start is a HermitianMetric (metric functionals) or an (n-1,n-1) Form
@@ -391,9 +408,14 @@ def descend(model, functional="F_tilde", start=None, nu=None, weight=None,
     positive point in the slice.  normalize rescales every iterate to a
     unit normalization integral against nu (the default for F_tilde; an
     option for the others, including the volume normalization for G).
-    max_step caps the trial step length, trading speed for trace
-    resolution near degenerate boundaries.  Termination is one of
-    GradientSmall, PositivityBoundary, MaxIters, NumericalStall.
+    The slice gradient is exact: the closed-form first variation
+    (FunctionalVariation.derivative) along each basis form, at one bundle
+    per iterate.  max_step caps the trial step length, trading speed for
+    trace resolution near degenerate boundaries.  Termination is one of
+    GradientSmall, PositivityBoundary, MaxIters, NumericalStall; the
+    stall means either that the gradient is not evaluable at the iterate
+    (a kernel jump, a tolerance failure) or that the line search finds no
+    decrease above its floor.
     """
     alg = _algebra_of(model)
     n = alg.n
@@ -436,8 +458,7 @@ def descend(model, functional="F_tilde", start=None, nu=None, weight=None,
     termination = "MaxIters"
     step_size = 1.0
     for it in range(steps + 1):
-        grad = _fd_gradient(obj, x, grad_step * max(1.0, float(np.max(np.abs(x))))
-                            if x.size else grad_step)
+        grad = obj.gradient(x)
         if grad is None:
             termination = "NumericalStall"
             break
@@ -474,10 +495,9 @@ def descend(model, functional="F_tilde", start=None, nu=None, weight=None,
         records[-1].step_size = alpha
         records[-1].backtracks = bt
 
-    final_metric = obj.metric_at(obj.retract(x) if normalize else x)
-    final_bundle = bundle_for_algebra(alg, final_metric)
+    final_bundle = obj._bundle(obj.retract(x) if normalize else x)
     preds = predicates(final_bundle, 1e-6)
-    h = final_metric.h
+    h = final_bundle.metric.h
     degen = bool(normalize and np.linalg.eigvalsh(h)[0]
                  < DEGENERACY_RTOL * np.trace(h).real / n)
     # a vanishing pluriclosed energy certifies a Kahler point; G and H have

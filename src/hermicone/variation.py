@@ -26,9 +26,9 @@ from .errors import (DimensionMismatch, DirectionNotAdmissible, KernelJump,
 from .exterior import Form, conj_block_matrix, dim_pq, wedge, wedge_power
 from .functionals import (eval_F, eval_F_tilde, eval_G, eval_H,
                           normalization_integral)
-from .hodge import (DEFAULT_TOL, d_potential, dbar_potential, green_operator,
-                    harmonic_projector, kernel_mask, root_n_minus_1,
-                    torsion_gamma, torsion_rho)
+from .hodge import (DEFAULT_TOL, green_operator, harmonic_projector,
+                    image_projector_d, image_projector_dbar, kernel_mask,
+                    root_n_minus_1, torsion_gamma, torsion_rho)
 from .metric import HermitianMetric, bundle_for_algebra, random_metric
 from .model import algebra_for
 
@@ -291,15 +291,13 @@ class ProjectorVariation:
         return float(np.sqrt(max((kv.conj() @ (self.gram @ kv)).real, 0.0)))
 
 
-def var_harmonic_projector(bundle, gamma, which, key, v=None, tol=DEFAULT_TOL,
-                           gap_factor=100.0):
-    """Variation of the kernel projector of a Laplacian along omega + t gamma.
+def spectral_gap(bundle, which, key, tol=DEFAULT_TOL, gap_factor=100.0):
+    """(gap, threshold, kernel mask) of a Laplacian, guarded against kernel jumps.
 
-    Refuses (KernelJump) when the smallest nonzero eigenvalue sits within
-    gap_factor of the kernel threshold: there the kernel dimension is not
-    stable under perturbation and no derivative exists.  With a test form
-    v the applied results are attached (value_form from the one-term
-    restriction, oracle_form from the full two-term expression).
+    gap is the smallest nonzero eigenvalue.  Refuses (KernelJump) when it
+    sits within gap_factor of the kernel threshold: there the kernel
+    dimension is not stable under perturbation and the harmonic projector
+    has no derivative.
     """
     spec = bundle.spectral(which, key)
     mask = kernel_mask(spec.eigenvalues, tol)
@@ -310,6 +308,19 @@ def var_harmonic_projector(bundle, gamma, which, key, v=None, tol=DEFAULT_TOL,
     if gap < gap_factor * thr:
         raise KernelJump(
             f"spectral gap {gap:.3e} is within {gap_factor:g}x of threshold {thr:.3e}")
+    return gap, thr, mask
+
+
+def var_harmonic_projector(bundle, gamma, which, key, v=None, tol=DEFAULT_TOL,
+                           gap_factor=100.0):
+    """Variation of the kernel projector of a Laplacian along omega + t gamma.
+
+    Refuses (KernelJump) under the spectral_gap guard.  With a test form
+    v the applied results are attached (value_form from the one-term
+    restriction, oracle_form from the full two-term expression).
+    """
+    spec = bundle.spectral(which, key)
+    gap, thr, mask = spectral_gap(bundle, which, key, tol, gap_factor)
     proj = harmonic_projector(bundle, which, key, tol)
     green = green_operator(bundle, which, key, tol)
     dlap = laplacian_variation_matrix(bundle, gamma, which, key)
@@ -366,8 +377,13 @@ def metric_direction_of_volume(bundle, direction_form):
 class FunctionalVariation:
     """First variation of one torsion energy along an admissible direction.
 
-    value sums the pairing summands plus the nonnegative bound on the
-    projector remainder; terms keeps every summand separately together
+    derivative is the exact directional derivative: the pairing summands
+    plus the signed pairing of the torsion with the moving-projector
+    remainder (the resolvent formula for the projector derivative).
+    value is the bound-carrying diagnostic: it adds the nonnegative bound
+    on that remainder instead of the signed pairing, so it is a derivative
+    only where the projector source norm vanishes, and not linear in the
+    direction elsewhere.  terms keeps every summand separately together
     with diagnostics (the signed remainder pairing, the norm of the moving
     projector applied to the frozen source).  fd is filled by the
     finite-difference harness on request; discrepancy then records
@@ -378,6 +394,7 @@ class FunctionalVariation:
 
     kind: str
     value: float
+    derivative: float
     terms: dict
     imag_residual: float
     fd: float | None = None
@@ -387,64 +404,206 @@ class FunctionalVariation:
         return None if self.fd is None else float(self.fd - self.value)
 
 
+def variation_at(bundle, functional, nu=None, weight_bundle=None, tol=DEFAULT_TOL):
+    """The first variation of one energy at a fixed bundle, as a map.
+
+    Returns direction -> FunctionalVariation (without fd) for vetted
+    Direction objects; every direction-independent ingredient (torsion,
+    projectors, Green operators) is computed once, so many directions at
+    one metric cost one torsion solve.  functional is "F", "F_tilde"
+    (needs nu), "G" or "H" (needs weight_bundle).
+    """
+    if functional == "F":
+        return _var_F_at(bundle, tol)[0]
+    if functional == "F_tilde":
+        return _var_F_tilde_at(bundle, nu, tol)
+    if functional == "G":
+        return _var_G_at(bundle, tol)
+    if functional == "H":
+        return _var_H_at(bundle, weight_bundle)
+    raise ValueError(f"unknown functional {functional!r}")
+
+
+def _var_F_at(bundle, tol):
+    """(direction -> variation of F, torsion report) at one bundle."""
+    alg = bundle.alg
+    report = torsion_rho(bundle, tol)
+    rho_vec = alg.to_vector(report.torsion, 2)
+    gram = bundle.gram_total(2)
+    det = bundle.det_h
+    im_proj3 = image_projector_d(bundle, 3, tol)
+    d_star3 = bundle.d_star_total(3)
+    green2 = green_operator(bundle, "d", 2, tol)
+    proj3 = harmonic_projector(bundle, "d", 3, tol)
+    green3 = green_operator(bundle, "d", 3, tol)
+    omega_src = alg.to_vector(report.source, 3)
+    green_src, proj_src = green3 @ omega_src, proj3 @ omega_src
+    rho_norm = float(np.sqrt(max(report.norm_sq, 0.0)))
+
+    def at(direction):
+        gamma = direction.form
+        src_vec = alg.to_vector(alg.del_form(gamma), 3)
+        eta = green2 @ (d_star3 @ (im_proj3 @ src_vec))  # the minimal d-potential
+        comm = commutator_mult_total(bundle, gamma, 2)
+
+        # six pairing summands, split by type (the commutator preserves type)
+        terms = {}
+        total = 0.0 + 0.0j
+        second_full = eta + comm @ rho_vec
+        for pq in ((2, 0), (1, 1), (0, 2)):
+            off = alg.offsets(2)[pq]
+            sl = slice(off, off + dim_pq(alg.n, *pq))
+            g = bundle.gram(*pq)
+            first = (rho_vec[sl].conj() @ (g @ eta[sl])) * det
+            second = (second_full[sl].conj() @ (g @ rho_vec[sl])) * det
+            terms[f"eta_rho_{pq[0]}{pq[1]}"] = float(first.real)
+            terms[f"rho_eta_comm_{pq[0]}{pq[1]}"] = float(second.real)
+            total += first + second
+
+        # moving-projector remainder: the value carries its norm bound,
+        # the derivative its signed pairing
+        dlap = laplacian_variation_matrix(bundle, gamma, "d", 3)
+        a_vec = proj3 @ (dlap @ green_src) + green3 @ (dlap @ proj_src)
+        lift = green2 @ (d_star3 @ a_vec)
+        proj_term = 2.0 * rho_norm * (_gram_norm(gram, lift) * np.sqrt(det))
+        pairing = float(2.0 * (rho_vec.conj() @ (gram @ lift)).real * det)
+        terms["projector_term"] = float(proj_term)
+        terms["projector_pairing_signed"] = pairing
+        terms["projector_source_norm"] = float(
+            _gram_norm(bundle.gram_total(3), a_vec) * np.sqrt(det))
+        return FunctionalVariation(
+            kind="F",
+            value=float(total.real + proj_term),
+            derivative=float(total.real + pairing),
+            terms=terms,
+            imag_residual=float(abs(total.imag)),
+        )
+
+    return at, report
+
+
+def _var_G_at(bundle, tol):
+    alg, n = bundle.alg, bundle.n
+    report = torsion_gamma(bundle, tol)
+    pq = (n - 1, n - 2)
+    top = (n - 1, n - 1)
+    tors_vec = report.torsion.block(*pq)
+    gram = bundle.gram(*pq)
+    det = bundle.det_h
+    im_proj = image_projector_dbar(bundle, *top, tol)
+    dbar_star = bundle.dbar_star_block(*top)
+    green_pq = green_operator(bundle, "dbar", pq, tol)
+    projt = harmonic_projector(bundle, "dbar", top, tol)
+    greent = green_operator(bundle, "dbar", top, tol)
+    omega_src = report.source.block(*top)
+    green_src, proj_src = greent @ omega_src, projt @ omega_src
+    tors_norm = float(np.sqrt(max(report.norm_sq, 0.0)))
+
+    def at(direction):
+        src_vec = direction.form.block(*top)
+        eta = green_pq @ (dbar_star @ (im_proj @ src_vec))  # the minimal dbar-potential
+        rho_form = metric_direction_of_volume(bundle, direction.form)
+        comm = commutator_mult(bundle, rho_form, *pq)
+        first = (tors_vec.conj() @ (gram @ eta)) * det
+        second = (eta + comm @ tors_vec).conj() @ (gram @ tors_vec) * det
+        total = first + second
+        terms = {
+            "eta_gamma": float(first.real),
+            "gamma_eta_comm": float(second.real),
+        }
+
+        dlap = laplacian_variation_matrix(bundle, rho_form, "dbar", top)
+        a_vec = projt @ (dlap @ green_src) + greent @ (dlap @ proj_src)
+        lift = green_pq @ (dbar_star @ a_vec)
+        proj_term = 2.0 * tors_norm * _gram_norm(gram, lift) * np.sqrt(det)
+        pairing = float(2.0 * (tors_vec.conj() @ (gram @ lift)).real * det)
+        terms["projector_term"] = float(proj_term)
+        terms["projector_pairing_signed"] = pairing
+        terms["projector_source_norm"] = float(
+            _gram_norm(bundle.gram(*top), a_vec) * np.sqrt(det))
+        return FunctionalVariation(
+            kind="G",
+            value=float(total.real + proj_term),
+            derivative=float(total.real + pairing),
+            terms=terms,
+            imag_residual=float(abs(total.imag)),
+        )
+
+    return at
+
+
+def _var_H_at(bundle, gamma_bundle):
+    alg, n = bundle.alg, bundle.n
+    u_bar = bundle.trace_contract(alg.dbar_form(bundle.omega))  # (0,1)
+    del_omega = alg.del_form(bundle.omega)
+    weight = gamma_bundle.omega_power(n - 1)
+
+    def at(direction):
+        eta = direction.form
+        t1_form = bundle.trace_contract(alg.del_form(eta))
+        t1 = 2.0 * (1j * alg.integrate(wedge(wedge(t1_form, u_bar), weight))).real
+        t2_form = bundle.mult_adjoint(eta, del_omega)
+        t2 = 2.0 * (1j * alg.integrate(wedge(wedge(t2_form.pure_part(1, 0), u_bar),
+                                             weight))).real
+        return FunctionalVariation(
+            kind="H",
+            value=float(t1 - t2),
+            derivative=float(t1 - t2),
+            terms={"trace_of_derivative": float(t1), "adjoint_of_direction": float(t2)},
+            imag_residual=0.0,
+        )
+
+    return at
+
+
+def _var_F_tilde_at(bundle, nu, tol):
+    alg, n = bundle.alg, bundle.n
+    var_f, report = _var_F_at(bundle, tol)
+    f_val = float(report.norm_sq)  # eval_F(bundle, tol).value
+    denom = normalization_integral(bundle, nu)
+    if denom <= 0:
+        raise NotPositive(f"normalization integral {denom:.3e} is not positive")
+    nu_pow = wedge_power(nu.form(), n - 1)
+
+    def at(direction):
+        base = var_f(direction)
+        dir_int = (alg.integrate(wedge(direction.form, nu_pow))).real
+
+        def quotient(d_f):
+            return float((d_f - n * (dir_int / denom) * f_val) / denom ** n)
+
+        terms = dict(base.terms)
+        terms.update({"unnormalized": base.value, "normalization": float(denom),
+                      "direction_integral": float(dir_int)})
+        return FunctionalVariation(
+            kind="F_tilde",
+            value=quotient(base.value),
+            derivative=quotient(base.derivative),
+            terms=terms,
+            imag_residual=base.imag_residual,
+        )
+
+    return at
+
+
+def _vetted(alg, direction, kind, require, tol):
+    """make_direction for raw input; a Direction only has its kind checked."""
+    if not isinstance(direction, Direction):
+        return make_direction(alg, direction, kind=kind, require=require, tol=tol)
+    if direction.kind != kind:
+        raise DirectionNotAdmissible(
+            f"this energy varies along {kind} directions, not {direction.kind} ones")
+    return direction
+
+
 def var_F(bundle, direction, tol=DEFAULT_TOL, with_fd=False, step=None):
     """First variation of the pluriclosed torsion energy along a real (1,1) direction.
 
     The direction must keep del dbar omega = 0 to first order.  At
     direction = omega the value equals n times the energy.
     """
-    alg = bundle.alg
-    if not isinstance(direction, Direction):
-        direction = make_direction(alg, direction, kind="metric", require="skt", tol=tol)
-    elif direction.kind != "metric":
-        raise DirectionNotAdmissible("the pluriclosed energy varies along (1,1) directions")
-    gamma = direction.form
-
-    report = torsion_rho(bundle, tol)
-    rho_vec = alg.to_vector(report.torsion, 2)
-    src_vec = alg.to_vector(alg.del_form(gamma), 3)
-    eta = d_potential(bundle, src_vec, 3, tol)
-    comm = commutator_mult_total(bundle, gamma, 2)
-    gram = bundle.gram_total(2)
-    det = bundle.det_h
-
-    # six pairing summands, split by type (the commutator preserves type)
-    terms = {}
-    total = 0.0 + 0.0j
-    second_full = eta.potential + comm @ rho_vec
-    for pq in ((2, 0), (1, 1), (0, 2)):
-        off = alg.offsets(2)[pq]
-        sl = slice(off, off + dim_pq(alg.n, *pq))
-        g = bundle.gram(*pq)
-        first = (rho_vec[sl].conj() @ (g @ eta.potential[sl])) * det
-        second = (second_full[sl].conj() @ (g @ rho_vec[sl])) * det
-        terms[f"eta_rho_{pq[0]}{pq[1]}"] = float(first.real)
-        terms[f"rho_eta_comm_{pq[0]}{pq[1]}"] = float(second.real)
-        total += first + second
-
-    # moving-projector remainder: enters the value through its norm bound
-    dlap = laplacian_variation_matrix(bundle, gamma, "d", 3)
-    proj3 = harmonic_projector(bundle, "d", 3, tol)
-    green3 = green_operator(bundle, "d", 3, tol)
-    omega_src = alg.to_vector(report.source, 3)
-    a_vec = (proj3 @ (dlap @ (green3 @ omega_src))
-             + green3 @ (dlap @ (proj3 @ omega_src)))
-    lift = green_operator(bundle, "d", 2, tol) @ (bundle.d_star_total(3) @ a_vec)
-    rho_norm = float(np.sqrt(max(report.norm_sq, 0.0)))
-    lift_norm = _gram_norm(gram, lift) * np.sqrt(det)
-    proj_term = 2.0 * rho_norm * lift_norm
-    terms["projector_term"] = float(proj_term)
-    terms["projector_pairing_signed"] = float(
-        2.0 * (rho_vec.conj() @ (gram @ lift)).real * det)
-    terms["projector_source_norm"] = float(
-        _gram_norm(bundle.gram_total(3), a_vec) * np.sqrt(det))
-
-    out = FunctionalVariation(
-        kind="F",
-        value=float(total.real + proj_term),
-        terms=terms,
-        imag_residual=float(abs(total.imag)),
-    )
+    direction = _vetted(bundle.alg, direction, "metric", "skt", tol)
+    out = _var_F_at(bundle, tol)[0](direction)
     if with_fd:
         out.fd = _fd_functional(bundle, direction.matrix, "F", tol=tol, step=step)
     return out
@@ -452,52 +611,8 @@ def var_F(bundle, direction, tol=DEFAULT_TOL, with_fd=False, step=None):
 
 def var_G(bundle, direction, tol=DEFAULT_TOL, with_fd=False, step=None):
     """First variation of the coclosed torsion energy along a closed real (n-1,n-1) direction."""
-    alg, n = bundle.alg, bundle.n
-    if not isinstance(direction, Direction):
-        direction = make_direction(alg, direction, kind="volume", require="balanced", tol=tol)
-    elif direction.kind != "volume":
-        raise DirectionNotAdmissible("the coclosed energy varies along (n-1,n-1) directions")
-
-    report = torsion_gamma(bundle, tol)
-    pq = (n - 1, n - 2)
-    tors_vec = report.torsion.block(*pq)
-    src_vec = direction.form.block(n - 1, n - 1)
-    eta = dbar_potential(bundle, src_vec, (n - 1, n - 1), tol)
-
-    rho_form = metric_direction_of_volume(bundle, direction.form)
-    comm = commutator_mult(bundle, rho_form, *pq)
-    gram = bundle.gram(*pq)
-    det = bundle.det_h
-    first = (tors_vec.conj() @ (gram @ eta.potential)) * det
-    second = (eta.potential + comm @ tors_vec).conj() @ (gram @ tors_vec) * det
-    total = first + second
-    terms = {
-        "eta_gamma": float(first.real),
-        "gamma_eta_comm": float(second.real),
-    }
-
-    dlap = laplacian_variation_matrix(bundle, rho_form, "dbar", (n - 1, n - 1))
-    projt = harmonic_projector(bundle, "dbar", (n - 1, n - 1), tol)
-    greent = green_operator(bundle, "dbar", (n - 1, n - 1), tol)
-    omega_src = report.source.block(n - 1, n - 1)
-    a_vec = (projt @ (dlap @ (greent @ omega_src))
-             + greent @ (dlap @ (projt @ omega_src)))
-    lift = green_operator(bundle, "dbar", pq, tol) \
-        @ (bundle.dbar_star_block(n - 1, n - 1) @ a_vec)
-    tors_norm = float(np.sqrt(max(report.norm_sq, 0.0)))
-    proj_term = 2.0 * tors_norm * _gram_norm(gram, lift) * np.sqrt(det)
-    terms["projector_term"] = float(proj_term)
-    terms["projector_pairing_signed"] = float(
-        2.0 * (tors_vec.conj() @ (gram @ lift)).real * det)
-    terms["projector_source_norm"] = float(
-        _gram_norm(bundle.gram(n - 1, n - 1), a_vec) * np.sqrt(det))
-
-    out = FunctionalVariation(
-        kind="G",
-        value=float(total.real + proj_term),
-        terms=terms,
-        imag_residual=float(abs(total.imag)),
-    )
+    direction = _vetted(bundle.alg, direction, "volume", "balanced", tol)
+    out = _var_G_at(bundle, tol)(direction)
     if with_fd:
         out.fd = _fd_volume_functional(bundle, direction.form, tol=tol, step=step)
     return out
@@ -505,24 +620,9 @@ def var_G(bundle, direction, tol=DEFAULT_TOL, with_fd=False, step=None):
 
 def var_H(bundle, gamma_bundle, direction, with_fd=False, step=None):
     """First variation of the trace energy in its metric slot, weight fixed."""
-    alg, n = bundle.alg, bundle.n
-    if not isinstance(direction, Direction):
-        direction = make_direction(alg, direction, kind="metric")
-    eta = direction.form
-
-    u_bar = bundle.trace_contract(alg.dbar_form(bundle.omega))  # (0,1)
-    weight = gamma_bundle.omega_power(n - 1)
-    t1_form = bundle.trace_contract(alg.del_form(eta))
-    t1 = 2.0 * (1j * alg.integrate(wedge(wedge(t1_form, u_bar), weight))).real
-    t2_form = bundle.mult_adjoint(eta, alg.del_form(bundle.omega))
-    t2 = 2.0 * (1j * alg.integrate(wedge(wedge(t2_form.pure_part(1, 0), u_bar),
-                                         weight))).real
-    out = FunctionalVariation(
-        kind="H",
-        value=float(t1 - t2),
-        terms={"trace_of_derivative": float(t1), "adjoint_of_direction": float(t2)},
-        imag_residual=0.0,
-    )
+    alg = bundle.alg
+    direction = _vetted(alg, direction, "metric", None, DEFAULT_TOL)
+    out = _var_H_at(bundle, gamma_bundle)(direction)
     if with_fd:
         h0 = bundle.metric
         step = default_step(h0) if step is None else step
@@ -537,26 +637,8 @@ def var_H(bundle, gamma_bundle, direction, with_fd=False, step=None):
 
 def var_F_tilde(bundle, nu, direction, tol=DEFAULT_TOL, with_fd=False, step=None):
     """First variation of the normalized pluriclosed energy."""
-    alg, n = bundle.alg, bundle.n
-    if not isinstance(direction, Direction):
-        direction = make_direction(alg, direction, kind="metric", require="skt", tol=tol)
-    base = var_F(bundle, direction, tol)
-    f_val = eval_F(bundle, tol).value
-    denom = normalization_integral(bundle, nu)
-    if denom <= 0:
-        raise NotPositive(f"normalization integral {denom:.3e} is not positive")
-    nu_pow = wedge_power(nu.form(), n - 1)
-    dir_int = (alg.integrate(wedge(direction.form, nu_pow))).real
-    value = (base.value - n * (dir_int / denom) * f_val) / denom ** n
-    terms = dict(base.terms)
-    terms.update({"unnormalized": base.value, "normalization": float(denom),
-                  "direction_integral": float(dir_int)})
-    out = FunctionalVariation(
-        kind="F_tilde",
-        value=float(value),
-        terms=terms,
-        imag_residual=base.imag_residual,
-    )
+    direction = _vetted(bundle.alg, direction, "metric", "skt", tol)
+    out = _var_F_tilde_at(bundle, nu, tol)(direction)
     if with_fd:
         out.fd = _fd_functional(bundle, direction.matrix, "F_tilde", nu=nu,
                                 tol=tol, step=step)

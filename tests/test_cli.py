@@ -222,3 +222,15 @@ def test_non_finite_model_coefficient_exits_schema(tmp_path, capsys, coeff):
                     f'"j": 1, "k": 1, "re": {coeff}, "im": 0.0}}]}}')
     code, _, err = run(capsys, "eval", "--model", str(path), "--functional", "F")
     assert code == 2 and "finite" in err
+
+
+@pytest.mark.parametrize("argv", [("eval", "--functional", "F"), ("torsion",)])
+def test_badly_scaled_metric_exits_tolerance(tmp_path, capsys, argv):
+    # finite and positive, but the Gram blocks underflow to singular matrices
+    # and the adjoint solve fails: a documented exit code, not a traceback
+    path = write_metric(tmp_path, 1e150 * np.eye(2), "scaled.json")
+    code, out, err = run(capsys, argv[0], "--catalog", "kodaira_thurston",
+                         *argv[1:], "--metric", path)
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from hermicone.errors import EmptyCone, InfeasibleStart, LineSearchFailure
-from hermicone.hodge import predicates
+from hermicone import optimizer
+from hermicone.errors import EmptyCone, InfeasibleStart, KernelJump, LineSearchFailure
+from hermicone.exterior import wedge, wedge_power
+from hermicone.hodge import DEFAULT_TOL, predicates
 from hermicone.metric import HermitianMetric, bundle_for_algebra
 from hermicone.model import algebra_for, catalog
 from hermicone.optimizer import (
@@ -13,7 +15,9 @@ from hermicone.optimizer import (
     descend,
     real_block_basis,
 )
-from hermicone.optimizer import _line_search  # noqa: the guard logic is worth pinning
+# the guard logic and the gradient are worth pinning below the public API
+from hermicone.optimizer import _line_search, _Objective, _random_feasible  # noqa
+from hermicone.variation import fd_derivative
 
 
 def test_real_block_basis_spans_real_forms():
@@ -55,6 +59,33 @@ def test_combine_and_coordinates_are_inverse():
     x = rng.normal(size=basis.dimension)
     back = basis.coordinates(basis.combine(x))
     assert np.max(np.abs(back - x)) <= 1e-10
+
+
+@pytest.mark.parametrize("name,kind", [("kodaira_thurston", "skt"),
+                                       ("iwasawa", "balanced")])
+def test_slice_maps_match_form_loops(name, kind):
+    # combine, coordinates and the normalization covector are mat-vecs now;
+    # the per-form loops they replace stay here as the reference
+    alg = algebra_for(catalog(name))
+    basis = constraint_basis(alg, kind)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=basis.dimension)
+    loop = basis.forms[0] * 0.0
+    for c, f in zip(x, basis.forms):
+        loop = loop + float(c) * f
+    assert (basis.combine(x) - loop).max_abs() <= 1e-13
+    form = loop + 0.5 * basis.forms[-1]
+    want = [basis.reference.l2_inner(form, f).real for f in basis.forms]
+    assert np.max(np.abs(basis.coordinates(form) - want)) <= 1e-13
+    functional = "F" if kind == "skt" else "G"
+    nu = HermitianMetric(np.diag(np.arange(1.0, alg.n + 1.0)))
+    obj = _Objective(alg, basis, functional, nu, None, DEFAULT_TOL, False)
+    nu_form = nu.form()
+    if kind == "skt":
+        integral = alg.integrate(wedge(loop, wedge_power(nu_form, alg.n - 1)))
+    else:
+        integral = alg.integrate(wedge(nu_form, loop))
+    assert obj.normalization(x) == pytest.approx(integral.real, rel=1e-13, abs=1e-13)
 
 
 def test_empty_cone_probe():
@@ -107,13 +138,79 @@ def test_descend_normalized_run_stays_on_slice():
 def test_descend_volume_functional_monotone():
     trace = descend(catalog("iwasawa"), "G", steps=30)
     assert trace.monotone
-    # the run drives the energy to rounding scale, then the probes become
-    # unevaluable and the stall is reported instead of a fake convergence
-    assert trace.termination == "NumericalStall"
+    # two exact gradient steps drive the energy from 1 to rounding scale,
+    # where the exact gradient is at rounding scale too
+    assert trace.termination == "GradientSmall"
+    assert len(trace.records) == 3
+    assert trace.final_value < 1e-30
     assert trace.final_value < trace.initial_value
     assert trace.final_value > 0.0
     assert trace.initial_value == pytest.approx(1.0, abs=1e-12)
     assert trace.kind == "volume"
+
+
+def test_descend_line_search_stall_is_reported():
+    # the random start drifts towards a kernel-ambiguity cliff: the gradient
+    # is still evaluable, but no trial step is, so the line search stalls
+    trace = descend(catalog("iwasawa"), "G", start="random", seed=0, steps=40)
+    assert trace.termination == "NumericalStall"
+    assert len(trace.records) < 41
+    last = trace.records[-1]
+    assert last.step_size == 0.0 and last.gradient_norm > 1e-8
+    assert trace.monotone and trace.final_value > 0.0
+
+
+def test_descend_unevaluable_gradient_stalls(monkeypatch):
+    def no_gap(*args, **kwargs):
+        raise KernelJump("spectral gap within the guard")
+
+    monkeypatch.setattr(optimizer, "spectral_gap", no_gap)
+    trace = descend(catalog("iwasawa"), "G", steps=5)
+    assert trace.termination == "NumericalStall"
+    assert trace.records == []
+    assert trace.final_value == trace.initial_value
+
+
+def _objective(name, functional, normalize):
+    alg = algebra_for(catalog(name))
+    basis = constraint_basis(alg, "balanced" if functional == "G" else "skt")
+    nu = HermitianMetric.identity(alg.n)
+    weight = bundle_for_algebra(alg, nu) if functional == "H" else None
+    return _Objective(alg, basis, functional, nu, weight, DEFAULT_TOL, normalize)
+
+
+def _fd_gradient(obj, x):
+    # Richardson central differences of the composed objective per coordinate
+    step = 1e-3 * obj.min_eigenvalue(x)
+    eye = np.eye(x.size)
+    return np.array([fd_derivative(lambda t, e=eye[a]: obj(x + t * e), step)
+                     for a in range(x.size)])
+
+
+@pytest.mark.parametrize("name,functional,normalize", [
+    ("kodaira_thurston", "F", False),
+    ("kodaira_thurston", "F_tilde", True),
+    ("iwasawa", "G", False),
+    ("iwasawa", "G", True),
+    ("kodaira_thurston", "H", False),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exact_slice_gradient_matches_fd(name, functional, normalize, seed):
+    obj = _objective(name, functional, normalize)
+    # raw random points: with normalize on, c(x) != 1 exercises the chain rule
+    x = _random_feasible(obj, obj.basis, np.random.default_rng(seed))
+    grad = obj.gradient(x)
+    fd = _fd_gradient(obj, x)
+    rel = np.abs(grad - fd) / np.maximum(1.0, np.maximum(np.abs(grad), np.abs(fd)))
+    assert np.max(rel) <= 1e-8
+    assert np.linalg.norm(grad) > 1e-6  # a nontrivial comparison
+
+
+def test_exact_slice_gradient_vanishes_on_flat_model():
+    obj = _objective("torus3", "F", False)
+    for seed in range(3):
+        x = _random_feasible(obj, obj.basis, np.random.default_rng(seed))
+        assert np.all(obj.gradient(x) == 0.0)
 
 
 def test_descend_normalized_volume_run_flags_degeneration():

@@ -10,6 +10,7 @@ from hermicone.errors import (
 )
 from hermicone.exterior import Form, random_form
 from hermicone.functionals import eval_F, eval_F_tilde, eval_G, eval_H
+from hermicone.hodge import root_n_minus_1
 from hermicone.metric import HermitianMetric, bundle_for_algebra
 from hermicone.model import algebra_for, catalog
 from hermicone.optimizer import constraint_basis
@@ -194,6 +195,47 @@ def test_var_G_pairings_match_fd_on_closed_directions(seed):
     assert var.fd == pytest.approx(pairing, rel=1e-8, abs=1e-9)
     assert abs(var.terms["projector_pairing_signed"]) <= 1e-9
     assert var.discrepancy == pytest.approx(-var.terms["projector_term"], abs=1e-8)
+
+
+def _balanced_bundle(seed):
+    """Identity metric (seed None) or a seeded balanced metric from the slice."""
+    alg = algebra_for(catalog("iwasawa"))
+    if seed is None:
+        return seeded_bundle("iwasawa")
+    basis = constraint_basis(alg, "balanced")
+    top = seeded_bundle("iwasawa").omega_power(alg.n - 1)
+    rng = np.random.default_rng(300 + seed)
+    x = basis.coordinates(top) + 0.2 * rng.normal(size=basis.dimension)
+    return bundle_for_algebra(alg, root_n_minus_1(alg, basis.combine(x)))
+
+
+@pytest.mark.parametrize("seed,direction_seed", [(None, 42), (0, 0), (1, 1), (2, 2)])
+def test_var_G_derivative_is_exact_on_moving_projector(seed, direction_seed):
+    # where the projector moves, value carries the nonnegative remainder
+    # bound and misses fd; derivative carries the signed pairing and is exact
+    # ((None, 42) is the slice direction of acceptance criterion 7)
+    b = _balanced_bundle(seed)
+    basis = constraint_basis(catalog("iwasawa"), "balanced")
+    rng = np.random.default_rng(direction_seed)
+    direction = basis.combine(rng.normal(size=basis.dimension))
+    var = var_G(b, direction, with_fd=True)
+    assert var.terms["projector_term"] > 0.1
+    assert abs(var.fd - var.value) > 0.1
+    rel = abs(var.derivative - var.fd) / max(1.0, abs(var.derivative), abs(var.fd))
+    assert rel <= 1e-8
+
+
+def test_derivative_equals_value_without_moving_projector():
+    b = seeded_bundle("kodaira_thurston", seed=1)
+    rng = np.random.default_rng(5)
+    mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    var = var_F(b, mat + mat.conj().T, with_fd=True)
+    assert var.terms["projector_source_norm"] <= 1e-10
+    assert var.derivative == pytest.approx(var.value, rel=1e-10, abs=1e-12)
+    assert var.derivative == pytest.approx(var.fd, rel=1e-8, abs=1e-10)
+    gamma = seeded_bundle("kodaira_thurston", seed=2)
+    var_h = var_H(b, gamma, mat + mat.conj().T)
+    assert var_h.derivative == var_h.value
 
 
 def test_var_H_zero_along_omega():
