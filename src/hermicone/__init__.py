@@ -13,11 +13,10 @@ from .model import (ComplexLieModel, StructureTerm, ValidationReport,
                     make_model, parse_model, serialize_model, validate_model)
 from .metric import (HermitianMetric, OperatorBundle, build_bundle,
                      identity_suite, random_metric)
-from .hodge import (MetricPredicates, TorsionReport, green_operator,
-                    harmonic_projector, image_projector_d,
-                    image_projector_dbar, kernel_dimension, predicates,
-                    root_n_minus_1, three_space_residuals, torsion_gamma,
-                    torsion_rho)
+from .hodge import (MetricPredicates, TorsionReport, coimage_projector,
+                    green_operator, harmonic_projector, image_projector,
+                    kernel_dimension, potential, predicates, root_n_minus_1,
+                    three_space_residuals, torsion_gamma, torsion_rho)
 from .functionals import (FunctionalValue, eval_F, eval_F_tilde, eval_G,
                           eval_H, normalization_integral)
 from .variation import (Direction, FunctionalVariation, ProjectorVariation,

@@ -14,9 +14,7 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -56,14 +54,6 @@ class _CliFailure(Exception):
         self.code = code
 
 
-def _threads():
-    raw = os.environ.get("HERMICONE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _load_model(args):
     if bool(args.model) == bool(args.catalog):
         raise _CliFailure(EXIT_SCHEMA,
@@ -82,33 +72,20 @@ def _load_model(args):
     return model, source
 
 
-def _load_metric(args, n):
-    spec = getattr(args, "metric", None) or "identity"
+def _load_metric(args, n, option="metric"):
+    """The metric named by --metric or --nu: "identity" or a JSON file."""
+    spec = getattr(args, option, None) or "identity"
     if spec == "identity":
         return HermitianMetric.identity(n)
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             metric = HermitianMetric.from_json(fh.read())
     except OSError as exc:
-        raise _CliFailure(EXIT_SCHEMA, f"cannot read metric file: {exc}") from exc
+        raise _CliFailure(EXIT_SCHEMA, f"cannot read {option} file: {exc}") from exc
     if metric.n != n:
         raise DimensionMismatch(
-            f"metric is {metric.n} x {metric.n} but the model has n = {n}")
+            f"{option} is {metric.n} x {metric.n} but the model has n = {n}")
     return metric.check()
-
-
-def _load_nu(args, n):
-    spec = getattr(args, "nu", None) or "identity"
-    if spec == "identity":
-        return HermitianMetric.identity(n)
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            nu = HermitianMetric.from_json(fh.read())
-    except OSError as exc:
-        raise _CliFailure(EXIT_SCHEMA, f"cannot read nu file: {exc}") from exc
-    if nu.n != n:
-        raise DimensionMismatch(f"nu is {nu.n} x {nu.n} but the model has n = {n}")
-    return nu.check()
 
 
 def _model_hash(model):
@@ -271,7 +248,7 @@ def _cmd_eval(args):
     metric = _load_metric(args, alg.n)
     bundle = bundle_for_algebra(alg, metric)
     functional = _FUNCTIONALS[args.functional]
-    nu = _load_nu(args, alg.n)
+    nu = _load_metric(args, alg.n, "nu")
     if functional == "F":
         result = eval_F(bundle, tol)
     elif functional == "G":
@@ -293,24 +270,10 @@ def _cmd_eval(args):
 
 
 def _battery_rows(model, seed, tuples, tol):
-    """Per-tuple seeded batteries, optionally fanned out over threads.
-
-    Seeding each tuple independently keeps the row set identical whatever
-    HERMICONE_THREADS says; threads only change wall time.
-    """
-    jobs = [(seed + i, i) for i in range(tuples)]
-    workers = _threads()
-
-    def one(job):
-        s, i = job
-        return variation_battery(model, seed=s, tuples=1, tol=tol, start_index=i)
-
-    if workers == 1:
-        batches = [one(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(one, jobs))
-    return [row for batch in batches for row in batch]
+    """Per-tuple seeded batteries: tuple i draws from seed + i."""
+    return [row for i in range(tuples)
+            for row in variation_battery(model, seed=seed + i, tuples=1, tol=tol,
+                                         start_index=i)]
 
 
 def _cmd_varcheck(args):
@@ -359,7 +322,7 @@ def _cmd_descend(args):
     else:
         start = _load_metric(args, alg.n)
     normalize = {"auto": None, "on": True, "off": False}[args.normalize]
-    nu = _load_nu(args, alg.n)
+    nu = _load_metric(args, alg.n, "nu")
     trace = descend(model, functional=functional, start=start, nu=nu,
                     steps=args.steps, seed=args.seed, tol=tol,
                     gradient_tol=args.gradient_tol, normalize=normalize,
@@ -384,12 +347,7 @@ def _cmd_catalog(args):
             "n": model.n,
             "structure_terms": len(model.terms),
         })
-    text = json.dumps({"catalog": payload}, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit_json(args, {"catalog": payload})
     return EXIT_OK
 
 

@@ -10,6 +10,10 @@ Conventions fixed here and used everywhere else:
   so degree 2 reads (2,0), (1,1), (0,2).
 * The base volume Theta = (i theta^1^thetabar^1) ^ ... ^ (i theta^n^thetabar^n)
   integrates to 1.
+* Three complexes share one vocabulary: which = "d" steps a total degree k,
+  "del" and "dbar" step a bidegree (p, q) in p or in q (see neighbor); every
+  codifferential, Laplacian, projector and potential is written once over
+  (which, key).
 """
 
 from __future__ import annotations
@@ -44,6 +48,17 @@ def dim_pq(n, p, q):
     if p < 0 or q < 0 or p > n or q > n:
         return 0
     return math.comb(n, p) * math.comb(n, q)
+
+
+def neighbor(which, key, s):
+    """The key s steps along a complex: k + s for "d", (p + s, q) for "del",
+    (p, q + s) for "dbar"."""
+    if which == "d":
+        return key + s
+    if which not in ("del", "dbar"):
+        raise ValueError(f"unknown differential {which!r}")
+    p, q = key
+    return (p + s, q) if which == "del" else (p, q + s)
 
 
 def basis(model_or_n, p, q):
@@ -374,18 +389,23 @@ class ExteriorAlgebra:
             self._d_blocks_cache[key] = blocks
         return self._d_blocks_cache[key]
 
-    def del_block(self, p, q):
-        """Matrix of the (p+1, q) component of d on Lambda^{p,q}."""
-        mat = self.d_blocks(p, q).get((p + 1, q))
+    def diff(self, which, key):
+        """Matrix of d on total degree key, or of del / dbar (a component of d) on bidegree key."""
+        if which == "d":
+            return self.d_total(key)
+        tgt = neighbor(which, key, 1)
+        mat = self.d_blocks(*key).get(tgt)
         if mat is None:
-            return np.zeros((dim_pq(self.n, p + 1, q), dim_pq(self.n, p, q)), dtype=complex)
+            return np.zeros((dim_pq(self.n, *tgt), dim_pq(self.n, *key)), dtype=complex)
         return mat
 
+    def del_block(self, p, q):
+        """Matrix of the (p+1, q) component of d on Lambda^{p,q}."""
+        return self.diff("del", (p, q))
+
     def dbar_block(self, p, q):
-        mat = self.d_blocks(p, q).get((p, q + 1))
-        if mat is None:
-            return np.zeros((dim_pq(self.n, p, q + 1), dim_pq(self.n, p, q)), dtype=complex)
-        return mat
+        """Matrix of the (p, q+1) component of d on Lambda^{p,q}."""
+        return self.diff("dbar", (p, q))
 
     def bidegrees(self, k):
         """Bidegrees of total degree k, p descending."""
@@ -394,7 +414,10 @@ class ExteriorAlgebra:
         return [(p, k - p) for p in range(min(self.n, k), max(0, k - self.n) - 1, -1)]
 
     def dim_total(self, k):
-        return sum(dim_pq(self.n, p, q) for p, q in self.bidegrees(k))
+        """sum_p C(n, p) C(n, k - p) over the bidegrees of degree k, which is C(2n, k)."""
+        if k < 0 or k > 2 * self.n:
+            raise DegreeOutOfRange(f"degree {k} outside 0..{2 * self.n}")
+        return math.comb(2 * self.n, k)
 
     def offsets(self, k):
         off, pos = {}, 0
@@ -439,19 +462,20 @@ class ExteriorAlgebra:
                 out = out + self.from_blockvec(tgt, blk @ vec)
         return out
 
-    def del_form(self, form):
+    def _bigraded_form(self, which, form):
+        """del or dbar of a form, block by block."""
         out = Form.zero(self.n)
-        for (p, q), vec in form.blocks.items():
-            if p + 1 <= self.n:
-                out = out + self.from_blockvec((p + 1, q), self.del_block(p, q) @ vec)
+        for pq, vec in form.blocks.items():
+            tgt = neighbor(which, pq, 1)
+            if dim_pq(self.n, *tgt):
+                out = out + self.from_blockvec(tgt, self.diff(which, pq) @ vec)
         return out
 
+    def del_form(self, form):
+        return self._bigraded_form("del", form)
+
     def dbar_form(self, form):
-        out = Form.zero(self.n)
-        for (p, q), vec in form.blocks.items():
-            if q + 1 <= self.n:
-                out = out + self.from_blockvec((p, q + 1), self.dbar_block(p, q) @ vec)
-        return out
+        return self._bigraded_form("dbar", form)
 
     def from_blockvec(self, pq, vec):
         out = Form(self.n)

@@ -25,8 +25,7 @@ from .functionals import eval_F, eval_F_tilde, eval_G, eval_H
 from .hodge import DEFAULT_TOL, predicates, root_n_minus_1
 from .metric import HermitianMetric, bundle_for_algebra
 from .model import algebra_for
-from .variation import (hermitian_of_form, make_direction, spectral_gap,
-                        variation_at)
+from .variation import make_direction, spectral_gap, variation_at
 
 NULLSPACE_RTOL = 1e-10
 DEGENERACY_RTOL = 1e-6
@@ -153,7 +152,7 @@ def constraint_basis(model, kind, reference=None, tol=NULLSPACE_RTOL, probe=True
         target = reference.omega if kind == "skt" else reference.omega_power(n - 1)
         proj = basis.combine(basis.coordinates(target))
         if kind == "skt":
-            mat_p = hermitian_of_form(proj)
+            mat_p = HermitianMetric.from_form(proj).h
             if np.linalg.eigvalsh(0.5 * (mat_p + mat_p.conj().T))[0] <= 0:
                 raise EmptyCone("projected reference metric is not positive definite")
         else:
@@ -302,7 +301,7 @@ class _Objective:
     def metric_at(self, x):
         form = self.basis.combine(x)
         if self.kind == "metric":
-            return HermitianMetric(hermitian_of_form(form)).check()
+            return HermitianMetric.from_form(form).check()
         return root_n_minus_1(self.alg, form).check()
 
     def min_eigenvalue(self, x):
@@ -498,8 +497,7 @@ def descend(model, functional="F_tilde", start=None, nu=None, weight=None,
     final_bundle = obj._bundle(obj.retract(x) if normalize else x)
     preds = predicates(final_bundle, 1e-6)
     h = final_bundle.metric.h
-    degen = bool(normalize and np.linalg.eigvalsh(h)[0]
-                 < DEGENERACY_RTOL * np.trace(h).real / n)
+    degen = bool(np.linalg.eigvalsh(h)[0] < DEGENERACY_RTOL * np.trace(h).real / n)
     # a vanishing pluriclosed energy certifies a Kahler point; G and H have
     # no such converse, so the consistency gate only watches the F family
     floor = KAHLER_FLOOR_RTOL * (initial_value + 1.0)

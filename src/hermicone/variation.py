@@ -8,9 +8,11 @@ the degree-preserving commutator C = [trace, gamma ^ .]; in terms of it
 
     d/dt star_t   = star C
     d/dt trace_t  = -(gamma ^ .)*
-    d/dt delstar_t = delstar C + (-1)^(k+1) (star C star) delstar
+    d/dt codiff_t = codiff C + (-1)^(k+1) (star C star) codiff  (on degree k)
 
-and the Laplacian variations assemble from these by the product rule.
+for each of the three codifferentials codiff(which, key) of the bundle
+(C block diagonal on a total degree), and the Laplacian variations
+assemble from these by the product rule, once for all three complexes.
 All matrix derivatives are exact (the model is finite dimensional); the
 finite-difference harness in this module exists to cross-check them.
 """
@@ -23,12 +25,11 @@ import numpy as np
 
 from .errors import (DimensionMismatch, DirectionNotAdmissible, KernelJump,
                      NotPositive, NotPositiveDefinite, StepTooLarge)
-from .exterior import Form, conj_block_matrix, dim_pq, wedge, wedge_power
+from .exterior import Form, conj_block_matrix, dim_pq, neighbor, wedge, wedge_power
 from .functionals import (eval_F, eval_F_tilde, eval_G, eval_H,
                           normalization_integral)
-from .hodge import (DEFAULT_TOL, green_operator, harmonic_projector,
-                    image_projector_d, image_projector_dbar, kernel_mask,
-                    root_n_minus_1, torsion_gamma, torsion_rho)
+from .hodge import (DEFAULT_TOL, green_operator, harmonic_projector, image_projector,
+                    kernel_mask, root_n_minus_1, torsion_gamma, torsion_rho)
 from .metric import HermitianMetric, bundle_for_algebra, random_metric
 from .model import algebra_for
 
@@ -74,18 +75,6 @@ class Direction:
     matrix: np.ndarray | None = None
 
 
-def form_of_hermitian(mat):
-    """The real (1,1) form i sum mat_jk theta^j ^ thetabar^k."""
-    mat = np.asarray(mat, dtype=complex)
-    out = Form(mat.shape[0])
-    out.set_block(1, 1, 1j * mat.reshape(-1))
-    return out
-
-
-def hermitian_of_form(form):
-    return (form.block(1, 1) / 1j).reshape(form.n, form.n)
-
-
 def make_direction(alg, obj, kind="metric", require=None, tol=DEFAULT_TOL):
     """Build and vet a variation direction.
 
@@ -99,16 +88,16 @@ def make_direction(alg, obj, kind="metric", require=None, tol=DEFAULT_TOL):
         if isinstance(obj, Form):
             form = obj
         else:
-            form = form_of_hermitian(obj)
+            form = HermitianMetric(obj).form()
         if form.n != n or form.bidegrees() not in ([], [(1, 1)]):
             raise DirectionNotAdmissible("metric direction must be a (1,1) form")
-        mat = hermitian_of_form(form)
+        mat = HermitianMetric.from_form(form).h
         herm = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
         if herm > tol * (1.0 + float(np.max(np.abs(mat)))):
             raise DirectionNotAdmissible(
                 f"metric direction is not real (Hermitian residual {herm:.3e})")
         mat = 0.5 * (mat + mat.conj().T)
-        direction = Direction("metric", form_of_hermitian(mat), mat)
+        direction = Direction("metric", HermitianMetric(mat).form(), mat)
     elif kind == "volume":
         if not isinstance(obj, Form) or obj.n != n:
             raise DimensionMismatch("volume direction must be a form over the same coframe")
@@ -155,16 +144,6 @@ def commutator_mult(bundle, gamma, p, q):
     return out
 
 
-def commutator_mult_total(bundle, gamma, k):
-    """Block-diagonal commutator on the whole degree-k space."""
-    dim = bundle.alg.dim_total(k)
-    out = np.zeros((dim, dim), dtype=complex)
-    for (p, q), off in bundle.alg.offsets(k).items():
-        blk = commutator_mult(bundle, gamma, p, q)
-        out[off:off + blk.shape[0], off:off + blk.shape[1]] = blk
-    return out
-
-
 def star_comm_star(bundle, gamma, p, q):
     """star C star as an endomorphism of (p,q); C acts at the star image (n-q,n-p)."""
     n = bundle.n
@@ -172,11 +151,14 @@ def star_comm_star(bundle, gamma, p, q):
     return bundle.star_block(n - q, n - p) @ mid @ bundle.star_block(p, q)
 
 
-def _star_comm_star_total(bundle, gamma, k):
-    dim = bundle.alg.dim_total(k)
+def _on_complex(block, bundle, gamma, which, key):
+    """block(bundle, gamma, p, q) at key: itself on a bidegree, block diagonal on a degree."""
+    if which != "d":
+        return block(bundle, gamma, *key)
+    dim = bundle.alg.dim_total(key)
     out = np.zeros((dim, dim), dtype=complex)
-    for (p, q), off in bundle.alg.offsets(k).items():
-        blk = star_comm_star(bundle, gamma, p, q)
+    for (p, q), off in bundle.alg.offsets(key).items():
+        blk = block(bundle, gamma, p, q)
         out[off:off + blk.shape[0], off:off + blk.shape[1]] = blk
     return out
 
@@ -194,32 +176,16 @@ def var_trace_matrix(bundle, gamma, p, q):
     return -bundle.mult_adjoint_block(gamma, p, q)
 
 
-def var_del_star_matrix(bundle, gamma, p, q):
-    if p < 1:
-        return np.zeros((0, dim_pq(bundle.n, p, q)), dtype=complex)
-    sign = -1.0 if (p + q) % 2 == 0 else 1.0  # (-1)^(k+1)
-    ds = bundle.del_star_block(p, q)
-    return ds @ commutator_mult(bundle, gamma, p, q) \
-        + sign * star_comm_star(bundle, gamma, p - 1, q) @ ds
-
-
-def var_dbar_star_matrix(bundle, gamma, p, q):
-    if q < 1:
-        return np.zeros((0, dim_pq(bundle.n, p, q)), dtype=complex)
-    sign = -1.0 if (p + q) % 2 == 0 else 1.0
-    ds = bundle.dbar_star_block(p, q)
-    return ds @ commutator_mult(bundle, gamma, p, q) \
-        + sign * star_comm_star(bundle, gamma, p, q - 1) @ ds
-
-
-def var_d_star_matrix(bundle, gamma, k):
-    """d/dt of the total-degree codifferential matrix on degree k."""
-    if k < 1:
-        return np.zeros((0, bundle.alg.dim_total(0)), dtype=complex)
-    sign = -1.0 if k % 2 == 0 else 1.0
-    ds = bundle.d_star_total(k)
-    return ds @ commutator_mult_total(bundle, gamma, k) \
-        + sign * _star_comm_star_total(bundle, gamma, k - 1) @ ds
+def var_codiff_matrix(bundle, gamma, which, key):
+    """d/dt of codiff(which, key): codiff C + (-1)^(k+1) (star C star) codiff on degree k."""
+    prev = neighbor(which, key, -1)
+    if bundle.dim(which, prev) == 0:
+        return np.zeros((0, bundle.dim(which, key)), dtype=complex)
+    degree = key if which == "d" else sum(key)
+    sign = -1.0 if degree % 2 == 0 else 1.0
+    ds = bundle.codiff(which, key)
+    return ds @ _on_complex(commutator_mult, bundle, gamma, which, key) \
+        + sign * _on_complex(star_comm_star, bundle, gamma, which, prev) @ ds
 
 
 def laplacian_variation_matrix(bundle, gamma, which, key):
@@ -228,32 +194,13 @@ def laplacian_variation_matrix(bundle, gamma, which, key):
     which "del"/"dbar" take a bidegree key, "d" a total degree; the result
     acts on the same space as the Laplacian itself.
     """
-    if which == "d":
-        k = key
-        alg = bundle.alg
-        dim = alg.dim_total(k)
-        out = np.zeros((dim, dim), dtype=complex)
-        if k >= 1:
-            out += alg.d_total(k - 1) @ var_d_star_matrix(bundle, gamma, k)
-        if k + 1 <= 2 * bundle.n:
-            out += var_d_star_matrix(bundle, gamma, k + 1) @ alg.d_total(k)
-        return out
-    p, q = key
-    n = bundle.n
-    dim = dim_pq(n, p, q)
+    prev, nxt = neighbor(which, key, -1), neighbor(which, key, 1)
+    dim = bundle.dim(which, key)
     out = np.zeros((dim, dim), dtype=complex)
-    if which == "del":
-        if p >= 1:
-            out += bundle.alg.del_block(p - 1, q) @ var_del_star_matrix(bundle, gamma, p, q)
-        if p + 1 <= n:
-            out += var_del_star_matrix(bundle, gamma, p + 1, q) @ bundle.alg.del_block(p, q)
-    elif which == "dbar":
-        if q >= 1:
-            out += bundle.alg.dbar_block(p, q - 1) @ var_dbar_star_matrix(bundle, gamma, p, q)
-        if q + 1 <= n:
-            out += var_dbar_star_matrix(bundle, gamma, p, q + 1) @ bundle.alg.dbar_block(p, q)
-    else:
-        raise ValueError(f"unknown Laplacian kind {which!r}")
+    if bundle.dim(which, prev):
+        out += bundle.alg.diff(which, prev) @ var_codiff_matrix(bundle, gamma, which, key)
+    if bundle.dim(which, nxt):
+        out += var_codiff_matrix(bundle, gamma, which, nxt) @ bundle.alg.diff(which, key)
     return out
 
 
@@ -287,8 +234,7 @@ class ProjectorVariation:
 
     def kernel_component_norm(self, vec):
         """Pointwise-Gram norm of the kernel component of vec."""
-        kv = self.kernel_projector @ vec
-        return float(np.sqrt(max((kv.conj() @ (self.gram @ kv)).real, 0.0)))
+        return _gram_norm(self.gram, self.kernel_projector @ vec)
 
 
 def spectral_gap(bundle, which, key, tol=DEFAULT_TOL, gap_factor=100.0):
@@ -431,8 +377,8 @@ def _var_F_at(bundle, tol):
     rho_vec = alg.to_vector(report.torsion, 2)
     gram = bundle.gram_total(2)
     det = bundle.det_h
-    im_proj3 = image_projector_d(bundle, 3, tol)
-    d_star3 = bundle.d_star_total(3)
+    im_proj3 = image_projector(bundle, "d", 3, tol)
+    d_star3 = bundle.codiff("d", 3)
     green2 = green_operator(bundle, "d", 2, tol)
     proj3 = harmonic_projector(bundle, "d", 3, tol)
     green3 = green_operator(bundle, "d", 3, tol)
@@ -444,7 +390,7 @@ def _var_F_at(bundle, tol):
         gamma = direction.form
         src_vec = alg.to_vector(alg.del_form(gamma), 3)
         eta = green2 @ (d_star3 @ (im_proj3 @ src_vec))  # the minimal d-potential
-        comm = commutator_mult_total(bundle, gamma, 2)
+        comm = _on_complex(commutator_mult, bundle, gamma, "d", 2)
 
         # six pairing summands, split by type (the commutator preserves type)
         terms = {}
@@ -490,8 +436,8 @@ def _var_G_at(bundle, tol):
     tors_vec = report.torsion.block(*pq)
     gram = bundle.gram(*pq)
     det = bundle.det_h
-    im_proj = image_projector_dbar(bundle, *top, tol)
-    dbar_star = bundle.dbar_star_block(*top)
+    im_proj = image_projector(bundle, "dbar", top, tol)
+    dbar_star = bundle.codiff("dbar", top)
     green_pq = green_operator(bundle, "dbar", pq, tol)
     projt = harmonic_projector(bundle, "dbar", top, tol)
     greent = green_operator(bundle, "dbar", top, tol)
@@ -749,7 +695,7 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL, step_scale=1.0,
         b = bundle_for_algebra(alg, met)
         gm = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         gm = 0.5 * (gm + gm.conj().T)
-        gamma = form_of_hermitian(gm)
+        gamma = HermitianMetric(gm).form()
         h0 = met.h
         step = step_scale * default_step(met)
         p = int(rng.integers(0, n + 1))
@@ -763,16 +709,12 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL, step_scale=1.0,
         fd = _matrix_fd(alg, h0, gm, step, lambda bb: bb.trace_block(p, q))
         _check(rows, "trace", tag, var_trace_matrix(b, gamma, p, q), fd)
 
-        fd = _matrix_fd(alg, h0, gm, step, lambda bb: bb.del_star_block(p, q))
-        _check(rows, "del_star", tag, var_del_star_matrix(b, gamma, p, q), fd)
+        complexes = (("del", (p, q)), ("dbar", (p, q)), ("d", k))
+        for which, key in complexes:
+            fd = _matrix_fd(alg, h0, gm, step, lambda bb, w=which, kk=key: bb.codiff(w, kk))
+            _check(rows, f"{which}_star", tag, var_codiff_matrix(b, gamma, which, key), fd)
 
-        fd = _matrix_fd(alg, h0, gm, step, lambda bb: bb.dbar_star_block(p, q))
-        _check(rows, "dbar_star", tag, var_dbar_star_matrix(b, gamma, p, q), fd)
-
-        fd = _matrix_fd(alg, h0, gm, step, lambda bb: bb.d_star_total(k))
-        _check(rows, "d_star", tag, var_d_star_matrix(b, gamma, k), fd)
-
-        for which, key in (("del", (p, q)), ("dbar", (p, q)), ("d", k)):
+        for which, key in complexes:
             fd = _matrix_fd(alg, h0, gm, step,
                             lambda bb, w=which, kk=key: bb.laplacian(w, kk))
             _check(rows, f"laplacian_{which}", tag,
@@ -791,16 +733,16 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL, step_scale=1.0,
         if q >= 1:
             conj_in = conj_block_matrix(n, p, q)
             conj_out = conj_block_matrix(n, q - 1, p)
-            mirrored = conj_out @ var_del_star_matrix(b, gamma, q, p).conj() @ conj_in
+            mirrored = conj_out @ var_codiff_matrix(b, gamma, "del", (q, p)).conj() @ conj_in
             _check(rows, "conjugation_symmetry", tag,
-                   var_dbar_star_matrix(b, gamma, p, q), mirrored)
+                   var_codiff_matrix(b, gamma, "dbar", (p, q)), mirrored)
 
         # direction omega: first-order scaling pins each variation exactly
         _check(rows, "omega_scaling_star", tag,
                var_star_matrix(b, b.omega, p, q),
                (n - k) * b.star_block(p, q))
         _check(rows, "omega_scaling_d_star", tag,
-               var_d_star_matrix(b, b.omega, k), -b.d_star_total(k))
+               var_codiff_matrix(b, b.omega, "d", k), -b.codiff("d", k))
         _check(rows, "omega_scaling_laplacian", tag,
                laplacian_variation_matrix(b, gamma=b.omega, which="d", key=k),
                -b.laplacian("d", k))

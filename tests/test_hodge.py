@@ -12,14 +12,14 @@ from hermicone.errors import (
 from hermicone.exterior import Form, random_form, wedge, wedge_power
 from hermicone.hodge import (
     DEFAULT_TOL,
-    d_potential,
+    coimage_projector,
     green_operator,
     harmonic_projector,
-    image_projector_d,
-    image_projector_d_star,
+    image_projector,
     kernel_dimension,
     kernel_mask,
     matrix_of_top_minus_one,
+    potential,
     predicates,
     root_n_minus_1,
     three_space_residuals,
@@ -106,14 +106,14 @@ def test_d_potential_solves_projected_equation():
     b = seeded_bundle("iwasawa", seed=6)
     rng = np.random.default_rng(6)
     src = b.alg.to_vector(random_form(b.n, b.alg.bidegrees(3), rng), 3)
-    sol = d_potential(b, src, 3)
+    sol = potential(b, "d", 3, src)
     scale = np.linalg.norm(src)
     sol.check(DEFAULT_TOL, scale, "potential")
     # equation holds against an independent recompute
     resid = b.alg.d_total(2) @ sol.potential - sol.projected_source
     assert np.max(np.abs(resid)) <= 1e-10
     # decomposition: source = harmonic + im(d) + im(d*)
-    pds = image_projector_d_star(b, 3) @ src
+    pds = coimage_projector(b, "d", 3) @ src
     recon = sol.projected_source + sol.harmonic_component + pds
     assert np.max(np.abs(recon - src)) <= 1e-10
 
@@ -124,8 +124,8 @@ def test_minimum_norm_property_of_potential():
     b = seeded_bundle("kodaira_thurston", seed=7)
     rng = np.random.default_rng(7)
     src = b.alg.to_vector(random_form(b.n, b.alg.bidegrees(2), rng), 2)
-    sol = d_potential(b, src, 2)
-    ker = harmonic_projector(b, "d", 1) + image_projector_d(b, 1)
+    sol = potential(b, "d", 2, src)
+    ker = harmonic_projector(b, "d", 1) + image_projector(b, "d", 1)
     assert np.max(np.abs(ker @ sol.potential)) <= 1e-10
 
 

@@ -225,6 +225,17 @@ def test_descend_normalized_volume_run_flags_degeneration():
         pytest.fail("expected the normalized volume run to flag degeneration")
 
 
+def test_descend_unnormalized_volume_run_flags_degeneration():
+    # G reaches rounding level by collapsing two metric directions (eigenvalues
+    # ~1e-8, 1e-8, 9.5e7): the ratio test flags it without normalization
+    trace = descend(catalog("iwasawa"), "G", steps=100)
+    assert not trace.normalized
+    assert trace.final_value < 1e-30
+    assert trace.degenerating
+    eigs = np.linalg.eigvalsh(trace.final_matrix)
+    assert eigs[0] / np.trace(trace.final_matrix).real < 1e-6
+
+
 def test_descend_trace_serialization_shapes():
     trace = descend(catalog("kodaira_thurston"), "F", steps=2, normalize=False)
     doc = trace.to_jsonable()

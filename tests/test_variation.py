@@ -76,10 +76,8 @@ def test_make_direction_constraint_requirements():
         make_direction(alg, bad, require="skt")
     # on the n = 2 model the volume block is (1,1) and theta^2 ^ thetabar^2
     # is not closed, so the coclosed requirement rejects it
-    from hermicone.variation import form_of_hermitian
-
     alg_kt = algebra_for(catalog("kodaira_thurston"))
-    open_form = form_of_hermitian(np.diag([0.0, 1.0]))
+    open_form = HermitianMetric(np.diag([0.0, 1.0])).form()
     with pytest.raises(DirectionNotAdmissible):
         make_direction(alg_kt, open_form, kind="volume", require="balanced")
     # theta^1 ^ thetabar^1 is closed on this model, hence fine for both
