@@ -14,6 +14,10 @@ Conventions fixed here and used everywhere else:
   "del" and "dbar" step a bidegree (p, q) in p or in q (see neighbor); every
   codifferential, Laplacian, projector and potential is written once over
   (which, key).
+* A bigraded operator is a block map op(p, q) -> {target bidegree: matrix}
+  (d_blocks is one).  ExteriorAlgebra.apply runs a block map on a form and
+  ExteriorAlgebra.total assembles its total-degree matrix; no other module
+  places blocks by offset.
 """
 
 from __future__ import annotations
@@ -134,6 +138,28 @@ def _conj_table(n, p, q):
     tgt = _basis_index(n, q, p)
     perm = tuple(tgt[(J, I)] for (I, J) in _basis(n, p, q))
     return (-1) ** (p * q), perm
+
+
+def _theta_coefficient(n):
+    """Coefficient of theta_{1..n}^thetabar_{1..n} inside the unit volume Theta."""
+    return (1j) ** n * (-1) ** (n * (n - 1) // 2)
+
+
+@lru_cache(maxsize=None)
+def _complement(n, p, q):
+    """Metric-free pairing of Lambda^{p,q} with Lambda^{n-p,n-q}.
+
+    Monomial i of Lambda^{p,q} wedges to a nonzero top form only with its
+    complement (indices missing from I and from J).  Returns the complement
+    indices and the units (+-1 or +-i) integral(monomial ^ complement).
+    """
+    full, tgt = range(n), _basis_index(n, n - p, n - q)
+    comp, top = [], []
+    for I, J in _basis(n, p, q):
+        Ic, Jc = tuple(i for i in full if i not in I), tuple(j for j in full if j not in J)
+        comp.append(tgt[(Ic, Jc)])
+        top.append(_merge(I, Ic)[0] * _merge(J, Jc)[0] * (-1) ** ((n - p) * q))
+    return np.array(comp, dtype=np.intp), np.array(top, dtype=complex) / _theta_coefficient(n)
 
 
 def conj_block_matrix(n, p, q):
@@ -429,19 +455,31 @@ class ExteriorAlgebra:
     def d_total(self, k):
         """Matrix of d from total degree k to k + 1."""
         if k not in self._d_total_cache:
-            rows, cols = self.dim_total(k + 1) if k + 1 <= 2 * self.n else 0, self.dim_total(k)
-            mat = np.zeros((rows, cols), dtype=complex)
-            if rows:
-                roff = self.offsets(k + 1)
-                coff = self.offsets(k)
-                for (p, q), c0 in coff.items():
-                    for tgt, blk in self.d_blocks(p, q).items():
-                        if sum(tgt) != k + 1:
-                            continue
-                        r0 = roff[tgt]
-                        mat[r0:r0 + blk.shape[0], c0:c0 + blk.shape[1]] = blk
-            self._d_total_cache[k] = mat
+            self._d_total_cache[k] = self.total(self.d_blocks, k, k + 1)
         return self._d_total_cache[k]
+
+    def total(self, op, k, k_out):
+        """Matrix of the block map op from total degree k to total degree k_out.
+
+        Blocks of op whose target has another total degree are left out; a
+        k_out outside 0..2n gives a matrix with no rows.
+        """
+        roff = self.offsets(k_out) if 0 <= k_out <= 2 * self.n else {}
+        mat = np.zeros((self.dim_total(k_out) if roff else 0, self.dim_total(k)), dtype=complex)
+        for pq, c0 in self.offsets(k).items():
+            for tgt, blk in op(*pq).items():
+                if tgt in roff:
+                    r0 = roff[tgt]
+                    mat[r0:r0 + blk.shape[0], c0:c0 + blk.shape[1]] = blk
+        return mat
+
+    def apply(self, op, form):
+        """The block map op applied to a form, block by block in the form's order."""
+        out = Form.zero(self.n)
+        for pq, vec in form.blocks.items():
+            for tgt, mat in op(*pq).items():
+                out = out + self.from_blockvec(tgt, mat @ vec)
+        return out
 
     def to_vector(self, form, k):
         """Degree-k part of a form as one concatenated block vector."""
@@ -456,26 +494,13 @@ class ExteriorAlgebra:
         return out
 
     def d_form(self, form):
-        out = Form.zero(self.n)
-        for (p, q), vec in form.blocks.items():
-            for tgt, blk in self.d_blocks(p, q).items():
-                out = out + self.from_blockvec(tgt, blk @ vec)
-        return out
-
-    def _bigraded_form(self, which, form):
-        """del or dbar of a form, block by block."""
-        out = Form.zero(self.n)
-        for pq, vec in form.blocks.items():
-            tgt = neighbor(which, pq, 1)
-            if dim_pq(self.n, *tgt):
-                out = out + self.from_blockvec(tgt, self.diff(which, pq) @ vec)
-        return out
+        return self.apply(self.d_blocks, form)
 
     def del_form(self, form):
-        return self._bigraded_form("del", form)
+        return self.apply(lambda p, q: {(p + 1, q): self.del_block(p, q)}, form)
 
     def dbar_form(self, form):
-        return self._bigraded_form("dbar", form)
+        return self.apply(lambda p, q: {(p, q + 1): self.dbar_block(p, q)}, form)
 
     def from_blockvec(self, pq, vec):
         out = Form(self.n)
@@ -502,9 +527,7 @@ class ExteriorAlgebra:
 
     @property
     def theta_coefficient(self):
-        """Coefficient of theta_{1..n}^thetabar_{1..n} inside the unit volume Theta."""
-        n = self.n
-        return (1j) ** n * (-1) ** (n * (n - 1) // 2)
+        return _theta_coefficient(self.n)
 
     def theta_form(self):
         full = tuple(range(self.n))

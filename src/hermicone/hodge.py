@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (DegenerateDimension, NotBalanced, NotPositive, NotSKT,
                      ToleranceAmbiguity, ToleranceFailure)
-from .exterior import Form, _basis_index, _merge, neighbor
+from .exterior import Form, _complement, neighbor
 from .metric import HermitianMetric
 
 DEFAULT_TOL = 1e-9
@@ -288,18 +288,16 @@ def matrix_of_top_minus_one(alg, form):
     """Hermitian matrix B of an (n-1,n-1)-form via wedge pairing with i theta^k^thetabar^j.
 
     For omega_{n-1} this recovers det(H) H^{-1}.  Only the monomial without
-    theta^k and thetabar^j pairs with the probe, with the sign of _wedge_table.
+    theta^k and thetabar^j pairs with the probe: its complement, index k n + j
+    in Lambda^{1,1}.
     """
     n = alg.n
-    full, coeffs = tuple(range(n)), form.block(n - 1, n - 1)
+    comp, unit = _complement(n, n - 1, n - 1)
+    # unit * theta_coefficient is the +-1 of monomial ^ complement on theta_{1..n}^thetabar_{1..n};
+    # the integrand is summed onto +0 as in wedge (-0 becomes +0), then integrated
+    top = 0.0 + unit * alg.theta_coefficient * form.block(n - 1, n - 1) * 1j
     b = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            I, J = full[:k] + full[k + 1:], full[:j] + full[j + 1:]
-            sign = _merge(I, (k,))[0] * _merge(J, (j,))[0] * (-1) ** (n - 1)
-            top = np.zeros(1, dtype=complex)  # summed onto +0 as in wedge: -0 becomes +0
-            top[0] += sign * coeffs[_basis_index(n, n - 1, n - 1)[(I, J)]] * 1j
-            b[j, k] = alg.integrate(Form(n, {(n, n): top}))
+    b[comp % n, comp // n] = top / alg.theta_coefficient
     return b
 
 

@@ -3,10 +3,11 @@
 A metric is the coefficient matrix H of omega = i sum_jk H_jk theta^j ^
 thetabar^k, Hermitian positive definite.  The bundle caches, per bidegree,
 the Gram matrices of the induced pointwise inner product, the Hodge star
-(solved from the wedge pairing), Lefschetz and trace operators and their
-adjoints.  For each of the three complexes (which = "d" on total degrees,
-"del" and "dbar" on bidegrees) it caches one codifferential codiff(which,
-key) and one Laplacian laplacian(which, key), plus its spectral data.
+(permuted Gram rows: each monomial pairs only with its complement),
+Lefschetz and trace operators and their adjoints.  For each of the three
+complexes (which = "d" on total degrees, "del" and "dbar" on bidegrees) it
+caches one codifferential codiff(which, key) and one Laplacian
+laplacian(which, key), plus its spectral data.
 
 Inner product conventions: <theta^j, theta^k> = (H^{-1})_{kj}, extended to
 monomials by determinant multiplicativity; matrices G satisfy
@@ -17,6 +18,7 @@ det(H), the total volume of dV = det(H) Theta.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +26,8 @@ import scipy.linalg
 
 from .errors import (DegreeOutOfRange, DimensionMismatch, NotPositiveDefinite,
                      SchemaError)
-from .exterior import (Form, _basis, _combos, _merge, dim_pq, neighbor, random_form,
-                       wedge_power)
+from .exterior import (Form, _combos, _complement, _conj_table, dim_pq, neighbor,
+                       random_form, wedge)
 from .model import algebra_for, require_valid
 
 HERMITICITY_TOL = 1e-12
@@ -154,7 +156,7 @@ class OperatorBundle:
         self._codiff = {}
         self._lap = {}
         self._spec = {}
-        self._omega_pow = {}
+        self._omega_prod = [Form.scalar(alg.n, 1.0)]
 
     @property
     def n(self):
@@ -165,10 +167,10 @@ class OperatorBundle:
         return self.metric.form()
 
     def omega_power(self, k):
-        """omega^k / k!"""
-        if k not in self._omega_pow:
-            self._omega_pow[k] = wedge_power(self.omega, k)
-        return self._omega_pow[k].copy()
+        """omega^k / k!, from the cached undivided products omega^j = omega^(j-1) ^ omega."""
+        while len(self._omega_prod) <= k:
+            self._omega_prod.append(wedge(self._omega_prod[-1], self.omega))
+        return self._omega_prod[k] / math.factorial(k)
 
     def integrate(self, form):
         return self.alg.integrate(form)
@@ -193,8 +195,7 @@ class OperatorBundle:
 
     def gram_total(self, k):
         if k not in self._gram_total:
-            blocks = [self.gram(p, q) for p, q in self.alg.bidegrees(k)]
-            self._gram_total[k] = scipy.linalg.block_diag(*blocks) if blocks else np.zeros((0, 0))
+            self._gram_total[k] = self.alg.total(lambda p, q: {(p, q): self.gram(p, q)}, k, k)
         return self._gram_total[k]
 
     def inner(self, u, v):
@@ -216,52 +217,31 @@ class OperatorBundle:
     # ----- Hodge star ---------------------------------------------------------
 
     def star_block(self, a, b):
-        """Matrix of the C-linear star from Lambda^{a,b} to Lambda^{n-b,n-a}."""
+        """Matrix of the C-linear star from Lambda^{a,b} to Lambda^{n-b,n-a}.
+
+        u ^ star(w) = <u, conj(w)> dV for u in Lambda^{b,a}; only the complement
+        of monomial r of u pairs with star(w), so row comp[r] of the star is
+        det(H) times row r of the Gram pairing with conj(w), over unit[r].
+        """
         key = (a, b)
         if key not in self._star:
-            n = self.n
-            dim_src = dim_pq(n, a, b)
-            dim_u = dim_pq(n, b, a)
-            # pairing of (b,a) with (n-b,n-a): complementary monomials wedge to +-(top)
-            pair = np.zeros((dim_u, dim_src), dtype=complex)
-            tgt_index = {m: i for i, m in enumerate(_basis(n, n - b, n - a))}
-            full = tuple(range(n))
-            for r, (I, J) in enumerate(_basis(n, b, a)):
-                Ic = tuple(sorted(set(full) - set(I)))
-                Jc = tuple(sorted(set(full) - set(J)))
-                t = tgt_index[(Ic, Jc)]
-                top = _merge(I, Ic)[0] * _merge(J, Jc)[0] * (-1) ** ((n - b) * a)
-                pair[r, t] = self.alg.integrate(Form.monomial(n, full, full, top))
-            # right side: <u_r, conj(w_s)> with conj(w_s) = sign * e_{c(s)} in (b,a)
-            g = self.gram(b, a)
-            rhs = np.zeros((dim_u, dim_src), dtype=complex)
-            src_index = {m: i for i, m in enumerate(_basis(n, b, a))}
-            sign = (-1) ** (a * b)
-            for s, (I, J) in enumerate(_basis(n, a, b)):
-                c = src_index[(J, I)]
-                rhs[:, s] = sign * g[c, :]
-            self._star[key] = np.linalg.solve(pair, self.det_h * rhs)
+            comp, unit = _complement(self.n, b, a)
+            sign, perm = _conj_table(self.n, a, b)
+            star = np.empty((len(comp),) * 2, dtype=complex)
+            star[comp] = self.det_h * (sign * self.gram(b, a)[list(perm)].T) / unit[:, None]
+            self._star[key] = star
         return self._star[key]
 
+    def star_blocks(self, p, q):
+        """The star as a block map."""
+        return {(self.n - q, self.n - p): self.star_block(p, q)}
+
     def star(self, form):
-        out = Form.zero(self.n)
-        for (p, q), vec in form.blocks.items():
-            out = out + self.alg.from_blockvec((self.n - q, self.n - p),
-                                               self.star_block(p, q) @ vec)
-        return out
+        return self.alg.apply(self.star_blocks, form)
 
     def star_total(self, k):
         """Block star matrix from total degree k to 2n - k."""
-        n = self.n
-        rows = self.alg.dim_total(2 * n - k)
-        cols = self.alg.dim_total(k)
-        mat = np.zeros((rows, cols), dtype=complex)
-        roff = self.alg.offsets(2 * n - k)
-        for (p, q), c0 in self.alg.offsets(k).items():
-            blk = self.star_block(p, q)
-            r0 = roff[(n - q, n - p)]
-            mat[r0:r0 + blk.shape[0], c0:c0 + blk.shape[1]] = blk
-        return mat
+        return self.alg.total(self.star_blocks, k, 2 * self.n - k)
 
     # ----- Lefschetz and trace -------------------------------------------------
 
@@ -284,12 +264,7 @@ class OperatorBundle:
         return self._trace[key]
 
     def trace_contract(self, form):
-        out = Form.zero(self.n)
-        for (p, q), vec in form.blocks.items():
-            if p >= 1 and q >= 1:
-                out = out + self.alg.from_blockvec((p - 1, q - 1),
-                                                   self.trace_block(p, q) @ vec)
-        return out
+        return self.alg.apply(lambda p, q: {(p - 1, q - 1): self.trace_block(p, q)}, form)
 
     def mult_adjoint_block(self, eta, p, q):
         """Adjoint of (eta ^ .) landing on Lambda^{p,q}, for homogeneous eta.
@@ -304,15 +279,11 @@ class OperatorBundle:
         return _adjoint(mat, self.gram(*src), self.gram(p, q))
 
     def mult_adjoint(self, eta, form):
-        out = Form.zero(self.n)
         if not eta.blocks:
-            return out
+            return Form.zero(self.n)
         ((a, b), _), = eta.blocks.items()
-        for (p, q), vec in form.blocks.items():
-            if dim_pq(self.n, p - a, q - b):
-                out = out + self.alg.from_blockvec((p - a, q - b),
-                                                   self.mult_adjoint_block(eta, p, q) @ vec)
-        return out
+        return self.alg.apply(lambda p, q: {(p - a, q - b): self.mult_adjoint_block(eta, p, q)},
+                              form)
 
     # ----- codifferentials and Laplacians ----------------------------------------
 
@@ -347,12 +318,8 @@ class OperatorBundle:
 
     def _bigraded_codiff(self, which, form):
         """del^* or dbar^* of a form, block by block."""
-        out = Form.zero(self.n)
-        for pq, vec in form.blocks.items():
-            tgt = neighbor(which, pq, -1)
-            if self.dim(which, tgt):
-                out = out + self.alg.from_blockvec(tgt, self.codiff(which, pq) @ vec)
-        return out
+        return self.alg.apply(
+            lambda p, q: {neighbor(which, (p, q), -1): self.codiff(which, (p, q))}, form)
 
     def del_star(self, form):
         return self._bigraded_codiff("del", form)
@@ -405,8 +372,7 @@ class OperatorBundle:
 def build_bundle(model, metric):
     """Validated operator bundle; the model must be unimodular."""
     require_valid(model, need_unimodular=True)
-    metric.check()
-    return OperatorBundle(algebra_for(model), metric)
+    return bundle_for_algebra(algebra_for(model), metric)
 
 
 def bundle_for_algebra(alg, metric):

@@ -155,12 +155,7 @@ def _on_complex(block, bundle, gamma, which, key):
     """block(bundle, gamma, p, q) at key: itself on a bidegree, block diagonal on a degree."""
     if which != "d":
         return block(bundle, gamma, *key)
-    dim = bundle.alg.dim_total(key)
-    out = np.zeros((dim, dim), dtype=complex)
-    for (p, q), off in bundle.alg.offsets(key).items():
-        blk = block(bundle, gamma, p, q)
-        out[off:off + blk.shape[0], off:off + blk.shape[1]] = blk
-    return out
+    return bundle.alg.total(lambda p, q: {(p, q): block(bundle, gamma, p, q)}, key, key)
 
 
 def var_star_matrix(bundle, gamma, p, q):

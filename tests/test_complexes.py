@@ -1,15 +1,18 @@
-"""One code path for three complexes: the generic operators against their
-written-out per-complex formulas, bit for bit."""
+"""One code path for three complexes, and one block map per bigraded operator:
+the generic operators against their written-out formulas, bit for bit."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hermicone import hodge
-from hermicone.exterior import ExteriorAlgebra, dim_pq, neighbor
+from hermicone.exterior import (ExteriorAlgebra, Form, _basis, _complement, _merge, dim_pq,
+                                neighbor, random_form, wedge)
 from hermicone.hodge import (coimage_projector, green_operator, harmonic_projector,
                              image_projector, potential)
 from hermicone.metric import HermitianMetric, _adjoint, bundle_for_algebra, random_metric
-from hermicone.model import algebra_for, catalog, make_model
+from hermicone.model import algebra_for, catalog, catalog_names, make_model
+from hermicone.variation import _on_complex, commutator_mult, star_comm_star
 
 
 def _component(alg, pq, tgt):
@@ -37,6 +40,8 @@ WRITTEN = {
 def _model(name):
     if name == "iwasawa_x_t1":
         return make_model(name, 4, [(3, "holo", 1, 2, -1.25)])
+    if name == "heisenberg5":
+        return make_model(name, 5, [(5, "holo", 1, 2, 0.7), (5, "holo", 3, 4, -1.3)])
     return catalog(name)
 
 
@@ -46,7 +51,10 @@ def _model(name):
     ("iwasawa_x_t1", 3),
 ])
 def bundle(request):
-    name, seed = request.param
+    return _bundle(*request.param)
+
+
+def _bundle(name, seed):
     alg = algebra_for(_model(name))
     metric = HermitianMetric.identity(alg.n) if seed is None \
         else random_metric(alg.n, np.random.default_rng(seed))
@@ -178,3 +186,127 @@ def test_per_complex_names_are_the_generic_operators(bundle):
     src = np.arange(b.dim("dbar", (1, 1)), dtype=complex)
     assert np.array_equal(hodge.dbar_potential(b, src, (1, 1)).potential,
                           potential(b, "dbar", (1, 1), src).potential)
+
+
+# ----- block maps: ExteriorAlgebra.apply / total against the loops they replaced ---------
+
+
+@pytest.fixture(scope="module", params=[
+    (name, seed) for name in (*catalog_names(), "iwasawa_x_t1", "heisenberg5")
+    for seed in (None, 5)
+], ids=lambda p: f"{p[0]}-{p[1]}")
+def block_bundle(request):
+    return _bundle(*request.param)
+
+
+def _bits(form):
+    return [(pq, vec.tobytes()) for pq, vec in form.blocks.items()]
+
+
+def _blockwise(alg, form, target, matrix):
+    """The per-operator loop: each block to one target, empty targets skipped."""
+    out = Form.zero(alg.n)
+    for (p, q), vec in form.blocks.items():
+        tgt = target(p, q)
+        if dim_pq(alg.n, *tgt):
+            out = out + alg.from_blockvec(tgt, matrix(p, q) @ vec)
+    return out
+
+
+def _placed(alg, k, k_out, blocks):
+    """The per-operator offset loop: the (target, matrix) pairs of blocks(p, q) into k_out."""
+    mat = np.zeros((alg.dim_total(k_out) if k_out <= 2 * alg.n else 0, alg.dim_total(k)),
+                   dtype=complex)
+    roff = alg.offsets(k_out) if k_out <= 2 * alg.n else {}
+    for pq, c0 in alg.offsets(k).items():
+        for tgt, blk in blocks(*pq):
+            if tgt in roff:
+                r0 = roff[tgt]
+                mat[r0:r0 + blk.shape[0], c0:c0 + blk.shape[1]] = blk
+    return mat
+
+
+def _solved_star(b, a, c):
+    """The star block as a linear solve against the wedge pairing."""
+    n = b.n
+    pair = np.zeros((dim_pq(n, c, a), dim_pq(n, a, c)), dtype=complex)
+    tgt = {m: i for i, m in enumerate(_basis(n, n - c, n - a))}
+    full = tuple(range(n))
+    for r, (I, J) in enumerate(_basis(n, c, a)):
+        Ic = tuple(sorted(set(full) - set(I)))
+        Jc = tuple(sorted(set(full) - set(J)))
+        top = _merge(I, Ic)[0] * _merge(J, Jc)[0] * (-1) ** ((n - c) * a)
+        pair[r, tgt[(Ic, Jc)]] = b.alg.integrate(Form.monomial(n, full, full, top))
+    g, src = b.gram(c, a), {m: i for i, m in enumerate(_basis(n, c, a))}
+    rhs = np.zeros_like(pair)
+    for s, (I, J) in enumerate(_basis(n, a, c)):
+        rhs[:, s] = (-1) ** (a * c) * g[src[(J, I)], :]
+    return np.linalg.solve(pair, b.det_h * rhs)
+
+
+def _bidegrees(n):
+    return [(p, q) for p in range(n + 1) for q in range(n + 1)]
+
+
+def test_form_operators_match_blockwise_loops(block_bundle):
+    b, alg, n = block_bundle, block_bundle.alg, block_bundle.n
+    rng = np.random.default_rng(3)
+    forms = [random_form(n, _bidegrees(n), rng), random_form(n, [(1, 1), (n, 0)], rng, real=True),
+             b.omega, Form.zero(n)]
+    for form in forms:
+        want_d = Form.zero(n)
+        for (p, q), vec in form.blocks.items():
+            for tgt, blk in alg.d_blocks(p, q).items():
+                want_d = want_d + alg.from_blockvec(tgt, blk @ vec)
+        assert _bits(alg.d_form(form)) == _bits(want_d)
+        for which, s, got, mat in (("del", 1, alg.del_form, alg.diff),
+                                   ("dbar", 1, alg.dbar_form, alg.diff),
+                                   ("del", -1, b.del_star, b.codiff),
+                                   ("dbar", -1, b.dbar_star, b.codiff)):
+            want = _blockwise(alg, form, lambda p, q: neighbor(which, (p, q), s),
+                              lambda p, q: mat(which, (p, q)))
+            assert _bits(got(form)) == _bits(want), (which, s)
+        assert _bits(b.star(form)) == _bits(_blockwise(
+            alg, form, lambda p, q: (n - q, n - p), b.star_block))
+        assert _bits(b.trace_contract(form)) == _bits(_blockwise(
+            alg, form, lambda p, q: (p - 1, q - 1), b.trace_block))
+        for eta in (random_form(n, [(1, 1)], rng), random_form(n, [(0, 1)], rng)):
+            (a, c), = eta.blocks
+            want = _blockwise(alg, form, lambda p, q: (p - a, q - c),
+                              lambda p, q: b.mult_adjoint_block(eta, p, q))
+            assert _bits(b.mult_adjoint(eta, form)) == _bits(want)
+
+
+def test_total_matrices_match_offset_loops(block_bundle):
+    b, alg, n = block_bundle, block_bundle.alg, block_bundle.n
+    gamma = random_form(n, [(1, 1)], np.random.default_rng(4), real=True)
+    for k in range(2 * n + 1):
+        want = _placed(alg, k, k + 1, lambda p, q: alg.d_blocks(p, q).items())
+        assert alg.d_total(k).tobytes() == want.tobytes(), k
+        want = _placed(alg, k, 2 * n - k,
+                       lambda p, q: [((n - q, n - p), b.star_block(p, q))])
+        assert b.star_total(k).tobytes() == want.tobytes(), k
+        want = scipy.linalg.block_diag(*[b.gram(p, q) for p, q in alg.bidegrees(k)])
+        assert b.gram_total(k).tobytes() == want.tobytes(), k
+        for block in (commutator_mult, star_comm_star):
+            want = _placed(alg, k, k, lambda p, q: [((p, q), block(b, gamma, p, q))])
+            assert _on_complex(block, b, gamma, "d", k).tobytes() == want.tobytes(), (k, block)
+
+
+def test_star_block_equals_the_solved_pairing(block_bundle):
+    b = block_bundle
+    for a, c in _bidegrees(b.n):
+        assert np.array_equal(b.star_block(a, c), _solved_star(b, a, c)), (a, c)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_complement_pairs_each_monomial_with_one_unit(n):
+    alg = ExteriorAlgebra(n, [])
+    for p, q in _bidegrees(n):
+        comp, unit = _complement(n, p, q)
+        assert sorted(comp) == list(range(dim_pq(n, n - p, n - q)))
+        assert set(unit.tolist()) <= {1, -1, 1j, -1j}
+        cbasis = _basis(n, n - p, n - q)
+        for (I, J), c, u in zip(_basis(n, p, q), comp, unit):
+            top = wedge(Form.monomial(n, I, J), Form.monomial(n, *cbasis[c]))
+            assert alg.integrate(top) == u, (p, q, I, J)

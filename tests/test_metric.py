@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hermicone.errors import DimensionMismatch, NotPositiveDefinite, SchemaError
-from hermicone.exterior import Form, _basis, random_form, wedge
+from hermicone.exterior import Form, _basis, random_form, wedge, wedge_power
 from hermicone.metric import (
     HermitianMetric,
     bundle_for_algebra,
@@ -158,6 +158,14 @@ def test_volume_form_normalization():
     b = seeded_bundle("torus2", seed=7)
     det = np.linalg.det(b.metric.h).real
     assert complex(b.integrate(b.omega_power(b.n))).real == pytest.approx(det, rel=1e-12)
+
+
+def test_omega_power_has_the_bits_of_wedge_power():
+    b = seeded_bundle("iwasawa", seed=7)
+    for k in (3, 0, 2, 1):  # out of order: later powers reuse the cached products
+        got, want = b.omega_power(k), wedge_power(b.omega, k)
+        assert [(pq, v.tobytes()) for pq, v in got.blocks.items()] \
+            == [(pq, v.tobytes()) for pq, v in want.blocks.items()]
 
 
 def test_l2_inner_hermitian_and_positive():
