@@ -9,6 +9,13 @@ alone must print the same non-descend digest:
 
     python3 scripts/report_corpus.py
 
+``report_corpus.expected`` next to this script holds the committed output,
+both digests included; ``tests/test_report_corpus.py`` runs the corpus and
+names every job whose line differs from it.  A change that alters reports
+on purpose rewrites it with
+
+    python3 scripts/report_corpus.py > scripts/report_corpus.expected
+
 The jobs cover ``eval`` (every functional) and ``torsion`` at a seeded random
 metric, ``verify --metrics 2`` and ``varcheck --tuples 3`` on the four catalog
 models; two 5-step descents; and ``eval``, ``torsion`` and ``verify`` on three

@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -23,9 +24,8 @@ from .errors import (DegreeOutOfRange, DimensionMismatch, EmptyCone,
                      ModelNotUnimodular, NotBalanced, NotPositive,
                      NotPositiveDefinite, NotSKT, SchemaError,
                      ToleranceAmbiguity, ToleranceFailure, UnknownCatalogName)
-from .functionals import eval_F, eval_F_tilde, eval_G, eval_H
-from .hodge import (DEFAULT_TOL, predicates, three_space_residuals,
-                    torsion_gamma, torsion_rho)
+from .functionals import energy, evaluate
+from .hodge import DEFAULT_TOL, predicates, three_space_residuals, torsion
 from .metric import HermitianMetric, bundle_for_algebra, identity_suite, random_metric
 from .model import (algebra_for, catalog, catalog_names, parse_model,
                     require_valid, serialize_model, validate_model)
@@ -88,6 +88,12 @@ def _load_metric(args, n, option="metric"):
     return metric.check()
 
 
+def _require_work(option, count):
+    """Refuse a work count below 1: zero requested work is never a pass."""
+    if count < 1:
+        raise _CliFailure(EXIT_SCHEMA, f"{option} must be at least 1, got {count}")
+
+
 def _model_hash(model):
     return hashlib.sha256(serialize_model(model).encode("utf-8")).hexdigest()
 
@@ -134,21 +140,14 @@ def _form_norms(bundle, form):
 
 
 def _predicates_payload(bundle, tol):
-    pred = predicates(bundle, tol)
-    return {
-        "is_kahler": pred.is_kahler,
-        "is_skt": pred.is_skt,
-        "is_balanced": pred.is_balanced,
-        "d_omega_residual": pred.d_omega_residual,
-        "ddbar_omega_residual": pred.ddbar_omega_residual,
-        "d_omega_power_residual": pred.d_omega_power_residual,
-    }
+    return {k: v for k, v in asdict(predicates(bundle, tol)).items() if k != "tol"}
 
 
 # ----- subcommands ---------------------------------------------------------------------
 
 
 def _cmd_verify(args):
+    _require_work("--metrics", args.metrics)
     model, source = _load_model(args)
     alg = algebra_for(model)
     n = alg.n
@@ -204,7 +203,7 @@ def _torsion_payload(bundle, report):
             bundle.l2_inner(report.harmonic_source, report.harmonic_source).real),
         "torsion": report.torsion.to_entries(),
     }
-    if report.kind == "rho":
+    if report.pure_parts:
         payload["pure_part_norm_sq"] = _form_norms(bundle, report.torsion)
     return payload
 
@@ -220,18 +219,13 @@ def _cmd_torsion(args):
 
     want = args.which
     reports = {}
-    if want in ("rho", "both"):
-        try:
-            reports["rho"] = _torsion_payload(bundle, torsion_rho(bundle, tol))
-        except NotSKT:
-            if want == "rho":
-                raise
-    if want in ("gamma", "both"):
-        try:
-            reports["gamma"] = _torsion_payload(bundle, torsion_gamma(bundle, tol))
-        except NotBalanced:
-            if want == "gamma":
-                raise
+    for kind, refusal in (("rho", NotSKT), ("gamma", NotBalanced)):
+        if want in (kind, "both"):
+            try:
+                reports[kind] = _torsion_payload(bundle, torsion(bundle, kind, tol))
+            except refusal:
+                if want == kind:
+                    raise
     if not reports:
         raise _CliFailure(EXIT_PREDICATE,
                           "metric is neither pluriclosed nor balanced at this tolerance")
@@ -249,14 +243,8 @@ def _cmd_eval(args):
     bundle = bundle_for_algebra(alg, metric)
     functional = _FUNCTIONALS[args.functional]
     nu = _load_metric(args, alg.n, "nu")
-    if functional == "F":
-        result = eval_F(bundle, tol)
-    elif functional == "G":
-        result = eval_G(bundle, tol)
-    elif functional == "H":
-        result = eval_H(bundle, bundle_for_algebra(alg, nu))
-    else:
-        result = eval_F_tilde(bundle, nu, tol)
+    weight = bundle_for_algebra(alg, nu) if energy(functional).weighted else None
+    result = evaluate(bundle, functional, nu, weight, tol)
     payload = {
         "functional": args.functional,
         "value": result.value,
@@ -277,8 +265,7 @@ def _battery_rows(model, seed, tuples, tol):
 
 
 def _cmd_varcheck(args):
-    if args.tuples < 1:
-        raise _CliFailure(EXIT_SCHEMA, f"--tuples must be at least 1, got {args.tuples}")
+    _require_work("--tuples", args.tuples)
     model, source = _load_model(args)
     tol = args.tol if args.tol is not None else DEFAULT_TOL
     rows = _battery_rows(model, args.seed, args.tuples, tol)
@@ -310,6 +297,9 @@ def _cmd_varcheck(args):
 
 
 def _cmd_descend(args):
+    _require_work("--steps", args.steps)
+    if args.max_step is not None and not args.max_step > 0:
+        raise _CliFailure(EXIT_SCHEMA, f"--max-step must be positive, got {args.max_step}")
     model, source = _load_model(args)
     alg = algebra_for(model)
     tol = args.tol if args.tol is not None else DEFAULT_TOL

@@ -481,16 +481,23 @@ class ExteriorAlgebra:
                 out = out + self.from_blockvec(tgt, mat @ vec)
         return out
 
-    def to_vector(self, form, k):
-        """Degree-k part of a form as one concatenated block vector."""
-        parts = [form.block(p, q) for p, q in self.bidegrees(k)]
+    def layout(self, which, key):
+        """Offsets of the bidegree blocks in a coefficient vector of the space at key
+        of the complex of which: every bidegree of a total degree for "d", one for del/dbar."""
+        return self.offsets(key) if which == "d" else {tuple(key): 0}
+
+    def to_vector(self, form, key, which="d"):
+        """Part of a form in the space at key as one concatenated block vector."""
+        parts = [form.block(p, q) for p, q in self.layout(which, key)]
         return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
 
-    def from_vector(self, vec, k):
+    def from_vector(self, vec, key, which="d"):
+        """The form whose part in the space at key is vec: the inverse of to_vector."""
         out = Form(self.n)
-        for (p, q), o in self.offsets(k).items():
+        for (p, q), o in self.layout(which, key).items():
             d = dim_pq(self.n, p, q)
-            out.set_block(p, q, vec[o:o + d])
+            if d:
+                out.set_block(p, q, vec[o:o + d])
         return out
 
     def d_form(self, form):

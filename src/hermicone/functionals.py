@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NotPositive
 from .exterior import wedge, wedge_power
 from .hodge import DEFAULT_TOL, torsion_gamma, torsion_rho
@@ -25,32 +23,55 @@ class FunctionalValue:
     ingredients: dict
 
 
-def eval_F(bundle, tol=DEFAULT_TOL):
-    """SKT energy ||rho||^2 with its pure-type split."""
-    rep = torsion_rho(bundle, tol)
-    parts = {f"norm_sq_{p}{q}": bundle.l2_inner(rep.pure_parts[(p, q)],
-                                                rep.pure_parts[(p, q)]).real
-             for (p, q) in ((2, 0), (1, 1), (0, 2))}
-    value = float(rep.norm_sq)
+@dataclass(frozen=True)
+class Energy:
+    """What differs between the energies: variation, descent and the CLI read it here."""
+
+    torsion: str | None  # "rho" or "gamma", whose squared norm the energy is; None for H
+    direction: str  # variation directions: "metric" for real (1,1), "volume" for (n-1,n-1)
+    constraint: str | None  # what a variation direction must keep: "skt", "balanced", None
+    slice: str  # the cone a descent moves in
+    normalize: bool = False  # the descent's default
+    weighted: bool = False  # measured against a second metric's bundle
+    certifies_kahler: bool = False  # its vanishing certifies a Kahler point
+
+
+ENERGIES = {
+    "F": Energy("rho", "metric", "skt", "skt", certifies_kahler=True),
+    "F_tilde": Energy("rho", "metric", "skt", "skt", normalize=True, certifies_kahler=True),
+    "G": Energy("gamma", "volume", "balanced", "balanced"),
+    "H": Energy(None, "metric", None, "skt", weighted=True),
+}
+
+
+def energy(functional):
+    """The ENERGIES entry of a functional name; ValueError for an unknown one."""
+    if functional not in ENERGIES:
+        raise ValueError(f"unknown functional {functional!r}")
+    return ENERGIES[functional]
+
+
+def _torsion_energy(bundle, rep, kind):
+    """||torsion||^2 with its source norms, residuals and pure-type split."""
     ing = {
         "projected_source_norm": bundle.l2_norm(rep.projected_source),
         "harmonic_source_norm": bundle.l2_norm(rep.harmonic_source),
         "residual_equation": rep.residual_equation,
         "residual_kernel": rep.residual_kernel,
     }
-    ing.update({k: float(v) for k, v in parts.items()})
-    return FunctionalValue("F", value, ing)
+    ing.update({f"norm_sq_{p}{q}": float(bundle.l2_inner(part, part).real)
+                for (p, q), part in rep.pure_parts.items()})
+    return FunctionalValue(kind, float(rep.norm_sq), ing)
+
+
+def eval_F(bundle, tol=DEFAULT_TOL):
+    """SKT energy ||rho||^2 with its pure-type split."""
+    return _torsion_energy(bundle, torsion_rho(bundle, tol), "F")
 
 
 def eval_G(bundle, tol=DEFAULT_TOL):
     """Balanced energy ||Gamma||^2."""
-    rep = torsion_gamma(bundle, tol)
-    return FunctionalValue("G", float(rep.norm_sq), {
-        "projected_source_norm": bundle.l2_norm(rep.projected_source),
-        "harmonic_source_norm": bundle.l2_norm(rep.harmonic_source),
-        "residual_equation": rep.residual_equation,
-        "residual_kernel": rep.residual_kernel,
-    })
+    return _torsion_energy(bundle, torsion_gamma(bundle, tol), "G")
 
 
 def eval_H(bundle_omega, bundle_gamma):
@@ -91,3 +112,16 @@ def eval_F_tilde(bundle, nu, tol=DEFAULT_TOL):
     ing = dict(f.ingredients)
     ing.update({"F": f.value, "normalization_integral": float(integral)})
     return FunctionalValue("Ftilde", float(value), ing)
+
+
+def evaluate(bundle, functional, nu=None, weight_bundle=None, tol=DEFAULT_TOL):
+    """Value of the energy named functional (a key of ENERGIES) at bundle.
+
+    nu is the normalization metric of F_tilde, weight_bundle the weight of H.
+    """
+    energy(functional)
+    if functional == "H":
+        return eval_H(bundle, weight_bundle)
+    if functional == "F_tilde":
+        return eval_F_tilde(bundle, nu, tol)
+    return eval_F(bundle, tol) if functional == "F" else eval_G(bundle, tol)

@@ -1,8 +1,9 @@
 """Spectral decompositions, projectors, torsion forms and the (n-1) root.
 
-Kernel detection is relative: eigenvalues below tol * max(1, lambda_max)
-count as kernel.  Any eigenvalue inside [threshold/10, 10*threshold]
-raises ToleranceAmbiguity rather than silently choosing a side.
+Kernel detection is relative: eigenvalues below tol * max(unit, lambda_max)
+count as kernel, where unit = 1 / (tr H / n) scales with the eigenvalues.
+Any eigenvalue inside [threshold/10, 10*threshold] raises
+ToleranceAmbiguity rather than silently choosing a side.
 
 The projectors onto the images of a differential and of its codifferential
 and the minimum-norm potential are written once over (which, key), as the
@@ -24,12 +25,26 @@ from .metric import HermitianMetric
 DEFAULT_TOL = 1e-9
 
 
-def kernel_mask(eigenvalues, tol=DEFAULT_TOL):
+def eigenvalue_unit(bundle):
+    """1 / (tr H / n): the metric's own unit of Laplacian eigenvalues, 1 at the identity.
+
+    Laplacian eigenvalues scale as 1/s under H -> s H, and so does this unit.
+    """
+    return bundle.n / bundle.trace_h
+
+
+def kernel_threshold(eigenvalues, tol=DEFAULT_TOL, unit=1.0):
+    """The kernel cut tol * lambda_max of an eigenvalue array, floored at tol * unit
+    (see eigenvalue_unit)."""
+    return tol * max(unit, float(eigenvalues.max(initial=0.0)))
+
+
+def kernel_mask(eigenvalues, tol=DEFAULT_TOL, unit=1.0):
     """Boolean kernel mask under the relative threshold, with ambiguity guard."""
     eigs = np.asarray(eigenvalues, dtype=float)
     if eigs.size == 0:
         return np.zeros(0, dtype=bool)
-    thr = tol * max(1.0, float(eigs.max(initial=0.0)))
+    thr = kernel_threshold(eigs, tol, unit)
     bad = (eigs >= thr / 10.0) & (eigs <= 10.0 * thr)
     if np.any(bad):
         raise ToleranceAmbiguity(
@@ -40,7 +55,7 @@ def kernel_mask(eigenvalues, tol=DEFAULT_TOL):
 def harmonic_projector(bundle, which, key, tol=DEFAULT_TOL):
     """G-orthogonal projector onto ker of the chosen Laplacian."""
     spec = bundle.spectral(which, key)
-    mask = kernel_mask(spec.eigenvalues, tol)
+    mask = kernel_mask(spec.eigenvalues, tol, eigenvalue_unit(bundle))
     v = spec.vectors[:, mask]
     return v @ (v.conj().T @ spec.gram)
 
@@ -48,7 +63,7 @@ def harmonic_projector(bundle, which, key, tol=DEFAULT_TOL):
 def green_operator(bundle, which, key, tol=DEFAULT_TOL):
     """Pseudo-inverse of the Laplacian: zero on kernel, 1/lambda elsewhere."""
     spec = bundle.spectral(which, key)
-    mask = kernel_mask(spec.eigenvalues, tol)
+    mask = kernel_mask(spec.eigenvalues, tol, eigenvalue_unit(bundle))
     v = spec.vectors[:, ~mask]
     lam = spec.eigenvalues[~mask]
     if v.shape[1] == 0:
@@ -57,7 +72,8 @@ def green_operator(bundle, which, key, tol=DEFAULT_TOL):
 
 
 def kernel_dimension(bundle, which, key, tol=DEFAULT_TOL):
-    return int(np.sum(kernel_mask(bundle.spectral(which, key).eigenvalues, tol)))
+    eigs = bundle.spectral(which, key).eigenvalues
+    return int(np.sum(kernel_mask(eigs, tol, eigenvalue_unit(bundle))))
 
 
 def image_projector(bundle, which, key, tol=DEFAULT_TOL):
@@ -212,15 +228,57 @@ class TorsionReport:
     residual_equation: float
     residual_kernel: float
     tol: float
+    norm_sq: float
     pure_parts: dict = field(default_factory=dict)
 
-    @property
-    def norm_sq(self):
-        return self._norm_sq
 
-    def with_norms(self, bundle):
-        self._norm_sq = bundle.l2_inner(self.torsion, self.torsion).real
-        return self
+def torsion_space(kind, n):
+    """(which, key) of the space holding the source of torsion kind.
+
+    The torsion itself is the minimal potential one step down, at
+    neighbor(which, key, -1): rho on degree 2, Gamma on (n-1, n-2).
+    """
+    return ("d", 3) if kind == "rho" else ("dbar", (n - 1, n - 1))
+
+
+# per torsion: the predicate flag it needs, the residual and error reported when the
+# flag is off, the residual's name, and the source form whose image part it solves for
+_TORSIONS = {
+    "rho": ("is_skt", "ddbar_omega_residual", NotSKT, "dd-bar of omega",
+            lambda bundle: bundle.alg.del_form(bundle.omega)),
+    "gamma": ("is_balanced", "d_omega_power_residual", NotBalanced, "d of omega_(n-1)",
+              lambda bundle: bundle.omega_power(bundle.n - 1)),
+}
+
+
+def _torsion(bundle, kind, tol):
+    """The minimal torsion potential of kind, with its source and residuals."""
+    flag, residual, error, what, source_of = _TORSIONS[kind]
+    pred = predicates(bundle, tol)
+    if not getattr(pred, flag):
+        raise error(f"{what} has residual {getattr(pred, residual):.3e} > {tol:.1e}")
+    alg = bundle.alg
+    which, key = torsion_space(kind, bundle.n)
+    prev = neighbor(which, key, -1)
+    source = source_of(bundle)
+    vec = alg.to_vector(source, key, which)
+    sol = potential(bundle, which, key, vec, tol)
+    sol.check(tol, _l2(bundle, which, key, vec), f"torsion {kind}")
+    form = alg.from_vector(sol.potential, prev, which)
+    layout = alg.layout(which, prev)
+    return TorsionReport(
+        kind=kind,
+        torsion=form,
+        source=source,
+        projected_source=alg.from_vector(sol.projected_source, key, which),
+        harmonic_source=alg.from_vector(sol.harmonic_component, key, which),
+        residual_equation=sol.residual_equation,
+        residual_kernel=sol.residual_kernel,
+        tol=tol,
+        norm_sq=bundle.l2_inner(form, form).real,
+        # the pure-type split, where the torsion's space has more than one type
+        pure_parts={pq: form.pure_part(*pq) for pq in layout} if len(layout) > 1 else {},
+    )
 
 
 def torsion_rho(bundle, tol=DEFAULT_TOL):
@@ -229,27 +287,7 @@ def torsion_rho(bundle, tol=DEFAULT_TOL):
     rho = green(Delta_2) d^* P(del omega); vanishing of rho is equivalent to
     the metric being Kahler.  Requires an SKT metric.
     """
-    alg = bundle.alg
-    pred = predicates(bundle, tol)
-    if not pred.is_skt:
-        raise NotSKT(f"dd-bar of omega has residual {pred.ddbar_omega_residual:.3e} > {tol:.1e}")
-    del_omega = alg.del_form(bundle.omega)
-    v3 = alg.to_vector(del_omega, 3)
-    sol = potential(bundle, "d", 3, v3, tol)
-    sol.check(tol, _l2(bundle, "d", 3, v3), "torsion rho")
-    rho = alg.from_vector(sol.potential, 2)
-    report = TorsionReport(
-        kind="rho",
-        torsion=rho,
-        source=del_omega,
-        projected_source=alg.from_vector(sol.projected_source, 3),
-        harmonic_source=alg.from_vector(sol.harmonic_component, 3),
-        residual_equation=sol.residual_equation,
-        residual_kernel=sol.residual_kernel,
-        tol=tol,
-        pure_parts={pq: rho.pure_part(*pq) for pq in ((2, 0), (1, 1), (0, 2))},
-    )
-    return report.with_norms(bundle)
+    return _torsion(bundle, "rho", tol)
 
 
 def torsion_gamma(bundle, tol=DEFAULT_TOL):
@@ -258,27 +296,12 @@ def torsion_gamma(bundle, tol=DEFAULT_TOL):
     Gamma = green(Delta''_{n-1,n-2}) dbar^* P(omega_{n-1}); vanishing is
     equivalent to the metric being Kahler.  Requires a balanced metric.
     """
-    alg, n = bundle.alg, bundle.n
-    pred = predicates(bundle, tol)
-    if not pred.is_balanced:
-        raise NotBalanced(
-            f"d of omega_(n-1) has residual {pred.d_omega_power_residual:.3e} > {tol:.1e}")
-    omega_top = bundle.omega_power(n - 1)
-    v = omega_top.block(n - 1, n - 1)
-    sol = potential(bundle, "dbar", (n - 1, n - 1), v, tol)
-    sol.check(tol, _l2(bundle, "dbar", (n - 1, n - 1), v), "torsion gamma")
-    gamma = alg.from_blockvec((n - 1, n - 2), sol.potential)
-    report = TorsionReport(
-        kind="gamma",
-        torsion=gamma,
-        source=omega_top,
-        projected_source=alg.from_blockvec((n - 1, n - 1), sol.projected_source),
-        harmonic_source=alg.from_blockvec((n - 1, n - 1), sol.harmonic_component),
-        residual_equation=sol.residual_equation,
-        residual_kernel=sol.residual_kernel,
-        tol=tol,
-    )
-    return report.with_norms(bundle)
+    return _torsion(bundle, "gamma", tol)
+
+
+def torsion(bundle, kind, tol=DEFAULT_TOL):
+    """torsion_rho or torsion_gamma by kind ("rho" or "gamma")."""
+    return torsion_rho(bundle, tol) if kind == "rho" else torsion_gamma(bundle, tol)
 
 
 # ----- Michelsohn root ------------------------------------------------------------------

@@ -19,18 +19,19 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import (DegreeOutOfRange, DimensionMismatch, NotPositiveDefinite,
-                     SchemaError)
+from .errors import DimensionMismatch, NotPositiveDefinite, SchemaError
 from .exterior import (Form, _combos, _complement, _conj_table, dim_pq, neighbor,
                        random_form, wedge)
 from .model import algebra_for, require_valid
 
 HERMITICITY_TOL = 1e-12
+NORMAL_FLOAT_LOGS = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
 class HermitianMetric:
@@ -85,13 +86,21 @@ class HermitianMetric:
         if np.max(np.abs(self.h - self.h.conj().T)) > HERMITICITY_TOL:
             raise NotPositiveDefinite("metric matrix is not Hermitian within 1e-12")
         try:
-            lam = self.min_eigenvalue()
+            lam = np.linalg.eigvalsh(0.5 * (self.h + self.h.conj().T))
         except np.linalg.LinAlgError as exc:
             raise SchemaError(f"metric matrix has no eigenvalues: {exc}") from None
-        if not np.isfinite(lam):
+        lo, hi = float(lam[0]), float(lam[-1])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise SchemaError("metric matrix overflows: its eigenvalues are not finite")
-        if lam <= 0:
+        if lo <= 0:
             raise NotPositiveDefinite("metric matrix is not positive definite")
+        # the (p, q) Gram block scales as H^-(p+q), up to det(H)^-2 on (n, n):
+        # refuse scales at which lambda_max^2n or lambda_min^-2n is not a normal float
+        logs = (2 * self.n * math.log(hi), -2 * self.n * math.log(lo))
+        if not all(NORMAL_FLOAT_LOGS[0] <= x <= NORMAL_FLOAT_LOGS[1] for x in logs):
+            raise SchemaError(
+                f"metric scale overflows: eigenvalues {lo:.3e}..{hi:.3e} put "
+                "its Gram blocks outside the float range")
         return self
 
     def min_eigenvalue(self):
@@ -147,6 +156,7 @@ class OperatorBundle:
         self.h = np.asarray(metric.h)
         self.h_inv = np.linalg.inv(self.h)
         self.det_h = float(np.linalg.det(self.h).real)
+        self.trace_h = float(self.h.trace().real)
         self._compound = {}
         self._gram = {}
         self._gram_total = {}

@@ -19,10 +19,11 @@ import numpy as np
 
 from .errors import (DimensionMismatch, EmptyCone, InfeasibleStart,
                      KernelJump, LineSearchFailure, NotPositive,
-                     NotPositiveDefinite, ToleranceAmbiguity, ToleranceFailure)
+                     NotPositiveDefinite, SchemaError, ToleranceAmbiguity,
+                     ToleranceFailure)
 from .exterior import ExteriorAlgebra, Form, _combos, wedge, wedge_power
-from .functionals import eval_F, eval_F_tilde, eval_G, eval_H
-from .hodge import DEFAULT_TOL, predicates, root_n_minus_1
+from .functionals import energy, evaluate
+from .hodge import DEFAULT_TOL, predicates, root_n_minus_1, torsion_space
 from .metric import HermitianMetric, bundle_for_algebra
 from .model import algebra_for
 from .variation import make_direction, spectral_gap, variation_at
@@ -185,17 +186,7 @@ class IterationRecord:
     backtracks: int
 
     def to_jsonable(self):
-        return {
-            "index": self.index,
-            "coefficients": [float(c) for c in self.coefficients],
-            "value": self.value,
-            "gradient_norm": self.gradient_norm,
-            "step_size": self.step_size,
-            "min_eigenvalue": self.min_eigenvalue,
-            "normalization_integral": self.normalization_integral,
-            "constraint_residual": self.constraint_residual,
-            "backtracks": self.backtracks,
-        }
+        return {**vars(self), "coefficients": [float(c) for c in self.coefficients]}
 
 
 @dataclass
@@ -249,19 +240,14 @@ class DescentTrace:
         """One flat dict per iteration, coefficients split into c0, c1, ..."""
         rows = []
         for r in self.records:
-            row = {"index": r.index, "value": r.value,
-                   "gradient_norm": r.gradient_norm, "step_size": r.step_size,
-                   "min_eigenvalue": r.min_eigenvalue,
-                   "normalization_integral": r.normalization_integral,
-                   "constraint_residual": r.constraint_residual,
-                   "backtracks": r.backtracks}
-            for a, c in enumerate(r.coefficients):
-                row[f"c{a}"] = float(c)
+            row = r.to_jsonable()
+            row.update({f"c{a}": c for a, c in enumerate(row.pop("coefficients"))})
             rows.append(row)
         return rows
 
 
-_UNEVALUABLE = (NotPositive, NotPositiveDefinite, ToleranceAmbiguity,
+# SchemaError: a trial point whose scale leaves the float range
+_UNEVALUABLE = (NotPositive, NotPositiveDefinite, SchemaError, ToleranceAmbiguity,
                 ToleranceFailure, ValueError)
 
 
@@ -283,7 +269,8 @@ class _Objective:
         self.weight_bundle = weight_bundle
         self.tol = tol
         self.normalize = normalize
-        self.kind = "volume" if functional == "G" else "metric"
+        spec = energy(functional)
+        self.kind = spec.direction
         forms = basis.forms
         nu_form = nu.form()
         if self.kind == "metric":
@@ -293,10 +280,10 @@ class _Objective:
             integrals = [alg.integrate(wedge(nu_form, f)) for f in forms]
         self.covector = np.array(integrals, dtype=complex).real
         self.directions = [make_direction(alg, f, kind=self.kind, tol=tol) for f in forms]
-        n = alg.n
         self._last = None
-        self.moving_projector = {"F": ("d", 3), "F_tilde": ("d", 3),
-                                 "G": ("dbar", (n - 1, n - 1))}.get(functional)
+        # the torsion's source space, whose harmonic projector moves with the metric
+        self.moving_projector = torsion_space(spec.torsion, alg.n) \
+            if spec.torsion is not None else None
 
     def metric_at(self, x):
         form = self.basis.combine(x)
@@ -308,7 +295,7 @@ class _Objective:
         try:
             return self._bundle(self.retract(x) if self.normalize else x) \
                 .metric.min_eigenvalue()
-        except (NotPositive, NotPositiveDefinite, ValueError):
+        except (NotPositive, NotPositiveDefinite, SchemaError, ValueError):
             return -np.inf
 
     def normalization(self, x):
@@ -337,15 +324,8 @@ class _Objective:
     def __call__(self, x):
         try:
             bundle = self._bundle(self.retract(x) if self.normalize else x)
-            if self.functional == "F":
-                return eval_F(bundle, self.tol).value
-            if self.functional == "F_tilde":
-                return eval_F_tilde(bundle, self.nu, self.tol).value
-            if self.functional == "G":
-                return eval_G(bundle, self.tol).value
-            if self.functional == "H":
-                return eval_H(bundle, self.weight_bundle).value
-            raise ValueError(f"unknown functional {self.functional!r}")
+            return evaluate(bundle, self.functional, self.nu, self.weight_bundle,
+                            self.tol).value
         except _UNEVALUABLE:
             return None
 
@@ -418,15 +398,13 @@ def descend(model, functional="F_tilde", start=None, nu=None, weight=None,
     """
     alg = _algebra_of(model)
     n = alg.n
-    if functional not in ("F", "F_tilde", "G", "H"):
-        raise ValueError(f"unknown functional {functional!r}")
-    kind = "skt" if functional in ("F", "F_tilde", "H") else "balanced"
-    basis = constraint_basis(alg, kind)
+    spec = energy(functional)
+    basis = constraint_basis(alg, spec.slice)
     if normalize is None:
-        normalize = functional == "F_tilde"
+        normalize = spec.normalize
     nu = nu if nu is not None else HermitianMetric.identity(n)
     weight_bundle = None
-    if functional == "H":
+    if spec.weighted:
         weight_metric = weight if weight is not None else HermitianMetric.identity(n)
         weight_bundle = bundle_for_algebra(alg, weight_metric)
     obj = _Objective(alg, basis, functional, nu, weight_bundle, tol, normalize)
@@ -501,8 +479,7 @@ def descend(model, functional="F_tilde", start=None, nu=None, weight=None,
     # a vanishing pluriclosed energy certifies a Kahler point; G and H have
     # no such converse, so the consistency gate only watches the F family
     floor = KAHLER_FLOOR_RTOL * (initial_value + 1.0)
-    near_zero = functional in ("F", "F_tilde") and \
-        any(r.value < floor for r in records)
+    near_zero = spec.certifies_kahler and any(r.value < floor for r in records)
     consistent = (not near_zero) or \
         (termination == "GradientSmall" and preds.is_kahler)
     return DescentTrace(

@@ -26,10 +26,10 @@ import numpy as np
 from .errors import (DimensionMismatch, DirectionNotAdmissible, KernelJump,
                      NotPositive, NotPositiveDefinite, StepTooLarge)
 from .exterior import Form, conj_block_matrix, dim_pq, neighbor, wedge, wedge_power
-from .functionals import (eval_F, eval_F_tilde, eval_G, eval_H,
-                          normalization_integral)
-from .hodge import (DEFAULT_TOL, green_operator, harmonic_projector, image_projector,
-                    kernel_mask, root_n_minus_1, torsion_gamma, torsion_rho)
+from .functionals import energy, evaluate, normalization_integral
+from .hodge import (DEFAULT_TOL, eigenvalue_unit, green_operator, harmonic_projector,
+                    image_projector, kernel_mask, kernel_threshold, root_n_minus_1,
+                    torsion, torsion_space)
 from .metric import HermitianMetric, bundle_for_algebra, random_metric
 from .model import algebra_for
 
@@ -240,10 +240,10 @@ def spectral_gap(bundle, which, key, tol=DEFAULT_TOL, gap_factor=100.0):
     dimension is not stable under perturbation and the harmonic projector
     has no derivative.
     """
-    spec = bundle.spectral(which, key)
-    mask = kernel_mask(spec.eigenvalues, tol)
-    eigs = np.asarray(spec.eigenvalues, dtype=float)
-    thr = tol * max(1.0, float(eigs.max(initial=0.0)))
+    eigs = bundle.spectral(which, key).eigenvalues
+    unit = eigenvalue_unit(bundle)
+    mask = kernel_mask(eigs, tol, unit)
+    thr = kernel_threshold(eigs, tol, unit)
     nonzero = eigs[~mask]
     gap = float(nonzero.min()) if nonzero.size else float("inf")
     if gap < gap_factor * thr:
@@ -280,14 +280,9 @@ def var_harmonic_projector(bundle, gamma, which, key, v=None, tol=DEFAULT_TOL,
     )
     if v is not None:
         alg = bundle.alg
-        if which == "d":
-            vec = alg.to_vector(v, key)
-            wrap = lambda w: alg.from_vector(w, key)
-        else:
-            vec = v.block(*key)
-            wrap = lambda w: alg.from_blockvec(key, w)
-        out.value_form = wrap(image_part @ vec)
-        out.oracle_form = wrap(derivative @ vec)
+        vec = alg.to_vector(v, key, which)
+        out.value_form = alg.from_vector(image_part @ vec, key, which)
+        out.oracle_form = alg.from_vector(derivative @ vec, key, which)
         out.input_kernel_norm = out.kernel_component_norm(vec)
     return out
 
@@ -354,66 +349,74 @@ def variation_at(bundle, functional, nu=None, weight_bundle=None, tol=DEFAULT_TO
     one metric cost one torsion solve.  functional is "F", "F_tilde"
     (needs nu), "G" or "H" (needs weight_bundle).
     """
-    if functional == "F":
-        return _var_F_at(bundle, tol)[0]
-    if functional == "F_tilde":
-        return _var_F_tilde_at(bundle, nu, tol)
-    if functional == "G":
-        return _var_G_at(bundle, tol)
-    if functional == "H":
+    kind = energy(functional).torsion
+    if kind is None:
         return _var_H_at(bundle, weight_bundle)
-    raise ValueError(f"unknown functional {functional!r}")
+    at, report = _var_torsion_at(bundle, kind, tol)
+    return _var_F_tilde_at(bundle, nu, at, report) if functional == "F_tilde" else at
 
 
-def _var_F_at(bundle, tol):
-    """(direction -> variation of F, torsion report) at one bundle."""
+def _var_torsion_at(bundle, kind, tol):
+    """(direction -> variation of ||torsion||^2, torsion report) at one bundle.
+
+    The torsion is the minimal potential at prev of the image part of its
+    source at key.  A metric direction gamma moves the source del(omega) by
+    del(gamma); a volume direction moves the source omega_{n-1} by itself
+    and the metric by metric_direction_of_volume.
+    """
     alg = bundle.alg
-    report = torsion_rho(bundle, tol)
-    rho_vec = alg.to_vector(report.torsion, 2)
-    gram = bundle.gram_total(2)
+    report = torsion(bundle, kind, tol)
+    which, key = torsion_space(kind, bundle.n)
+    prev = neighbor(which, key, -1)
+    tors_vec = alg.to_vector(report.torsion, prev, which)
+    gram = bundle.gram_for(which, prev)
     det = bundle.det_h
-    im_proj3 = image_projector(bundle, "d", 3, tol)
-    d_star3 = bundle.codiff("d", 3)
-    green2 = green_operator(bundle, "d", 2, tol)
-    proj3 = harmonic_projector(bundle, "d", 3, tol)
-    green3 = green_operator(bundle, "d", 3, tol)
-    omega_src = alg.to_vector(report.source, 3)
-    green_src, proj_src = green3 @ omega_src, proj3 @ omega_src
-    rho_norm = float(np.sqrt(max(report.norm_sq, 0.0)))
+    im_proj = image_projector(bundle, which, key, tol)
+    codiff = bundle.codiff(which, key)
+    green_prev = green_operator(bundle, which, prev, tol)
+    proj = harmonic_projector(bundle, which, key, tol)
+    green = green_operator(bundle, which, key, tol)
+    omega_src = alg.to_vector(report.source, key, which)
+    green_src, proj_src = green @ omega_src, proj @ omega_src
+    tors_norm = float(np.sqrt(max(report.norm_sq, 0.0)))
+    types = [(p, q, slice(off, off + dim_pq(alg.n, p, q)), bundle.gram(p, q))
+             for (p, q), off in alg.layout(which, prev).items()]
 
     def at(direction):
-        gamma = direction.form
-        src_vec = alg.to_vector(alg.del_form(gamma), 3)
-        eta = green2 @ (d_star3 @ (im_proj3 @ src_vec))  # the minimal d-potential
-        comm = _on_complex(commutator_mult, bundle, gamma, "d", 2)
+        if direction.kind == "volume":
+            metric_dir = metric_direction_of_volume(bundle, direction.form)
+            src_dir = direction.form
+        else:
+            metric_dir, src_dir = direction.form, alg.del_form(direction.form)
+        src_vec = alg.to_vector(src_dir, key, which)
+        eta = green_prev @ (codiff @ (im_proj @ src_vec))  # the minimal potential
+        comm = _on_complex(commutator_mult, bundle, metric_dir, which, prev)
 
-        # six pairing summands, split by type (the commutator preserves type)
+        # two pairing summands per type of the torsion's space (the
+        # commutator preserves type)
         terms = {}
         total = 0.0 + 0.0j
-        second_full = eta + comm @ rho_vec
-        for pq in ((2, 0), (1, 1), (0, 2)):
-            off = alg.offsets(2)[pq]
-            sl = slice(off, off + dim_pq(alg.n, *pq))
-            g = bundle.gram(*pq)
-            first = (rho_vec[sl].conj() @ (g @ eta[sl])) * det
-            second = (second_full[sl].conj() @ (g @ rho_vec[sl])) * det
-            terms[f"eta_rho_{pq[0]}{pq[1]}"] = float(first.real)
-            terms[f"rho_eta_comm_{pq[0]}{pq[1]}"] = float(second.real)
+        second_full = eta + comm @ tors_vec
+        for p, q, sl, g in types:
+            first = (tors_vec[sl].conj() @ (g @ eta[sl])) * det
+            second = (second_full[sl].conj() @ (g @ tors_vec[sl])) * det
+            terms[f"eta_{kind}_{p}{q}"] = float(first.real)
+            terms[f"{kind}_eta_comm_{p}{q}"] = float(second.real)
             total += first + second
 
         # moving-projector remainder: the value carries its norm bound,
         # the derivative its signed pairing
-        dlap = laplacian_variation_matrix(bundle, gamma, "d", 3)
-        a_vec = proj3 @ (dlap @ green_src) + green3 @ (dlap @ proj_src)
-        lift = green2 @ (d_star3 @ a_vec)
-        proj_term = 2.0 * rho_norm * (_gram_norm(gram, lift) * np.sqrt(det))
-        pairing = float(2.0 * (rho_vec.conj() @ (gram @ lift)).real * det)
+        dlap = laplacian_variation_matrix(bundle, metric_dir, which, key)
+        a_vec = proj @ (dlap @ green_src) + green @ (dlap @ proj_src)
+        lift = green_prev @ (codiff @ a_vec)
+        proj_term = 2.0 * tors_norm * (_gram_norm(gram, lift) * np.sqrt(det))
+        pairing = float(2.0 * (tors_vec.conj() @ (gram @ lift)).real * det)
         terms["projector_term"] = float(proj_term)
         terms["projector_pairing_signed"] = pairing
         terms["projector_source_norm"] = float(
-            _gram_norm(bundle.gram_total(3), a_vec) * np.sqrt(det))
+            _gram_norm(bundle.gram_for(which, key), a_vec) * np.sqrt(det))
         return FunctionalVariation(
-            kind="F",
+            kind="F" if kind == "rho" else "G",
             value=float(total.real + proj_term),
             derivative=float(total.real + pairing),
             terms=terms,
@@ -421,56 +424,6 @@ def _var_F_at(bundle, tol):
         )
 
     return at, report
-
-
-def _var_G_at(bundle, tol):
-    alg, n = bundle.alg, bundle.n
-    report = torsion_gamma(bundle, tol)
-    pq = (n - 1, n - 2)
-    top = (n - 1, n - 1)
-    tors_vec = report.torsion.block(*pq)
-    gram = bundle.gram(*pq)
-    det = bundle.det_h
-    im_proj = image_projector(bundle, "dbar", top, tol)
-    dbar_star = bundle.codiff("dbar", top)
-    green_pq = green_operator(bundle, "dbar", pq, tol)
-    projt = harmonic_projector(bundle, "dbar", top, tol)
-    greent = green_operator(bundle, "dbar", top, tol)
-    omega_src = report.source.block(*top)
-    green_src, proj_src = greent @ omega_src, projt @ omega_src
-    tors_norm = float(np.sqrt(max(report.norm_sq, 0.0)))
-
-    def at(direction):
-        src_vec = direction.form.block(*top)
-        eta = green_pq @ (dbar_star @ (im_proj @ src_vec))  # the minimal dbar-potential
-        rho_form = metric_direction_of_volume(bundle, direction.form)
-        comm = commutator_mult(bundle, rho_form, *pq)
-        first = (tors_vec.conj() @ (gram @ eta)) * det
-        second = (eta + comm @ tors_vec).conj() @ (gram @ tors_vec) * det
-        total = first + second
-        terms = {
-            "eta_gamma": float(first.real),
-            "gamma_eta_comm": float(second.real),
-        }
-
-        dlap = laplacian_variation_matrix(bundle, rho_form, "dbar", top)
-        a_vec = projt @ (dlap @ green_src) + greent @ (dlap @ proj_src)
-        lift = green_pq @ (dbar_star @ a_vec)
-        proj_term = 2.0 * tors_norm * _gram_norm(gram, lift) * np.sqrt(det)
-        pairing = float(2.0 * (tors_vec.conj() @ (gram @ lift)).real * det)
-        terms["projector_term"] = float(proj_term)
-        terms["projector_pairing_signed"] = pairing
-        terms["projector_source_norm"] = float(
-            _gram_norm(bundle.gram(*top), a_vec) * np.sqrt(det))
-        return FunctionalVariation(
-            kind="G",
-            value=float(total.real + proj_term),
-            derivative=float(total.real + pairing),
-            terms=terms,
-            imag_residual=float(abs(total.imag)),
-        )
-
-    return at
 
 
 def _var_H_at(bundle, gamma_bundle):
@@ -497,9 +450,9 @@ def _var_H_at(bundle, gamma_bundle):
     return at
 
 
-def _var_F_tilde_at(bundle, nu, tol):
+def _var_F_tilde_at(bundle, nu, var_f, report):
+    """The quotient rule on the variation var_f of F at the same bundle."""
     alg, n = bundle.alg, bundle.n
-    var_f, report = _var_F_at(bundle, tol)
     f_val = float(report.norm_sq)  # eval_F(bundle, tol).value
     denom = normalization_integral(bundle, nu)
     if denom <= 0:
@@ -527,14 +480,23 @@ def _var_F_tilde_at(bundle, nu, tol):
     return at
 
 
-def _vetted(alg, direction, kind, require, tol):
-    """make_direction for raw input; a Direction only has its kind checked."""
+def _variation(bundle, functional, direction, nu=None, weight_bundle=None,
+               tol=DEFAULT_TOL, with_fd=False, step=None):
+    """The first variation of one energy along a direction vetted against its
+    ENERGIES entry (make_direction for raw input; a Direction only has its kind
+    checked), with the finite-difference audit on request."""
+    spec = energy(functional)
     if not isinstance(direction, Direction):
-        return make_direction(alg, direction, kind=kind, require=require, tol=tol)
-    if direction.kind != kind:
-        raise DirectionNotAdmissible(
-            f"this energy varies along {kind} directions, not {direction.kind} ones")
-    return direction
+        direction = make_direction(bundle.alg, direction, kind=spec.direction,
+                                   require=spec.constraint, tol=tol)
+    elif direction.kind != spec.direction:
+        raise DirectionNotAdmissible(f"this energy varies along {spec.direction} "
+                                     f"directions, not {direction.kind} ones")
+    out = variation_at(bundle, functional, nu, weight_bundle, tol)(direction)
+    if with_fd:
+        out.fd = float(_fd_along(bundle, direction, step, lambda b: evaluate(
+            b, functional, nu, weight_bundle, tol).value))
+    return out
 
 
 def var_F(bundle, direction, tol=DEFAULT_TOL, with_fd=False, step=None):
@@ -543,78 +505,42 @@ def var_F(bundle, direction, tol=DEFAULT_TOL, with_fd=False, step=None):
     The direction must keep del dbar omega = 0 to first order.  At
     direction = omega the value equals n times the energy.
     """
-    direction = _vetted(bundle.alg, direction, "metric", "skt", tol)
-    out = _var_F_at(bundle, tol)[0](direction)
-    if with_fd:
-        out.fd = _fd_functional(bundle, direction.matrix, "F", tol=tol, step=step)
-    return out
+    return _variation(bundle, "F", direction, tol=tol, with_fd=with_fd, step=step)
 
 
 def var_G(bundle, direction, tol=DEFAULT_TOL, with_fd=False, step=None):
     """First variation of the coclosed torsion energy along a closed real (n-1,n-1) direction."""
-    direction = _vetted(bundle.alg, direction, "volume", "balanced", tol)
-    out = _var_G_at(bundle, tol)(direction)
-    if with_fd:
-        out.fd = _fd_volume_functional(bundle, direction.form, tol=tol, step=step)
-    return out
+    return _variation(bundle, "G", direction, tol=tol, with_fd=with_fd, step=step)
 
 
 def var_H(bundle, gamma_bundle, direction, with_fd=False, step=None):
     """First variation of the trace energy in its metric slot, weight fixed."""
-    alg = bundle.alg
-    direction = _vetted(alg, direction, "metric", None, DEFAULT_TOL)
-    out = _var_H_at(bundle, gamma_bundle)(direction)
-    if with_fd:
-        h0 = bundle.metric
-        step = default_step(h0) if step is None else step
-
-        def at(t):
-            met = HermitianMetric(h0.h + t * direction.matrix).check()
-            return eval_H(bundle_for_algebra(alg, met), gamma_bundle).value
-
-        out.fd = float(fd_derivative(at, step))
-    return out
+    return _variation(bundle, "H", direction, weight_bundle=gamma_bundle,
+                      with_fd=with_fd, step=step)
 
 
 def var_F_tilde(bundle, nu, direction, tol=DEFAULT_TOL, with_fd=False, step=None):
     """First variation of the normalized pluriclosed energy."""
-    direction = _vetted(bundle.alg, direction, "metric", "skt", tol)
-    out = _var_F_tilde_at(bundle, nu, tol)(direction)
-    if with_fd:
-        out.fd = _fd_functional(bundle, direction.matrix, "F_tilde", nu=nu,
-                                tol=tol, step=step)
-    return out
+    return _variation(bundle, "F_tilde", direction, nu=nu, tol=tol, with_fd=with_fd,
+                      step=step)
 
 
 def _gram_norm(gram, vec):
     return float(np.sqrt(max((vec.conj() @ (gram @ vec)).real, 0.0)))
 
 
-def _fd_functional(bundle, gamma_matrix, kind, nu=None, tol=DEFAULT_TOL, step=None):
+def _fd_along(bundle, direction, step, extract):
+    """Central difference of extract(bundle at t) along the direction's metric path:
+    H + t * direction for a metric direction, the (n-1) root of
+    omega_{n-1} + t * direction for a volume one."""
     alg = bundle.alg
-    h0 = bundle.metric
-    step = default_step(h0) if step is None else step
-
-    def at(t):
-        met = HermitianMetric(h0.h + t * gamma_matrix).check()
-        b = bundle_for_algebra(alg, met)
-        if kind == "F":
-            return eval_F(b, tol).value
-        return eval_F_tilde(b, nu, tol).value
-
-    return float(fd_derivative(at, step))
-
-
-def _fd_volume_functional(bundle, direction_form, tol=DEFAULT_TOL, step=None):
-    alg, n = bundle.alg, bundle.n
-    base = bundle.omega_power(n - 1)
+    if direction.kind == "volume":
+        base = bundle.omega_power(bundle.n - 1)
+        path = lambda t: root_n_minus_1(alg, base + t * direction.form)
+    else:
+        path = lambda t: HermitianMetric(bundle.metric.h + t * direction.matrix)
     step = default_step(bundle.metric) if step is None else step
-
-    def at(t):
-        met = root_n_minus_1(alg, base + t * direction_form).check()
-        return eval_G(bundle_for_algebra(alg, met), tol).value
-
-    return float(fd_derivative(at, step))
+    return fd_derivative(lambda t: extract(bundle_for_algebra(alg, path(t))), step)
 
 
 # ----- the check battery ---------------------------------------------------------------
@@ -651,14 +577,6 @@ class VariationCheck:
         }
 
 
-def _matrix_fd(alg, h0, gamma_matrix, step, extract):
-    def at(t):
-        met = HermitianMetric(h0 + t * gamma_matrix).check()
-        return extract(bundle_for_algebra(alg, met))
-
-    return fd_derivative(at, step)
-
-
 def _amax(x):
     arr = np.asarray(x)
     return float(np.max(np.abs(arr))) if arr.size else 0.0
@@ -691,27 +609,27 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL, step_scale=1.0,
         gm = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         gm = 0.5 * (gm + gm.conj().T)
         gamma = HermitianMetric(gm).form()
-        h0 = met.h
+        along = Direction("metric", gamma, gm)
         step = step_scale * default_step(met)
         p = int(rng.integers(0, n + 1))
         q = int(rng.integers(0, n + 1))
         k = p + q
         tag = f"tuple {idx} (p,q)=({p},{q})"
 
-        fd = _matrix_fd(alg, h0, gm, step, lambda bb: bb.star_block(p, q))
+        fd = _fd_along(b, along, step, lambda bb: bb.star_block(p, q))
         _check(rows, "star", tag, var_star_matrix(b, gamma, p, q), fd)
 
-        fd = _matrix_fd(alg, h0, gm, step, lambda bb: bb.trace_block(p, q))
+        fd = _fd_along(b, along, step, lambda bb: bb.trace_block(p, q))
         _check(rows, "trace", tag, var_trace_matrix(b, gamma, p, q), fd)
 
         complexes = (("del", (p, q)), ("dbar", (p, q)), ("d", k))
         for which, key in complexes:
-            fd = _matrix_fd(alg, h0, gm, step, lambda bb, w=which, kk=key: bb.codiff(w, kk))
+            fd = _fd_along(b, along, step, lambda bb, w=which, kk=key: bb.codiff(w, kk))
             _check(rows, f"{which}_star", tag, var_codiff_matrix(b, gamma, which, key), fd)
 
         for which, key in complexes:
-            fd = _matrix_fd(alg, h0, gm, step,
-                            lambda bb, w=which, kk=key: bb.laplacian(w, kk))
+            fd = _fd_along(b, along, step,
+                           lambda bb, w=which, kk=key: bb.laplacian(w, kk))
             _check(rows, f"laplacian_{which}", tag,
                    laplacian_variation_matrix(b, gamma, which, key), fd)
 
@@ -749,8 +667,8 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL, step_scale=1.0,
             pv = var_harmonic_projector(b, gamma, "d", k, tol=tol)
         except KernelJump:
             continue
-        fd = _matrix_fd(alg, h0, gm, step,
-                        lambda bb: harmonic_projector(bb, "d", k, tol))
+        fd = _fd_along(b, along, step,
+                       lambda bb: harmonic_projector(bb, "d", k, tol))
         _check(rows, "projector", tag, pv.derivative, fd)
         dimk = alg.dim_total(k)
         if dimk:

@@ -7,6 +7,7 @@ import pytest
 
 from hermicone.cli import main
 from hermicone.metric import HermitianMetric
+from hermicone.model import catalog
 
 
 def run(capsys, *argv):
@@ -243,13 +244,41 @@ def test_non_finite_model_coefficient_exits_schema(tmp_path, capsys, coeff):
     assert code == 2 and "finite" in err
 
 
-@pytest.mark.parametrize("argv", [("eval", "--functional", "F"), ("torsion",)])
-def test_badly_scaled_metric_exits_tolerance(tmp_path, capsys, argv):
-    # finite and positive, but the Gram blocks underflow to singular matrices
-    # and the adjoint solve fails: a documented exit code, not a traceback
-    path = write_metric(tmp_path, 1e150 * np.eye(2), "scaled.json")
-    code, out, err = run(capsys, argv[0], "--catalog", "kodaira_thurston",
-                         *argv[1:], "--metric", path)
-    assert code == 5
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+@pytest.mark.parametrize("name,functional", [("kodaira_thurston", "F"), ("iwasawa", "G")])
+@pytest.mark.parametrize("subcommand", ["eval", "torsion", "descend"])
+def test_badly_scaled_metric_exits_schema(tmp_path, capsys, subcommand, name, functional,
+                                          scale):
+    # finite and positive, but lambda^(2n) or lambda^(-2n) leaves the floats, so a
+    # Gram block (up to det(H)^-2) would overflow or underflow: refused up front
+    path = write_metric(tmp_path, scale * np.eye(catalog(name).n), "scaled.json")
+    extra = () if subcommand == "torsion" else ("--functional", functional)
+    code, out, err = run(capsys, subcommand, "--catalog", name, *extra, "--metric", path)
+    assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and "Gram blocks" in err
+
+
+def _refused_as_schema(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and argv[-2] in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("metrics", ["0", "-3"])
+def test_verify_refuses_no_random_metrics(capsys, metrics):
+    # only the identity would be checked, yet reported as a pass
+    _refused_as_schema(capsys, "verify", "--catalog", "torus2", "--metrics", metrics)
+
+
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_descend_refuses_no_steps(capsys, steps):
+    _refused_as_schema(capsys, "descend", "--catalog", "torus2", "--functional", "F",
+                       "--steps", steps)
+
+
+@pytest.mark.parametrize("max_step", ["0", "-1", "nan"])
+def test_descend_refuses_nonpositive_max_step(capsys, max_step):
+    # no trial step would be tried, reported as a PositivityBoundary stop
+    _refused_as_schema(capsys, "descend", "--catalog", "kodaira_thurston",
+                       "--functional", "F", "--max-step", max_step)

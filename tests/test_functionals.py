@@ -23,6 +23,17 @@ def _scaled_bundle(bundle, lam):
     return bundle_for_algebra(bundle.alg, bundle.metric.scaled(lam))
 
 
+@pytest.mark.parametrize("scale", [1e-10, 1e10])
+def test_energies_scale_exactly_far_from_the_identity(scale):
+    # the kernel cut scales with the metric: F(s I) = 0.25 s^2 on
+    # Kodaira-Thurston and G(s I) = s^4 on Iwasawa, not a cut-off 0
+    for name, energy, want in (("kodaira_thurston", eval_F, 0.25 * scale ** 2),
+                               ("iwasawa", eval_G, scale ** 4)):
+        alg = algebra_for(catalog(name))
+        got = energy(bundle_for_algebra(alg, HermitianMetric(scale * np.eye(alg.n)))).value
+        assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_frozen_values_identity_metrics():
     f = eval_F(seeded_bundle("kodaira_thurston"))
     assert f.value == pytest.approx(0.25, abs=1e-12)

@@ -189,7 +189,7 @@ def test_var_G_pairings_match_fd_on_closed_directions(seed):
     rng = np.random.default_rng(200 + seed)
     direction = basis.combine(rng.normal(size=basis.dimension))
     var = var_G(b, direction, with_fd=True)
-    pairing = var.terms["eta_gamma"] + var.terms["gamma_eta_comm"]
+    pairing = var.terms["eta_gamma_21"] + var.terms["gamma_eta_comm_21"]
     assert var.fd == pytest.approx(pairing, rel=1e-8, abs=1e-9)
     assert abs(var.terms["projector_pairing_signed"]) <= 1e-9
     assert var.discrepancy == pytest.approx(-var.terms["projector_term"], abs=1e-8)
