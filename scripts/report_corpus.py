@@ -20,7 +20,8 @@ The jobs cover ``eval`` (every functional) and ``torsion`` at a seeded random
 metric, ``verify --metrics 2`` and ``varcheck --tuples 3`` on the four catalog
 models; two 5-step descents; and ``eval``, ``torsion`` and ``verify`` on three
 synthetic models (Iwasawa x T^1, Kodaira-Thurston x T^2, complex Heisenberg
-n = 5) read from model files.  Input files go to a temporary directory, whose
+n = 5) read from model files; and ``eval``, ``varcheck`` and ``descend`` under
+``--tol 1e-6``.  Input files go to a temporary directory, whose
 path appears in no report.  ``hermicone`` is imported from this checkout's
 ``src/`` and BLAS runs on one thread, unless the caller set the variables.
 """
@@ -98,6 +99,16 @@ def jobs(paths):
             out.append((f"eval {name} {fn}", ["eval", *src, "--functional", fn]))
         out.append((f"torsion {name}", ["torsion", *src]))
         out.append((f"verify {name}", ["verify", *src, "--metrics", "1", "--seed", "5"]))
+    tol = ["--tol", "1e-6"]
+    out.append(("eval iwasawa G tol", ["eval", "--catalog", "iwasawa", "--functional", "G",
+                                       "--metric", paths["metric:iwasawa"], *tol]))
+    out.append(("varcheck kodaira_thurston tol",
+                ["varcheck", "--catalog", "kodaira_thurston", "--tuples", "3", "--seed", "2",
+                 *tol]))
+    out.append(("descend kodaira_thurston Ftilde tol",
+                ["descend", "--catalog", "kodaira_thurston", "--functional", "Ftilde",
+                 "--metric", "random", "--seed", "3", "--steps", "5", "--max-step", "0.05",
+                 *tol]))
     return out
 
 
