@@ -25,8 +25,9 @@ from .errors import (DegreeOutOfRange, DimensionMismatch, EmptyCone,
                      NotPositiveDefinite, NotSKT, SchemaError,
                      ToleranceAmbiguity, ToleranceFailure, UnknownCatalogName)
 from .functionals import energy, evaluate
-from .hodge import DEFAULT_TOL, predicates, three_space_residuals, torsion
-from .metric import HermitianMetric, bundle_for_algebra, identity_suite, random_metric
+from .hodge import predicates, three_space_residuals, torsion
+from .metric import (DEFAULT_TOL, HermitianMetric, bundle_for_algebra, identity_suite,
+                     random_metric)
 from .model import (algebra_for, catalog, catalog_names, parse_model,
                     require_valid, serialize_model, validate_model)
 from .optimizer import descend
@@ -139,8 +140,8 @@ def _form_norms(bundle, form):
     return out
 
 
-def _predicates_payload(bundle, tol):
-    return {k: v for k, v in asdict(predicates(bundle, tol)).items() if k != "tol"}
+def _predicates_payload(bundle):
+    return {k: v for k, v in asdict(predicates(bundle)).items() if k != "tol"}
 
 
 # ----- subcommands ---------------------------------------------------------------------
@@ -151,7 +152,6 @@ def _cmd_verify(args):
     model, source = _load_model(args)
     alg = algebra_for(model)
     n = alg.n
-    threshold = args.tol if args.tol is not None else IDENTITY_THRESHOLD
     report = validate_model(model)
     rng = np.random.default_rng(args.seed)
 
@@ -169,9 +169,9 @@ def _cmd_verify(args):
             three_space[key] = max(three_space.get(key, 0.0), worst)
 
     passed = (report.integrable and report.unimodular
-              and report.d_squared_max_residual <= threshold
-              and all(v <= threshold for v in families.values())
-              and all(v <= threshold for v in three_space.values()))
+              and report.d_squared_max_residual <= args.tol
+              and all(v <= args.tol for v in families.values())
+              and all(v <= args.tol for v in three_space.values()))
     payload = {
         "validation": {
             "integrable": report.integrable,
@@ -184,11 +184,11 @@ def _cmd_verify(args):
         "metrics_checked": len(metrics),
         "identity_residuals": families,
         "three_space_residuals": three_space,
-        "threshold": threshold,
+        "threshold": args.tol,
         "pass": passed,
     }
     _emit_json(args, _envelope("verify", model, source, args.seed,
-                               {"residual_threshold": threshold}, payload))
+                               {"residual_threshold": args.tol}, payload))
     return EXIT_OK if passed else EXIT_TOLERANCE
 
 
@@ -211,18 +211,17 @@ def _torsion_payload(bundle, report):
 def _cmd_torsion(args):
     model, source = _load_model(args)
     alg = algebra_for(model)
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
     metric = _load_metric(args, alg.n)
-    bundle = bundle_for_algebra(alg, metric)
+    bundle = bundle_for_algebra(alg, metric, args.tol)
     payload = {"metric": metric.to_json_obj(),
-               "predicates": _predicates_payload(bundle, tol)}
+               "predicates": _predicates_payload(bundle)}
 
     want = args.which
     reports = {}
     for kind, refusal in (("rho", NotSKT), ("gamma", NotBalanced)):
         if want in (kind, "both"):
             try:
-                reports[kind] = _torsion_payload(bundle, torsion(bundle, kind, tol))
+                reports[kind] = _torsion_payload(bundle, torsion(bundle, kind))
             except refusal:
                 if want == kind:
                     raise
@@ -231,29 +230,28 @@ def _cmd_torsion(args):
                           "metric is neither pluriclosed nor balanced at this tolerance")
     payload["torsion"] = reports
     _emit_json(args, _envelope("torsion", model, source, args.seed,
-                               {"tol": tol}, payload))
+                               {"tol": args.tol}, payload))
     return EXIT_OK
 
 
 def _cmd_eval(args):
     model, source = _load_model(args)
     alg = algebra_for(model)
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
     metric = _load_metric(args, alg.n)
-    bundle = bundle_for_algebra(alg, metric)
+    bundle = bundle_for_algebra(alg, metric, args.tol)
     functional = _FUNCTIONALS[args.functional]
     nu = _load_metric(args, alg.n, "nu")
-    weight = bundle_for_algebra(alg, nu) if energy(functional).weighted else None
-    result = evaluate(bundle, functional, nu, weight, tol)
+    weight = bundle_for_algebra(alg, nu, args.tol) if energy(functional).weighted else None
+    result = evaluate(bundle, functional, nu, weight)
     payload = {
         "functional": args.functional,
         "value": result.value,
         "ingredients": {k: float(v) for k, v in result.ingredients.items()},
         "metric": metric.to_json_obj(),
-        "predicates": _predicates_payload(bundle, tol),
+        "predicates": _predicates_payload(bundle),
     }
     _emit_json(args, _envelope("eval", model, source, args.seed,
-                               {"tol": tol}, payload))
+                               {"tol": args.tol}, payload))
     return EXIT_OK
 
 
@@ -267,8 +265,7 @@ def _battery_rows(model, seed, tuples, tol):
 def _cmd_varcheck(args):
     _require_work("--tuples", args.tuples)
     model, source = _load_model(args)
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
-    rows = _battery_rows(model, args.seed, args.tuples, tol)
+    rows = _battery_rows(model, args.seed, args.tuples, args.tol)
 
     def threshold_for(name):
         return ORACLE_THRESHOLD if name in ("projector_oracle",
@@ -291,7 +288,7 @@ def _cmd_varcheck(args):
             "pass": not failures,
         }
         _emit_json(args, _envelope("varcheck", model, source, args.seed,
-                                   {"tol": tol, "battery_threshold": BATTERY_THRESHOLD,
+                                   {"tol": args.tol, "battery_threshold": BATTERY_THRESHOLD,
                                     "oracle_threshold": ORACLE_THRESHOLD}, payload))
     return EXIT_OK if not failures else EXIT_TOLERANCE
 
@@ -302,7 +299,6 @@ def _cmd_descend(args):
         raise _CliFailure(EXIT_SCHEMA, f"--max-step must be positive, got {args.max_step}")
     model, source = _load_model(args)
     alg = algebra_for(model)
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
     functional = _FUNCTIONALS[args.functional]
     spec = args.metric or "identity"
     if spec == "identity":
@@ -314,7 +310,7 @@ def _cmd_descend(args):
     normalize = {"auto": None, "on": True, "off": False}[args.normalize]
     nu = _load_metric(args, alg.n, "nu")
     trace = descend(model, functional=functional, start=start, nu=nu,
-                    steps=args.steps, seed=args.seed, tol=tol,
+                    steps=args.steps, seed=args.seed, tol=args.tol,
                     gradient_tol=args.gradient_tol, normalize=normalize,
                     max_step=args.max_step)
     if args.format == "csv":
@@ -323,7 +319,7 @@ def _cmd_descend(args):
         _emit_csv(args, fieldnames, rows)
     else:
         _emit_json(args, _envelope("descend", model, source, args.seed,
-                                   {"tol": tol, "gradient_tol": args.gradient_tol},
+                                   {"tol": args.tol, "gradient_tol": args.gradient_tol},
                                    trace.to_jsonable()))
     return EXIT_OK
 
@@ -350,19 +346,21 @@ def _build_parser():
         description="Torsion energies and metric descent on invariant-form models.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, metric=True):
+    def add_common(p, metric=True, tol=DEFAULT_TOL):
         p.add_argument("--model", help="path to a model JSON document")
         p.add_argument("--catalog", help="name of a built-in model")
         if metric:
             p.add_argument("--metric", default="identity",
                            help='metric JSON file or "identity"')
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        p.add_argument("--tol", type=float, default=tol,
+                       help="kernel-cut and predicate tolerance; for verify the identity "
+                            "residual threshold (default %(default)g)")
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument("--out", help="write the report to this path instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("verify", help="model validation plus operator identity residuals")
-    add_common(p, metric=False)
+    add_common(p, metric=False, tol=IDENTITY_THRESHOLD)
     p.add_argument("--metrics", type=int, default=20,
                    help="number of seeded random metrics to audit")
     p.set_defaults(func=_cmd_verify)

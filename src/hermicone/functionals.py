@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import NotPositive
 from .exterior import wedge, wedge_power
-from .hodge import DEFAULT_TOL, torsion_gamma, torsion_rho
+from .hodge import torsion_gamma, torsion_rho
 
 
 @dataclass
@@ -64,14 +64,14 @@ def _torsion_energy(bundle, rep, kind):
     return FunctionalValue(kind, float(rep.norm_sq), ing)
 
 
-def eval_F(bundle, tol=DEFAULT_TOL):
+def eval_F(bundle):
     """SKT energy ||rho||^2 with its pure-type split."""
-    return _torsion_energy(bundle, torsion_rho(bundle, tol), "F")
+    return _torsion_energy(bundle, torsion_rho(bundle), "F")
 
 
-def eval_G(bundle, tol=DEFAULT_TOL):
+def eval_G(bundle):
     """Balanced energy ||Gamma||^2."""
-    return _torsion_energy(bundle, torsion_gamma(bundle, tol), "G")
+    return _torsion_energy(bundle, torsion_gamma(bundle), "G")
 
 
 def eval_H(bundle_omega, bundle_gamma):
@@ -102,9 +102,9 @@ def normalization_integral(bundle, nu):
     return alg.integrate(wedge(bundle.omega, nu_pow)).real
 
 
-def eval_F_tilde(bundle, nu, tol=DEFAULT_TOL):
+def eval_F_tilde(bundle, nu):
     """Scale-invariant F / (int omega ^ nu_{n-1})^n."""
-    f = eval_F(bundle, tol)
+    f = eval_F(bundle)
     integral = normalization_integral(bundle, nu)
     if integral <= 0:
         raise NotPositive(f"normalization integral {integral:.3e} is not positive")
@@ -114,7 +114,7 @@ def eval_F_tilde(bundle, nu, tol=DEFAULT_TOL):
     return FunctionalValue("Ftilde", float(value), ing)
 
 
-def evaluate(bundle, functional, nu=None, weight_bundle=None, tol=DEFAULT_TOL):
+def evaluate(bundle, functional, nu=None, weight_bundle=None):
     """Value of the energy named functional (a key of ENERGIES) at bundle.
 
     nu is the normalization metric of F_tilde, weight_bundle the weight of H.
@@ -123,5 +123,5 @@ def evaluate(bundle, functional, nu=None, weight_bundle=None, tol=DEFAULT_TOL):
     if functional == "H":
         return eval_H(bundle, weight_bundle)
     if functional == "F_tilde":
-        return eval_F_tilde(bundle, nu, tol)
-    return eval_F(bundle, tol) if functional == "F" else eval_G(bundle, tol)
+        return eval_F_tilde(bundle, nu)
+    return eval_F(bundle) if functional == "F" else eval_G(bundle)

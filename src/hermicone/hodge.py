@@ -1,9 +1,12 @@
-"""Spectral decompositions, projectors, torsion forms and the (n-1) root.
+"""Hodge decompositions, projectors, torsion forms and the (n-1) root.
 
-Kernel detection is relative: eigenvalues below tol * max(unit, lambda_max)
-count as kernel, where unit = 1 / (tr H / n) scales with the eigenvalues.
-Any eigenvalue inside [threshold/10, 10*threshold] raises
-ToleranceAmbiguity rather than silently choosing a side.
+The kernel cut of each Laplacian is made once per bundle, by
+decomposition(bundle, which, key), at the bundle's tolerance tol:
+eigenvalues below tol * max(unit, lambda_max) count as kernel, where
+unit = 1 / (tr H / n) scales with the eigenvalues, and any eigenvalue
+inside [threshold/10, 10*threshold] raises ToleranceAmbiguity rather than
+silently choosing a side.  Every projector, potential and torsion below
+reads the decomposition's harmonic projector and Green operator.
 
 The projectors onto the images of a differential and of its codifferential
 and the minimum-norm potential are written once over (which, key), as the
@@ -14,37 +17,27 @@ degree 3, torsion Gamma the "dbar" potential on (n-1, n-1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import (DegenerateDimension, NotBalanced, NotPositive, NotSKT,
+from .errors import (DegenerateDimension, KernelJump, NotBalanced, NotPositive, NotSKT,
                      ToleranceAmbiguity, ToleranceFailure)
 from .exterior import Form, _complement, neighbor
-from .metric import HermitianMetric
+from .metric import DEFAULT_TOL, HermitianMetric
 
-DEFAULT_TOL = 1e-9
-
-
-def eigenvalue_unit(bundle):
-    """1 / (tr H / n): the metric's own unit of Laplacian eigenvalues, 1 at the identity.
-
-    Laplacian eigenvalues scale as 1/s under H -> s H, and so does this unit.
-    """
-    return bundle.n / bundle.trace_h
-
-
-def kernel_threshold(eigenvalues, tol=DEFAULT_TOL, unit=1.0):
-    """The kernel cut tol * lambda_max of an eigenvalue array, floored at tol * unit
-    (see eigenvalue_unit)."""
-    return tol * max(unit, float(eigenvalues.max(initial=0.0)))
+# the harmonic projector has a derivative only where the spectral gap clears
+# the kernel threshold by this factor
+GAP_FACTOR = 100.0
 
 
 def kernel_mask(eigenvalues, tol=DEFAULT_TOL, unit=1.0):
-    """Boolean kernel mask under the relative threshold, with ambiguity guard."""
+    """Boolean kernel mask under the threshold tol * max(unit, lambda_max),
+    with ambiguity guard."""
     eigs = np.asarray(eigenvalues, dtype=float)
     if eigs.size == 0:
         return np.zeros(0, dtype=bool)
-    thr = kernel_threshold(eigs, tol, unit)
+    thr = tol * max(unit, float(eigs.max()))
     bad = (eigs >= thr / 10.0) & (eigs <= 10.0 * thr)
     if np.any(bad):
         raise ToleranceAmbiguity(
@@ -52,70 +45,106 @@ def kernel_mask(eigenvalues, tol=DEFAULT_TOL, unit=1.0):
     return eigs < thr
 
 
-def harmonic_projector(bundle, which, key, tol=DEFAULT_TOL):
+class Decomposition:
+    """The Hodge decomposition of one Laplacian, cut at its kernel threshold.
+
+    threshold is bundle.tol * max(unit, lambda_max) with unit = n / tr H;
+    gap is the smallest eigenvalue above the cut (inf if none).  The
+    harmonic projector v v^H G over the kernel eigenvectors and the Green
+    operator v Lambda^-1 v^H G over the others are built on first use.
+    """
+
+    def __init__(self, bundle, which, key):
+        self.spectral = spec = bundle.spectral(which, key)
+        eigs = spec.eigenvalues
+        unit = bundle.n / bundle.trace_h
+        self.mask = kernel_mask(eigs, bundle.tol, unit)
+        self.threshold = bundle.tol * max(unit, float(eigs.max(initial=0.0)))
+        self.kernel_dim = int(self.mask.sum())
+        self.gap = float(eigs[~self.mask].min(initial=np.inf))
+
+    def require_gap(self):
+        """Refuse (KernelJump) a gap within GAP_FACTOR of the threshold: there the
+        kernel dimension is not stable under perturbation and the harmonic
+        projector has no derivative."""
+        if self.gap < GAP_FACTOR * self.threshold:
+            raise KernelJump(f"spectral gap {self.gap:.3e} is within {GAP_FACTOR:g}x "
+                             f"of threshold {self.threshold:.3e}")
+        return self
+
+    @cached_property
+    def harmonic(self):
+        v = self.spectral.vectors[:, self.mask]
+        return v @ (v.conj().T @ self.spectral.gram)
+
+    @cached_property
+    def green(self):
+        v, lam = self.spectral.vectors[:, ~self.mask], self.spectral.eigenvalues[~self.mask]
+        return (v / lam) @ (v.conj().T @ self.spectral.gram)
+
+
+def decomposition(bundle, which, key):
+    """The bundle's cached Decomposition of the Laplacian of which at key."""
+    cache_key = (which, key if which == "d" else tuple(key))
+    if cache_key not in bundle._hodge:
+        bundle._hodge[cache_key] = Decomposition(bundle, which, key)
+    return bundle._hodge[cache_key]
+
+
+def harmonic_projector(bundle, which, key):
     """G-orthogonal projector onto ker of the chosen Laplacian."""
-    spec = bundle.spectral(which, key)
-    mask = kernel_mask(spec.eigenvalues, tol, eigenvalue_unit(bundle))
-    v = spec.vectors[:, mask]
-    return v @ (v.conj().T @ spec.gram)
+    return decomposition(bundle, which, key).harmonic
 
 
-def green_operator(bundle, which, key, tol=DEFAULT_TOL):
+def green_operator(bundle, which, key):
     """Pseudo-inverse of the Laplacian: zero on kernel, 1/lambda elsewhere."""
-    spec = bundle.spectral(which, key)
-    mask = kernel_mask(spec.eigenvalues, tol, eigenvalue_unit(bundle))
-    v = spec.vectors[:, ~mask]
-    lam = spec.eigenvalues[~mask]
-    if v.shape[1] == 0:
-        return np.zeros((spec.vectors.shape[0],) * 2, dtype=complex)
-    return (v / lam) @ (v.conj().T @ spec.gram)
+    return decomposition(bundle, which, key).green
 
 
-def kernel_dimension(bundle, which, key, tol=DEFAULT_TOL):
-    eigs = bundle.spectral(which, key).eigenvalues
-    return int(np.sum(kernel_mask(eigs, tol, eigenvalue_unit(bundle))))
+def kernel_dimension(bundle, which, key):
+    return decomposition(bundle, which, key).kernel_dim
 
 
-def image_projector(bundle, which, key, tol=DEFAULT_TOL):
+def image_projector(bundle, which, key):
     """G-orthogonal projector of the space at key onto the image of diff(which, .)."""
     prev = neighbor(which, key, -1)
     if bundle.dim(which, prev) == 0:
         return np.zeros((bundle.dim(which, key),) * 2, dtype=complex)
-    return bundle.alg.diff(which, prev) @ green_operator(bundle, which, prev, tol) \
+    return bundle.alg.diff(which, prev) @ green_operator(bundle, which, prev) \
         @ bundle.codiff(which, key)
 
 
-def coimage_projector(bundle, which, key, tol=DEFAULT_TOL):
+def coimage_projector(bundle, which, key):
     """G-orthogonal projector of the space at key onto the image of codiff(which, .)."""
     nxt = neighbor(which, key, 1)
     if bundle.dim(which, nxt) == 0:
         return np.zeros((bundle.dim(which, key),) * 2, dtype=complex)
-    return bundle.codiff(which, nxt) @ green_operator(bundle, which, nxt, tol) \
+    return bundle.codiff(which, nxt) @ green_operator(bundle, which, nxt) \
         @ bundle.alg.diff(which, key)
 
 
 # the per-complex names bind perfbench/tracing.py TARGETS; the package calls the above
-def image_projector_d(bundle, k, tol=DEFAULT_TOL):
-    return image_projector(bundle, "d", k, tol)
+def image_projector_d(bundle, k):
+    return image_projector(bundle, "d", k)
 
 
-def image_projector_d_star(bundle, k, tol=DEFAULT_TOL):
-    return coimage_projector(bundle, "d", k, tol)
+def image_projector_d_star(bundle, k):
+    return coimage_projector(bundle, "d", k)
 
 
-def image_projector_dbar(bundle, p, q, tol=DEFAULT_TOL):
-    return image_projector(bundle, "dbar", (p, q), tol)
+def image_projector_dbar(bundle, p, q):
+    return image_projector(bundle, "dbar", (p, q))
 
 
-def image_projector_dbar_star(bundle, p, q, tol=DEFAULT_TOL):
-    return coimage_projector(bundle, "dbar", (p, q), tol)
+def image_projector_dbar_star(bundle, p, q):
+    return coimage_projector(bundle, "dbar", (p, q))
 
 
-def three_space_residuals(bundle, k, tol=DEFAULT_TOL):
+def three_space_residuals(bundle, k):
     """Residuals of harmonic + im(d) + im(d^*) = identity, mutually orthogonal."""
-    ph = harmonic_projector(bundle, "d", k, tol)
-    pd = image_projector(bundle, "d", k, tol)
-    pds = coimage_projector(bundle, "d", k, tol)
+    ph = harmonic_projector(bundle, "d", k)
+    pd = image_projector(bundle, "d", k)
+    pds = coimage_projector(bundle, "d", k)
     g = bundle.gram_total(k)
     eye = np.eye(ph.shape[0])
     out = {
@@ -145,8 +174,10 @@ class MetricPredicates:
     tol: float
 
 
-def predicates(bundle, tol=DEFAULT_TOL):
-    """Kahler / SKT / balanced flags with their defining residuals."""
+def predicates(bundle, tol=None):
+    """Kahler / SKT / balanced flags with their defining residuals, at tol
+    (the bundle's tolerance by default)."""
+    tol = bundle.tol if tol is None else tol
     alg = bundle.alg
     omega = bundle.omega
     d_omega = alg.d_form(omega)
@@ -189,26 +220,26 @@ class PotentialSolution:
         return self
 
 
-def potential(bundle, which, key, source_vec, tol=DEFAULT_TOL):
+def potential(bundle, which, key, source_vec):
     """Minimum-norm solution at neighbor(which, key, -1) of diff(pot) = P_im(source)."""
     prev = neighbor(which, key, -1)
-    proj = image_projector(bundle, which, key, tol) @ source_vec
-    harm = harmonic_projector(bundle, which, key, tol) @ source_vec
-    pot = green_operator(bundle, which, prev, tol) @ (bundle.codiff(which, key) @ proj)
+    below = decomposition(bundle, which, prev)
+    proj = image_projector(bundle, which, key) @ source_vec
+    harm = harmonic_projector(bundle, which, key) @ source_vec
+    pot = below.green @ (bundle.codiff(which, key) @ proj)
     res_eq = _l2(bundle, which, key, bundle.alg.diff(which, prev) @ pot - proj)
-    ker_proj = harmonic_projector(bundle, which, prev, tol) \
-        + image_projector(bundle, which, prev, tol)
+    ker_proj = below.harmonic + image_projector(bundle, which, prev)
     res_ker = _l2(bundle, which, prev, ker_proj @ pot)
     return PotentialSolution(pot, proj, harm, res_eq, res_ker)
 
 
 # per-complex names kept for perfbench/tracing.py TARGETS, like the projectors above
-def d_potential(bundle, source_vec, k, tol=DEFAULT_TOL):
-    return potential(bundle, "d", k, source_vec, tol)
+def d_potential(bundle, source_vec, k):
+    return potential(bundle, "d", k, source_vec)
 
 
-def dbar_potential(bundle, source_vec, pq, tol=DEFAULT_TOL):
-    return potential(bundle, "dbar", pq, source_vec, tol)
+def dbar_potential(bundle, source_vec, pq):
+    return potential(bundle, "dbar", pq, source_vec)
 
 
 def _l2(bundle, which, key, vec):
@@ -251,10 +282,11 @@ _TORSIONS = {
 }
 
 
-def _torsion(bundle, kind, tol):
+def _torsion(bundle, kind):
     """The minimal torsion potential of kind, with its source and residuals."""
     flag, residual, error, what, source_of = _TORSIONS[kind]
-    pred = predicates(bundle, tol)
+    tol = bundle.tol
+    pred = predicates(bundle)
     if not getattr(pred, flag):
         raise error(f"{what} has residual {getattr(pred, residual):.3e} > {tol:.1e}")
     alg = bundle.alg
@@ -262,7 +294,7 @@ def _torsion(bundle, kind, tol):
     prev = neighbor(which, key, -1)
     source = source_of(bundle)
     vec = alg.to_vector(source, key, which)
-    sol = potential(bundle, which, key, vec, tol)
+    sol = potential(bundle, which, key, vec)
     sol.check(tol, _l2(bundle, which, key, vec), f"torsion {kind}")
     form = alg.from_vector(sol.potential, prev, which)
     layout = alg.layout(which, prev)
@@ -281,27 +313,27 @@ def _torsion(bundle, kind, tol):
     )
 
 
-def torsion_rho(bundle, tol=DEFAULT_TOL):
+def torsion_rho(bundle):
     """Minimal 2-form rho with d(rho) = projection of del(omega) onto im(d).
 
     rho = green(Delta_2) d^* P(del omega); vanishing of rho is equivalent to
     the metric being Kahler.  Requires an SKT metric.
     """
-    return _torsion(bundle, "rho", tol)
+    return _torsion(bundle, "rho")
 
 
-def torsion_gamma(bundle, tol=DEFAULT_TOL):
+def torsion_gamma(bundle):
     """Minimal (n-1,n-2)-form Gamma with dbar(Gamma) = projection of omega_{n-1}.
 
     Gamma = green(Delta''_{n-1,n-2}) dbar^* P(omega_{n-1}); vanishing is
     equivalent to the metric being Kahler.  Requires a balanced metric.
     """
-    return _torsion(bundle, "gamma", tol)
+    return _torsion(bundle, "gamma")
 
 
-def torsion(bundle, kind, tol=DEFAULT_TOL):
+def torsion(bundle, kind):
     """torsion_rho or torsion_gamma by kind ("rho" or "gamma")."""
-    return torsion_rho(bundle, tol) if kind == "rho" else torsion_gamma(bundle, tol)
+    return torsion_rho(bundle) if kind == "rho" else torsion_gamma(bundle)
 
 
 # ----- Michelsohn root ------------------------------------------------------------------

@@ -7,7 +7,9 @@ the Gram matrices of the induced pointwise inner product, the Hodge star
 Lefschetz and trace operators and their adjoints.  For each of the three
 complexes (which = "d" on total degrees, "del" and "dbar" on bidegrees) it
 caches one codifferential codiff(which, key) and one Laplacian
-laplacian(which, key), plus its spectral data.
+laplacian(which, key), plus its spectral data.  It also carries the
+tolerance tol of its kernel cuts and predicates, and keeps the Hodge
+decompositions that hodge.decomposition cuts from the spectral data.
 
 Inner product conventions: <theta^j, theta^k> = (H^{-1})_{kj}, extended to
 monomials by determinant multiplicativity; matrices G satisfy
@@ -31,6 +33,7 @@ from .exterior import (Form, _combos, _complement, _conj_table, dim_pq, neighbor
 from .model import algebra_for, require_valid
 
 HERMITICITY_TOL = 1e-12
+DEFAULT_TOL = 1e-9  # the kernel-cut and predicate tolerance of a bundle
 NORMAL_FLOAT_LOGS = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
@@ -148,11 +151,12 @@ class SpectralData:
 class OperatorBundle:
     """All metric-dependent operators of one (model, metric) pair, lazily cached."""
 
-    def __init__(self, alg, metric):
+    def __init__(self, alg, metric, tol=DEFAULT_TOL):
         if alg.n != metric.n:
             raise DimensionMismatch(f"model n={alg.n} but metric n={metric.n}")
         self.alg = alg
         self.metric = metric
+        self.tol = tol
         self.h = np.asarray(metric.h)
         self.h_inv = np.linalg.inv(self.h)
         self.det_h = float(np.linalg.det(self.h).real)
@@ -166,6 +170,7 @@ class OperatorBundle:
         self._codiff = {}
         self._lap = {}
         self._spec = {}
+        self._hodge = {}  # hodge.decomposition per (which, key)
         self._omega_prod = [Form.scalar(alg.n, 1.0)]
 
     @property
@@ -379,16 +384,16 @@ class OperatorBundle:
         return self._spec[cache_key]
 
 
-def build_bundle(model, metric):
+def build_bundle(model, metric, tol=DEFAULT_TOL):
     """Validated operator bundle; the model must be unimodular."""
     require_valid(model, need_unimodular=True)
-    return bundle_for_algebra(algebra_for(model), metric)
+    return bundle_for_algebra(algebra_for(model), metric, tol)
 
 
-def bundle_for_algebra(alg, metric):
+def bundle_for_algebra(alg, metric, tol=DEFAULT_TOL):
     """Bundle over an already-validated algebra (internal fast path)."""
     metric.check()
-    return OperatorBundle(alg, metric)
+    return OperatorBundle(alg, metric, tol)
 
 
 # ----- identity suite ------------------------------------------------------------

@@ -23,10 +23,10 @@ from .errors import (DimensionMismatch, EmptyCone, InfeasibleStart,
                      ToleranceFailure)
 from .exterior import ExteriorAlgebra, Form, _combos, wedge, wedge_power
 from .functionals import energy, evaluate
-from .hodge import DEFAULT_TOL, predicates, root_n_minus_1, torsion_space
-from .metric import HermitianMetric, bundle_for_algebra
+from .hodge import decomposition, predicates, root_n_minus_1, torsion_space
+from .metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra
 from .model import algebra_for
-from .variation import make_direction, spectral_gap, variation_at
+from .variation import make_direction, variation_at
 
 NULLSPACE_RTOL = 1e-10
 DEGENERACY_RTOL = 1e-6
@@ -62,15 +62,12 @@ class ConstraintBasis:
 
     The columns of matrix are the (p,p) blocks of the basis forms, which
     span the null space of the constraint map inside the ambient real
-    basis; columns of coefficients express them over that ambient basis.
-    Orthonormality is w.r.t. Re of the reference L2 product.
+    basis.  Orthonormality is w.r.t. Re of the reference L2 product.
     """
 
     kind: str
     pq: tuple
     matrix: np.ndarray
-    coefficients: np.ndarray
-    ambient: list
     reference: object
 
     @property
@@ -147,8 +144,7 @@ def constraint_basis(model, kind, reference=None, tol=NULLSPACE_RTOL, probe=True
         coeffs = null @ (v / np.sqrt(w))
     else:
         coeffs = null
-    basis = ConstraintBasis(kind, (p, p), ambient_blocks @ coeffs, coeffs, ambient,
-                            reference)
+    basis = ConstraintBasis(kind, (p, p), ambient_blocks @ coeffs, reference)
     if probe:
         target = reference.omega if kind == "skt" else reference.omega_power(n - 1)
         proj = basis.combine(basis.coordinates(target))
@@ -318,14 +314,13 @@ class _Objective:
         gradient and the record at an accepted iterate."""
         key = x.tobytes()
         if self._last is None or self._last[0] != key:
-            self._last = (key, bundle_for_algebra(self.alg, self.metric_at(x)))
+            self._last = (key, bundle_for_algebra(self.alg, self.metric_at(x), self.tol))
         return self._last[1]
 
     def __call__(self, x):
         try:
             bundle = self._bundle(self.retract(x) if self.normalize else x)
-            return evaluate(bundle, self.functional, self.nu, self.weight_bundle,
-                            self.tol).value
+            return evaluate(bundle, self.functional, self.nu, self.weight_bundle).value
         except _UNEVALUABLE:
             return None
 
@@ -340,9 +335,8 @@ class _Objective:
             x_r = self.retract(x) if self.normalize else x
             bundle = self._bundle(x_r)
             if self.moving_projector is not None:
-                spectral_gap(bundle, *self.moving_projector, tol=self.tol)
-            at = variation_at(bundle, self.functional, self.nu, self.weight_bundle,
-                              self.tol)
+                decomposition(bundle, *self.moving_projector).require_gap()
+            at = variation_at(bundle, self.functional, self.nu, self.weight_bundle)
             grad = np.array([at(d).derivative for d in self.directions])
         except _UNEVALUABLE + (KernelJump,):
             return None
@@ -406,7 +400,7 @@ def descend(model, functional="F_tilde", start=None, nu=None, weight=None,
     weight_bundle = None
     if spec.weighted:
         weight_metric = weight if weight is not None else HermitianMetric.identity(n)
-        weight_bundle = bundle_for_algebra(alg, weight_metric)
+        weight_bundle = bundle_for_algebra(alg, weight_metric, tol)
     obj = _Objective(alg, basis, functional, nu, weight_bundle, tol, normalize)
 
     rng = np.random.default_rng(seed)

@@ -27,10 +27,9 @@ from .errors import (DimensionMismatch, DirectionNotAdmissible, KernelJump,
                      NotPositive, NotPositiveDefinite, StepTooLarge)
 from .exterior import Form, conj_block_matrix, dim_pq, neighbor, wedge, wedge_power
 from .functionals import energy, evaluate, normalization_integral
-from .hodge import (DEFAULT_TOL, eigenvalue_unit, green_operator, harmonic_projector,
-                    image_projector, kernel_mask, kernel_threshold, root_n_minus_1,
-                    torsion, torsion_space)
-from .metric import HermitianMetric, bundle_for_algebra, random_metric
+from .hodge import (Decomposition, decomposition, harmonic_projector, image_projector,
+                    root_n_minus_1, torsion, torsion_space)
+from .metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra, random_metric
 from .model import algebra_for
 
 FD_REL_STEP = 1e-3
@@ -212,72 +211,43 @@ class ProjectorVariation:
     When a test form was supplied, value_form applies image_part to it,
     oracle_form applies the two-term expression, and input_kernel_norm
     flags how much of the input the one-term restriction cannot see.
+    decomposition is the Laplacian's hodge.Decomposition: its kernel
+    dimension, spectral gap, threshold and harmonic projector P.
     """
 
     which: str
     key: object
     derivative: np.ndarray
     image_part: np.ndarray
-    spectral_gap: float
-    threshold: float
-    kernel_dim: int
-    kernel_projector: np.ndarray = field(repr=False)
-    gram: np.ndarray = field(repr=False)
+    decomposition: Decomposition = field(repr=False)
     value_form: object = None
     oracle_form: object = None
     input_kernel_norm: float = 0.0
 
+    @property
+    def kernel_dim(self):
+        return self.decomposition.kernel_dim
+
     def kernel_component_norm(self, vec):
         """Pointwise-Gram norm of the kernel component of vec."""
-        return _gram_norm(self.gram, self.kernel_projector @ vec)
+        dec = self.decomposition
+        return _gram_norm(dec.spectral.gram, dec.harmonic @ vec)
 
 
-def spectral_gap(bundle, which, key, tol=DEFAULT_TOL, gap_factor=100.0):
-    """(gap, threshold, kernel mask) of a Laplacian, guarded against kernel jumps.
-
-    gap is the smallest nonzero eigenvalue.  Refuses (KernelJump) when it
-    sits within gap_factor of the kernel threshold: there the kernel
-    dimension is not stable under perturbation and the harmonic projector
-    has no derivative.
-    """
-    eigs = bundle.spectral(which, key).eigenvalues
-    unit = eigenvalue_unit(bundle)
-    mask = kernel_mask(eigs, tol, unit)
-    thr = kernel_threshold(eigs, tol, unit)
-    nonzero = eigs[~mask]
-    gap = float(nonzero.min()) if nonzero.size else float("inf")
-    if gap < gap_factor * thr:
-        raise KernelJump(
-            f"spectral gap {gap:.3e} is within {gap_factor:g}x of threshold {thr:.3e}")
-    return gap, thr, mask
-
-
-def var_harmonic_projector(bundle, gamma, which, key, v=None, tol=DEFAULT_TOL,
-                           gap_factor=100.0):
+def var_harmonic_projector(bundle, gamma, which, key, v=None):
     """Variation of the kernel projector of a Laplacian along omega + t gamma.
 
-    Refuses (KernelJump) under the spectral_gap guard.  With a test form
-    v the applied results are attached (value_form from the one-term
-    restriction, oracle_form from the full two-term expression).
+    Refuses (KernelJump) where the decomposition's spectral gap is too
+    small (Decomposition.require_gap).  With a test form v the applied
+    results are attached (value_form from the one-term restriction,
+    oracle_form from the full two-term expression).
     """
-    spec = bundle.spectral(which, key)
-    gap, thr, mask = spectral_gap(bundle, which, key, tol, gap_factor)
-    proj = harmonic_projector(bundle, which, key, tol)
-    green = green_operator(bundle, which, key, tol)
+    dec = decomposition(bundle, which, key).require_gap()
+    proj, green = dec.harmonic, dec.green
     dlap = laplacian_variation_matrix(bundle, gamma, which, key)
     image_part = -proj @ dlap @ green
     derivative = image_part - green @ dlap @ proj
-    out = ProjectorVariation(
-        which=which,
-        key=key,
-        derivative=derivative,
-        image_part=image_part,
-        spectral_gap=gap,
-        threshold=thr,
-        kernel_dim=int(mask.sum()),
-        kernel_projector=proj,
-        gram=spec.gram,
-    )
+    out = ProjectorVariation(which, key, derivative, image_part, dec)
     if v is not None:
         alg = bundle.alg
         vec = alg.to_vector(v, key, which)
@@ -340,7 +310,7 @@ class FunctionalVariation:
         return None if self.fd is None else float(self.fd - self.value)
 
 
-def variation_at(bundle, functional, nu=None, weight_bundle=None, tol=DEFAULT_TOL):
+def variation_at(bundle, functional, nu=None, weight_bundle=None):
     """The first variation of one energy at a fixed bundle, as a map.
 
     Returns direction -> FunctionalVariation (without fd) for vetted
@@ -352,11 +322,11 @@ def variation_at(bundle, functional, nu=None, weight_bundle=None, tol=DEFAULT_TO
     kind = energy(functional).torsion
     if kind is None:
         return _var_H_at(bundle, weight_bundle)
-    at, report = _var_torsion_at(bundle, kind, tol)
+    at, report = _var_torsion_at(bundle, kind)
     return _var_F_tilde_at(bundle, nu, at, report) if functional == "F_tilde" else at
 
 
-def _var_torsion_at(bundle, kind, tol):
+def _var_torsion_at(bundle, kind):
     """(direction -> variation of ||torsion||^2, torsion report) at one bundle.
 
     The torsion is the minimal potential at prev of the image part of its
@@ -365,17 +335,17 @@ def _var_torsion_at(bundle, kind, tol):
     and the metric by metric_direction_of_volume.
     """
     alg = bundle.alg
-    report = torsion(bundle, kind, tol)
+    report = torsion(bundle, kind)
     which, key = torsion_space(kind, bundle.n)
     prev = neighbor(which, key, -1)
     tors_vec = alg.to_vector(report.torsion, prev, which)
     gram = bundle.gram_for(which, prev)
     det = bundle.det_h
-    im_proj = image_projector(bundle, which, key, tol)
+    im_proj = image_projector(bundle, which, key)
     codiff = bundle.codiff(which, key)
-    green_prev = green_operator(bundle, which, prev, tol)
-    proj = harmonic_projector(bundle, which, key, tol)
-    green = green_operator(bundle, which, key, tol)
+    green_prev = decomposition(bundle, which, prev).green
+    here = decomposition(bundle, which, key)
+    proj, green = here.harmonic, here.green
     omega_src = alg.to_vector(report.source, key, which)
     green_src, proj_src = green @ omega_src, proj @ omega_src
     tors_norm = float(np.sqrt(max(report.norm_sq, 0.0)))
@@ -453,7 +423,7 @@ def _var_H_at(bundle, gamma_bundle):
 def _var_F_tilde_at(bundle, nu, var_f, report):
     """The quotient rule on the variation var_f of F at the same bundle."""
     alg, n = bundle.alg, bundle.n
-    f_val = float(report.norm_sq)  # eval_F(bundle, tol).value
+    f_val = float(report.norm_sq)  # eval_F(bundle).value
     denom = normalization_integral(bundle, nu)
     if denom <= 0:
         raise NotPositive(f"normalization integral {denom:.3e} is not positive")
@@ -481,36 +451,36 @@ def _var_F_tilde_at(bundle, nu, var_f, report):
 
 
 def _variation(bundle, functional, direction, nu=None, weight_bundle=None,
-               tol=DEFAULT_TOL, with_fd=False, step=None):
+               with_fd=False, step=None):
     """The first variation of one energy along a direction vetted against its
     ENERGIES entry (make_direction for raw input; a Direction only has its kind
     checked), with the finite-difference audit on request."""
     spec = energy(functional)
     if not isinstance(direction, Direction):
         direction = make_direction(bundle.alg, direction, kind=spec.direction,
-                                   require=spec.constraint, tol=tol)
+                                   require=spec.constraint, tol=bundle.tol)
     elif direction.kind != spec.direction:
         raise DirectionNotAdmissible(f"this energy varies along {spec.direction} "
                                      f"directions, not {direction.kind} ones")
-    out = variation_at(bundle, functional, nu, weight_bundle, tol)(direction)
+    out = variation_at(bundle, functional, nu, weight_bundle)(direction)
     if with_fd:
         out.fd = float(_fd_along(bundle, direction, step, lambda b: evaluate(
-            b, functional, nu, weight_bundle, tol).value))
+            b, functional, nu, weight_bundle).value))
     return out
 
 
-def var_F(bundle, direction, tol=DEFAULT_TOL, with_fd=False, step=None):
+def var_F(bundle, direction, with_fd=False, step=None):
     """First variation of the pluriclosed torsion energy along a real (1,1) direction.
 
     The direction must keep del dbar omega = 0 to first order.  At
     direction = omega the value equals n times the energy.
     """
-    return _variation(bundle, "F", direction, tol=tol, with_fd=with_fd, step=step)
+    return _variation(bundle, "F", direction, with_fd=with_fd, step=step)
 
 
-def var_G(bundle, direction, tol=DEFAULT_TOL, with_fd=False, step=None):
+def var_G(bundle, direction, with_fd=False, step=None):
     """First variation of the coclosed torsion energy along a closed real (n-1,n-1) direction."""
-    return _variation(bundle, "G", direction, tol=tol, with_fd=with_fd, step=step)
+    return _variation(bundle, "G", direction, with_fd=with_fd, step=step)
 
 
 def var_H(bundle, gamma_bundle, direction, with_fd=False, step=None):
@@ -519,10 +489,9 @@ def var_H(bundle, gamma_bundle, direction, with_fd=False, step=None):
                       with_fd=with_fd, step=step)
 
 
-def var_F_tilde(bundle, nu, direction, tol=DEFAULT_TOL, with_fd=False, step=None):
+def var_F_tilde(bundle, nu, direction, with_fd=False, step=None):
     """First variation of the normalized pluriclosed energy."""
-    return _variation(bundle, "F_tilde", direction, nu=nu, tol=tol, with_fd=with_fd,
-                      step=step)
+    return _variation(bundle, "F_tilde", direction, nu=nu, with_fd=with_fd, step=step)
 
 
 def _gram_norm(gram, vec):
@@ -532,7 +501,7 @@ def _gram_norm(gram, vec):
 def _fd_along(bundle, direction, step, extract):
     """Central difference of extract(bundle at t) along the direction's metric path:
     H + t * direction for a metric direction, the (n-1) root of
-    omega_{n-1} + t * direction for a volume one."""
+    omega_{n-1} + t * direction for a volume one, at the bundle's tolerance."""
     alg = bundle.alg
     if direction.kind == "volume":
         base = bundle.omega_power(bundle.n - 1)
@@ -540,7 +509,8 @@ def _fd_along(bundle, direction, step, extract):
     else:
         path = lambda t: HermitianMetric(bundle.metric.h + t * direction.matrix)
     step = default_step(bundle.metric) if step is None else step
-    return fd_derivative(lambda t: extract(bundle_for_algebra(alg, path(t))), step)
+    return fd_derivative(lambda t: extract(bundle_for_algebra(alg, path(t), bundle.tol)),
+                         step)
 
 
 # ----- the check battery ---------------------------------------------------------------
@@ -605,7 +575,7 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL, step_scale=1.0,
     rows = []
     for idx in range(start_index, start_index + tuples):
         met = random_metric(n, rng)
-        b = bundle_for_algebra(alg, met)
+        b = bundle_for_algebra(alg, met, tol)
         gm = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         gm = 0.5 * (gm + gm.conj().T)
         gamma = HermitianMetric(gm).form()
@@ -664,21 +634,20 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL, step_scale=1.0,
         # one-term restriction on a deflated vector, and the exact
         # vanishing of the derivative along omega itself
         try:
-            pv = var_harmonic_projector(b, gamma, "d", k, tol=tol)
+            pv = var_harmonic_projector(b, gamma, "d", k)
         except KernelJump:
             continue
-        fd = _fd_along(b, along, step,
-                       lambda bb: harmonic_projector(bb, "d", k, tol))
+        fd = _fd_along(b, along, step, lambda bb: harmonic_projector(bb, "d", k))
         _check(rows, "projector", tag, pv.derivative, fd)
         dimk = alg.dim_total(k)
         if dimk:
             v = rng.standard_normal(dimk) + 1j * rng.standard_normal(dimk)
-            v0 = v - pv.kernel_projector @ v
+            v0 = v - pv.decomposition.harmonic @ v
             _check(rows, "projector_deflated", tag, pv.image_part @ v0, fd @ v0)
             _check(rows, "projector_oracle", tag, pv.image_part @ v0,
                    pv.derivative @ v0)
         try:
-            pv_omega = var_harmonic_projector(b, b.omega, "d", k, tol=tol)
+            pv_omega = var_harmonic_projector(b, b.omega, "d", k)
             _check(rows, "omega_scaling_projector", tag, pv_omega.derivative,
                    np.zeros_like(pv_omega.derivative))
         except KernelJump:

@@ -282,3 +282,17 @@ def test_descend_refuses_nonpositive_max_step(capsys, max_step):
     # no trial step would be tried, reported as a PositivityBoundary stop
     _refused_as_schema(capsys, "descend", "--catalog", "kodaira_thurston",
                        "--functional", "F", "--max-step", max_step)
+
+
+@pytest.mark.parametrize("name,functional", [("kodaira_thurston", "F"), ("iwasawa", "G")])
+@pytest.mark.parametrize("subcommand,want", [
+    ("eval", 5), ("torsion", 5), ("varcheck", 5), ("descend", 6)])
+def test_tol_reaches_the_kernel_cut(capsys, subcommand, want, name, functional):
+    # at --tol 0.2 Laplacian eigenvalues of these metrics sit in the kernel-ambiguity
+    # window, so a tolerance dropped on its way to the bundles would exit 0 instead
+    extra = {"eval": ["--functional", functional], "torsion": [],
+             "varcheck": ["--tuples", "1"],
+             "descend": ["--functional", functional, "--steps", "1"]}[subcommand]
+    code, out, err = run(capsys, subcommand, "--catalog", name, *extra, "--tol", "0.2")
+    assert code == want, err
+    assert out == "" and err.startswith("error:")

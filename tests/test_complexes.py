@@ -1,5 +1,6 @@
-"""One code path for three complexes, and one block map per bigraded operator:
-the generic operators against their written-out formulas, bit for bit."""
+"""One code path for three complexes, one block map per bigraded operator and one
+kernel cut per Laplacian: the generic operators against their written-out
+formulas, bit for bit."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.linalg
 from hermicone import hodge
 from hermicone.exterior import (ExteriorAlgebra, Form, _basis, _complement, _merge, dim_pq,
                                 neighbor, random_form, wedge)
+from hermicone.functionals import eval_G
 from hermicone.hodge import (coimage_projector, green_operator, harmonic_projector,
                              image_projector, potential)
 from hermicone.metric import HermitianMetric, _adjoint, bundle_for_algebra, random_metric
@@ -186,6 +188,50 @@ def test_per_complex_names_are_the_generic_operators(bundle):
     src = np.arange(b.dim("dbar", (1, 1)), dtype=complex)
     assert np.array_equal(hodge.dbar_potential(b, src, (1, 1)).potential,
                           potential(b, "dbar", (1, 1), src).potential)
+
+
+# ----- the kernel cut: one cached decomposition per Laplacian ------------------------------
+
+
+@pytest.fixture(scope="module", params=[(name, seed) for name in catalog_names()
+                                        for seed in (None, 7)],
+                ids=lambda p: f"{p[0]}-{p[1]}")
+def catalog_bundle(request):
+    return _bundle(*request.param)
+
+
+def test_harmonic_and_green_match_written_eigen_forms(catalog_bundle):
+    b = catalog_bundle
+    for which, key in _cases(b):
+        spec = b.spectral(which, key)
+        eigs, v, g = spec.eigenvalues, spec.vectors, spec.gram
+        thr = b.tol * max(b.n / b.trace_h, float(eigs.max(initial=0.0)))
+        m = eigs < thr
+        dec = hodge.decomposition(b, which, key)
+        assert dec is hodge.decomposition(b, which, key), (which, key)
+        assert (dec.threshold, dec.kernel_dim) == (thr, int(m.sum())), (which, key)
+        assert dec.gap == float(eigs[~m].min(initial=np.inf)), (which, key)
+        assert hodge.kernel_dimension(b, which, key) == int(m.sum())
+        assert np.array_equal(harmonic_projector(b, which, key),
+                              v[:, m] @ (v[:, m].conj().T @ g)), (which, key)
+        assert np.array_equal(green_operator(b, which, key),
+                              (v[:, ~m] / eigs[~m]) @ (v[:, ~m].conj().T @ g)), (which, key)
+
+
+def test_kernel_cut_is_made_once_per_space(monkeypatch):
+    cut, mask = [], hodge.kernel_mask
+
+    def counting_mask(eigs, *args):
+        cut.append(eigs)
+        return mask(eigs, *args)
+
+    monkeypatch.setattr(hodge, "kernel_mask", counting_mask)
+    b = _bundle("iwasawa", 3)
+    eval_G(b)
+    eval_G(b)
+    # the source (2, 2), the torsion's space (2, 1) and its image space (2, 0)
+    assert len(cut) == 3
+    assert sorted(b._hodge) == [("dbar", (2, 0)), ("dbar", (2, 1)), ("dbar", (2, 2))]
 
 
 # ----- block maps: ExteriorAlgebra.apply / total against the loops they replaced ---------

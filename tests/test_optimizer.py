@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hermicone import optimizer
+from hermicone import hodge
 from hermicone.errors import EmptyCone, InfeasibleStart, KernelJump, LineSearchFailure
 from hermicone.exterior import wedge, wedge_power
 from hermicone.hodge import DEFAULT_TOL, predicates
@@ -161,10 +161,10 @@ def test_descend_line_search_stall_is_reported():
 
 
 def test_descend_unevaluable_gradient_stalls(monkeypatch):
-    def no_gap(*args, **kwargs):
+    def no_gap(self):
         raise KernelJump("spectral gap within the guard")
 
-    monkeypatch.setattr(optimizer, "spectral_gap", no_gap)
+    monkeypatch.setattr(hodge.Decomposition, "require_gap", no_gap)
     trace = descend(catalog("iwasawa"), "G", steps=5)
     assert trace.termination == "NumericalStall"
     assert trace.records == []

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hermicone import hodge
 from hermicone.errors import (
     DirectionNotAdmissible,
     KernelJump,
@@ -141,11 +142,12 @@ def test_projector_variation_applied_forms():
     assert var.kernel_dim >= 0
 
 
-def test_projector_variation_kernel_jump_guard():
+def test_projector_variation_kernel_jump_guard(monkeypatch):
+    monkeypatch.setattr(hodge, "GAP_FACTOR", 1e12)
     b = seeded_bundle("iwasawa", seed=6)
     gamma = make_direction(b.alg, np.eye(3)).form
     with pytest.raises(KernelJump):
-        var_harmonic_projector(b, gamma, "d", 2, gap_factor=1e12)
+        var_harmonic_projector(b, gamma, "d", 2)
 
 
 def test_var_F_euler_identity_on_omega():
