@@ -20,8 +20,11 @@ The jobs cover ``eval`` (every functional) and ``torsion`` at a seeded random
 metric, ``verify --metrics 2`` and ``varcheck --tuples 3`` on the four catalog
 models; two 5-step descents; and ``eval``, ``torsion`` and ``verify`` on three
 synthetic models (Iwasawa x T^1, Kodaira-Thurston x T^2, complex Heisenberg
-n = 5) read from model files; and ``eval``, ``varcheck`` and ``descend`` under
-``--tol 1e-6``.  Input files go to a temporary directory, whose
+n = 5) read from model files; ``eval``, ``varcheck`` and ``descend`` under
+``--tol 1e-6``; and six more 5-step descents that cover both slices: H from a
+random start, G normalized from the identity, F from a metric file, G on the
+n = 2 torus (whose volume datum is a (1,1) form), and the two refused at the
+feasibility probe (G on Kodaira-Thurston, F on Iwasawa).  Input files go to a temporary directory, whose
 path appears in no report.  ``hermicone`` is imported from this checkout's
 ``src/`` and BLAS runs on one thread, unless the caller set the variables.
 """
@@ -109,6 +112,24 @@ def jobs(paths):
                 ["descend", "--catalog", "kodaira_thurston", "--functional", "Ftilde",
                  "--metric", "random", "--seed", "3", "--steps", "5", "--max-step", "0.05",
                  *tol]))
+    out.append(("descend kodaira_thurston H",
+                ["descend", "--catalog", "kodaira_thurston", "--functional", "H",
+                 "--metric", "random", "--seed", "6", "--steps", "5"]))
+    out.append(("descend iwasawa G normalized",
+                ["descend", "--catalog", "iwasawa", "--functional", "G",
+                 "--normalize", "on", "--steps", "5"]))
+    out.append(("descend kodaira_thurston F metric file",
+                ["descend", "--catalog", "kodaira_thurston", "--functional", "F",
+                 "--metric", paths["metric:kodaira_thurston"], "--steps", "5"]))
+    out.append(("descend torus2 G",
+                ["descend", "--catalog", "torus2", "--functional", "G",
+                 "--metric", "random", "--seed", "7", "--steps", "5"]))
+    # refused at the feasibility probe: the slice holds no positive point
+    out.append(("descend kodaira_thurston G empty cone",
+                ["descend", "--catalog", "kodaira_thurston", "--functional", "G",
+                 "--steps", "5"]))
+    out.append(("descend iwasawa F empty cone",
+                ["descend", "--catalog", "iwasawa", "--functional", "F", "--steps", "5"]))
     return out
 
 
