@@ -10,10 +10,12 @@ Ftilde_nu(omega) = F(omega) / (int omega ^ nu_{n-1})^n is scale invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import NotPositive
 from .exterior import wedge, wedge_power
-from .hodge import torsion_gamma, torsion_rho
+from .hodge import root_n_minus_1, torsion_gamma, torsion_rho
+from .metric import HermitianMetric
 
 
 @dataclass
@@ -24,23 +26,70 @@ class FunctionalValue:
 
 
 @dataclass(frozen=True)
+class Slice:
+    """One metric cone as a linear slice of real (p,p) data, read by the
+    constraint bases, the descent, make_direction and the difference paths.
+
+    The datum of a metric is omega on the pluriclosed cone and omega_{n-1}
+    on the balanced one; the slice is the kernel of constraint, a variation
+    direction moves the datum linearly, and metric maps a datum back.
+    """
+
+    name: str  # the constraint, as error messages name it
+    empty: str  # why the feasibility probe finds the cone empty
+    direction: str  # "metric" for real (1,1) directions, "volume" for (n-1,n-1) ones
+    degree: Callable  # n -> p
+    datum: Callable  # HermitianMetric -> its datum form
+    metric: Callable  # (alg, datum form) -> HermitianMetric, unchecked
+    constraint: Callable  # (alg, form) -> the form that vanishes on the slice
+
+
+SLICES = {
+    "skt": Slice("pluriclosed", "projected reference metric is not positive definite",
+                 "metric", lambda n: 1,
+                 lambda metric: metric.form(),
+                 lambda alg, form: HermitianMetric.from_form(form),
+                 lambda alg, form: alg.del_form(alg.dbar_form(form))),
+    "balanced": Slice("coclosed", "projected reference volume datum is not positive",
+                      "volume", lambda n: n - 1,
+                      lambda metric: wedge_power(metric.form(), metric.n - 1),
+                      lambda alg, form: root_n_minus_1(alg, form),
+                      lambda alg, form: alg.d_form(form)),
+}
+
+
+def cone_slice(kind):
+    """The SLICES entry of a cone name; ValueError for an unknown one."""
+    if kind not in SLICES:
+        raise ValueError(f"unknown constraint kind {kind!r}")
+    return SLICES[kind]
+
+
+def direction_slice(kind):
+    """The SLICES entry whose variation directions are of this kind."""
+    for entry in SLICES.values():
+        if entry.direction == kind:
+            return entry
+    raise ValueError(f"unknown direction kind {kind!r}")
+
+
+@dataclass(frozen=True)
 class Energy:
     """What differs between the energies: variation, descent and the CLI read it here."""
 
     torsion: str | None  # "rho" or "gamma", whose squared norm the energy is; None for H
-    direction: str  # variation directions: "metric" for real (1,1), "volume" for (n-1,n-1)
     constraint: str | None  # what a variation direction must keep: "skt", "balanced", None
-    slice: str  # the cone a descent moves in
+    slice: str  # the SLICES cone a descent moves in, whose kind its directions are
     normalize: bool = False  # the descent's default
     weighted: bool = False  # measured against a second metric's bundle
     certifies_kahler: bool = False  # its vanishing certifies a Kahler point
 
 
 ENERGIES = {
-    "F": Energy("rho", "metric", "skt", "skt", certifies_kahler=True),
-    "F_tilde": Energy("rho", "metric", "skt", "skt", normalize=True, certifies_kahler=True),
-    "G": Energy("gamma", "volume", "balanced", "balanced"),
-    "H": Energy(None, "metric", None, "skt", weighted=True),
+    "F": Energy("rho", "skt", "skt", certifies_kahler=True),
+    "F_tilde": Energy("rho", "skt", "skt", normalize=True, certifies_kahler=True),
+    "G": Energy("gamma", "balanced", "balanced"),
+    "H": Energy(None, None, "skt", weighted=True),
 }
 
 

@@ -17,13 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DimensionMismatch, EmptyCone, InfeasibleStart,
-                     KernelJump, LineSearchFailure, NotPositive,
-                     NotPositiveDefinite, SchemaError, ToleranceAmbiguity,
+from .errors import (EmptyCone, InfeasibleStart, KernelJump, LineSearchFailure,
+                     NotPositive, NotPositiveDefinite, SchemaError, ToleranceAmbiguity,
                      ToleranceFailure)
 from .exterior import ExteriorAlgebra, Form, _combos, wedge, wedge_power
-from .functionals import energy, evaluate
-from .hodge import decomposition, predicates, root_n_minus_1, torsion_space
+from .functionals import SLICES, cone_slice, energy, evaluate
+from .hodge import decomposition, predicates, torsion_space
 from .metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra
 from .model import algebra_for
 from .variation import make_direction, variation_at
@@ -91,29 +90,22 @@ class ConstraintBasis:
         return (pairing * ref.det_h).real
 
 
-def _constraint_map(alg, kind, form):
-    if kind == "skt":
-        return alg.del_form(alg.dbar_form(form))
-    if kind == "balanced":
-        return alg.d_form(form)
-    raise ValueError(f"unknown constraint kind {kind!r}")
-
-
 def constraint_basis(model, kind, reference=None, tol=NULLSPACE_RTOL, probe=True):
     """Null space of the cone constraint over the real ambient basis.
 
-    kind "skt" works on real (1,1) forms with del dbar = 0; "balanced" on
-    real (n-1,n-1) forms with d = 0.  With probe=True the reference volume
-    data is projected onto the slice and must stay positive, otherwise
-    EmptyCone is raised.
+    kind names a SLICES cone: "skt" works on real (1,1) forms with del dbar
+    = 0; "balanced" on real (n-1,n-1) forms with d = 0.  With probe=True the
+    datum of the reference metric is projected onto the slice and must stay
+    positive, otherwise EmptyCone is raised.
     """
     alg = _algebra_of(model)
     n = alg.n
-    p = 1 if kind == "skt" else n - 1
+    cone = cone_slice(kind)
+    p = cone.degree(n)
     ambient = real_block_basis(n, p)
     columns = []
     for f in ambient:
-        img = _constraint_map(alg, kind, f)
+        img = cone.constraint(alg, f)
         vec = np.concatenate([img.block(*key) for key in sorted(img.bidegrees())]) \
             if img.bidegrees() else np.zeros(0, dtype=complex)
         columns.append(vec)
@@ -146,17 +138,11 @@ def constraint_basis(model, kind, reference=None, tol=NULLSPACE_RTOL, probe=True
         coeffs = null
     basis = ConstraintBasis(kind, (p, p), ambient_blocks @ coeffs, reference)
     if probe:
-        target = reference.omega if kind == "skt" else reference.omega_power(n - 1)
-        proj = basis.combine(basis.coordinates(target))
-        if kind == "skt":
-            mat_p = HermitianMetric.from_form(proj).h
-            if np.linalg.eigvalsh(0.5 * (mat_p + mat_p.conj().T))[0] <= 0:
-                raise EmptyCone("projected reference metric is not positive definite")
-        else:
-            try:
-                root_n_minus_1(alg, proj)
-            except NotPositive as exc:
-                raise EmptyCone("projected reference volume datum is not positive") from exc
+        proj = basis.combine(basis.coordinates(cone.datum(reference.metric)))
+        try:
+            cone.metric(alg, proj).check()
+        except (NotPositive, NotPositiveDefinite) as exc:
+            raise EmptyCone(cone.empty) from exc
     return basis
 
 
@@ -266,14 +252,12 @@ class _Objective:
         self.tol = tol
         self.normalize = normalize
         spec = energy(functional)
-        self.kind = spec.direction
+        self.cone = SLICES[basis.kind]
+        self.kind = self.cone.direction
         forms = basis.forms
-        nu_form = nu.form()
-        if self.kind == "metric":
-            nu_pow = wedge_power(nu_form, alg.n - 1)
-            integrals = [alg.integrate(wedge(f, nu_pow)) for f in forms]
-        else:
-            integrals = [alg.integrate(wedge(nu_form, f)) for f in forms]
+        # a (p,p) datum pairs with nu_{n-p}: the normalization integral is linear
+        nu_pow = wedge_power(nu.form(), alg.n - basis.pq[0])
+        integrals = [alg.integrate(wedge(f, nu_pow)) for f in forms]
         self.covector = np.array(integrals, dtype=complex).real
         self.directions = [make_direction(alg, f, kind=self.kind, tol=tol) for f in forms]
         self._last = None
@@ -282,10 +266,7 @@ class _Objective:
             if spec.torsion is not None else None
 
     def metric_at(self, x):
-        form = self.basis.combine(x)
-        if self.kind == "metric":
-            return HermitianMetric.from_form(form).check()
-        return root_n_minus_1(self.alg, form).check()
+        return self.cone.metric(self.alg, self.basis.combine(x)).check()
 
     def min_eigenvalue(self, x):
         try:
@@ -305,8 +286,7 @@ class _Objective:
         return x / c
 
     def constraint_residual(self, x):
-        return _constraint_map(self.alg, self.basis.kind,
-                               self.basis.combine(x)).max_abs()
+        return self.cone.constraint(self.alg, self.basis.combine(x)).max_abs()
 
     def _bundle(self, x):
         """Bundle at an evaluation point.  The last one is kept: a trial
@@ -407,7 +387,7 @@ def descend(model, functional="F_tilde", start=None, nu=None, weight=None,
     if isinstance(start, str) and start == "random":
         x = _random_feasible(obj, basis, rng)
     else:
-        start_form = _start_form(alg, basis.kind, start, n)
+        start_form = _start_form(obj.cone, start, n)
         x = basis.coordinates(start_form)
         residual = (basis.combine(x) - start_form).max_abs()
         if residual > tol * (1.0 + start_form.max_abs()):
@@ -495,28 +475,20 @@ def descend(model, functional="F_tilde", start=None, nu=None, weight=None,
     )
 
 
-def _start_form(alg, kind, start, n):
-    if start is None:
-        base = HermitianMetric.identity(n)
-        return base.form() if kind == "skt" else \
-            wedge_power(base.form(), n - 1)
-    if kind == "skt":
-        if isinstance(start, HermitianMetric):
-            return start.form()
-        if isinstance(start, Form):
-            return start
-        return HermitianMetric(np.asarray(start)).form()
+def _start_form(cone, start, n):
+    """The slice datum of a start point: a Form as it is, else the datum of a
+    metric (a HermitianMetric, a Hermitian matrix, or the identity for None)."""
     if isinstance(start, Form):
         return start
-    if isinstance(start, HermitianMetric):
-        return wedge_power(start.form(), n - 1)
-    raise DimensionMismatch("start must be a metric or a form")
+    if start is None:
+        start = HermitianMetric.identity(n)
+    elif not isinstance(start, HermitianMetric):
+        start = HermitianMetric(np.asarray(start))
+    return cone.datum(start)
 
 
 def _random_feasible(obj, basis, rng, tries=50):
-    anchor = basis.coordinates(
-        obj.basis.reference.omega if basis.kind == "skt"
-        else obj.basis.reference.omega_power(obj.alg.n - 1))
+    anchor = basis.coordinates(obj.cone.datum(basis.reference.metric))
     for _ in range(tries):
         x = anchor + 0.3 * rng.standard_normal(basis.dimension)
         if obj.min_eigenvalue(x) > 0 and obj(x) is not None:

@@ -26,9 +26,10 @@ import numpy as np
 from .errors import (DimensionMismatch, DirectionNotAdmissible, KernelJump,
                      NotPositive, NotPositiveDefinite, StepTooLarge)
 from .exterior import Form, conj_block_matrix, dim_pq, neighbor, wedge, wedge_power
-from .functionals import energy, evaluate, normalization_integral
+from .functionals import (SLICES, cone_slice, direction_slice, energy, evaluate,
+                          normalization_integral)
 from .hodge import (Decomposition, decomposition, harmonic_projector, image_projector,
-                    root_n_minus_1, torsion, torsion_space)
+                    torsion, torsion_space)
 from .metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra, random_metric
 from .model import algebra_for
 
@@ -67,61 +68,37 @@ def default_step(metric):
 
 @dataclass(frozen=True)
 class Direction:
-    """A variation direction: a real form plus, for (1,1), its Hermitian matrix."""
+    """A variation direction: a real (p,p) form moving the datum of a SLICES cone."""
 
     kind: str  # "metric" for real (1,1), "volume" for real (n-1,n-1)
     form: Form
-    matrix: np.ndarray | None = None
 
 
 def make_direction(alg, obj, kind="metric", require=None, tol=DEFAULT_TOL):
     """Build and vet a variation direction.
 
-    kind "metric": obj is a Hermitian matrix or a real (1,1) form.
-    kind "volume": obj is a real (n-1,n-1) form.
-    require "skt" demands del dbar(direction) = 0, require "balanced"
-    demands d(direction) = 0; violations raise DirectionNotAdmissible.
+    kind names the SLICES direction kind: "metric" takes a real (1,1) form
+    or a Hermitian matrix, "volume" a real (n-1,n-1) form.  require names a
+    SLICES cone whose constraint the direction must keep ("skt": del dbar
+    = 0, "balanced": d = 0); violations raise DirectionNotAdmissible.
     """
-    n = alg.n
-    if kind == "metric":
-        if isinstance(obj, Form):
-            form = obj
-        else:
-            form = HermitianMetric(obj).form()
-        if form.n != n or form.bidegrees() not in ([], [(1, 1)]):
-            raise DirectionNotAdmissible("metric direction must be a (1,1) form")
-        mat = HermitianMetric.from_form(form).h
-        herm = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-        if herm > tol * (1.0 + float(np.max(np.abs(mat)))):
-            raise DirectionNotAdmissible(
-                f"metric direction is not real (Hermitian residual {herm:.3e})")
-        mat = 0.5 * (mat + mat.conj().T)
-        direction = Direction("metric", HermitianMetric(mat).form(), mat)
-    elif kind == "volume":
-        if not isinstance(obj, Form) or obj.n != n:
-            raise DimensionMismatch("volume direction must be a form over the same coframe")
-        if obj.bidegrees() not in ([], [(n - 1, n - 1)]):
-            raise DirectionNotAdmissible("volume direction must be an (n-1,n-1) form")
-        real_res = (obj - obj.conj()).max_abs()
-        if real_res > tol * (1.0 + obj.max_abs()):
-            raise DirectionNotAdmissible(
-                f"volume direction is not real (residual {real_res:.3e})")
-        direction = Direction("volume", 0.5 * (obj + obj.conj()))
-    else:
-        raise ValueError(f"unknown direction kind {kind!r}")
-
-    if require == "skt":
-        res = alg.del_form(alg.dbar_form(direction.form)).max_abs()
+    p = direction_slice(kind).degree(alg.n)
+    if kind == "metric" and not isinstance(obj, Form):
+        obj = HermitianMetric(obj).form()
+    if not isinstance(obj, Form) or obj.n != alg.n:
+        raise DimensionMismatch(f"{kind} direction must be a form over the same coframe")
+    if obj.bidegrees() not in ([], [(p, p)]):
+        raise DirectionNotAdmissible(f"{kind} direction must be a ({p},{p}) form")
+    real_res = (obj - obj.conj()).max_abs()
+    if real_res > tol * (1.0 + obj.max_abs()):
+        raise DirectionNotAdmissible(f"{kind} direction is not real (residual {real_res:.3e})")
+    direction = Direction(kind, 0.5 * (obj + obj.conj()))
+    if require is not None:
+        cone = cone_slice(require)
+        res = cone.constraint(alg, direction.form).max_abs()
         if res > tol * (1.0 + direction.form.max_abs()):
             raise DirectionNotAdmissible(
-                f"direction leaves the pluriclosed constraint (residual {res:.3e})")
-    elif require == "balanced":
-        res = alg.d_form(direction.form).max_abs()
-        if res > tol * (1.0 + direction.form.max_abs()):
-            raise DirectionNotAdmissible(
-                f"direction leaves the coclosed constraint (residual {res:.3e})")
-    elif require is not None:
-        raise ValueError(f"unknown admissibility requirement {require!r}")
+                f"direction leaves the {cone.name} constraint (residual {res:.3e})")
     return direction
 
 
@@ -456,11 +433,12 @@ def _variation(bundle, functional, direction, nu=None, weight_bundle=None,
     ENERGIES entry (make_direction for raw input; a Direction only has its kind
     checked), with the finite-difference audit on request."""
     spec = energy(functional)
+    kind = SLICES[spec.slice].direction
     if not isinstance(direction, Direction):
-        direction = make_direction(bundle.alg, direction, kind=spec.direction,
+        direction = make_direction(bundle.alg, direction, kind=kind,
                                    require=spec.constraint, tol=bundle.tol)
-    elif direction.kind != spec.direction:
-        raise DirectionNotAdmissible(f"this energy varies along {spec.direction} "
+    elif direction.kind != kind:
+        raise DirectionNotAdmissible(f"this energy varies along {kind} "
                                      f"directions, not {direction.kind} ones")
     out = variation_at(bundle, functional, nu, weight_bundle)(direction)
     if with_fd:
@@ -500,17 +478,14 @@ def _gram_norm(gram, vec):
 
 def _fd_along(bundle, direction, step, extract):
     """Central difference of extract(bundle at t) along the direction's metric path:
-    H + t * direction for a metric direction, the (n-1) root of
-    omega_{n-1} + t * direction for a volume one, at the bundle's tolerance."""
+    the datum of the direction's slice (omega, or omega_{n-1}) moves by t * direction
+    and maps back to a metric, whose bundle is built at the bundle's tolerance."""
     alg = bundle.alg
-    if direction.kind == "volume":
-        base = bundle.omega_power(bundle.n - 1)
-        path = lambda t: root_n_minus_1(alg, base + t * direction.form)
-    else:
-        path = lambda t: HermitianMetric(bundle.metric.h + t * direction.matrix)
+    cone = direction_slice(direction.kind)
+    base = cone.datum(bundle.metric)
     step = default_step(bundle.metric) if step is None else step
-    return fd_derivative(lambda t: extract(bundle_for_algebra(alg, path(t), bundle.tol)),
-                         step)
+    return fd_derivative(lambda t: extract(bundle_for_algebra(
+        alg, cone.metric(alg, base + t * direction.form), bundle.tol)), step)
 
 
 # ----- the check battery ---------------------------------------------------------------
@@ -579,7 +554,7 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL, step_scale=1.0,
         gm = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         gm = 0.5 * (gm + gm.conj().T)
         gamma = HermitianMetric(gm).form()
-        along = Direction("metric", gamma, gm)
+        along = Direction("metric", gamma)
         step = step_scale * default_step(met)
         p = int(rng.integers(0, n + 1))
         q = int(rng.integers(0, n + 1))
