@@ -14,15 +14,16 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
 
 import numpy as np
 
-from .errors import (DegreeOutOfRange, DimensionMismatch, EmptyCone,
-                     InfeasibleStart, KernelJump, LineSearchFailure, ModelInvalid,
-                     ModelNotUnimodular, NotBalanced, NotPositive,
-                     NotPositiveDefinite, NotSKT, SchemaError,
+from .errors import (DegenerateDimension, DegreeOutOfRange, DimensionMismatch,
+                     DirectionNotAdmissible, EmptyCone, InfeasibleStart, KernelJump,
+                     LineSearchFailure, ModelInvalid, ModelNotUnimodular, NotBalanced,
+                     NotPositive, NotPositiveDefinite, NotSKT, SchemaError, StepTooLarge,
                      ToleranceAmbiguity, ToleranceFailure, UnknownCatalogName)
 from .functionals import energy, evaluate
 from .hodge import predicates, three_space_residuals, torsion
@@ -89,10 +90,26 @@ def _load_metric(args, n, option="metric"):
     return metric.check()
 
 
-def _require_work(option, count):
-    """Refuse a work count below 1: zero requested work is never a pass."""
-    if count < 1:
-        raise _CliFailure(EXIT_SCHEMA, f"{option} must be at least 1, got {count}")
+# option -> (its range, a test); zero requested work is never a pass, and --tol inf
+# would cut every eigenvalue into the kernel and pass every residual
+_RANGES = {
+    "metrics": ("at least 1", lambda v: v >= 1),
+    "tuples": ("at least 1", lambda v: v >= 1),
+    "steps": ("at least 1", lambda v: v >= 1),
+    "tol": ("finite and positive", lambda v: math.isfinite(v) and v > 0),
+    "gradient_tol": ("finite and non-negative", lambda v: math.isfinite(v) and v >= 0),
+    "max_step": ("positive", lambda v: v > 0),
+    "seed": ("non-negative", lambda v: v >= 0),
+}
+
+
+def _require_ranges(args):
+    """Refuse, naming the option, a numeric option of this subcommand out of its range."""
+    for name, (want, ok) in _RANGES.items():
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            option = "--" + name.replace("_", "-")
+            raise _CliFailure(EXIT_SCHEMA, f"{option} must be {want}, got {value}")
 
 
 def _model_hash(model):
@@ -148,7 +165,6 @@ def _predicates_payload(bundle):
 
 
 def _cmd_verify(args):
-    _require_work("--metrics", args.metrics)
     model, source = _load_model(args)
     alg = algebra_for(model)
     n = alg.n
@@ -255,17 +271,9 @@ def _cmd_eval(args):
     return EXIT_OK
 
 
-def _battery_rows(model, seed, tuples, tol):
-    """Per-tuple seeded batteries: tuple i draws from seed + i."""
-    return [row for i in range(tuples)
-            for row in variation_battery(model, seed=seed + i, tuples=1, tol=tol,
-                                         start_index=i)]
-
-
 def _cmd_varcheck(args):
-    _require_work("--tuples", args.tuples)
     model, source = _load_model(args)
-    rows = _battery_rows(model, args.seed, args.tuples, args.tol)
+    rows = variation_battery(model, seed=args.seed, tuples=args.tuples, tol=args.tol)
 
     def threshold_for(name):
         return ORACLE_THRESHOLD if name in ("projector_oracle",
@@ -294,9 +302,6 @@ def _cmd_varcheck(args):
 
 
 def _cmd_descend(args):
-    _require_work("--steps", args.steps)
-    if args.max_step is not None and not args.max_step > 0:
-        raise _CliFailure(EXIT_SCHEMA, f"--max-step must be positive, got {args.max_step}")
     model, source = _load_model(args)
     alg = algebra_for(model)
     functional = _FUNCTIONALS[args.functional]
@@ -403,13 +408,21 @@ def _build_parser():
 _ERROR_CODES = (
     (SchemaError, EXIT_SCHEMA),
     ((ModelInvalid, ModelNotUnimodular, UnknownCatalogName, DimensionMismatch,
-      DegreeOutOfRange), EXIT_VALIDATION),
+      DegreeOutOfRange, DegenerateDimension), EXIT_VALIDATION),
     ((NotSKT, NotBalanced, NotPositive, NotPositiveDefinite), EXIT_PREDICATE),
     # a singular solve: a badly scaled metric whose Gram blocks underflow
-    ((ToleranceFailure, ToleranceAmbiguity, KernelJump, np.linalg.LinAlgError),
-     EXIT_TOLERANCE),
+    ((ToleranceFailure, ToleranceAmbiguity, KernelJump, DirectionNotAdmissible,
+      StepTooLarge, np.linalg.LinAlgError), EXIT_TOLERANCE),
     ((InfeasibleStart, EmptyCone, LineSearchFailure), EXIT_INFEASIBLE),
 )
+
+
+def _exit_code(exc):
+    """The documented exit code of an exception, None for one the CLI does not map."""
+    for classes, code in _ERROR_CODES:
+        if isinstance(exc, classes):
+            return code
+    return None
 
 
 def main(argv=None):
@@ -420,16 +433,17 @@ def main(argv=None):
                 and args.subcommand not in ("varcheck", "descend"):
             raise _CliFailure(
                 EXIT_SCHEMA, f"subcommand {args.subcommand!r} has no CSV projection")
+        _require_ranges(args)
         return args.func(args)
     except _CliFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes below
-        for classes, code in _ERROR_CODES:
-            if isinstance(exc, classes):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
-        raise
+        code = _exit_code(exc)
+        if code is None:
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

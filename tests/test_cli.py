@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from hermicone import cli, errors
 from hermicone.cli import main
 from hermicone.metric import HermitianMetric
 from hermicone.model import catalog
@@ -282,6 +283,51 @@ def test_descend_refuses_nonpositive_max_step(capsys, max_step):
     # no trial step would be tried, reported as a PositivityBoundary stop
     _refused_as_schema(capsys, "descend", "--catalog", "kodaira_thurston",
                        "--functional", "F", "--max-step", max_step)
+
+
+@pytest.mark.parametrize("argv", [
+    # eval would report F = 0.0 on Kodaira-Thurston (the true value is 0.25),
+    # verify and varcheck a pass, descend a traceback
+    ("eval", "--catalog", "kodaira_thurston", "--functional", "F", "--tol", "inf"),
+    ("torsion", "--catalog", "kodaira_thurston", "--tol", "0"),
+    ("verify", "--catalog", "torus2", "--tol", "inf"),
+    ("varcheck", "--catalog", "torus2", "--tol", "nan"),
+    ("descend", "--catalog", "kodaira_thurston", "--functional", "F", "--tol", "-1"),
+])
+def test_refuses_tol_not_finite_and_positive(capsys, argv):
+    _refused_as_schema(capsys, *argv)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-0.5"])
+def test_descend_refuses_gradient_tol_out_of_range(capsys, value):
+    # --gradient-tol inf stops at GradientSmall before the first step
+    _refused_as_schema(capsys, "descend", "--catalog", "kodaira_thurston",
+                       "--functional", "F", "--gradient-tol", value)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--catalog", "torus2"),
+    ("varcheck", "--catalog", "torus2"),
+    ("descend", "--catalog", "kodaira_thurston", "--functional", "F", "--metric", "random"),
+])
+def test_refuses_negative_seed(capsys, argv):
+    _refused_as_schema(capsys, *argv, "--seed", "-1")
+
+
+def test_gradient_tol_zero_and_seed_zero_accepted(capsys):
+    code, _, err = run(capsys, "descend", "--catalog", "kodaira_thurston", "--functional",
+                       "F", "--steps", "1", "--gradient-tol", "0", "--seed", "0")
+    assert code == 0, err
+
+
+def test_every_package_error_has_an_exit_code():
+    # every HermiconeError the package raises leaves the CLI with a documented code
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.HermiconeError)
+               and c is not errors.HermiconeError]
+    assert classes
+    codes = {c.__name__: cli._exit_code(c("probe")) for c in classes}
+    assert all(code in range(2, 7) for code in codes.values()), codes
 
 
 @pytest.mark.parametrize("name,functional", [("kodaira_thurston", "F"), ("iwasawa", "G")])

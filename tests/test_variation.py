@@ -110,14 +110,17 @@ def test_battery_rows_are_reproducible():
     assert [r.to_row() for r in a] == [r.to_row() for r in b]
 
 
-def test_battery_start_index_only_relabels():
-    plain = variation_battery(catalog("torus2"), seed=5, tuples=2)
-    shifted = variation_battery(catalog("torus2"), seed=5, tuples=2, start_index=7)
-    assert len(plain) == len(shifted)
-    for a, b in zip(plain, shifted):
-        assert a.name == b.name
-        assert a.analytic == b.analytic and a.fd == b.fd
-        assert b.detail.startswith(("tuple 7", "tuple 8"))
+def test_battery_tuple_i_draws_from_seed_plus_i():
+    # the rows of a three-tuple battery are those of one-tuple batteries at
+    # seeds s, s+1, s+2, up to the tuple label
+    seed = 5
+    joint = variation_battery(catalog("torus2"), seed=seed, tuples=3)
+    single = [(i, row) for i in range(3)
+              for row in variation_battery(catalog("torus2"), seed=seed + i, tuples=1)]
+    assert len(joint) == len(single)
+    for a, (i, b) in zip(joint, single):
+        assert a.detail == b.detail.replace("tuple 0", f"tuple {i}", 1)
+        assert (a.name, a.analytic, a.fd, a.abs_err) == (b.name, b.analytic, b.fd, b.abs_err)
 
 
 def test_projector_variation_matches_spectral_oracle():
