@@ -538,10 +538,10 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL):
     Tuple i draws a metric, a real direction and a bidegree from the
     generator seeded with seed + i, then compares the closed-form
     derivative matrices of star, trace, the three codifferentials, the
-    three Laplacians and the kernel projector against Richardson-
-    extrapolated central differences, plus the self-consistency rows
-    (conjugation symmetry, omega scalings, the perturbation oracle).
-    Returns VariationCheck rows; callers assert on rel_err.
+    three Laplacians and the kernel projector against Richardson-extrapolated
+    central differences, plus the self-consistency rows (conjugation
+    symmetry, omega scalings, the perturbation oracle).  Returns
+    VariationCheck rows; callers assert on rel_err.
     """
     alg = algebra_for(model)
     n = alg.n
