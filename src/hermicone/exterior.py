@@ -208,7 +208,7 @@ class Form:
         vec = np.asarray(vec, dtype=complex).reshape(-1)
         if vec.shape[0] != d:
             raise DimensionMismatch(f"block ({p}, {q}) expects length {d}, got {vec.shape[0]}")
-        if np.any(vec):
+        if vec.any():
             self.blocks[(p, q)] = vec.copy()
         else:
             self.blocks.pop((p, q), None)
