@@ -5,6 +5,7 @@ G(omega_{n-1}) = ||Gamma||^2 on balanced metrics, zero exactly on Kahler ones.
 H(omega, gamma_{n-1}) = ||trace_omega(del omega)||^2 in the gamma L2 norm,
 zero exactly on balanced omega, invariant under scaling of omega.
 Ftilde_nu(omega) = F(omega) / (int omega ^ nu_{n-1})^n is scale invariant.
+SLICES describes the two cones the energies are varied and descended over.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class Slice:
     direction: str  # "metric" for real (1,1) directions, "volume" for (n-1,n-1) ones
     degree: Callable  # n -> p
     datum: Callable  # HermitianMetric -> its datum form
-    metric: Callable  # (alg, datum form) -> HermitianMetric, unchecked
+    metric: Callable  # (alg, datum form) -> HermitianMetric, for the caller to check()
     constraint: Callable  # (alg, form) -> the form that vanishes on the slice
 
 

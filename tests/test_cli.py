@@ -314,9 +314,9 @@ def test_refuses_negative_seed(capsys, argv):
     _refused_as_schema(capsys, *argv, "--seed", "-1")
 
 
-def test_gradient_tol_zero_and_seed_zero_accepted(capsys):
+def test_descend_accepts_zero_gradient_tol(capsys):
     code, _, err = run(capsys, "descend", "--catalog", "kodaira_thurston", "--functional",
-                       "F", "--steps", "1", "--gradient-tol", "0", "--seed", "0")
+                       "F", "--steps", "1", "--gradient-tol", "0")
     assert code == 0, err
 
 
