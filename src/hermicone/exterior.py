@@ -109,6 +109,13 @@ def _wedge_table(n, p1, q1, p2, q2):
 
 
 @lru_cache(maxsize=None)
+def _wedge_arrays(n, p1, q1, p2, q2):
+    """_wedge_table as four index arrays: i1, i2, sign, target_index."""
+    table = _wedge_table(n, p1, q1, p2, q2)
+    return tuple(np.array(col, dtype=np.intp) for col in zip(*table)) if table else None
+
+
+@lru_cache(maxsize=None)
 def _derivation_table(n, p, q, g, K, L):
     """Entries of theta_K^thetabar_L ^ iota_g on Lambda^{p,q}, None if there are none.
 
@@ -526,8 +533,11 @@ class ExteriorAlgebra:
         ((a, b), v), = form.blocks.items()
         rows = dim_pq(self.n, p + a, q + b)
         mat = np.zeros((rows, dim_pq(self.n, p, q)), dtype=complex)
-        for i1, i2, sign, t in _wedge_table(self.n, a, b, p, q):
-            mat[t, i2] += sign * v[i1]
+        table = _wedge_arrays(self.n, a, b, p, q)
+        if table is not None:
+            # each (target, source) cell takes one term: 0 + sign * v[i1], as a loop would
+            i1, i2, sign, t = table
+            np.add.at(mat, (t, i2), sign * v[i1])
         return mat
 
     # ----- integration ------------------------------------------------------

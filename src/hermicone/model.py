@@ -9,14 +9,15 @@ d(theta^i).  Terms are normalized on entry: ordered index pairs inside
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ModelInvalid, ModelNotUnimodular, SchemaError, UnknownCatalogName
-from .exterior import ExteriorAlgebra
+from .exterior import ExteriorAlgebra, dim_pq
 
 KINDS = ("holo", "mixed", "anti")
 
@@ -41,16 +42,27 @@ class ComplexLieModel:
 
 @dataclass
 class ValidationReport:
+    """Outcome of validate_model.
+
+    d_squared_vanishes is the decision max |d_total(k+1) @ d_total(k)| <= VALIDATION_TOL;
+    d_squared_max_residual is that dense maximum, computed on its first read.
+    """
+
     integrable: bool
-    d_squared_max_residual: float
+    d_squared_vanishes: bool
     unimodular: bool
     messages: list
-    integrability_residual: float = 0.0
-    unimodularity_residual: float = 0.0
+    integrability_residual: float
+    unimodularity_residual: float
+    algebra: ExteriorAlgebra = field(repr=False, compare=False)
+
+    @cached_property
+    def d_squared_max_residual(self):
+        return d_squared_residual(self.algebra)
 
     @property
     def all_passed(self):
-        return self.integrable and self.unimodular and self.d_squared_max_residual <= VALIDATION_TOL
+        return self.integrable and self.unimodular and self.d_squared_vanishes
 
 
 def _as_int(value, what):
@@ -150,9 +162,75 @@ def algebra_for(model):
     return ExteriorAlgebra(model.n, [(t.i, t.kind, t.j, t.k, t.coeff) for t in model.terms])
 
 
+# The d*d gate bounds rounding with the inner-product bound (Higham, Accuracy and
+# Stability of Numerical Algorithms, 3.1 and 3.6).  An entry of d_{k+1} d_k with m
+# nonzero products a*b is, in each of its real and imaginary parts, a real sum of at
+# most 2m nonzero real products; zero products add exactly in any order, with or
+# without FMA.  So any summation of it, the dense BLAS one or the sparse one below,
+# lies within sqrt(2) gamma_{2m} M <= beta = _BETA_C (m + 2) u M of the exact value,
+# M = sum |a||b|.  _BETA_C = 4 > 2 sqrt(2) leaves room for rounding in |S|, M and the
+# comparison, since M >= |S|.
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_BETA_C = 4.0
+
+
+def _d_entries(alg):
+    """Nonzero entries of d on the whole algebra as (row, col, value) arrays, each
+    bidegree block at its own offset."""
+    n, start, pos = alg.n, {}, 0
+    for pq in itertools.product(range(n + 1), repeat=2):
+        start[pq], pos = pos, pos + dim_pq(n, *pq)
+    parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, complex))]
+    for pq, c0 in start.items():
+        for tgt, blk in alg.d_blocks(*pq).items():
+            r, c = np.nonzero(blk != 0)
+            parts.append((r + start[tgt], c + c0, blk[r, c]))
+    return tuple(map(np.concatenate, zip(*parts)))
+
+
+def certified_d_squared(alg):
+    """The decision max |d_total(k+1) @ d_total(k)| <= VALIDATION_TOL from sparse
+    sums: True or False when every rounding of the dense products gives that
+    answer, None when some entry lies within 2 beta of the tolerance.
+
+    d is joined with itself on the middle index; for every entry of d*d this
+    gives the sum S, the magnitude sum M and the count m of its nonzero products.
+    """
+    rows, cols, vals = _d_entries(alg)
+    order = np.argsort(cols, kind="stable")
+    by_col = cols[order]
+    lo = np.searchsorted(by_col, rows, "left")
+    counts = np.searchsorted(by_col, rows, "right") - lo
+    first = np.repeat(np.arange(rows.size), counts)
+    second = order[np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
+    prod = vals[second] * vals[first]
+    _, slot, m = np.unique(rows[second] * 4 ** alg.n + cols[first],
+                           return_inverse=True, return_counts=True)
+    s = np.bincount(slot, prod.real, m.size) + 1j * np.bincount(slot, prod.imag, m.size)
+    size = np.abs(s)
+    spread = 2 * _BETA_C * (m + 2) * _UNIT_ROUNDOFF * np.bincount(slot, np.abs(prod), m.size)
+    if np.any(size - spread > VALIDATION_TOL):
+        return False
+    return True if np.all(size + spread <= VALIDATION_TOL) else None
+
+
+def d_squared_residual(alg):
+    """max |d_total(k+1) @ d_total(k)| over k, from the dense products."""
+    dd_res = 0.0
+    for k in range(0, 2 * alg.n - 1):
+        comp = alg.d_total(k + 1) @ alg.d_total(k)
+        if comp.size:
+            dd_res = max(dd_res, float(np.max(np.abs(comp))))
+    return dd_res
+
+
 @lru_cache(maxsize=None)
 def validate_model(model):
-    """Check integrability, d*d = 0 and unimodularity; cached per model."""
+    """Check integrability, d*d = 0 and unimodularity; cached per model.
+
+    d*d = 0 is decided by certified_d_squared without a total-degree matrix;
+    only an undecided or refused model computes the dense residual here.
+    """
     alg = algebra_for(model)
     messages = []
 
@@ -165,33 +243,38 @@ def validate_model(model):
                 f"thetabar^{t.j}^thetabar^{t.k} with |coeff| = {abs(t.coeff):.3e}")
     integrable = anti_res <= VALIDATION_TOL
 
-    dd_res = 0.0
-    for k in range(0, 2 * model.n - 1):
-        comp = alg.d_total(k + 1) @ alg.d_total(k)
-        if comp.size:
-            dd_res = max(dd_res, float(np.max(np.abs(comp))))
-    if dd_res > VALIDATION_TOL:
-        messages.append(f"d*d has max residual {dd_res:.3e}")
+    dd_ok, dd_res = certified_d_squared(alg), None
+    if dd_ok is not True:
+        dd_res = d_squared_residual(alg)
+        if dd_ok is None:
+            dd_ok = dd_res <= VALIDATION_TOL
+        if not dd_ok:
+            messages.append(f"d*d has max residual {dd_res:.3e}")
 
-    top = alg.d_total(2 * model.n - 1)
-    uni_res = float(np.max(np.abs(top))) if top.size else 0.0
+    top = [blk.ravel() for pq in alg.bidegrees(2 * model.n - 1)
+           for blk in alg.d_blocks(*pq).values()]
+    uni_res = float(np.max(np.abs(np.concatenate(top)))) if top else 0.0
     unimodular = uni_res <= VALIDATION_TOL
     if not unimodular:
         messages.append(f"d does not vanish on degree {2 * model.n - 1}: max entry {uni_res:.3e}")
 
-    return ValidationReport(
+    report = ValidationReport(
         integrable=integrable,
-        d_squared_max_residual=dd_res,
+        d_squared_vanishes=dd_ok,
         unimodular=unimodular,
         messages=messages,
         integrability_residual=anti_res,
         unimodularity_residual=uni_res,
+        algebra=alg,
     )
+    if dd_res is not None:
+        report.d_squared_max_residual = dd_res
+    return report
 
 
 def require_valid(model, need_unimodular=True):
     report = validate_model(model)
-    if not report.integrable or report.d_squared_max_residual > VALIDATION_TOL:
+    if not report.integrable or not report.d_squared_vanishes:
         raise ModelInvalid("; ".join(report.messages) or "model failed validation")
     if need_unimodular and not report.unimodular:
         raise ModelNotUnimodular("; ".join(report.messages))

@@ -188,6 +188,24 @@ def test_exit_code_validation_errors(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("c,want_code,want_err", [
+    (1.0, 3, "error: d*d has max residual 1.000e+00; "
+             "d does not vanish on degree 5: max entry 1.000e+00\n"),
+    (1e-13, 0, ""),
+    (1.3e-12, 3, "error: d*d has max residual 1.300e-12; "
+                 "d does not vanish on degree 5: max entry 1.300e-12\n"),
+])
+def test_d_squared_gate_exit_code(tmp_path, capsys, c, want_code, want_err):
+    # d theta^3 = theta^1 ^ theta^2 and d theta^1 = c theta^1 ^ theta^3: d*d has entries c
+    doc = {"name": "dd", "n": 3,
+           "terms": [{"i": 3, "kind": "holo", "j": 1, "k": 2, "re": 1.0, "im": 0.0},
+                     {"i": 1, "kind": "holo", "j": 1, "k": 3, "re": c, "im": 0.0}]}
+    path = tmp_path / "dd.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "eval", "--model", str(path), "--functional", "H")
+    assert (code, err) == (want_code, want_err)
+
+
 def test_exit_code_predicate_errors(capsys):
     code, _, _ = run(capsys, "eval", "--catalog", "iwasawa", "--functional", "F")
     assert code == 4

@@ -1,10 +1,14 @@
 """Exterior algebra layer against the symbolic permutation oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from hermicone.exterior import (
+    ExteriorAlgebra,
     Form,
+    _wedge_table,
     conj_block_matrix,
     dim_pq,
     random_form,
@@ -240,3 +244,29 @@ def test_wedge_matrix_represents_left_wedge():
     got = mat @ v.block(1, 0)
     want = wedge(a, v).block(2, 1)
     assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def _wedge_matrix_loop(n, form, p, q):
+    """Matrix of (form ^ .) on Lambda^{p,q}, one table entry at a time."""
+    ((a, b), v), = form.blocks.items()
+    mat = np.zeros((dim_pq(n, p + a, q + b), dim_pq(n, p, q)), dtype=complex)
+    for i1, i2, sign, t in _wedge_table(n, a, b, p, q):
+        mat[t, i2] += sign * v[i1]
+    return mat
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_wedge_matrix_bits_match_the_loop(n):
+    rng = np.random.default_rng(61 + n)
+    alg = ExteriorAlgebra(n, [])
+    for a, b, p, q in itertools.product(range(n + 1), repeat=4):
+        d = dim_pq(n, a, b)
+        vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        # signed zeros in both parts; entry 0 stays nonzero so the form keeps its block
+        vec.real[1:][rng.random(d - 1) < 0.3] = -0.0
+        vec.imag[1:][rng.random(d - 1) < 0.3] = -0.0
+        vec.imag[1:][rng.random(d - 1) < 0.2] = 0.0
+        form = Form(n, {(a, b): vec})
+        got, want = alg.wedge_matrix(form, p, q), _wedge_matrix_loop(n, form, p, q)
+        assert np.array_equal(got, want), (a, b, p, q)
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float))), (a, b, p, q)

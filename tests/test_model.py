@@ -1,13 +1,16 @@
 import json
 
+import numpy as np
 import pytest
 
 from .conftest import non_unimodular_model
+from hermicone import model as model_module
+from hermicone.cli import main
 from hermicone.errors import (ModelNotUnimodular, SchemaError,
                               UnknownCatalogName)
-from hermicone.model import (algebra_for, catalog, catalog_names,
-                             differential_matrices, make_model, parse_model,
-                             require_valid, serialize_model, validate_model)
+from hermicone.model import (VALIDATION_TOL, algebra_for, catalog, catalog_names,
+                             certified_d_squared, differential_matrices, make_model,
+                             parse_model, require_valid, serialize_model, validate_model)
 
 
 def test_catalog_names_fixed():
@@ -82,3 +85,123 @@ def test_iwasawa_differential_content():
     assert sorted(d3.bidegrees()) == [(2, 0)]
     expected = Form.monomial(3, (0, 1), (), -1.0)
     assert (d3 - expected).max_abs() == 0.0
+
+
+@pytest.fixture
+def fresh_caches():
+    """Drop the per-model caches after the test: an n = 6 algebra holds tens of MB."""
+    yield
+    validate_model.cache_clear()
+    algebra_for.cache_clear()
+
+
+def _dense_validation(model):
+    """Decision and messages of validate_model from the dense total-degree products."""
+    alg = algebra_for(model)
+    messages = [f"d(theta^{t.i}) keeps an antiholomorphic term "
+                f"thetabar^{t.j}^thetabar^{t.k} with |coeff| = {abs(t.coeff):.3e}"
+                for t in model.terms if t.kind == "anti"]
+    dd_res = 0.0
+    for k in range(2 * model.n - 1):
+        dd_res = max(dd_res, float(np.max(np.abs(alg.d_total(k + 1) @ alg.d_total(k)))))
+    if dd_res > VALIDATION_TOL:
+        messages.append(f"d*d has max residual {dd_res:.3e}")
+    uni_res = float(np.max(np.abs(alg.d_total(2 * model.n - 1))))
+    if uni_res > VALIDATION_TOL:
+        messages.append(f"d does not vanish on degree {2 * model.n - 1}: max entry {uni_res:.3e}")
+    return dd_res <= VALIDATION_TOL, dd_res, uni_res, messages
+
+
+def _c_family(c):
+    """n = 3 with d theta^3 = theta^1 ^ theta^2 and d theta^1 = c theta^1 ^ theta^3: d*d = c."""
+    return make_model(f"c_{c!r}", 3, [(3, "holo", 1, 2, 1.0), (1, "holo", 1, 3, c)])
+
+
+def _family(family, n, coeffs):
+    if family == "iwasawa_x_torus":
+        return make_model(f"iw_x_t{n - 3}", n, [(3, "holo", 1, 2, -coeffs[0])])
+    if family == "kt_x_torus":
+        return make_model(f"kt_x_t{n - 2}", n, [(2, "mixed", 1, 1, coeffs[0])])
+    return make_model(f"heisenberg{n}", n,
+                      [(n, "holo", 2 * i + 1, 2 * i + 2, c) for i, c in enumerate(coeffs)])
+
+
+def _seeded_family(family, n, complex_coeffs, seed):
+    rng = np.random.default_rng(seed)
+    count = (n - 1) // 2 if family == "heisenberg" else 1
+    coeffs = rng.uniform(0.5, 2.0, count) * rng.choice((-1.0, 1.0), count)
+    if complex_coeffs:
+        coeffs = coeffs * np.exp(1j * rng.uniform(0.0, 2 * np.pi, count))
+    return _family(family, n, [complex(c) for c in coeffs])
+
+
+# (build, window): window marks a model whose d*d lies within 2 beta of the tolerance,
+# so that only the dense products can decide it
+_GATE_MODELS = (
+    [pytest.param(lambda name=name: catalog(name), False, id=name) for name in catalog_names()]
+    + [pytest.param(lambda: make_model("iwasawa_x_t1", 4, [(3, "holo", 1, 2, -1.25)]), False,
+                    id="corpus-iwasawa_x_t1"),
+       pytest.param(lambda: make_model("kt_x_t2", 4, [(2, "mixed", 1, 1, 0.75)]), False,
+                    id="corpus-kt_x_t2"),
+       pytest.param(lambda: make_model("heisenberg5", 5, [(5, "holo", 1, 2, 0.7),
+                                                          (5, "holo", 3, 4, -1.3)]), False,
+                    id="corpus-heisenberg5")]
+    + [pytest.param(lambda f=family, n=n, z=z, s=seed: _seeded_family(f, n, z, s), False,
+                    id=f"{family}-n{n}-{'complex' if z else 'real'}")
+       for seed, (family, ns) in enumerate([("iwasawa_x_torus", (4, 5, 6)),
+                                            ("kt_x_torus", (3, 4, 5, 6)),
+                                            ("heisenberg", (3, 5))])
+       for n in ns for z in (False, True)]
+    + [pytest.param(lambda c=c: _c_family(c), c == 1e-12, id=f"c={c!r}")
+       for c in (1.0, 1e-13, 9.9e-13, 1e-12, 1.01e-12, 1.3e-12, 1j * 1.3e-12)]
+)
+
+
+@pytest.mark.parametrize("build,window", _GATE_MODELS)
+def test_sparse_gate_decides_as_the_dense_residual(build, window, fresh_caches):
+    model = build()
+    report = validate_model(model)
+    dense_ok, dd_res, uni_res, messages = _dense_validation(model)
+    assert certified_d_squared(algebra_for(model)) == (None if window else dense_ok)
+    assert report.d_squared_vanishes == dense_ok
+    assert report.messages == messages
+    assert report.unimodularity_residual == uni_res
+    assert report.d_squared_max_residual == dd_res
+
+
+def test_gate_window_takes_the_dense_fallback(monkeypatch, fresh_caches):
+    # Iwasawa at coefficient 1e3: the d*d products (1e6) cancel exactly, but their
+    # rounding bound 2 beta exceeds VALIDATION_TOL, so only the dense products decide.
+    model = make_model("iwasawa_1e3", 3, [(3, "holo", 1, 2, -1e3)])
+    assert certified_d_squared(algebra_for(model)) is None
+    calls = []
+    dense = model_module.d_squared_residual
+    monkeypatch.setattr(model_module, "d_squared_residual",
+                        lambda alg: calls.append(alg) or dense(alg))
+    report = require_valid(model)
+    assert report.d_squared_vanishes and len(calls) == 1
+    # the dense value computed for the decision is the one the report keeps
+    assert report.d_squared_max_residual == 0.0 and len(calls) == 1
+
+
+def test_certified_pass_defers_the_dense_residual(monkeypatch, fresh_caches):
+    calls = []
+    dense = model_module.d_squared_residual
+    monkeypatch.setattr(model_module, "d_squared_residual",
+                        lambda alg: calls.append(alg) or dense(alg))
+    report = require_valid(_seeded_family("heisenberg", 5, True, 7))
+    assert calls == []
+    assert report.d_squared_max_residual == report.d_squared_max_residual
+    assert len(calls) == 1
+
+
+def test_validation_builds_no_total_degree_matrix(tmp_path, capsys, fresh_caches):
+    model = make_model("iwasawa_x_t3", 6, [(3, "holo", 1, 2, -1.37)])
+    require_valid(model)
+    alg = algebra_for(model)
+    assert alg._d_total_cache == {}
+    path = tmp_path / "model.json"
+    path.write_text(serialize_model(model))
+    assert main(["eval", "--model", str(path), "--functional", "G"]) == 0
+    capsys.readouterr()
+    assert algebra_for(model) is alg and alg._d_total_cache == {}
