@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -345,7 +346,13 @@ def _cmd_catalog(args):
 # ----- argument parsing ------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built on the first call and shared by every later one.
+
+    parse_args returns a fresh namespace each call and every default is
+    immutable, so no call sees state left by another.
+    """
     parser = argparse.ArgumentParser(
         prog="hermicone",
         description="Torsion energies and metric descent on invariant-form models.")

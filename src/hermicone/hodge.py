@@ -176,20 +176,24 @@ class MetricPredicates:
 
 def predicates(bundle, tol=None):
     """Kahler / SKT / balanced flags with their defining residuals, at tol
-    (the bundle's tolerance by default)."""
+    (the bundle's tolerance by default).  The residuals depend on the metric
+    alone: they are computed once per bundle and kept on it."""
     tol = bundle.tol if tol is None else tol
-    alg = bundle.alg
-    omega = bundle.omega
-    d_omega = alg.d_form(omega)
-    ddbar = alg.del_form(alg.dbar_form(omega))
-    d_pow = alg.d_form(bundle.omega_power(bundle.n - 1))
+    if bundle._predicate_residuals is None:
+        alg = bundle.alg
+        omega = bundle.omega
+        bundle._predicate_residuals = tuple(float(form.max_abs()) for form in (
+            alg.d_form(omega),
+            alg.del_form(alg.dbar_form(omega)),
+            alg.d_form(bundle.omega_power(bundle.n - 1))))
+    d_omega, ddbar, d_pow = bundle._predicate_residuals
     return MetricPredicates(
-        is_kahler=bool(d_omega.max_abs() <= tol),
-        is_skt=bool(ddbar.max_abs() <= tol),
-        is_balanced=bool(d_pow.max_abs() <= tol),
-        d_omega_residual=float(d_omega.max_abs()),
-        ddbar_omega_residual=float(ddbar.max_abs()),
-        d_omega_power_residual=float(d_pow.max_abs()),
+        is_kahler=bool(d_omega <= tol),
+        is_skt=bool(ddbar <= tol),
+        is_balanced=bool(d_pow <= tol),
+        d_omega_residual=d_omega,
+        ddbar_omega_residual=ddbar,
+        d_omega_power_residual=d_pow,
         tol=tol,
     )
 

@@ -40,7 +40,7 @@ NORMAL_FLOAT_LOGS = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 class HermitianMetric:
     """Positive definite coefficient matrix of an invariant (1,1) metric form."""
 
-    __slots__ = ("h",)
+    __slots__ = ("h", "_checked")
 
     def __init__(self, h):
         h = np.asarray(h, dtype=complex)
@@ -48,6 +48,7 @@ class HermitianMetric:
             raise DimensionMismatch(f"metric matrix must be square, got shape {h.shape}")
         self.h = h.copy()
         self.h.setflags(write=False)
+        self._checked = False  # h is read-only, so a passing check() holds for good
 
     @property
     def n(self):
@@ -84,12 +85,20 @@ class HermitianMetric:
         return [[{"re": float(c.real), "im": float(c.imag)} for c in row] for row in self.h]
 
     def check(self):
+        """Refuse a metric that is not finite, Hermitian, positive definite and in
+        float range; returns self.  Only the first passing call does the work."""
+        if self._checked:
+            return self
         if not np.all(np.isfinite(self.h)):
             raise SchemaError("metric entries must be finite")
-        if np.max(np.abs(self.h - self.h.conj().T)) > HERMITICITY_TOL:
+        # entries near the float limit overflow here; the inf or nan is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            skew = np.max(np.abs(self.h - self.h.conj().T))
+            sym = 0.5 * (self.h + self.h.conj().T)
+        if skew > HERMITICITY_TOL:
             raise NotPositiveDefinite("metric matrix is not Hermitian within 1e-12")
         try:
-            lam = np.linalg.eigvalsh(0.5 * (self.h + self.h.conj().T))
+            lam = np.linalg.eigvalsh(sym)
         except np.linalg.LinAlgError as exc:
             raise SchemaError(f"metric matrix has no eigenvalues: {exc}") from None
         lo, hi = float(lam[0]), float(lam[-1])
@@ -104,6 +113,7 @@ class HermitianMetric:
             raise SchemaError(
                 f"metric scale overflows: eigenvalues {lo:.3e}..{hi:.3e} put "
                 "its Gram blocks outside the float range")
+        self._checked = True
         return self
 
     def min_eigenvalue(self):
@@ -171,6 +181,7 @@ class OperatorBundle:
         self._lap = {}
         self._spec = {}
         self._hodge = {}  # hodge.decomposition per (which, key)
+        self._predicate_residuals = None  # hodge.predicates, computed once
         self._omega_prod = [Form.scalar(alg.n, 1.0)]
 
     @property
@@ -203,8 +214,11 @@ class OperatorBundle:
     def gram(self, p, q):
         key = (p, q)
         if key not in self._gram:
-            # <theta_I^thetabar_J, theta_K^thetabar_L> = C_p[I, K] * C_q[L, J]
-            g = np.kron(self.compound(p), self.compound(q).T)
+            # <theta_I^thetabar_J, theta_K^thetabar_L> = C_p[I, K] * C_q[L, J]:
+            # kron(C_p, C_q^T) as one broadcast product, the same products as np.kron
+            a, b = self.compound(p), self.compound(q).T
+            g = (a[:, None, :, None] * b[None, :, None, :]).reshape(
+                a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
             self._gram[key] = 0.5 * (g + g.conj().T)
         return self._gram[key]
 

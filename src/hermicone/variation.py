@@ -105,18 +105,40 @@ def make_direction(alg, obj, kind="metric", require=None, tol=DEFAULT_TOL):
 # ----- operator variations -----------------------------------------------------------
 
 
+class _Wedges(dict):
+    """The matrices of gamma ^ . by source bidegree, each built(p, q) on first use."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, pq):
+        self[pq] = mat = self.build(*pq)
+        return mat
+
+
+def _wedges(alg, gamma):
+    """The _Wedges of a (1,1) form; one passed in is returned as is, so the
+    variations along one direction share its wedge matrices."""
+    if isinstance(gamma, _Wedges):
+        return gamma
+    return _Wedges(lambda p, q: alg.wedge_matrix(gamma, p, q))
+
+
 def commutator_mult(bundle, gamma, p, q):
     """Matrix of [trace, gamma ^ .] on (p,q) for a (1,1) form gamma.
 
-    For gamma = omega this is (n - p - q) times the identity.
+    For gamma = omega this is (n - p - q) times the identity.  Here and in
+    the variations below gamma may also be its _wedges memo.
     """
     n = bundle.n
+    wedge = _wedges(bundle.alg, gamma)
     dim = dim_pq(n, p, q)
     out = np.zeros((dim, dim), dtype=complex)
     if p + 1 <= n and q + 1 <= n:
-        out += bundle.trace_block(p + 1, q + 1) @ bundle.alg.wedge_matrix(gamma, p, q)
+        out += bundle.trace_block(p + 1, q + 1) @ wedge[p, q]
     if p >= 1 and q >= 1:
-        out -= bundle.alg.wedge_matrix(gamma, p - 1, q - 1) @ bundle.trace_block(p, q)
+        out -= wedge[p - 1, q - 1] @ bundle.trace_block(p, q)
     return out
 
 
@@ -155,6 +177,7 @@ def var_codiff_matrix(bundle, gamma, which, key):
     degree = key if which == "d" else sum(key)
     sign = -1.0 if degree % 2 == 0 else 1.0
     ds = bundle.codiff(which, key)
+    gamma = _wedges(bundle.alg, gamma)
     return ds @ _on_complex(commutator_mult, bundle, gamma, which, key) \
         + sign * _on_complex(star_comm_star, bundle, gamma, which, prev) @ ds
 
@@ -168,6 +191,7 @@ def laplacian_variation_matrix(bundle, gamma, which, key):
     prev, nxt = neighbor(which, key, -1), neighbor(which, key, 1)
     dim = bundle.dim(which, key)
     out = np.zeros((dim, dim), dtype=complex)
+    gamma = _wedges(bundle.alg, gamma)
     if bundle.dim(which, prev):
         out += bundle.alg.diff(which, prev) @ var_codiff_matrix(bundle, gamma, which, key)
     if bundle.dim(which, nxt):
@@ -335,6 +359,7 @@ def _var_torsion_at(bundle, kind):
             src_dir = direction.form
         else:
             metric_dir, src_dir = direction.form, alg.del_form(direction.form)
+        metric_dir = _wedges(alg, metric_dir)
         src_vec = alg.to_vector(src_dir, key, which)
         eta = green_prev @ (codiff @ (im_proj @ src_vec))  # the minimal potential
         comm = _on_complex(commutator_mult, bundle, metric_dir, which, prev)
@@ -554,6 +579,8 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL):
         gm = 0.5 * (gm + gm.conj().T)
         gamma = HermitianMetric(gm).form()
         along = Direction("metric", gamma)
+        # the row's wedge matrices are built once: gamma's here, omega's by the bundle
+        wedges, omega = _wedges(alg, gamma), _Wedges(b.lefschetz_block)
         step = default_step(met)
         p = int(rng.integers(0, n + 1))
         q = int(rng.integers(0, n + 1))
@@ -561,7 +588,7 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL):
         tag = f"tuple {idx} (p,q)=({p},{q})"
 
         fd = _fd_along(b, along, step, lambda bb: bb.star_block(p, q))
-        _check(rows, "star", tag, var_star_matrix(b, gamma, p, q), fd)
+        _check(rows, "star", tag, var_star_matrix(b, wedges, p, q), fd)
 
         fd = _fd_along(b, along, step, lambda bb: bb.trace_block(p, q))
         _check(rows, "trace", tag, var_trace_matrix(b, gamma, p, q), fd)
@@ -569,19 +596,19 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL):
         complexes = (("del", (p, q)), ("dbar", (p, q)), ("d", k))
         for which, key in complexes:
             fd = _fd_along(b, along, step, lambda bb, w=which, kk=key: bb.codiff(w, kk))
-            _check(rows, f"{which}_star", tag, var_codiff_matrix(b, gamma, which, key), fd)
+            _check(rows, f"{which}_star", tag, var_codiff_matrix(b, wedges, which, key), fd)
 
         for which, key in complexes:
             fd = _fd_along(b, along, step,
                            lambda bb, w=which, kk=key: bb.laplacian(w, kk))
             _check(rows, f"laplacian_{which}", tag,
-                   laplacian_variation_matrix(b, gamma, which, key), fd)
+                   laplacian_variation_matrix(b, wedges, which, key), fd)
 
         # commutator self-adjointness and the gamma = omega normalization
-        comm = commutator_mult(b, gamma, p, q)
+        comm = commutator_mult(b, wedges, p, q)
         g = b.gram(p, q)
         _check(rows, "commutator_selfadjoint", tag, g @ comm, comm.conj().T @ g)
-        comm_omega = commutator_mult(b, b.omega, p, q)
+        comm_omega = commutator_mult(b, omega, p, q)
         _check(rows, "commutator_omega", tag, comm_omega,
                (n - p - q) * np.eye(dim_pq(n, p, q), dtype=complex))
 
@@ -590,25 +617,25 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL):
         if q >= 1:
             conj_in = conj_block_matrix(n, p, q)
             conj_out = conj_block_matrix(n, q - 1, p)
-            mirrored = conj_out @ var_codiff_matrix(b, gamma, "del", (q, p)).conj() @ conj_in
+            mirrored = conj_out @ var_codiff_matrix(b, wedges, "del", (q, p)).conj() @ conj_in
             _check(rows, "conjugation_symmetry", tag,
-                   var_codiff_matrix(b, gamma, "dbar", (p, q)), mirrored)
+                   var_codiff_matrix(b, wedges, "dbar", (p, q)), mirrored)
 
         # direction omega: first-order scaling pins each variation exactly
         _check(rows, "omega_scaling_star", tag,
-               var_star_matrix(b, b.omega, p, q),
+               var_star_matrix(b, omega, p, q),
                (n - k) * b.star_block(p, q))
         _check(rows, "omega_scaling_d_star", tag,
-               var_codiff_matrix(b, b.omega, "d", k), -b.codiff("d", k))
+               var_codiff_matrix(b, omega, "d", k), -b.codiff("d", k))
         _check(rows, "omega_scaling_laplacian", tag,
-               laplacian_variation_matrix(b, gamma=b.omega, which="d", key=k),
+               laplacian_variation_matrix(b, gamma=omega, which="d", key=k),
                -b.laplacian("d", k))
 
         # projector derivative: full two-term formula against differences,
         # one-term restriction on a deflated vector, and the exact
         # vanishing of the derivative along omega itself
         try:
-            pv = var_harmonic_projector(b, gamma, "d", k)
+            pv = var_harmonic_projector(b, wedges, "d", k)
         except KernelJump:
             continue
         fd = _fd_along(b, along, step, lambda bb: harmonic_projector(bb, "d", k))
@@ -621,7 +648,7 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL):
             _check(rows, "projector_oracle", tag, pv.image_part @ v0,
                    pv.derivative @ v0)
         try:
-            pv_omega = var_harmonic_projector(b, b.omega, "d", k)
+            pv_omega = var_harmonic_projector(b, omega, "d", k)
             _check(rows, "omega_scaling_projector", tag, pv_omega.derivative,
                    np.zeros_like(pv_omega.derivative))
         except KernelJump:

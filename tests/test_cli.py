@@ -1,5 +1,6 @@
 """Command line contract: exit codes, deterministic reports, CSV projections."""
 
+import argparse
 import json
 
 import numpy as np
@@ -243,6 +244,7 @@ def test_varcheck_refuses_zero_tuples(capsys, tuples):
     assert out == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_or_overflowing_metric_exits_schema(tmp_path, capsys):
     nan_metric = write_metric(tmp_path, [[np.nan, 0.0], [0.0, 1.0]], "nan.json")
     code, _, err = run(capsys, "eval", "--catalog", "kodaira_thurston",
@@ -360,3 +362,53 @@ def test_tol_reaches_the_kernel_cut(capsys, subcommand, want, name, functional):
     code, out, err = run(capsys, subcommand, "--catalog", name, *extra, "--tol", "0.2")
     assert code == want, err
     assert out == "" and err.startswith("error:")
+
+
+# ----- one parser per process ------------------------------------------------------------
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for name, functional in (("torus2", "F"), ("kodaira_thurston", "F"), ("iwasawa", "G")):
+        run_json(capsys, "eval", "--catalog", name, "--functional", functional)
+    run_json(capsys, "catalog")
+    assert built.count("hermicone") == 1
+    assert len(built) == len(set(built))  # and each subcommand parser once
+
+
+def _eval_argv(*extra):
+    return ("eval", "--catalog", "kodaira_thurston", "--functional", "F") + extra
+
+
+def _first_calls(tmp_path):
+    """(first call, second call) pairs: the second must not see the first."""
+    varcheck = ("varcheck", "--catalog", "torus2", "--tuples", "1")
+    return [
+        (("eval", "--catalog", "kodaira_thurston"), _eval_argv()),  # argparse exits 2
+        (_eval_argv("--out", str(tmp_path / "report.json")), _eval_argv()),
+        (varcheck + ("--format", "csv"), varcheck),
+        (_eval_argv("--tol", "1e-6"), _eval_argv()),
+    ]
+
+
+def test_no_state_leaks_between_main_calls(tmp_path, capsys):
+    for first, second in _first_calls(tmp_path):
+        cli._build_parser.cache_clear()
+        alone = run(capsys, *second)
+        cli._build_parser.cache_clear()
+        try:
+            main(list(first))
+        except SystemExit as exc:
+            assert exc.code == 2
+        capsys.readouterr()
+        after = run(capsys, *second)
+        assert alone[0] == 0 and alone[1], (first, alone)
+        assert after == alone, first

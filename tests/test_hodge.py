@@ -9,7 +9,7 @@ from hermicone.errors import (
     NotSKT,
     ToleranceAmbiguity,
 )
-from hermicone.exterior import Form, random_form, wedge, wedge_power
+from hermicone.exterior import ExteriorAlgebra, Form, random_form, wedge, wedge_power
 from hermicone.hodge import (
     DEFAULT_TOL,
     coimage_projector,
@@ -100,6 +100,30 @@ def test_predicate_residuals_consistent():
     assert pred.ddbar_omega_residual <= pred.tol
     assert pred.d_omega_residual > pred.tol
     assert pred.d_omega_power_residual > pred.tol
+
+
+def test_predicates_compute_their_residuals_once_per_bundle(monkeypatch):
+    calls = []
+    real_d_form = ExteriorAlgebra.d_form
+
+    def counting_d_form(self, form):
+        calls.append(form)
+        return real_d_form(self, form)
+
+    monkeypatch.setattr(ExteriorAlgebra, "d_form", counting_d_form)
+    bundle = seeded_bundle("iwasawa", seed=3)
+    first = predicates(bundle)
+    assert len(calls) == 2  # d omega and d omega_(n-1)
+    residuals = sorted((first.d_omega_residual, first.ddbar_omega_residual,
+                        first.d_omega_power_residual))
+    tols = [0.5 * residuals[0] + 1e-300, 2.0 * residuals[-1] + 1e-300]
+    tols += [r * f for r in residuals for f in (1.0 - 1e-9, 1.0, 1.0 + 1e-9)]
+    got = [predicates(bundle, tol) for tol in tols]
+    assert len(calls) == 2
+    monkeypatch.undo()
+    for tol, pred in zip(tols, got):
+        assert pred == predicates(seeded_bundle("iwasawa", seed=3), tol), tol
+    assert len({(p.is_kahler, p.is_skt, p.is_balanced) for p in got}) > 1
 
 
 def test_d_potential_solves_projected_equation():

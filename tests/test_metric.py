@@ -74,12 +74,37 @@ def test_metric_from_json_rejects_non_numbers(bad):
         HermitianMetric.from_json(doc)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_metric_check_rejects_overflow():
     # 0.5 * (H + H^H) overflows, so the eigenvalues are not finite
     with pytest.raises(SchemaError):
         HermitianMetric(np.diag([1e308, 1.0])).check()
     with pytest.raises(SchemaError):
         HermitianMetric(np.diag([np.nan, 1.0])).check()
+
+
+def test_failing_metric_check_raises_on_every_call():
+    for h, error in ((np.diag([1.0, -1.0]), NotPositiveDefinite),
+                     (np.diag([1e308, 1.0]), SchemaError)):
+        metric = HermitianMetric(h)
+        for _ in range(3):
+            with pytest.raises(error):
+                metric.check()
+
+
+def test_passing_metric_check_runs_eigvalsh_once(monkeypatch):
+    calls = []
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a):
+        calls.append(a)
+        return real_eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    metric = random_metric(3, np.random.default_rng(5))
+    for _ in range(3):
+        assert metric.check() is metric
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

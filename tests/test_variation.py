@@ -9,7 +9,7 @@ from hermicone.errors import (
     KernelJump,
     StepTooLarge,
 )
-from hermicone.exterior import Form, random_form
+from hermicone.exterior import ExteriorAlgebra, Form, random_form
 from hermicone.functionals import eval_F, eval_F_tilde, eval_G, eval_H
 from hermicone.hodge import root_n_minus_1
 from hermicone.metric import HermitianMetric, bundle_for_algebra
@@ -121,6 +121,32 @@ def test_battery_tuple_i_draws_from_seed_plus_i():
     for a, (i, b) in zip(joint, single):
         assert a.detail == b.detail.replace("tuple 0", f"tuple {i}", 1)
         assert (a.name, a.analytic, a.fd, a.abs_err) == (b.name, b.analytic, b.fd, b.abs_err)
+
+
+def test_variations_along_one_direction_build_each_wedge_matrix_once(monkeypatch):
+    from hermicone.variation import laplacian_variation_matrix, variation_at
+
+    built = []
+    real_wedge_matrix = ExteriorAlgebra.wedge_matrix
+
+    def counting_wedge_matrix(self, form, p, q):
+        built.append((form.block(1, 1).tobytes(), p, q))
+        return real_wedge_matrix(self, form, p, q)
+
+    b = seeded_bundle("iwasawa", seed=5)
+    gamma = random_form(3, [(1, 1)], np.random.default_rng(5), real=True)
+    monkeypatch.setattr(ExteriorAlgebra, "wedge_matrix", counting_wedge_matrix)
+    for which, keys in (("d", range(7)), ("dbar", [(1, 1), (2, 1)]), ("del", [(1, 2)])):
+        for key in keys:
+            built.clear()
+            laplacian_variation_matrix(b, gamma, which, key)
+            assert built and len(built) == len(set(built)), (which, key)
+
+    kt = seeded_bundle("kodaira_thurston", seed=5)
+    at = variation_at(kt, "F")
+    built.clear()
+    at(make_direction(kt.alg, np.diag([1.0, 2.0])))
+    assert built and len(built) == len(set(built))
 
 
 def test_projector_variation_matches_spectral_oracle():
