@@ -150,14 +150,6 @@ def _emit_csv(args, fieldnames, rows):
         sys.stdout.write(buf.getvalue())
 
 
-def _form_norms(bundle, form):
-    out = {}
-    for p, q in sorted(form.bidegrees()):
-        part = form.pure_part(p, q)
-        out[f"{p}{q}"] = float(bundle.l2_inner(part, part).real)
-    return out
-
-
 def _predicates_payload(bundle):
     return {k: v for k, v in asdict(predicates(bundle)).items() if k != "tol"}
 
@@ -220,8 +212,10 @@ def _torsion_payload(bundle, report):
             bundle.l2_inner(report.harmonic_source, report.harmonic_source).real),
         "torsion": report.torsion.to_entries(),
     }
-    if report.pure_parts:
-        payload["pure_part_norm_sq"] = _form_norms(bundle, report.torsion)
+    if report.pure_norm_sq:
+        support = report.torsion.bidegrees()
+        payload["pure_part_norm_sq"] = {f"{p}{q}": v for (p, q), v in report.pure_norm_sq.items()
+                                        if (p, q) in support}
     return payload
 
 

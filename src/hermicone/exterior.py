@@ -6,8 +6,10 @@ Conventions fixed here and used everywhere else:
   0-based coframe indices; holomorphic factors always stand left of the
   conjugated ones.
 * The basis of Lambda^{p,q} runs over (I, J) in lexicographic order, I major.
-* Total-degree-k vectors concatenate the (p, q) blocks with p descending,
-  so degree 2 reads (2,0), (1,1), (0,2).
+* A Form is one complex vector over all 4^n monomials, ordered by total degree,
+  then p descending (degree 2 reads (2,0), (1,1), (0,2)), then basis order.
+  Each degree k and bidegree (p, q) is a slice of it (_layout): form.part(key)
+  reads it and Form.at(n, key, vec) builds the form supported on it.
 * The base volume Theta = (i theta^1^thetabar^1) ^ ... ^ (i theta^n^thetabar^n)
   integrates to 1.
 * Three complexes share one vocabulary: which = "d" steps a total degree k,
@@ -30,9 +32,6 @@ import numpy as np
 
 from .errors import DegreeOutOfRange, DimensionMismatch
 
-Multi = tuple
-
-
 @lru_cache(maxsize=None)
 def _combos(n, p):
     return tuple(itertools.combinations(range(n), p))
@@ -52,6 +51,51 @@ def dim_pq(n, p, q):
     if p < 0 or q < 0 or p > n or q > n:
         return 0
     return math.comb(n, p) * math.comb(n, q)
+
+
+@lru_cache(maxsize=None)
+def _layout(n):
+    """The one coefficient layout over all 4^n monomials: each degree k and each
+    bidegree (p, q) maps to its slice.  Degrees ascend, p descends within a
+    degree, and a bidegree keeps its basis order."""
+    table, pos = {}, 0
+    for k in range(2 * n + 1):
+        start = pos
+        for p in range(min(n, k), max(0, k - n) - 1, -1):
+            table[(p, k - p)] = slice(pos, pos + dim_pq(n, p, k - p))
+            pos = table[(p, k - p)].stop
+        table[k] = slice(start, pos)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _blocks(n):
+    """The bidegrees in layout order, their start offsets and the block number of
+    every coefficient."""
+    lay = _layout(n)
+    keys = tuple(key for key in lay if isinstance(key, tuple))
+    sizes = [lay[key].stop - lay[key].start for key in keys]
+    return keys, np.array([lay[key].start for key in keys]), np.repeat(np.arange(len(keys)), sizes)
+
+
+def _slice(n, key):
+    try:
+        return _layout(n)[key if isinstance(key, (int, np.integer)) else tuple(key)]
+    except (KeyError, TypeError):
+        raise DegreeOutOfRange(f"no degree or bidegree {key!r} for n={n}") from None
+
+
+@lru_cache(maxsize=None)
+def _conj_perm(n):
+    """Conjugation of a whole coefficient vector: target index and sign (as a
+    complex unit) of every coefficient, from the per-bidegree _conj_table."""
+    lay = _layout(n)
+    perm, sign = np.empty(4 ** n, dtype=np.intp), np.empty(4 ** n, dtype=complex)
+    for (p, q) in _blocks(n)[0]:
+        s, block_perm = _conj_table(n, p, q)
+        perm[lay[(p, q)]] = lay[(q, p)].start + np.array(block_perm, dtype=np.intp)
+        sign[lay[(p, q)]] = s
+    return perm, sign
 
 
 def neighbor(which, key, s):
@@ -84,35 +128,24 @@ def _merge(a, b):
 
 
 @lru_cache(maxsize=None)
-def _wedge_table(n, p1, q1, p2, q2):
-    """Sparse table for Lambda^{p1,q1} x Lambda^{p2,q2} -> Lambda^{p1+p2,q1+q2}.
+def _wedge_arrays(n, p1, q1, p2, q2):
+    """Sparse table for Lambda^{p1,q1} x Lambda^{p2,q2} -> Lambda^{p1+p2,q1+q2}: the
+    index arrays i1, i2, sign, target_index in (i1, i2) order, None if empty.
 
-    Entries are (i1, i2, sign, target_index).  The sign combines the two
-    merge signs with (-1)^(p2*q1) for moving the second holomorphic group
-    across the first antiholomorphic one.
+    The sign combines the two merge signs with (-1)^(p2*q1) for moving the
+    second holomorphic group across the first antiholomorphic one.
     """
     if p1 + p2 > n or q1 + q2 > n:
-        return ()
+        return None
     tgt = _basis_index(n, p1 + p2, q1 + q2)
     cross = (-1) ** (p2 * q1)
     out = []
     for i1, (I1, J1) in enumerate(_basis(n, p1, q1)):
         for i2, (I2, J2) in enumerate(_basis(n, p2, q2)):
-            mi = _merge(I1, I2)
-            if mi is None:
-                continue
-            mj = _merge(J1, J2)
-            if mj is None:
-                continue
-            out.append((i1, i2, mi[0] * mj[0] * cross, tgt[(mi[1], mj[1])]))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _wedge_arrays(n, p1, q1, p2, q2):
-    """_wedge_table as four index arrays: i1, i2, sign, target_index."""
-    table = _wedge_table(n, p1, q1, p2, q2)
-    return tuple(np.array(col, dtype=np.intp) for col in zip(*table)) if table else None
+            mi, mj = _merge(I1, I2), _merge(J1, J2)
+            if mi is not None and mj is not None:
+                out.append((i1, i2, mi[0] * mj[0] * cross, tgt[(mi[1], mj[1])]))
+    return tuple(np.array(col, dtype=np.intp) for col in zip(*out)) if out else None
 
 
 @lru_cache(maxsize=None)
@@ -121,7 +154,7 @@ def _derivation_table(n, p, q, g, K, L):
 
     iota_g removes generator g (theta^g if g < n, else thetabar^(g-n)) from position
     m of (I, J) with sign (-1)^m; the wedge with theta_K^thetabar_L then has the signs
-    of _wedge_table.  Returns the target bidegree and (row, col, sign) arrays.
+    of _wedge_arrays.  Returns the target bidegree and (row, col, sign) arrays.
     """
     rp, rq = (p - 1, q) if g < n else (p, q - 1)
     if min(rp, rq) < 0:
@@ -173,22 +206,43 @@ def conj_block_matrix(n, p, q):
     """Signed permutation M with conj of a (p,q) block vector v being M conj(v) at (q,p)."""
     sign, perm = _conj_table(n, p, q)
     m = np.zeros((dim_pq(n, q, p), dim_pq(n, p, q)))
-    for src, dst in enumerate(perm):
-        m[dst, src] = sign
+    m[list(perm), range(len(perm))] = sign
     return m
 
 
 class Form:
-    """Invariant complex form stored as bigraded coefficient blocks."""
+    """Invariant complex form: one read-only coefficient vector in _layout order.
 
-    __slots__ = ("n", "blocks")
+    A block with no nonzero coefficient reads +0 and is left out of bidegrees();
+    the nonzero blocks are found once, when the form is made.  A sum adds only
+    the nonzero blocks of its right operand, as blockwise arithmetic does.
+    """
 
-    def __init__(self, n, blocks=None):
-        self.n = int(n)
-        self.blocks = {}
-        if blocks:
-            for (p, q), vec in blocks.items():
-                self.set_block(p, q, vec)
+    __slots__ = ("n", "vec", "_nonzero", "_support")
+
+    def __init__(self, n, vec=None):
+        """The form with coefficient vector vec, taken over; zero when vec is None."""
+        self.n = n = int(n)
+        keys, starts, block_of = _blocks(n)
+        if vec is None:
+            vec, nonzero = np.zeros(4 ** n, dtype=complex), np.zeros(len(keys), dtype=bool)
+        else:
+            nonzero = np.logical_or.reduceat(vec, starts)
+            if not all(nonzero.tolist()):
+                vec[~nonzero[block_of]] = 0  # a zero block is +0 whatever its signs
+        vec.setflags(write=False)
+        self.vec, self._nonzero, self._support = vec, nonzero, None
+
+    @classmethod
+    def at(cls, n, key, vec):
+        """The form with coefficients vec at a degree k or a bidegree (p, q), zero elsewhere."""
+        sl = _slice(n, key)
+        vec = np.asarray(vec, dtype=complex).reshape(-1)
+        if vec.shape[0] != sl.stop - sl.start:
+            raise DimensionMismatch(f"{key!r} takes {sl.stop - sl.start} coefficients, not {vec.size}")
+        full = np.zeros(4 ** n, dtype=complex)
+        full[sl] = vec
+        return cls(n, full)
 
     @classmethod
     def zero(cls, n):
@@ -200,73 +254,44 @@ class Form:
         idx = _basis_index(n, len(I), len(J)).get((I, J))
         if idx is None:
             raise DegreeOutOfRange(f"({I}, {J}) is not an increasing monomial for n={n}")
-        vec = np.zeros(dim_pq(n, len(I), len(J)), dtype=complex)
-        vec[idx] = coeff
-        return cls(n, {(len(I), len(J)): vec})
+        vec = np.zeros(4 ** n, dtype=complex)
+        vec[_layout(n)[(len(I), len(J))].start + idx] = coeff
+        return cls(n, vec)
 
     @classmethod
     def scalar(cls, n, value):
-        return cls(n, {(0, 0): np.array([value], dtype=complex)})
+        return cls.at(n, (0, 0), [value])
 
-    def set_block(self, p, q, vec):
-        d = dim_pq(self.n, p, q)
-        if d == 0:
-            raise DegreeOutOfRange(f"bidegree ({p}, {q}) empty for n={self.n}")
-        vec = np.asarray(vec, dtype=complex).reshape(-1)
-        if vec.shape[0] != d:
-            raise DimensionMismatch(f"block ({p}, {q}) expects length {d}, got {vec.shape[0]}")
-        if vec.any():
-            self.blocks[(p, q)] = vec.copy()
-        else:
-            self.blocks.pop((p, q), None)
-
-    def block(self, p, q):
-        vec = self.blocks.get((p, q))
-        if vec is None:
-            return np.zeros(dim_pq(self.n, p, q), dtype=complex)
-        return vec.copy()
+    def part(self, key):
+        """Coefficients at a degree k or a bidegree (p, q), as a read-only view."""
+        return self.vec[_slice(self.n, key)]
 
     def bidegrees(self):
-        return sorted(self.blocks)
-
-    def degrees(self):
-        return sorted({p + q for p, q in self.blocks})
-
-    def pure_part(self, p, q):
-        out = Form(self.n)
-        if (p, q) in self.blocks:
-            out.set_block(p, q, self.blocks[(p, q)])
-        return out
+        """The bidegrees with a nonzero coefficient, in layout order."""
+        if self._support is None:
+            self._support = tuple(itertools.compress(_blocks(self.n)[0], self._nonzero.tolist()))
+        return list(self._support)
 
     def max_abs(self):
-        if not self.blocks:
-            return 0.0
-        return max(np.max(np.abs(v)) for v in self.blocks.values())
+        return np.max(np.abs(self.vec))
 
     def conj(self):
-        out = Form(self.n)
-        for (p, q), vec in self.blocks.items():
-            sign, perm = _conj_table(self.n, p, q)
-            new = np.zeros(dim_pq(self.n, q, p), dtype=complex)
-            new[list(perm)] = sign * np.conj(vec)
-            out.set_block(q, p, new)
-        return out
+        perm, sign = _conj_perm(self.n)
+        out = np.empty_like(self.vec)
+        out[perm] = sign * np.conj(self.vec)
+        return Form(self.n, out)
 
     def is_real(self, tol=1e-12):
         return (self - self.conj()).max_abs() <= tol
-
-    def copy(self):
-        return Form(self.n, self.blocks)
 
     def __add__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
         if self.n != other.n:
             raise DimensionMismatch("forms over different coframes")
-        out = self.copy()
-        for (p, q), vec in other.blocks.items():
-            out.set_block(p, q, out.block(p, q) + vec)
-        return out
+        out = self.vec.copy()
+        np.add(out, other.vec, out=out, where=other._nonzero[_blocks(self.n)[2]])
+        return Form(self.n, out)
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -277,10 +302,7 @@ class Form:
     def __mul__(self, scalar):
         if isinstance(scalar, Form):
             return NotImplemented
-        out = Form(self.n)
-        for (p, q), vec in self.blocks.items():
-            out.set_block(p, q, scalar * vec)
-        return out
+        return Form(self.n, scalar * self.vec)
 
     __rmul__ = __mul__
 
@@ -290,56 +312,57 @@ class Form:
     def to_entries(self):
         """JSON-friendly list of {p,q,I,J,re,im} with 1-based indices."""
         entries = []
-        for (p, q) in sorted(self.blocks):
-            vec = self.blocks[(p, q)]
-            for idx, (I, J) in enumerate(_basis(self.n, p, q)):
-                c = vec[idx]
-                if c == 0:
-                    continue
+        for p, q in sorted(self.bidegrees()):
+            vec = self.part((p, q))
+            for idx in np.flatnonzero(vec):
+                I, J = _basis(self.n, p, q)[idx]
                 entries.append({
                     "p": p, "q": q,
                     "I": [i + 1 for i in I], "J": [j + 1 for j in J],
-                    "re": float(c.real), "im": float(c.imag),
+                    "re": float(vec[idx].real), "im": float(vec[idx].imag),
                 })
         return entries
 
     @classmethod
     def from_entries(cls, n, entries):
-        out = cls(n)
-        acc = {}
+        out = np.zeros(4 ** n, dtype=complex)
         for e in entries:
             I = tuple(int(i) - 1 for i in e["I"])
             J = tuple(int(j) - 1 for j in e["J"])
             key = (len(I), len(J))
-            vec = acc.setdefault(key, np.zeros(dim_pq(n, *key), dtype=complex))
-            vec[_basis_index(n, *key)[(I, J)]] += complex(e["re"], e.get("im", 0.0))
-        for key, vec in acc.items():
-            out.set_block(*key, vec)
-        return out
+            out[_slice(n, key).start + _basis_index(n, *key)[(I, J)]] += \
+                complex(e["re"], e.get("im", 0.0))
+        return cls(n, out)
 
     def __repr__(self):
-        keys = ", ".join(f"({p},{q})" for p, q in self.bidegrees())
+        keys = ", ".join(f"({p},{q})" for p, q in sorted(self.bidegrees()))
         return f"Form(n={self.n}, blocks=[{keys}])"
 
 
 def wedge(u, v):
-    """Wedge product of two forms, canonically reordered with signs."""
+    """Wedge product of two forms, canonically reordered with signs.
+
+    One np.add.at per pair of nonzero blocks, in table order.  Each product is
+    formed from real and imaginary parts, as the complex scalar product does;
+    numpy's array kernel for complex a * b may round differently.
+    """
     if u.n != v.n:
         raise DimensionMismatch("forms over different coframes")
-    out = Form(u.n)
-    acc = {}
-    for (p1, q1), a in u.blocks.items():
-        for (p2, q2), b in v.blocks.items():
-            table = _wedge_table(u.n, p1, q1, p2, q2)
-            if not table:
+    n, lay = u.n, _layout(u.n)
+    out = np.zeros(4 ** n, dtype=complex)
+    for p1, q1 in u.bidegrees():
+        a = u.part((p1, q1))
+        for p2, q2 in v.bidegrees():
+            table = _wedge_arrays(n, p1, q1, p2, q2)
+            if table is None:
                 continue
-            key = (p1 + p2, q1 + q2)
-            vec = acc.setdefault(key, np.zeros(dim_pq(u.n, *key), dtype=complex))
-            for i1, i2, sign, t in table:
-                vec[t] += sign * a[i1] * b[i2]
-    for key, vec in acc.items():
-        out.set_block(*key, vec)
-    return out
+            i1, i2, sign, t = table
+            x, y = sign * a[i1], v.part((p2, q2))[i2]
+            prod = np.empty(x.shape, dtype=complex)
+            prod.real = x.real * y.real - x.imag * y.imag
+            prod.imag = x.real * y.imag + x.imag * y.real
+            np.add.at(out, lay[(p1 + p2, q1 + q2)].start + t, prod)
+    return Form(n, out)
 
 
 def wedge_power(u, k):
@@ -352,11 +375,11 @@ def wedge_power(u, k):
 
 def random_form(n, pq_list, rng, real=False):
     """Random form supported on the given bidegrees; real means conj-invariant."""
-    out = Form(n)
+    out = np.zeros(4 ** n, dtype=complex)
     for p, q in pq_list:
         d = dim_pq(n, p, q)
-        vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        out.set_block(p, q, out.block(p, q) + vec)
+        out[_slice(n, (p, q))] += rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    out = Form(n, out)
     if real:
         out = 0.5 * (out + out.conj())
     return out
@@ -378,16 +401,14 @@ class ExteriorAlgebra:
         self.terms = tuple(terms)
         d_one = [Form.zero(n) for _ in range(n)]
         for (i, kind, j, k, coeff) in self.terms:
-            i0, j0, k0 = i - 1, j - 1, k - 1
-            if kind == "holo":
-                mono = Form.monomial(n, (j0, k0), (), coeff)
-            elif kind == "mixed":
-                mono = Form.monomial(n, (j0,), (k0,), coeff)
-            else:
-                mono = Form.monomial(n, (), (j0, k0), coeff)
-            d_one[i0] = d_one[i0] + mono
-        # d of the 2n generators: theta^1..theta^n, then their conjugates
-        self._d_gen = d_one + [f.conj() for f in d_one]
+            I, J = {"holo": ((j - 1, k - 1), ()), "mixed": ((j - 1,), (k - 1,)),
+                    "anti": ((), (j - 1, k - 1))}[kind]
+            d_one[i - 1] = d_one[i - 1] + Form.monomial(n, I, J, coeff)
+        # d of the 2n generators, theta^1..theta^n then their conjugates, as the
+        # terms (g, K, L, coeff) of coeff theta_K^thetabar_L in d(generator g)
+        self._d_terms = [(g, *_basis(n, a, b)[i], f.part((a, b))[i])
+                         for g, f in enumerate(d_one + [f.conj() for f in d_one])
+                         for a, b in f.bidegrees() for i in np.flatnonzero(f.part((a, b)))]
         self._d_blocks_cache = {}
         self._d_total_cache = {}
 
@@ -395,7 +416,7 @@ class ExteriorAlgebra:
 
     def d_monomial(self, p, q, idx):
         """d of the idx-th monomial of Lambda^{p,q}: one column of d_blocks."""
-        return Form(self.n, {tgt: mat[:, idx] for tgt, mat in self.d_blocks(p, q).items()})
+        return self.d_form(Form.at(self.n, (p, q), np.eye(dim_pq(self.n, p, q))[idx]))
 
     def d_blocks(self, p, q):
         """All matrix blocks of d restricted to Lambda^{p,q}, keyed by target.
@@ -406,13 +427,11 @@ class ExteriorAlgebra:
         key = (p, q)
         if key not in self._d_blocks_cache:
             n, acc, blocks = self.n, {}, {}
-            for g, dgen in enumerate(self._d_gen):
-                for (a, b), vec in dgen.blocks.items():
-                    for i in np.flatnonzero(vec):
-                        table = _derivation_table(n, p, q, g, *_basis(n, a, b)[i])
-                        if table is not None:
-                            tgt, rows, cols, sign = table
-                            acc.setdefault(tgt, []).append((rows, cols, sign * vec[i]))
+            for g, K, L, coeff in self._d_terms:
+                table = _derivation_table(n, p, q, g, K, L)
+                if table is not None:
+                    tgt, rows, cols, sign = table
+                    acc.setdefault(tgt, []).append((rows, cols, sign * coeff))
             for tgt, terms in acc.items():
                 mat = np.zeros((dim_pq(n, *tgt), dim_pq(n, p, q)), dtype=complex)
                 rows, cols, vals = map(np.concatenate, zip(*terms))
@@ -428,17 +447,8 @@ class ExteriorAlgebra:
             return self.d_total(key)
         tgt = neighbor(which, key, 1)
         mat = self.d_blocks(*key).get(tgt)
-        if mat is None:
-            return np.zeros((dim_pq(self.n, *tgt), dim_pq(self.n, *key)), dtype=complex)
-        return mat
-
-    def del_block(self, p, q):
-        """Matrix of the (p+1, q) component of d on Lambda^{p,q}."""
-        return self.diff("del", (p, q))
-
-    def dbar_block(self, p, q):
-        """Matrix of the (p, q+1) component of d on Lambda^{p,q}."""
-        return self.diff("dbar", (p, q))
+        return np.zeros((dim_pq(self.n, *tgt), dim_pq(self.n, *key)), dtype=complex) \
+            if mat is None else mat
 
     def bidegrees(self, k):
         """Bidegrees of total degree k, p descending."""
@@ -452,12 +462,12 @@ class ExteriorAlgebra:
             raise DegreeOutOfRange(f"degree {k} outside 0..{2 * self.n}")
         return math.comb(2 * self.n, k)
 
-    def offsets(self, k):
-        off, pos = {}, 0
-        for p, q in self.bidegrees(k):
-            off[(p, q)] = pos
-            pos += dim_pq(self.n, p, q)
-        return off
+    def slices(self, key):
+        """The slices of the bidegree blocks inside a coefficient vector of the space
+        at a degree k or a bidegree (p, q), read off the layout."""
+        lay, start = _layout(self.n), _slice(self.n, key).start
+        pqs = self.bidegrees(key) if isinstance(key, int) else [tuple(key)]
+        return {pq: slice(lay[pq].start - start, lay[pq].stop - start) for pq in pqs}
 
     def d_total(self, k):
         """Matrix of d from total degree k to k + 1."""
@@ -471,66 +481,48 @@ class ExteriorAlgebra:
         Blocks of op whose target has another total degree are left out; a
         k_out outside 0..2n gives a matrix with no rows.
         """
-        roff = self.offsets(k_out) if 0 <= k_out <= 2 * self.n else {}
-        mat = np.zeros((self.dim_total(k_out) if roff else 0, self.dim_total(k)), dtype=complex)
-        for pq, c0 in self.offsets(k).items():
+        rows = self.slices(k_out) if 0 <= k_out <= 2 * self.n else {}
+        mat = np.zeros((self.dim_total(k_out) if rows else 0, self.dim_total(k)), dtype=complex)
+        for pq, cols in self.slices(k).items():
             for tgt, blk in op(*pq).items():
-                if tgt in roff:
-                    r0 = roff[tgt]
-                    mat[r0:r0 + blk.shape[0], c0:c0 + blk.shape[1]] = blk
+                if tgt in rows:
+                    mat[rows[tgt], cols] = blk
         return mat
 
     def apply(self, op, form):
-        """The block map op applied to a form, block by block in the form's order."""
-        out = Form.zero(self.n)
-        for pq, vec in form.blocks.items():
+        """The block map op applied to a form: each nonzero block's nonzero images
+        add, in layout order, into the slices of one output vector."""
+        lay = _layout(self.n)
+        out = np.zeros(4 ** self.n, dtype=complex)
+        for pq in form.bidegrees():
+            vec = form.part(pq)
             for tgt, mat in op(*pq).items():
-                out = out + self.from_blockvec(tgt, mat @ vec)
-        return out
-
-    def layout(self, which, key):
-        """Offsets of the bidegree blocks in a coefficient vector of the space at key
-        of the complex of which: every bidegree of a total degree for "d", one for del/dbar."""
-        return self.offsets(key) if which == "d" else {tuple(key): 0}
-
-    def to_vector(self, form, key, which="d"):
-        """Part of a form in the space at key as one concatenated block vector."""
-        parts = [form.block(p, q) for p, q in self.layout(which, key)]
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
-
-    def from_vector(self, vec, key, which="d"):
-        """The form whose part in the space at key is vec: the inverse of to_vector."""
-        out = Form(self.n)
-        for (p, q), o in self.layout(which, key).items():
-            d = dim_pq(self.n, p, q)
-            if d:
-                out.set_block(p, q, vec[o:o + d])
-        return out
+                if tgt in lay:
+                    img = mat @ vec
+                    if img.any():
+                        out[lay[tgt]] += img
+        return Form(self.n, out)
 
     def d_form(self, form):
         return self.apply(self.d_blocks, form)
 
     def del_form(self, form):
-        return self.apply(lambda p, q: {(p + 1, q): self.del_block(p, q)}, form)
+        return self.apply(lambda p, q: {(p + 1, q): self.diff("del", (p, q))}, form)
 
     def dbar_form(self, form):
-        return self.apply(lambda p, q: {(p, q + 1): self.dbar_block(p, q)}, form)
-
-    def from_blockvec(self, pq, vec):
-        out = Form(self.n)
-        if dim_pq(self.n, *pq):
-            out.set_block(*pq, vec)
-        return out
+        return self.apply(lambda p, q: {(p, q + 1): self.diff("dbar", (p, q))}, form)
 
     # ----- multiplication operators ----------------------------------------
 
     def wedge_matrix(self, form, p, q):
         """Matrix of (form ^ .) from Lambda^{p,q}; form must be homogeneous."""
-        if len(form.blocks) > 1:
+        support = form.bidegrees()
+        if len(support) > 1:
             raise DimensionMismatch("wedge_matrix expects a homogeneous form")
-        if not form.blocks:
+        if not support:
             return np.zeros((0, dim_pq(self.n, p, q)), dtype=complex)
-        ((a, b), v), = form.blocks.items()
+        (a, b), = support
+        v = form.part((a, b))
         rows = dim_pq(self.n, p + a, q + b)
         mat = np.zeros((rows, dim_pq(self.n, p, q)), dtype=complex)
         table = _wedge_arrays(self.n, a, b, p, q)
@@ -552,5 +544,5 @@ class ExteriorAlgebra:
 
     def integrate(self, form):
         """Integral against the unit mass of Theta (top component over Theta)."""
-        top = form.block(self.n, self.n)
+        top = form.part((self.n, self.n))
         return complex(top[0] / self.theta_coefficient)

@@ -102,15 +102,14 @@ def energy(functional):
 
 
 def _torsion_energy(bundle, rep, kind):
-    """||torsion||^2 with its source norms, residuals and pure-type split."""
+    """||torsion||^2 with its source norms, residuals and pure-type norms."""
     ing = {
         "projected_source_norm": bundle.l2_norm(rep.projected_source),
         "harmonic_source_norm": bundle.l2_norm(rep.harmonic_source),
         "residual_equation": rep.residual_equation,
         "residual_kernel": rep.residual_kernel,
     }
-    ing.update({f"norm_sq_{p}{q}": float(bundle.l2_inner(part, part).real)
-                for (p, q), part in rep.pure_parts.items()})
+    ing.update({f"norm_sq_{p}{q}": v for (p, q), v in rep.pure_norm_sq.items()})
     return FunctionalValue(kind, float(rep.norm_sq), ing)
 
 

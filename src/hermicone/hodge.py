@@ -264,7 +264,7 @@ class TorsionReport:
     residual_kernel: float
     tol: float
     norm_sq: float
-    pure_parts: dict = field(default_factory=dict)
+    pure_norm_sq: dict = field(default_factory=dict)
 
 
 def torsion_space(kind, n):
@@ -293,27 +293,30 @@ def _torsion(bundle, kind):
     pred = predicates(bundle)
     if not getattr(pred, flag):
         raise error(f"{what} has residual {getattr(pred, residual):.3e} > {tol:.1e}")
-    alg = bundle.alg
-    which, key = torsion_space(kind, bundle.n)
+    n = bundle.n
+    which, key = torsion_space(kind, n)
     prev = neighbor(which, key, -1)
     source = source_of(bundle)
-    vec = alg.to_vector(source, key, which)
+    vec = source.part(key)
     sol = potential(bundle, which, key, vec)
     sol.check(tol, _l2(bundle, which, key, vec), f"torsion {kind}")
-    form = alg.from_vector(sol.potential, prev, which)
-    layout = alg.layout(which, prev)
+    form = Form.at(n, prev, sol.potential)
+    # the norms of the pure-type parts, where the torsion's space has more than one type
+    types, pure_norm_sq = list(bundle.alg.slices(prev)), {}
+    for pq in types if len(types) > 1 else ():
+        part = Form.at(n, pq, form.part(pq))
+        pure_norm_sq[pq] = float(bundle.l2_inner(part, part).real)
     return TorsionReport(
         kind=kind,
         torsion=form,
         source=source,
-        projected_source=alg.from_vector(sol.projected_source, key, which),
-        harmonic_source=alg.from_vector(sol.harmonic_component, key, which),
+        projected_source=Form.at(n, key, sol.projected_source),
+        harmonic_source=Form.at(n, key, sol.harmonic_component),
         residual_equation=sol.residual_equation,
         residual_kernel=sol.residual_kernel,
         tol=tol,
         norm_sq=bundle.l2_inner(form, form).real,
-        # the pure-type split, where the torsion's space has more than one type
-        pure_parts={pq: form.pure_part(*pq) for pq in layout} if len(layout) > 1 else {},
+        pure_norm_sq=pure_norm_sq,
     )
 
 
@@ -354,7 +357,7 @@ def matrix_of_top_minus_one(alg, form):
     comp, unit = _complement(n, n - 1, n - 1)
     # unit * theta_coefficient is the +-1 of monomial ^ complement on theta_{1..n}^thetabar_{1..n};
     # the integrand is summed onto +0 as in wedge (-0 becomes +0), then integrated
-    top = 0.0 + unit * alg.theta_coefficient * form.block(n - 1, n - 1) * 1j
+    top = 0.0 + unit * alg.theta_coefficient * form.part((n - 1, n - 1)) * 1j
     b = np.zeros((n, n), dtype=complex)
     b[comp % n, comp // n] = top / alg.theta_coefficient
     return b

@@ -124,17 +124,12 @@ class HermitianMetric:
 
     def form(self, n=None):
         """The metric form omega = i sum H_jk theta^j ^ thetabar^k."""
-        vec = 1j * self.h.reshape(-1)
-        out = Form(self.n)
-        out.set_block(1, 1, vec)
-        return out
+        return Form.at(self.n, (1, 1), 1j * self.h.reshape(-1))
 
     @classmethod
     def from_form(cls, form):
         """Extract H from a (1,1) form; inverse of .form()."""
-        n = form.n
-        vec = form.block(1, 1)
-        return cls((vec / 1j).reshape(n, n))
+        return cls((form.part((1, 1)) / 1j).reshape(form.n, form.n))
 
 
 def random_metric(n, rng, eps=0.5):
@@ -232,8 +227,8 @@ class OperatorBundle:
         if u.n != self.n or v.n != self.n:
             raise DimensionMismatch("form dimension does not match bundle")
         total = 0.0 + 0.0j
-        for key in set(u.blocks) | set(v.blocks):
-            total += v.block(*key).conj() @ (self.gram(*key) @ u.block(*key))
+        for key in set(u.bidegrees()) | set(v.bidegrees()):
+            total += v.part(key).conj() @ (self.gram(*key) @ u.part(key))
         return complex(total)
 
     def l2_inner(self, u, v):
@@ -300,7 +295,7 @@ class OperatorBundle:
 
         Maps (p,q) back to (p-a, q-b) when eta has bidegree (a,b).
         """
-        ((a, b), _), = eta.blocks.items() if eta.blocks else (((0, 0), None),)
+        (a, b), = eta.bidegrees() or [(0, 0)]
         src = (p - a, q - b)
         if dim_pq(self.n, *src) == 0:
             return np.zeros((0, dim_pq(self.n, p, q)), dtype=complex)
@@ -308,9 +303,9 @@ class OperatorBundle:
         return _adjoint(mat, self.gram(*src), self.gram(p, q))
 
     def mult_adjoint(self, eta, form):
-        if not eta.blocks:
+        if not eta.bidegrees():
             return Form.zero(self.n)
-        ((a, b), _), = eta.blocks.items()
+        (a, b), = eta.bidegrees()
         return self.alg.apply(lambda p, q: {(p - a, q - b): self.mult_adjoint_block(eta, p, q)},
                               form)
 
@@ -497,7 +492,7 @@ def identity_suite(bundle, seed=0, n_random=3):
     # (eta ^ .)^* = <., eta> on (1,1)
     for eta in etas:
         adj = bundle.mult_adjoint_block(eta, 1, 1)
-        pairing = (eta.block(1, 1).conj() @ bundle.gram(1, 1)).reshape(1, -1)
+        pairing = (eta.part((1, 1)).conj() @ bundle.gram(1, 1)).reshape(1, -1)
         upd("mult_adjoint_11", np.max(np.abs(adj - pairing)))
 
     # star of the constant 1 and of omega

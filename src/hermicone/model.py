@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ModelInvalid, ModelNotUnimodular, SchemaError, UnknownCatalogName
-from .exterior import ExteriorAlgebra, dim_pq
+from .exterior import ExteriorAlgebra, _layout
 
 KINDS = ("holo", "mixed", "anti")
 
@@ -175,16 +175,14 @@ _BETA_C = 4.0
 
 
 def _d_entries(alg):
-    """Nonzero entries of d on the whole algebra as (row, col, value) arrays, each
-    bidegree block at its own offset."""
-    n, start, pos = alg.n, {}, 0
-    for pq in itertools.product(range(n + 1), repeat=2):
-        start[pq], pos = pos, pos + dim_pq(n, *pq)
+    """Nonzero entries of d on the whole algebra as (row, col, value) arrays, indexed
+    in the coefficient layout of a Form."""
+    lay = _layout(alg.n)
     parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, complex))]
-    for pq, c0 in start.items():
+    for pq in itertools.product(range(alg.n + 1), repeat=2):
         for tgt, blk in alg.d_blocks(*pq).items():
             r, c = np.nonzero(blk != 0)
-            parts.append((r + start[tgt], c + c0, blk[r, c]))
+            parts.append((r + lay[tgt].start, c + lay[pq].start, blk[r, c]))
     return tuple(map(np.concatenate, zip(*parts)))
 
 
@@ -295,9 +293,9 @@ def differential_matrices(model):
     for p in range(n + 1):
         for q in range(n + 1):
             if p + 1 <= n:
-                out["del"][(p, q)] = alg.del_block(p, q)
+                out["del"][(p, q)] = alg.diff("del", (p, q))
             if q + 1 <= n:
-                out["dbar"][(p, q)] = alg.dbar_block(p, q)
+                out["dbar"][(p, q)] = alg.diff("dbar", (p, q))
     for k in range(2 * n):
         out["d"][k] = alg.d_total(k)
     return out

@@ -78,7 +78,7 @@ class ConstraintBasis:
         return [self._form(col) for col in self.matrix.T]
 
     def _form(self, block):
-        return self.reference.alg.from_blockvec(self.pq, block)
+        return Form.at(self.reference.n, self.pq, block)
 
     def combine(self, x):
         return self._form(self.matrix @ np.asarray(x, dtype=float))
@@ -86,7 +86,7 @@ class ConstraintBasis:
     def coordinates(self, form):
         """Reference-orthogonal coordinates of a form (exact when it lies in the slice)."""
         ref = self.reference
-        pairing = self.matrix.conj().T @ (ref.gram(*self.pq) @ form.block(*self.pq))
+        pairing = self.matrix.conj().T @ (ref.gram(*self.pq) @ form.part(self.pq))
         return (pairing * ref.det_h).real
 
 
@@ -103,19 +103,13 @@ def constraint_basis(model, kind, reference=None, tol=NULLSPACE_RTOL, probe=True
     cone = cone_slice(kind)
     p = cone.degree(n)
     ambient = real_block_basis(n, p)
-    columns = []
-    for f in ambient:
-        img = cone.constraint(alg, f)
-        vec = np.concatenate([img.block(*key) for key in sorted(img.bidegrees())]) \
-            if img.bidegrees() else np.zeros(0, dtype=complex)
-        columns.append(vec)
-    width = max((c.size for c in columns), default=0)
-    mat = np.zeros((2 * width, len(ambient)))
-    for j, c in enumerate(columns):
-        if c.size:
-            mat[:c.size, j] = c.real
-            mat[width:width + c.size, j] = c.imag
-    if width and np.any(mat):
+    images = [cone.constraint(alg, f) for f in ambient]
+    # rows: the constraint's nonzero bidegrees, sorted, real parts above imaginary ones
+    keys = sorted({pq for img in images for pq in img.bidegrees()})
+    vals = np.array([np.concatenate([img.part(pq) for pq in keys]) for img in images]).T \
+        if keys else np.zeros((0, len(ambient)), dtype=complex)
+    mat = np.concatenate([vals.real, vals.imag])
+    if mat.size and np.any(mat):
         _, sing, vt = np.linalg.svd(mat)
         keep = np.ones(len(ambient), dtype=bool)
         keep[:sing.size] = sing <= tol * sing.max(initial=0.0)
@@ -125,7 +119,7 @@ def constraint_basis(model, kind, reference=None, tol=NULLSPACE_RTOL, probe=True
 
     reference = reference if reference is not None else \
         bundle_for_algebra(alg, HermitianMetric.identity(n))
-    ambient_blocks = np.stack([f.block(p, p) for f in ambient], axis=1)
+    ambient_blocks = np.stack([f.part((p, p)) for f in ambient], axis=1)
     raw = ambient_blocks @ null
     # orthonormalize w.r.t. the real part of the reference L2 product
     gram = (raw.conj().T @ (reference.gram(p, p) @ raw) * reference.det_h).real

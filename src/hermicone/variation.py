@@ -250,10 +250,9 @@ def var_harmonic_projector(bundle, gamma, which, key, v=None):
     derivative = image_part - green @ dlap @ proj
     out = ProjectorVariation(which, key, derivative, image_part, dec)
     if v is not None:
-        alg = bundle.alg
-        vec = alg.to_vector(v, key, which)
-        out.value_form = alg.from_vector(image_part @ vec, key, which)
-        out.oracle_form = alg.from_vector(derivative @ vec, key, which)
+        vec = v.part(key)
+        out.value_form = Form.at(v.n, key, image_part @ vec)
+        out.oracle_form = Form.at(v.n, key, derivative @ vec)
         out.input_kernel_norm = out.kernel_component_norm(vec)
     return out
 
@@ -271,9 +270,8 @@ def metric_direction_of_volume(bundle, direction_form):
     n = bundle.n
     if n < 2:
         raise DimensionMismatch("volume directions need n >= 2")
-    starred = bundle.star(direction_form).pure_part(1, 1)
-    scalar = bundle.trace_contract(starred).block(0, 0)
-    coef = complex(scalar[0]) if scalar.size else 0.0
+    starred = Form.at(n, (1, 1), bundle.star(direction_form).part((1, 1)))
+    coef = complex(bundle.trace_contract(starred).part((0, 0))[0])
     return (coef / (n - 1)) * bundle.omega - starred
 
 
@@ -339,7 +337,7 @@ def _var_torsion_at(bundle, kind):
     report = torsion(bundle, kind)
     which, key = torsion_space(kind, bundle.n)
     prev = neighbor(which, key, -1)
-    tors_vec = alg.to_vector(report.torsion, prev, which)
+    tors_vec = report.torsion.part(prev)
     gram = bundle.gram_for(which, prev)
     det = bundle.det_h
     im_proj = image_projector(bundle, which, key)
@@ -347,11 +345,10 @@ def _var_torsion_at(bundle, kind):
     green_prev = decomposition(bundle, which, prev).green
     here = decomposition(bundle, which, key)
     proj, green = here.harmonic, here.green
-    omega_src = alg.to_vector(report.source, key, which)
+    omega_src = report.source.part(key)
     green_src, proj_src = green @ omega_src, proj @ omega_src
     tors_norm = float(np.sqrt(max(report.norm_sq, 0.0)))
-    types = [(p, q, slice(off, off + dim_pq(alg.n, p, q)), bundle.gram(p, q))
-             for (p, q), off in alg.layout(which, prev).items()]
+    types = [(p, q, sl, bundle.gram(p, q)) for (p, q), sl in alg.slices(prev).items()]
 
     def at(direction):
         if direction.kind == "volume":
@@ -360,7 +357,7 @@ def _var_torsion_at(bundle, kind):
         else:
             metric_dir, src_dir = direction.form, alg.del_form(direction.form)
         metric_dir = _wedges(alg, metric_dir)
-        src_vec = alg.to_vector(src_dir, key, which)
+        src_vec = src_dir.part(key)
         eta = green_prev @ (codiff @ (im_proj @ src_vec))  # the minimal potential
         comm = _on_complex(commutator_mult, bundle, metric_dir, which, prev)
 
@@ -409,8 +406,8 @@ def _var_H_at(bundle, gamma_bundle):
         t1_form = bundle.trace_contract(alg.del_form(eta))
         t1 = 2.0 * (1j * alg.integrate(wedge(wedge(t1_form, u_bar), weight))).real
         t2_form = bundle.mult_adjoint(eta, del_omega)
-        t2 = 2.0 * (1j * alg.integrate(wedge(wedge(t2_form.pure_part(1, 0), u_bar),
-                                             weight))).real
+        t2_part = Form.at(n, (1, 0), t2_form.part((1, 0)))
+        t2 = 2.0 * (1j * alg.integrate(wedge(wedge(t2_part, u_bar), weight))).real
         return FunctionalVariation(
             kind="H",
             value=float(t1 - t2),

@@ -38,7 +38,7 @@ def form_to_symbols(form):
     n = form.n
     out = {}
     for (p, q) in form.bidegrees():
-        vec = form.block(p, q)
+        vec = form.part((p, q))
         for idx, (I, J) in enumerate(_basis(n, p, q)):
             if vec[idx] == 0:
                 continue
@@ -48,7 +48,7 @@ def form_to_symbols(form):
 
 
 def symbols_to_form(n, table):
-    out = Form(n)
+    out = Form.zero(n)
     acc = {}
     for key, coeff in table.items():
         I = tuple(g for g in key if g < n)
@@ -58,7 +58,7 @@ def symbols_to_form(n, table):
         pos = list(_basis(n, *pq)).index((I, J))
         vec[pos] += coeff
     for pq, vec in acc.items():
-        out.set_block(*pq, vec)
+        out = out + Form.at(n, pq, vec)
     return out
 
 
@@ -135,7 +135,7 @@ def weighted_minnorm(matrix, rhs, gram_src, gram_tgt, det, rcond=1e-10):
 def oracle_rho(bundle, rcond=1e-10):
     """Independent minimal 2-form solving d(rho) ~ del(omega)."""
     alg = bundle.alg
-    b = alg.to_vector(alg.del_form(bundle.omega), 3)
+    b = alg.del_form(bundle.omega).part(3)
     return weighted_minnorm(alg.d_total(2), b, bundle.gram_total(2),
                             bundle.gram_total(3), bundle.det_h, rcond)
 
@@ -143,8 +143,8 @@ def oracle_rho(bundle, rcond=1e-10):
 def oracle_gamma(bundle, rcond=1e-10):
     """Independent minimal (n-1,n-2)-form solving dbar(Gamma) ~ omega_(n-1)."""
     alg, n = bundle.alg, bundle.n
-    b = bundle.omega_power(n - 1).block(n - 1, n - 1)
-    return weighted_minnorm(alg.dbar_block(n - 1, n - 2), b,
+    b = bundle.omega_power(n - 1).part((n - 1, n - 1))
+    return weighted_minnorm(alg.diff("dbar", (n - 1, n - 2)), b,
                             bundle.gram(n - 1, n - 2),
                             bundle.gram(n - 1, n - 1), bundle.det_h, rcond)
 

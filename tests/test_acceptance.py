@@ -73,12 +73,12 @@ def test_criterion_2_torsion_against_dense_oracle():
     worst_gap, worst_res = 0.0, 0.0
     for b in _bundles("kodaira_thurston", [None] + list(range(10))):
         rep = torsion_rho(b)
-        gap = np.max(np.abs(b.alg.to_vector(rep.torsion, 2) - oracle_rho(b)))
+        gap = np.max(np.abs(rep.torsion.part(2) - oracle_rho(b)))
         worst_gap = max(worst_gap, float(gap))
         worst_res = max(worst_res, rep.residual_equation, rep.residual_kernel)
     for b in _bundles("iwasawa", [None] + list(range(10))):
         rep = torsion_gamma(b)
-        gap = np.max(np.abs(rep.torsion.block(b.n - 1, b.n - 2) - oracle_gamma(b)))
+        gap = np.max(np.abs(rep.torsion.part((b.n - 1, b.n - 2)) - oracle_gamma(b)))
         worst_gap = max(worst_gap, float(gap))
         worst_res = max(worst_res, rep.residual_equation, rep.residual_kernel)
     flat_exact = all(

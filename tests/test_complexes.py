@@ -246,16 +246,16 @@ def block_bundle(request):
 
 
 def _bits(form):
-    return [(pq, vec.tobytes()) for pq, vec in form.blocks.items()]
+    return [(pq, form.part(pq).tobytes()) for pq in form.bidegrees()]
 
 
 def _blockwise(alg, form, target, matrix):
     """The per-operator loop: each block to one target, empty targets skipped."""
     out = Form.zero(alg.n)
-    for (p, q), vec in form.blocks.items():
+    for p, q in form.bidegrees():
         tgt = target(p, q)
         if dim_pq(alg.n, *tgt):
-            out = out + alg.from_blockvec(tgt, matrix(p, q) @ vec)
+            out = out + Form.at(alg.n, tgt, matrix(p, q) @ form.part((p, q)))
     return out
 
 
@@ -263,8 +263,9 @@ def _placed(alg, k, k_out, blocks):
     """The per-operator offset loop: the (target, matrix) pairs of blocks(p, q) into k_out."""
     mat = np.zeros((alg.dim_total(k_out) if k_out <= 2 * alg.n else 0, alg.dim_total(k)),
                    dtype=complex)
-    roff = alg.offsets(k_out) if k_out <= 2 * alg.n else {}
-    for pq, c0 in alg.offsets(k).items():
+    roff = {pq: sl.start for pq, sl in alg.slices(k_out).items()} if k_out <= 2 * alg.n else {}
+    for pq, cols in alg.slices(k).items():
+        c0 = cols.start
         for tgt, blk in blocks(*pq):
             if tgt in roff:
                 r0 = roff[tgt]
@@ -301,9 +302,9 @@ def test_form_operators_match_blockwise_loops(block_bundle):
              b.omega, Form.zero(n)]
     for form in forms:
         want_d = Form.zero(n)
-        for (p, q), vec in form.blocks.items():
+        for p, q in form.bidegrees():
             for tgt, blk in alg.d_blocks(p, q).items():
-                want_d = want_d + alg.from_blockvec(tgt, blk @ vec)
+                want_d = want_d + Form.at(n, tgt, blk @ form.part((p, q)))
         assert _bits(alg.d_form(form)) == _bits(want_d)
         for which, s, got, mat in (("del", 1, alg.del_form, alg.diff),
                                    ("dbar", 1, alg.dbar_form, alg.diff),
@@ -317,7 +318,7 @@ def test_form_operators_match_blockwise_loops(block_bundle):
         assert _bits(b.trace_contract(form)) == _bits(_blockwise(
             alg, form, lambda p, q: (p - 1, q - 1), b.trace_block))
         for eta in (random_form(n, [(1, 1)], rng), random_form(n, [(0, 1)], rng)):
-            (a, c), = eta.blocks
+            (a, c), = eta.bidegrees()
             want = _blockwise(alg, form, lambda p, q: (p - a, q - c),
                               lambda p, q: b.mult_adjoint_block(eta, p, q))
             assert _bits(b.mult_adjoint(eta, form)) == _bits(want)

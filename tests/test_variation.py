@@ -130,7 +130,7 @@ def test_variations_along_one_direction_build_each_wedge_matrix_once(monkeypatch
     real_wedge_matrix = ExteriorAlgebra.wedge_matrix
 
     def counting_wedge_matrix(self, form, p, q):
-        built.append((form.block(1, 1).tobytes(), p, q))
+        built.append((form.part((1, 1)).tobytes(), p, q))
         return real_wedge_matrix(self, form, p, q)
 
     b = seeded_bundle("iwasawa", seed=5)
