@@ -1,5 +1,15 @@
 """Numerical workbench for SKT and balanced Hermitian metrics on invariant-form models."""
 
+import os as _os
+import sys as _sys
+
+# BLAS reads its thread count once, when numpy loads.  Report bits depend on it, and
+# the small matrices here run slower threaded, so default to one thread unless the
+# caller set it or a program loaded numpy first.
+if "numpy" not in _sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, "1")
+
 from .errors import (DegenerateDimension, DegreeOutOfRange, DimensionMismatch,
                      DirectionNotAdmissible, EmptyCone, HermiconeError,
                      InfeasibleStart, KernelJump, LineSearchFailure,

@@ -87,10 +87,10 @@ def _slice(n, key):
 
 @lru_cache(maxsize=None)
 def _conj_perm(n):
-    """Conjugation of a whole coefficient vector: target index and sign (as a
-    complex unit) of every coefficient, from the per-bidegree _conj_table."""
+    """Conjugation of a whole coefficient vector: the target index and the sign
+    (+-1.0) of every coefficient, from the per-bidegree _conj_table."""
     lay = _layout(n)
-    perm, sign = np.empty(4 ** n, dtype=np.intp), np.empty(4 ** n, dtype=complex)
+    perm, sign = np.empty(4 ** n, dtype=np.intp), np.empty(4 ** n)
     for (p, q) in _blocks(n)[0]:
         s, block_perm = _conj_table(n, p, q)
         perm[lay[(p, q)]] = lay[(q, p)].start + np.array(block_perm, dtype=np.intp)
@@ -278,7 +278,7 @@ class Form:
     def conj(self):
         perm, sign = _conj_perm(self.n)
         out = np.empty_like(self.vec)
-        out[perm] = sign * np.conj(self.vec)
+        out.real[perm], out.imag[perm] = sign * self.vec.real, -sign * self.vec.imag
         return Form(self.n, out)
 
     def is_real(self, tol=1e-12):
@@ -466,7 +466,7 @@ class ExteriorAlgebra:
         """The slices of the bidegree blocks inside a coefficient vector of the space
         at a degree k or a bidegree (p, q), read off the layout."""
         lay, start = _layout(self.n), _slice(self.n, key).start
-        pqs = self.bidegrees(key) if isinstance(key, int) else [tuple(key)]
+        pqs = self.bidegrees(key) if isinstance(key, (int, np.integer)) else [tuple(key)]
         return {pq: slice(lay[pq].start - start, lay[pq].stop - start) for pq in pqs}
 
     def d_total(self, k):

@@ -302,10 +302,11 @@ def _torsion(bundle, kind):
     sol.check(tol, _l2(bundle, which, key, vec), f"torsion {kind}")
     form = Form.at(n, prev, sol.potential)
     # the norms of the pure-type parts, where the torsion's space has more than one type
-    types, pure_norm_sq = list(bundle.alg.slices(prev)), {}
-    for pq in types if len(types) > 1 else ():
-        part = Form.at(n, pq, form.part(pq))
-        pure_norm_sq[pq] = float(bundle.l2_inner(part, part).real)
+    types, pure_norm_sq = bundle.alg.slices(prev), {}
+    if len(types) > 1:
+        for pq in types:
+            part = Form.at(n, pq, form.part(pq))
+            pure_norm_sq[pq] = float(bundle.l2_inner(part, part).real)
     return TorsionReport(
         kind=kind,
         torsion=form,

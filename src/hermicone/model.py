@@ -193,6 +193,8 @@ def certified_d_squared(alg):
 
     d is joined with itself on the middle index; for every entry of d*d this
     gives the sum S, the magnitude sum M and the count m of its nonzero products.
+    Structure coefficients whose products overflow (S or M not finite) raise
+    SchemaError.
     """
     rows, cols, vals = _d_entries(alg)
     order = np.argsort(cols, kind="stable")
@@ -201,12 +203,17 @@ def certified_d_squared(alg):
     counts = np.searchsorted(by_col, rows, "right") - lo
     first = np.repeat(np.arange(rows.size), counts)
     second = order[np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
-    prod = vals[second] * vals[first]
     _, slot, m = np.unique(rows[second] * 4 ** alg.n + cols[first],
                            return_inverse=True, return_counts=True)
-    s = np.bincount(slot, prod.real, m.size) + 1j * np.bincount(slot, prod.imag, m.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = vals[second] * vals[first]
+        s = np.bincount(slot, prod.real, m.size) + 1j * np.bincount(slot, prod.imag, m.size)
+        mag = np.bincount(slot, np.abs(prod), m.size)
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(mag))):
+        raise SchemaError(f"structure coefficients up to |c| = {np.abs(vals).max():.3e} "
+                          "overflow the products of d*d")
     size = np.abs(s)
-    spread = 2 * _BETA_C * (m + 2) * _UNIT_ROUNDOFF * np.bincount(slot, np.abs(prod), m.size)
+    spread = 2 * _BETA_C * (m + 2) * _UNIT_ROUNDOFF * mag
     if np.any(size - spread > VALIDATION_TOL):
         return False
     return True if np.all(size + spread <= VALIDATION_TOL) else None

@@ -109,7 +109,7 @@ def constraint_basis(model, kind, reference=None, tol=NULLSPACE_RTOL, probe=True
     vals = np.array([np.concatenate([img.part(pq) for pq in keys]) for img in images]).T \
         if keys else np.zeros((0, len(ambient)), dtype=complex)
     mat = np.concatenate([vals.real, vals.imag])
-    if mat.size and np.any(mat):
+    if np.any(mat):
         _, sing, vt = np.linalg.svd(mat)
         keep = np.ones(len(ambient), dtype=bool)
         keep[:sing.size] = sing <= tol * sing.max(initial=0.0)

@@ -265,6 +265,18 @@ def test_non_finite_model_coefficient_exits_schema(tmp_path, capsys, coeff):
     assert code == 2 and "finite" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_structure_coefficients_overflowing_the_gate_exit_schema(tmp_path, capsys):
+    # Iwasawa with d theta^3 = 1e300 theta^1 ^ theta^2: the d*d products overflow
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"name": "iwasawa_big", "n": 3, "terms": [
+        {"i": 3, "kind": "holo", "j": 1, "k": 2, "re": 1e300, "im": 0.0}]}))
+    code, out, err = run(capsys, "torsion", "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: structure coefficients up to |c| = 1.000e+300 overflow the products " \
+        "of d*d\n"
+
+
 @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
 @pytest.mark.parametrize("name,functional", [("kodaira_thurston", "F"), ("iwasawa", "G")])
 @pytest.mark.parametrize("subcommand", ["eval", "torsion", "descend"])

@@ -8,6 +8,7 @@ import pytest
 from hermicone.exterior import (
     ExteriorAlgebra,
     Form,
+    _basis,
     _wedge_arrays,
     conj_block_matrix,
     dim_pq,
@@ -271,3 +272,79 @@ def test_wedge_matrix_bits_match_the_loop(n):
         got, want = alg.wedge_matrix(form, p, q), _wedge_matrix_loop(n, form, p, q)
         assert np.array_equal(got, want), (a, b, p, q)
         assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float))), (a, b, p, q)
+
+
+def _random_support_form(n, rng):
+    """A form on a random set of bidegrees, with signed zeros in both parts; a block
+    whose entries all become zeros drops out of the support."""
+    support = [(p, q) for p in range(n + 1) for q in range(n + 1) if rng.random() < 0.4]
+    vec = random_form(n, support, rng).vec.copy()
+    vec.real[rng.random(vec.size) < 0.3] = -0.0
+    vec.imag[rng.random(vec.size) < 0.3] = -0.0
+    vec.imag[rng.random(vec.size) < 0.2] = 0.0
+    return Form(n, vec)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(float), b.view(float)) \
+        and np.array_equal(np.signbit(a.view(float)), np.signbit(b.view(float)))
+
+
+def _wedge_loop(u, v):
+    """Wedge of two forms, one table entry at a time, in the order of the blocks."""
+    n = u.n
+    out = {}
+    for p1, q1 in u.bidegrees():
+        for p2, q2 in v.bidegrees():
+            table = _wedge_arrays(n, p1, q1, p2, q2)
+            if table is None:
+                continue
+            a, b = u.part((p1, q1)), v.part((p2, q2))
+            vec = out.setdefault((p1 + p2, q1 + q2), np.zeros(dim_pq(n, p1 + p2, q1 + q2),
+                                                             dtype=complex))
+            for i1, i2, sign, t in zip(*table):
+                vec[t] += sign * a[i1] * b[i2]
+    total = Form.zero(n)
+    for pq, vec in out.items():
+        total = total + Form.at(n, pq, vec)
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_wedge_bits_match_the_loop(n):
+    rng = np.random.default_rng(71 + n)
+    for _ in range(8 if n < 5 else 3):
+        u, v = _random_support_form(n, rng), _random_support_form(n, rng)
+        assert _same_bits(wedge(u, v).vec, _wedge_loop(u, v).vec)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_one_layout_for_degrees_and_bidegrees(n):
+    rng = np.random.default_rng(81 + n)
+    alg = ExteriorAlgebra(n, [])
+    keys = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+    for _ in range(6):
+        u = _random_support_form(n, rng)
+        for k in range(2 * n + 1):
+            assert _same_bits(u.part(k), np.concatenate([u.part(pq) for pq in alg.bidegrees(k)]))
+            v = rng.standard_normal(alg.dim_total(k)) + 1j * rng.standard_normal(alg.dim_total(k))
+            assert _same_bits(Form.at(n, k, v).part(k), v)
+        for pq in keys:
+            v = rng.standard_normal(dim_pq(n, *pq)) + 1j * rng.standard_normal(dim_pq(n, *pq))
+            assert _same_bits(Form.at(n, pq, v).part(pq), v)
+        assert sorted(u.bidegrees()) == [pq for pq in keys if np.any(u.part(pq) != 0)]
+        # a block with no nonzero coefficient reads +0
+        assert not any(np.signbit(u.part(pq).view(float)).any()
+                       for pq in keys if pq not in u.bidegrees())
+        assert _same_bits(u.conj().conj().vec, u.vec)
+        # entries hold no zeros, so signed zeros come back as +0
+        assert np.array_equal(Form.from_entries(n, u.to_entries()).vec, u.vec)
+
+
+def test_layout_orders_degrees_then_holomorphic_degree_descending():
+    n = 3
+    starts = {pq: Form.at(n, pq, np.ones(dim_pq(n, *pq))).vec.nonzero()[0][0]
+              for pq in itertools.product(range(n + 1), repeat=2)}
+    order = sorted(starts, key=starts.get)
+    assert order == sorted(order, key=lambda pq: (pq[0] + pq[1], -pq[0]))
+    assert [_basis(n, 2, 1)[i] for i in range(dim_pq(n, 2, 1))] == list(_basis(n, 2, 1))
