@@ -80,9 +80,17 @@ def _blocks(n):
 
 def _slice(n, key):
     try:
-        return _layout(n)[key if isinstance(key, (int, np.integer)) else tuple(key)]
+        return _layout(n)[key if key.__hash__ else tuple(key)]
     except (KeyError, TypeError):
         raise DegreeOutOfRange(f"no degree or bidegree {key!r} for n={n}") from None
+
+
+@lru_cache(maxsize=None)
+def _slices(n, key):
+    """ExteriorAlgebra.slices: {bidegree: slice} within the space at key, shared."""
+    lay, start = _layout(n), _slice(n, key).start
+    pqs = [pq for pq in _blocks(n)[0] if sum(pq) == key] if isinstance(key, int) else [key]
+    return {pq: slice(lay[pq].start - start, lay[pq].stop - start) for pq in pqs}
 
 
 @lru_cache(maxsize=None)
@@ -213,9 +221,8 @@ def conj_block_matrix(n, p, q):
 class Form:
     """Invariant complex form: one read-only coefficient vector in _layout order.
 
-    A block with no nonzero coefficient reads +0 and is left out of bidegrees();
-    the nonzero blocks are found once, when the form is made.  A sum adds only
-    the nonzero blocks of its right operand, as blockwise arithmetic does.
+    A block with no nonzero coefficient reads +0 and is left out of bidegrees(); the
+    nonzero blocks are found once, when the form is made.
     """
 
     __slots__ = ("n", "vec", "_nonzero", "_support")
@@ -289,8 +296,12 @@ class Form:
             return NotImplemented
         if self.n != other.n:
             raise DimensionMismatch("forms over different coframes")
+        # only the nonzero blocks of other add: a block of self alone keeps its signed zeros
         out = self.vec.copy()
-        np.add(out, other.vec, out=out, where=other._nonzero[_blocks(self.n)[2]])
+        if int.from_bytes((self._nonzero > other._nonzero).tobytes(), "little"):
+            np.add(out, other.vec, out=out, where=other._nonzero[_blocks(self.n)[2]])
+        else:
+            out += other.vec
         return Form(self.n, out)
 
     def __sub__(self, other):
@@ -316,11 +327,8 @@ class Form:
             vec = self.part((p, q))
             for idx in np.flatnonzero(vec):
                 I, J = _basis(self.n, p, q)[idx]
-                entries.append({
-                    "p": p, "q": q,
-                    "I": [i + 1 for i in I], "J": [j + 1 for j in J],
-                    "re": float(vec[idx].real), "im": float(vec[idx].imag),
-                })
+                entries.append({"p": p, "q": q, "I": [i + 1 for i in I], "J": [j + 1 for j in J],
+                                "re": float(vec[idx].real), "im": float(vec[idx].imag)})
         return entries
 
     @classmethod
@@ -340,11 +348,9 @@ class Form:
 
 
 def wedge(u, v):
-    """Wedge product of two forms, canonically reordered with signs.
-
-    One np.add.at per pair of nonzero blocks, in table order.  Each product is
-    formed from real and imaginary parts, as the complex scalar product does;
-    numpy's array kernel for complex a * b may round differently.
+    """Wedge product of two forms, canonically reordered with signs: one np.add.at per
+    pair of nonzero blocks, each product formed from real and imaginary parts as the
+    complex scalar product is (numpy's array kernel for complex a * b rounds otherwise).
     """
     if u.n != v.n:
         raise DimensionMismatch("forms over different coframes")
@@ -359,9 +365,10 @@ def wedge(u, v):
             i1, i2, sign, t = table
             x, y = sign * a[i1], v.part((p2, q2))[i2]
             prod = np.empty(x.shape, dtype=complex)
-            prod.real = x.real * y.real - x.imag * y.imag
-            prod.imag = x.real * y.imag + x.imag * y.real
-            np.add.at(out, lay[(p1 + p2, q1 + q2)].start + t, prod)
+            re, im = prod.real, prod.imag
+            np.subtract(np.multiply(x.real, y.real, out=re), x.imag * y.imag, out=re)
+            np.add(np.multiply(x.real, y.imag, out=im), x.imag * y.real, out=im)
+            np.add.at(out[lay[(p1 + p2, q1 + q2)]], t, prod)
     return Form(n, out)
 
 
@@ -465,9 +472,7 @@ class ExteriorAlgebra:
     def slices(self, key):
         """The slices of the bidegree blocks inside a coefficient vector of the space
         at a degree k or a bidegree (p, q), read off the layout."""
-        lay, start = _layout(self.n), _slice(self.n, key).start
-        pqs = self.bidegrees(key) if isinstance(key, (int, np.integer)) else [tuple(key)]
-        return {pq: slice(lay[pq].start - start, lay[pq].stop - start) for pq in pqs}
+        return _slices(self.n, int(key) if isinstance(key, (int, np.integer)) else tuple(key))
 
     def d_total(self, k):
         """Matrix of d from total degree k to k + 1."""
@@ -499,7 +504,7 @@ class ExteriorAlgebra:
             for tgt, mat in op(*pq).items():
                 if tgt in lay:
                     img = mat @ vec
-                    if img.any():
+                    if np.count_nonzero(img):
                         out[lay[tgt]] += img
         return Form(self.n, out)
 
@@ -523,8 +528,7 @@ class ExteriorAlgebra:
             return np.zeros((0, dim_pq(self.n, p, q)), dtype=complex)
         (a, b), = support
         v = form.part((a, b))
-        rows = dim_pq(self.n, p + a, q + b)
-        mat = np.zeros((rows, dim_pq(self.n, p, q)), dtype=complex)
+        mat = np.zeros((dim_pq(self.n, p + a, q + b), dim_pq(self.n, p, q)), dtype=complex)
         table = _wedge_arrays(self.n, a, b, p, q)
         if table is not None:
             # each (target, source) cell takes one term: 0 + sign * v[i1], as a loop would

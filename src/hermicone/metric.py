@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -183,7 +184,7 @@ class OperatorBundle:
     def n(self):
         return self.alg.n
 
-    @property
+    @cached_property
     def omega(self):
         return self.metric.form()
 
@@ -446,6 +447,7 @@ def identity_suite(bundle, seed=0, n_random=3):
         res[key] = max(res[key], float(value))
 
     etas = [random_form(n, [(1, 1)], rng) for _ in range(n_random)]
+    eta_bars = [eta.conj() for eta in etas]
 
     for p in range(n + 1):
         for q in range(n + 1):
@@ -467,9 +469,9 @@ def identity_suite(bundle, seed=0, n_random=3):
                     comm = comm - bundle.lefschetz_block(p - 1, q - 1) @ bundle.trace_block(p, q)
                 upd("commutator", np.max(np.abs(comm - (n - p - q) * np.eye(d))))
 
-                for eta in etas:
+                for eta, eta_bar in zip(etas, eta_bars):
                     lhs = bundle.star_block(p + 1, q + 1) @ alg.wedge_matrix(eta, p, q)
-                    rhs = bundle.mult_adjoint_block(eta.conj(), n - q, n - p) @ s_here
+                    rhs = bundle.mult_adjoint_block(eta_bar, n - q, n - p) @ s_here
                     upd("mult_adjoint_star", np.max(np.abs(lhs - rhs)))
 
             if p + q <= n:
