@@ -70,12 +70,17 @@ def _layout(n):
 
 @lru_cache(maxsize=None)
 def _blocks(n):
-    """The bidegrees in layout order, their start offsets and the block number of
-    every coefficient."""
+    """The bidegrees in layout order, their start offsets and each coefficient's block number."""
     lay = _layout(n)
     keys = tuple(key for key in lay if isinstance(key, tuple))
     sizes = [lay[key].stop - lay[key].start for key in keys]
     return keys, np.array([lay[key].start for key in keys]), np.repeat(np.arange(len(keys)), sizes)
+
+
+@lru_cache(maxsize=256)
+def _absent(n, nonzero):
+    """Mask of the coefficients outside the blocks flagged in the bytes nonzero."""
+    return ~np.frombuffer(nonzero, dtype=bool)[_blocks(n)[2]]
 
 
 def _slice(n, key):
@@ -95,8 +100,7 @@ def _slices(n, key):
 
 @lru_cache(maxsize=None)
 def _conj_perm(n):
-    """Conjugation of a whole coefficient vector: the target index and the sign
-    (+-1.0) of every coefficient, from the per-bidegree _conj_table."""
+    """Whole-vector conjugation: the target index and sign (+-1.0) of every coefficient."""
     lay = _layout(n)
     perm, sign = np.empty(4 ** n, dtype=np.intp), np.empty(4 ** n)
     for (p, q) in _blocks(n)[0]:
@@ -230,13 +234,10 @@ class Form:
     def __init__(self, n, vec=None):
         """The form with coefficient vector vec, taken over; zero when vec is None."""
         self.n = n = int(n)
-        keys, starts, block_of = _blocks(n)
-        if vec is None:
-            vec, nonzero = np.zeros(4 ** n, dtype=complex), np.zeros(len(keys), dtype=bool)
-        else:
-            nonzero = np.logical_or.reduceat(vec, starts)
-            if not all(nonzero.tolist()):
-                vec[~nonzero[block_of]] = 0  # a zero block is +0 whatever its signs
+        vec = np.zeros(4 ** n, dtype=complex) if vec is None else vec
+        nonzero = np.logical_or.reduceat(vec, _blocks(n)[1])
+        if not all(nonzero.tolist()):
+            np.putmask(vec, _absent(n, nonzero.tobytes()), 0)  # zero blocks read +0, no -0
         vec.setflags(write=False)
         self.vec, self._nonzero, self._support = vec, nonzero, None
 
@@ -246,7 +247,7 @@ class Form:
         sl = _slice(n, key)
         vec = np.asarray(vec, dtype=complex).reshape(-1)
         if vec.shape[0] != sl.stop - sl.start:
-            raise DimensionMismatch(f"{key!r} takes {sl.stop - sl.start} coefficients, not {vec.size}")
+            raise DimensionMismatch(f"{key!r} takes {sl.stop - sl.start} numbers, not {vec.size}")
         full = np.zeros(4 ** n, dtype=complex)
         full[sl] = vec
         return cls(n, full)
@@ -459,9 +460,7 @@ class ExteriorAlgebra:
 
     def bidegrees(self, k):
         """Bidegrees of total degree k, p descending."""
-        if k < 0 or k > 2 * self.n:
-            raise DegreeOutOfRange(f"degree {k} outside 0..{2 * self.n}")
-        return [(p, k - p) for p in range(min(self.n, k), max(0, k - self.n) - 1, -1)]
+        return list(self.slices(k))
 
     def dim_total(self, k):
         """sum_p C(n, p) C(n, k - p) over the bidegrees of degree k, which is C(2n, k)."""
