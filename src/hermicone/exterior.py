@@ -234,10 +234,12 @@ class Form:
     def __init__(self, n, vec=None):
         """The form with coefficient vector vec, taken over; zero when vec is None."""
         self.n = n = int(n)
-        vec = np.zeros(4 ** n, dtype=complex) if vec is None else vec
-        nonzero = np.logical_or.reduceat(vec, _blocks(n)[1])
-        if not all(nonzero.tolist()):
-            np.putmask(vec, _absent(n, nonzero.tobytes()), 0)  # zero blocks read +0, no -0
+        if vec is None:
+            vec, nonzero = np.zeros(4 ** n, dtype=complex), np.zeros((n + 1) ** 2, dtype=bool)
+        else:
+            nonzero = np.logical_or.reduceat(vec, _blocks(n)[1])
+            if not all(nonzero.tolist()):
+                np.putmask(vec, _absent(n, nonzero.tobytes()), 0)  # zero blocks read +0, no -0
         vec.setflags(write=False)
         self.vec, self._nonzero, self._support = vec, nonzero, None
 
@@ -284,6 +286,8 @@ class Form:
         return np.max(np.abs(self.vec))
 
     def conj(self):
+        if not self.bidegrees():
+            return self
         perm, sign = _conj_perm(self.n)
         out = np.empty_like(self.vec)
         out.real[perm], out.imag[perm] = sign * self.vec.real, -sign * self.vec.imag
@@ -464,9 +468,8 @@ class ExteriorAlgebra:
 
     def dim_total(self, k):
         """sum_p C(n, p) C(n, k - p) over the bidegrees of degree k, which is C(2n, k)."""
-        if k < 0 or k > 2 * self.n:
-            raise DegreeOutOfRange(f"degree {k} outside 0..{2 * self.n}")
-        return math.comb(2 * self.n, k)
+        sl = _slice(self.n, k)
+        return sl.stop - sl.start
 
     def slices(self, key):
         """The slices of the bidegree blocks inside a coefficient vector of the space
@@ -496,14 +499,14 @@ class ExteriorAlgebra:
     def apply(self, op, form):
         """The block map op applied to a form: each nonzero block's nonzero images
         add, in layout order, into the slices of one output vector."""
-        lay = _layout(self.n)
-        out = np.zeros(4 ** self.n, dtype=complex)
+        lay, out = _layout(self.n), None
         for pq in form.bidegrees():
             vec = form.part(pq)
             for tgt, mat in op(*pq).items():
                 if tgt in lay:
                     img = mat @ vec
                     if np.count_nonzero(img):
+                        out = np.zeros(4 ** self.n, dtype=complex) if out is None else out
                         out[lay[tgt]] += img
         return Form(self.n, out)
 
