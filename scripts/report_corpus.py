@@ -20,12 +20,13 @@ The jobs cover ``eval`` (every functional) and ``torsion`` at a seeded random
 metric, ``verify --metrics 2`` and ``varcheck --tuples 3`` on the four catalog
 models; two 5-step descents; and ``eval``, ``torsion`` and ``verify`` on three
 synthetic models (Iwasawa x T^1, Kodaira-Thurston x T^2, complex Heisenberg
-n = 5) read from model files; ``eval``, ``varcheck`` and ``descend`` under
-``--tol 1e-6``; and six more 5-step descents that cover both slices: H from a
-random start, G normalized from the identity, F from a metric file, G on the
-n = 2 torus (whose volume datum is a (1,1) form), and the two refused at the
-feasibility probe (G on Kodaira-Thurston, F on Iwasawa).  Input files go to a temporary directory, whose
-path appears in no report.  ``hermicone`` is imported from this checkout's
+n = 5) read from model files; ``eval`` of G alone on Iwasawa x T^4 (n = 7);
+``eval``, ``varcheck`` and ``descend`` under ``--tol 1e-6``; and six more
+5-step descents that cover both slices: H from a random start, G normalized
+from the identity, F from a metric file, G on the n = 2 torus (whose volume
+datum is a (1,1) form), and the two refused at the feasibility probe (G on
+Kodaira-Thurston, F on Iwasawa).  Input files go to a temporary directory,
+whose path appears in no report.  ``hermicone`` is imported from this checkout's
 ``src/`` and BLAS runs on one thread, unless the caller set the variables.
 """
 
@@ -59,6 +60,10 @@ SYNTHETIC = {
     "kt_x_t2": (4, [(2, "mixed", 1, 1, 0.75)]),
     "heisenberg5": (5, [(5, "holo", 1, 2, 0.7), (5, "holo", 3, 4, -1.3)]),
 }
+# evaluated for G alone: at n = 7 the other jobs would dominate the corpus run
+LARGE = {
+    "iwasawa_x_t4": (7, [(3, "holo", 1, 2, -1.25)]),
+}
 
 
 def _write_inputs(tmp):
@@ -69,7 +74,7 @@ def _write_inputs(tmp):
         path = tmp / f"metric_{name}.json"
         path.write_text(json.dumps(metric.to_json_obj()))
         paths[f"metric:{name}"] = str(path)
-    for name, (n, terms) in SYNTHETIC.items():
+    for name, (n, terms) in {**SYNTHETIC, **LARGE}.items():
         doc = {"name": name, "n": n,
                "terms": [{"i": i, "kind": kind, "j": j, "k": k, "re": c, "im": 0.0}
                          for (i, kind, j, k, c) in terms]}
@@ -102,6 +107,9 @@ def jobs(paths):
             out.append((f"eval {name} {fn}", ["eval", *src, "--functional", fn]))
         out.append((f"torsion {name}", ["torsion", *src]))
         out.append((f"verify {name}", ["verify", *src, "--metrics", "1", "--seed", "5"]))
+    for name in LARGE:
+        out.append((f"eval {name} G", ["eval", "--model", paths[f"model:{name}"],
+                                       "--functional", "G"]))
     tol = ["--tol", "1e-6"]
     out.append(("eval iwasawa G tol", ["eval", "--catalog", "iwasawa", "--functional", "G",
                                        "--metric", paths["metric:iwasawa"], *tol]))
