@@ -57,6 +57,53 @@ class _CliFailure(Exception):
         self.code = code
 
 
+# The size budget: the most complex entries (16 bytes each, so 64 MiB) one dense array
+# of a job may hold, a matrix or the 4^n coefficient vector of a form.  It admits
+# every job at n <= 6, descend to n = 7, eval and torsion to n = 8 (eval G and H to
+# n = 9), and refuses verify and varcheck from n = 7 on, where one total-degree
+# Laplacian is 3432 x 3432 and a run would take hours.
+DENSE_BUDGET = 2 ** 22
+
+
+def dense_side(subcommand, n, functional=None):
+    """Side of the largest dense matrix a subcommand forms or passes to eigh at
+    dimension n, from n and the subcommand (with its --functional) alone.
+
+    The metric predicates read bidegrees (1,1) to (2,2) and (n-1, n-1); torsion
+    rho the total degrees 1..4; torsion Gamma the bidegrees (n-1, q), q >= n-4.
+    verify runs every total degree and varcheck draws them at random; descent
+    variations reach the mirrored bidegrees, at most the widest one.
+    """
+    def bideg(p, q):
+        return math.comb(n, p) * math.comb(n, q)
+
+    if subcommand in ("verify", "varcheck"):
+        return math.comb(2 * n, n)
+    rho = math.comb(2 * n, min(4, n))
+    if subcommand == "descend":
+        widest = bideg(n // 2, (n + 1) // 2)
+        return max(widest, rho) if functional in ("F", "Ftilde") else widest
+    predicates = max(bideg(1, 1), bideg(2, 2))
+    gamma = max(bideg(n - 1, q) for q in range(max(0, n - 4), n + 1))
+    if subcommand == "torsion":
+        return max(predicates, rho, gamma)
+    return max(predicates, {"F": rho, "Ftilde": rho, "G": gamma, "H": 0}[functional])
+
+
+def _require_budget(args, n):
+    """Refuse (exit 2), before any algebra is built, a job over DENSE_BUDGET."""
+    functional = getattr(args, "functional", None)
+    what = f"{args.subcommand} {functional}" if functional else args.subcommand
+    if 4 ** min(n, 32) > DENSE_BUDGET:  # the form vector alone; no big numbers for a huge n
+        raise _CliFailure(EXIT_SCHEMA, f"{what} at n = {n} needs the 4^{n}-entry coefficient "
+                                       f"vector of a form; the budget is {DENSE_BUDGET} entries")
+    side = dense_side(args.subcommand, n, functional)
+    if side * side > DENSE_BUDGET:
+        raise _CliFailure(EXIT_SCHEMA, f"{what} at n = {n} needs a dense {side} x {side} "
+                                       f"matrix, {side * side} entries; the budget is "
+                                       f"{DENSE_BUDGET} entries")
+
+
 def _load_model(args):
     if bool(args.model) == bool(args.catalog):
         raise _CliFailure(EXIT_SCHEMA,
@@ -71,6 +118,7 @@ def _load_model(args):
         except OSError as exc:
             raise _CliFailure(EXIT_SCHEMA, f"cannot read model file: {exc}") from exc
         source = model.name
+    _require_budget(args, model.n)
     require_valid(model)
     return model, source
 

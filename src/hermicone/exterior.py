@@ -16,6 +16,11 @@ Conventions fixed here and used everywhere else:
   "del" and "dbar" step a bidegree (p, q) in p or in q (see neighbor); every
   codifferential, Laplacian, projector and potential is written once over
   (which, key).
+* d is stored once per algebra as sparse entries: for each source bidegree,
+  d_entries(p, q) maps each target to (rows, cols, values), summed in Leibniz
+  order onto +0 and free of zeros.  d_blocks(p, q) densifies one source's
+  blocks from them on its first request, so a job that reads a few complexes
+  builds only their blocks; the model gate reads the entries alone.
 * A bigraded operator is a block map op(p, q) -> {target bidegree: matrix}
   (d_blocks is one).  ExteriorAlgebra.apply runs a block map on a form and
   ExteriorAlgebra.total assembles its total-degree matrix; no other module
@@ -166,7 +171,8 @@ def _derivation_table(n, p, q, g, K, L):
 
     iota_g removes generator g (theta^g if g < n, else thetabar^(g-n)) from position
     m of (I, J) with sign (-1)^m; the wedge with theta_K^thetabar_L then has the signs
-    of _wedge_arrays.  Returns the target bidegree and (row, col, sign) arrays.
+    of _wedge_arrays.  Returns the target bidegree and read-only (row, col, sign)
+    arrays, row-major; each column (source monomial) holds at most one entry.
     """
     rp, rq = (p - 1, q) if g < n else (p, q - 1)
     if min(rp, rq) < 0:
@@ -181,7 +187,12 @@ def _derivation_table(n, p, q, g, K, L):
             mi, mj = _merge(K, rest[0]), _merge(L, rest[1])
             if mi is not None and mj is not None:
                 out.append((tgt[(mi[1], mj[1])], src, (-1) ** (m + rp * len(L)) * mi[0] * mj[0]))
-    return ((rp + len(K), rq + len(L)), *map(np.array, zip(*out))) if out else None
+    if not out:
+        return None
+    arrays = tuple(map(np.array, zip(*sorted(out))))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return ((rp + len(K), rq + len(L)), *arrays)
 
 
 @lru_cache(maxsize=None)
@@ -421,6 +432,7 @@ class ExteriorAlgebra:
         self._d_terms = [(g, *_basis(n, a, b)[i], f.part((a, b))[i])
                          for g, f in enumerate(d_one + [f.conj() for f in d_one])
                          for a, b in f.bidegrees() for i in np.flatnonzero(f.part((a, b)))]
+        self._d_entries_cache = {}
         self._d_blocks_cache = {}
         self._d_total_cache = {}
 
@@ -430,26 +442,52 @@ class ExteriorAlgebra:
         """d of the idx-th monomial of Lambda^{p,q}: one column of d_blocks."""
         return self.d_form(Form.at(self.n, (p, q), np.eye(dim_pq(self.n, p, q))[idx]))
 
-    def d_blocks(self, p, q):
-        """All matrix blocks of d restricted to Lambda^{p,q}, keyed by target.
+    def d_entries(self, p, q):
+        """d restricted to Lambda^{p,q} as sparse entries: {target: (rows, cols, values)}.
 
-        d is the odd derivation sum_g d(gen_g) ^ iota_g over the 2n generators;
-        the terms of one entry add up in generator order, the Leibniz order.
+        d is the odd derivation sum_g d(gen_g) ^ iota_g over the 2n generators; the
+        terms of one entry add up onto +0 in generator order, the Leibniz order, as
+        np.add.at adds them onto a zero matrix.  Entries are row-major within a
+        target, targets keep the order they are first met in, and entries and
+        targets that sum to exactly zero are left out.
         """
         key = (p, q)
-        if key not in self._d_blocks_cache:
+        if key not in self._d_entries_cache:
             n, acc, blocks = self.n, {}, {}
             for g, K, L, coeff in self._d_terms:
                 table = _derivation_table(n, p, q, g, K, L)
                 if table is not None:
                     tgt, rows, cols, sign = table
                     acc.setdefault(tgt, []).append((rows, cols, sign * coeff))
+            width = dim_pq(n, p, q)
             for tgt, terms in acc.items():
-                mat = np.zeros((dim_pq(n, *tgt), dim_pq(n, p, q)), dtype=complex)
+                if len(terms) == 1:
+                    # one generator's entries: row-major, one per cell and nonzero;
+                    # adding +0 turns a -0 part into +0, as np.add.at onto zeros does
+                    rows, cols, vals = terms[0]
+                    blocks[tgt] = (rows, cols, vals + 0.0)
+                    continue
                 rows, cols, vals = map(np.concatenate, zip(*terms))
-                np.add.at(mat, (rows, cols), vals)
-                if np.any(mat):
-                    blocks[tgt] = mat
+                cells, slot = np.unique(rows * width + cols, return_inverse=True)
+                sums = np.zeros(cells.size, dtype=complex)
+                np.add.at(sums, slot, vals)  # in generator order within each cell
+                keep = sums != 0
+                if np.any(keep):
+                    cells = cells[keep]
+                    blocks[tgt] = (cells // width, cells % width, sums[keep])
+            self._d_entries_cache[key] = blocks
+        return self._d_entries_cache[key]
+
+    def d_blocks(self, p, q):
+        """The dense matrix blocks of d restricted to Lambda^{p,q}, keyed by target:
+        d_entries placed into zero matrices, built on the first request."""
+        key = (p, q)
+        if key not in self._d_blocks_cache:
+            blocks = {}
+            for tgt, (rows, cols, vals) in self.d_entries(p, q).items():
+                blocks[tgt] = mat = np.zeros((dim_pq(self.n, *tgt), dim_pq(self.n, p, q)),
+                                             dtype=complex)
+                mat[rows, cols] = vals
             self._d_blocks_cache[key] = blocks
         return self._d_blocks_cache[key]
 

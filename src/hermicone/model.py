@@ -176,13 +176,13 @@ _BETA_C = 4.0
 
 def _d_entries(alg):
     """Nonzero entries of d on the whole algebra as (row, col, value) arrays, indexed
-    in the coefficient layout of a Form."""
+    in the coefficient layout of a Form: sources in (p, q) product order, then
+    ExteriorAlgebra.d_entries order, which is np.nonzero's on the dense blocks."""
     lay = _layout(alg.n)
     parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, complex))]
     for pq in itertools.product(range(alg.n + 1), repeat=2):
-        for tgt, blk in alg.d_blocks(*pq).items():
-            r, c = np.nonzero(blk != 0)
-            parts.append((r + lay[tgt].start, c + lay[pq].start, blk[r, c]))
+        for tgt, (r, c, v) in alg.d_entries(*pq).items():
+            parts.append((r + lay[tgt].start, c + lay[pq].start, v))
     return tuple(map(np.concatenate, zip(*parts)))
 
 
@@ -256,8 +256,8 @@ def validate_model(model):
         if not dd_ok:
             messages.append(f"d*d has max residual {dd_res:.3e}")
 
-    top = [blk.ravel() for pq in alg.bidegrees(2 * model.n - 1)
-           for blk in alg.d_blocks(*pq).values()]
+    top = [vals for pq in alg.bidegrees(2 * model.n - 1)
+           for _, _, vals in alg.d_entries(*pq).values()]
     uni_res = float(np.max(np.abs(np.concatenate(top)))) if top else 0.0
     unimodular = uni_res <= VALIDATION_TOL
     if not unimodular:

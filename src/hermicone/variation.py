@@ -80,14 +80,17 @@ def make_direction(alg, obj, kind="metric", require=None, tol=DEFAULT_TOL):
     kind names the SLICES direction kind: "metric" takes a real (1,1) form
     or a Hermitian matrix, "volume" a real (n-1,n-1) form.  require names a
     SLICES cone whose constraint the direction must keep ("skt": del dbar
-    = 0, "balanced": d = 0); violations raise DirectionNotAdmissible.
+    = 0, "balanced": d = 0).  A zero direction, one of another type and a
+    violation raise DirectionNotAdmissible.
     """
     p = direction_slice(kind).degree(alg.n)
     if kind == "metric" and not isinstance(obj, Form):
         obj = HermitianMetric(obj).form()
     if not isinstance(obj, Form) or obj.n != alg.n:
         raise DimensionMismatch(f"{kind} direction must be a form over the same coframe")
-    if obj.bidegrees() not in ([], [(p, p)]):
+    if not obj.bidegrees():
+        raise DirectionNotAdmissible(f"{kind} direction is zero: there is nothing to vary along")
+    if obj.bidegrees() != [(p, p)]:
         raise DirectionNotAdmissible(f"{kind} direction must be a ({p},{p}) form")
     real_res = (obj - obj.conj()).max_abs()
     if real_res > tol * (1.0 + obj.max_abs()):

@@ -1,13 +1,20 @@
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from .conftest import non_unimodular_model
+from hermicone import exterior as exterior_module
 from hermicone import model as model_module
 from hermicone.cli import main
 from hermicone.errors import (ModelNotUnimodular, SchemaError,
                               UnknownCatalogName)
+from hermicone.exterior import dim_pq
 from hermicone.model import (VALIDATION_TOL, algebra_for, catalog, catalog_names,
                              certified_d_squared, differential_matrices, make_model,
                              parse_model, require_valid, serialize_model, validate_model)
@@ -205,3 +212,77 @@ def test_validation_builds_no_total_degree_matrix(tmp_path, capsys, fresh_caches
     assert main(["eval", "--model", str(path), "--functional", "G"]) == 0
     capsys.readouterr()
     assert algebra_for(model) is alg and alg._d_total_cache == {}
+
+
+def _dense_d_blocks(alg, p, q):
+    """The dense d blocks on Lambda^{p,q} built as before the sparse store: every
+    derivation entry added onto a zero matrix with np.add.at, all-zero blocks dropped."""
+    acc, blocks = {}, {}
+    for g, K, L, coeff in alg._d_terms:
+        table = exterior_module._derivation_table(alg.n, p, q, g, K, L)
+        if table is not None:
+            tgt, rows, cols, sign = table
+            acc.setdefault(tgt, []).append((rows, cols, sign * coeff))
+    for tgt, terms in acc.items():
+        mat = np.zeros((dim_pq(alg.n, *tgt), dim_pq(alg.n, p, q)), dtype=complex)
+        rows, cols, vals = map(np.concatenate, zip(*terms))
+        np.add.at(mat, (rows, cols), vals)
+        if np.any(mat):
+            blocks[tgt] = mat
+    return blocks
+
+
+@pytest.mark.parametrize("build,window", _GATE_MODELS)
+def test_sparse_d_matches_the_dense_build_bit_for_bit(build, window, fresh_caches):
+    alg = algebra_for(build())
+    lay = exterior_module._layout(alg.n)
+    parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, complex))]
+    for pq in itertools.product(range(alg.n + 1), repeat=2):
+        want = _dense_d_blocks(alg, *pq)
+        got = alg.d_blocks(*pq)
+        assert list(got) == list(want)
+        for tgt, mat in want.items():
+            assert got[tgt].dtype == mat.dtype and got[tgt].tobytes() == mat.tobytes()
+            r, c = np.nonzero(mat != 0)
+            parts.append((r + lay[tgt].start, c + lay[pq].start, mat[r, c]))
+    rows, cols, vals = model_module._d_entries(alg)
+    want_rows, want_cols, want_vals = (np.concatenate(a) for a in zip(*parts))
+    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+    assert vals.tobytes() == want_vals.tobytes()
+
+
+def test_eval_g_densifies_only_the_blocks_it_reads(tmp_path, capsys, fresh_caches):
+    n = 7
+    model = make_model("iwasawa_x_t4", n, [(3, "holo", 1, 2, -1.25)])
+    path = tmp_path / "model.json"
+    path.write_text(serialize_model(model))
+    assert main(["eval", "--model", str(path), "--functional", "G"]) == 0
+    capsys.readouterr()
+    alg = algebra_for(model)
+    # the gate reads d's entries everywhere, but dense blocks only exist where the
+    # predicates (d omega, del dbar omega, d omega_(n-1)) and the dbar complex
+    # around Gamma's (n-1, n-2) read them
+    assert len(alg._d_entries_cache) == (n + 1) ** 2
+    predicates = {(1, 1), (1, 2), (n - 1, n - 1)}
+    gamma = {(n - 1, q) for q in range(n - 4, n)}
+    assert set(alg._d_blocks_cache) == predicates | gamma
+    assert len(alg._d_blocks_cache) == 6  # of 64 source bidegrees
+
+
+def test_eval_g_at_n8_stays_small(tmp_path):
+    # a fresh process on one BLAS thread: the dense d blocks of every bidegree
+    # (2.3 GB at n = 8) are never built
+    path = tmp_path / "model.json"
+    path.write_text(serialize_model(make_model("iwasawa_x_t5", 8, [(3, "holo", 1, 2, -1.25)])))
+    child = ("import resource, sys; from hermicone.cli import main; "
+             "code = main(['eval', '--model', sys.argv[1], '--functional', 'G', "
+             "'--out', sys.argv[2]]); "
+             "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    src = str(Path(model_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-c", child, str(path), str(tmp_path / "out.json")],
+                         capture_output=True, text=True, env=env, check=True)
+    code, maxrss_kb = map(int, run.stdout.split())
+    assert code == 0
+    assert maxrss_kb / 1024 < 300

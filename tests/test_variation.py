@@ -12,7 +12,8 @@ from hermicone.errors import (
 from hermicone.exterior import ExteriorAlgebra, Form, random_form
 from hermicone.functionals import eval_F, eval_F_tilde, eval_G, eval_H
 from hermicone.hodge import root_n_minus_1
-from hermicone.metric import HermitianMetric, bundle_for_algebra
+from hermicone.cli import EXIT_TOLERANCE, _exit_code
+from hermicone.metric import HermitianMetric, build_bundle, bundle_for_algebra
 from hermicone.model import algebra_for, catalog
 from hermicone.optimizer import constraint_basis
 from hermicone.variation import (
@@ -66,6 +67,21 @@ def test_make_direction_vets_inputs():
     rng = np.random.default_rng(0)
     with pytest.raises(DirectionNotAdmissible):
         make_direction(alg, random_form(3, [(2, 1)], rng), kind="volume")
+
+
+def test_zero_direction_is_refused():
+    # zero requested work is never a pass: var_F used to fail on it inside numpy
+    alg = algebra_for(catalog("kodaira_thurston"))
+    with pytest.raises(DirectionNotAdmissible, match="zero") as info:
+        var_F(build_bundle(catalog("kodaira_thurston"), HermitianMetric.identity(2)),
+              make_direction(alg, Form.zero(2), kind="metric"))
+    assert _exit_code(info.value) == EXIT_TOLERANCE
+    b = seeded_bundle("iwasawa")
+    for zero, kind in ((np.zeros((3, 3)), "metric"), (Form.zero(3), "volume")):
+        with pytest.raises(DirectionNotAdmissible, match="zero"):
+            make_direction(b.alg, zero, kind=kind)
+    with pytest.raises(DirectionNotAdmissible, match="zero"):
+        var_G(b, Form.zero(3))
 
 
 def test_make_direction_constraint_requirements():
