@@ -25,7 +25,9 @@ n = 5) read from model files; ``eval`` of G alone on Iwasawa x T^4 (n = 7);
 5-step descents that cover both slices: H from a random start, G normalized
 from the identity, F from a metric file, G on the n = 2 torus (whose volume
 datum is a (1,1) form), and the two refused at the feasibility probe (G on
-Kodaira-Thurston, F on Iwasawa).  Input files go to a temporary directory,
+Kodaira-Thurston, F on Iwasawa).  Three descents run the slice gradient
+longer or higher: 40 steps of Ftilde on Kodaira-Thurston and of G on Iwasawa,
+and 3 steps of G on Iwasawa x T^1 (n = 4).  Input files go to a temporary directory,
 whose path appears in no report.  ``hermicone`` is imported from this checkout's
 ``src/`` and BLAS runs on one thread, unless the caller set the variables.
 """
@@ -138,6 +140,16 @@ def jobs(paths):
                  "--steps", "5"]))
     out.append(("descend iwasawa F empty cone",
                 ["descend", "--catalog", "iwasawa", "--functional", "F", "--steps", "5"]))
+    # long descents, and one at n = 4 (n - 1 = 3), through the slice gradient
+    out.append(("descend kodaira_thurston Ftilde 40 steps",
+                ["descend", "--catalog", "kodaira_thurston", "--functional", "Ftilde",
+                 "--metric", "random", "--seed", "8", "--steps", "40", "--max-step", "0.05"]))
+    out.append(("descend iwasawa G 40 steps",
+                ["descend", "--catalog", "iwasawa", "--functional", "G",
+                 "--metric", "random", "--seed", "9", "--steps", "40"]))
+    out.append(("descend iwasawa_x_t1 G",
+                ["descend", "--model", paths["model:iwasawa_x_t1"], "--functional", "G",
+                 "--metric", "random", "--seed", "10", "--steps", "3"]))
     return out
 
 
