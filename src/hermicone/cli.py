@@ -26,6 +26,7 @@ from .errors import (DegenerateDimension, DegreeOutOfRange, DimensionMismatch,
                      LineSearchFailure, ModelInvalid, ModelNotUnimodular, NotBalanced,
                      NotPositive, NotPositiveDefinite, NotSKT, SchemaError, StepTooLarge,
                      ToleranceAmbiguity, ToleranceFailure, UnknownCatalogName)
+from .exterior import DENSE_BUDGET
 from .functionals import energy, evaluate
 from .hodge import predicates, three_space_residuals, torsion
 from .metric import (DEFAULT_TOL, HermitianMetric, bundle_for_algebra, identity_suite,
@@ -57,12 +58,10 @@ class _CliFailure(Exception):
         self.code = code
 
 
-# The size budget: the most complex entries (16 bytes each, so 64 MiB) one dense array
-# of a job may hold, a matrix or the 4^n coefficient vector of a form.  It admits
-# every job at n <= 6, descend to n = 7, eval and torsion to n = 8 (eval G and H to
-# n = 9), and refuses verify and varcheck from n = 7 on, where one total-degree
-# Laplacian is 3432 x 3432 and a run would take hours.
-DENSE_BUDGET = 2 ** 22
+# The size budget DENSE_BUDGET (exterior.py) admits every job at n <= 6, descend to
+# n = 7, eval and torsion to n = 8 (eval G and H to n = 9), and refuses verify and
+# varcheck from n = 7 on, where one total-degree Laplacian is 3432 x 3432 and a run
+# would take hours.
 
 
 def dense_side(subcommand, n, functional=None):

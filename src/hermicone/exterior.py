@@ -25,6 +25,10 @@ Conventions fixed here and used everywhere else:
   (d_blocks is one).  ExteriorAlgebra.apply runs a block map on a form and
   ExteriorAlgebra.total assembles its total-degree matrix; no other module
   places blocks by offset.
+* A FormStack holds forms on a leading axis.  wedge (on its left), apply,
+  wedge_matrix and integrate take one where they take a Form, and give each
+  form of the stack the bits it gets alone; a block map may likewise carry
+  matrices stacked on a leading axis.
 """
 
 from __future__ import annotations
@@ -36,6 +40,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegreeOutOfRange, DimensionMismatch
+
+# The size budget: the most complex entries (16 bytes each, so 64 MiB) one dense array
+# of a job may hold, a matrix, the 4^n coefficient vector of a form, or a stack of
+# matrices, one per variation direction.
+DENSE_BUDGET = 2 ** 22
+
 
 @lru_cache(maxsize=None)
 def _combos(n, p):
@@ -163,6 +173,17 @@ def _wedge_arrays(n, p1, q1, p2, q2):
             if mi is not None and mj is not None:
                 out.append((i1, i2, mi[0] * mj[0] * cross, tgt[(mi[1], mj[1])]))
     return tuple(np.array(col, dtype=np.intp) for col in zip(*out)) if out else None
+
+
+@lru_cache(maxsize=None)
+def _wedge_cells(n, a, b, p, q):
+    """_wedge_arrays(n, a, b, p, q) as wedge_matrix places it: i1, sign and the flat
+    cell target * dim(p, q) + source of each term, None if empty."""
+    table = _wedge_arrays(n, a, b, p, q)
+    if table is None:
+        return None
+    i1, i2, sign, t = table
+    return i1, sign, t * dim_pq(n, p, q) + i2
 
 
 @lru_cache(maxsize=None)
@@ -363,15 +384,48 @@ class Form:
         return f"Form(n={self.n}, blocks=[{keys}])"
 
 
+class FormStack:
+    """Forms on a leading axis: vec[i] is the coefficient vector of form i.
+
+    bidegrees() lists the blocks nonzero in any of them.  Unlike a Form, a block
+    that is zero in one form is not reset to +0 there; its terms in a wedge or a
+    matrix product are zeros, which leave the other terms' sums as they are.
+    """
+
+    __slots__ = ("n", "vec", "_support")
+
+    def __init__(self, n, vec):
+        self.n, self.vec, self._support = int(n), vec, None
+
+    @classmethod
+    def at(cls, n, key, vecs):
+        """The forms with coefficient rows vecs at a degree or bidegree key, zero elsewhere."""
+        vecs = np.asarray(vecs, dtype=complex)
+        full = np.zeros(vecs.shape[:-1] + (4 ** n,), dtype=complex)
+        full[..., _slice(n, key)] = vecs
+        return cls(n, full)
+
+    def part(self, key):
+        return self.vec[..., _slice(self.n, key)]
+
+    def bidegrees(self):
+        if self._support is None:
+            rows = self.vec.reshape(-1, 4 ** self.n)
+            nonzero = np.logical_or.reduceat(rows, _blocks(self.n)[1], axis=1).any(axis=0)
+            self._support = tuple(itertools.compress(_blocks(self.n)[0], nonzero.tolist()))
+        return list(self._support)
+
+
 def wedge(u, v):
     """Wedge product of two forms, canonically reordered with signs: one np.add.at per
     pair of nonzero blocks, each product formed from real and imaginary parts as the
     complex scalar product is (numpy's array kernel for complex a * b rounds otherwise).
+    u may be a FormStack, each of whose forms then wedges with v.
     """
     if u.n != v.n:
         raise DimensionMismatch("forms over different coframes")
     n, lay = u.n, _layout(u.n)
-    out = np.zeros(4 ** n, dtype=complex)
+    out = np.zeros(u.vec.shape[:-1] + (4 ** n,), dtype=complex)
     for p1, q1 in u.bidegrees():
         a = u.part((p1, q1))
         for p2, q2 in v.bidegrees():
@@ -379,13 +433,14 @@ def wedge(u, v):
             if table is None:
                 continue
             i1, i2, sign, t = table
-            x, y = sign * a[i1], v.part((p2, q2))[i2]
+            x, y = sign * a.take(i1, axis=-1), v.part((p2, q2))[i2]
             prod = np.empty(x.shape, dtype=complex)
             re, im = prod.real, prod.imag
             np.subtract(np.multiply(x.real, y.real, out=re), x.imag * y.imag, out=re)
             np.add(np.multiply(x.real, y.imag, out=im), x.imag * y.real, out=im)
-            np.add.at(out[lay[(p1 + p2, q1 + q2)]], t, prod)
-    return Form(n, out)
+            # each form's terms add onto its own targets in table order
+            np.add.at(out[..., lay[(p1 + p2, q1 + q2)]], t if out.ndim == 1 else (..., t), prod)
+    return Form(n, out) if out.ndim == 1 else FormStack(n, out)
 
 
 def wedge_power(u, k):
@@ -524,29 +579,38 @@ class ExteriorAlgebra:
         """Matrix of the block map op from total degree k to total degree k_out.
 
         Blocks of op whose target has another total degree are left out; a
-        k_out outside 0..2n gives a matrix with no rows.
+        k_out outside 0..2n gives a matrix with no rows.  Blocks stacked on a
+        leading axis give the stack of total matrices.
         """
         rows = self.slices(k_out) if 0 <= k_out <= 2 * self.n else {}
-        mat = np.zeros((self.dim_total(k_out) if rows else 0, self.dim_total(k)), dtype=complex)
-        for pq, cols in self.slices(k).items():
-            for tgt, blk in op(*pq).items():
-                if tgt in rows:
-                    mat[rows[tgt], cols] = blk
+        placed = [(rows[tgt], cols, blk) for pq, cols in self.slices(k).items()
+                  for tgt, blk in op(*pq).items() if tgt in rows]
+        lead = placed[0][2].shape[:-2] if placed else ()
+        mat = np.zeros(lead + (self.dim_total(k_out) if rows else 0, self.dim_total(k)),
+                       dtype=complex)
+        for row, cols, blk in placed:
+            mat[..., row, cols] = blk
         return mat
 
     def apply(self, op, form):
         """The block map op applied to a form: each nonzero block's nonzero images
-        add, in layout order, into the slices of one output vector."""
-        lay, out = _layout(self.n), None
+        add, in layout order, into the slices of one output vector.  A FormStack
+        or a block map with stacked matrices gives a FormStack; a vector goes
+        through its own matrix-vector product (A @ x[..., None]), never one
+        matrix product for the whole stack, whose sums round otherwise."""
+        lay, lead, out = _layout(self.n), form.vec.shape[:-1], None
         for pq in form.bidegrees():
             vec = form.part(pq)
             for tgt, mat in op(*pq).items():
                 if tgt in lay:
-                    img = mat @ vec
+                    img = (mat @ vec[..., None])[..., 0] if lead else mat @ vec
                     if np.count_nonzero(img):
-                        out = np.zeros(4 ** self.n, dtype=complex) if out is None else out
-                        out[lay[tgt]] += img
-        return Form(self.n, out)
+                        if out is None:
+                            out = np.zeros(img.shape[:-1] + (4 ** self.n,), dtype=complex)
+                        out[..., lay[tgt]] += img
+        if out is None:
+            return Form(self.n) if not lead else FormStack(self.n, np.zeros(form.vec.shape))
+        return Form(self.n, out) if out.ndim == 1 else FormStack(self.n, out)
 
     def d_form(self, form):
         return self.apply(self.d_blocks, form)
@@ -560,20 +624,27 @@ class ExteriorAlgebra:
     # ----- multiplication operators ----------------------------------------
 
     def wedge_matrix(self, form, p, q):
-        """Matrix of (form ^ .) from Lambda^{p,q}; form must be homogeneous."""
+        """Matrix of (form ^ .) from Lambda^{p,q}; form must be homogeneous.  A
+        FormStack gives its forms' matrices on its leading axis."""
         support = form.bidegrees()
+        lead = form.vec.shape[:-1]
         if len(support) > 1:
             raise DimensionMismatch("wedge_matrix expects a homogeneous form")
         if not support:
-            return np.zeros((0, dim_pq(self.n, p, q)), dtype=complex)
+            return np.zeros(lead + (0, dim_pq(self.n, p, q)), dtype=complex)
         (a, b), = support
         v = form.part((a, b))
-        mat = np.zeros((dim_pq(self.n, p + a, q + b), dim_pq(self.n, p, q)), dtype=complex)
-        table = _wedge_arrays(self.n, a, b, p, q)
-        if table is not None:
-            # each (target, source) cell takes one term: 0 + sign * v[i1], as a loop would
-            i1, i2, sign, t = table
-            np.add.at(mat, (t, i2), sign * v[i1])
+        mat = np.zeros(lead + (dim_pq(self.n, p + a, q + b), dim_pq(self.n, p, q)),
+                       dtype=complex)
+        cells = _wedge_cells(self.n, a, b, p, q)
+        if cells is not None:
+            # each (target, source) cell takes exactly one term, so placing it gives the
+            # bits of a sum onto zeros, np.add.at's; + 0.0 turns a -0 into +0 as that sum does
+            i1, sign, flat = cells
+            if lead:
+                mat.reshape(lead + (-1,))[..., flat] = sign * v[..., i1] + 0.0
+            else:
+                mat.reshape(-1)[flat] = sign * v[i1] + 0.0
         return mat
 
     # ----- integration ------------------------------------------------------
@@ -587,6 +658,9 @@ class ExteriorAlgebra:
         return Form.monomial(self.n, full, full, self.theta_coefficient)
 
     def integrate(self, form):
-        """Integral against the unit mass of Theta (top component over Theta)."""
+        """Integral against the unit mass of Theta (top component over Theta); a
+        FormStack gives the list of its forms' integrals."""
         top = form.part((self.n, self.n))
+        if top.ndim > 1:
+            return [complex(c / self.theta_coefficient) for c in top[:, 0]]
         return complex(top[0] / self.theta_coefficient)

@@ -140,8 +140,8 @@ def random_metric(n, rng, eps=0.5):
 
 
 def _adjoint(mat, g_src, g_tgt):
-    # A^* = G_src^{-1} A^H G_tgt
-    return np.linalg.solve(g_src, mat.conj().T @ g_tgt)
+    # A^* = G_src^{-1} A^H G_tgt; a stack of A gives the stack of adjoints
+    return np.linalg.solve(g_src, mat.conj().swapaxes(-1, -2) @ g_tgt)
 
 
 @dataclass
@@ -291,24 +291,26 @@ class OperatorBundle:
     def trace_contract(self, form):
         return self.alg.apply(lambda p, q: {(p - 1, q - 1): self.trace_block(p, q)}, form)
 
-    def mult_adjoint_block(self, eta, p, q):
-        """Adjoint of (eta ^ .) landing on Lambda^{p,q}, for homogeneous eta.
+    def mult_adjoint_block(self, eta, p, q, wedges=None):
+        """Adjoint of (eta ^ .) landing on Lambda^{p,q}, for homogeneous eta or a
+        FormStack of them (then one adjoint per form, on its leading axis).
 
-        Maps (p,q) back to (p-a, q-b) when eta has bidegree (a,b).
+        Maps (p,q) back to (p-a, q-b) when eta has bidegree (a,b).  wedges, when
+        given, maps a source bidegree to the matrix of eta ^ . there (a memo).
         """
         (a, b), = eta.bidegrees() or [(0, 0)]
         src = (p - a, q - b)
         if dim_pq(self.n, *src) == 0:
-            return np.zeros((0, dim_pq(self.n, p, q)), dtype=complex)
-        mat = self.alg.wedge_matrix(eta, *src)
+            return np.zeros(eta.vec.shape[:-1] + (0, dim_pq(self.n, p, q)), dtype=complex)
+        mat = self.alg.wedge_matrix(eta, *src) if wedges is None else wedges[src]
         return _adjoint(mat, self.gram(*src), self.gram(p, q))
 
-    def mult_adjoint(self, eta, form):
+    def mult_adjoint(self, eta, form, wedges=None):
         if not eta.bidegrees():
             return Form.zero(self.n)
         (a, b), = eta.bidegrees()
-        return self.alg.apply(lambda p, q: {(p - a, q - b): self.mult_adjoint_block(eta, p, q)},
-                              form)
+        return self.alg.apply(
+            lambda p, q: {(p - a, q - b): self.mult_adjoint_block(eta, p, q, wedges)}, form)
 
     # ----- codifferentials and Laplacians ----------------------------------------
 

@@ -25,7 +25,7 @@ from .functionals import SLICES, cone_slice, energy, evaluate
 from .hodge import decomposition, predicates, torsion_space
 from .metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra
 from .model import algebra_for
-from .variation import make_direction, variation_at
+from .variation import Directions, make_direction, variation_at
 
 NULLSPACE_RTOL = 1e-10
 DEGENERACY_RTOL = 1e-6
@@ -253,7 +253,9 @@ class _Objective:
         nu_pow = wedge_power(nu.form(), alg.n - basis.pq[0])
         integrals = [alg.integrate(wedge(f, nu_pow)) for f in forms]
         self.covector = np.array(integrals, dtype=complex).real
-        self.directions = [make_direction(alg, f, kind=self.kind, tol=tol) for f in forms]
+        # one stack for the whole descent: its direction-only work is done once
+        self.directions = Directions(make_direction(alg, f, kind=self.kind, tol=tol)
+                                     for f in forms)
         self._last = None
         # the torsion's source space, whose harmonic projector moves with the metric
         self.moving_projector = torsion_space(spec.torsion, alg.n) \
@@ -302,8 +304,9 @@ class _Objective:
         """Exact slice gradient at x, None when it is not evaluable there.
 
         One bundle at the (retracted) iterate; each entry is the closed-form
-        derivative along a basis form.  With normalize on, the chain rule
-        through x -> x / c(x) gives (g - covector (g . x_r)) / c(x).
+        derivative along a basis form, all of them from one stacked variation
+        pass.  With normalize on, the chain rule through x -> x / c(x) gives
+        (g - covector (g . x_r)) / c(x).
         """
         try:
             x_r = self.retract(x) if self.normalize else x
@@ -311,7 +314,7 @@ class _Objective:
             if self.moving_projector is not None:
                 decomposition(bundle, *self.moving_projector).require_gap()
             at = variation_at(bundle, self.functional, self.nu, self.weight_bundle)
-            grad = np.array([at(d).derivative for d in self.directions])
+            grad = np.array([var.derivative for var in at(self.directions)])
         except _UNEVALUABLE + (KernelJump,):
             return None
         if self.normalize:
@@ -357,8 +360,10 @@ def descend(model, functional="F_tilde", start=None, nu=None, weight=None,
     option for the others, including the volume normalization for G).
     The slice gradient is exact: the closed-form first variation
     (FunctionalVariation.derivative) along each basis form, at one bundle
-    per iterate.  max_step caps the trial step length, trading speed for
-    trace resolution near degenerate boundaries.  Termination is one of
+    per iterate, in one stacked variation pass over the basis (chunked only
+    beyond DENSE_BUDGET) whose direction-only work is done once per descent.
+    max_step caps the trial step length, trading speed for trace
+    resolution near degenerate boundaries.  Termination is one of
     GradientSmall, PositivityBoundary, MaxIters, NumericalStall; the
     stall means either that the gradient is not evaluable at the iterate
     (a kernel jump, a tolerance failure) or that the line search finds no

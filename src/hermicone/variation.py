@@ -15,6 +15,21 @@ for each of the three codifferentials codiff(which, key) of the bundle
 assemble from these by the product rule, once for all three complexes.
 All matrix derivatives are exact (the model is finite dimensional); the
 finite-difference harness in this module exists to cross-check them.
+
+Directions run as stacks.  gamma may be one (1,1) form or a FormStack of
+them; every matrix above then carries the stack's leading axis, and
+variation_at(...) maps a sequence of Directions (a Directions stack keeps
+its direction-only work) to their variations in one pass, walked in chunks
+whose stacked matrices stay within DENSE_BUDGET.  A direction gets the bits
+it gets alone, which three rules keep:
+
+* a stack of vectors goes through one matrix-vector product per direction,
+  A @ X[..., None], and one dot per direction, x[..., None, :] @ y[..., :, None];
+  one matrix product for the whole stack (X @ A.T) sums in another order;
+* the volume coefficient coef / (n - 1) stays a Python complex division, which
+  numpy's complex division does not round alike;
+* wedge matrices are placed, not summed: every cell of a wedge table takes
+  exactly one term (see ExteriorAlgebra.wedge_matrix).
 """
 
 from __future__ import annotations
@@ -25,7 +40,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, DirectionNotAdmissible, KernelJump,
                      NotPositive, NotPositiveDefinite, StepTooLarge)
-from .exterior import Form, conj_block_matrix, dim_pq, neighbor, wedge, wedge_power
+from .exterior import (DENSE_BUDGET, Form, FormStack, conj_block_matrix, dim_pq, neighbor,
+                       wedge, wedge_power)
 from .functionals import (SLICES, cone_slice, direction_slice, energy, evaluate,
                           normalization_integral)
 from .hodge import (Decomposition, decomposition, harmonic_projector, image_projector,
@@ -105,43 +121,93 @@ def make_direction(alg, obj, kind="metric", require=None, tol=DEFAULT_TOL):
     return direction
 
 
+class Directions(tuple):
+    """Vetted directions of one kind, stacked: forms holds them on a leading axis.
+
+    memo keeps the work that depends on the directions alone (their wedge
+    matrices, their del, F_tilde's integrals against nu^(n-1)), so a stack
+    kept across bundles, as the descent keeps its slice basis, does it once.
+    """
+
+    def __new__(cls, directions):
+        self = super().__new__(cls, directions)
+        if len({d.kind for d in self}) > 1:
+            raise DirectionNotAdmissible("a stack holds directions of one kind")
+        self.memo = {}
+        return self
+
+    def cached(self, key, build):
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
+
+    @property
+    def forms(self):
+        return self.cached("forms", lambda: FormStack(
+            self[0].form.n, np.stack([d.form.vec for d in self])))
+
+    def chunks(self, size):
+        """The stack cut into stacks of at most size directions, each with its memo."""
+        if size >= len(self):
+            return [self]
+        return self.cached(("chunks", size), lambda: [
+            Directions(self[i:i + size]) for i in range(0, len(self), size)])
+
+
 # ----- operator variations -----------------------------------------------------------
 
 
 class _Wedges(dict):
-    """The matrices of gamma ^ . by source bidegree, each built(p, q) on first use."""
+    """The matrices of gamma ^ . by source bidegree, each built(p, q) on first use,
+    stacked on the leading axes lead of a FormStack gamma.  It also keeps the
+    commutators [trace, gamma ^ .] by bidegree at the last bundle asked."""
 
-    def __init__(self, build):
+    def __init__(self, build, lead=()):
         super().__init__()
-        self.build = build
+        self.build, self.lead = build, lead
+        self._bundle, self._comm = None, {}
 
     def __missing__(self, pq):
         self[pq] = mat = self.build(*pq)
         return mat
 
+    def commutators(self, bundle):
+        if bundle is not self._bundle:
+            self._bundle, self._comm = bundle, {}
+        return self._comm
+
 
 def _wedges(alg, gamma):
-    """The _Wedges of a (1,1) form; one passed in is returned as is, so the
-    variations along one direction share its wedge matrices."""
+    """The _Wedges of a (1,1) form or a FormStack of them; one passed in is returned
+    as is, so the variations along one direction share its wedge matrices."""
     if isinstance(gamma, _Wedges):
         return gamma
-    return _Wedges(lambda p, q: alg.wedge_matrix(gamma, p, q))
+    return _Wedges(lambda p, q: alg.wedge_matrix(gamma, p, q), gamma.vec.shape[:-1])
 
 
 def commutator_mult(bundle, gamma, p, q):
     """Matrix of [trace, gamma ^ .] on (p,q) for a (1,1) form gamma.
 
     For gamma = omega this is (n - p - q) times the identity.  Here and in
-    the variations below gamma may also be its _wedges memo.
+    the variations below gamma may also be its _wedges memo, which builds
+    each bidegree's commutator once per bundle; the result is read-only.
     """
-    n = bundle.n
     wedge = _wedges(bundle.alg, gamma)
+    memo = wedge.commutators(bundle)
+    if (p, q) not in memo:
+        memo[(p, q)] = _commutator(bundle, wedge, p, q)
+    return memo[(p, q)]
+
+
+def _commutator(bundle, wedge, p, q):
+    n = bundle.n
     dim = dim_pq(n, p, q)
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.zeros(wedge.lead + (dim, dim), dtype=complex)
     if p + 1 <= n and q + 1 <= n:
         out += bundle.trace_block(p + 1, q + 1) @ wedge[p, q]
     if p >= 1 and q >= 1:
         out -= wedge[p - 1, q - 1] @ bundle.trace_block(p, q)
+    out.setflags(write=False)
     return out
 
 
@@ -175,12 +241,12 @@ def var_trace_matrix(bundle, gamma, p, q):
 def var_codiff_matrix(bundle, gamma, which, key):
     """d/dt of codiff(which, key): codiff C + (-1)^(k+1) (star C star) codiff on degree k."""
     prev = neighbor(which, key, -1)
+    gamma = _wedges(bundle.alg, gamma)
     if bundle.dim(which, prev) == 0:
-        return np.zeros((0, bundle.dim(which, key)), dtype=complex)
+        return np.zeros(gamma.lead + (0, bundle.dim(which, key)), dtype=complex)
     degree = key if which == "d" else sum(key)
     sign = -1.0 if degree % 2 == 0 else 1.0
     ds = bundle.codiff(which, key)
-    gamma = _wedges(bundle.alg, gamma)
     return ds @ _on_complex(commutator_mult, bundle, gamma, which, key) \
         + sign * _on_complex(star_comm_star, bundle, gamma, which, prev) @ ds
 
@@ -193,8 +259,8 @@ def laplacian_variation_matrix(bundle, gamma, which, key):
     """
     prev, nxt = neighbor(which, key, -1), neighbor(which, key, 1)
     dim = bundle.dim(which, key)
-    out = np.zeros((dim, dim), dtype=complex)
     gamma = _wedges(bundle.alg, gamma)
+    out = np.zeros(gamma.lead + (dim, dim), dtype=complex)
     if bundle.dim(which, prev):
         out += bundle.alg.diff(which, prev) @ var_codiff_matrix(bundle, gamma, which, key)
     if bundle.dim(which, nxt):
@@ -268,14 +334,20 @@ def metric_direction_of_volume(bundle, direction_form):
 
     Returns the real (1,1) form (trace(star direction)/(n-1)) omega -
     star(direction), the derivative at t=0 of the positive root of the
-    moving (n-1,n-1) form.
+    moving (n-1,n-1) form; a FormStack of directions gives the FormStack of
+    theirs.
     """
     n = bundle.n
     if n < 2:
         raise DimensionMismatch("volume directions need n >= 2")
-    starred = Form.at(n, (1, 1), bundle.star(direction_form).part((1, 1)))
-    coef = complex(bundle.trace_contract(starred).part((0, 0))[0])
-    return (coef / (n - 1)) * bundle.omega - starred
+    stack = direction_form if isinstance(direction_form, FormStack) \
+        else FormStack(n, direction_form.vec[None])
+    starred = FormStack.at(n, (1, 1), bundle.star(stack).part((1, 1)))
+    traced = bundle.trace_contract(starred).part((0, 0))[:, 0]
+    # one Python complex division per direction: numpy's rounds otherwise
+    coef = np.array([complex(c) / (n - 1) for c in traced])
+    out = coef[:, None] * bundle.omega.vec + (-1.0) * starred.vec
+    return FormStack(n, out) if stack is direction_form else Form(n, out[0].copy())
 
 
 # ----- functional variations ----------------------------------------------------------
@@ -315,32 +387,60 @@ class FunctionalVariation:
 def variation_at(bundle, functional, nu=None, weight_bundle=None):
     """The first variation of one energy at a fixed bundle, as a map.
 
-    Returns direction -> FunctionalVariation (without fd) for vetted
-    Direction objects; every direction-independent ingredient (torsion,
-    projectors, Green operators) is computed once, so many directions at
-    one metric cost one torsion solve.  functional is "F", "F_tilde"
-    (needs nu), "G" or "H" (needs weight_bundle).
+    Returns a map from a sequence of vetted Directions of one kind to their
+    FunctionalVariations (without fd), in order, and from one Direction to
+    its own.  Every direction-independent ingredient (torsion, projectors,
+    Green operators) is computed once, and the directions run in one stacked
+    pass per chunk of the largest stack within DENSE_BUDGET; a Directions
+    stack keeps its direction-only work for the next bundle.  functional is
+    "F", "F_tilde" (needs nu), "G" or "H" (needs weight_bundle).
     """
     kind = energy(functional).torsion
     if kind is None:
-        return _var_H_at(bundle, weight_bundle)
-    at, report = _var_torsion_at(bundle, kind)
-    return _var_F_tilde_at(bundle, nu, at, report) if functional == "F_tilde" else at
+        body, side = _var_H_at(bundle, weight_bundle), dim_pq(bundle.n, 2, 1)
+    else:
+        body, report, side = _var_torsion_at(bundle, kind)
+        if functional == "F_tilde":
+            body = _var_F_tilde_at(bundle, nu, body, report)
+    size = max(1, DENSE_BUDGET // max(1, side * side))
+
+    def at(directions):
+        if isinstance(directions, Direction):
+            return at([directions])[0]
+        if not isinstance(directions, Directions):
+            directions = Directions(directions)
+        if not directions:
+            return []
+        return [var for chunk in directions.chunks(size) for var in body(chunk)]
+
+    return at
+
+
+def _dots(x, y):
+    """x_i^H y_i for stacks of column vectors (..., d, 1), one dot per direction."""
+    return (x[..., 0].conj()[..., None, :] @ y)[..., 0, 0]
+
+
+def _norm(sq):
+    """The norm of a squared Gram norm, negative rounding clipped."""
+    return float(np.sqrt(max(sq.real, 0.0)))
 
 
 def _var_torsion_at(bundle, kind):
-    """(direction -> variation of ||torsion||^2, torsion report) at one bundle.
+    """(directions -> variations of ||torsion||^2, torsion report, widest matrix
+    side) at one bundle.
 
     The torsion is the minimal potential at prev of the image part of its
     source at key.  A metric direction gamma moves the source del(omega) by
     del(gamma); a volume direction moves the source omega_{n-1} by itself
     and the metric by metric_direction_of_volume.
     """
-    alg = bundle.alg
+    alg, n = bundle.alg, bundle.n
     report = torsion(bundle, kind)
-    which, key = torsion_space(kind, bundle.n)
-    prev = neighbor(which, key, -1)
+    which, key = torsion_space(kind, n)
+    prev, nxt = neighbor(which, key, -1), neighbor(which, key, 1)
     tors_vec = report.torsion.part(prev)
+    tors_col = tors_vec[:, None]
     gram = bundle.gram_for(which, prev)
     det = bundle.det_h
     im_proj = image_projector(bundle, which, key)
@@ -349,53 +449,62 @@ def _var_torsion_at(bundle, kind):
     here = decomposition(bundle, which, key)
     proj, green = here.harmonic, here.green
     omega_src = report.source.part(key)
-    green_src, proj_src = green @ omega_src, proj @ omega_src
+    green_src, proj_src = (green @ omega_src)[:, None], (proj @ omega_src)[:, None]
     tors_norm = float(np.sqrt(max(report.norm_sq, 0.0)))
     types = [(p, q, sl, bundle.gram(p, q)) for (p, q), sl in alg.slices(prev).items()]
+    side = max(bundle.dim(which, k) for k in (prev, key, nxt))
 
-    def at(direction):
-        if direction.kind == "volume":
-            metric_dir = metric_direction_of_volume(bundle, direction.form)
-            src_dir = direction.form
+    def at(dirs):
+        if dirs[0].kind == "volume":
+            metric_dir = _wedges(alg, metric_direction_of_volume(bundle, dirs.forms))
+            src_vec = dirs.forms.part(key)
         else:
-            metric_dir, src_dir = direction.form, alg.del_form(direction.form)
-        metric_dir = _wedges(alg, metric_dir)
-        src_vec = src_dir.part(key)
-        eta = green_prev @ (codiff @ (im_proj @ src_vec))  # the minimal potential
+            metric_dir = dirs.cached("wedges", lambda: _wedges(alg, dirs.forms))
+            src_vec = dirs.cached(("del", alg), lambda: alg.del_form(dirs.forms)).part(key)
+        # the minimal potential of each direction's source
+        eta = green_prev @ (codiff @ (im_proj @ src_vec[..., None]))
         comm = _on_complex(commutator_mult, bundle, metric_dir, which, prev)
 
         # two pairing summands per type of the torsion's space (the
         # commutator preserves type)
-        terms = {}
-        total = 0.0 + 0.0j
-        second_full = eta + comm @ tors_vec
-        for p, q, sl, g in types:
-            first = (tors_vec[sl].conj() @ (g @ eta[sl])) * det
-            second = (second_full[sl].conj() @ (g @ tors_vec[sl])) * det
-            terms[f"eta_{kind}_{p}{q}"] = float(first.real)
-            terms[f"{kind}_eta_comm_{p}{q}"] = float(second.real)
-            total += first + second
+        second_full = eta + comm @ tors_col
+        pairs = [(p, q, (tors_vec[sl].conj() @ (g @ eta[..., sl, :]))[..., 0],
+                  _dots(second_full[..., sl, :], g @ tors_col[sl])) for p, q, sl, g in types]
 
         # moving-projector remainder: the value carries its norm bound,
         # the derivative its signed pairing
         dlap = laplacian_variation_matrix(bundle, metric_dir, which, key)
         a_vec = proj @ (dlap @ green_src) + green @ (dlap @ proj_src)
         lift = green_prev @ (codiff @ a_vec)
-        proj_term = 2.0 * tors_norm * (_gram_norm(gram, lift) * np.sqrt(det))
-        pairing = float(2.0 * (tors_vec.conj() @ (gram @ lift)).real * det)
-        terms["projector_term"] = float(proj_term)
-        terms["projector_pairing_signed"] = pairing
-        terms["projector_source_norm"] = float(
-            _gram_norm(bundle.gram_for(which, key), a_vec) * np.sqrt(det))
-        return FunctionalVariation(
-            kind="F" if kind == "rho" else "G",
-            value=float(total.real + proj_term),
-            derivative=float(total.real + pairing),
-            terms=terms,
-            imag_residual=float(abs(total.imag)),
-        )
+        gram_lift = gram @ lift
+        lift_sq = _dots(lift, gram_lift)
+        pairing_raw = (tors_vec.conj() @ gram_lift)[..., 0]
+        src_sq = _dots(a_vec, bundle.gram_for(which, key) @ a_vec)
 
-    return at, report
+        out = []
+        for i in range(len(dirs)):
+            terms = {}
+            total = 0.0 + 0.0j
+            for p, q, first_raw, second_raw in pairs:
+                first, second = first_raw[i] * det, second_raw[i] * det
+                terms[f"eta_{kind}_{p}{q}"] = float(first.real)
+                terms[f"{kind}_eta_comm_{p}{q}"] = float(second.real)
+                total += first + second
+            proj_term = 2.0 * tors_norm * (_norm(lift_sq[i]) * np.sqrt(det))
+            pairing = float(2.0 * pairing_raw[i].real * det)
+            terms["projector_term"] = float(proj_term)
+            terms["projector_pairing_signed"] = pairing
+            terms["projector_source_norm"] = float(_norm(src_sq[i]) * np.sqrt(det))
+            out.append(FunctionalVariation(
+                kind="F" if kind == "rho" else "G",
+                value=float(total.real + proj_term),
+                derivative=float(total.real + pairing),
+                terms=terms,
+                imag_residual=float(abs(total.imag)),
+            ))
+        return out
+
+    return at, report, side
 
 
 def _var_H_at(bundle, gamma_bundle):
@@ -404,20 +513,25 @@ def _var_H_at(bundle, gamma_bundle):
     del_omega = alg.del_form(bundle.omega)
     weight = gamma_bundle.omega_power(n - 1)
 
-    def at(direction):
-        eta = direction.form
-        t1_form = bundle.trace_contract(alg.del_form(eta))
-        t1 = 2.0 * (1j * alg.integrate(wedge(wedge(t1_form, u_bar), weight))).real
-        t2_form = bundle.mult_adjoint(eta, del_omega)
-        t2_part = Form.at(n, (1, 0), t2_form.part((1, 0)))
-        t2 = 2.0 * (1j * alg.integrate(wedge(wedge(t2_part, u_bar), weight))).real
-        return FunctionalVariation(
+    def pairings(forms):
+        """2 Re(i integral(form ^ u_bar ^ weight)) for each (1,0) form of a stack."""
+        return [2.0 * (1j * c).real for c in alg.integrate(wedge(wedge(forms, u_bar), weight))]
+
+    def at(dirs):
+        etas = dirs.forms
+        wedges = dirs.cached("wedges", lambda: _wedges(alg, etas))
+        t1 = pairings(bundle.trace_contract(dirs.cached(("del", alg),
+                                                         lambda: alg.del_form(etas))))
+        t2_form = bundle.mult_adjoint(etas, del_omega, wedges)
+        t2 = pairings(FormStack.at(n, (1, 0), np.broadcast_to(
+            t2_form.part((1, 0)), (len(dirs), n))))
+        return [FunctionalVariation(
             kind="H",
-            value=float(t1 - t2),
-            derivative=float(t1 - t2),
-            terms={"trace_of_derivative": float(t1), "adjoint_of_direction": float(t2)},
+            value=float(a - b),
+            derivative=float(a - b),
+            terms={"trace_of_derivative": float(a), "adjoint_of_direction": float(b)},
             imag_residual=0.0,
-        )
+        ) for a, b in zip(t1, t2)]
 
     return at
 
@@ -429,25 +543,27 @@ def _var_F_tilde_at(bundle, nu, var_f, report):
     denom = normalization_integral(bundle, nu)
     if denom <= 0:
         raise NotPositive(f"normalization integral {denom:.3e} is not positive")
-    nu_pow = wedge_power(nu.form(), n - 1)
 
-    def at(direction):
-        base = var_f(direction)
-        dir_int = (alg.integrate(wedge(direction.form, nu_pow))).real
+    def at(dirs):
+        bases = var_f(dirs)
+        dir_ints = dirs.cached(("nu", nu.h.tobytes()), lambda: [c.real for c in alg.integrate(
+            wedge(dirs.forms, wedge_power(nu.form(), n - 1)))])
+        out = []
+        for base, dir_int in zip(bases, dir_ints):
+            def quotient(d_f):
+                return float((d_f - n * (dir_int / denom) * f_val) / denom ** n)
 
-        def quotient(d_f):
-            return float((d_f - n * (dir_int / denom) * f_val) / denom ** n)
-
-        terms = dict(base.terms)
-        terms.update({"unnormalized": base.value, "normalization": float(denom),
-                      "direction_integral": float(dir_int)})
-        return FunctionalVariation(
-            kind="F_tilde",
-            value=quotient(base.value),
-            derivative=quotient(base.derivative),
-            terms=terms,
-            imag_residual=base.imag_residual,
-        )
+            terms = dict(base.terms)
+            terms.update({"unnormalized": base.value, "normalization": float(denom),
+                          "direction_integral": float(dir_int)})
+            out.append(FunctionalVariation(
+                kind="F_tilde",
+                value=quotient(base.value),
+                derivative=quotient(base.derivative),
+                terms=terms,
+                imag_residual=base.imag_residual,
+            ))
+        return out
 
     return at
 
@@ -498,7 +614,7 @@ def var_F_tilde(bundle, nu, direction, with_fd=False, step=None):
 
 
 def _gram_norm(gram, vec):
-    return float(np.sqrt(max((vec.conj() @ (gram @ vec)).real, 0.0)))
+    return _norm(vec.conj() @ (gram @ vec))
 
 
 def _fd_along(bundle, direction, step, extract):
