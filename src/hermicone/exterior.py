@@ -25,10 +25,10 @@ Conventions fixed here and used everywhere else:
   (d_blocks is one).  ExteriorAlgebra.apply runs a block map on a form and
   ExteriorAlgebra.total assembles its total-degree matrix; no other module
   places blocks by offset.
-* A FormStack holds forms on a leading axis.  wedge (on its left), apply,
-  wedge_matrix and integrate take one where they take a Form, and give each
-  form of the stack the bits it gets alone; a block map may likewise carry
-  matrices stacked on a leading axis.
+* A Form may hold a stack of forms on leading axes, vec of shape (..., 4^n).
+  wedge (on its left), apply, wedge_matrix and integrate then act on each form
+  of the stack and give it the bits it gets alone; a block map may likewise
+  carry matrices stacked on a leading axis.
 """
 
 from __future__ import annotations
@@ -255,35 +255,50 @@ def conj_block_matrix(n, p, q):
 
 
 class Form:
-    """Invariant complex form: one read-only coefficient vector in _layout order.
+    """Invariant complex form: one read-only coefficient vector in _layout order, or a
+    stack of them on leading axes (vec[i] is form i).
 
-    A block with no nonzero coefficient reads +0 and is left out of bidegrees(); the
-    nonzero blocks are found once, when the form is made.
+    A block with no nonzero coefficient in any form of the stack reads +0 and is left
+    out of bidegrees(); the nonzero blocks are found once, when the form is made.  A
+    form of a stack keeps its signed zeros in a block that another form fills.
     """
 
     __slots__ = ("n", "vec", "_nonzero", "_support")
 
     def __init__(self, n, vec=None):
-        """The form with coefficient vector vec, taken over; zero when vec is None."""
+        """The form (or stack) with coefficient vector(s) vec, taken over; zero when vec
+        is None."""
         self.n = n = int(n)
         if vec is None:
             vec, nonzero = np.zeros(4 ** n, dtype=complex), np.zeros((n + 1) ** 2, dtype=bool)
         else:
-            nonzero = np.logical_or.reduceat(vec, _blocks(n)[1])
+            # a block of a stack is nonzero where any of its forms fills it; one form
+            # keeps the cheapest calls, as a Form is built at every difference probe
+            starts = _blocks(n)[1]
+            if vec.ndim == 1:
+                nonzero = np.logical_or.reduceat(vec, starts)
+            else:
+                nonzero = np.logical_or.reduceat(vec, starts, axis=-1).reshape(
+                    -1, starts.size).any(axis=0)
             if not all(nonzero.tolist()):
-                np.putmask(vec, _absent(n, nonzero.tobytes()), 0)  # zero blocks read +0, no -0
+                absent = _absent(n, nonzero.tobytes())
+                if vec.ndim > 1:
+                    absent = np.broadcast_to(absent, vec.shape)
+                np.putmask(vec, absent, 0)  # zero blocks read +0, no -0
         vec.setflags(write=False)
         self.vec, self._nonzero, self._support = vec, nonzero, None
 
     @classmethod
     def at(cls, n, key, vec):
-        """The form with coefficients vec at a degree k or a bidegree (p, q), zero elsewhere."""
+        """The form with coefficients vec at a degree k or a bidegree (p, q), zero
+        elsewhere; rows of vec on leading axes give a stack."""
         sl = _slice(n, key)
-        vec = np.asarray(vec, dtype=complex).reshape(-1)
-        if vec.shape[0] != sl.stop - sl.start:
-            raise DimensionMismatch(f"{key!r} takes {sl.stop - sl.start} numbers, not {vec.size}")
-        full = np.zeros(4 ** n, dtype=complex)
-        full[sl] = vec
+        vec = np.asarray(vec, dtype=complex)
+        if vec.shape[-1:] != (sl.stop - sl.start,):
+            raise DimensionMismatch(f"{key!r} takes rows of {sl.stop - sl.start} numbers, "
+                                    f"not an array of shape {vec.shape}")
+        full = np.zeros(vec.shape[:-1] + (4 ** n,), dtype=complex)
+        full[..., sl] = vec
         return cls(n, full)
 
     @classmethod
@@ -306,7 +321,7 @@ class Form:
 
     def part(self, key):
         """Coefficients at a degree k or a bidegree (p, q), as a read-only view."""
-        return self.vec[_slice(self.n, key)]
+        return self.vec[..., _slice(self.n, key)]
 
     def bidegrees(self):
         """The bidegrees with a nonzero coefficient, in layout order."""
@@ -322,7 +337,7 @@ class Form:
             return self
         perm, sign = _conj_perm(self.n)
         out = np.empty_like(self.vec)
-        out.real[perm], out.imag[perm] = sign * self.vec.real, -sign * self.vec.imag
+        out.real[..., perm], out.imag[..., perm] = sign * self.vec.real, -sign * self.vec.imag
         return Form(self.n, out)
 
     def is_real(self, tol=1e-12):
@@ -384,43 +399,11 @@ class Form:
         return f"Form(n={self.n}, blocks=[{keys}])"
 
 
-class FormStack:
-    """Forms on a leading axis: vec[i] is the coefficient vector of form i.
-
-    bidegrees() lists the blocks nonzero in any of them.  Unlike a Form, a block
-    that is zero in one form is not reset to +0 there; its terms in a wedge or a
-    matrix product are zeros, which leave the other terms' sums as they are.
-    """
-
-    __slots__ = ("n", "vec", "_support")
-
-    def __init__(self, n, vec):
-        self.n, self.vec, self._support = int(n), vec, None
-
-    @classmethod
-    def at(cls, n, key, vecs):
-        """The forms with coefficient rows vecs at a degree or bidegree key, zero elsewhere."""
-        vecs = np.asarray(vecs, dtype=complex)
-        full = np.zeros(vecs.shape[:-1] + (4 ** n,), dtype=complex)
-        full[..., _slice(n, key)] = vecs
-        return cls(n, full)
-
-    def part(self, key):
-        return self.vec[..., _slice(self.n, key)]
-
-    def bidegrees(self):
-        if self._support is None:
-            rows = self.vec.reshape(-1, 4 ** self.n)
-            nonzero = np.logical_or.reduceat(rows, _blocks(self.n)[1], axis=1).any(axis=0)
-            self._support = tuple(itertools.compress(_blocks(self.n)[0], nonzero.tolist()))
-        return list(self._support)
-
-
 def wedge(u, v):
     """Wedge product of two forms, canonically reordered with signs: one np.add.at per
     pair of nonzero blocks, each product formed from real and imaginary parts as the
     complex scalar product is (numpy's array kernel for complex a * b rounds otherwise).
-    u may be a FormStack, each of whose forms then wedges with v.
+    u may be a stack, each of whose forms then wedges with v.
     """
     if u.n != v.n:
         raise DimensionMismatch("forms over different coframes")
@@ -439,8 +422,8 @@ def wedge(u, v):
             np.subtract(np.multiply(x.real, y.real, out=re), x.imag * y.imag, out=re)
             np.add(np.multiply(x.real, y.imag, out=im), x.imag * y.real, out=im)
             # each form's terms add onto its own targets in table order
-            np.add.at(out[..., lay[(p1 + p2, q1 + q2)]], t if out.ndim == 1 else (..., t), prod)
-    return Form(n, out) if out.ndim == 1 else FormStack(n, out)
+            np.add.at(out[..., lay[(p1 + p2, q1 + q2)]], (..., t), prod)
+    return Form(n, out)
 
 
 def wedge_power(u, k):
@@ -594,10 +577,10 @@ class ExteriorAlgebra:
 
     def apply(self, op, form):
         """The block map op applied to a form: each nonzero block's nonzero images
-        add, in layout order, into the slices of one output vector.  A FormStack
-        or a block map with stacked matrices gives a FormStack; a vector goes
-        through its own matrix-vector product (A @ x[..., None]), never one
-        matrix product for the whole stack, whose sums round otherwise."""
+        add, in layout order, into the slices of one output vector.  A stack, or a
+        block map with stacked matrices, gives a stack; a vector of a stack goes
+        through its own matrix-vector product (A @ x[..., None]), never one matrix
+        product for the whole stack, whose sums round otherwise."""
         lay, lead, out = _layout(self.n), form.vec.shape[:-1], None
         for pq in form.bidegrees():
             vec = form.part(pq)
@@ -608,9 +591,7 @@ class ExteriorAlgebra:
                         if out is None:
                             out = np.zeros(img.shape[:-1] + (4 ** self.n,), dtype=complex)
                         out[..., lay[tgt]] += img
-        if out is None:
-            return Form(self.n) if not lead else FormStack(self.n, np.zeros(form.vec.shape))
-        return Form(self.n, out) if out.ndim == 1 else FormStack(self.n, out)
+        return Form(self.n, np.zeros(form.vec.shape, dtype=complex) if out is None else out)
 
     def d_form(self, form):
         return self.apply(self.d_blocks, form)
@@ -625,7 +606,7 @@ class ExteriorAlgebra:
 
     def wedge_matrix(self, form, p, q):
         """Matrix of (form ^ .) from Lambda^{p,q}; form must be homogeneous.  A
-        FormStack gives its forms' matrices on its leading axis."""
+        stack gives its forms' matrices on its leading axes."""
         support = form.bidegrees()
         lead = form.vec.shape[:-1]
         if len(support) > 1:
@@ -633,7 +614,6 @@ class ExteriorAlgebra:
         if not support:
             return np.zeros(lead + (0, dim_pq(self.n, p, q)), dtype=complex)
         (a, b), = support
-        v = form.part((a, b))
         mat = np.zeros(lead + (dim_pq(self.n, p + a, q + b), dim_pq(self.n, p, q)),
                        dtype=complex)
         cells = _wedge_cells(self.n, a, b, p, q)
@@ -641,10 +621,7 @@ class ExteriorAlgebra:
             # each (target, source) cell takes exactly one term, so placing it gives the
             # bits of a sum onto zeros, np.add.at's; + 0.0 turns a -0 into +0 as that sum does
             i1, sign, flat = cells
-            if lead:
-                mat.reshape(lead + (-1,))[..., flat] = sign * v[..., i1] + 0.0
-            else:
-                mat.reshape(-1)[flat] = sign * v[i1] + 0.0
+            mat.reshape(lead + (-1,))[..., flat] = sign * form.part((a, b))[..., i1] + 0.0
         return mat
 
     # ----- integration ------------------------------------------------------
@@ -659,8 +636,5 @@ class ExteriorAlgebra:
 
     def integrate(self, form):
         """Integral against the unit mass of Theta (top component over Theta); a
-        FormStack gives the list of its forms' integrals."""
-        top = form.part((self.n, self.n))
-        if top.ndim > 1:
-            return [complex(c / self.theta_coefficient) for c in top[:, 0]]
-        return complex(top[0] / self.theta_coefficient)
+        stack gives the array of its forms' integrals."""
+        return form.part((self.n, self.n))[..., 0] / self.theta_coefficient

@@ -364,7 +364,7 @@ def matrix_of_top_minus_one(alg, form):
     return b
 
 
-def root_n_minus_1(alg, form, hermit_tol=1e-9):
+def root_n_minus_1(alg, form):
     """Unique positive metric H with (omega_H)_{n-1} equal to the given form.
 
     Solves det(H) H^{-1} = B, i.e. H = det(B)^{1/(n-1)} B^{-1}.
@@ -374,7 +374,7 @@ def root_n_minus_1(alg, form, hermit_tol=1e-9):
         raise DegenerateDimension("root requires n >= 2")
     b = matrix_of_top_minus_one(alg, form)
     herm_res = float(np.max(np.abs(b - b.conj().T)))
-    if herm_res > hermit_tol * max(1.0, float(np.max(np.abs(b)))):
+    if herm_res > 1e-9 * max(1.0, float(np.max(np.abs(b)))):
         raise NotPositive(f"pairing matrix is not Hermitian (residual {herm_res:.3e}); "
                           "input form is not real")
     b = 0.5 * (b + b.conj().T)

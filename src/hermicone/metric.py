@@ -95,9 +95,12 @@ class HermitianMetric:
         # entries near the float limit overflow here; the inf or nan is refused below
         with np.errstate(over="ignore", invalid="ignore"):
             skew = np.max(np.abs(self.h - self.h.conj().T))
+            scale = max(1.0, float(np.max(np.abs(self.h))))
             sym = 0.5 * (self.h + self.h.conj().T)
-        if skew > HERMITICITY_TOL:
-            raise NotPositiveDefinite("metric matrix is not Hermitian within 1e-12")
+        # relative to the largest entry: rounding leaves a skew ~ eps * max|H|
+        if skew > HERMITICITY_TOL * scale:
+            raise NotPositiveDefinite(f"metric matrix is not Hermitian: skew {skew:.3e} "
+                                      f"exceeds {HERMITICITY_TOL:g} * max(1, max |H|)")
         try:
             lam = np.linalg.eigvalsh(sym)
         except np.linalg.LinAlgError as exc:
@@ -123,7 +126,7 @@ class HermitianMetric:
     def scaled(self, lam):
         return HermitianMetric(lam * self.h)
 
-    def form(self, n=None):
+    def form(self):
         """The metric form omega = i sum H_jk theta^j ^ thetabar^k."""
         return Form.at(self.n, (1, 1), 1j * self.h.reshape(-1))
 
@@ -293,7 +296,7 @@ class OperatorBundle:
 
     def mult_adjoint_block(self, eta, p, q, wedges=None):
         """Adjoint of (eta ^ .) landing on Lambda^{p,q}, for homogeneous eta or a
-        FormStack of them (then one adjoint per form, on its leading axis).
+        stack of them (then one adjoint per form, on its leading axis).
 
         Maps (p,q) back to (p-a, q-b) when eta has bidegree (a,b).  wedges, when
         given, maps a source bidegree to the matrix of eta ^ . there (a memo).

@@ -16,8 +16,8 @@ assemble from these by the product rule, once for all three complexes.
 All matrix derivatives are exact (the model is finite dimensional); the
 finite-difference harness in this module exists to cross-check them.
 
-Directions run as stacks.  gamma may be one (1,1) form or a FormStack of
-them; every matrix above then carries the stack's leading axis, and
+Directions run as stacks.  gamma may be one (1,1) form or a stack of them,
+a Form with a leading axis; every matrix above then carries that axis, and
 variation_at(...) maps a sequence of Directions (a Directions stack keeps
 its direction-only work) to their variations in one pass, walked in chunks
 whose stacked matrices stay within DENSE_BUDGET.  A direction gets the bits
@@ -40,8 +40,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, DirectionNotAdmissible, KernelJump,
                      NotPositive, NotPositiveDefinite, StepTooLarge)
-from .exterior import (DENSE_BUDGET, Form, FormStack, conj_block_matrix, dim_pq, neighbor,
-                       wedge, wedge_power)
+from .exterior import (DENSE_BUDGET, Form, conj_block_matrix, dim_pq, neighbor, wedge,
+                       wedge_power)
 from .functionals import (SLICES, cone_slice, direction_slice, energy, evaluate,
                           normalization_integral)
 from .hodge import (Decomposition, decomposition, harmonic_projector, image_projector,
@@ -143,7 +143,7 @@ class Directions(tuple):
 
     @property
     def forms(self):
-        return self.cached("forms", lambda: FormStack(
+        return self.cached("forms", lambda: Form(
             self[0].form.n, np.stack([d.form.vec for d in self])))
 
     def chunks(self, size):
@@ -159,7 +159,7 @@ class Directions(tuple):
 
 class _Wedges(dict):
     """The matrices of gamma ^ . by source bidegree, each built(p, q) on first use,
-    stacked on the leading axes lead of a FormStack gamma.  It also keeps the
+    stacked on the leading axes lead of a stack gamma.  It also keeps the
     commutators [trace, gamma ^ .] by bidegree at the last bundle asked."""
 
     def __init__(self, build, lead=()):
@@ -178,7 +178,7 @@ class _Wedges(dict):
 
 
 def _wedges(alg, gamma):
-    """The _Wedges of a (1,1) form or a FormStack of them; one passed in is returned
+    """The _Wedges of a (1,1) form or a stack of them; one passed in is returned
     as is, so the variations along one direction share its wedge matrices."""
     if isinstance(gamma, _Wedges):
         return gamma
@@ -334,20 +334,16 @@ def metric_direction_of_volume(bundle, direction_form):
 
     Returns the real (1,1) form (trace(star direction)/(n-1)) omega -
     star(direction), the derivative at t=0 of the positive root of the
-    moving (n-1,n-1) form; a FormStack of directions gives the FormStack of
-    theirs.
+    moving (n-1,n-1) form; a stack of directions gives the stack of theirs.
     """
     n = bundle.n
     if n < 2:
         raise DimensionMismatch("volume directions need n >= 2")
-    stack = direction_form if isinstance(direction_form, FormStack) \
-        else FormStack(n, direction_form.vec[None])
-    starred = FormStack.at(n, (1, 1), bundle.star(stack).part((1, 1)))
-    traced = bundle.trace_contract(starred).part((0, 0))[:, 0]
+    starred = Form.at(n, (1, 1), bundle.star(direction_form).part((1, 1)))
+    traced = bundle.trace_contract(starred).part((0, 0))[..., 0]
     # one Python complex division per direction: numpy's rounds otherwise
-    coef = np.array([complex(c) / (n - 1) for c in traced])
-    out = coef[:, None] * bundle.omega.vec + (-1.0) * starred.vec
-    return FormStack(n, out) if stack is direction_form else Form(n, out[0].copy())
+    coef = np.array([complex(c) / (n - 1) for c in traced.reshape(-1)]).reshape(traced.shape)
+    return Form(n, coef[..., None] * bundle.omega.vec + (-1.0) * starred.vec)
 
 
 # ----- functional variations ----------------------------------------------------------
@@ -523,7 +519,7 @@ def _var_H_at(bundle, gamma_bundle):
         t1 = pairings(bundle.trace_contract(dirs.cached(("del", alg),
                                                          lambda: alg.del_form(etas))))
         t2_form = bundle.mult_adjoint(etas, del_omega, wedges)
-        t2 = pairings(FormStack.at(n, (1, 0), np.broadcast_to(
+        t2 = pairings(Form.at(n, (1, 0), np.broadcast_to(
             t2_form.part((1, 0)), (len(dirs), n))))
         return [FunctionalVariation(
             kind="H",

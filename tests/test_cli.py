@@ -8,7 +8,7 @@ import pytest
 
 from hermicone import cli, errors
 from hermicone.cli import main
-from hermicone.metric import HermitianMetric
+from hermicone.metric import HermitianMetric, random_metric
 from hermicone.model import catalog
 
 
@@ -254,6 +254,18 @@ def test_non_finite_or_overflowing_metric_exits_schema(tmp_path, capsys):
     code, _, err = run(capsys, "eval", "--catalog", "kodaira_thurston",
                        "--functional", "F", "--metric", big_metric)
     assert code == 2 and "overflows" in err
+
+
+def test_metric_with_rounding_skew_at_a_large_scale_is_accepted(tmp_path, capsys):
+    # inverting twice leaves a skew of 3.9e-12 on entries up to 9.8e3: 4e-16 of the
+    # largest entry, rounding, not a non-Hermitian input
+    h = np.linalg.inv(np.linalg.inv(random_metric(3, np.random.default_rng(0)).h)) * 1e3
+    skew = np.max(np.abs(h - h.conj().T))
+    assert 1e-12 < skew < 1e-15 * np.max(np.abs(h))
+    values = [run_json(capsys, "eval", "--catalog", "iwasawa", "--functional", "G", "--metric",
+                       write_metric(tmp_path, m, name))["report"]["value"]
+              for m, name in ((h, "raw.json"), (0.5 * (h + h.conj().T), "sym.json"))]
+    assert values[0] == pytest.approx(values[1], rel=1e-12)
 
 
 @pytest.mark.parametrize("coeff", ["NaN", "Infinity", "1e400"])

@@ -58,8 +58,10 @@ def test_metric_from_json_rejects_malformed(doc):
 
 def test_metric_check_gates():
     bad_herm = np.eye(2) + 1e-6 * np.array([[0, 1], [0, 0]])
-    with pytest.raises(NotPositiveDefinite):
-        HermitianMetric(bad_herm).check()
+    # the gate scales with the largest entry, and a skew of 1e-6 fails it at any scale
+    for scale in (1.0, 1e3):
+        with pytest.raises(NotPositiveDefinite):
+            HermitianMetric(scale * bad_herm).check()
     not_pd = np.diag([1.0, -0.5])
     with pytest.raises(NotPositiveDefinite):
         HermitianMetric(not_pd).check()
