@@ -19,8 +19,8 @@ from .errors import (DegenerateDimension, DegreeOutOfRange, DimensionMismatch,
                      UnknownCatalogName)
 from .exterior import ExteriorAlgebra, Form, basis, random_form, wedge, wedge_power
 from .model import (ComplexLieModel, StructureTerm, ValidationReport,
-                    algebra_for, catalog, catalog_names, differential_matrices,
-                    make_model, parse_model, serialize_model, validate_model)
+                    algebra_for, catalog, catalog_names, make_model, parse_model,
+                    serialize_model, validate_model)
 from .metric import (HermitianMetric, OperatorBundle, build_bundle,
                      identity_suite, random_metric)
 from .hodge import (MetricPredicates, TorsionReport, coimage_projector,

@@ -26,16 +26,19 @@ Conventions fixed here and used everywhere else:
   ExteriorAlgebra.total assembles its total-degree matrix; no other module
   places blocks by offset.
 * A Form may hold a stack of forms on leading axes, vec of shape (..., 4^n).
-  wedge (on its left), apply, wedge_matrix and integrate then act on each form
-  of the stack and give it the bits it gets alone; a block map may likewise
+  wedge (on its left), apply, Form.wedge_matrix and integrate then act on each
+  form of the stack and give it the bits it gets alone; a block map may likewise
   carry matrices stacked on a leading axis.
+* Work that depends on one object alone is kept on it by memo: d on its
+  algebra, the matrices of form ^ . on the form, the metric operators on their
+  bundle.  A kept array is read-only.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -45,6 +48,29 @@ from .errors import DegreeOutOfRange, DimensionMismatch
 # of a job may hold, a matrix, the 4^n coefficient vector of a form, or a stack of
 # matrices, one per variation direction.
 DENSE_BUDGET = 2 ** 22
+
+
+def memo(method):
+    """Keep method(self, *key) in self._memo, built on the first call with that key.
+    An array result is made read-only, as every caller shares it."""
+    @wraps(method)
+    def kept(self, *key):
+        try:
+            return self._memo[method, key]
+        except KeyError:
+            pass
+        except AttributeError:
+            self._memo = {}
+            return kept(self, *key)
+        except TypeError:  # a bidegree given as a list or an array is kept as a tuple
+            key = tuple(k if k.__hash__ else tuple(k) for k in key)
+            hash(key)  # anything deeper stays refused
+            return kept(self, *key)
+        out = self._memo[method, key] = method(self, *key)
+        if isinstance(out, np.ndarray):
+            out.setflags(write=False)
+        return out
+    return kept
 
 
 @lru_cache(maxsize=None)
@@ -263,7 +289,7 @@ class Form:
     form of a stack keeps its signed zeros in a block that another form fills.
     """
 
-    __slots__ = ("n", "vec", "_nonzero", "_support")
+    __slots__ = ("n", "vec", "_nonzero", "_support", "_memo")
 
     def __init__(self, n, vec=None):
         """The form (or stack) with coefficient vector(s) vec, taken over; zero when vec
@@ -372,6 +398,26 @@ class Form:
     def __truediv__(self, scalar):
         return self * (1.0 / scalar)
 
+    @memo
+    def wedge_matrix(self, p, q):
+        """Matrix of (self ^ .) from Lambda^{p,q}; the form must be homogeneous.  A
+        stack gives its forms' matrices on its leading axes."""
+        support, lead = self.bidegrees(), self.vec.shape[:-1]
+        if len(support) > 1:
+            raise DimensionMismatch("wedge_matrix expects a homogeneous form")
+        if not support:
+            return np.zeros(lead + (0, dim_pq(self.n, p, q)), dtype=complex)
+        (a, b), = support
+        mat = np.zeros(lead + (dim_pq(self.n, p + a, q + b), dim_pq(self.n, p, q)),
+                       dtype=complex)
+        cells = _wedge_cells(self.n, a, b, p, q)
+        if cells is not None:
+            # each (target, source) cell takes exactly one term, so placing it gives the
+            # bits of a sum onto zeros, np.add.at's; + 0.0 turns a -0 into +0 as that sum does
+            i1, sign, flat = cells
+            mat.reshape(lead + (-1,))[..., flat] = sign * self.part((a, b))[..., i1] + 0.0
+        return mat
+
     def to_entries(self):
         """JSON-friendly list of {p,q,I,J,re,im} with 1-based indices."""
         entries = []
@@ -470,9 +516,6 @@ class ExteriorAlgebra:
         self._d_terms = [(g, *_basis(n, a, b)[i], f.part((a, b))[i])
                          for g, f in enumerate(d_one + [f.conj() for f in d_one])
                          for a, b in f.bidegrees() for i in np.flatnonzero(f.part((a, b)))]
-        self._d_entries_cache = {}
-        self._d_blocks_cache = {}
-        self._d_total_cache = {}
 
     # ----- differential ---------------------------------------------------
 
@@ -480,6 +523,7 @@ class ExteriorAlgebra:
         """d of the idx-th monomial of Lambda^{p,q}: one column of d_blocks."""
         return self.d_form(Form.at(self.n, (p, q), np.eye(dim_pq(self.n, p, q))[idx]))
 
+    @memo
     def d_entries(self, p, q):
         """d restricted to Lambda^{p,q} as sparse entries: {target: (rows, cols, values)}.
 
@@ -489,45 +533,41 @@ class ExteriorAlgebra:
         target, targets keep the order they are first met in, and entries and
         targets that sum to exactly zero are left out.
         """
-        key = (p, q)
-        if key not in self._d_entries_cache:
-            n, acc, blocks = self.n, {}, {}
-            for g, K, L, coeff in self._d_terms:
-                table = _derivation_table(n, p, q, g, K, L)
-                if table is not None:
-                    tgt, rows, cols, sign = table
-                    acc.setdefault(tgt, []).append((rows, cols, sign * coeff))
-            width = dim_pq(n, p, q)
-            for tgt, terms in acc.items():
-                if len(terms) == 1:
-                    # one generator's entries: row-major, one per cell and nonzero;
-                    # adding +0 turns a -0 part into +0, as np.add.at onto zeros does
-                    rows, cols, vals = terms[0]
-                    blocks[tgt] = (rows, cols, vals + 0.0)
-                    continue
-                rows, cols, vals = map(np.concatenate, zip(*terms))
-                cells, slot = np.unique(rows * width + cols, return_inverse=True)
-                sums = np.zeros(cells.size, dtype=complex)
-                np.add.at(sums, slot, vals)  # in generator order within each cell
-                keep = sums != 0
-                if np.any(keep):
-                    cells = cells[keep]
-                    blocks[tgt] = (cells // width, cells % width, sums[keep])
-            self._d_entries_cache[key] = blocks
-        return self._d_entries_cache[key]
+        n, acc, blocks = self.n, {}, {}
+        for g, K, L, coeff in self._d_terms:
+            table = _derivation_table(n, p, q, g, K, L)
+            if table is not None:
+                tgt, rows, cols, sign = table
+                acc.setdefault(tgt, []).append((rows, cols, sign * coeff))
+        width = dim_pq(n, p, q)
+        for tgt, terms in acc.items():
+            if len(terms) == 1:
+                # one generator's entries: row-major, one per cell and nonzero;
+                # adding +0 turns a -0 part into +0, as np.add.at onto zeros does
+                rows, cols, vals = terms[0]
+                blocks[tgt] = (rows, cols, vals + 0.0)
+                continue
+            rows, cols, vals = map(np.concatenate, zip(*terms))
+            cells, slot = np.unique(rows * width + cols, return_inverse=True)
+            sums = np.zeros(cells.size, dtype=complex)
+            np.add.at(sums, slot, vals)  # in generator order within each cell
+            keep = sums != 0
+            if np.any(keep):
+                cells = cells[keep]
+                blocks[tgt] = (cells // width, cells % width, sums[keep])
+        return blocks
 
+    @memo
     def d_blocks(self, p, q):
         """The dense matrix blocks of d restricted to Lambda^{p,q}, keyed by target:
-        d_entries placed into zero matrices, built on the first request."""
-        key = (p, q)
-        if key not in self._d_blocks_cache:
-            blocks = {}
-            for tgt, (rows, cols, vals) in self.d_entries(p, q).items():
-                blocks[tgt] = mat = np.zeros((dim_pq(self.n, *tgt), dim_pq(self.n, p, q)),
-                                             dtype=complex)
-                mat[rows, cols] = vals
-            self._d_blocks_cache[key] = blocks
-        return self._d_blocks_cache[key]
+        d_entries placed into zero matrices, built on the first request, read-only."""
+        blocks = {}
+        for tgt, (rows, cols, vals) in self.d_entries(p, q).items():
+            blocks[tgt] = mat = np.zeros((dim_pq(self.n, *tgt), dim_pq(self.n, p, q)),
+                                         dtype=complex)
+            mat[rows, cols] = vals
+            mat.setflags(write=False)
+        return blocks
 
     def diff(self, which, key):
         """Matrix of d on total degree key, or of del / dbar (a component of d) on bidegree key."""
@@ -552,11 +592,10 @@ class ExteriorAlgebra:
         at a degree k or a bidegree (p, q), read off the layout."""
         return _slices(self.n, int(key) if isinstance(key, (int, np.integer)) else tuple(key))
 
+    @memo
     def d_total(self, k):
         """Matrix of d from total degree k to k + 1."""
-        if k not in self._d_total_cache:
-            self._d_total_cache[k] = self.total(self.d_blocks, k, k + 1)
-        return self._d_total_cache[k]
+        return self.total(self.d_blocks, k, k + 1)
 
     def total(self, op, k, k_out):
         """Matrix of the block map op from total degree k to total degree k_out.
@@ -601,28 +640,6 @@ class ExteriorAlgebra:
 
     def dbar_form(self, form):
         return self.apply(lambda p, q: {(p, q + 1): self.diff("dbar", (p, q))}, form)
-
-    # ----- multiplication operators ----------------------------------------
-
-    def wedge_matrix(self, form, p, q):
-        """Matrix of (form ^ .) from Lambda^{p,q}; form must be homogeneous.  A
-        stack gives its forms' matrices on its leading axes."""
-        support = form.bidegrees()
-        lead = form.vec.shape[:-1]
-        if len(support) > 1:
-            raise DimensionMismatch("wedge_matrix expects a homogeneous form")
-        if not support:
-            return np.zeros(lead + (0, dim_pq(self.n, p, q)), dtype=complex)
-        (a, b), = support
-        mat = np.zeros(lead + (dim_pq(self.n, p + a, q + b), dim_pq(self.n, p, q)),
-                       dtype=complex)
-        cells = _wedge_cells(self.n, a, b, p, q)
-        if cells is not None:
-            # each (target, source) cell takes exactly one term, so placing it gives the
-            # bits of a sum onto zeros, np.add.at's; + 0.0 turns a -0 into +0 as that sum does
-            i1, sign, flat = cells
-            mat.reshape(lead + (-1,))[..., flat] = sign * form.part((a, b))[..., i1] + 0.0
-        return mat
 
     # ----- integration ------------------------------------------------------
 

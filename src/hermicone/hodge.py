@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (DegenerateDimension, KernelJump, NotBalanced, NotPositive, NotSKT,
                      ToleranceAmbiguity, ToleranceFailure)
-from .exterior import Form, _complement, neighbor
+from .exterior import Form, _complement, memo, neighbor
 from .metric import DEFAULT_TOL, HermitianMetric
 
 # the harmonic projector has a derivative only where the spectral gap clears
@@ -83,12 +83,10 @@ class Decomposition:
         return (v / lam) @ (v.conj().T @ self.spectral.gram)
 
 
+@memo
 def decomposition(bundle, which, key):
-    """The bundle's cached Decomposition of the Laplacian of which at key."""
-    cache_key = (which, key if which == "d" else tuple(key))
-    if cache_key not in bundle._hodge:
-        bundle._hodge[cache_key] = Decomposition(bundle, which, key)
-    return bundle._hodge[cache_key]
+    """The Decomposition of the Laplacian of which at key, kept on the bundle."""
+    return Decomposition(bundle, which, key)
 
 
 def harmonic_projector(bundle, which, key):
@@ -174,19 +172,22 @@ class MetricPredicates:
     tol: float
 
 
+@memo
+def _predicate_residuals(bundle):
+    """max |d omega|, max |del dbar omega| and max |d omega_(n-1)|, kept on the bundle."""
+    alg, omega = bundle.alg, bundle.omega
+    return tuple(float(form.max_abs()) for form in (
+        alg.d_form(omega),
+        alg.del_form(alg.dbar_form(omega)),
+        alg.d_form(bundle.omega_power(bundle.n - 1))))
+
+
 def predicates(bundle, tol=None):
     """Kahler / SKT / balanced flags with their defining residuals, at tol
     (the bundle's tolerance by default).  The residuals depend on the metric
     alone: they are computed once per bundle and kept on it."""
     tol = bundle.tol if tol is None else tol
-    if bundle._predicate_residuals is None:
-        alg = bundle.alg
-        omega = bundle.omega
-        bundle._predicate_residuals = tuple(float(form.max_abs()) for form in (
-            alg.d_form(omega),
-            alg.del_form(alg.dbar_form(omega)),
-            alg.d_form(bundle.omega_power(bundle.n - 1))))
-    d_omega, ddbar, d_pow = bundle._predicate_residuals
+    d_omega, ddbar, d_pow = _predicate_residuals(bundle)
     return MetricPredicates(
         is_kahler=bool(d_omega <= tol),
         is_skt=bool(ddbar <= tol),

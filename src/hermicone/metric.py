@@ -1,12 +1,13 @@
 """Hermitian metrics and the per-metric operator bundle.
 
 A metric is the coefficient matrix H of omega = i sum_jk H_jk theta^j ^
-thetabar^k, Hermitian positive definite.  The bundle caches, per bidegree,
-the Gram matrices of the induced pointwise inner product, the Hodge star
-(permuted Gram rows: each monomial pairs only with its complement),
-Lefschetz and trace operators and their adjoints.  For each of the three
-complexes (which = "d" on total degrees, "del" and "dbar" on bidegrees) it
-caches one codifferential codiff(which, key) and one Laplacian
+thetabar^k, Hermitian positive definite.  The bundle keeps (exterior.memo),
+per bidegree, the Gram matrices of the induced pointwise inner product, the
+Hodge star (permuted Gram rows: each monomial pairs only with its complement),
+the trace operators (adjoints of omega ^ ., whose matrices omega keeps) and
+the commutators [trace, gamma ^ .] of the variation formulas.  For each of
+the three complexes (which = "d" on total degrees, "del" and "dbar" on
+bidegrees) it keeps one codifferential codiff(which, key) and one Laplacian
 laplacian(which, key), plus its spectral data.  It also carries the
 tolerance tol of its kernel cuts and predicates, and keeps the Hodge
 decompositions that hodge.decomposition cuts from the spectral data.
@@ -29,7 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, NotPositiveDefinite, SchemaError
-from .exterior import (Form, _combos, _complement, _conj_table, dim_pq, neighbor,
+from .exterior import (Form, _combos, _complement, _conj_table, dim_pq, memo, neighbor,
                        random_form, wedge)
 from .model import algebra_for, require_valid
 
@@ -170,18 +171,6 @@ class OperatorBundle:
         self.h_inv = np.linalg.inv(self.h)
         self.det_h = float(np.linalg.det(self.h).real)
         self.trace_h = float(self.h.trace().real)
-        self._compound = {}
-        self._gram = {}
-        self._gram_total = {}
-        self._star = {}
-        self._lef = {}
-        self._trace = {}
-        self._codiff = {}
-        self._lap = {}
-        self._spec = {}
-        self._hodge = {}  # hodge.decomposition per (which, key)
-        self._predicate_residuals = None  # hodge.predicates, computed once
-        self._omega_prod = [Form.scalar(alg.n, 1.0)]
 
     @property
     def n(self):
@@ -192,39 +181,40 @@ class OperatorBundle:
         return self.metric.form()
 
     def omega_power(self, k):
-        """omega^k / k!, from the cached undivided products omega^j = omega^(j-1) ^ omega."""
-        while len(self._omega_prod) <= k:
-            self._omega_prod.append(wedge(self._omega_prod[-1], self.omega))
-        return self._omega_prod[k] / math.factorial(k)
+        """omega^k / k!, from the kept undivided products."""
+        return self._omega_product(k) / math.factorial(k)
+
+    @memo
+    def _omega_product(self, k):
+        """omega^k undivided, as omega^(k-1) ^ omega."""
+        if k == 0:
+            return Form.scalar(self.n, 1.0)
+        return wedge(self._omega_product(k - 1), self.omega)
 
     def integrate(self, form):
         return self.alg.integrate(form)
 
     # ----- inner products ---------------------------------------------------
 
+    @memo
     def compound(self, p):
         """p-th compound of H^{-1}: C[I, K] = det(H^{-1}[I, K]) over p-subsets."""
-        if p not in self._compound:
-            combos = _combos(self.n, p)
-            rows = np.array(combos, dtype=np.intp).reshape(len(combos), 1, p, 1)
-            self._compound[p] = np.linalg.det(self.h_inv[rows, rows.transpose(1, 0, 3, 2)])
-        return self._compound[p]
+        combos = _combos(self.n, p)
+        rows = np.array(combos, dtype=np.intp).reshape(len(combos), 1, p, 1)
+        return np.linalg.det(self.h_inv[rows, rows.transpose(1, 0, 3, 2)])
 
+    @memo
     def gram(self, p, q):
-        key = (p, q)
-        if key not in self._gram:
-            # <theta_I^thetabar_J, theta_K^thetabar_L> = C_p[I, K] * C_q[L, J]:
-            # kron(C_p, C_q^T) as one broadcast product, the same products as np.kron
-            a, b = self.compound(p), self.compound(q).T
-            g = (a[:, None, :, None] * b[None, :, None, :]).reshape(
-                a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-            self._gram[key] = 0.5 * (g + g.conj().T)
-        return self._gram[key]
+        # <theta_I^thetabar_J, theta_K^thetabar_L> = C_p[I, K] * C_q[L, J]:
+        # kron(C_p, C_q^T) as one broadcast product, the same products as np.kron
+        a, b = self.compound(p), self.compound(q).T
+        g = (a[:, None, :, None] * b[None, :, None, :]).reshape(
+            a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+        return 0.5 * (g + g.conj().T)
 
+    @memo
     def gram_total(self, k):
-        if k not in self._gram_total:
-            self._gram_total[k] = self.alg.total(lambda p, q: {(p, q): self.gram(p, q)}, k, k)
-        return self._gram_total[k]
+        return self.alg.total(lambda p, q: {(p, q): self.gram(p, q)}, k, k)
 
     def inner(self, u, v):
         """Pointwise Hermitian product, summed over shared bidegrees."""
@@ -244,6 +234,7 @@ class OperatorBundle:
 
     # ----- Hodge star ---------------------------------------------------------
 
+    @memo
     def star_block(self, a, b):
         """Matrix of the C-linear star from Lambda^{a,b} to Lambda^{n-b,n-a}.
 
@@ -251,14 +242,11 @@ class OperatorBundle:
         of monomial r of u pairs with star(w), so row comp[r] of the star is
         det(H) times row r of the Gram pairing with conj(w), over unit[r].
         """
-        key = (a, b)
-        if key not in self._star:
-            comp, unit = _complement(self.n, b, a)
-            sign, perm = _conj_table(self.n, a, b)
-            star = np.empty((len(comp),) * 2, dtype=complex)
-            star[comp] = self.det_h * (sign * self.gram(b, a)[list(perm)].T) / unit[:, None]
-            self._star[key] = star
-        return self._star[key]
+        comp, unit = _complement(self.n, b, a)
+        sign, perm = _conj_table(self.n, a, b)
+        star = np.empty((len(comp),) * 2, dtype=complex)
+        star[comp] = self.det_h * (sign * self.gram(b, a)[list(perm)].T) / unit[:, None]
+        return star
 
     def star_blocks(self, p, q):
         """The star as a block map."""
@@ -273,47 +261,50 @@ class OperatorBundle:
 
     # ----- Lefschetz and trace -------------------------------------------------
 
-    def lefschetz_block(self, p, q):
-        key = (p, q)
-        if key not in self._lef:
-            self._lef[key] = self.alg.wedge_matrix(self.omega, p, q)
-        return self._lef[key]
-
+    @memo
     def trace_block(self, p, q):
         """Matrix of the pointwise adjoint of omega ^ . mapping (p,q) -> (p-1,q-1)."""
-        key = (p, q)
-        if key not in self._trace:
-            if p < 1 or q < 1:
-                self._trace[key] = np.zeros((dim_pq(self.n, p - 1, q - 1),
-                                             dim_pq(self.n, p, q)), dtype=complex)
-            else:
-                self._trace[key] = _adjoint(self.lefschetz_block(p - 1, q - 1),
-                                            self.gram(p - 1, q - 1), self.gram(p, q))
-        return self._trace[key]
+        if p < 1 or q < 1:
+            return np.zeros((dim_pq(self.n, p - 1, q - 1), dim_pq(self.n, p, q)), dtype=complex)
+        return _adjoint(self.omega.wedge_matrix(p - 1, q - 1), self.gram(p - 1, q - 1),
+                        self.gram(p, q))
 
     def trace_contract(self, form):
         return self.alg.apply(lambda p, q: {(p - 1, q - 1): self.trace_block(p, q)}, form)
 
-    def mult_adjoint_block(self, eta, p, q, wedges=None):
+    def mult_adjoint_block(self, eta, p, q):
         """Adjoint of (eta ^ .) landing on Lambda^{p,q}, for homogeneous eta or a
         stack of them (then one adjoint per form, on its leading axis).
 
-        Maps (p,q) back to (p-a, q-b) when eta has bidegree (a,b).  wedges, when
-        given, maps a source bidegree to the matrix of eta ^ . there (a memo).
+        Maps (p,q) back to (p-a, q-b) when eta has bidegree (a,b).
         """
         (a, b), = eta.bidegrees() or [(0, 0)]
         src = (p - a, q - b)
         if dim_pq(self.n, *src) == 0:
             return np.zeros(eta.vec.shape[:-1] + (0, dim_pq(self.n, p, q)), dtype=complex)
-        mat = self.alg.wedge_matrix(eta, *src) if wedges is None else wedges[src]
-        return _adjoint(mat, self.gram(*src), self.gram(p, q))
+        return _adjoint(eta.wedge_matrix(*src), self.gram(*src), self.gram(p, q))
 
-    def mult_adjoint(self, eta, form, wedges=None):
+    def mult_adjoint(self, eta, form):
         if not eta.bidegrees():
             return Form.zero(self.n)
         (a, b), = eta.bidegrees()
         return self.alg.apply(
-            lambda p, q: {(p - a, q - b): self.mult_adjoint_block(eta, p, q, wedges)}, form)
+            lambda p, q: {(p - a, q - b): self.mult_adjoint_block(eta, p, q)}, form)
+
+    @memo
+    def commutator(self, gamma, p, q):
+        """Matrix of [trace, gamma ^ .] on (p,q) for a (1,1) form gamma, or the stack
+        of them for a stack; kept per form (by identity) and bidegree.
+
+        For gamma = omega this is (n - p - q) times the identity.
+        """
+        n, dim = self.n, dim_pq(self.n, p, q)
+        out = np.zeros(gamma.vec.shape[:-1] + (dim, dim), dtype=complex)
+        if p + 1 <= n and q + 1 <= n:
+            out += self.trace_block(p + 1, q + 1) @ gamma.wedge_matrix(p, q)
+        if p >= 1 and q >= 1:
+            out -= gamma.wedge_matrix(p - 1, q - 1) @ self.trace_block(p, q)
+        return out
 
     # ----- codifferentials and Laplacians ----------------------------------------
 
@@ -323,18 +314,14 @@ class OperatorBundle:
             return self.alg.dim_total(key) if 0 <= key <= 2 * self.n else 0
         return dim_pq(self.n, *key)
 
+    @memo
     def codiff(self, which, key):
         """Matrix of the adjoint of diff(which, .) from key to neighbor(which, key, -1)."""
-        cache_key = (which, key if which == "d" else tuple(key))
-        if cache_key not in self._codiff:
-            prev = neighbor(which, key, -1)
-            if self.dim(which, prev) == 0:
-                mat = np.zeros((0, self.dim(which, key)), dtype=complex)
-            else:
-                mat = _adjoint(self.alg.diff(which, prev), self.gram_for(which, prev),
-                               self.gram_for(which, key))
-            self._codiff[cache_key] = mat
-        return self._codiff[cache_key]
+        prev = neighbor(which, key, -1)
+        if self.dim(which, prev) == 0:
+            return np.zeros((0, self.dim(which, key)), dtype=complex)
+        return _adjoint(self.alg.diff(which, prev), self.gram_for(which, prev),
+                        self.gram_for(which, key))
 
     # the per-complex names bind perfbench/tracing.py TARGETS; the package calls codiff
     def del_star_block(self, p, q):
@@ -360,43 +347,37 @@ class OperatorBundle:
     def d_star(self, form):
         return self.del_star(form) + self.dbar_star(form)
 
+    @memo
     def laplacian(self, which, key):
         """Matrix of diff codiff + codiff diff: which in {"d", "del", "dbar"}.
 
         "d" takes a total degree k; "del"/"dbar" take a bidegree (p, q).
         """
-        cache_key = (which, key if which == "d" else tuple(key))
-        if cache_key not in self._lap:
-            prev, nxt = neighbor(which, key, -1), neighbor(which, key, 1)
-            mat = np.zeros((self.dim(which, key),) * 2, dtype=complex)
-            if self.dim(which, prev):
-                down = self.alg.diff(which, prev) @ self.codiff(which, key)
-                # d has always added its two terms directly, del/dbar onto zeros,
-                # which may flip the sign of a zero entry: both sums are kept
-                mat = down if which == "d" and self.dim(which, nxt) else mat + down
-            if self.dim(which, nxt):
-                mat = mat + self.codiff(which, nxt) @ self.alg.diff(which, key)
-            self._lap[cache_key] = mat
-        return self._lap[cache_key]
+        prev, nxt = neighbor(which, key, -1), neighbor(which, key, 1)
+        mat = np.zeros((self.dim(which, key),) * 2, dtype=complex)
+        if self.dim(which, prev):
+            down = self.alg.diff(which, prev) @ self.codiff(which, key)
+            # d has always added its two terms directly, del/dbar onto zeros,
+            # which may flip the sign of a zero entry: both sums are kept
+            mat = down if which == "d" and self.dim(which, nxt) else mat + down
+        if self.dim(which, nxt):
+            mat = mat + self.codiff(which, nxt) @ self.alg.diff(which, key)
+        return mat
 
     def gram_for(self, which, key):
         return self.gram_total(key) if which == "d" else self.gram(*key)
 
+    @memo
     def spectral(self, which, key):
         """Eigen-data of a Laplacian w.r.t. the pointwise Gram inner product."""
-        cache_key = (which, key if which == "d" else tuple(key))
-        if cache_key not in self._spec:
-            lap = self.laplacian(which, key)
-            g = self.gram_for(which, key)
-            if lap.size == 0:
-                data = SpectralData(which, key, np.zeros(0), np.zeros((0, 0), dtype=complex), g)
-            else:
-                a = g @ lap
-                a = 0.5 * (a + a.conj().T)
-                w, v = scipy.linalg.eigh(a, 0.5 * (g + g.conj().T))
-                data = SpectralData(which, key, w, v, g)
-            self._spec[cache_key] = data
-        return self._spec[cache_key]
+        lap = self.laplacian(which, key)
+        g = self.gram_for(which, key)
+        if lap.size == 0:
+            return SpectralData(which, key, np.zeros(0), np.zeros((0, 0), dtype=complex), g)
+        a = g @ lap
+        a = 0.5 * (a + a.conj().T)
+        w, v = scipy.linalg.eigh(a, 0.5 * (g + g.conj().T))
+        return SpectralData(which, key, w, v, g)
 
 
 def build_bundle(model, metric, tol=DEFAULT_TOL):
@@ -464,25 +445,26 @@ def identity_suite(bundle, seed=0, n_random=3):
             upd("star_star", np.max(np.abs(s_back @ s_here - (-1) ** (p + q) * np.eye(d))))
 
             if p + 1 <= n and q + 1 <= n:
-                lef = bundle.lefschetz_block(p, q)
+                lef = bundle.omega.wedge_matrix(p, q)
                 lhs = bundle.star_block(p + 1, q + 1) @ lef
                 rhs = bundle.trace_block(n - q, n - p) @ s_here
                 upd("star_lefschetz", np.max(np.abs(lhs - rhs)))
 
                 comm = bundle.trace_block(p + 1, q + 1) @ lef
                 if p >= 1 and q >= 1:
-                    comm = comm - bundle.lefschetz_block(p - 1, q - 1) @ bundle.trace_block(p, q)
+                    lef_below = bundle.omega.wedge_matrix(p - 1, q - 1)
+                    comm = comm - lef_below @ bundle.trace_block(p, q)
                 upd("commutator", np.max(np.abs(comm - (n - p - q) * np.eye(d))))
 
                 for eta, eta_bar in zip(etas, eta_bars):
-                    lhs = bundle.star_block(p + 1, q + 1) @ alg.wedge_matrix(eta, p, q)
+                    lhs = bundle.star_block(p + 1, q + 1) @ eta.wedge_matrix(p, q)
                     rhs = bundle.mult_adjoint_block(eta_bar, n - q, n - p) @ s_here
                     upd("mult_adjoint_star", np.max(np.abs(lhs - rhs)))
 
             if p + q <= n:
                 kk = p + q
                 coeff = (-1) ** (kk * (kk + 1) // 2) * (1j) ** (p - q)
-                pow_mat = alg.wedge_matrix(bundle.omega_power(n - p - q), p, q)
+                pow_mat = bundle.omega_power(n - p - q).wedge_matrix(p, q)
                 for vec in _primitive_vectors(bundle, p, q, rng):
                     lhs = s_here @ vec
                     rhs = coeff * (pow_mat @ vec)

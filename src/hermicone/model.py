@@ -286,28 +286,6 @@ def require_valid(model, need_unimodular=True):
     return report
 
 
-def differential_matrices(model):
-    """All bigraded differential blocks of a validated model.
-
-    Returns {"del": {(p,q): M}, "dbar": {(p,q): M}, "d": {k: M}} where the
-    "del"/"dbar" matrices map Lambda^{p,q} into (p+1,q) / (p,q+1) and "d"
-    maps total degree k to k + 1.
-    """
-    require_valid(model, need_unimodular=False)
-    alg = algebra_for(model)
-    n = model.n
-    out = {"del": {}, "dbar": {}, "d": {}}
-    for p in range(n + 1):
-        for q in range(n + 1):
-            if p + 1 <= n:
-                out["del"][(p, q)] = alg.diff("del", (p, q))
-            if q + 1 <= n:
-                out["dbar"][(p, q)] = alg.diff("dbar", (p, q))
-    for k in range(2 * n):
-        out["d"][k] = alg.d_total(k)
-    return out
-
-
 _CATALOG = {
     "torus2": ("torus2", 2, ()),
     "torus3": ("torus3", 3, ()),

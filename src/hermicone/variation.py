@@ -29,24 +29,30 @@ it gets alone, which three rules keep:
 * the volume coefficient coef / (n - 1) stays a Python complex division, which
   numpy's complex division does not round alike;
 * wedge matrices are placed, not summed: every cell of a wedge table takes
-  exactly one term (see ExteriorAlgebra.wedge_matrix).
+  exactly one term (see Form.wedge_matrix).
+
+Work is kept where it belongs (exterior.memo): the matrices of gamma ^ . on
+gamma, the commutators [trace, gamma ^ .] on the bundle, and a Directions
+stack's forms, their del and their integrals on the stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (DimensionMismatch, DirectionNotAdmissible, KernelJump,
                      NotPositive, NotPositiveDefinite, StepTooLarge)
-from .exterior import (DENSE_BUDGET, Form, conj_block_matrix, dim_pq, neighbor, wedge,
+from .exterior import (DENSE_BUDGET, Form, conj_block_matrix, dim_pq, memo, neighbor, wedge,
                        wedge_power)
 from .functionals import (SLICES, cone_slice, direction_slice, energy, evaluate,
                           normalization_integral)
 from .hodge import (Decomposition, decomposition, harmonic_projector, image_projector,
                     torsion, torsion_space)
-from .metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra, random_metric
+from .metric import (DEFAULT_TOL, HermitianMetric, OperatorBundle, bundle_for_algebra,
+                     random_metric)
 from .model import algebra_for
 
 FD_REL_STEP = 1e-3
@@ -124,97 +130,47 @@ def make_direction(alg, obj, kind="metric", require=None, tol=DEFAULT_TOL):
 class Directions(tuple):
     """Vetted directions of one kind, stacked: forms holds them on a leading axis.
 
-    memo keeps the work that depends on the directions alone (their wedge
-    matrices, their del, F_tilde's integrals against nu^(n-1)), so a stack
-    kept across bundles, as the descent keeps its slice basis, does it once.
+    The stack keeps the work that depends on the directions alone (their
+    forms with their wedge matrices, their del, F_tilde's integrals against
+    nu^(n-1)), so a stack kept across bundles, as the descent keeps its slice
+    basis, does it once.
     """
 
     def __new__(cls, directions):
         self = super().__new__(cls, directions)
         if len({d.kind for d in self}) > 1:
             raise DirectionNotAdmissible("a stack holds directions of one kind")
-        self.memo = {}
         return self
 
-    def cached(self, key, build):
-        if key not in self.memo:
-            self.memo[key] = build()
-        return self.memo[key]
-
-    @property
+    @cached_property
     def forms(self):
-        return self.cached("forms", lambda: Form(
-            self[0].form.n, np.stack([d.form.vec for d in self])))
+        return Form(self[0].form.n, np.stack([d.form.vec for d in self]))
 
+    @memo
     def chunks(self, size):
-        """The stack cut into stacks of at most size directions, each with its memo."""
+        """The stack cut into stacks of at most size directions, each keeping its work."""
         if size >= len(self):
             return [self]
-        return self.cached(("chunks", size), lambda: [
-            Directions(self[i:i + size]) for i in range(0, len(self), size)])
+        return [Directions(self[i:i + size]) for i in range(0, len(self), size)]
+
+    @memo
+    def del_forms(self, alg):
+        return alg.del_form(self.forms)
+
+    @memo
+    def nu_integrals(self, alg, nu):
+        """The real part of each direction's integral against nu^(n-1)."""
+        volume = wedge_power(nu.form(), alg.n - 1)
+        return [c.real for c in alg.integrate(wedge(self.forms, volume))]
 
 
 # ----- operator variations -----------------------------------------------------------
 
 
-class _Wedges(dict):
-    """The matrices of gamma ^ . by source bidegree, each built(p, q) on first use,
-    stacked on the leading axes lead of a stack gamma.  It also keeps the
-    commutators [trace, gamma ^ .] by bidegree at the last bundle asked."""
-
-    def __init__(self, build, lead=()):
-        super().__init__()
-        self.build, self.lead = build, lead
-        self._bundle, self._comm = None, {}
-
-    def __missing__(self, pq):
-        self[pq] = mat = self.build(*pq)
-        return mat
-
-    def commutators(self, bundle):
-        if bundle is not self._bundle:
-            self._bundle, self._comm = bundle, {}
-        return self._comm
-
-
-def _wedges(alg, gamma):
-    """The _Wedges of a (1,1) form or a stack of them; one passed in is returned
-    as is, so the variations along one direction share its wedge matrices."""
-    if isinstance(gamma, _Wedges):
-        return gamma
-    return _Wedges(lambda p, q: alg.wedge_matrix(gamma, p, q), gamma.vec.shape[:-1])
-
-
-def commutator_mult(bundle, gamma, p, q):
-    """Matrix of [trace, gamma ^ .] on (p,q) for a (1,1) form gamma.
-
-    For gamma = omega this is (n - p - q) times the identity.  Here and in
-    the variations below gamma may also be its _wedges memo, which builds
-    each bidegree's commutator once per bundle; the result is read-only.
-    """
-    wedge = _wedges(bundle.alg, gamma)
-    memo = wedge.commutators(bundle)
-    if (p, q) not in memo:
-        memo[(p, q)] = _commutator(bundle, wedge, p, q)
-    return memo[(p, q)]
-
-
-def _commutator(bundle, wedge, p, q):
-    n = bundle.n
-    dim = dim_pq(n, p, q)
-    out = np.zeros(wedge.lead + (dim, dim), dtype=complex)
-    if p + 1 <= n and q + 1 <= n:
-        out += bundle.trace_block(p + 1, q + 1) @ wedge[p, q]
-    if p >= 1 and q >= 1:
-        out -= wedge[p - 1, q - 1] @ bundle.trace_block(p, q)
-    out.setflags(write=False)
-    return out
-
-
 def star_comm_star(bundle, gamma, p, q):
     """star C star as an endomorphism of (p,q); C acts at the star image (n-q,n-p)."""
     n = bundle.n
-    mid = commutator_mult(bundle, gamma, n - q, n - p)
+    mid = bundle.commutator(gamma, n - q, n - p)
     return bundle.star_block(n - q, n - p) @ mid @ bundle.star_block(p, q)
 
 
@@ -227,7 +183,7 @@ def _on_complex(block, bundle, gamma, which, key):
 
 def var_star_matrix(bundle, gamma, p, q):
     """d/dt of the star matrix on (p,q): star composed with the commutator."""
-    return bundle.star_block(p, q) @ commutator_mult(bundle, gamma, p, q)
+    return bundle.star_block(p, q) @ bundle.commutator(gamma, p, q)
 
 
 def var_trace_matrix(bundle, gamma, p, q):
@@ -241,13 +197,12 @@ def var_trace_matrix(bundle, gamma, p, q):
 def var_codiff_matrix(bundle, gamma, which, key):
     """d/dt of codiff(which, key): codiff C + (-1)^(k+1) (star C star) codiff on degree k."""
     prev = neighbor(which, key, -1)
-    gamma = _wedges(bundle.alg, gamma)
     if bundle.dim(which, prev) == 0:
-        return np.zeros(gamma.lead + (0, bundle.dim(which, key)), dtype=complex)
+        return np.zeros(gamma.vec.shape[:-1] + (0, bundle.dim(which, key)), dtype=complex)
     degree = key if which == "d" else sum(key)
     sign = -1.0 if degree % 2 == 0 else 1.0
     ds = bundle.codiff(which, key)
-    return ds @ _on_complex(commutator_mult, bundle, gamma, which, key) \
+    return ds @ _on_complex(OperatorBundle.commutator, bundle, gamma, which, key) \
         + sign * _on_complex(star_comm_star, bundle, gamma, which, prev) @ ds
 
 
@@ -259,8 +214,7 @@ def laplacian_variation_matrix(bundle, gamma, which, key):
     """
     prev, nxt = neighbor(which, key, -1), neighbor(which, key, 1)
     dim = bundle.dim(which, key)
-    gamma = _wedges(bundle.alg, gamma)
-    out = np.zeros(gamma.lead + (dim, dim), dtype=complex)
+    out = np.zeros(gamma.vec.shape[:-1] + (dim, dim), dtype=complex)
     if bundle.dim(which, prev):
         out += bundle.alg.diff(which, prev) @ var_codiff_matrix(bundle, gamma, which, key)
     if bundle.dim(which, nxt):
@@ -278,9 +232,6 @@ class ProjectorVariation:
     derivative is the unconditional two-term expression
     -(P dLap S + S dLap P); image_part keeps only -P dLap S, which agrees
     with the derivative exactly on inputs with vanishing kernel component.
-    When a test form was supplied, value_form applies image_part to it,
-    oracle_form applies the two-term expression, and input_kernel_norm
-    flags how much of the input the one-term restriction cannot see.
     decomposition is the Laplacian's hodge.Decomposition: its kernel
     dimension, spectral gap, threshold and harmonic projector P.
     """
@@ -290,40 +241,24 @@ class ProjectorVariation:
     derivative: np.ndarray
     image_part: np.ndarray
     decomposition: Decomposition = field(repr=False)
-    value_form: object = None
-    oracle_form: object = None
-    input_kernel_norm: float = 0.0
 
     @property
     def kernel_dim(self):
         return self.decomposition.kernel_dim
 
-    def kernel_component_norm(self, vec):
-        """Pointwise-Gram norm of the kernel component of vec."""
-        dec = self.decomposition
-        return _gram_norm(dec.spectral.gram, dec.harmonic @ vec)
 
-
-def var_harmonic_projector(bundle, gamma, which, key, v=None):
+def var_harmonic_projector(bundle, gamma, which, key):
     """Variation of the kernel projector of a Laplacian along omega + t gamma.
 
     Refuses (KernelJump) where the decomposition's spectral gap is too
-    small (Decomposition.require_gap).  With a test form v the applied
-    results are attached (value_form from the one-term restriction,
-    oracle_form from the full two-term expression).
+    small (Decomposition.require_gap).
     """
     dec = decomposition(bundle, which, key).require_gap()
     proj, green = dec.harmonic, dec.green
     dlap = laplacian_variation_matrix(bundle, gamma, which, key)
     image_part = -proj @ dlap @ green
     derivative = image_part - green @ dlap @ proj
-    out = ProjectorVariation(which, key, derivative, image_part, dec)
-    if v is not None:
-        vec = v.part(key)
-        out.value_form = Form.at(v.n, key, image_part @ vec)
-        out.oracle_form = Form.at(v.n, key, derivative @ vec)
-        out.input_kernel_norm = out.kernel_component_norm(vec)
-    return out
+    return ProjectorVariation(which, key, derivative, image_part, dec)
 
 
 # ----- induced metric direction of a volume-level path --------------------------------
@@ -452,14 +387,14 @@ def _var_torsion_at(bundle, kind):
 
     def at(dirs):
         if dirs[0].kind == "volume":
-            metric_dir = _wedges(alg, metric_direction_of_volume(bundle, dirs.forms))
+            metric_dir = metric_direction_of_volume(bundle, dirs.forms)
             src_vec = dirs.forms.part(key)
         else:
-            metric_dir = dirs.cached("wedges", lambda: _wedges(alg, dirs.forms))
-            src_vec = dirs.cached(("del", alg), lambda: alg.del_form(dirs.forms)).part(key)
+            metric_dir = dirs.forms
+            src_vec = dirs.del_forms(alg).part(key)
         # the minimal potential of each direction's source
         eta = green_prev @ (codiff @ (im_proj @ src_vec[..., None]))
-        comm = _on_complex(commutator_mult, bundle, metric_dir, which, prev)
+        comm = _on_complex(OperatorBundle.commutator, bundle, metric_dir, which, prev)
 
         # two pairing summands per type of the torsion's space (the
         # commutator preserves type)
@@ -514,11 +449,8 @@ def _var_H_at(bundle, gamma_bundle):
         return [2.0 * (1j * c).real for c in alg.integrate(wedge(wedge(forms, u_bar), weight))]
 
     def at(dirs):
-        etas = dirs.forms
-        wedges = dirs.cached("wedges", lambda: _wedges(alg, etas))
-        t1 = pairings(bundle.trace_contract(dirs.cached(("del", alg),
-                                                         lambda: alg.del_form(etas))))
-        t2_form = bundle.mult_adjoint(etas, del_omega, wedges)
+        t1 = pairings(bundle.trace_contract(dirs.del_forms(alg)))
+        t2_form = bundle.mult_adjoint(dirs.forms, del_omega)
         t2 = pairings(Form.at(n, (1, 0), np.broadcast_to(
             t2_form.part((1, 0)), (len(dirs), n))))
         return [FunctionalVariation(
@@ -542,10 +474,8 @@ def _var_F_tilde_at(bundle, nu, var_f, report):
 
     def at(dirs):
         bases = var_f(dirs)
-        dir_ints = dirs.cached(("nu", nu.h.tobytes()), lambda: [c.real for c in alg.integrate(
-            wedge(dirs.forms, wedge_power(nu.form(), n - 1)))])
         out = []
-        for base, dir_int in zip(bases, dir_ints):
+        for base, dir_int in zip(bases, dirs.nu_integrals(alg, nu)):
             def quotient(d_f):
                 return float((d_f - n * (dir_int / denom) * f_val) / denom ** n)
 
@@ -607,10 +537,6 @@ def var_H(bundle, gamma_bundle, direction, with_fd=False, step=None):
 def var_F_tilde(bundle, nu, direction, with_fd=False, step=None):
     """First variation of the normalized pluriclosed energy."""
     return _variation(bundle, "F_tilde", direction, nu=nu, with_fd=with_fd, step=step)
-
-
-def _gram_norm(gram, vec):
-    return _norm(vec.conj() @ (gram @ vec))
 
 
 def _fd_along(bundle, direction, step, extract):
@@ -691,8 +617,7 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL):
         gm = 0.5 * (gm + gm.conj().T)
         gamma = HermitianMetric(gm).form()
         along = Direction("metric", gamma)
-        # the row's wedge matrices are built once: gamma's here, omega's by the bundle
-        wedges, omega = _wedges(alg, gamma), _Wedges(b.lefschetz_block)
+        omega = b.omega
         step = default_step(met)
         p = int(rng.integers(0, n + 1))
         q = int(rng.integers(0, n + 1))
@@ -700,7 +625,7 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL):
         tag = f"tuple {idx} (p,q)=({p},{q})"
 
         fd = _fd_along(b, along, step, lambda bb: bb.star_block(p, q))
-        _check(rows, "star", tag, var_star_matrix(b, wedges, p, q), fd)
+        _check(rows, "star", tag, var_star_matrix(b, gamma, p, q), fd)
 
         fd = _fd_along(b, along, step, lambda bb: bb.trace_block(p, q))
         _check(rows, "trace", tag, var_trace_matrix(b, gamma, p, q), fd)
@@ -708,19 +633,19 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL):
         complexes = (("del", (p, q)), ("dbar", (p, q)), ("d", k))
         for which, key in complexes:
             fd = _fd_along(b, along, step, lambda bb, w=which, kk=key: bb.codiff(w, kk))
-            _check(rows, f"{which}_star", tag, var_codiff_matrix(b, wedges, which, key), fd)
+            _check(rows, f"{which}_star", tag, var_codiff_matrix(b, gamma, which, key), fd)
 
         for which, key in complexes:
             fd = _fd_along(b, along, step,
                            lambda bb, w=which, kk=key: bb.laplacian(w, kk))
             _check(rows, f"laplacian_{which}", tag,
-                   laplacian_variation_matrix(b, wedges, which, key), fd)
+                   laplacian_variation_matrix(b, gamma, which, key), fd)
 
         # commutator self-adjointness and the gamma = omega normalization
-        comm = commutator_mult(b, wedges, p, q)
+        comm = b.commutator(gamma, p, q)
         g = b.gram(p, q)
         _check(rows, "commutator_selfadjoint", tag, g @ comm, comm.conj().T @ g)
-        comm_omega = commutator_mult(b, omega, p, q)
+        comm_omega = b.commutator(omega, p, q)
         _check(rows, "commutator_omega", tag, comm_omega,
                (n - p - q) * np.eye(dim_pq(n, p, q), dtype=complex))
 
@@ -729,9 +654,9 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL):
         if q >= 1:
             conj_in = conj_block_matrix(n, p, q)
             conj_out = conj_block_matrix(n, q - 1, p)
-            mirrored = conj_out @ var_codiff_matrix(b, wedges, "del", (q, p)).conj() @ conj_in
+            mirrored = conj_out @ var_codiff_matrix(b, gamma, "del", (q, p)).conj() @ conj_in
             _check(rows, "conjugation_symmetry", tag,
-                   var_codiff_matrix(b, wedges, "dbar", (p, q)), mirrored)
+                   var_codiff_matrix(b, gamma, "dbar", (p, q)), mirrored)
 
         # direction omega: first-order scaling pins each variation exactly
         _check(rows, "omega_scaling_star", tag,
@@ -747,7 +672,7 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL):
         # one-term restriction on a deflated vector, and the exact
         # vanishing of the derivative along omega itself
         try:
-            pv = var_harmonic_projector(b, wedges, "d", k)
+            pv = var_harmonic_projector(b, gamma, "d", k)
         except KernelJump:
             continue
         fd = _fd_along(b, along, step, lambda bb: harmonic_projector(bb, "d", k))

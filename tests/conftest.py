@@ -22,6 +22,11 @@ def algebra(model):
     return algebra_for(model)
 
 
+def kept_keys(obj, method):
+    """The argument tuples under which obj keeps results of a memo method."""
+    return [key for fn, key in getattr(obj, "_memo", {}) if fn is method.__wrapped__]
+
+
 def seeded_bundle(name, seed=None):
     """Bundle on a catalog model: identity metric, or a seeded random one."""
     alg = algebra_for(catalog(name))

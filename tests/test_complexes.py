@@ -12,9 +12,12 @@ from hermicone.exterior import (ExteriorAlgebra, Form, _basis, _complement, _mer
 from hermicone.functionals import eval_G
 from hermicone.hodge import (coimage_projector, green_operator, harmonic_projector,
                              image_projector, potential)
-from hermicone.metric import HermitianMetric, _adjoint, bundle_for_algebra, random_metric
+from hermicone.metric import (HermitianMetric, OperatorBundle, _adjoint, bundle_for_algebra,
+                              random_metric)
 from hermicone.model import algebra_for, catalog, catalog_names, make_model
-from hermicone.variation import _on_complex, commutator_mult, star_comm_star
+from hermicone.variation import _on_complex, star_comm_star
+
+from .conftest import kept_keys
 
 
 def _component(alg, pq, tgt):
@@ -231,7 +234,8 @@ def test_kernel_cut_is_made_once_per_space(monkeypatch):
     eval_G(b)
     # the source (2, 2), the torsion's space (2, 1) and its image space (2, 0)
     assert len(cut) == 3
-    assert sorted(b._hodge) == [("dbar", (2, 0)), ("dbar", (2, 1)), ("dbar", (2, 2))]
+    assert sorted(kept_keys(b, hodge.decomposition)) == [
+        ("dbar", (2, 0)), ("dbar", (2, 1)), ("dbar", (2, 2))]
 
 
 # ----- block maps: ExteriorAlgebra.apply / total against the loops they replaced ---------
@@ -335,7 +339,7 @@ def test_total_matrices_match_offset_loops(block_bundle):
         assert b.star_total(k).tobytes() == want.tobytes(), k
         want = scipy.linalg.block_diag(*[b.gram(p, q) for p, q in alg.bidegrees(k)])
         assert b.gram_total(k).tobytes() == want.tobytes(), k
-        for block in (commutator_mult, star_comm_star):
+        for block in (OperatorBundle.commutator, star_comm_star):
             want = _placed(alg, k, k, lambda p, q: [((p, q), block(b, gamma, p, q))])
             assert _on_complex(block, b, gamma, "d", k).tobytes() == want.tobytes(), (k, block)
 

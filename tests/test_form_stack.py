@@ -71,12 +71,11 @@ def test_operations_on_a_stack_are_its_forms_operations(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_matrices_of_a_homogeneous_stack_are_its_forms_matrices(n):
     rng, bundle, keys, _ = _case(n)
-    alg = bundle.alg
     for a, b in keys:
         forms = [_with_signed_zeros(random_form(n, [(a, b)], rng), rng) for _ in range(3)]
         stack = _stack(forms)
         for p, q in keys:
-            _same(alg.wedge_matrix(stack, p, q), [alg.wedge_matrix(f, p, q) for f in forms])
+            _same(stack.wedge_matrix(p, q), [f.wedge_matrix(p, q) for f in forms])
             if a <= 1 and b <= 1:
                 _same(bundle.mult_adjoint_block(stack, p, q),
                       [bundle.mult_adjoint_block(f, p, q) for f in forms])

@@ -1,0 +1,115 @@
+"""exterior.memo: one table per object for the work that depends on it alone."""
+
+import ast
+import gc
+import weakref
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import hermicone
+from hermicone import hodge
+from hermicone.exterior import random_form
+from hermicone.metric import bundle_for_algebra, random_metric
+from hermicone.model import algebra_for, catalog
+from hermicone.variation import Directions, make_direction, variation_at
+
+from .conftest import seeded_bundle
+
+SRC = Path(hermicone.__file__).resolve().parent
+
+
+def test_a_repeated_call_returns_the_kept_object():
+    b = seeded_bundle("iwasawa", seed=1)
+    gamma = random_form(3, [(1, 1)], np.random.default_rng(1), real=True)
+    for call in (lambda: b.gram(1, 1), lambda: b.gram_total(2), lambda: b.star_block(1, 2),
+                 lambda: b.trace_block(2, 1), lambda: b.codiff("d", 2),
+                 lambda: b.laplacian("dbar", (1, 1)), lambda: b.spectral("del", (1, 2)),
+                 lambda: b.alg.d_total(2), lambda: b.alg.d_blocks(1, 0),
+                 lambda: gamma.wedge_matrix(1, 1), lambda: b.commutator(gamma, 1, 1),
+                 lambda: hodge.decomposition(b, "d", 2)):
+        assert call() is call()
+
+
+
+def test_a_bidegree_given_as_a_list_or_an_array_is_kept_as_its_tuple():
+    b = seeded_bundle("iwasawa", seed=1)  # a list as the first key of a fresh table
+    kept = b.codiff("dbar", [1, 1])
+    assert b.codiff("dbar", np.array([1, 1])) is kept and b.codiff("dbar", (1, 1)) is kept
+    proj = hodge.harmonic_projector(b, "dbar", [1, 2])
+    assert hodge.harmonic_projector(b, "dbar", (1, 2)) is proj
+
+
+@pytest.mark.parametrize("get", [
+    lambda b: b.gram(1, 1),
+    lambda b: b.codiff("dbar", (1, 1)),
+    lambda b: b.alg.d_total(1),
+    lambda b: b.omega.wedge_matrix(1, 0),
+    lambda b: b.alg.d_blocks(1, 0)[(2, 0)],
+    lambda b: b.commutator(b.omega, 1, 1),
+], ids=["gram", "codiff", "d_total", "wedge_matrix", "d_blocks", "commutator"])
+def test_kept_arrays_are_read_only(get):
+    b = seeded_bundle("iwasawa", seed=2)
+    mat = get(b)
+    assert mat.size
+    with pytest.raises(ValueError):
+        mat[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        mat += 1.0
+
+
+def test_a_direction_stack_does_not_keep_its_bundle_alive():
+    alg = algebra_for(catalog("kodaira_thurston"))
+    dirs = Directions([make_direction(alg, np.diag([1.0, 2.0])), make_direction(alg, np.eye(2))])
+    for functional in ("F", "H"):
+        bundle = bundle_for_algebra(alg, random_metric(2, np.random.default_rng(3)))
+        variation_at(bundle, functional, weight_bundle=bundle)(dirs)
+        ref = weakref.ref(bundle)
+        del bundle
+        gc.collect()
+        assert ref() is None, functional
+
+
+def _hand_written_caches(tree):
+    """Lines that test membership in, store into or setdefault on an attribute of self
+    or bundle, outside the function named memo."""
+    def owned(node):
+        return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in ("self", "bundle"))
+
+    found, skip = [], set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name == "memo":
+            skip.update(id(node) for node in ast.walk(fn))
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.In, ast.NotIn)) and owned(right)
+                for op, right in zip(node.ops, node.comparators)):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) \
+                and owned(node.value):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "setdefault" and owned(node.func.value):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_package_writes_no_cache_of_its_own():
+    # a per-object result is kept by exterior.memo, not by a dict on the object
+    found = {path.name: lines for path in sorted(SRC.glob("*.py"))
+             if (lines := _hand_written_caches(ast.parse(path.read_text())))}
+    assert not found, f"hand-written caches at {found}"
+
+
+def test_the_guard_sees_a_hand_written_cache():
+    tree = ast.parse("def gram(self, p):\n"
+                     "    if p not in self._gram:\n"
+                     "        self._gram[p] = p\n"
+                     "    return bundle._hodge.setdefault(p, p)\n"
+                     "def cached(self, key):\n"
+                     "    return self.memo[key] if key in self.memo else None\n")
+    assert _hand_written_caches(tree) == [2, 3, 4, 6]

@@ -8,15 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from .conftest import non_unimodular_model
+from .conftest import kept_keys, non_unimodular_model
 from hermicone import exterior as exterior_module
 from hermicone import model as model_module
 from hermicone.cli import main
 from hermicone.errors import (ModelNotUnimodular, SchemaError,
                               UnknownCatalogName)
-from hermicone.exterior import dim_pq
+from hermicone.exterior import ExteriorAlgebra, dim_pq
 from hermicone.model import (VALIDATION_TOL, algebra_for, catalog, catalog_names,
-                             certified_d_squared, differential_matrices, make_model,
+                             certified_d_squared, make_model,
                              parse_model, require_valid, serialize_model, validate_model)
 
 
@@ -74,14 +74,6 @@ def test_structure_terms_normalized():
     a = make_model("m", 3, [(3, "holo", 2, 1, 1.0)])
     b = make_model("m", 3, [(3, "holo", 1, 2, -1.0)])
     assert a == b
-
-
-def test_differential_matrices_square_to_zero(model):
-    mats = differential_matrices(model)
-    d = mats["d"]
-    for k in range(2 * model.n - 1):
-        if d[k + 1].size and d[k].size:
-            assert abs((d[k + 1] @ d[k])).max() < 1e-14
 
 
 def test_iwasawa_differential_content():
@@ -206,12 +198,12 @@ def test_validation_builds_no_total_degree_matrix(tmp_path, capsys, fresh_caches
     model = make_model("iwasawa_x_t3", 6, [(3, "holo", 1, 2, -1.37)])
     require_valid(model)
     alg = algebra_for(model)
-    assert alg._d_total_cache == {}
+    assert kept_keys(alg, ExteriorAlgebra.d_total) == []
     path = tmp_path / "model.json"
     path.write_text(serialize_model(model))
     assert main(["eval", "--model", str(path), "--functional", "G"]) == 0
     capsys.readouterr()
-    assert algebra_for(model) is alg and alg._d_total_cache == {}
+    assert algebra_for(model) is alg and kept_keys(alg, ExteriorAlgebra.d_total) == []
 
 
 def _dense_d_blocks(alg, p, q):
@@ -262,11 +254,11 @@ def test_eval_g_densifies_only_the_blocks_it_reads(tmp_path, capsys, fresh_cache
     # the gate reads d's entries everywhere, but dense blocks only exist where the
     # predicates (d omega, del dbar omega, d omega_(n-1)) and the dbar complex
     # around Gamma's (n-1, n-2) read them
-    assert len(alg._d_entries_cache) == (n + 1) ** 2
+    assert len(kept_keys(alg, ExteriorAlgebra.d_entries)) == (n + 1) ** 2
     predicates = {(1, 1), (1, 2), (n - 1, n - 1)}
     gamma = {(n - 1, q) for q in range(n - 4, n)}
-    assert set(alg._d_blocks_cache) == predicates | gamma
-    assert len(alg._d_blocks_cache) == 6  # of 64 source bidegrees
+    assert set(kept_keys(alg, ExteriorAlgebra.d_blocks)) == predicates | gamma
+    assert len(kept_keys(alg, ExteriorAlgebra.d_blocks)) == 6  # of 64 source bidegrees
 
 
 def test_eval_g_at_n8_stays_small(tmp_path):

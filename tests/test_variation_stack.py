@@ -15,11 +15,11 @@ import pytest
 
 import hermicone.variation as variation
 from hermicone.cli import main
-from hermicone.exterior import (ExteriorAlgebra, Form, _wedge_arrays, dim_pq, neighbor,
-                                wedge, wedge_power)
+from hermicone.exterior import Form, _wedge_arrays, dim_pq, memo, neighbor, wedge, wedge_power
 from hermicone.functionals import energy, normalization_integral
 from hermicone.hodge import decomposition, image_projector, torsion, torsion_space
-from hermicone.metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra, random_metric
+from hermicone.metric import (DEFAULT_TOL, HermitianMetric, OperatorBundle, bundle_for_algebra,
+                              random_metric)
 from hermicone.model import algebra_for, catalog, make_model
 from hermicone.optimizer import _Objective, _random_feasible, constraint_basis, descend
 from hermicone.variation import Directions, FunctionalVariation, make_direction, variation_at
@@ -308,7 +308,6 @@ def test_empty_stack_gives_no_variations():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_every_wedge_table_cell_takes_one_term_and_placement_is_add_at(n):
     rng = np.random.default_rng(n)
-    alg = ExteriorAlgebra(n, ())
     for a, b, p, q in itertools.product(range(n + 1), repeat=4):
         table = _wedge_arrays(n, a, b, p, q)
         if table is None:
@@ -323,7 +322,7 @@ def test_every_wedge_table_cell_takes_one_term_and_placement_is_add_at(n):
             v[::3] = complex(-0.0, 0.0)
         v.imag[1::4] = -0.0
         stack = Form.at(n, (a, b), np.stack([v, -v]))
-        got = alg.wedge_matrix(stack, p, q)
+        got = stack.wedge_matrix(p, q)
         for row, vec in zip(got, (v, -v)):
             want = np.zeros((dim_pq(n, p + a, q + b), dim_pq(n, p, q)), dtype=complex)
             np.add.at(want, (t, i2), sign * vec[i1])
@@ -335,18 +334,19 @@ def test_every_wedge_table_cell_takes_one_term_and_placement_is_add_at(n):
 
 def test_varcheck_builds_each_commutator_once(monkeypatch):
     calls, built = [], []
-    real_mult, real_build = variation.commutator_mult, variation._commutator
+    build = OperatorBundle.commutator.__wrapped__
 
-    def counting_mult(*args):
-        calls.append(args[2:])
-        return real_mult(*args)
+    def counting_build(bundle, gamma, p, q):
+        built.append((id(gamma), id(bundle), p, q))
+        return build(bundle, gamma, p, q)
 
-    def counting_build(bundle, wedges, p, q):
-        built.append((id(wedges), id(bundle), p, q))
-        return real_build(bundle, wedges, p, q)
+    kept = memo(counting_build)
 
-    monkeypatch.setattr(variation, "commutator_mult", counting_mult)
-    monkeypatch.setattr(variation, "_commutator", counting_build)
+    def counting_call(bundle, gamma, p, q):
+        calls.append((p, q))
+        return kept(bundle, gamma, p, q)
+
+    monkeypatch.setattr(OperatorBundle, "commutator", counting_call)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["varcheck", "--catalog", "iwasawa", "--tuples", "3"]) == 0
     assert len(calls) == 242
@@ -355,19 +355,19 @@ def test_varcheck_builds_each_commutator_once(monkeypatch):
 
 def test_descent_does_its_direction_only_work_once(monkeypatch):
     stacks, integrals = [], []
-    real_wedge_matrix, real_wedge = ExteriorAlgebra.wedge_matrix, variation.wedge
+    build, real_wedge = Form.wedge_matrix.__wrapped__, variation.wedge
 
-    def counting_wedge_matrix(self, form, p, q):
+    def counting_build(form, p, q):
         if form.vec.ndim > 1:
             stacks.append((p, q))
-        return real_wedge_matrix(self, form, p, q)
+        return build(form, p, q)
 
     def counting_wedge(u, v):
         if u.vec.ndim > 1 and u.bidegrees() == [(1, 1)]:
             integrals.append(1)
         return real_wedge(u, v)
 
-    monkeypatch.setattr(ExteriorAlgebra, "wedge_matrix", counting_wedge_matrix)
+    monkeypatch.setattr(Form, "wedge_matrix", memo(counting_build))
     monkeypatch.setattr(variation, "wedge", counting_wedge)
     trace = descend(catalog("kodaira_thurston"), "F_tilde", start="random", seed=8, steps=40,
                     max_step=0.05)
