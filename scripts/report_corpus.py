@@ -20,9 +20,10 @@ The jobs cover ``eval`` (every functional) and ``torsion`` at a seeded random
 metric, ``verify --metrics 2`` and ``varcheck --tuples 3`` on the four catalog
 models; two 5-step descents; and ``eval``, ``torsion`` and ``verify`` on three
 synthetic models (Iwasawa x T^1, Kodaira-Thurston x T^2, complex Heisenberg
-n = 5) read from model files; ``eval`` of G alone on Iwasawa x T^4 (n = 7);
-``eval``, ``varcheck`` and ``descend`` under ``--tol 1e-6``; and six more
-5-step descents that cover both slices: H from a random start, G normalized
+n = 5) read from model files; ``eval`` of G alone on Iwasawa x T^4 (n = 7) and
+on Iwasawa x T^5 (n = 8); ``eval``, ``varcheck`` and ``descend`` under
+``--tol 1e-6``; and six more 5-step descents that cover both slices: H from a
+random start, G normalized
 from the identity, F from a metric file, G on the n = 2 torus (whose volume
 datum is a (1,1) form), and the two refused at the feasibility probe (G on
 Kodaira-Thurston, F on Iwasawa).  Three descents run the slice gradient
@@ -62,9 +63,10 @@ SYNTHETIC = {
     "kt_x_t2": (4, [(2, "mixed", 1, 1, 0.75)]),
     "heisenberg5": (5, [(5, "holo", 1, 2, 0.7), (5, "holo", 3, 4, -1.3)]),
 }
-# evaluated for G alone: at n = 7 the other jobs would dominate the corpus run
+# evaluated for G alone: at n >= 7 the other jobs would dominate the corpus run
 LARGE = {
     "iwasawa_x_t4": (7, [(3, "holo", 1, 2, -1.25)]),
+    "iwasawa_x_t5": (8, [(3, "holo", 1, 2, -1.25)]),
 }
 
 
