@@ -2,10 +2,14 @@
 
 Conventions fixed here and used everywhere else:
 
-* A monomial is theta_I ^ thetabar_J with I, J strictly increasing tuples of
-  0-based coframe indices; holomorphic factors always stand left of the
-  conjugated ones.
+* A monomial is theta_I ^ thetabar_J, holomorphic factors left of the conjugated
+  ones; I and J are n-bit masks, bit i for 0-based index i (increasing index
+  tuples appear only at the public edge: basis, to_entries, Form.monomial).
 * The basis of Lambda^{p,q} runs over (I, J) in lexicographic order, I major.
+  _index(n) holds the masks of every coefficient and the position pos[I, J] of
+  every mask pair; each table (wedge, d, conj, complement) is whole-array lookups
+  in it, signed by the parity of sum_{y in b} popcount(a >> (y + 1)) for sorting
+  the indices of a before those of b.
 * A Form is one complex vector over all 4^n monomials, ordered by total degree,
   then p descending (degree 2 reads (2,0), (1,1), (0,2)), then basis order.
   Each degree k and bidegree (p, q) is a slice of it (_layout): form.part(key)
@@ -30,14 +34,16 @@ Conventions fixed here and used everywhere else:
   form of the stack and give it the bits it gets alone; a block map may likewise
   carry matrices stacked on a leading axis.
 * Work that depends on one object alone is kept on it by memo: d on its
-  algebra, the matrices of form ^ . on the form, the metric operators on their
-  bundle.  A kept array is read-only.
+  algebra, the matrices of form ^ . and the powers of a form on the form, the
+  metric operators on their bundle.  A kept array is read-only, and an entry
+  keyed by a Form lives only as long as that form.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from functools import lru_cache, wraps
 
 import numpy as np
@@ -52,7 +58,8 @@ DENSE_BUDGET = 2 ** 22
 
 def memo(method):
     """Keep method(self, *key) in self._memo, built on the first call with that key.
-    An array result is made read-only, as every caller shares it."""
+    An array result is made read-only, as every caller shares it.  A Form in the key
+    is held by a weak reference, and the entry goes when that form does."""
     @wraps(method)
     def kept(self, *key):
         try:
@@ -66,11 +73,26 @@ def memo(method):
             key = tuple(k if k.__hash__ else tuple(k) for k in key)
             hash(key)  # anything deeper stays refused
             return kept(self, *key)
-        out = self._memo[method, key] = method(self, *key)
+        args = key
+        if Form in map(type, key):  # held by weak references, dropped with their forms
+            key = tuple(weakref.ref(k) if isinstance(k, Form) else k for k in key)
+            if (method, key) in self._memo:
+                return self._memo[method, key]
+            for form in args:
+                if isinstance(form, Form):
+                    weakref.finalize(form, _forget, weakref.ref(self), (method, key))
+        out = self._memo[method, key] = method(self, *args)
         if isinstance(out, np.ndarray):
             out.setflags(write=False)
         return out
     return kept
+
+
+def _forget(owner, entry):
+    """Drop a memo entry of owner (a weak reference) whose Form key has gone."""
+    obj = owner()
+    if obj is not None:
+        obj._memo.pop(entry, None)
 
 
 @lru_cache(maxsize=None)
@@ -81,11 +103,6 @@ def _combos(n, p):
 @lru_cache(maxsize=None)
 def _basis(n, p, q):
     return tuple((I, J) for I in _combos(n, p) for J in _combos(n, q))
-
-
-@lru_cache(maxsize=None)
-def _basis_index(n, p, q):
-    return {mono: i for i, mono in enumerate(_basis(n, p, q))}
 
 
 def dim_pq(n, p, q):
@@ -140,15 +157,44 @@ def _slices(n, key):
 
 
 @lru_cache(maxsize=None)
+def _index(n):
+    """I and J, the masks of every coefficient in layout order, and pos[I, J], the layout
+    position of every mask pair.  Subsets of one size run in combinations order, in
+    which the bit-reversed masks descend."""
+    masks = np.arange(1 << n)
+    flipped = sum(((masks >> i) & 1) << (n - 1 - i) for i in range(n))
+    ordered = masks[np.argsort(-flipped)]
+    subsets = [ordered[np.bitwise_count(ordered) == p] for p in range(n + 1)]
+    at = np.concatenate([(subsets[p][:, None] << n | subsets[q]).ravel()
+                         for p, q in _blocks(n)[0]])
+    pos = np.empty(4 ** n, dtype=np.intp)
+    pos[at] = np.arange(4 ** n)
+    return at >> n, at & ((1 << n) - 1), pos.reshape(1 << n, 1 << n)
+
+
+def _merge_sign(n, a, b):
+    """(-1)^#{x in a, y in b: y < x} (integer), the sign of sorting the indices of the
+    mask a followed by those of the disjoint mask b; a and b may be arrays."""
+    y = np.arange(n)[:, None]
+    inv = np.sum(np.bitwise_count(a >> (y + 1)) * ((b >> y) & 1), axis=0)
+    return 1 - 2 * (inv & 1)
+
+
+def _position(n, I, J):
+    """Layout position of theta_I ^ thetabar_J: the one check that index sequences
+    from outside are strictly increasing within 0..n-1."""
+    if not all(a < b for idx in (I, J) for a, b in zip([-1, *idx], [*idx, n])):
+        raise DegreeOutOfRange(f"({tuple(I)}, {tuple(J)}) is not an increasing monomial "
+                               f"for n={n}")
+    return _index(n)[2][sum(1 << i for i in I), sum(1 << j for j in J)]
+
+
+@lru_cache(maxsize=None)
 def _conj_perm(n):
-    """Whole-vector conjugation: the target index and sign (+-1.0) of every coefficient."""
-    lay = _layout(n)
-    perm, sign = np.empty(4 ** n, dtype=np.intp), np.empty(4 ** n)
-    for (p, q) in _blocks(n)[0]:
-        s, block_perm = _conj_table(n, p, q)
-        perm[lay[(p, q)]] = lay[(q, p)].start + np.array(block_perm, dtype=np.intp)
-        sign[lay[(p, q)]] = s
-    return perm, sign
+    """Whole-vector conjugation: the target index and sign (+-1.0) of every coefficient.
+    conj(theta_I ^ thetabar_J) = (-1)^(pq) theta_J ^ thetabar_I."""
+    I, J, pos = _index(n)
+    return pos[J, I], np.where(np.bitwise_count(I) & np.bitwise_count(J) & 1, -1.0, 1.0)
 
 
 def neighbor(which, key, s):
@@ -171,16 +217,6 @@ def basis(model_or_n, p, q):
 
 
 @lru_cache(maxsize=None)
-def _merge(a, b):
-    # Sign of sorting the concatenation of two increasing index tuples,
-    # None if they overlap.
-    if set(a) & set(b):
-        return None
-    inv = sum(1 for x in a for y in b if y < x)
-    return (-1) ** inv, tuple(sorted(a + b))
-
-
-@lru_cache(maxsize=None)
 def _wedge_arrays(n, p1, q1, p2, q2):
     """Sparse table for Lambda^{p1,q1} x Lambda^{p2,q2} -> Lambda^{p1+p2,q1+q2}: the
     index arrays i1, i2, sign, target_index in (i1, i2) order, None if empty.
@@ -190,63 +226,53 @@ def _wedge_arrays(n, p1, q1, p2, q2):
     """
     if p1 + p2 > n or q1 + q2 > n:
         return None
-    tgt = _basis_index(n, p1 + p2, q1 + q2)
-    cross = (-1) ** (p2 * q1)
-    out = []
-    for i1, (I1, J1) in enumerate(_basis(n, p1, q1)):
-        for i2, (I2, J2) in enumerate(_basis(n, p2, q2)):
-            mi, mj = _merge(I1, I2), _merge(J1, J2)
-            if mi is not None and mj is not None:
-                out.append((i1, i2, mi[0] * mj[0] * cross, tgt[(mi[1], mj[1])]))
-    return tuple(np.array(col, dtype=np.intp) for col in zip(*out)) if out else None
-
-
-@lru_cache(maxsize=None)
-def _wedge_cells(n, a, b, p, q):
-    """_wedge_arrays(n, a, b, p, q) as wedge_matrix places it: i1, sign and the flat
-    cell target * dim(p, q) + source of each term, None if empty."""
-    table = _wedge_arrays(n, a, b, p, q)
-    if table is None:
+    I, J, pos = _index(n)
+    a, b = _slice(n, (p1, q1)), _slice(n, (p2, q2))
+    i1, i2 = np.nonzero(((I[a, None] & I[b]) | (J[a, None] & J[b])) == 0)
+    if not i1.size:
         return None
-    i1, i2, sign, t = table
-    return i1, sign, t * dim_pq(n, p, q) + i2
+    I1, J1, I2, J2 = I[a][i1], J[a][i1], I[b][i2], J[b][i2]
+    sign = _merge_sign(n, I1, I2) * _merge_sign(n, J1, J2) * (-1) ** (p2 * q1)
+    return i1, i2, sign, pos[I1 | I2, J1 | J2] - _slice(n, (p1 + p2, q1 + q2)).start
 
 
 @lru_cache(maxsize=None)
 def _derivation_table(n, p, q, g, K, L):
-    """Entries of theta_K^thetabar_L ^ iota_g on Lambda^{p,q}, None if there are none.
+    """Entries of theta_K^thetabar_L ^ iota_g on Lambda^{p,q} (K, L masks), None if there
+    are none: the target bidegree and read-only (row, col, sign) arrays, row-major, each
+    column (source monomial) holding at most one entry.
 
-    iota_g removes generator g (theta^g if g < n, else thetabar^(g-n)) from position
-    m of (I, J) with sign (-1)^m; the wedge with theta_K^thetabar_L then has the signs
-    of _wedge_arrays.  Returns the target bidegree and read-only (row, col, sign)
-    arrays, row-major; each column (source monomial) holds at most one entry.
+    iota_g removes generator g (bit g of the 2n-bit mask I | J << n) from position m
+    with sign (-1)^m, the merge sign of g before the rest; the wedge with
+    theta_K^thetabar_L then has the signs of _wedge_arrays.
     """
     rp, rq = (p - 1, q) if g < n else (p, q - 1)
     if min(rp, rq) < 0:
         return None
-    tgt = _basis_index(n, rp + len(K), rq + len(L))
-    out = []
-    for src, (I, J) in enumerate(_basis(n, p, q)):
-        gens = I + tuple(n + j for j in J)
-        if g in gens:
-            m = gens.index(g)
-            rest = (I[:m] + I[m + 1:], J) if m < p else (I, J[:m - p] + J[m - p + 1:])
-            mi, mj = _merge(K, rest[0]), _merge(L, rest[1])
-            if mi is not None and mj is not None:
-                out.append((tgt[(mi[1], mj[1])], src, (-1) ** (m + rp * len(L)) * mi[0] * mj[0]))
-    if not out:
+    I, J, pos = _index(n)
+    gens = I[_slice(n, (p, q))] | J[_slice(n, (p, q))] << n
+    rest = gens ^ (1 << g)  # the sources holding g whose rest is disjoint from (K, L)
+    col = np.flatnonzero((gens >> g & 1 == 1) & (rest & (K | L << n) == 0))
+    if not col.size:
         return None
-    arrays = tuple(map(np.array, zip(*sorted(out))))
+    rest = rest[col]
+    I, J = rest & ((1 << n) - 1), rest >> n
+    sign = _merge_sign(2 * n, 1 << g, rest) * _merge_sign(n, K, I) * _merge_sign(n, L, J) \
+        * (-1) ** (rp * L.bit_count())
+    tgt = (rp + K.bit_count(), rq + L.bit_count())
+    row = pos[I | K, J | L] - _slice(n, tgt).start
+    order = np.lexsort((col, row))
+    arrays = row[order], col[order], sign[order]
     for arr in arrays:
         arr.setflags(write=False)
-    return ((rp + len(K), rq + len(L)), *arrays)
+    return (tgt, *arrays)
 
 
 @lru_cache(maxsize=None)
 def _conj_table(n, p, q):
-    # conj(theta_I ^ thetabar_J) = (-1)^(pq) theta_J ^ thetabar_I
-    tgt = _basis_index(n, q, p)
-    perm = tuple(tgt[(J, I)] for (I, J) in _basis(n, p, q))
+    """The sign and the (q,p) indices of conj on the (p,q) block, read off _conj_perm."""
+    perm = _conj_perm(n)[0][_slice(n, (p, q))] - _slice(n, (q, p)).start
+    perm.setflags(write=False)
     return (-1) ** (p * q), perm
 
 
@@ -257,26 +283,19 @@ def _theta_coefficient(n):
 
 @lru_cache(maxsize=None)
 def _complement(n, p, q):
-    """Metric-free pairing of Lambda^{p,q} with Lambda^{n-p,n-q}.
-
-    Monomial i of Lambda^{p,q} wedges to a nonzero top form only with its
-    complement (indices missing from I and from J).  Returns the complement
-    indices and the units (+-1 or +-i) integral(monomial ^ complement).
-    """
-    full, tgt = range(n), _basis_index(n, n - p, n - q)
-    comp, top = [], []
-    for I, J in _basis(n, p, q):
-        Ic, Jc = tuple(i for i in full if i not in I), tuple(j for j in full if j not in J)
-        comp.append(tgt[(Ic, Jc)])
-        top.append(_merge(I, Ic)[0] * _merge(J, Jc)[0] * (-1) ** ((n - p) * q))
-    return np.array(comp, dtype=np.intp), np.array(top, dtype=complex) / _theta_coefficient(n)
+    """Metric-free pairing of Lambda^{p,q} with Lambda^{n-p,n-q}: monomial i wedges to a
+    nonzero top form only with its complement (the indices missing from I and J), the
+    one term of row i of the wedge table.  Returns the complement indices and the units
+    (+-1 or +-i) integral(monomial ^ complement)."""
+    _, comp, top, _ = _wedge_arrays(n, p, q, n - p, n - q)
+    return comp, top.astype(complex) / _theta_coefficient(n)
 
 
 def conj_block_matrix(n, p, q):
     """Signed permutation M with conj of a (p,q) block vector v being M conj(v) at (q,p)."""
     sign, perm = _conj_table(n, p, q)
     m = np.zeros((dim_pq(n, q, p), dim_pq(n, p, q)))
-    m[list(perm), range(len(perm))] = sign
+    m[perm, range(len(perm))] = sign
     return m
 
 
@@ -289,7 +308,7 @@ class Form:
     form of a stack keeps its signed zeros in a block that another form fills.
     """
 
-    __slots__ = ("n", "vec", "_nonzero", "_support", "_memo")
+    __slots__ = ("n", "vec", "_nonzero", "_support", "_memo", "__weakref__")
 
     def __init__(self, n, vec=None):
         """The form (or stack) with coefficient vector(s) vec, taken over; zero when vec
@@ -333,12 +352,8 @@ class Form:
 
     @classmethod
     def monomial(cls, n, I, J, coeff=1.0):
-        I, J = tuple(I), tuple(J)
-        idx = _basis_index(n, len(I), len(J)).get((I, J))
-        if idx is None:
-            raise DegreeOutOfRange(f"({I}, {J}) is not an increasing monomial for n={n}")
         vec = np.zeros(4 ** n, dtype=complex)
-        vec[_layout(n)[(len(I), len(J))].start + idx] = coeff
+        vec[_position(n, I, J)] = coeff
         return cls(n, vec)
 
     @classmethod
@@ -410,12 +425,13 @@ class Form:
         (a, b), = support
         mat = np.zeros(lead + (dim_pq(self.n, p + a, q + b), dim_pq(self.n, p, q)),
                        dtype=complex)
-        cells = _wedge_cells(self.n, a, b, p, q)
-        if cells is not None:
+        table = _wedge_arrays(self.n, a, b, p, q)
+        if table is not None:
             # each (target, source) cell takes exactly one term, so placing it gives the
             # bits of a sum onto zeros, np.add.at's; + 0.0 turns a -0 into +0 as that sum does
-            i1, sign, flat = cells
-            mat.reshape(lead + (-1,))[..., flat] = sign * self.part((a, b))[..., i1] + 0.0
+            i1, i2, sign, t = table
+            mat.reshape(lead + (-1,))[..., t * dim_pq(self.n, p, q) + i2] = \
+                sign * self.part((a, b))[..., i1] + 0.0
         return mat
 
     def to_entries(self):
@@ -433,10 +449,7 @@ class Form:
     def from_entries(cls, n, entries):
         out = np.zeros(4 ** n, dtype=complex)
         for e in entries:
-            I = tuple(int(i) - 1 for i in e["I"])
-            J = tuple(int(j) - 1 for j in e["J"])
-            key = (len(I), len(J))
-            out[_slice(n, key).start + _basis_index(n, *key)[(I, J)]] += \
+            out[_position(n, [int(i) - 1 for i in e["I"]], [int(j) - 1 for j in e["J"]])] += \
                 complex(e["re"], e.get("im", 0.0))
         return cls(n, out)
 
@@ -472,12 +485,18 @@ def wedge(u, v):
     return Form(n, out)
 
 
+@memo
+def _product(u, k):
+    """u^k undivided, kept on u: u^(k-1) ^ u, from u^1 = u with -0 read as +0 (the bits
+    of 1 ^ u)."""
+    if k < 2:
+        return Form(u.n, u.vec + 0.0) if k else Form.scalar(u.n, 1.0)
+    return wedge(_product(u, k - 1), u)
+
+
 def wedge_power(u, k):
     """u^k / k! for a form of even degree."""
-    out = Form.scalar(u.n, 1.0)
-    for _ in range(k):
-        out = wedge(out, u)
-    return out / math.factorial(k)
+    return _product(u, k) / math.factorial(k)
 
 
 def random_form(n, pq_list, rng, real=False):
@@ -511,11 +530,12 @@ class ExteriorAlgebra:
             I, J = {"holo": ((j - 1, k - 1), ()), "mixed": ((j - 1,), (k - 1,)),
                     "anti": ((), (j - 1, k - 1))}[kind]
             d_one[i - 1] = d_one[i - 1] + Form.monomial(n, I, J, coeff)
-        # d of the 2n generators, theta^1..theta^n then their conjugates, as the
-        # terms (g, K, L, coeff) of coeff theta_K^thetabar_L in d(generator g)
-        self._d_terms = [(g, *_basis(n, a, b)[i], f.part((a, b))[i])
-                         for g, f in enumerate(d_one + [f.conj() for f in d_one])
-                         for a, b in f.bidegrees() for i in np.flatnonzero(f.part((a, b)))]
+        # d of the 2n generators, theta^1..theta^n then their conjugates, as the terms
+        # (g, K, L, coeff) of coeff theta_K^thetabar_L (K, L masks) in d(generator g)
+        vecs = np.stack([f.vec for f in d_one + [f.conj() for f in d_one]])
+        g, at = np.nonzero(vecs)
+        I, J, _ = _index(n)
+        self._d_terms = list(zip(g.tolist(), I[at].tolist(), J[at].tolist(), vecs[g, at]))
 
     # ----- differential ---------------------------------------------------
 

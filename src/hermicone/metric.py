@@ -31,7 +31,7 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, NotPositiveDefinite, SchemaError
 from .exterior import (Form, _combos, _complement, _conj_table, dim_pq, memo, neighbor,
-                       random_form, wedge)
+                       random_form, wedge_power)
 from .model import algebra_for, require_valid
 
 HERMITICITY_TOL = 1e-12
@@ -181,15 +181,8 @@ class OperatorBundle:
         return self.metric.form()
 
     def omega_power(self, k):
-        """omega^k / k!, from the kept undivided products."""
-        return self._omega_product(k) / math.factorial(k)
-
-    @memo
-    def _omega_product(self, k):
-        """omega^k undivided, as omega^(k-1) ^ omega."""
-        if k == 0:
-            return Form.scalar(self.n, 1.0)
-        return wedge(self._omega_product(k - 1), self.omega)
+        """omega^k / k!, from the products kept on omega."""
+        return wedge_power(self.omega, k)
 
     def integrate(self, form):
         return self.alg.integrate(form)
@@ -245,7 +238,7 @@ class OperatorBundle:
         comp, unit = _complement(self.n, b, a)
         sign, perm = _conj_table(self.n, a, b)
         star = np.empty((len(comp),) * 2, dtype=complex)
-        star[comp] = self.det_h * (sign * self.gram(b, a)[list(perm)].T) / unit[:, None]
+        star[comp] = self.det_h * (sign * self.gram(b, a)[perm].T) / unit[:, None]
         return star
 
     def star_blocks(self, p, q):

@@ -2,13 +2,16 @@
 
 Everything here is deliberately naive: wedge products by permutation
 parity over generator sequences, differentials by the Leibniz rule over
-those sequences, minimal-norm torsion by dense weighted least squares
-with pseudo-inverse kernel deflation, and the projector derivative by the
-textbook eigenpair perturbation sum.  None of it shares code paths with
-the package internals it audits.
+those sequences, the exterior index tables by loops over monomial tuples,
+minimal-norm torsion by dense weighted least squares with pseudo-inverse
+kernel deflation, and the projector derivative by the textbook eigenpair
+perturbation sum.  None of it shares code paths with the package internals
+it audits.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,6 +108,80 @@ def naive_d(model, form):
                     continue
                 table[full] = table.get(full, 0.0) + sign * parity * coeff * dcoeff
     return symbols_to_form(form.n, table)
+
+
+# ----- loop references of the exterior index tables ---------------------------------------
+# The per-monomial loops over index tuples that exterior's mask tables replaced.  Each
+# returns what the table of the same name (with a leading underscore) in exterior
+# returned when it was built by these loops.
+
+
+@lru_cache(maxsize=None)
+def loop_merge(a, b):
+    """Sign of sorting the concatenation of two increasing index tuples, and the sorted
+    tuple; None if they overlap."""
+    if set(a) & set(b):
+        return None
+    inv = sum(1 for x in a for y in b if y < x)
+    return (-1) ** inv, tuple(sorted(a + b))
+
+
+@lru_cache(maxsize=None)
+def _basis_index(n, p, q):
+    return {mono: i for i, mono in enumerate(_basis(n, p, q))}
+
+
+def loop_wedge_arrays(n, p1, q1, p2, q2):
+    if p1 + p2 > n or q1 + q2 > n:
+        return None
+    tgt = _basis_index(n, p1 + p2, q1 + q2)
+    cross = (-1) ** (p2 * q1)
+    out = []
+    for i1, (I1, J1) in enumerate(_basis(n, p1, q1)):
+        for i2, (I2, J2) in enumerate(_basis(n, p2, q2)):
+            mi, mj = loop_merge(I1, I2), loop_merge(J1, J2)
+            if mi is not None and mj is not None:
+                out.append((i1, i2, mi[0] * mj[0] * cross, tgt[(mi[1], mj[1])]))
+    return tuple(np.array(col, dtype=np.intp) for col in zip(*out)) if out else None
+
+
+def loop_derivation_table(n, p, q, g, K, L):
+    """As exterior._derivation_table, with K and L index tuples."""
+    rp, rq = (p - 1, q) if g < n else (p, q - 1)
+    if min(rp, rq) < 0:
+        return None
+    tgt = _basis_index(n, rp + len(K), rq + len(L))
+    out = []
+    for src, (I, J) in enumerate(_basis(n, p, q)):
+        gens = I + tuple(n + j for j in J)
+        if g in gens:
+            m = gens.index(g)
+            rest = (I[:m] + I[m + 1:], J) if m < p else (I, J[:m - p] + J[m - p + 1:])
+            mi, mj = loop_merge(K, rest[0]), loop_merge(L, rest[1])
+            if mi is not None and mj is not None:
+                out.append((tgt[(mi[1], mj[1])], src,
+                            (-1) ** (m + rp * len(L)) * mi[0] * mj[0]))
+    if not out:
+        return None
+    return ((rp + len(K), rq + len(L)), *map(np.array, zip(*sorted(out))))
+
+
+def loop_conj_table(n, p, q):
+    # conj(theta_I ^ thetabar_J) = (-1)^(pq) theta_J ^ thetabar_I
+    tgt = _basis_index(n, q, p)
+    perm = tuple(tgt[(J, I)] for (I, J) in _basis(n, p, q))
+    return (-1) ** (p * q), perm
+
+
+def loop_complement(n, p, q):
+    full, tgt = range(n), _basis_index(n, n - p, n - q)
+    comp, top = [], []
+    for I, J in _basis(n, p, q):
+        Ic, Jc = tuple(i for i in full if i not in I), tuple(j for j in full if j not in J)
+        comp.append(tgt[(Ic, Jc)])
+        top.append(loop_merge(I, Ic)[0] * loop_merge(J, Jc)[0] * (-1) ** ((n - p) * q))
+    theta = (1j) ** n * (-1) ** (n * (n - 1) // 2)
+    return np.array(comp, dtype=np.intp), np.array(top, dtype=complex) / theta
 
 
 # ----- dense minimal-norm least squares --------------------------------------------------

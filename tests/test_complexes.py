@@ -7,8 +7,8 @@ import pytest
 import scipy.linalg
 
 from hermicone import hodge
-from hermicone.exterior import (ExteriorAlgebra, Form, _basis, _complement, _merge, dim_pq,
-                                neighbor, random_form, wedge)
+from hermicone.exterior import (ExteriorAlgebra, Form, _basis, _complement, dim_pq, neighbor,
+                                random_form, wedge)
 from hermicone.functionals import eval_G
 from hermicone.hodge import (coimage_projector, green_operator, harmonic_projector,
                              image_projector, potential)
@@ -18,6 +18,7 @@ from hermicone.model import algebra_for, catalog, catalog_names, make_model
 from hermicone.variation import _on_complex, star_comm_star
 
 from .conftest import kept_keys
+from .oracles import loop_merge
 
 
 def _component(alg, pq, tgt):
@@ -286,7 +287,7 @@ def _solved_star(b, a, c):
     for r, (I, J) in enumerate(_basis(n, c, a)):
         Ic = tuple(sorted(set(full) - set(I)))
         Jc = tuple(sorted(set(full) - set(J)))
-        top = _merge(I, Ic)[0] * _merge(J, Jc)[0] * (-1) ** ((n - c) * a)
+        top = loop_merge(I, Ic)[0] * loop_merge(J, Jc)[0] * (-1) ** ((n - c) * a)
         pair[r, tgt[(Ic, Jc)]] = b.alg.integrate(Form.monomial(n, full, full, top))
     g, src = b.gram(c, a), {m: i for i, m in enumerate(_basis(n, c, a))}
     rhs = np.zeros_like(pair)

@@ -13,7 +13,7 @@ from hermicone import hodge
 from hermicone.exterior import random_form
 from hermicone.metric import bundle_for_algebra, random_metric
 from hermicone.model import algebra_for, catalog
-from hermicone.variation import Directions, make_direction, variation_at
+from hermicone.variation import Directions, make_direction, var_F, variation_at
 
 from .conftest import seeded_bundle
 
@@ -113,3 +113,20 @@ def test_the_guard_sees_a_hand_written_cache():
                      "def cached(self, key):\n"
                      "    return self.memo[key] if key in self.memo else None\n")
     assert _hand_written_caches(tree) == [2, 3, 4, 6]
+
+
+def test_an_entry_keyed_by_a_form_goes_with_the_form():
+    # var_F keeps commutators keyed by its direction form on the bundle
+    b = seeded_bundle("kodaira_thurston", seed=5)
+    rng = np.random.default_rng(5)
+
+    def vary():
+        var_F(b, make_direction(b.alg, np.diag(rng.uniform(1.0, 2.0, 2))))
+        gc.collect()
+        return len(b._memo)
+
+    kept = vary()
+    assert [vary() for _ in range(20)] == [kept] * 20
+    held = make_direction(b.alg, np.eye(2))
+    var_F(b, held)
+    assert len(b._memo) > kept  # a living direction keeps its entries
