@@ -21,7 +21,9 @@ metric, ``verify --metrics 2`` and ``varcheck --tuples 3`` on the four catalog
 models; two 5-step descents; and ``eval``, ``torsion`` and ``verify`` on three
 synthetic models (Iwasawa x T^1, Kodaira-Thurston x T^2, complex Heisenberg
 n = 5) read from model files; ``eval`` of G alone on Iwasawa x T^4 (n = 7) and
-on Iwasawa x T^5 (n = 8); ``eval``, ``varcheck`` and ``descend`` under
+on Iwasawa x T^5 (n = 8); two models with large structure coefficients whose
+d*d cancels, read from model files: ``eval`` of H on the n = 4 two-step model
+at scale 1000 and of G on Iwasawa with coefficient -1e20; ``eval``, ``varcheck`` and ``descend`` under
 ``--tol 1e-6``; and six more 5-step descents that cover both slices: H from a
 random start, G normalized
 from the identity, F from a metric file, G on the n = 2 torus (whose volume
@@ -70,6 +72,21 @@ LARGE = {
 }
 
 
+def _two_step(s, seed):
+    """The n = 4 model d theta^3 = c theta^1^theta^2, d theta^4 = c2 theta^1^thetabar^1
+    + c theta^1^theta^2, whose d*d is exactly 0: c, c2 are s (N(0,1) + i N(0,1))."""
+    rng = np.random.default_rng(seed)
+    c, c2 = s * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    return 4, [(3, "holo", 1, 2, c), (4, "mixed", 1, 1, c2), (4, "holo", 1, 2, c)]
+
+
+# large coefficients whose d*d products cancel exactly: (model, functional)
+SCALED = {
+    "two_step_s1000": (_two_step(1000.0, 0), "H"),
+    "iwasawa_1e20": ((3, [(3, "holo", 1, 2, -1e20)]), "G"),
+}
+
+
 def _write_inputs(tmp):
     """Model files for the synthetic models, seeded metric files for the catalog."""
     paths = {}
@@ -78,9 +95,11 @@ def _write_inputs(tmp):
         path = tmp / f"metric_{name}.json"
         path.write_text(json.dumps(metric.to_json_obj()))
         paths[f"metric:{name}"] = str(path)
-    for name, (n, terms) in {**SYNTHETIC, **LARGE}.items():
+    scaled = {name: model for name, (model, _) in SCALED.items()}
+    for name, (n, terms) in {**SYNTHETIC, **LARGE, **scaled}.items():
         doc = {"name": name, "n": n,
-               "terms": [{"i": i, "kind": kind, "j": j, "k": k, "re": c, "im": 0.0}
+               "terms": [{"i": i, "kind": kind, "j": j, "k": k,
+                          "re": complex(c).real, "im": complex(c).imag}
                          for (i, kind, j, k, c) in terms]}
         path = tmp / f"{name}.json"
         path.write_text(json.dumps(doc))
@@ -114,6 +133,9 @@ def jobs(paths):
     for name in LARGE:
         out.append((f"eval {name} G", ["eval", "--model", paths[f"model:{name}"],
                                        "--functional", "G"]))
+    for name, (_, fn) in SCALED.items():
+        out.append((f"eval {name} {fn}", ["eval", "--model", paths[f"model:{name}"],
+                                          "--functional", fn]))
     tol = ["--tol", "1e-6"]
     out.append(("eval iwasawa G tol", ["eval", "--catalog", "iwasawa", "--functional", "G",
                                        "--metric", paths["metric:iwasawa"], *tol]))
