@@ -20,10 +20,10 @@ Conventions fixed here and used everywhere else:
   "del" and "dbar" step a bidegree (p, q) in p or in q (see neighbor); every
   codifferential, Laplacian, projector and potential is written once over
   (which, key).
-* d is stored once per algebra as sparse entries: for each source bidegree,
-  d_entries(p, q) maps each target to (rows, cols, values), summed in Leibniz
-  order onto +0 and free of zeros.  d_blocks(p, q) densifies one source's
-  blocks from them on its first request, so a job that reads a few complexes
+* d is stored once per algebra as sparse entries over the layout, d_sparse =
+  (rows, cols, values) sorted by column, each summed in Leibniz order onto +0
+  and free of zeros.  d_blocks(p, q) densifies one source's blocks from its
+  column range on its first request, so a job that reads a few complexes
   builds only their blocks; the model gate reads the entries alone.
 * A bigraded operator is a block map op(p, q) -> {target bidegree: matrix}
   (d_blocks is one).  ExteriorAlgebra.apply runs a block map on a form and
@@ -237,35 +237,27 @@ def _wedge_arrays(n, p1, q1, p2, q2):
 
 
 @lru_cache(maxsize=None)
-def _derivation_table(n, p, q, g, K, L):
-    """Entries of theta_K^thetabar_L ^ iota_g on Lambda^{p,q} (K, L masks), None if there
-    are none: the target bidegree and read-only (row, col, sign) arrays, row-major, each
-    column (source monomial) holding at most one entry.
+def _derivation_table(n, g, K, L):
+    """Entries of theta_K^thetabar_L ^ iota_g on the whole algebra (K, L masks): read-only
+    layout positions row and col and signs, by column, each column (source monomial)
+    holding at most one entry.
 
     iota_g removes generator g (bit g of the 2n-bit mask I | J << n) from position m
     with sign (-1)^m, the merge sign of g before the rest; the wedge with
     theta_K^thetabar_L then has the signs of _wedge_arrays.
     """
-    rp, rq = (p - 1, q) if g < n else (p, q - 1)
-    if min(rp, rq) < 0:
-        return None
     I, J, pos = _index(n)
-    gens = I[_slice(n, (p, q))] | J[_slice(n, (p, q))] << n
+    gens = I | J << n
     rest = gens ^ (1 << g)  # the sources holding g whose rest is disjoint from (K, L)
     col = np.flatnonzero((gens >> g & 1 == 1) & (rest & (K | L << n) == 0))
-    if not col.size:
-        return None
     rest = rest[col]
     I, J = rest & ((1 << n) - 1), rest >> n
     sign = _merge_sign(2 * n, 1 << g, rest) * _merge_sign(n, K, I) * _merge_sign(n, L, J) \
-        * (-1) ** (rp * L.bit_count())
-    tgt = (rp + K.bit_count(), rq + L.bit_count())
-    row = pos[I | K, J | L] - _slice(n, tgt).start
-    order = np.lexsort((col, row))
-    arrays = row[order], col[order], sign[order]
+        * np.where(np.bitwise_count(I) * L.bit_count() & 1, -1, 1)
+    arrays = pos[I | K, J | L], col, sign
     for arr in arrays:
         arr.setflags(write=False)
-    return (tgt, *arrays)
+    return arrays
 
 
 @lru_cache(maxsize=None)
@@ -447,10 +439,15 @@ class Form:
 
     @classmethod
     def from_entries(cls, n, entries):
+        """The form of a to_entries list; an entry's p and q, when given, must be the
+        lengths of its I and J."""
         out = np.zeros(4 ** n, dtype=complex)
         for e in entries:
-            out[_position(n, [int(i) - 1 for i in e["I"]], [int(j) - 1 for j in e["J"]])] += \
-                complex(e["re"], e.get("im", 0.0))
+            I, J = [int(i) - 1 for i in e["I"]], [int(j) - 1 for j in e["J"]]
+            if (e.get("p", len(I)), e.get("q", len(J))) != (len(I), len(J)):
+                raise DegreeOutOfRange(f"entry {e!r} does not have the bidegree "
+                                       f"({len(I)}, {len(J)}) of its indices")
+            out[_position(n, I, J)] += complex(e["re"], e.get("im", 0.0))
         return cls(n, out)
 
     def __repr__(self):
@@ -536,6 +533,21 @@ class ExteriorAlgebra:
         g, at = np.nonzero(vecs)
         I, J, _ = _index(n)
         self._d_terms = list(zip(g.tolist(), I[at].tolist(), J[at].tolist(), vecs[g, at]))
+        # d is the odd derivation sum_g d(gen_g) ^ iota_g over the 2n generators: the
+        # terms of one entry add up onto +0 in generator order, the Leibniz order (the
+        # order np.add.at takes them in), and entries summing to 0 are left out
+        parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, complex))]
+        for g, K, L, coeff in self._d_terms:
+            row, col, sign = _derivation_table(n, g, K, L)
+            parts.append((row, col, sign * coeff))
+        rows, cols, vals = map(np.concatenate, zip(*parts))
+        cells, slot = np.unique(cols * 4 ** n + rows, return_inverse=True)
+        sums = np.zeros(cells.size, dtype=complex)
+        np.add.at(sums, slot, vals)
+        keep = sums != 0
+        self.d_sparse = cells[keep] % 4 ** n, cells[keep] // 4 ** n, sums[keep]
+        for arr in self.d_sparse:
+            arr.setflags(write=False)
 
     # ----- differential ---------------------------------------------------
 
@@ -544,50 +556,25 @@ class ExteriorAlgebra:
         return self.d_form(Form.at(self.n, (p, q), np.eye(dim_pq(self.n, p, q))[idx]))
 
     @memo
-    def d_entries(self, p, q):
-        """d restricted to Lambda^{p,q} as sparse entries: {target: (rows, cols, values)}.
-
-        d is the odd derivation sum_g d(gen_g) ^ iota_g over the 2n generators; the
-        terms of one entry add up onto +0 in generator order, the Leibniz order, as
-        np.add.at adds them onto a zero matrix.  Entries are row-major within a
-        target, targets keep the order they are first met in, and entries and
-        targets that sum to exactly zero are left out.
-        """
-        n, acc, blocks = self.n, {}, {}
-        for g, K, L, coeff in self._d_terms:
-            table = _derivation_table(n, p, q, g, K, L)
-            if table is not None:
-                tgt, rows, cols, sign = table
-                acc.setdefault(tgt, []).append((rows, cols, sign * coeff))
-        width = dim_pq(n, p, q)
-        for tgt, terms in acc.items():
-            if len(terms) == 1:
-                # one generator's entries: row-major, one per cell and nonzero;
-                # adding +0 turns a -0 part into +0, as np.add.at onto zeros does
-                rows, cols, vals = terms[0]
-                blocks[tgt] = (rows, cols, vals + 0.0)
-                continue
-            rows, cols, vals = map(np.concatenate, zip(*terms))
-            cells, slot = np.unique(rows * width + cols, return_inverse=True)
-            sums = np.zeros(cells.size, dtype=complex)
-            np.add.at(sums, slot, vals)  # in generator order within each cell
-            keep = sums != 0
-            if np.any(keep):
-                cells = cells[keep]
-                blocks[tgt] = (cells // width, cells % width, sums[keep])
-        return blocks
-
-    @memo
     def d_blocks(self, p, q):
-        """The dense matrix blocks of d restricted to Lambda^{p,q}, keyed by target:
-        d_entries placed into zero matrices, built on the first request, read-only."""
-        blocks = {}
-        for tgt, (rows, cols, vals) in self.d_entries(p, q).items():
-            blocks[tgt] = mat = np.zeros((dim_pq(self.n, *tgt), dim_pq(self.n, p, q)),
-                                         dtype=complex)
-            mat[rows, cols] = vals
-            mat.setflags(write=False)
-        return blocks
+        """The dense matrix blocks of d restricted to Lambda^{p,q}, keyed by target, built
+        on the first request, read-only: the entries of the source's columns placed into
+        one zero matrix over the rows of its targets, each block a slice of it."""
+        n, lay, (rows, cols, vals) = self.n, _layout(self.n), self.d_sparse
+        src = _slice(n, (p, q))
+        lo, hi = cols.searchsorted((src.start, src.stop)).tolist()
+        if lo == hi:
+            return {}
+        keys, _, block = _blocks(n)
+        rows = rows[lo:hi]
+        # the targets (degree p + q + 1) lie in one span of the layout, whose blocks
+        # with no entry are left out
+        found = [(keys[b], lay[keys[b]]) for b in np.bincount(block[rows]).nonzero()[0].tolist()]
+        top = found[0][1].start
+        mat = np.zeros((found[-1][1].stop - top, src.stop - src.start), dtype=complex)
+        mat[rows - top, cols[lo:hi] - src.start] = vals[lo:hi]
+        mat.setflags(write=False)
+        return {tgt: mat[sl.start - top:sl.stop - top] for tgt, sl in found}
 
     def diff(self, which, key):
         """Matrix of d on total degree key, or of del / dbar (a component of d) on bidegree key."""

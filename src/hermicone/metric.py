@@ -257,10 +257,7 @@ class OperatorBundle:
     @memo
     def trace_block(self, p, q):
         """Matrix of the pointwise adjoint of omega ^ . mapping (p,q) -> (p-1,q-1)."""
-        if p < 1 or q < 1:
-            return np.zeros((dim_pq(self.n, p - 1, q - 1), dim_pq(self.n, p, q)), dtype=complex)
-        return _adjoint(self.omega.wedge_matrix(p - 1, q - 1), self.gram(p - 1, q - 1),
-                        self.gram(p, q))
+        return self.mult_adjoint_block(self.omega, p, q)
 
     def trace_contract(self, form):
         return self.alg.apply(lambda p, q: {(p - 1, q - 1): self.trace_block(p, q)}, form)
@@ -375,7 +372,7 @@ class OperatorBundle:
 
 def build_bundle(model, metric, tol=DEFAULT_TOL):
     """Validated operator bundle; the model must be unimodular."""
-    require_valid(model, need_unimodular=True)
+    require_valid(model)
     return bundle_for_algebra(algebra_for(model), metric, tol)
 
 
@@ -443,10 +440,7 @@ def identity_suite(bundle, seed=0, n_random=3):
                 rhs = bundle.trace_block(n - q, n - p) @ s_here
                 upd("star_lefschetz", np.max(np.abs(lhs - rhs)))
 
-                comm = bundle.trace_block(p + 1, q + 1) @ lef
-                if p >= 1 and q >= 1:
-                    lef_below = bundle.omega.wedge_matrix(p - 1, q - 1)
-                    comm = comm - lef_below @ bundle.trace_block(p, q)
+                comm = bundle.commutator(bundle.omega, p, q)
                 upd("commutator", np.max(np.abs(comm - (n - p - q) * np.eye(d))))
 
                 for eta, eta_bar in zip(etas, eta_bars):

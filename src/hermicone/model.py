@@ -3,13 +3,14 @@
 A model is a complex dimension n plus structure terms describing
 d(theta^i).  Terms are normalized on entry: ordered index pairs inside
 "holo"/"anti" kinds, duplicates merged, zero coefficients dropped, sorted by
-(i, kind, j, k).
+(i, kind, j, k).  Validation reads d once, as the sparse entries its algebra
+keeps (ExteriorAlgebra.d_sparse): d*d = 0 is decided from their products
+relative to their magnitudes, with no total-degree matrix.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -17,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ModelInvalid, ModelNotUnimodular, SchemaError, UnknownCatalogName
-from .exterior import ExteriorAlgebra, _layout
+from .exterior import ExteriorAlgebra
 
 KINDS = ("holo", "mixed", "anti")
 
@@ -44,8 +45,9 @@ class ComplexLieModel:
 class ValidationReport:
     """Outcome of validate_model.
 
-    d_squared_vanishes is the decision max |d_total(k+1) @ d_total(k)| <= VALIDATION_TOL;
-    d_squared_max_residual is that dense maximum, computed on its first read.
+    d_squared_vanishes is the decision of certified_d_squared, made from d's sparse
+    entries; d_squared_max_residual is the dense max |d_total(k+1) @ d_total(k)|,
+    computed on its first read (verify reports it).
     """
 
     integrable: bool
@@ -162,61 +164,34 @@ def algebra_for(model):
     return ExteriorAlgebra(model.n, [(t.i, t.kind, t.j, t.k, t.coeff) for t in model.terms])
 
 
-# The d*d gate bounds rounding with the inner-product bound (Higham, Accuracy and
-# Stability of Numerical Algorithms, 3.1 and 3.6).  An entry of d_{k+1} d_k with m
-# nonzero products a*b is, in each of its real and imaginary parts, a real sum of at
-# most 2m nonzero real products; zero products add exactly in any order, with or
-# without FMA.  So any summation of it, the dense BLAS one or the sparse one below,
-# lies within sqrt(2) gamma_{2m} M <= beta = _BETA_C (m + 2) u M of the exact value,
-# M = sum |a||b|.  _BETA_C = 4 > 2 sqrt(2) leaves room for rounding in |S|, M and the
-# comparison, since M >= |S|.
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
-_BETA_C = 4.0
-
-
-def _d_entries(alg):
-    """Nonzero entries of d on the whole algebra as (row, col, value) arrays, indexed
-    in the coefficient layout of a Form: sources in (p, q) product order, then
-    ExteriorAlgebra.d_entries order, which is np.nonzero's on the dense blocks."""
-    lay = _layout(alg.n)
-    parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, complex))]
-    for pq in itertools.product(range(alg.n + 1), repeat=2):
-        for tgt, (r, c, v) in alg.d_entries(*pq).items():
-            parts.append((r + lay[tgt].start, c + lay[pq].start, v))
-    return tuple(map(np.concatenate, zip(*parts)))
-
-
 def certified_d_squared(alg):
-    """The decision max |d_total(k+1) @ d_total(k)| <= VALIDATION_TOL from sparse
-    sums: True or False when every rounding of the dense products gives that
-    answer, None when some entry lies within 2 beta of the tolerance.
+    """Whether d*d = 0, and the largest |S|, from d's sparse entries.
 
-    d is joined with itself on the middle index; for every entry of d*d this
-    gives the sum S, the magnitude sum M and the count m of its nonzero products.
-    Structure coefficients whose products overflow (S or M not finite) raise
-    SchemaError.
+    d is joined with itself on the middle index; every entry of d*d gets the sum
+    S of its products a*b and their magnitude sum M = sum |a||b|.  d*d = 0 when
+    every |S| <= VALIDATION_TOL * max(1, M): a sum that cancels keeps a rounding
+    error of relative size ~eps against M at any scale (the backward-error view
+    of Higham, Accuracy and Stability of Numerical Algorithms, ch. 3), and below
+    M = 1 the test is absolute.  Structure coefficients whose products overflow
+    (S or M not finite) raise SchemaError.
     """
-    rows, cols, vals = _d_entries(alg)
-    order = np.argsort(cols, kind="stable")
-    by_col = cols[order]
-    lo = np.searchsorted(by_col, rows, "left")
-    counts = np.searchsorted(by_col, rows, "right") - lo
+    # each entry (m, c, a) of d meets the entries (r, m, b) of its row's column
+    rows, cols, vals = alg.d_sparse  # sorted by column
+    lo = np.searchsorted(cols, rows, "left")
+    counts = np.searchsorted(cols, rows, "right") - lo
     first = np.repeat(np.arange(rows.size), counts)
-    second = order[np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
-    _, slot, m = np.unique(rows[second] * 4 ** alg.n + cols[first],
-                           return_inverse=True, return_counts=True)
+    second = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    _, slot = np.unique(rows[second] * 4 ** alg.n + cols[first], return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore"):
         prod = vals[second] * vals[first]
-        s = np.bincount(slot, prod.real, m.size) + 1j * np.bincount(slot, prod.imag, m.size)
-        mag = np.bincount(slot, np.abs(prod), m.size)
+        s = np.bincount(slot, prod.real) + 1j * np.bincount(slot, prod.imag)
+        mag = np.bincount(slot, np.abs(prod))
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(mag))):
         raise SchemaError(f"structure coefficients up to |c| = {np.abs(vals).max():.3e} "
                           "overflow the products of d*d")
     size = np.abs(s)
-    spread = 2 * _BETA_C * (m + 2) * _UNIT_ROUNDOFF * mag
-    if np.any(size - spread > VALIDATION_TOL):
-        return False
-    return True if np.all(size + spread <= VALIDATION_TOL) else None
+    return (bool(np.all(size <= VALIDATION_TOL * np.maximum(1.0, mag))),
+            float(size.max(initial=0.0)))
 
 
 def d_squared_residual(alg):
@@ -231,11 +206,8 @@ def d_squared_residual(alg):
 
 @lru_cache(maxsize=None)
 def validate_model(model):
-    """Check integrability, d*d = 0 and unimodularity; cached per model.
-
-    d*d = 0 is decided by certified_d_squared without a total-degree matrix;
-    only an undecided or refused model computes the dense residual here.
-    """
+    """Check integrability, d*d = 0 and unimodularity from d's sparse entries, with
+    no total-degree matrix; cached per model."""
     alg = algebra_for(model)
     messages = []
 
@@ -248,22 +220,18 @@ def validate_model(model):
                 f"thetabar^{t.j}^thetabar^{t.k} with |coeff| = {abs(t.coeff):.3e}")
     integrable = anti_res <= VALIDATION_TOL
 
-    dd_ok, dd_res = certified_d_squared(alg), None
-    if dd_ok is not True:
-        dd_res = d_squared_residual(alg)
-        if dd_ok is None:
-            dd_ok = dd_res <= VALIDATION_TOL
-        if not dd_ok:
-            messages.append(f"d*d has max residual {dd_res:.3e}")
+    dd_ok, dd_res = certified_d_squared(alg)
+    if not dd_ok:
+        messages.append(f"d*d has max residual {dd_res:.3e}")
 
-    top = [vals for pq in alg.bidegrees(2 * model.n - 1)
-           for _, _, vals in alg.d_entries(*pq).values()]
-    uni_res = float(np.max(np.abs(np.concatenate(top)))) if top else 0.0
+    # d on degree 2n - 1 lands on the top monomial, the last coefficient of the layout
+    rows, _, vals = alg.d_sparse
+    uni_res = float(np.abs(vals[rows == 4 ** model.n - 1]).max(initial=0.0))
     unimodular = uni_res <= VALIDATION_TOL
     if not unimodular:
         messages.append(f"d does not vanish on degree {2 * model.n - 1}: max entry {uni_res:.3e}")
 
-    report = ValidationReport(
+    return ValidationReport(
         integrable=integrable,
         d_squared_vanishes=dd_ok,
         unimodular=unimodular,
@@ -272,16 +240,15 @@ def validate_model(model):
         unimodularity_residual=uni_res,
         algebra=alg,
     )
-    if dd_res is not None:
-        report.d_squared_max_residual = dd_res
-    return report
 
 
-def require_valid(model, need_unimodular=True):
+def require_valid(model):
+    """The validation report of a model that is integrable, unimodular and has
+    d*d = 0; ModelInvalid or ModelNotUnimodular otherwise."""
     report = validate_model(model)
     if not report.integrable or not report.d_squared_vanishes:
         raise ModelInvalid("; ".join(report.messages) or "model failed validation")
-    if need_unimodular and not report.unimodular:
+    if not report.unimodular:
         raise ModelNotUnimodular("; ".join(report.messages))
     return report
 

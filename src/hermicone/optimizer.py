@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (EmptyCone, InfeasibleStart, KernelJump, LineSearchFailure,
                      NotPositive, NotPositiveDefinite, SchemaError, ToleranceAmbiguity,
                      ToleranceFailure)
-from .exterior import ExteriorAlgebra, Form, _combos, wedge, wedge_power
+from .exterior import ExteriorAlgebra, Form, _combos
 from .functionals import SLICES, cone_slice, energy, evaluate
 from .hodge import decomposition, predicates, torsion_space
 from .metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra
@@ -248,14 +248,10 @@ class _Objective:
         spec = energy(functional)
         self.cone = SLICES[basis.kind]
         self.kind = self.cone.direction
-        forms = basis.forms
-        # a (p,p) datum pairs with nu_{n-p}: the normalization integral is linear
-        nu_pow = wedge_power(nu.form(), alg.n - basis.pq[0])
-        integrals = [alg.integrate(wedge(f, nu_pow)) for f in forms]
-        self.covector = np.array(integrals, dtype=complex).real
         # one stack for the whole descent: its direction-only work is done once
         self.directions = Directions(make_direction(alg, f, kind=self.kind, tol=tol)
-                                     for f in forms)
+                                     for f in basis.forms)
+        self.covector = self.directions.nu_integrals(alg, nu)
         self._last = None
         # the torsion's source space, whose harmonic projector moves with the metric
         self.moving_projector = torsion_space(spec.torsion, alg.n) \

@@ -131,9 +131,9 @@ class Directions(tuple):
     """Vetted directions of one kind, stacked: forms holds them on a leading axis.
 
     The stack keeps the work that depends on the directions alone (their
-    forms with their wedge matrices, their del, F_tilde's integrals against
-    nu^(n-1)), so a stack kept across bundles, as the descent keeps its slice
-    basis, does it once.
+    forms with their wedge matrices, their del, their integrals against a power
+    of nu, which F_tilde and the descent's normalization read), so a stack kept
+    across bundles, as the descent keeps its slice basis, does it once.
     """
 
     def __new__(cls, directions):
@@ -159,9 +159,12 @@ class Directions(tuple):
 
     @memo
     def nu_integrals(self, alg, nu):
-        """The real part of each direction's integral against nu^(n-1)."""
-        volume = wedge_power(nu.form(), alg.n - 1)
-        return [c.real for c in alg.integrate(wedge(self.forms, volume))]
+        """The real part of each direction's integral against nu^(n-p), (p,p) the
+        directions' bidegree: a (1,1) direction pairs with nu^(n-1), a volume
+        direction with nu.  A view of the complex integrals: the descent's dot
+        product with a contiguous copy rounds otherwise."""
+        (p, _), = self.forms.bidegrees()
+        return alg.integrate(wedge(self.forms, wedge_power(nu.form(), alg.n - p))).real
 
 
 # ----- operator variations -----------------------------------------------------------
@@ -188,9 +191,6 @@ def var_star_matrix(bundle, gamma, p, q):
 
 def var_trace_matrix(bundle, gamma, p, q):
     """d/dt of the trace operator on (p,q): minus the adjoint of gamma ^ . ."""
-    if p < 1 or q < 1:
-        return np.zeros((dim_pq(bundle.n, p - 1, q - 1), dim_pq(bundle.n, p, q)),
-                        dtype=complex)
     return -bundle.mult_adjoint_block(gamma, p, q)
 
 

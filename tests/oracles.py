@@ -146,7 +146,9 @@ def loop_wedge_arrays(n, p1, q1, p2, q2):
 
 
 def loop_derivation_table(n, p, q, g, K, L):
-    """As exterior._derivation_table, with K and L index tuples."""
+    """The sources of Lambda^{p,q} in exterior._derivation_table, with K and L index
+    tuples: the target bidegree and (row, col, sign) arrays within the two blocks,
+    row-major; None if there are none."""
     rp, rq = (p - 1, q) if g < n else (p, q - 1)
     if min(rp, rq) < 0:
         return None

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from .conftest import kept_keys, non_unimodular_model
+from .oracles import loop_derivation_table
 from hermicone import exterior as exterior_module
 from hermicone import model as model_module
 from hermicone.cli import main
@@ -134,53 +135,81 @@ def _seeded_family(family, n, complex_coeffs, seed):
     return _family(family, n, [complex(c) for c in coeffs])
 
 
-# (build, window): window marks a model whose d*d lies within 2 beta of the tolerance,
-# so that only the dense products can decide it
+def _two_step(s, seed):
+    """n = 4, d theta^3 = c theta^1^theta^2 and d theta^4 = c2 theta^1^thetabar^1 +
+    c theta^1^theta^2, whose d*d is exactly 0: c, c2 are s (N(0,1) + i N(0,1))."""
+    rng = np.random.default_rng(seed)
+    c, c2 = s * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    return make_model(f"two_step_{s!r}_{seed}", 4,
+                      [(3, "holo", 1, 2, c), (4, "mixed", 1, 1, c2), (4, "holo", 1, 2, c)])
+
+
 _GATE_MODELS = (
-    [pytest.param(lambda name=name: catalog(name), False, id=name) for name in catalog_names()]
-    + [pytest.param(lambda: make_model("iwasawa_x_t1", 4, [(3, "holo", 1, 2, -1.25)]), False,
+    [pytest.param(lambda name=name: catalog(name), id=name) for name in catalog_names()]
+    + [pytest.param(lambda: make_model("iwasawa_x_t1", 4, [(3, "holo", 1, 2, -1.25)]),
                     id="corpus-iwasawa_x_t1"),
-       pytest.param(lambda: make_model("kt_x_t2", 4, [(2, "mixed", 1, 1, 0.75)]), False,
+       pytest.param(lambda: make_model("kt_x_t2", 4, [(2, "mixed", 1, 1, 0.75)]),
                     id="corpus-kt_x_t2"),
        pytest.param(lambda: make_model("heisenberg5", 5, [(5, "holo", 1, 2, 0.7),
-                                                          (5, "holo", 3, 4, -1.3)]), False,
-                    id="corpus-heisenberg5")]
-    + [pytest.param(lambda f=family, n=n, z=z, s=seed: _seeded_family(f, n, z, s), False,
+                                                          (5, "holo", 3, 4, -1.3)]),
+                    id="corpus-heisenberg5"),
+       # the d*d products (1e6) cancel exactly, far above VALIDATION_TOL
+       pytest.param(lambda: make_model("iwasawa_1e3", 3, [(3, "holo", 1, 2, -1e3)]),
+                    id="iwasawa_1e3"),
+       # d theta^i = a_i theta^i ^ theta^4: d of theta^123 sums three terms in one cell,
+       # whose sum rounds by its order (1 + 6e-17 + 6e-17 is 1, 6e-17 + 6e-17 + 1 is not)
+       pytest.param(lambda: make_model("three_terms", 4, [(1, "holo", 1, 4, 1.0),
+                                                          (2, "holo", 2, 4, 6e-17),
+                                                          (3, "holo", 3, 4, 6e-17)]),
+                    id="three-terms-per-cell")]
+    + [pytest.param(lambda f=family, n=n, z=z, s=seed: _seeded_family(f, n, z, s),
                     id=f"{family}-n{n}-{'complex' if z else 'real'}")
        for seed, (family, ns) in enumerate([("iwasawa_x_torus", (4, 5, 6)),
                                             ("kt_x_torus", (3, 4, 5, 6)),
                                             ("heisenberg", (3, 5))])
        for n in ns for z in (False, True)]
-    + [pytest.param(lambda c=c: _c_family(c), c == 1e-12, id=f"c={c!r}")
+    + [pytest.param(lambda c=c: _c_family(c), id=f"c={c!r}")
        for c in (1.0, 1e-13, 9.9e-13, 1e-12, 1.01e-12, 1.3e-12, 1j * 1.3e-12)]
 )
 
 
-@pytest.mark.parametrize("build,window", _GATE_MODELS)
-def test_sparse_gate_decides_as_the_dense_residual(build, window, fresh_caches):
+@pytest.mark.parametrize("build", _GATE_MODELS)
+def test_sparse_gate_decides_as_the_dense_residual(build, fresh_caches):
     model = build()
     report = validate_model(model)
     dense_ok, dd_res, uni_res, messages = _dense_validation(model)
-    assert certified_d_squared(algebra_for(model)) == (None if window else dense_ok)
+    assert certified_d_squared(algebra_for(model))[0] == dense_ok
     assert report.d_squared_vanishes == dense_ok
     assert report.messages == messages
     assert report.unimodularity_residual == uni_res
     assert report.d_squared_max_residual == dd_res
 
 
-def test_gate_window_takes_the_dense_fallback(monkeypatch, fresh_caches):
-    # Iwasawa at coefficient 1e3: the d*d products (1e6) cancel exactly, but their
-    # rounding bound 2 beta exceeds VALIDATION_TOL, so only the dense products decide.
-    model = make_model("iwasawa_1e3", 3, [(3, "holo", 1, 2, -1e3)])
-    assert certified_d_squared(algebra_for(model)) is None
-    calls = []
-    dense = model_module.d_squared_residual
-    monkeypatch.setattr(model_module, "d_squared_residual",
-                        lambda alg: calls.append(alg) or dense(alg))
-    report = require_valid(model)
-    assert report.d_squared_vanishes and len(calls) == 1
-    # the dense value computed for the decision is the one the report keeps
-    assert report.d_squared_max_residual == 0.0 and len(calls) == 1
+@pytest.mark.parametrize("s", [1.0, 10.0, 100.0, 1000.0, 1e6])
+def test_two_step_models_pass_the_gate_at_every_scale(s, fresh_caches):
+    # d*d cancels exactly; its rounding grows as eps s^2, past an absolute 1e-12 at s = 100
+    for seed in range(20):
+        model = _two_step(s, seed)
+        report = require_valid(model)
+        assert report.d_squared_vanishes and not report.messages, seed
+        ok, largest = certified_d_squared(algebra_for(model))
+        assert ok and largest <= VALIDATION_TOL * s * s
+
+
+@pytest.mark.parametrize("c", [-1e20, -1e100])
+def test_iwasawa_with_a_huge_coefficient_passes_the_gate(c, fresh_caches):
+    assert require_valid(make_model("iwasawa_big", 3, [(3, "holo", 1, 2, c)])).all_passed
+
+
+@pytest.mark.parametrize("scale", [10.0 ** k for k in range(-3, 7)])
+def test_a_non_lie_model_is_refused_at_every_scale(scale, tmp_path, capsys, fresh_caches):
+    # d theta^3 = s theta^1 ^ theta^2, d theta^1 = s theta^1 ^ theta^3: d*d = s^2 theta^123
+    model = make_model("non_lie", 3, [(3, "holo", 1, 2, scale), (1, "holo", 1, 3, scale)])
+    path = tmp_path / "model.json"
+    path.write_text(serialize_model(model))
+    assert main(["eval", "--model", str(path), "--functional", "G"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: d*d has max residual {scale * scale:.3e}")
 
 
 def test_certified_pass_defers_the_dense_residual(monkeypatch, fresh_caches):
@@ -189,6 +218,8 @@ def test_certified_pass_defers_the_dense_residual(monkeypatch, fresh_caches):
     monkeypatch.setattr(model_module, "d_squared_residual",
                         lambda alg: calls.append(alg) or dense(alg))
     report = require_valid(_seeded_family("heisenberg", 5, True, 7))
+    # a refusal names the largest sparse sum, and defers the dense residual too
+    assert not validate_model(_c_family(1.0)).d_squared_vanishes
     assert calls == []
     assert report.d_squared_max_residual == report.d_squared_max_residual
     assert len(calls) == 1
@@ -207,11 +238,12 @@ def test_validation_builds_no_total_degree_matrix(tmp_path, capsys, fresh_caches
 
 
 def _dense_d_blocks(alg, p, q):
-    """The dense d blocks on Lambda^{p,q} built as before the sparse store: every
-    derivation entry added onto a zero matrix with np.add.at, all-zero blocks dropped."""
+    """The dense d blocks on Lambda^{p,q} built as before the sparse store, from the
+    loop tables: every derivation entry added onto a zero matrix with np.add.at in
+    generator order, all-zero blocks dropped."""
     acc, blocks = {}, {}
     for g, K, L, coeff in alg._d_terms:
-        table = exterior_module._derivation_table(alg.n, p, q, g, K, L)
+        table = loop_derivation_table(alg.n, p, q, g, _indices(K), _indices(L))
         if table is not None:
             tgt, rows, cols, sign = table
             acc.setdefault(tgt, []).append((rows, cols, sign * coeff))
@@ -224,23 +256,29 @@ def _dense_d_blocks(alg, p, q):
     return blocks
 
 
-@pytest.mark.parametrize("build,window", _GATE_MODELS)
-def test_sparse_d_matches_the_dense_build_bit_for_bit(build, window, fresh_caches):
+def _indices(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@pytest.mark.parametrize("build", _GATE_MODELS)
+def test_sparse_d_matches_the_dense_build_bit_for_bit(build, fresh_caches):
     alg = algebra_for(build())
     lay = exterior_module._layout(alg.n)
     parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, complex))]
     for pq in itertools.product(range(alg.n + 1), repeat=2):
         want = _dense_d_blocks(alg, *pq)
         got = alg.d_blocks(*pq)
-        assert list(got) == list(want)
+        assert sorted(got) == sorted(want)
         for tgt, mat in want.items():
             assert got[tgt].dtype == mat.dtype and got[tgt].tobytes() == mat.tobytes()
             r, c = np.nonzero(mat != 0)
             parts.append((r + lay[tgt].start, c + lay[pq].start, mat[r, c]))
-    rows, cols, vals = model_module._d_entries(alg)
-    want_rows, want_cols, want_vals = (np.concatenate(a) for a in zip(*parts))
-    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
-    assert vals.tobytes() == want_vals.tobytes()
+    # the store holds the same entries, sorted by column, then row
+    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
+    order = np.lexsort((rows, cols))
+    got_rows, got_cols, got_vals = alg.d_sparse
+    assert np.array_equal(got_rows, rows[order]) and np.array_equal(got_cols, cols[order])
+    assert got_vals.tobytes() == vals[order].tobytes()
 
 
 def test_eval_g_densifies_only_the_blocks_it_reads(tmp_path, capsys, fresh_caches):
@@ -251,10 +289,9 @@ def test_eval_g_densifies_only_the_blocks_it_reads(tmp_path, capsys, fresh_cache
     assert main(["eval", "--model", str(path), "--functional", "G"]) == 0
     capsys.readouterr()
     alg = algebra_for(model)
-    # the gate reads d's entries everywhere, but dense blocks only exist where the
-    # predicates (d omega, del dbar omega, d omega_(n-1)) and the dbar complex
+    # the gate reads d's sparse entries everywhere, but dense blocks only exist where
+    # the predicates (d omega, del dbar omega, d omega_(n-1)) and the dbar complex
     # around Gamma's (n-1, n-2) read them
-    assert len(kept_keys(alg, ExteriorAlgebra.d_entries)) == (n + 1) ** 2
     predicates = {(1, 1), (1, 2), (n - 1, n - 1)}
     gamma = {(n - 1, q) for q in range(n - 4, n)}
     assert set(kept_keys(alg, ExteriorAlgebra.d_blocks)) == predicates | gamma
