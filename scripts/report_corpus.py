@@ -20,9 +20,10 @@ The jobs cover ``eval`` (every functional) and ``torsion`` at a seeded random
 metric, ``verify --metrics 2`` and ``varcheck --tuples 3`` on the four catalog
 models; two 5-step descents; and ``eval``, ``torsion`` and ``verify`` on three
 synthetic models (Iwasawa x T^1, Kodaira-Thurston x T^2, complex Heisenberg
-n = 5) read from model files; ``eval`` of G alone on Iwasawa x T^4 (n = 7) and
-on Iwasawa x T^5 (n = 8); two models with large structure coefficients whose
-d*d cancels, read from model files: ``eval`` of H on the n = 4 two-step model
+n = 5) read from model files, and ``varcheck --tuples 2`` on the first of
+them, so the operator-variation audit covers an n >= 4 model; ``eval`` of G
+alone on Iwasawa x T^4 (n = 7) and on Iwasawa x T^5 (n = 8); two models with
+large structure coefficients whose d*d cancels, read from model files: ``eval`` of H on the n = 4 two-step model
 at scale 1000 and of G on Iwasawa with coefficient -1e20; ``eval``,
 ``varcheck`` and ``descend`` under ``--tol 1e-6``; and six more 5-step
 descents that cover both slices: H from a random start, G normalized from the
@@ -130,6 +131,9 @@ def jobs(paths):
             out.append((f"eval {name} {fn}", ["eval", *src, "--functional", fn]))
         out.append((f"torsion {name}", ["torsion", *src]))
         out.append((f"verify {name}", ["verify", *src, "--metrics", "1", "--seed", "5"]))
+    out.append(("varcheck iwasawa_x_t1",
+                ["varcheck", "--model", paths["model:iwasawa_x_t1"], "--tuples", "2",
+                 "--seed", "2"]))
     for name in LARGE:
         out.append((f"eval {name} G", ["eval", "--model", paths[f"model:{name}"],
                                        "--functional", "G"]))
