@@ -366,7 +366,7 @@ class OperatorBundle:
             return SpectralData(which, key, np.zeros(0), np.zeros((0, 0), dtype=complex), g)
         a = g @ lap
         a = 0.5 * (a + a.conj().T)
-        w, v = scipy.linalg.eigh(a, 0.5 * (g + g.conj().T))
+        w, v = scipy.linalg.eigh(a, g)  # gram and gram_total are exactly Hermitian
         return SpectralData(which, key, w, v, g)
 
 

@@ -64,20 +64,29 @@ FD_REL_STEP = 1e-3
 def fd_derivative(func, step, richardson=True):
     """Central difference of func at 0, Richardson-extrapolated by default.
 
-    func may return floats, complex numbers, numpy arrays or Forms.  A
-    positivity failure at any probe point is reported as StepTooLarge.
+    func may return floats, complex numbers, numpy arrays or Forms, or a list
+    of them, which is differenced element by element with the same operations:
+    d1 = (f(h) - f(-h)) * (0.5 / h), d2 = (f(h/2) - f(-h/2)) * (1 / h), then
+    (4/3) d2 - (1/3) d1.  func is called once per stencil point, in the order
+    h, -h, h/2, -h/2.  A positivity failure at any probe point is reported as
+    StepTooLarge.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     try:
-        d1 = (func(step) - func(-step)) * (0.5 / step)
+        d1 = _each(lambda a, b: (a - b) * (0.5 / step), func(step), func(-step))
         if not richardson:
             return d1
-        d2 = (func(0.5 * step) - func(-0.5 * step)) * (1.0 / step)
+        d2 = _each(lambda a, b: (a - b) * (1.0 / step), func(0.5 * step), func(-0.5 * step))
     except (NotPositiveDefinite, NotPositive) as exc:
         raise StepTooLarge(
             f"positivity lost inside the difference stencil (step {step:.3e})") from exc
-    return (4.0 / 3.0) * d2 - (1.0 / 3.0) * d1
+    return _each(lambda a, b: (4.0 / 3.0) * a - (1.0 / 3.0) * b, d2, d1)
+
+
+def _each(op, a, b):
+    """op(a, b), or op on each pair of elements when a and b are lists."""
+    return [op(x, y) for x, y in zip(a, b)] if isinstance(a, list) else op(a, b)
 
 
 def default_step(metric):
@@ -509,8 +518,9 @@ def _variation(bundle, functional, direction, nu=None, weight_bundle=None,
                                      f"directions, not {direction.kind} ones")
     out = variation_at(bundle, functional, nu, weight_bundle)(direction)
     if with_fd:
-        out.fd = float(_fd_along(bundle, direction, step, lambda b: evaluate(
-            b, functional, nu, weight_bundle).value))
+        fd, = _fd_along(bundle, direction, step, [lambda b: evaluate(
+            b, functional, nu, weight_bundle).value])
+        out.fd = float(fd)
     return out
 
 
@@ -539,16 +549,22 @@ def var_F_tilde(bundle, nu, direction, with_fd=False, step=None):
     return _variation(bundle, "F_tilde", direction, nu=nu, with_fd=with_fd, step=step)
 
 
-def _fd_along(bundle, direction, step, extract):
-    """Central difference of extract(bundle at t) along the direction's metric path:
-    the datum of the direction's slice (omega, or omega_{n-1}) moves by t * direction
-    and maps back to a metric, whose bundle is built at the bundle's tolerance."""
+def _fd_along(bundle, direction, step, extracts):
+    """Central differences of each extract(bundle at t) along the direction's metric
+    path, as a list in the order of extracts: the datum of the direction's slice
+    (omega, or omega_{n-1}) moves by t * direction and maps back to a metric, whose
+    bundle is built at the bundle's tolerance.  One bundle is built per stencil
+    point; every extract reads it, and it is dropped before the next point's."""
     alg = bundle.alg
     cone = direction_slice(direction.kind)
     base = cone.datum(bundle.metric)
     step = default_step(bundle.metric) if step is None else step
-    return fd_derivative(lambda t: extract(bundle_for_algebra(
-        alg, cone.metric(alg, base + t * direction.form), bundle.tol)), step)
+
+    def at(t):
+        moved = bundle_for_algebra(alg, cone.metric(alg, base + t * direction.form), bundle.tol)
+        return [extract(moved) for extract in extracts]
+
+    return fd_derivative(at, step)
 
 
 # ----- the check battery ---------------------------------------------------------------
@@ -603,7 +619,10 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL):
     derivative matrices of star, trace, the three codifferentials, the
     three Laplacians and the kernel projector against Richardson-extrapolated
     central differences, plus the self-consistency rows (conjugation
-    symmetry, omega scalings, the perturbation oracle).  Returns
+    symmetry, omega scalings, the perturbation oracle).  A tuple builds its
+    own bundle and one bundle per stencil point, which gives the differences
+    of every row before the next point's is built; the projector rows are
+    left out where its closed form refuses (KernelJump).  Returns
     VariationCheck rows; callers assert on rel_err.
     """
     alg = algebra_for(model)
@@ -624,22 +643,29 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL):
         k = p + q
         tag = f"tuple {idx} (p,q)=({p},{q})"
 
-        fd = _fd_along(b, along, step, lambda bb: bb.star_block(p, q))
-        _check(rows, "star", tag, var_star_matrix(b, gamma, p, q), fd)
-
-        fd = _fd_along(b, along, step, lambda bb: bb.trace_block(p, q))
-        _check(rows, "trace", tag, var_trace_matrix(b, gamma, p, q), fd)
-
+        # the projector row has a closed form unless the kernel may jump; its
+        # differences then come from the same stencil bundles as the others
+        try:
+            pv = var_harmonic_projector(b, gamma, "d", k)
+        except KernelJump:
+            pv = None
         complexes = (("del", (p, q)), ("dbar", (p, q)), ("d", k))
-        for which, key in complexes:
-            fd = _fd_along(b, along, step, lambda bb, w=which, kk=key: bb.codiff(w, kk))
-            _check(rows, f"{which}_star", tag, var_codiff_matrix(b, gamma, which, key), fd)
+        extracts = [lambda bb: bb.star_block(p, q), lambda bb: bb.trace_block(p, q)]
+        extracts += [lambda bb, w=which, kk=key: bb.codiff(w, kk) for which, key in complexes]
+        extracts += [lambda bb, w=which, kk=key: bb.laplacian(w, kk)
+                     for which, key in complexes]
+        if pv is not None:
+            extracts.append(lambda bb: harmonic_projector(bb, "d", k))
+        fds = iter(_fd_along(b, along, step, extracts))
 
+        _check(rows, "star", tag, var_star_matrix(b, gamma, p, q), next(fds))
+        _check(rows, "trace", tag, var_trace_matrix(b, gamma, p, q), next(fds))
         for which, key in complexes:
-            fd = _fd_along(b, along, step,
-                           lambda bb, w=which, kk=key: bb.laplacian(w, kk))
+            _check(rows, f"{which}_star", tag, var_codiff_matrix(b, gamma, which, key),
+                   next(fds))
+        for which, key in complexes:
             _check(rows, f"laplacian_{which}", tag,
-                   laplacian_variation_matrix(b, gamma, which, key), fd)
+                   laplacian_variation_matrix(b, gamma, which, key), next(fds))
 
         # commutator self-adjointness and the gamma = omega normalization
         comm = b.commutator(gamma, p, q)
@@ -671,11 +697,9 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL):
         # projector derivative: full two-term formula against differences,
         # one-term restriction on a deflated vector, and the exact
         # vanishing of the derivative along omega itself
-        try:
-            pv = var_harmonic_projector(b, gamma, "d", k)
-        except KernelJump:
+        if pv is None:
             continue
-        fd = _fd_along(b, along, step, lambda bb: harmonic_projector(bb, "d", k))
+        fd = next(fds)
         _check(rows, "projector", tag, pv.derivative, fd)
         dimk = alg.dim_total(k)
         if dimk:

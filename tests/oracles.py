@@ -4,9 +4,10 @@ Everything here is deliberately naive: wedge products by permutation
 parity over generator sequences, differentials by the Leibniz rule over
 those sequences, the exterior index tables by loops over monomial tuples,
 minimal-norm torsion by dense weighted least squares with pseudo-inverse
-kernel deflation, and the projector derivative by the textbook eigenpair
-perturbation sum.  None of it shares code paths with the package internals
-it audits.
+kernel deflation, the projector derivative by the textbook eigenpair
+perturbation sum, and the finite-difference battery one row at a time, each
+row on its own four stencil bundles.  None of it shares code paths with the
+package internals it audits.
 """
 
 from __future__ import annotations
@@ -15,7 +16,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from hermicone.exterior import Form, _basis, dim_pq
+from hermicone.errors import KernelJump
+from hermicone.exterior import Form, _basis, conj_block_matrix, dim_pq
+from hermicone.functionals import direction_slice
+from hermicone.hodge import harmonic_projector
+from hermicone.metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra, random_metric
+from hermicone.model import algebra_for
+from hermicone.variation import (VariationCheck, default_step, laplacian_variation_matrix,
+                                 var_codiff_matrix, var_harmonic_projector, var_star_matrix,
+                                 var_trace_matrix)
 
 
 # ----- symbol-sequence exterior algebra -------------------------------------------------
@@ -260,3 +269,103 @@ def projector_perturbation(spectral, dlap, tol=1e-9):
             coupling = vj.conj() @ (g @ (dlap @ vi))
             mirror += -np.outer(vj, vi.conj() @ g) * (coupling / eigs[j])
     return out + mirror
+
+
+# ----- per-row finite-difference battery ----------------------------------------------------
+
+
+def loop_fd(func, step):
+    """Richardson-extrapolated central difference of func at 0: one value, four calls."""
+    d1 = (func(step) - func(-step)) * (0.5 / step)
+    d2 = (func(0.5 * step) - func(-0.5 * step)) * (1.0 / step)
+    return (4.0 / 3.0) * d2 - (1.0 / 3.0) * d1
+
+
+def _loop_fd_row(bundle, gamma, step, extract):
+    """loop_fd of extract(bundle at omega + t gamma), four fresh bundles for one row."""
+    alg, cone = bundle.alg, direction_slice("metric")
+    base = cone.datum(bundle.metric)
+    return loop_fd(lambda t: extract(bundle_for_algebra(
+        alg, cone.metric(alg, base + t * gamma), bundle.tol)), step)
+
+
+def _loop_check(rows, name, detail, got, want):
+    got, want = np.asarray(got), np.asarray(want)
+
+    def amax(x):
+        return float(np.max(np.abs(x))) if x.size else 0.0
+
+    rows.append(VariationCheck(name, detail, amax(got), amax(want), amax(got - want)))
+
+
+def loop_variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL):
+    """variation_battery's rows, each FD row differenced on its own four bundles."""
+    alg = algebra_for(model)
+    n = alg.n
+    rows = []
+    for idx in range(tuples):
+        rng = np.random.default_rng(seed + idx)
+        met = random_metric(n, rng)
+        b = bundle_for_algebra(alg, met, tol)
+        gm = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        gamma = HermitianMetric(0.5 * (gm + gm.conj().T)).form()
+        omega = b.omega
+        step = default_step(met)
+        p = int(rng.integers(0, n + 1))
+        q = int(rng.integers(0, n + 1))
+        k = p + q
+        tag = f"tuple {idx} (p,q)=({p},{q})"
+
+        def fd(extract):
+            return _loop_fd_row(b, gamma, step, extract)
+
+        _loop_check(rows, "star", tag, var_star_matrix(b, gamma, p, q),
+                    fd(lambda bb: bb.star_block(p, q)))
+        _loop_check(rows, "trace", tag, var_trace_matrix(b, gamma, p, q),
+                    fd(lambda bb: bb.trace_block(p, q)))
+        complexes = (("del", (p, q)), ("dbar", (p, q)), ("d", k))
+        for which, key in complexes:
+            _loop_check(rows, f"{which}_star", tag, var_codiff_matrix(b, gamma, which, key),
+                        fd(lambda bb: bb.codiff(which, key)))
+        for which, key in complexes:
+            _loop_check(rows, f"laplacian_{which}", tag,
+                        laplacian_variation_matrix(b, gamma, which, key),
+                        fd(lambda bb: bb.laplacian(which, key)))
+
+        comm = b.commutator(gamma, p, q)
+        g = b.gram(p, q)
+        _loop_check(rows, "commutator_selfadjoint", tag, g @ comm, comm.conj().T @ g)
+        _loop_check(rows, "commutator_omega", tag, b.commutator(omega, p, q),
+                    (n - p - q) * np.eye(dim_pq(n, p, q), dtype=complex))
+        if q >= 1:
+            mirrored = conj_block_matrix(n, q - 1, p) \
+                @ var_codiff_matrix(b, gamma, "del", (q, p)).conj() @ conj_block_matrix(n, p, q)
+            _loop_check(rows, "conjugation_symmetry", tag,
+                        var_codiff_matrix(b, gamma, "dbar", (p, q)), mirrored)
+        _loop_check(rows, "omega_scaling_star", tag, var_star_matrix(b, omega, p, q),
+                    (n - k) * b.star_block(p, q))
+        _loop_check(rows, "omega_scaling_d_star", tag, var_codiff_matrix(b, omega, "d", k),
+                    -b.codiff("d", k))
+        _loop_check(rows, "omega_scaling_laplacian", tag,
+                    laplacian_variation_matrix(b, omega, "d", k), -b.laplacian("d", k))
+
+        try:
+            pv = var_harmonic_projector(b, gamma, "d", k)
+        except KernelJump:
+            continue
+        fd_proj = fd(lambda bb: harmonic_projector(bb, "d", k))
+        _loop_check(rows, "projector", tag, pv.derivative, fd_proj)
+        dimk = alg.dim_total(k)
+        if dimk:
+            v = rng.standard_normal(dimk) + 1j * rng.standard_normal(dimk)
+            v0 = v - pv.decomposition.harmonic @ v
+            _loop_check(rows, "projector_deflated", tag, pv.image_part @ v0, fd_proj @ v0)
+            _loop_check(rows, "projector_oracle", tag, pv.image_part @ v0,
+                        pv.derivative @ v0)
+        try:
+            pv_omega = var_harmonic_projector(b, omega, "d", k)
+            _loop_check(rows, "omega_scaling_projector", tag, pv_omega.derivative,
+                        np.zeros_like(pv_omega.derivative))
+        except KernelJump:
+            pass
+    return rows

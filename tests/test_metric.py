@@ -130,6 +130,20 @@ def test_gram_equals_per_minor_definition(n):
                 assert np.array_equal(bundle.gram(p, q), 0.5 * (g + g.conj().T)), (p, q)
 
 
+@pytest.mark.parametrize("n,seed", [(n, seed) for n in (2, 3, 4, 5) for seed in (0, 1, 2)])
+def test_gram_is_exactly_hermitian(n, seed):
+    # spectral hands each Gram matrix to eigh as it is: symmetrizing it again
+    # must be the identity on its bits
+    alg = algebra_for(make_model(f"flat{n}", n))
+    bundle = bundle_for_algebra(alg, random_metric(n, np.random.default_rng(seed)))
+    grams = [bundle.gram(p, q) for p in range(n + 1) for q in range(n + 1)]
+    grams += [bundle.gram_total(k) for k in range(2 * n + 1)]
+    for g in grams:
+        assert np.array_equal(g, g.conj().T)
+        assert not np.diag(g).imag.any()
+        assert (0.5 * (g + g.conj().T)).tobytes() == g.tobytes()
+
+
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_star_equals_wedge_pairing_definition(name):
     # <u, conj(w)> det(H) = integral of u ^ star(w), solved against wedge pairings
