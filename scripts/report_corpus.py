@@ -23,17 +23,18 @@ synthetic models (Iwasawa x T^1, Kodaira-Thurston x T^2, complex Heisenberg
 n = 5) read from model files, and ``varcheck --tuples 2`` on the first of
 them, so the operator-variation audit covers an n >= 4 model; ``eval`` of G
 alone on Iwasawa x T^4 (n = 7) and on Iwasawa x T^5 (n = 8); two models with
-large structure coefficients whose d*d cancels, read from model files: ``eval`` of H on the n = 4 two-step model
-at scale 1000 and of G on Iwasawa with coefficient -1e20; ``eval``,
-``varcheck`` and ``descend`` under ``--tol 1e-6``; and six more 5-step
-descents that cover both slices: H from a random start, G normalized from the
-identity, F from a metric file, G on the n = 2 torus (whose volume
-datum is a (1,1) form), and the two refused at the feasibility probe (G on
-Kodaira-Thurston, F on Iwasawa).  Three descents run the slice gradient
-longer or higher: 40 steps of Ftilde on Kodaira-Thurston and of G on Iwasawa,
-and 3 steps of G on Iwasawa x T^1 (n = 4).  Input files go to a temporary directory,
-whose path appears in no report.  ``hermicone`` is imported from this checkout's
-``src/`` and BLAS runs on one thread, unless the caller set the variables.
+large structure coefficients whose d*d cancels, read from model files:
+``eval`` of H on the n = 4 two-step model at scale 1000 and of G on Iwasawa
+with coefficient -1e20; ``eval``, ``varcheck`` and ``descend`` under
+``--tol 1e-6``; and six more 5-step descents that cover both slices: H from a
+random start, G normalized from the identity, F from a metric file, G on the
+n = 2 torus (whose volume datum is a (1,1) form), and the two refused at the
+feasibility probe (G on Kodaira-Thurston, F on Iwasawa).  Three descents run
+the slice gradient longer or higher: 40 steps of Ftilde on Kodaira-Thurston
+and of G on Iwasawa, and 3 steps of G on Iwasawa x T^1 (n = 4).  Input files
+go to a temporary directory, whose path appears in no report.  ``hermicone``
+is imported from this checkout's ``src/`` and BLAS runs on one thread, unless
+the caller set the variables.
 """
 
 from __future__ import annotations

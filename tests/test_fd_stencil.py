@@ -81,7 +81,7 @@ def test_a_step_out_of_the_cone_raises_whatever_the_extracts(count):
     along = Direction("metric", HermitianMetric(np.diag([1.0, 0.0, 0.0])).form())
     extracts = [lambda bb: bb.star_block(1, 1), lambda bb: harmonic_projector(bb, "d", 2),
                 *[lambda bb: bb.laplacian("d", 3)] * 7][:count]
-    with pytest.raises(StepTooLarge,
-                       match=r"^positivity lost inside the difference stencil \(step 1\.500e\+00\)$"):
+    message = r"^positivity lost inside the difference stencil \(step 1\.500e\+00\)$"
+    with pytest.raises(StepTooLarge, match=message):
         _fd_along(b, along, 1.5, extracts)
     assert len(_fd_along(b, along, 1e-3, extracts)) == count
