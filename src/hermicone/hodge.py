@@ -31,6 +31,18 @@ from .metric import DEFAULT_TOL, HermitianMetric
 GAP_FACTOR = 100.0
 
 
+class _AmbiguityMessage:
+    """A ToleranceAmbiguity message, formatted only when read: a descent's line search
+    catches and drops dozens of these, and numpy's array printer is slow."""
+
+    def __init__(self, eigenvalues, threshold):
+        self.eigenvalues, self.threshold = eigenvalues, threshold
+
+    def __str__(self):
+        return (f"eigenvalues {self.eigenvalues} inside the ambiguity window around "
+                f"{self.threshold:.3e}")
+
+
 def kernel_mask(eigenvalues, tol=DEFAULT_TOL, unit=1.0):
     """Boolean kernel mask under the threshold tol * max(unit, lambda_max),
     with ambiguity guard."""
@@ -40,8 +52,7 @@ def kernel_mask(eigenvalues, tol=DEFAULT_TOL, unit=1.0):
     thr = tol * max(unit, float(eigs.max()))
     bad = (eigs >= thr / 10.0) & (eigs <= 10.0 * thr)
     if np.any(bad):
-        raise ToleranceAmbiguity(
-            f"eigenvalues {eigs[bad]} inside the ambiguity window around {thr:.3e}")
+        raise ToleranceAmbiguity(_AmbiguityMessage(eigs[bad], thr))
     return eigs < thr
 
 
@@ -139,22 +150,37 @@ def image_projector_dbar_star(bundle, p, q):
 
 
 def three_space_residuals(bundle, k):
-    """Residuals of harmonic + im(d) + im(d^*) = identity, mutually orthogonal."""
+    """Residuals of harmonic + im(d) + im(d^*) = identity, mutually orthogonal.
+
+    Each residual is formed in place in one of two N x N buffers, with the operations
+    of its plain expression (in the comments) in their order, so with the same bits.
+    """
     ph = harmonic_projector(bundle, "d", k)
     pd = image_projector(bundle, "d", k)
     pds = coimage_projector(bundle, "d", k)
     g = bundle.gram_total(k)
-    eye = np.eye(ph.shape[0])
-    out = {
-        "sum_identity": float(np.max(np.abs(ph + pd + pds - eye))) if ph.size else 0.0,
-    }
     pairs = {"h_imd": (ph, pd), "h_imdstar": (ph, pds), "imd_imdstar": (pd, pds)}
+    projs = {"h": ph, "imd": pd, "imdstar": pds}
+    buf, other, mag = np.empty_like(ph), np.empty_like(ph), np.empty(ph.shape)
+
+    def worst(x):
+        return float(np.max(np.abs(x, out=mag)))
+
+    # ph + pd + pds - I: x - 0 leaves every entry off the diagonal as it is
+    np.add(ph, pd, out=buf)
+    buf += pds
+    buf.reshape(-1)[::buf.shape[0] + 1] -= 1.0
+    out = {"sum_identity": worst(buf)}
     for name, (a, b) in pairs.items():
-        out[name] = float(np.max(np.abs(a @ b))) if a.size else 0.0
-    for name, proj in (("idem_h", ph), ("idem_imd", pd), ("idem_imdstar", pds)):
-        out[name] = float(np.max(np.abs(proj @ proj - proj))) if proj.size else 0.0
-    for name, proj in (("selfadj_h", ph), ("selfadj_imd", pd), ("selfadj_imdstar", pds)):
-        out[name] = float(np.max(np.abs(g @ proj - proj.conj().T @ g))) if proj.size else 0.0
+        out[name] = worst(np.matmul(a, b, out=buf))  # a @ b
+    for name, proj in projs.items():
+        np.matmul(proj, proj, out=buf)
+        out[f"idem_{name}"] = worst(np.subtract(buf, proj, out=buf))  # proj @ proj - proj
+    for name, proj in projs.items():
+        # g @ proj - proj^H @ g
+        np.matmul(np.conjugate(proj, out=buf).T, g, out=other)
+        np.matmul(g, proj, out=buf)
+        out[f"selfadj_{name}"] = worst(np.subtract(buf, other, out=buf))
     return out
 
 
@@ -287,8 +313,10 @@ _TORSIONS = {
 }
 
 
+@memo
 def _torsion(bundle, kind):
-    """The minimal torsion potential of kind, with its source and residuals."""
+    """The minimal torsion potential of kind, with its source and residuals, kept on
+    the bundle: a descent's gradient reuses the report its line search built."""
     flag, residual, error, what, source_of = _TORSIONS[kind]
     tol = bundle.tol
     pred = predicates(bundle)

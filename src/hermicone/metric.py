@@ -422,8 +422,9 @@ def identity_suite(bundle, seed=0, n_random=3):
     def upd(key, value):
         res[key] = max(res[key], float(value))
 
-    etas = [random_form(n, [(1, 1)], rng) for _ in range(n_random)]
-    eta_bars = [eta.conj() for eta in etas]
+    # the (1,1) probes' coefficients, one row per probe; each bidegree makes its own
+    # stack of them, so the wedge matrices kept on that Form go with it
+    probes = np.stack([random_form(n, [(1, 1)], rng).part((1, 1)) for _ in range(n_random)])
 
     for p in range(n + 1):
         for q in range(n + 1):
@@ -443,10 +444,11 @@ def identity_suite(bundle, seed=0, n_random=3):
                 comm = bundle.commutator(bundle.omega, p, q)
                 upd("commutator", np.max(np.abs(comm - (n - p - q) * np.eye(d))))
 
-                for eta, eta_bar in zip(etas, eta_bars):
-                    lhs = bundle.star_block(p + 1, q + 1) @ eta.wedge_matrix(p, q)
-                    rhs = bundle.mult_adjoint_block(eta_bar, n - q, n - p) @ s_here
-                    upd("mult_adjoint_star", np.max(np.abs(lhs - rhs)))
+                # one matrix product per probe, on the stack's leading axis
+                etas = Form.at(n, (1, 1), probes)
+                lhs = bundle.star_block(p + 1, q + 1) @ etas.wedge_matrix(p, q)
+                rhs = bundle.mult_adjoint_block(etas.conj(), n - q, n - p) @ s_here
+                upd("mult_adjoint_star", np.max(np.abs(lhs - rhs)))
 
             if p + q <= n:
                 kk = p + q
@@ -465,26 +467,30 @@ def identity_suite(bundle, seed=0, n_random=3):
                         @ alg.diff(mirror, (n - q, n - p)) @ s_here
                     upd(f"{which}star_formula", np.max(np.abs(lhs - rhs)))
 
-    # (eta ^ .)^* = <., eta> on (1,1)
-    for eta in etas:
-        adj = bundle.mult_adjoint_block(eta, 1, 1)
-        pairing = (eta.part((1, 1)).conj() @ bundle.gram(1, 1)).reshape(1, -1)
-        upd("mult_adjoint_11", np.max(np.abs(adj - pairing)))
+    # (eta ^ .)^* = <., eta> on (1,1); the pairing stays one vector-matrix product per
+    # probe, a 1 x N row each on the leading axis: one 3 x N product rounds otherwise
+    adj = bundle.mult_adjoint_block(Form.at(n, (1, 1), probes), 1, 1)
+    pairing = probes.conj()[..., None, :] @ bundle.gram(1, 1)
+    upd("mult_adjoint_11", np.max(np.abs(adj - pairing)))
 
     # star of the constant 1 and of omega
     one = Form.scalar(n, 1.0)
     upd("star_one", (bundle.star(one) - bundle.det_h * alg.theta_form()).max_abs())
     upd("star_omega", (bundle.star(bundle.omega) - bundle.omega_power(n - 1)).max_abs())
 
-    # d^* = -(star d star) degree by degree, and the L2 pairing identity
+    # d^* = -(star d star) degree by degree, and the L2 pairing identity; each residual
+    # is formed in place, with the operations of its expression (in the comment) in
+    # their order, so with the same bits
     for k in range(1, 2 * n + 1):
-        if alg.dim_total(k) == 0:
-            continue
-        lhs = bundle.codiff("d", k)
-        rhs = -bundle.star_total(2 * n - k + 1) @ alg.d_total(2 * n - k) @ bundle.star_total(k)
-        upd("dstar_formula", np.max(np.abs(lhs - rhs)))
-        pair = bundle.gram_total(k) @ alg.d_total(k - 1) \
-            - bundle.codiff("d", k).conj().T @ bundle.gram_total(k - 1)
+        codiff = bundle.codiff("d", k)
+        # codiff - (-star_total(2n - k + 1)) @ d_total(2n - k) @ star_total(k)
+        rhs = bundle.star_total(2 * n - k + 1)
+        rhs = np.negative(rhs, out=rhs) @ alg.d_total(2 * n - k)
+        rhs = rhs @ bundle.star_total(k)
+        upd("dstar_formula", np.max(np.abs(np.subtract(codiff, rhs, out=rhs))))
+        # gram_total(k) @ d_total(k - 1) - codiff^H @ gram_total(k - 1)
+        pair = bundle.gram_total(k) @ alg.d_total(k - 1)
+        pair -= np.conjugate(codiff, out=rhs).T @ bundle.gram_total(k - 1)
         upd("adjoint_pairing", np.max(np.abs(pair)) * bundle.det_h)
 
     return res

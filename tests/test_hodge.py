@@ -9,6 +9,7 @@ from hermicone.errors import (
     NotSKT,
     ToleranceAmbiguity,
 )
+from hermicone import hodge
 from hermicone.exterior import ExteriorAlgebra, Form, random_form, wedge, wedge_power
 from hermicone.hodge import (
     DEFAULT_TOL,
@@ -23,13 +24,15 @@ from hermicone.hodge import (
     predicates,
     root_n_minus_1,
     three_space_residuals,
+    torsion,
     torsion_gamma,
     torsion_rho,
 )
-from hermicone.metric import HermitianMetric, bundle_for_algebra, random_metric
+from hermicone.metric import HermitianMetric, OperatorBundle, bundle_for_algebra, random_metric
 from hermicone.model import algebra_for, catalog, make_model
+from hermicone.optimizer import descend
 
-from .conftest import CATALOG_NAMES, seeded_bundle
+from .conftest import CATALOG_NAMES, kept_keys, seeded_bundle
 from .oracles import oracle_gamma, oracle_rho
 
 
@@ -47,6 +50,21 @@ def test_kernel_mask_ambiguity_window():
     # an order of magnitude outside the window on either side is fine
     mask = kernel_mask(np.array([1e-13, 2.0]), tol=1e-9)
     assert mask.tolist() == [True, False]
+
+
+def test_kernel_mask_ambiguity_message_is_formatted_when_read():
+    printed = []
+
+    def fmt(x):
+        printed.append(x)
+        return repr(x)
+
+    with pytest.raises(ToleranceAmbiguity) as info:
+        with np.printoptions(formatter={"float": fmt}):
+            kernel_mask(np.array([4e-9, 2.0]), tol=1e-9)
+    assert printed == []
+    assert str(info.value) == \
+        f"eigenvalues {np.array([4e-9])} inside the ambiguity window around {2e-9:.3e}"
 
 
 @pytest.mark.parametrize("which,key", [("d", 2), ("del", (1, 1)), ("dbar", (2, 1))])
@@ -182,6 +200,31 @@ def test_torsion_vanishes_on_flat_models():
         b = seeded_bundle(name, seed=0)
         assert torsion_rho(b).torsion.max_abs() == 0.0
         assert torsion_gamma(b).torsion.max_abs() == 0.0
+
+
+def test_torsion_is_kept_per_bundle_and_kind():
+    b = seeded_bundle("kodaira_thurston", seed=2)
+    rep = torsion_rho(b)
+    assert torsion_rho(b) is rep and torsion(b, "rho") is rep
+    assert kept_keys(b, hodge._torsion) == [("rho",)]
+    assert torsion_rho(seeded_bundle("kodaira_thurston", seed=2)) is not rep
+    with pytest.raises(NotBalanced):  # a refusal is not kept: it is raised again
+        torsion_gamma(b)
+    with pytest.raises(NotBalanced):
+        torsion_gamma(b)
+
+
+def test_descent_solves_one_torsion_per_bundle(monkeypatch):
+    # the gradient at an accepted iterate reuses the report its line search built
+    solved, built = [], []
+    solve, init = hodge.potential, OperatorBundle.__init__
+    monkeypatch.setattr(hodge, "potential", lambda b, *a: solved.append(b) or solve(b, *a))
+    monkeypatch.setattr(OperatorBundle, "__init__",
+                        lambda b, *a: built.append(b) or init(b, *a))
+    descend(catalog("kodaira_thurston"), "F_tilde", start="random", seed=8, steps=10,
+            max_step=0.05)
+    assert len(solved) == len(set(map(id, solved))) > 10
+    assert len(built) >= len(solved)
 
 
 def test_torsion_kind_gates():
