@@ -35,15 +35,15 @@ Conventions fixed here and used everywhere else:
   carry matrices stacked on a leading axis.
 * Work that depends on one object alone is kept on it by memo: d on its
   algebra, the matrices of form ^ . and the powers of a form on the form, the
-  metric operators on their bundle.  A kept array is read-only, and an entry
-  keyed by a Form lives only as long as that form.
+  metric operators on their bundle.  A kept array is read-only.  No key holds
+  a Form: an entry would keep the form alive as long as its owner, so work on
+  a form and a bundle together (a commutator) is formed again on each call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from functools import lru_cache, wraps
 
 import numpy as np
@@ -58,8 +58,8 @@ DENSE_BUDGET = 2 ** 22
 
 def memo(method):
     """Keep method(self, *key) in self._memo, built on the first call with that key.
-    An array result is made read-only, as every caller shares it.  A Form in the key
-    is held by a weak reference, and the entry goes when that form does."""
+    An array result is made read-only, as every caller shares it.  A Form key is
+    refused (TypeError): its entry would keep the form alive for the owner's life."""
     @wraps(method)
     def kept(self, *key):
         try:
@@ -73,26 +73,13 @@ def memo(method):
             key = tuple(k if k.__hash__ else tuple(k) for k in key)
             hash(key)  # anything deeper stays refused
             return kept(self, *key)
-        args = key
-        if Form in map(type, key):  # held by weak references, dropped with their forms
-            key = tuple(weakref.ref(k) if isinstance(k, Form) else k for k in key)
-            if (method, key) in self._memo:
-                return self._memo[method, key]
-            for form in args:
-                if isinstance(form, Form):
-                    weakref.finalize(form, _forget, weakref.ref(self), (method, key))
-        out = self._memo[method, key] = method(self, *args)
+        if any(isinstance(k, Form) for k in key):
+            raise TypeError(f"{method.__qualname__} cannot be kept under a Form key")
+        out = self._memo[method, key] = method(self, *key)
         if isinstance(out, np.ndarray):
             out.setflags(write=False)
         return out
     return kept
-
-
-def _forget(owner, entry):
-    """Drop a memo entry of owner (a weak reference) whose Form key has gone."""
-    obj = owner()
-    if obj is not None:
-        obj._memo.pop(entry, None)
 
 
 @lru_cache(maxsize=None)
@@ -300,7 +287,7 @@ class Form:
     form of a stack keeps its signed zeros in a block that another form fills.
     """
 
-    __slots__ = ("n", "vec", "_nonzero", "_support", "_memo", "__weakref__")
+    __slots__ = ("n", "vec", "_nonzero", "_support", "_memo")
 
     def __init__(self, n, vec=None):
         """The form (or stack) with coefficient vector(s) vec, taken over; zero when vec

@@ -3,14 +3,15 @@
 A metric is the coefficient matrix H of omega = i sum_jk H_jk theta^j ^
 thetabar^k, Hermitian positive definite.  The bundle keeps (exterior.memo),
 per bidegree, the Gram matrices of the induced pointwise inner product, the
-Hodge star (permuted Gram rows: each monomial pairs only with its complement),
-the trace operators (adjoints of omega ^ ., whose matrices omega keeps) and
-the commutators [trace, gamma ^ .] of the variation formulas.  For each of
-the three complexes (which = "d" on total degrees, "del" and "dbar" on
-bidegrees) it keeps one codifferential codiff(which, key) and one Laplacian
-laplacian(which, key), plus its spectral data.  It also carries the
-tolerance tol of its kernel cuts and predicates, and keeps the Hodge
-decompositions that hodge.decomposition cuts from the spectral data.
+Hodge star (permuted Gram rows: each monomial pairs only with its complement)
+and the trace operators (adjoints of omega ^ ., whose matrices omega keeps).
+For each of the three complexes (which = "d" on total degrees, "del" and
+"dbar" on bidegrees) it keeps one codifferential codiff(which, key).  What a
+job reads once is formed on each call: the commutators [trace, gamma ^ .] of
+the variation formulas, each Laplacian laplacian(which, key) and its spectral
+data.  The bundle also carries the tolerance tol of its kernel cuts and
+predicates, and keeps the Hodge decompositions that hodge.decomposition cuts
+from the spectral data, one per space.
 
 Inner product conventions: <theta^j, theta^k> = (H^{-1})_{kj}, extended to
 monomials by determinant multiplicativity; matrices G satisfy
@@ -281,10 +282,10 @@ class OperatorBundle:
         return self.alg.apply(
             lambda p, q: {(p - a, q - b): self.mult_adjoint_block(eta, p, q)}, form)
 
-    @memo
     def commutator(self, gamma, p, q):
         """Matrix of [trace, gamma ^ .] on (p,q) for a (1,1) form gamma, or the stack
-        of them for a stack; kept per form (by identity) and bidegree.
+        of them for a stack; formed on each call from the kept trace blocks and
+        gamma's kept wedge matrices.
 
         For gamma = omega this is (n - p - q) times the identity.
         """
@@ -337,7 +338,6 @@ class OperatorBundle:
     def d_star(self, form):
         return self.del_star(form) + self.dbar_star(form)
 
-    @memo
     def laplacian(self, which, key):
         """Matrix of diff codiff + codiff diff: which in {"d", "del", "dbar"}.
 
@@ -357,9 +357,9 @@ class OperatorBundle:
     def gram_for(self, which, key):
         return self.gram_total(key) if which == "d" else self.gram(*key)
 
-    @memo
     def spectral(self, which, key):
-        """Eigen-data of a Laplacian w.r.t. the pointwise Gram inner product."""
+        """Eigen-data of a Laplacian w.r.t. the pointwise Gram inner product, computed
+        on each call; hodge.decomposition keeps it, once per space."""
         lap = self.laplacian(which, key)
         g = self.gram_for(which, key)
         if lap.size == 0:

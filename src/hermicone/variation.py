@@ -32,8 +32,10 @@ it gets alone, which three rules keep:
   exactly one term (see Form.wedge_matrix).
 
 Work is kept where it belongs (exterior.memo): the matrices of gamma ^ . on
-gamma, the commutators [trace, gamma ^ .] on the bundle, and a Directions
-stack's forms, their del and their integrals on the stack.
+gamma, and a Directions stack's forms, their del and their integrals on the
+stack.  A commutator [trace, gamma ^ .] depends on gamma and the bundle both,
+so no memo keeps it (a Form is no memo key): it is two products of kept
+matrices, formed again on each call.
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import hermicone
-from hermicone import hodge
-from hermicone.exterior import random_form
-from hermicone.metric import bundle_for_algebra, random_metric
+from hermicone import cli, hodge
+from hermicone.exterior import ExteriorAlgebra, memo, random_form
+from hermicone.metric import OperatorBundle, bundle_for_algebra, random_metric
 from hermicone.model import algebra_for, catalog
 from hermicone.variation import Directions, make_direction, var_F, variation_at
 
@@ -25,12 +25,9 @@ def test_a_repeated_call_returns_the_kept_object():
     gamma = random_form(3, [(1, 1)], np.random.default_rng(1), real=True)
     for call in (lambda: b.gram(1, 1), lambda: b.gram_total(2), lambda: b.star_block(1, 2),
                  lambda: b.trace_block(2, 1), lambda: b.codiff("d", 2),
-                 lambda: b.laplacian("dbar", (1, 1)), lambda: b.spectral("del", (1, 2)),
                  lambda: b.alg.d_total(2), lambda: b.alg.d_blocks(1, 0),
-                 lambda: gamma.wedge_matrix(1, 1), lambda: b.commutator(gamma, 1, 1),
-                 lambda: hodge.decomposition(b, "d", 2)):
+                 lambda: gamma.wedge_matrix(1, 1), lambda: hodge.decomposition(b, "d", 2)):
         assert call() is call()
-
 
 
 def test_a_bidegree_given_as_a_list_or_an_array_is_kept_as_its_tuple():
@@ -47,8 +44,7 @@ def test_a_bidegree_given_as_a_list_or_an_array_is_kept_as_its_tuple():
     lambda b: b.alg.d_total(1),
     lambda b: b.omega.wedge_matrix(1, 0),
     lambda b: b.alg.d_blocks(1, 0)[(2, 0)],
-    lambda b: b.commutator(b.omega, 1, 1),
-], ids=["gram", "codiff", "d_total", "wedge_matrix", "d_blocks", "commutator"])
+], ids=["gram", "codiff", "d_total", "wedge_matrix", "d_blocks"])
 def test_kept_arrays_are_read_only(get):
     b = seeded_bundle("iwasawa", seed=2)
     mat = get(b)
@@ -115,18 +111,32 @@ def test_the_guard_sees_a_hand_written_cache():
     assert _hand_written_caches(tree) == [2, 3, 4, 6]
 
 
-def test_an_entry_keyed_by_a_form_goes_with_the_form():
-    # var_F keeps commutators keyed by its direction form on the bundle
+def test_a_form_is_no_memo_key():
+    # an entry under a Form would keep the form alive as long as the bundle
+    b = seeded_bundle("kodaira_thurston", seed=5)
+    gamma = random_form(2, [(1, 1)], np.random.default_rng(5), real=True)
+    with pytest.raises(TypeError, match="Form key"):
+        memo(OperatorBundle.commutator)(b, gamma, 1, 1)
+    assert not b._memo
+
+
+def test_variations_leave_no_entry_on_the_bundle_for_their_directions():
     b = seeded_bundle("kodaira_thurston", seed=5)
     rng = np.random.default_rng(5)
-
-    def vary():
+    var_F(b, make_direction(b.alg, np.diag(rng.uniform(1.0, 2.0, 2))))
+    kept = len(b._memo)
+    for _ in range(20):
         var_F(b, make_direction(b.alg, np.diag(rng.uniform(1.0, 2.0, 2))))
-        gc.collect()
-        return len(b._memo)
-
-    kept = vary()
-    assert [vary() for _ in range(20)] == [kept] * 20
     held = make_direction(b.alg, np.eye(2))
     var_F(b, held)
-    assert len(b._memo) > kept  # a living direction keeps its entries
+    assert len(b._memo) == kept
+
+
+def test_an_audit_keeps_no_laplacian_spectrum_or_commutator():
+    # what verify reads once is formed on each call; the decompositions keep the spectra
+    alg = ExteriorAlgebra(5, [(2, "mixed", 1, 1, 1.3)])  # Kodaira-Thurston x T^3
+    bundle = bundle_for_algebra(alg, random_metric(5, np.random.default_rng(3)))
+    cli._audit(bundle, seed=5)
+    names = {fn.__name__ for owner in (bundle, alg) for fn, _ in owner._memo}
+    assert "decomposition" in names
+    assert not names & {"laplacian", "spectral", "commutator"}

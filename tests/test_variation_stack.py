@@ -6,20 +6,16 @@ summed by np.add.at, total matrices placed block by block, and the volume
 coefficient divided as a Python complex.
 """
 
-import io
-import contextlib
 import itertools
 
 import numpy as np
 import pytest
 
 import hermicone.variation as variation
-from hermicone.cli import main
 from hermicone.exterior import Form, _wedge_arrays, dim_pq, memo, neighbor, wedge, wedge_power
 from hermicone.functionals import energy, normalization_integral
 from hermicone.hodge import decomposition, image_projector, torsion, torsion_space
-from hermicone.metric import (DEFAULT_TOL, HermitianMetric, OperatorBundle, bundle_for_algebra,
-                              random_metric)
+from hermicone.metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra, random_metric
 from hermicone.model import algebra_for, catalog, make_model
 from hermicone.optimizer import _Objective, _random_feasible, constraint_basis, descend
 from hermicone.variation import Directions, FunctionalVariation, make_direction, variation_at
@@ -330,27 +326,6 @@ def test_every_wedge_table_cell_takes_one_term_and_placement_is_add_at(n):
 
 
 # ----- work done once -----------------------------------------------------------------
-
-
-def test_varcheck_builds_each_commutator_once(monkeypatch):
-    calls, built = [], []
-    build = OperatorBundle.commutator.__wrapped__
-
-    def counting_build(bundle, gamma, p, q):
-        built.append((id(gamma), id(bundle), p, q))
-        return build(bundle, gamma, p, q)
-
-    kept = memo(counting_build)
-
-    def counting_call(bundle, gamma, p, q):
-        calls.append((p, q))
-        return kept(bundle, gamma, p, q)
-
-    monkeypatch.setattr(OperatorBundle, "commutator", counting_call)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["varcheck", "--catalog", "iwasawa", "--tuples", "3"]) == 0
-    assert len(calls) == 242
-    assert len(built) == 72
 
 
 def test_descent_does_its_direction_only_work_once(monkeypatch):
