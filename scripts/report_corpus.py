@@ -26,10 +26,11 @@ alone on Iwasawa x T^4 (n = 7) and on Iwasawa x T^5 (n = 8); two models with
 large structure coefficients whose d*d cancels, read from model files:
 ``eval`` of H on the n = 4 two-step model at scale 1000 and of G on Iwasawa
 with coefficient -1e20; ``eval``, ``varcheck`` and ``descend`` under
-``--tol 1e-6``; and six more 5-step descents that cover both slices: H from a
-random start, G normalized from the identity, F from a metric file, G on the
-n = 2 torus (whose volume datum is a (1,1) form), and the two refused at the
-feasibility probe (G on Kodaira-Thurston, F on Iwasawa).  Three descents run
+``--tol 1e-6``; and seven more 5-step descents that cover both slices: H from a
+random start, H weighted by a seeded ``--nu`` metric file, G normalized from the
+identity, F from a metric file, G on the n = 2 torus (whose volume datum is a
+(1,1) form), and the two refused at the feasibility probe (G on
+Kodaira-Thurston, F on Iwasawa).  Three descents run
 the slice gradient longer or higher: 40 steps of Ftilde on Kodaira-Thurston
 and of G on Iwasawa, and 3 steps of G on Iwasawa x T^1 (n = 4).  Input files
 go to a temporary directory, whose path appears in no report.  ``hermicone``
@@ -97,6 +98,10 @@ def _write_inputs(tmp):
         path = tmp / f"metric_{name}.json"
         path.write_text(json.dumps(metric.to_json_obj()))
         paths[f"metric:{name}"] = str(path)
+    nu = random_metric(2, np.random.default_rng(7))
+    path = tmp / "nu_kodaira_thurston.json"
+    path.write_text(json.dumps(nu.to_json_obj()))
+    paths["nu:kodaira_thurston"] = str(path)
     scaled = {name: model for name, (model, _) in SCALED.items()}
     for name, (n, terms) in {**SYNTHETIC, **LARGE, **scaled}.items():
         doc = {"name": name, "n": n,
@@ -154,6 +159,9 @@ def jobs(paths):
     out.append(("descend kodaira_thurston H",
                 ["descend", "--catalog", "kodaira_thurston", "--functional", "H",
                  "--metric", "random", "--seed", "6", "--steps", "5"]))
+    out.append(("descend kodaira_thurston H nu",
+                ["descend", "--catalog", "kodaira_thurston", "--functional", "H",
+                 "--nu", paths["nu:kodaira_thurston"], "--steps", "5"]))
     out.append(("descend iwasawa G normalized",
                 ["descend", "--catalog", "iwasawa", "--functional", "G",
                  "--normalize", "on", "--steps", "5"]))
