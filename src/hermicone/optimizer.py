@@ -344,7 +344,7 @@ def _line_search(obj, x, grad, gnorm, value, alpha0):
     raise exc
 
 
-def descend(model, functional="F_tilde", start=None, nu=None, weight=None,
+def descend(model, functional="F_tilde", start=None, nu=None,
             steps=100, seed=0, tol=DEFAULT_TOL, gradient_tol=1e-8,
             normalize=None, max_step=None):
     """Projected gradient descent of one torsion energy inside its cone.
@@ -354,6 +354,7 @@ def descend(model, functional="F_tilde", start=None, nu=None, weight=None,
     positive point in the slice.  normalize rescales every iterate to a
     unit normalization integral against nu (the default for F_tilde; an
     option for the others, including the volume normalization for G).
+    nu (the identity by default) is also the weight of H, as in evaluate.
     The slice gradient is exact: the closed-form first variation
     (FunctionalVariation.derivative) along each basis form, at one bundle
     per iterate, in one stacked variation pass over the basis (chunked only
@@ -372,10 +373,7 @@ def descend(model, functional="F_tilde", start=None, nu=None, weight=None,
     if normalize is None:
         normalize = spec.normalize
     nu = nu if nu is not None else HermitianMetric.identity(n)
-    weight_bundle = None
-    if spec.weighted:
-        weight_metric = weight if weight is not None else HermitianMetric.identity(n)
-        weight_bundle = bundle_for_algebra(alg, weight_metric, tol)
+    weight_bundle = bundle_for_algebra(alg, nu, tol) if spec.weighted else None
     obj = _Objective(alg, basis, functional, nu, weight_bundle, tol, normalize)
 
     rng = np.random.default_rng(seed)

@@ -125,6 +125,15 @@ def test_descend_csv_trace(capsys):
     assert "c0" in header and "c3" in header
 
 
+def test_descend_weights_h_by_nu_as_eval_does(tmp_path, capsys):
+    nu = write_metric(tmp_path, random_metric(2, np.random.default_rng(7)).h, "nu.json")
+    src = ("--catalog", "kodaira_thurston", "--functional", "H", "--nu", nu)
+    value = run_json(capsys, "eval", *src)["report"]["value"]
+    rep = run_json(capsys, "descend", *src, "--steps", "1")["report"]
+    assert value == pytest.approx(0.7854958528419484, rel=1e-12)
+    assert rep["initial_value"] == value
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "eval", "--catalog", "torus2",
