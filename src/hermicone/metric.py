@@ -138,10 +138,10 @@ class HermitianMetric:
         return cls((form.part((1, 1)) / 1j).reshape(form.n, form.n))
 
 
-def random_metric(n, rng, eps=0.5):
-    """Seeded H = B^H B + eps I, comfortably positive definite."""
+def random_metric(n, rng):
+    """Seeded H = B^H B + I / 2, comfortably positive definite."""
     b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return HermitianMetric(b.conj().T @ b + eps * np.eye(n))
+    return HermitianMetric(b.conj().T @ b + 0.5 * np.eye(n))
 
 
 def _adjoint(mat, g_src, g_tgt):
@@ -385,8 +385,8 @@ def bundle_for_algebra(alg, metric, tol=DEFAULT_TOL):
 # ----- identity suite ------------------------------------------------------------
 
 
-def _primitive_vectors(bundle, p, q, rng, count=2):
-    """Random elements of ker(trace) at bidegree (p,q), empty if none."""
+def _primitive_vectors(bundle, p, q, rng):
+    """Two random elements of ker(trace) at bidegree (p,q), none if it is 0."""
     lam = bundle.trace_block(p, q)
     if lam.shape[1] == 0:
         return []
@@ -399,12 +399,12 @@ def _primitive_vectors(bundle, p, q, rng, count=2):
         basis_null = vh[rank:].conj().T
     if basis_null.shape[1] == 0:
         return []
-    coef = rng.standard_normal((basis_null.shape[1], count)) \
-        + 1j * rng.standard_normal((basis_null.shape[1], count))
+    coef = rng.standard_normal((basis_null.shape[1], 2)) \
+        + 1j * rng.standard_normal((basis_null.shape[1], 2))
     return list((basis_null @ coef).T)
 
 
-def identity_suite(bundle, seed=0, n_random=3):
+def identity_suite(bundle, seed=0):
     """Residuals of the operator identities tying star, wedge and adjoints.
 
     Returns a dict of max absolute residuals, one entry per identity family.
@@ -424,7 +424,7 @@ def identity_suite(bundle, seed=0, n_random=3):
 
     # the (1,1) probes' coefficients, one row per probe; each bidegree makes its own
     # stack of them, so the wedge matrices kept on that Form go with it
-    probes = np.stack([random_form(n, [(1, 1)], rng).part((1, 1)) for _ in range(n_random)])
+    probes = np.stack([random_form(n, [(1, 1)], rng).part((1, 1)) for _ in range(3)])
 
     for p in range(n + 1):
         for q in range(n + 1):

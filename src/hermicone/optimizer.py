@@ -90,13 +90,14 @@ class ConstraintBasis:
         return (pairing * ref.det_h).real
 
 
-def constraint_basis(model, kind, reference=None, tol=NULLSPACE_RTOL, probe=True):
+def constraint_basis(model, kind, probe=True):
     """Null space of the cone constraint over the real ambient basis.
 
     kind names a SLICES cone: "skt" works on real (1,1) forms with del dbar
-    = 0; "balanced" on real (n-1,n-1) forms with d = 0.  With probe=True the
-    datum of the reference metric is projected onto the slice and must stay
-    positive, otherwise EmptyCone is raised.
+    = 0; "balanced" on real (n-1,n-1) forms with d = 0.  The basis is
+    orthonormal in the L2 product of the identity metric, its reference.
+    With probe=True the datum of the reference metric is projected onto the
+    slice and must stay positive, otherwise EmptyCone is raised.
     """
     alg = _algebra_of(model)
     n = alg.n
@@ -112,13 +113,12 @@ def constraint_basis(model, kind, reference=None, tol=NULLSPACE_RTOL, probe=True
     if np.any(mat):
         _, sing, vt = np.linalg.svd(mat)
         keep = np.ones(len(ambient), dtype=bool)
-        keep[:sing.size] = sing <= tol * sing.max(initial=0.0)
+        keep[:sing.size] = sing <= NULLSPACE_RTOL * sing.max(initial=0.0)
         null = vt.T[:, keep]
     else:
         null = np.eye(len(ambient))
 
-    reference = reference if reference is not None else \
-        bundle_for_algebra(alg, HermitianMetric.identity(n))
+    reference = bundle_for_algebra(alg, HermitianMetric.identity(n))
     ambient_blocks = np.stack([f.part((p, p)) for f in ambient], axis=1)
     raw = ambient_blocks @ null
     # orthonormalize w.r.t. the real part of the reference L2 product
@@ -145,6 +145,7 @@ def constraint_basis(model, kind, reference=None, tol=NULLSPACE_RTOL, probe=True
 
 KAHLER_FLOOR_RTOL = 1e-12
 LINESEARCH_FLOOR = 1e-16
+RANDOM_START_TRIES = 50  # seeded draws a random start makes before InfeasibleStart
 
 
 @dataclass
@@ -480,9 +481,9 @@ def _start_form(cone, start, n):
     return cone.datum(start)
 
 
-def _random_feasible(obj, basis, rng, tries=50):
+def _random_feasible(obj, basis, rng):
     anchor = basis.coordinates(obj.cone.datum(basis.reference.metric))
-    for _ in range(tries):
+    for _ in range(RANDOM_START_TRIES):
         x = anchor + 0.3 * rng.standard_normal(basis.dimension)
         if obj.min_eigenvalue(x) > 0 and obj(x) is not None:
             return x

@@ -63,8 +63,8 @@ FD_REL_STEP = 1e-3
 # ----- finite differences ----------------------------------------------------------
 
 
-def fd_derivative(func, step, richardson=True):
-    """Central difference of func at 0, Richardson-extrapolated by default.
+def fd_derivative(func, step):
+    """Central difference of func at 0, Richardson-extrapolated.
 
     func may return floats, complex numbers, numpy arrays or Forms, or a list
     of them, which is differenced element by element with the same operations:
@@ -77,8 +77,6 @@ def fd_derivative(func, step, richardson=True):
         raise ValueError("step must be positive")
     try:
         d1 = _each(lambda a, b: (a - b) * (0.5 / step), func(step), func(-step))
-        if not richardson:
-            return d1
         d2 = _each(lambda a, b: (a - b) * (1.0 / step), func(0.5 * step), func(-0.5 * step))
     except (NotPositiveDefinite, NotPositive) as exc:
         raise StepTooLarge(
@@ -505,8 +503,7 @@ def _var_F_tilde_at(bundle, nu, var_f, report):
     return at
 
 
-def _variation(bundle, functional, direction, nu=None, weight_bundle=None,
-               with_fd=False, step=None):
+def _variation(bundle, functional, direction, nu=None, weight_bundle=None, with_fd=False):
     """The first variation of one energy along a direction vetted against its
     ENERGIES entry (make_direction for raw input; a Direction only has its kind
     checked), with the finite-difference audit on request."""
@@ -520,35 +517,34 @@ def _variation(bundle, functional, direction, nu=None, weight_bundle=None,
                                      f"directions, not {direction.kind} ones")
     out = variation_at(bundle, functional, nu, weight_bundle)(direction)
     if with_fd:
-        fd, = _fd_along(bundle, direction, step, [lambda b: evaluate(
-            b, functional, nu, weight_bundle).value])
+        fd, = _fd_along(bundle, direction, default_step(bundle.metric),
+                        [lambda b: evaluate(b, functional, nu, weight_bundle).value])
         out.fd = float(fd)
     return out
 
 
-def var_F(bundle, direction, with_fd=False, step=None):
+def var_F(bundle, direction, with_fd=False):
     """First variation of the pluriclosed torsion energy along a real (1,1) direction.
 
     The direction must keep del dbar omega = 0 to first order.  At
     direction = omega the value equals n times the energy.
     """
-    return _variation(bundle, "F", direction, with_fd=with_fd, step=step)
+    return _variation(bundle, "F", direction, with_fd=with_fd)
 
 
-def var_G(bundle, direction, with_fd=False, step=None):
+def var_G(bundle, direction, with_fd=False):
     """First variation of the coclosed torsion energy along a closed real (n-1,n-1) direction."""
-    return _variation(bundle, "G", direction, with_fd=with_fd, step=step)
+    return _variation(bundle, "G", direction, with_fd=with_fd)
 
 
-def var_H(bundle, gamma_bundle, direction, with_fd=False, step=None):
+def var_H(bundle, gamma_bundle, direction, with_fd=False):
     """First variation of the trace energy in its metric slot, weight fixed."""
-    return _variation(bundle, "H", direction, weight_bundle=gamma_bundle,
-                      with_fd=with_fd, step=step)
+    return _variation(bundle, "H", direction, weight_bundle=gamma_bundle, with_fd=with_fd)
 
 
-def var_F_tilde(bundle, nu, direction, with_fd=False, step=None):
+def var_F_tilde(bundle, nu, direction, with_fd=False):
     """First variation of the normalized pluriclosed energy."""
-    return _variation(bundle, "F_tilde", direction, nu=nu, with_fd=with_fd, step=step)
+    return _variation(bundle, "F_tilde", direction, nu=nu, with_fd=with_fd)
 
 
 def _fd_along(bundle, direction, step, extracts):
@@ -560,7 +556,6 @@ def _fd_along(bundle, direction, step, extracts):
     alg = bundle.alg
     cone = direction_slice(direction.kind)
     base = cone.datum(bundle.metric)
-    step = default_step(bundle.metric) if step is None else step
 
     def at(t):
         moved = bundle_for_algebra(alg, cone.metric(alg, base + t * direction.form), bundle.tol)

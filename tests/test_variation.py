@@ -39,8 +39,6 @@ ORACLE_TOL = 1e-6
 def test_fd_derivative_exact_on_smooth_function():
     got = fd_derivative(lambda t: np.exp(2.0 * t), 1e-3)
     assert got == pytest.approx(2.0, rel=1e-10)
-    plain = fd_derivative(lambda t: np.exp(2.0 * t), 1e-3, richardson=False)
-    assert plain == pytest.approx(2.0, rel=1e-5)
 
 
 def test_fd_derivative_reports_positivity_loss():
