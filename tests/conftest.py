@@ -1,3 +1,6 @@
+# hermicone first: it defaults BLAS to one thread only if numpy is not loaded yet, and
+# the thread count is read once, when numpy loads
+import hermicone  # noqa: F401  isort: skip
 import numpy as np
 import pytest
 
