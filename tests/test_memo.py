@@ -123,12 +123,18 @@ def test_a_form_is_no_memo_key():
 def test_variations_leave_no_entry_on_the_bundle_for_their_directions():
     b = seeded_bundle("kodaira_thurston", seed=5)
     rng = np.random.default_rng(5)
-    var_F(b, make_direction(b.alg, np.diag(rng.uniform(1.0, 2.0, 2))))
-    kept = len(b._memo)
-    for _ in range(20):
+
+    def vary():
         var_F(b, make_direction(b.alg, np.diag(rng.uniform(1.0, 2.0, 2))))
-    held = make_direction(b.alg, np.eye(2))
-    var_F(b, held)
+        gc.collect()
+        return len(b._memo)
+
+    kept = vary()
+    assert [vary() for _ in range(20)] == [kept] * 20
+    # a stack held across calls keeps its forms alive, and nothing on the bundle
+    held = Directions([make_direction(b.alg, np.eye(2))])
+    variation_at(b, "F")(held)
+    gc.collect()
     assert len(b._memo) == kept
 
 
