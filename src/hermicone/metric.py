@@ -2,16 +2,19 @@
 
 A metric is the coefficient matrix H of omega = i sum_jk H_jk theta^j ^
 thetabar^k, Hermitian positive definite.  The bundle keeps (exterior.memo),
-per bidegree, the Gram matrices of the induced pointwise inner product, the
-Hodge star (permuted Gram rows: each monomial pairs only with its complement)
-and the trace operators (adjoints of omega ^ ., whose matrices omega keeps).
+per bidegree, the Gram matrices of the induced pointwise inner product and
+their Cholesky factors, the Hodge star (permuted Gram rows: each monomial
+pairs only with its complement) and the trace operators (adjoints of
+omega ^ ., whose matrices omega keeps).
 For each of the three complexes (which = "d" on total degrees, "del" and
 "dbar" on bidegrees) it keeps one codifferential codiff(which, key).  What a
 job reads once is formed on each call: the commutators [trace, gamma ^ .] of
 the variation formulas, each Laplacian laplacian(which, key) and its spectral
-data.  The bundle also carries the tolerance tol of its kernel cuts and
-predicates, and keeps the Hodge decompositions that hodge.decomposition cuts
-from the spectral data, one per space.
+data: numpy's eigh of the Laplacian reduced by the Gram's per-bidegree
+Cholesky factors (the Hermitian-definite pencil reduction), whose
+eigenvectors are G-orthonormal.  The bundle also carries the tolerance tol
+of its kernel cuts and predicates, and keeps the Hodge decompositions that
+hodge.decomposition cuts from the spectral data, one per space.
 
 Inner product conventions: <theta^j, theta^k> = (H^{-1})_{kj}, extended to
 monomials by determinant multiplicativity; matrices G satisfy
@@ -25,10 +28,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NotPositiveDefinite, SchemaError
 from .exterior import (Form, _combos, _complement, _conj_table, dim_pq, memo, neighbor,
@@ -144,6 +146,28 @@ def random_metric(n, rng):
     return HermitianMetric(b.conj().T @ b + 0.5 * np.eye(n))
 
 
+@lru_cache(maxsize=None)
+def _minors(n, p):
+    """Row and column indices of every p x p minor of an n x n matrix, over p-subsets
+    in combinations order."""
+    combos = _combos(n, p)
+    rows = np.array(combos, dtype=np.intp).reshape(len(combos), 1, p, 1)
+    return rows, rows.transpose(1, 0, 3, 2)
+
+
+def _compound(mat, p):
+    """p-th compound of a matrix, or of each in a stack: the p x p minors
+    det(mat[I, K]) over p-subsets I, K in combinations order."""
+    return np.linalg.det(mat[(..., *_minors(mat.shape[-1], p))])
+
+
+def _kron(a, b):
+    """kron(a, b) of the last two axes as one broadcast product: the products of
+    np.kron, stacks on the leading axes multiplied pairwise."""
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
+        a.shape[:-2] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
 def _adjoint(mat, g_src, g_tgt):
     # A^* = G_src^{-1} A^H G_tgt; a stack of A gives the stack of adjoints
     return np.linalg.solve(g_src, mat.conj().swapaxes(-1, -2) @ g_tgt)
@@ -151,7 +175,9 @@ def _adjoint(mat, g_src, g_tgt):
 
 @dataclass
 class SpectralData:
-    """Eigen-decomposition of a Laplacian, G-orthonormal eigenvectors as columns."""
+    """Eigen-decomposition of a Laplacian: eigenvalues ascending, and as columns of
+    vectors the eigenvectors, G-orthonormal (v^H G v = I) for G = gram, the Gram
+    matrix of the space."""
     which: str
     key: object
     eigenvalues: np.ndarray
@@ -193,18 +219,40 @@ class OperatorBundle:
     @memo
     def compound(self, p):
         """p-th compound of H^{-1}: C[I, K] = det(H^{-1}[I, K]) over p-subsets."""
-        combos = _combos(self.n, p)
-        rows = np.array(combos, dtype=np.intp).reshape(len(combos), 1, p, 1)
-        return np.linalg.det(self.h_inv[rows, rows.transpose(1, 0, 3, 2)])
+        return _compound(self.h_inv, p)
 
     @memo
     def gram(self, p, q):
-        # <theta_I^thetabar_J, theta_K^thetabar_L> = C_p[I, K] * C_q[L, J]:
-        # kron(C_p, C_q^T) as one broadcast product, the same products as np.kron
-        a, b = self.compound(p), self.compound(q).T
-        g = (a[:, None, :, None] * b[None, :, None, :]).reshape(
-            a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+        # <theta_I^thetabar_J, theta_K^thetabar_L> = C_p[I, K] * C_q[L, J]
+        g = _kron(self.compound(p), self.compound(q).T)
         return 0.5 * (g + g.conj().T)
+
+    @cached_property
+    def h_inv_factor(self):
+        """Lc and Lc^{-1}, stacked, for the Cholesky factorization H^{-1} = Lc Lc^H."""
+        lc = np.linalg.cholesky(self.h_inv)
+        return np.array([lc, np.linalg.inv(lc)])
+
+    @memo
+    def compound_factor(self, p):
+        """The conjugate transposes of the p-th compounds of Lc and of Lc^{-1},
+        stacked: upper triangular, as combinations order is lexicographic.  The
+        zeroth compound is 1 and the first is the matrix itself."""
+        if p == 0:
+            return np.ones((2, 1, 1), dtype=complex)
+        comp = self.h_inv_factor if p == 1 else _compound(self.h_inv_factor, p)
+        return comp.conj().swapaxes(-1, -2)
+
+    @memo
+    def gram_factor(self, p, q):
+        """L^H and L^{-H}, stacked, for the Cholesky factor L of gram(p, q) = L L^H.
+
+        Compounds are multiplicative, so C_p = C_p(Lc) C_p(Lc)^H and gram(p, q) =
+        kron(C_p, C_q^T) factors as L = kron(C_p(Lc), conj C_q(Lc)), lower
+        triangular with a positive diagonal; its inverse is the same product of the
+        compounds of Lc^{-1}.
+        """
+        return _kron(self.compound_factor(p), self.compound_factor(q).conj())
 
     @memo
     def gram_total(self, k):
@@ -359,15 +407,28 @@ class OperatorBundle:
 
     def spectral(self, which, key):
         """Eigen-data of a Laplacian w.r.t. the pointwise Gram inner product, computed
-        on each call; hodge.decomposition keeps it, once per space."""
+        on each call; hodge.decomposition keeps it, once per space.
+
+        The generalized problem lap v = v diag(w), v^H G v = I, is reduced with the
+        Cholesky factors G = L L^H of its bidegree blocks (gram_factor): C = L^H
+        lap L^{-H} is Hermitian, as lap is G-self-adjoint, and its eigenvectors y
+        give v = L^{-H} y, G-orthonormal by construction.  Each product is one block
+        of a factor against a band of rows or columns.
+        """
         lap = self.laplacian(which, key)
         g = self.gram_for(which, key)
         if lap.size == 0:
             return SpectralData(which, key, np.zeros(0), np.zeros((0, 0), dtype=complex), g)
-        a = g @ lap
-        a = 0.5 * (a + a.conj().T)
-        w, v = scipy.linalg.eigh(a, g)  # gram and gram_total are exactly Hermitian
-        return SpectralData(which, key, w, v, g)
+        blocks = [(sl, self.gram_factor(*pq)) for pq, sl in self.alg.slices(key).items()]
+        c = np.empty_like(lap)
+        for sl, (up, _) in blocks:
+            c[sl] = up @ lap[sl]
+        for sl, (_, up_inv) in blocks:
+            c[:, sl] = c[:, sl] @ up_inv
+        w, y = np.linalg.eigh(0.5 * (c + c.conj().T))
+        for sl, (_, up_inv) in blocks:
+            y[sl] = up_inv @ y[sl]
+        return SpectralData(which, key, w, y, g)
 
 
 def build_bundle(model, metric, tol=DEFAULT_TOL):

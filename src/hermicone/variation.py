@@ -155,11 +155,13 @@ class Directions(tuple):
     def forms(self):
         return Form(self[0].form.n, np.stack([d.form.vec for d in self]))
 
-    @memo
     def chunks(self, size):
-        """The stack cut into stacks of at most size directions, each keeping its work."""
-        if size >= len(self):
-            return [self]
+        """The stack cut into stacks of at most size directions, each keeping its work.
+        A stack that fits is its own chunk and is not kept: its memo would hold it."""
+        return [self] if size >= len(self) else self._cuts(size)
+
+    @memo
+    def _cuts(self, size):
         return [Directions(self[i:i + size]) for i in range(0, len(self), size)]
 
     @memo

@@ -132,8 +132,8 @@ def test_gram_equals_per_minor_definition(n):
 
 @pytest.mark.parametrize("n,seed", [(n, seed) for n in (2, 3, 4, 5) for seed in (0, 1, 2)])
 def test_gram_is_exactly_hermitian(n, seed):
-    # spectral hands each Gram matrix to eigh as it is: symmetrizing it again
-    # must be the identity on its bits
+    # spectral keeps each Gram matrix as it is for the projectors: symmetrizing it
+    # again must be the identity on its bits
     alg = algebra_for(make_model(f"flat{n}", n))
     bundle = bundle_for_algebra(alg, random_metric(n, np.random.default_rng(seed)))
     grams = [bundle.gram(p, q) for p in range(n + 1) for q in range(n + 1)]
@@ -289,6 +289,24 @@ def test_spectral_diagonalizes_laplacian(which):
     assert np.max(np.abs(resid)) <= 1e-9
     gram_orth = v.conj().T @ spec.gram @ v
     assert np.max(np.abs(gram_orth - np.eye(v.shape[1]))) <= 1e-9
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("iwasawa_x_t1",))
+def test_spectral_is_g_orthonormal_on_every_space(name):
+    model = make_model(name, 4, [(3, "holo", 1, 2, -1.25)]) if name == "iwasawa_x_t1" \
+        else catalog(name)
+    n = model.n
+    b = bundle_for_algebra(algebra_for(model), random_metric(n, np.random.default_rng(21)))
+    keys = [("d", k) for k in range(2 * n + 1)] + [
+        (which, (p, q)) for which in ("del", "dbar")
+        for p in range(n + 1) for q in range(n + 1)]
+    for which, key in keys:
+        spec, lap = b.spectral(which, key), b.laplacian(which, key)
+        v, lam = spec.vectors, spec.eigenvalues
+        assert np.max(np.abs(v.conj().T @ spec.gram @ v - np.eye(len(lam)))) <= 1e-12
+        # relative to the Laplacian's and the eigenvectors' largest entries
+        scale = np.max(np.abs(lap)) * np.max(np.abs(v))
+        assert np.max(np.abs(lap @ v - v * lam)) <= 1e-12 * scale, (which, key)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)

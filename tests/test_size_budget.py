@@ -5,7 +5,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from hermicone import cli, exterior, metric
 from hermicone.cli import DENSE_BUDGET, EXIT_SCHEMA, dense_side, main
@@ -35,10 +34,11 @@ def _largest_side(monkeypatch, tmp_path, model, argv, capsys):
     """The largest side of a matrix the job left in its bundles' and algebra's caches
     or passed to eigh: every matrix it forms is one of them or has their sides."""
     bundles, eigh_sides = [], []
-    init, eigh = metric.OperatorBundle.__init__, scipy.linalg.eigh
+    init, eigh = metric.OperatorBundle.__init__, np.linalg.eigh
     monkeypatch.setattr(metric.OperatorBundle, "__init__",
                         lambda self, *a, **k: init(self, *a, **k) or bundles.append(self))
-    monkeypatch.setattr(scipy.linalg, "eigh",
+    # spectral's eigensolver, which the optimizer's constraint basis also calls
+    monkeypatch.setattr(np.linalg, "eigh",
                         lambda a, *rest, **kw: eigh_sides.append(len(a)) or eigh(a, *rest, **kw))
     path = tmp_path / f"{model.name}.json"
     path.write_text(serialize_model(model))

@@ -346,6 +346,6 @@ def test_descent_does_its_direction_only_work_once(monkeypatch):
     monkeypatch.setattr(variation, "wedge", counting_wedge)
     trace = descend(catalog("kodaira_thurston"), "F_tilde", start="random", seed=8, steps=40,
                     max_step=0.05)
-    assert len(trace.records) == 41
+    assert len(trace.records) > 2  # more than one iteration reads the stack
     assert stacks and len(stacks) == len(set(stacks))
     assert len(integrals) == 1
