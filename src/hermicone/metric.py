@@ -2,19 +2,18 @@
 
 A metric is the coefficient matrix H of omega = i sum_jk H_jk theta^j ^
 thetabar^k, Hermitian positive definite.  The bundle keeps (exterior.memo),
-per bidegree, the Gram matrices of the induced pointwise inner product and
-their Cholesky factors, the Hodge star (permuted Gram rows: each monomial
-pairs only with its complement) and the trace operators (adjoints of
-omega ^ ., whose matrices omega keeps).
+per bidegree, the Gram matrices of the induced pointwise inner product, the
+Hodge star (permuted Gram rows: each monomial pairs only with its complement)
+and the trace operators (adjoints of omega ^ ., whose matrices omega keeps).
 For each of the three complexes (which = "d" on total degrees, "del" and
 "dbar" on bidegrees) it keeps one codifferential codiff(which, key).  What a
 job reads once is formed on each call: the commutators [trace, gamma ^ .] of
 the variation formulas, each Laplacian laplacian(which, key) and its spectral
-data: numpy's eigh of the Laplacian reduced by the Gram's per-bidegree
-Cholesky factors (the Hermitian-definite pencil reduction), whose
-eigenvectors are G-orthonormal.  The bundle also carries the tolerance tol
-of its kernel cuts and predicates, and keeps the Hodge decompositions that
-hodge.decomposition cuts from the spectral data, one per space.
+data: numpy's eigh of the Laplacian reduced by the Gram's Cholesky factor
+(the Hermitian-definite pencil reduction), whose eigenvectors are
+G-orthonormal.  The bundle also carries the tolerance tol of its kernel cuts
+and predicates, and keeps the Hodge decompositions that hodge.decomposition
+cuts from the spectral data, one per space.
 
 Inner product conventions: <theta^j, theta^k> = (H^{-1})_{kj}, extended to
 monomials by determinant multiplicativity; matrices G satisfy
@@ -28,7 +27,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +38,10 @@ from .model import algebra_for, require_valid
 
 HERMITICITY_TOL = 1e-12
 DEFAULT_TOL = 1e-9  # the kernel-cut and predicate tolerance of a bundle
+# spectral factors a space up to this dimension as a whole, a larger one per
+# bidegree block: one factorization of a block-diagonal Gram costs fewer numpy
+# calls at catalog sizes, the blocks' fewer flops beyond (crossover near 40-50)
+WHOLE_FACTOR_MAX = 32
 NORMAL_FLOAT_LOGS = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
@@ -146,26 +149,10 @@ def random_metric(n, rng):
     return HermitianMetric(b.conj().T @ b + 0.5 * np.eye(n))
 
 
-@lru_cache(maxsize=None)
-def _minors(n, p):
-    """Row and column indices of every p x p minor of an n x n matrix, over p-subsets
-    in combinations order."""
-    combos = _combos(n, p)
-    rows = np.array(combos, dtype=np.intp).reshape(len(combos), 1, p, 1)
-    return rows, rows.transpose(1, 0, 3, 2)
-
-
-def _compound(mat, p):
-    """p-th compound of a matrix, or of each in a stack: the p x p minors
-    det(mat[I, K]) over p-subsets I, K in combinations order."""
-    return np.linalg.det(mat[(..., *_minors(mat.shape[-1], p))])
-
-
-def _kron(a, b):
-    """kron(a, b) of the last two axes as one broadcast product: the products of
-    np.kron, stacks on the leading axes multiplied pairwise."""
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
-        a.shape[:-2] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+def _cholesky_factor(g):
+    """L^H and L^{-H} for the Cholesky factor L of g = L L^H."""
+    up = np.linalg.cholesky(g).conj().T
+    return up, np.linalg.inv(up)
 
 
 def _adjoint(mat, g_src, g_tgt):
@@ -219,40 +206,18 @@ class OperatorBundle:
     @memo
     def compound(self, p):
         """p-th compound of H^{-1}: C[I, K] = det(H^{-1}[I, K]) over p-subsets."""
-        return _compound(self.h_inv, p)
+        combos = _combos(self.n, p)
+        rows = np.array(combos, dtype=np.intp).reshape(len(combos), 1, p, 1)
+        return np.linalg.det(self.h_inv[rows, rows.transpose(1, 0, 3, 2)])
 
     @memo
     def gram(self, p, q):
-        # <theta_I^thetabar_J, theta_K^thetabar_L> = C_p[I, K] * C_q[L, J]
-        g = _kron(self.compound(p), self.compound(q).T)
+        # <theta_I^thetabar_J, theta_K^thetabar_L> = C_p[I, K] * C_q[L, J]:
+        # kron(C_p, C_q^T) as one broadcast product, the same products as np.kron
+        a, b = self.compound(p), self.compound(q).T
+        g = (a[:, None, :, None] * b[None, :, None, :]).reshape(
+            a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
         return 0.5 * (g + g.conj().T)
-
-    @cached_property
-    def h_inv_factor(self):
-        """Lc and Lc^{-1}, stacked, for the Cholesky factorization H^{-1} = Lc Lc^H."""
-        lc = np.linalg.cholesky(self.h_inv)
-        return np.array([lc, np.linalg.inv(lc)])
-
-    @memo
-    def compound_factor(self, p):
-        """The conjugate transposes of the p-th compounds of Lc and of Lc^{-1},
-        stacked: upper triangular, as combinations order is lexicographic.  The
-        zeroth compound is 1 and the first is the matrix itself."""
-        if p == 0:
-            return np.ones((2, 1, 1), dtype=complex)
-        comp = self.h_inv_factor if p == 1 else _compound(self.h_inv_factor, p)
-        return comp.conj().swapaxes(-1, -2)
-
-    @memo
-    def gram_factor(self, p, q):
-        """L^H and L^{-H}, stacked, for the Cholesky factor L of gram(p, q) = L L^H.
-
-        Compounds are multiplicative, so C_p = C_p(Lc) C_p(Lc)^H and gram(p, q) =
-        kron(C_p, C_q^T) factors as L = kron(C_p(Lc), conj C_q(Lc)), lower
-        triangular with a positive diagonal; its inverse is the same product of the
-        compounds of Lc^{-1}.
-        """
-        return _kron(self.compound_factor(p), self.compound_factor(q).conj())
 
     @memo
     def gram_total(self, k):
@@ -410,23 +375,28 @@ class OperatorBundle:
         on each call; hodge.decomposition keeps it, once per space.
 
         The generalized problem lap v = v diag(w), v^H G v = I, is reduced with the
-        Cholesky factors G = L L^H of its bidegree blocks (gram_factor): C = L^H
-        lap L^{-H} is Hermitian, as lap is G-self-adjoint, and its eigenvectors y
-        give v = L^{-H} y, G-orthonormal by construction.  Each product is one block
-        of a factor against a band of rows or columns.
+        Cholesky factor G = L L^H: C = L^H lap L^{-H} is Hermitian, as lap is
+        G-self-adjoint, and its eigenvectors y give v = L^{-H} y, G-orthonormal by
+        construction.  G is block diagonal by bidegree, and so is L: a space of more
+        than WHOLE_FACTOR_MAX dimensions is factored and transformed block by block,
+        a smaller one as a whole, which takes fewer numpy calls.
         """
         lap = self.laplacian(which, key)
         g = self.gram_for(which, key)
         if lap.size == 0:
             return SpectralData(which, key, np.zeros(0), np.zeros((0, 0), dtype=complex), g)
-        blocks = [(sl, self.gram_factor(*pq)) for pq, sl in self.alg.slices(key).items()]
+        if len(lap) <= WHOLE_FACTOR_MAX:
+            factors = [(slice(None), *_cholesky_factor(g))]
+        else:
+            factors = [(sl, *_cholesky_factor(self.gram(*pq)))
+                       for pq, sl in self.alg.slices(key).items()]
         c = np.empty_like(lap)
-        for sl, (up, _) in blocks:
+        for sl, up, _ in factors:
             c[sl] = up @ lap[sl]
-        for sl, (_, up_inv) in blocks:
+        for sl, _, up_inv in factors:
             c[:, sl] = c[:, sl] @ up_inv
         w, y = np.linalg.eigh(0.5 * (c + c.conj().T))
-        for sl, (_, up_inv) in blocks:
+        for sl, _, up_inv in factors:
             y[sl] = up_inv @ y[sl]
         return SpectralData(which, key, w, y, g)
 

@@ -138,12 +138,10 @@ def test_descend_normalized_run_stays_on_slice():
 def test_descend_volume_functional_monotone():
     trace = descend(catalog("iwasawa"), "G", steps=30)
     assert trace.monotone
-    # two exact gradient steps drive the energy from 1 to rounding scale, where the
-    # exact gradient is at rounding scale too; the second step ends on the cone's
-    # boundary, so the rounding of the gradient decides whether it is taken whole
-    # (3 records) or as two halves (4 records)
+    # two exact gradient steps drive the energy from 1 to rounding scale,
+    # where the exact gradient is at rounding scale too
     assert trace.termination == "GradientSmall"
-    assert len(trace.records) in (3, 4)
+    assert len(trace.records) == 3
     assert trace.final_value < 1e-30
     assert trace.final_value < trace.initial_value
     assert trace.final_value > 0.0
@@ -155,8 +153,8 @@ def test_descend_line_search_stall_is_reported():
     # the random start drifts towards a tolerance cliff (the torsion residual
     # gate): the gradient is still evaluable, but no trial step both evaluates
     # and decreases, so the line search stalls.  Where depends on rounding; seeds
-    # 0-7 all stall, seed 3 earliest (9 records) and with the largest gradient
-    # norm at the stall (4.1e-3)
+    # 0-7 all stall, seed 3 earliest (13 records) and with the largest gradient
+    # norm at the stall (1.8e-3)
     trace = descend(catalog("iwasawa"), "G", start="random", seed=3, steps=40)
     assert trace.termination == "NumericalStall"
     assert len(trace.records) < 41
