@@ -39,8 +39,8 @@ from .model import algebra_for, require_valid
 HERMITICITY_TOL = 1e-12
 DEFAULT_TOL = 1e-9  # the kernel-cut and predicate tolerance of a bundle
 # spectral factors a space up to this dimension as a whole, a larger one per
-# bidegree block: one factorization of a block-diagonal Gram costs fewer numpy
-# calls at catalog sizes, the blocks' fewer flops beyond (crossover near 40-50)
+# bidegree block: one factorization of the block-diagonal Gram takes fewer numpy
+# calls, the blocks fewer flops (the blocks measured faster from N = 45 on)
 WHOLE_FACTOR_MAX = 32
 NORMAL_FLOAT_LOGS = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
