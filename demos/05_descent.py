@@ -40,7 +40,7 @@ for r in vol.records:
     print(f"  it {r.index:3d}  value {r.value:.6e}  |grad| {r.gradient_norm:.2e} "
           f"  step {r.step_size:.2e}")
 
-# From a random start the iterates drift towards a kernel-ambiguity cliff:
+# From a random start the iterates drift towards a residual-gate cliff:
 # no trial step stays evaluable, and the stall is reported, not hidden.
 rnd = descend(catalog("iwasawa"), "G", start="random", seed=0, steps=100)
 print(f"\niwasawa G, random start: {rnd.termination} after {len(rnd.records)} "

@@ -12,11 +12,10 @@ if "numpy" not in _sys.modules:
 
 from .errors import (DegenerateDimension, DegreeOutOfRange, DimensionMismatch,
                      DirectionNotAdmissible, EmptyCone, HermiconeError,
-                     InfeasibleStart, KernelJump, LineSearchFailure,
-                     ModelInvalid, ModelNotUnimodular, NotBalanced,
-                     NotPositive, NotPositiveDefinite, NotSKT, SchemaError,
-                     StepTooLarge, ToleranceAmbiguity, ToleranceFailure,
-                     UnknownCatalogName)
+                     InfeasibleStart, LineSearchFailure, ModelInvalid,
+                     ModelNotUnimodular, NotBalanced, NotPositive,
+                     NotPositiveDefinite, NotSKT, SchemaError, StepTooLarge,
+                     ToleranceFailure, UnknownCatalogName)
 from .exterior import ExteriorAlgebra, Form, basis, random_form, wedge, wedge_power
 from .model import (ComplexLieModel, StructureTerm, ValidationReport,
                     algebra_for, catalog, catalog_names, make_model, parse_model,

@@ -24,10 +24,10 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import (DegenerateDimension, DegreeOutOfRange, DimensionMismatch,
-                     DirectionNotAdmissible, EmptyCone, InfeasibleStart, KernelJump,
-                     LineSearchFailure, ModelInvalid, ModelNotUnimodular, NotBalanced,
-                     NotPositive, NotPositiveDefinite, NotSKT, SchemaError, StepTooLarge,
-                     ToleranceAmbiguity, ToleranceFailure, UnknownCatalogName)
+                     DirectionNotAdmissible, EmptyCone, InfeasibleStart, LineSearchFailure,
+                     ModelInvalid, ModelNotUnimodular, NotBalanced, NotPositive,
+                     NotPositiveDefinite, NotSKT, SchemaError, StepTooLarge,
+                     ToleranceFailure, UnknownCatalogName)
 from .exterior import DENSE_BUDGET
 from .functionals import energy, evaluate
 from .hodge import predicates, three_space_residuals, torsion
@@ -141,7 +141,7 @@ def _load_metric(args, n, option="metric"):
 
 
 # option -> (its range, a test); zero requested work is never a pass, and --tol inf
-# would cut every eigenvalue into the kernel and pass every residual
+# would pass every predicate and every residual gate
 _RANGES = {
     "metrics": ("at least 1", lambda v: v >= 1),
     "tuples": ("at least 1", lambda v: v >= 1),
@@ -450,8 +450,8 @@ def _build_parser():
             p.add_argument("--metric", default="identity",
                            help='metric JSON file or "identity"')
         p.add_argument("--tol", type=float, default=tol,
-                       help="kernel-cut and predicate tolerance; for verify the identity "
-                            "residual threshold (default %(default)g)")
+                       help="predicate tolerance and the potentials' residual gate; for "
+                            "verify the identity residual threshold (default %(default)g)")
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument("--out", help="write the report to this path instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -503,8 +503,8 @@ _ERROR_CODES = (
       DegreeOutOfRange, DegenerateDimension), EXIT_VALIDATION),
     ((NotSKT, NotBalanced, NotPositive, NotPositiveDefinite), EXIT_PREDICATE),
     # a singular solve: a badly scaled metric whose Gram blocks underflow
-    ((ToleranceFailure, ToleranceAmbiguity, KernelJump, DirectionNotAdmissible,
-      StepTooLarge, np.linalg.LinAlgError), EXIT_TOLERANCE),
+    ((ToleranceFailure, DirectionNotAdmissible, StepTooLarge, np.linalg.LinAlgError),
+     EXIT_TOLERANCE),
     ((InfeasibleStart, EmptyCone, LineSearchFailure), EXIT_INFEASIBLE),
 )
 

@@ -22,7 +22,8 @@ class DimensionMismatch(HermiconeError):
 
 
 class ModelInvalid(HermiconeError):
-    """Model failed validation (integrability or d*d = 0)."""
+    """Model failed validation (integrability, d*d = 0, or a rank of d that rounding
+    would decide)."""
 
 
 class ModelNotUnimodular(ModelInvalid):
@@ -31,10 +32,6 @@ class ModelNotUnimodular(ModelInvalid):
 
 class NotPositiveDefinite(HermiconeError):
     """Metric coefficient matrix is not Hermitian positive definite."""
-
-
-class ToleranceAmbiguity(HermiconeError):
-    """An eigenvalue sits inside the kernel-threshold ambiguity window."""
 
 
 class ToleranceFailure(HermiconeError):
@@ -59,10 +56,6 @@ class DegenerateDimension(HermiconeError):
 
 class StepTooLarge(HermiconeError):
     """Finite-difference step left the positivity domain."""
-
-
-class KernelJump(HermiconeError):
-    """Spectral gap too small to differentiate the harmonic projector."""
 
 
 class DirectionNotAdmissible(HermiconeError):

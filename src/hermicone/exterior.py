@@ -33,7 +33,11 @@ Conventions fixed here and used everywhere else:
   wedge (on its left), apply, Form.wedge_matrix and integrate then act on each
   form of the stack and give it the bits it gets alone; a block map may likewise
   carry matrices stacked on a leading axis.
-* Work that depends on one object alone is kept on it by memo: d on its
+* The kernel and image dimensions of each differential are metric-free: the
+  algebra decides rank(which, key) once, from the singular values of
+  diff(which, key), and harmonic_dim(which, key), the Lie-algebra cohomology at
+  key, is the kernel dimension of that space's Laplacian at every metric.
+* Work that depends on one object alone is kept on it by memo: d and its ranks on its
   algebra, the matrices of form ^ . and the powers of a form on the form, the
   metric operators on their bundle.  A kept array is read-only.  No key holds
   a Form: an entry would keep the form alive as long as its owner, so work on
@@ -48,12 +52,14 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
-from .errors import DegreeOutOfRange, DimensionMismatch
+from .errors import DegreeOutOfRange, DimensionMismatch, ModelInvalid
 
 # The size budget: the most complex entries (16 bytes each, so 64 MiB) one dense array
 # of a job may hold, a matrix, the 4^n coefficient vector of a form, or a stack of
 # matrices, one per variation direction.
 DENSE_BUDGET = 2 ** 22
+# ExteriorAlgebra.rank counts the singular values above this fraction of the largest
+RANK_RTOL = 1e-10
 
 
 def memo(method):
@@ -571,6 +577,45 @@ class ExteriorAlgebra:
         mat = self.d_blocks(*key).get(tgt)
         return np.zeros((dim_pq(self.n, *tgt), dim_pq(self.n, *key)), dtype=complex) \
             if mat is None else mat
+
+    def dim(self, which, key):
+        """Dimension of the space at key in the complex of which; 0 outside it."""
+        if which == "d":
+            return self.dim_total(key) if 0 <= key <= 2 * self.n else 0
+        return dim_pq(self.n, *key)
+
+    @memo
+    def rank(self, which, key):
+        """Rank of diff(which, key): its singular values above RANK_RTOL * sigma_max.
+
+        The rank holds at every metric, so it is decided once per algebra.  A
+        singular value within a factor 100 of the cut refuses the model
+        (ModelInvalid) with the space named: below it rounding may decide the
+        count, and above it, up to 1e-8 ~ sqrt(eps), the Laplacian's eigenvalue
+        (sigma^2) would sit at eigh's rounding level.
+        """
+        if not self.dim(which, key):
+            return 0
+        # zero rows and columns add only zero singular values: n = 6 d shrinks ~20x
+        mat = self.diff(which, key)
+        mat = mat[np.any(mat, axis=1)][:, np.any(mat, axis=0)]
+        if not mat.size:
+            return 0
+        s = np.linalg.svd(mat, compute_uv=False)
+        cut = RANK_RTOL * s[0]
+        near = s[(s > cut / 100) & (s < cut * 100)]
+        if near.size:
+            space = f"degree {key}" if which == "d" else f"bidegree {key}"
+            raise ModelInvalid(f"{which} on {space} has a singular value {near[0] / s[0]:.3e} "
+                               f"times its largest, within a factor 100 of the rank cut "
+                               f"{RANK_RTOL:g}")
+        return int(np.count_nonzero(s > cut))
+
+    def harmonic_dim(self, which, key):
+        """dim - rank(key) - rank(prev): the cohomology at key, which is the kernel
+        dimension of the Laplacian there at every metric."""
+        return self.dim(which, key) - self.rank(which, key) \
+            - self.rank(which, neighbor(which, key, -1))
 
     def bidegrees(self, k):
         """Bidegrees of total degree k, p descending."""

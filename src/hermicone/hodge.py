@@ -1,12 +1,12 @@
 """Hodge decompositions, projectors, torsion forms and the (n-1) root.
 
-The kernel cut of each Laplacian is made once per bundle, by
-decomposition(bundle, which, key), at the bundle's tolerance tol:
-eigenvalues below tol * max(unit, lambda_max) count as kernel, where
-unit = 1 / (tr H / n) scales with the eigenvalues, and any eigenvalue
-inside [threshold/10, 10*threshold] raises ToleranceAmbiguity rather than
-silently choosing a side.  Every projector, potential and torsion below
-reads the decomposition's harmonic projector and Green operator.
+The kernel of each Laplacian is cut once per bundle, by decomposition(bundle,
+which, key), at its metric-free dimension: the kernel_dim smallest eigenvalues,
+where kernel_dim is the algebra's harmonic_dim(which, key).  On these finite
+invariant complexes that dimension is a Lie-algebra cohomology number, the same
+at every metric, so no eigenvalue threshold decides it.  Every projector,
+potential and torsion below reads the decomposition's harmonic projector and
+Green operator.
 
 The projectors onto the images of a differential and of its codifferential
 and the minimum-norm potential are written once over (which, key), as the
@@ -21,67 +21,27 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (DegenerateDimension, KernelJump, NotBalanced, NotPositive, NotSKT,
-                     ToleranceAmbiguity, ToleranceFailure)
+from .errors import DegenerateDimension, NotBalanced, NotPositive, NotSKT, ToleranceFailure
 from .exterior import Form, _complement, memo, neighbor
-from .metric import DEFAULT_TOL, HermitianMetric
-
-# the harmonic projector has a derivative only where the spectral gap clears
-# the kernel threshold by this factor
-GAP_FACTOR = 100.0
-
-
-class _AmbiguityMessage:
-    """A ToleranceAmbiguity message, formatted only when read: a descent's line search
-    catches and drops dozens of these, and numpy's array printer is slow."""
-
-    def __init__(self, eigenvalues, threshold):
-        self.eigenvalues, self.threshold = eigenvalues, threshold
-
-    def __str__(self):
-        return (f"eigenvalues {self.eigenvalues} inside the ambiguity window around "
-                f"{self.threshold:.3e}")
-
-
-def kernel_mask(eigenvalues, tol=DEFAULT_TOL, unit=1.0):
-    """Boolean kernel mask under the threshold tol * max(unit, lambda_max),
-    with ambiguity guard."""
-    eigs = np.asarray(eigenvalues, dtype=float)
-    if eigs.size == 0:
-        return np.zeros(0, dtype=bool)
-    thr = tol * max(unit, float(eigs.max()))
-    bad = (eigs >= thr / 10.0) & (eigs <= 10.0 * thr)
-    if np.any(bad):
-        raise ToleranceAmbiguity(_AmbiguityMessage(eigs[bad], thr))
-    return eigs < thr
+from .metric import HermitianMetric
 
 
 class Decomposition:
-    """The Hodge decomposition of one Laplacian, cut at its kernel threshold.
+    """The Hodge decomposition of one Laplacian.
 
-    threshold is bundle.tol * max(unit, lambda_max) with unit = n / tr H;
-    gap is the smallest eigenvalue above the cut (inf if none).  The
-    harmonic projector v v^H G over the kernel eigenvectors and the Green
-    operator v Lambda^-1 v^H G over the others are built on first use.
+    Its kernel is the kernel_dim smallest eigenvalues, kernel_dim the algebra's
+    harmonic_dim; gap is the smallest eigenvalue above them (inf if none).  As the
+    kernel's multiplicity holds on every metric path, 0 stays an isolated
+    eigenvalue and the projector has a derivative everywhere (variation).  The
+    harmonic projector v v^H G over the kernel eigenvectors and the Green operator
+    v Lambda^-1 v^H G over the others are built on first use.
     """
 
     def __init__(self, bundle, which, key):
         self.spectral = spec = bundle.spectral(which, key)
-        eigs = spec.eigenvalues
-        unit = bundle.n / bundle.trace_h
-        self.mask = kernel_mask(eigs, bundle.tol, unit)
-        self.threshold = bundle.tol * max(unit, float(eigs.max(initial=0.0)))
-        self.kernel_dim = int(self.mask.sum())
-        self.gap = float(eigs[~self.mask].min(initial=np.inf))
-
-    def require_gap(self):
-        """Refuse (KernelJump) a gap within GAP_FACTOR of the threshold: there the
-        kernel dimension is not stable under perturbation and the harmonic
-        projector has no derivative."""
-        if self.gap < GAP_FACTOR * self.threshold:
-            raise KernelJump(f"spectral gap {self.gap:.3e} is within {GAP_FACTOR:g}x "
-                             f"of threshold {self.threshold:.3e}")
-        return self
+        self.kernel_dim = bundle.alg.harmonic_dim(which, key)
+        self.mask = np.arange(spec.eigenvalues.size) < self.kernel_dim
+        self.gap = float(spec.eigenvalues[~self.mask].min(initial=np.inf))
 
     @cached_property
     def harmonic(self):
@@ -111,7 +71,8 @@ def green_operator(bundle, which, key):
 
 
 def kernel_dimension(bundle, which, key):
-    return decomposition(bundle, which, key).kernel_dim
+    """Dimension of ker of the chosen Laplacian: the algebra's count, with no eigh."""
+    return bundle.alg.harmonic_dim(which, key)
 
 
 def image_projector(bundle, which, key):

@@ -11,9 +11,9 @@ job reads once is formed on each call: the commutators [trace, gamma ^ .] of
 the variation formulas, each Laplacian laplacian(which, key) and its spectral
 data: numpy's eigh of the Laplacian reduced by the Gram's Cholesky factor
 (the Hermitian-definite pencil reduction), whose eigenvectors are
-G-orthonormal.  The bundle also carries the tolerance tol of its kernel cuts
-and predicates, and keeps the Hodge decompositions that hodge.decomposition
-cuts from the spectral data, one per space.
+G-orthonormal.  The bundle also carries the tolerance tol of its predicates
+and of its potentials' residual gates, and keeps the Hodge decompositions that
+hodge.decomposition makes from the spectral data, one per space.
 
 Inner product conventions: <theta^j, theta^k> = (H^{-1})_{kj}, extended to
 monomials by determinant multiplicativity; matrices G satisfy
@@ -37,7 +37,7 @@ from .exterior import (Form, _combos, _complement, _conj_table, dim_pq, memo, ne
 from .model import algebra_for, require_valid
 
 HERMITICITY_TOL = 1e-12
-DEFAULT_TOL = 1e-9  # the kernel-cut and predicate tolerance of a bundle
+DEFAULT_TOL = 1e-9  # the predicate and potential-residual tolerance of a bundle
 # spectral factors a space up to this dimension as a whole, a larger one per
 # bidegree block: one factorization of the block-diagonal Gram takes fewer numpy
 # calls, the blocks fewer flops (the blocks measured faster from N = 45 on)
@@ -314,9 +314,7 @@ class OperatorBundle:
 
     def dim(self, which, key):
         """Dimension of the space at key in the complex of which; 0 outside it."""
-        if which == "d":
-            return self.alg.dim_total(key) if 0 <= key <= 2 * self.n else 0
-        return dim_pq(self.n, *key)
+        return self.alg.dim(which, key)
 
     @memo
     def codiff(self, which, key):

@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (EmptyCone, InfeasibleStart, KernelJump, LineSearchFailure,
-                     NotPositive, NotPositiveDefinite, SchemaError, ToleranceAmbiguity,
-                     ToleranceFailure)
+from .errors import (EmptyCone, InfeasibleStart, LineSearchFailure, NotPositive,
+                     NotPositiveDefinite, SchemaError, ToleranceFailure)
 from .exterior import ExteriorAlgebra, Form, _combos
 from .functionals import SLICES, cone_slice, energy, evaluate
-from .hodge import decomposition, predicates, torsion_space
+from .hodge import predicates
 from .metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra
 from .model import algebra_for
 from .variation import Directions, make_direction, variation_at
@@ -224,8 +223,8 @@ class DescentTrace:
 
 
 # SchemaError: a trial point whose scale leaves the float range
-_UNEVALUABLE = (NotPositive, NotPositiveDefinite, SchemaError, ToleranceAmbiguity,
-                ToleranceFailure, ValueError)
+_UNEVALUABLE = (NotPositive, NotPositiveDefinite, SchemaError, ToleranceFailure,
+                ValueError)
 
 
 class _Objective:
@@ -246,7 +245,6 @@ class _Objective:
         self.weight_bundle = weight_bundle
         self.tol = tol
         self.normalize = normalize
-        spec = energy(functional)
         self.cone = SLICES[basis.kind]
         self.kind = self.cone.direction
         # one stack for the whole descent: its direction-only work is done once
@@ -254,9 +252,6 @@ class _Objective:
                                      for f in basis.forms)
         self.covector = self.directions.nu_integrals(alg, nu)
         self._last = None
-        # the torsion's source space, whose harmonic projector moves with the metric
-        self.moving_projector = torsion_space(spec.torsion, alg.n) \
-            if spec.torsion is not None else None
 
     def metric_at(self, x):
         return self.cone.metric(self.alg, self.basis.combine(x)).check()
@@ -308,11 +303,9 @@ class _Objective:
         try:
             x_r = self.retract(x) if self.normalize else x
             bundle = self._bundle(x_r)
-            if self.moving_projector is not None:
-                decomposition(bundle, *self.moving_projector).require_gap()
             at = variation_at(bundle, self.functional, self.nu, self.weight_bundle)
             grad = np.array([var.derivative for var in at(self.directions)])
-        except _UNEVALUABLE + (KernelJump,):
+        except _UNEVALUABLE:
             return None
         if self.normalize:
             grad = (grad - self.covector * (grad @ x_r)) / self.normalization(x)

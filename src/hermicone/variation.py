@@ -45,8 +45,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (DimensionMismatch, DirectionNotAdmissible, KernelJump,
-                     NotPositive, NotPositiveDefinite, StepTooLarge)
+from .errors import (DimensionMismatch, DirectionNotAdmissible, NotPositive,
+                     NotPositiveDefinite, StepTooLarge)
 from .exterior import (DENSE_BUDGET, Form, conj_block_matrix, dim_pq, memo, neighbor, wedge,
                        wedge_power)
 from .functionals import (SLICES, cone_slice, direction_slice, energy, evaluate,
@@ -244,7 +244,7 @@ class ProjectorVariation:
     -(P dLap S + S dLap P); image_part keeps only -P dLap S, which agrees
     with the derivative exactly on inputs with vanishing kernel component.
     decomposition is the Laplacian's hodge.Decomposition: its kernel
-    dimension, spectral gap, threshold and harmonic projector P.
+    dimension, spectral gap and harmonic projector P.
     """
 
     which: str
@@ -261,10 +261,12 @@ class ProjectorVariation:
 def var_harmonic_projector(bundle, gamma, which, key):
     """Variation of the kernel projector of a Laplacian along omega + t gamma.
 
-    Refuses (KernelJump) where the decomposition's spectral gap is too
-    small (Decomposition.require_gap).
+    The kernel's dimension is the algebra's metric-free count, so 0 stays an
+    isolated eigenvalue of constant multiplicity along the path, and the
+    resolvent formula is the exact derivative (Kato, Perturbation Theory for
+    Linear Operators, II.2) at every metric.
     """
-    dec = decomposition(bundle, which, key).require_gap()
+    dec = decomposition(bundle, which, key)
     proj, green = dec.harmonic, dec.green
     dlap = laplacian_variation_matrix(bundle, gamma, which, key)
     image_part = -proj @ dlap @ green
@@ -620,9 +622,8 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL):
     central differences, plus the self-consistency rows (conjugation
     symmetry, omega scalings, the perturbation oracle).  A tuple builds its
     own bundle and one bundle per stencil point, which gives the differences
-    of every row before the next point's is built; the projector rows are
-    left out where its closed form refuses (KernelJump).  Returns
-    VariationCheck rows; callers assert on rel_err.
+    of every row before the next point's is built.  Returns VariationCheck
+    rows; callers assert on rel_err.
     """
     alg = algebra_for(model)
     n = alg.n
@@ -642,19 +643,14 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL):
         k = p + q
         tag = f"tuple {idx} (p,q)=({p},{q})"
 
-        # the projector row has a closed form unless the kernel may jump; its
-        # differences then come from the same stencil bundles as the others
-        try:
-            pv = var_harmonic_projector(b, gamma, "d", k)
-        except KernelJump:
-            pv = None
+        # the projector's differences come from the same stencil bundles as the others
+        pv = var_harmonic_projector(b, gamma, "d", k)
         complexes = (("del", (p, q)), ("dbar", (p, q)), ("d", k))
         extracts = [lambda bb: bb.star_block(p, q), lambda bb: bb.trace_block(p, q)]
         extracts += [lambda bb, w=which, kk=key: bb.codiff(w, kk) for which, key in complexes]
         extracts += [lambda bb, w=which, kk=key: bb.laplacian(w, kk)
                      for which, key in complexes]
-        if pv is not None:
-            extracts.append(lambda bb: harmonic_projector(bb, "d", k))
+        extracts.append(lambda bb: harmonic_projector(bb, "d", k))
         fds = iter(_fd_along(b, along, step, extracts))
 
         _check(rows, "star", tag, var_star_matrix(b, gamma, p, q), next(fds))
@@ -696,8 +692,6 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL):
         # projector derivative: full two-term formula against differences,
         # one-term restriction on a deflated vector, and the exact
         # vanishing of the derivative along omega itself
-        if pv is None:
-            continue
         fd = next(fds)
         _check(rows, "projector", tag, pv.derivative, fd)
         dimk = alg.dim_total(k)
@@ -707,10 +701,7 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL):
             _check(rows, "projector_deflated", tag, pv.image_part @ v0, fd @ v0)
             _check(rows, "projector_oracle", tag, pv.image_part @ v0,
                    pv.derivative @ v0)
-        try:
-            pv_omega = var_harmonic_projector(b, omega, "d", k)
-            _check(rows, "omega_scaling_projector", tag, pv_omega.derivative,
-                   np.zeros_like(pv_omega.derivative))
-        except KernelJump:
-            pass
+        pv_omega = var_harmonic_projector(b, omega, "d", k)
+        _check(rows, "omega_scaling_projector", tag, pv_omega.derivative,
+               np.zeros_like(pv_omega.derivative))
     return rows

@@ -383,18 +383,50 @@ def test_every_package_error_has_an_exit_code():
     assert all(code in range(2, 7) for code in codes.values()), codes
 
 
+def _random_metric_file(tmp_path, name):
+    return write_metric(tmp_path, random_metric(catalog(name).n, np.random.default_rng(5)).h)
+
+
 @pytest.mark.parametrize("name,functional", [("kodaira_thurston", "F"), ("iwasawa", "G")])
-@pytest.mark.parametrize("subcommand,want", [
-    ("eval", 5), ("torsion", 5), ("varcheck", 5), ("descend", 6)])
-def test_tol_reaches_the_kernel_cut(capsys, subcommand, want, name, functional):
-    # at --tol 0.2 Laplacian eigenvalues of these metrics sit in the kernel-ambiguity
-    # window, so a tolerance dropped on its way to the bundles would exit 0 instead
+@pytest.mark.parametrize("subcommand,want,gate", [
+    ("eval", 5, "residuals"), ("torsion", 5, "residuals"),
+    ("descend", 6, "outside the constraint slice")])
+def test_tol_reaches_the_residual_gates(tmp_path, capsys, subcommand, want, gate, name,
+                                        functional):
+    # at --tol 1e-30 the rounding residuals of the potential and of the start's slice
+    # constraint fail their gates, so a tolerance dropped on its way would exit 0
     extra = {"eval": ["--functional", functional], "torsion": [],
-             "varcheck": ["--tuples", "1"],
              "descend": ["--functional", functional, "--steps", "1"]}[subcommand]
-    code, out, err = run(capsys, subcommand, "--catalog", name, *extra, "--tol", "0.2")
+    code, out, err = run(capsys, subcommand, "--catalog", name, "--metric",
+                         _random_metric_file(tmp_path, name), *extra, "--tol", "1e-30")
     assert code == want, err
-    assert out == "" and err.startswith("error:")
+    assert out == "" and err.startswith("error:") and gate in err
+
+
+@pytest.mark.parametrize("name,functional", [("kodaira_thurston", "F"), ("iwasawa", "G")])
+def test_tol_leaves_the_kernel_alone(tmp_path, capsys, name, functional):
+    # the kernel's dimension is metric- and tolerance-free: where the gates pass, the
+    # value is the same bits at every --tol (an eigenvalue cut at 0.2 would refuse)
+    metric = _random_metric_file(tmp_path, name)
+    values = {tol: run_json(capsys, "eval", "--catalog", name, "--functional", functional,
+                            "--metric", metric, "--tol", tol)["report"]["value"]
+              for tol in ("1e-6", "1e-9", "0.2")}
+    assert len(set(values.values())) == 1, values
+
+
+@pytest.mark.parametrize("eps", [1e-11, 1e-10, 1e-9])
+@pytest.mark.parametrize("argv", [("eval", "--functional", "F"), ("torsion",),
+                                  ("verify", "--metrics", "1")])
+def test_rank_near_the_cut_exits_validation(tmp_path, capsys, eps, argv):
+    # d theta^3 = theta^1 ^ thetabar^1, d theta^4 = eps theta^2 ^ thetabar^2: d's singular
+    # values 1 and eps straddle the rank cut, where rounding would pick the cohomology
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"name": "straddle", "n": 4, "terms": [
+        {"i": 3, "kind": "mixed", "j": 1, "k": 1, "re": 1.0, "im": 0.0},
+        {"i": 4, "kind": "mixed", "j": 2, "k": 2, "re": eps, "im": 0.0}]}))
+    code, out, err = run(capsys, argv[0], "--model", str(path), *argv[1:])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: d on degree ") and "rank cut 1e-10" in err
 
 
 # ----- one parser per process ------------------------------------------------------------

@@ -2,6 +2,8 @@
 kernel cut per Laplacian: the generic operators against their written-out
 formulas, bit for bit."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -209,13 +211,13 @@ def test_harmonic_and_green_match_written_eigen_forms(catalog_bundle):
     for which, key in _cases(b):
         spec = b.spectral(which, key)
         eigs, v, g = spec.eigenvalues, spec.vectors, spec.gram
-        thr = b.tol * max(b.n / b.trace_h, float(eigs.max(initial=0.0)))
-        m = eigs < thr
+        kdim = b.alg.harmonic_dim(which, key)
+        m = np.arange(eigs.size) < kdim
         dec = hodge.decomposition(b, which, key)
         assert dec is hodge.decomposition(b, which, key), (which, key)
-        assert (dec.threshold, dec.kernel_dim) == (thr, int(m.sum())), (which, key)
+        assert dec.kernel_dim == kdim == int(m.sum()), (which, key)
         assert dec.gap == float(eigs[~m].min(initial=np.inf)), (which, key)
-        assert hodge.kernel_dimension(b, which, key) == int(m.sum())
+        assert hodge.kernel_dimension(b, which, key) == kdim
         assert np.array_equal(harmonic_projector(b, which, key),
                               v[:, m] @ (v[:, m].conj().T @ g)), (which, key)
         assert np.array_equal(green_operator(b, which, key),
@@ -223,20 +225,59 @@ def test_harmonic_and_green_match_written_eigen_forms(catalog_bundle):
 
 
 def test_kernel_cut_is_made_once_per_space(monkeypatch):
-    cut, mask = [], hodge.kernel_mask
+    counted, harmonic_dim = [], ExteriorAlgebra.harmonic_dim
 
-    def counting_mask(eigs, *args):
-        cut.append(eigs)
-        return mask(eigs, *args)
+    def counting(alg, which, key):
+        counted.append((which, key))
+        return harmonic_dim(alg, which, key)
 
-    monkeypatch.setattr(hodge, "kernel_mask", counting_mask)
+    monkeypatch.setattr(ExteriorAlgebra, "harmonic_dim", counting)
     b = _bundle("iwasawa", 3)
     eval_G(b)
     eval_G(b)
     # the source (2, 2), the torsion's space (2, 1) and its image space (2, 0)
-    assert len(cut) == 3
+    assert len(counted) == 3
     assert sorted(kept_keys(b, hodge.decomposition)) == [
         ("dbar", (2, 0)), ("dbar", (2, 1)), ("dbar", (2, 2))]
+    # the ranks under the counts are kept on the algebra: a bundle at another metric
+    # runs no singular value decomposition
+    assert {("dbar", (2, q)) for q in range(3)} <= set(kept_keys(b.alg, ExteriorAlgebra.rank))
+    svds, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.append(a) or svd(*a, **kw))
+    eval_G(_bundle("iwasawa", 4))
+    assert svds == []
+
+
+# Betti numbers of the real nilmanifolds (Nomizu): Kodaira-Thurston and Iwasawa
+BETTI = {"kodaira_thurston": [1, 3, 4, 3, 1], "iwasawa": [1, 4, 8, 10, 8, 4, 1]}
+# Dolbeault (h^{1,0}, h^{0,1}) (Console-Fino)
+HODGE_10_01 = {"kodaira_thurston": (1, 2), "iwasawa": (3, 2), "torus2": (2, 2),
+               "torus3": (3, 3)}
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_harmonic_dims_are_the_cohomology(name):
+    alg = algebra_for(catalog(name))
+    n = alg.n
+    betti = BETTI.get(name, [math.comb(2 * n, k) for k in range(2 * n + 1)])
+    assert [alg.harmonic_dim("d", k) for k in range(2 * n + 1)] == betti
+    assert (alg.harmonic_dim("dbar", (1, 0)), alg.harmonic_dim("dbar", (0, 1))) \
+        == HODGE_10_01[name]
+    if name.startswith("torus"):
+        assert all(alg.harmonic_dim(which, (p, q)) == dim_pq(n, p, q)
+                   for which in ("del", "dbar") for p in range(n + 1) for q in range(n + 1))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_kernel_dim_eigenvalues_lie_below_the_spectrum(seed):
+    # at a random metric, the kernel_dim smallest eigenvalues are the ones at rounding
+    # level and no others: the metric-free count and the spectrum agree
+    for name in catalog_names():
+        b = _bundle(name, seed)
+        for which, key in _cases(b):
+            eigs = b.spectral(which, key).eigenvalues
+            below = np.count_nonzero(eigs <= 1e-9 * eigs.max(initial=0.0))
+            assert below == hodge.decomposition(b, which, key).kernel_dim, (name, which, key)
 
 
 # ----- block maps: ExteriorAlgebra.apply / total against the loops they replaced ---------

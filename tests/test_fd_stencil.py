@@ -40,15 +40,6 @@ def test_battery_rows_equal_the_per_row_loop(name, seed):
         == [tuple(getattr(r, f) for f in FIELDS) for r in want]
 
 
-def test_battery_rows_equal_the_per_row_loop_where_the_kernel_may_jump():
-    # at tol 1e-2 the projector's closed form refuses (KernelJump) on these tuples
-    got = variation_battery(catalog("iwasawa"), seed=0, tuples=2, tol=1e-2)
-    want = loop_variation_battery(catalog("iwasawa"), seed=0, tuples=2, tol=1e-2)
-    assert not any(r.name.startswith("projector") for r in got)
-    assert [tuple(getattr(r, f) for f in FIELDS) for r in got] \
-        == [tuple(getattr(r, f) for f in FIELDS) for r in want]
-
-
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-2])
 def test_each_tuple_builds_one_bundle_and_one_per_stencil_point(tol, monkeypatch):
     build = variation.bundle_for_algebra

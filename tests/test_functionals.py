@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hermicone.errors import NotBalanced, NotPositive, NotSKT
+from hermicone.errors import NotBalanced, NotPositive, NotSKT, ToleranceFailure
 from hermicone.functionals import (
     eval_F,
     eval_F_tilde,
@@ -25,7 +25,7 @@ def _scaled_bundle(bundle, lam):
 
 @pytest.mark.parametrize("scale", [1e-10, 1e10])
 def test_energies_scale_exactly_far_from_the_identity(scale):
-    # the kernel cut scales with the metric: F(s I) = 0.25 s^2 on
+    # the kernel's dimension does not see the metric's scale: F(s I) = 0.25 s^2 on
     # Kodaira-Thurston and G(s I) = s^4 on Iwasawa, not a cut-off 0
     for name, energy, want in (("kodaira_thurston", eval_F, 0.25 * scale ** 2),
                                ("iwasawa", eval_G, scale ** 4)):
@@ -139,3 +139,16 @@ def test_F_tilde_ingredients_expose_parts():
     ft = eval_F_tilde(b, nu)
     c = ft.ingredients["normalization_integral"]
     assert ft.value == pytest.approx(ft.ingredients["F"] / c ** b.n, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_near_degenerate_metrics_are_refused_not_evaluated(seed):
+    # H = U diag(1, eps) U^H on Kodaira-Thurston: every such metric is refused, by the
+    # rho potential's residual gate or a singular solve, never reported as a number
+    alg = algebra_for(catalog("kodaira_thurston"))
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    for e in range(5, 11):
+        h = u @ np.diag([1.0, 10.0 ** -e]) @ u.conj().T
+        with pytest.raises((ToleranceFailure, np.linalg.LinAlgError)):
+            eval_F(bundle_for_algebra(alg, HermitianMetric(0.5 * (h + h.conj().T))))

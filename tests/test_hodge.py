@@ -7,18 +7,15 @@ from hermicone.errors import (
     NotBalanced,
     NotPositive,
     NotSKT,
-    ToleranceAmbiguity,
 )
 from hermicone import hodge
 from hermicone.exterior import ExteriorAlgebra, Form, random_form, wedge, wedge_power
 from hermicone.hodge import (
-    DEFAULT_TOL,
     coimage_projector,
     green_operator,
     harmonic_projector,
     image_projector,
     kernel_dimension,
-    kernel_mask,
     matrix_of_top_minus_one,
     potential,
     predicates,
@@ -28,43 +25,13 @@ from hermicone.hodge import (
     torsion_gamma,
     torsion_rho,
 )
-from hermicone.metric import HermitianMetric, OperatorBundle, bundle_for_algebra, random_metric
+from hermicone.metric import (DEFAULT_TOL, HermitianMetric, OperatorBundle, bundle_for_algebra,
+                              random_metric)
 from hermicone.model import algebra_for, catalog, make_model
 from hermicone.optimizer import descend
 
 from .conftest import CATALOG_NAMES, kept_keys, seeded_bundle
 from .oracles import oracle_gamma, oracle_rho
-
-
-def test_kernel_mask_plain_split():
-    eigs = np.array([0.0, 3e-13, 2.0, 5.0])
-    mask = kernel_mask(eigs, tol=1e-9)
-    assert mask.tolist() == [True, True, False, False]
-    assert kernel_mask(np.zeros(0)).size == 0
-
-
-def test_kernel_mask_ambiguity_window():
-    # threshold is 1e-9 * max(1, 2.0); 4e-9 sits inside [thr/10, 10 thr]
-    with pytest.raises(ToleranceAmbiguity):
-        kernel_mask(np.array([4e-9, 2.0]), tol=1e-9)
-    # an order of magnitude outside the window on either side is fine
-    mask = kernel_mask(np.array([1e-13, 2.0]), tol=1e-9)
-    assert mask.tolist() == [True, False]
-
-
-def test_kernel_mask_ambiguity_message_is_formatted_when_read():
-    printed = []
-
-    def fmt(x):
-        printed.append(x)
-        return repr(x)
-
-    with pytest.raises(ToleranceAmbiguity) as info:
-        with np.printoptions(formatter={"float": fmt}):
-            kernel_mask(np.array([4e-9, 2.0]), tol=1e-9)
-    assert printed == []
-    assert str(info.value) == \
-        f"eigenvalues {np.array([4e-9])} inside the ambiguity window around {2e-9:.3e}"
 
 
 @pytest.mark.parametrize("which,key", [("d", 2), ("del", (1, 1)), ("dbar", (2, 1))])

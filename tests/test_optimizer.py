@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from hermicone import hodge
-from hermicone.errors import EmptyCone, InfeasibleStart, KernelJump, LineSearchFailure
+from hermicone import variation
+from hermicone.errors import EmptyCone, InfeasibleStart, LineSearchFailure, ToleranceFailure
 from hermicone.exterior import wedge, wedge_power
-from hermicone.hodge import DEFAULT_TOL, predicates
-from hermicone.metric import HermitianMetric, bundle_for_algebra
+from hermicone.hodge import predicates
+from hermicone.metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra
 from hermicone.model import algebra_for, catalog
 from hermicone.optimizer import (
     ConstraintBasis,
@@ -164,10 +164,12 @@ def test_descend_line_search_stall_is_reported():
 
 
 def test_descend_unevaluable_gradient_stalls(monkeypatch):
-    def no_gap(self):
-        raise KernelJump("spectral gap within the guard")
+    # a tolerance refusal inside the variation (the torsion's residual gate, as the
+    # variation reads it) leaves the gradient unevaluable while the value evaluates
+    def refused(bundle, kind):
+        raise ToleranceFailure(f"torsion {kind} residuals exceed the gate")
 
-    monkeypatch.setattr(hodge.Decomposition, "require_gap", no_gap)
+    monkeypatch.setattr(variation, "torsion", refused)
     trace = descend(catalog("iwasawa"), "G", steps=5)
     assert trace.termination == "NumericalStall"
     assert trace.records == []
