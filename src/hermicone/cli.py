@@ -359,7 +359,7 @@ def _cmd_eval(args):
 
 def _cmd_varcheck(args):
     model, source = _load_model(args)
-    rows = variation_battery(model, seed=args.seed, tuples=args.tuples, tol=args.tol)
+    rows = variation_battery(model, seed=args.seed, tuples=args.tuples)
 
     def threshold_for(name):
         return ORACLE_THRESHOLD if name in ("projector_oracle",
@@ -382,7 +382,7 @@ def _cmd_varcheck(args):
             "pass": not failures,
         }
         _emit_json(args, _envelope("varcheck", model, source, args.seed,
-                                   {"tol": args.tol, "battery_threshold": BATTERY_THRESHOLD,
+                                   {"battery_threshold": BATTERY_THRESHOLD,
                                     "oracle_threshold": ORACLE_THRESHOLD}, payload))
     return EXIT_OK if not failures else EXIT_TOLERANCE
 
@@ -449,9 +449,10 @@ def _build_parser():
         if metric:
             p.add_argument("--metric", default="identity",
                            help='metric JSON file or "identity"')
-        p.add_argument("--tol", type=float, default=tol,
-                       help="predicate tolerance and the potentials' residual gate; for "
-                            "verify the identity residual threshold (default %(default)g)")
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol,
+                           help="predicate tolerance and the potentials' residual gate; for "
+                                "verify the identity residual threshold (default %(default)g)")
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument("--out", help="write the report to this path instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -475,7 +476,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("varcheck", help="finite-difference audit of variation formulas")
-    add_common(p, metric=False)
+    add_common(p, metric=False, tol=None)
     p.add_argument("--tuples", type=int, default=20)
     p.set_defaults(func=_cmd_varcheck)
 

@@ -612,7 +612,7 @@ def _check(rows, name, detail, got, want):
                                _amax(np.asarray(got) - np.asarray(want))))
 
 
-def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL):
+def variation_battery(model, seed=0, tuples=20):
     """Finite-difference audit of every operator variation formula.
 
     Tuple i draws a metric, a real direction and a bidegree from the
@@ -631,7 +631,7 @@ def variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL):
     for idx in range(tuples):
         rng = np.random.default_rng(seed + idx)
         met = random_metric(n, rng)
-        b = bundle_for_algebra(alg, met, tol)
+        b = bundle_for_algebra(alg, met)
         gm = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         gm = 0.5 * (gm + gm.conj().T)
         gamma = HermitianMetric(gm).form()

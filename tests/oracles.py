@@ -19,7 +19,7 @@ import numpy as np
 from hermicone.exterior import Form, _basis, conj_block_matrix, dim_pq
 from hermicone.functionals import direction_slice
 from hermicone.hodge import harmonic_projector
-from hermicone.metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra, random_metric
+from hermicone.metric import HermitianMetric, bundle_for_algebra, random_metric
 from hermicone.model import algebra_for
 from hermicone.variation import (VariationCheck, default_step, laplacian_variation_matrix,
                                  var_codiff_matrix, var_harmonic_projector, var_star_matrix,
@@ -297,7 +297,7 @@ def _loop_check(rows, name, detail, got, want):
     rows.append(VariationCheck(name, detail, amax(got), amax(want), amax(got - want)))
 
 
-def loop_variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL):
+def loop_variation_battery(model, seed=0, tuples=20):
     """variation_battery's rows, each FD row differenced on its own four bundles."""
     alg = algebra_for(model)
     n = alg.n
@@ -305,7 +305,7 @@ def loop_variation_battery(model, seed=0, tuples=20, tol=DEFAULT_TOL):
     for idx in range(tuples):
         rng = np.random.default_rng(seed + idx)
         met = random_metric(n, rng)
-        b = bundle_for_algebra(alg, met, tol)
+        b = bundle_for_algebra(alg, met)
         gm = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         gamma = HermitianMetric(0.5 * (gm + gm.conj().T)).form()
         omega = b.omega

@@ -339,16 +339,24 @@ def test_descend_refuses_nonpositive_max_step(capsys, max_step):
 
 
 @pytest.mark.parametrize("argv", [
-    # eval would report F = 0.0 on Kodaira-Thurston (the true value is 0.25),
-    # verify and varcheck a pass, descend a traceback
+    # a tolerance that is not finite and positive would pass every gate (--tol inf:
+    # verify a pass, eval F even on the non-SKT Iwasawa) or none (--tol -1: descend
+    # refuses its first real direction)
     ("eval", "--catalog", "kodaira_thurston", "--functional", "F", "--tol", "inf"),
     ("torsion", "--catalog", "kodaira_thurston", "--tol", "0"),
     ("verify", "--catalog", "torus2", "--tol", "inf"),
-    ("varcheck", "--catalog", "torus2", "--tol", "nan"),
     ("descend", "--catalog", "kodaira_thurston", "--functional", "F", "--tol", "-1"),
 ])
 def test_refuses_tol_not_finite_and_positive(capsys, argv):
     _refused_as_schema(capsys, *argv)
+
+
+def test_varcheck_takes_no_tol(capsys):
+    # nothing in the battery reads a tolerance, so the option is refused, not ignored
+    with pytest.raises(SystemExit) as info:
+        main(["varcheck", "--catalog", "torus2", "--tol", "nan"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --tol nan" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "-0.5"])
