@@ -33,10 +33,9 @@ Conventions fixed here and used everywhere else:
   wedge (on its left), apply, Form.wedge_matrix and integrate then act on each
   form of the stack and give it the bits it gets alone; a block map may likewise
   carry matrices stacked on a leading axis.
-* The kernel and image dimensions of each differential are metric-free: the
-  algebra decides rank(which, key) once, from the singular values of
-  diff(which, key), and harmonic_dim(which, key), the Lie-algebra cohomology at
-  key, is the kernel dimension of that space's Laplacian at every metric.
+* The ranks of the differentials are metric-free, decided once per algebra from
+  singular values; harmonic_dim(which, key), the Lie-algebra cohomology at key, is
+  the kernel dimension of that space's Laplacian at every metric.
 * Work that depends on one object alone is kept on it by memo: d and its ranks on its
   algebra, the matrices of form ^ . and the powers of a form on the form, the
   metric operators on their bundle.  A kept array is read-only.  No key holds
@@ -586,30 +585,22 @@ class ExteriorAlgebra:
 
     @memo
     def rank(self, which, key):
-        """Rank of diff(which, key): its singular values above RANK_RTOL * sigma_max.
-
-        The rank holds at every metric, so it is decided once per algebra.  A
-        singular value within a factor 100 of the cut refuses the model
-        (ModelInvalid) with the space named: below it rounding may decide the
-        count, and above it, up to 1e-8 ~ sqrt(eps), the Laplacian's eigenvalue
-        (sigma^2) would sit at eigh's rounding level.
-        """
-        if not self.dim(which, key):
-            return 0
-        # zero rows and columns add only zero singular values: n = 6 d shrinks ~20x
-        mat = self.diff(which, key)
+        """Rank of diff(which, key): its singular values above RANK_RTOL * sigma_max,
+        decided once per algebra, as it holds at every metric.  A singular value within
+        a factor 100 of the cut refuses the model (ModelInvalid): below the cut rounding
+        may decide the count, above it (up to 1e-8 ~ sqrt(eps)) the Laplacian's
+        eigenvalue sigma^2 would sit at eigh's rounding level."""
+        mat = self.diff(which, key) if self.dim(which, key) else np.zeros((0, 0))
+        # zero rows and columns add only zero singular values; dropping them makes the
+        # n = 6 SVDs ~20x cheaper
         mat = mat[np.any(mat, axis=1)][:, np.any(mat, axis=0)]
-        if not mat.size:
-            return 0
-        s = np.linalg.svd(mat, compute_uv=False)
-        cut = RANK_RTOL * s[0]
-        near = s[(s > cut / 100) & (s < cut * 100)]
+        s = np.linalg.svd(mat, compute_uv=False) if mat.size else np.zeros(1)
+        near = s[(s > RANK_RTOL * s[0] / 100) & (s < RANK_RTOL * s[0] * 100)]
         if near.size:
-            space = f"degree {key}" if which == "d" else f"bidegree {key}"
-            raise ModelInvalid(f"{which} on {space} has a singular value {near[0] / s[0]:.3e} "
-                               f"times its largest, within a factor 100 of the rank cut "
-                               f"{RANK_RTOL:g}")
-        return int(np.count_nonzero(s > cut))
+            raise ModelInvalid(f"{which} on {'degree' if which == 'd' else 'bidegree'} {key} "
+                               f"has a singular value {near[0] / s[0]:.3e} times its largest, "
+                               f"within a factor 100 of the rank cut {RANK_RTOL:g}")
+        return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
     def harmonic_dim(self, which, key):
         """dim - rank(key) - rank(prev): the cohomology at key, which is the kernel

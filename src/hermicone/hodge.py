@@ -27,15 +27,11 @@ from .metric import HermitianMetric
 
 
 class Decomposition:
-    """The Hodge decomposition of one Laplacian.
-
-    Its kernel is the kernel_dim smallest eigenvalues, kernel_dim the algebra's
-    harmonic_dim; gap is the smallest eigenvalue above them (inf if none).  As the
-    kernel's multiplicity holds on every metric path, 0 stays an isolated
-    eigenvalue and the projector has a derivative everywhere (variation).  The
-    harmonic projector v v^H G over the kernel eigenvectors and the Green operator
-    v Lambda^-1 v^H G over the others are built on first use.
-    """
+    """The Hodge decomposition of one Laplacian: its kernel is the kernel_dim (the
+    algebra's harmonic_dim) smallest eigenvalues, and gap the smallest eigenvalue
+    above them (inf if none).  The harmonic projector v v^H G over the kernel
+    eigenvectors and the Green operator v Lambda^-1 v^H G over the others are
+    built on first use."""
 
     def __init__(self, bundle, which, key):
         self.spectral = spec = bundle.spectral(which, key)
