@@ -184,7 +184,6 @@ class OperatorBundle:
         self.h = np.asarray(metric.h)
         self.h_inv = np.linalg.inv(self.h)
         self.det_h = float(np.linalg.det(self.h).real)
-        self.trace_h = float(self.h.trace().real)
 
     @property
     def n(self):
