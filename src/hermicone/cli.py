@@ -16,9 +16,7 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -67,8 +65,8 @@ class _CliFailure(Exception):
 
 
 def dense_side(subcommand, n, functional=None):
-    """Side of the largest dense matrix a subcommand forms or passes to eigh at
-    dimension n, from n and the subcommand (with its --functional) alone.
+    """Side of the largest dense matrix a subcommand forms at dimension n, from n and
+    the subcommand (with its --functional) alone.
 
     The metric predicates read bidegrees (1,1) to (2,2) and (n-1, n-1); torsion
     rho the total degrees 1..4; torsion Gamma the bidegrees (n-1, q), q >= n-4.
@@ -206,48 +204,9 @@ def _predicates_payload(bundle):
 # ----- subcommands ---------------------------------------------------------------------
 
 
-# verify runs a metric's identity suite and its three-space walk side by side from
-# n = 5 on, where the walk's total-degree matrices (C(2n, n) >= 252 rows) keep it in
-# BLAS and LAPACK, which release the GIL.  Below that both audits are small GIL-bound
-# blocks, and side by side measured 30-90 % slower (README, verify).
-SIDE_BY_SIDE_MIN_N = 5
-
-
-def _side_by_side(n):
-    """Whether verify at dimension n runs its two audits side by side: n >= 5 and at
-    least two CPUs this process may run on."""
-    if n < SIDE_BY_SIDE_MIN_N:
-        return False
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else \
-        range(os.cpu_count() or 1)
-    return len(cpus) >= 2
-
-
-def _shared_entries(bundle):
-    """Build what both audits read: every codiff("d", k), and with them every
-    gram_total and d_total.  Past it the two build disjoint entries."""
-    for k in range(1, 2 * bundle.n + 1):
-        bundle.codiff("d", k)
-
-
 def _three_space_walk(bundle):
     """The worst three-space residual of each total degree 0..2n."""
     return [max(three_space_residuals(bundle, k).values()) for k in range(2 * bundle.n + 1)]
-
-
-def _audit(bundle, seed):
-    """(identity_suite residuals, three-space walk) of one bundle.  Side by side, the
-    suite runs on a second thread; its error surfaces first, as it does in turn."""
-    if not _side_by_side(bundle.n):
-        return identity_suite(bundle, seed=seed), _three_space_walk(bundle)
-    _shared_entries(bundle)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        suite = pool.submit(identity_suite, bundle, seed=seed)
-        try:
-            walk = _three_space_walk(bundle)
-        finally:
-            suite = suite.result()  # its error replaces the walk's
-    return suite, walk
 
 
 def _cmd_verify(args):
@@ -262,7 +221,8 @@ def _cmd_verify(args):
     metrics = [HermitianMetric.identity(n)] + \
         [random_metric(n, rng) for _ in range(args.metrics)]
     for i, met in enumerate(metrics):
-        suite, walk = _audit(bundle_for_algebra(alg, met), args.seed + i)
+        bundle = bundle_for_algebra(alg, met)
+        suite, walk = identity_suite(bundle, seed=args.seed + i), _three_space_walk(bundle)
         for key, val in suite.items():
             families[key] = max(families.get(key, 0.0), val)
         for k, worst in enumerate(walk):

@@ -33,10 +33,11 @@ Conventions fixed here and used everywhere else:
   wedge (on its left), apply, Form.wedge_matrix and integrate then act on each
   form of the stack and give it the bits it gets alone; a block map may likewise
   carry matrices stacked on a leading axis.
-* The ranks of the differentials are metric-free, decided once per algebra from
-  singular values; harmonic_dim(which, key), the Lie-algebra cohomology at key, is
-  the kernel dimension of that space's Laplacian at every metric.
-* Work that depends on one object alone is kept on it by memo: d and its ranks on its
+* The images and kernels of the differentials are metric-free: bases(which, key)
+  keeps orthonormal bases of both, decided once per algebra from one SVD, and
+  harmonic_dim(which, key), the Lie-algebra cohomology at key, is the kernel
+  dimension of that space's Laplacian at every metric.
+* Work that depends on one object alone is kept on it by memo: d and its bases on its
   algebra, the matrices of form ^ . and the powers of a form on the form, the
   metric operators on their bundle.  A kept array is read-only.  No key holds
   a Form: an entry would keep the form alive as long as its owner, so work on
@@ -57,7 +58,7 @@ from .errors import DegreeOutOfRange, DimensionMismatch, ModelInvalid
 # of a job may hold, a matrix, the 4^n coefficient vector of a form, or a stack of
 # matrices, one per variation direction.
 DENSE_BUDGET = 2 ** 22
-# ExteriorAlgebra.rank counts the singular values above this fraction of the largest
+# ExteriorAlgebra.bases keeps the singular vectors above this fraction of the largest
 RANK_RTOL = 1e-10
 
 
@@ -584,23 +585,39 @@ class ExteriorAlgebra:
         return dim_pq(self.n, *key)
 
     @memo
-    def rank(self, which, key):
-        """Rank of diff(which, key): its singular values above RANK_RTOL * sigma_max,
-        decided once per algebra, as it holds at every metric.  A singular value within
+    def bases(self, which, key):
+        """(image, kernel): orthonormal bases, as columns, of the image of diff(which, key)
+        in the space at neighbor(which, key, 1) and of its kernel in the space at key,
+        from one SVD, decided once per algebra, as both hold at every metric.  The image
+        takes the singular vectors above RANK_RTOL * sigma_max.  A singular value within
         a factor 100 of the cut refuses the model (ModelInvalid): below the cut rounding
-        may decide the count, above it (up to 1e-8 ~ sqrt(eps)) the Laplacian's
-        eigenvalue sigma^2 would sit at eigh's rounding level."""
-        mat = self.diff(which, key) if self.dim(which, key) else np.zeros((0, 0))
+        may decide the count, above it the projectors would carry 1 / sigma^2."""
+        mat = self.diff(which, key) if self.dim(which, key) else \
+            np.zeros((self.dim(which, neighbor(which, key, 1)), 0))
         # zero rows and columns add only zero singular values; dropping them makes the
         # n = 6 SVDs ~20x cheaper
-        mat = mat[np.any(mat, axis=1)][:, np.any(mat, axis=0)]
-        s = np.linalg.svd(mat, compute_uv=False) if mat.size else np.zeros(1)
-        near = s[(s > RANK_RTOL * s[0] / 100) & (s < RANK_RTOL * s[0] * 100)]
+        rows, cols = np.any(mat, axis=1), np.any(mat, axis=0)
+        u, s, vh = np.linalg.svd(mat[rows][:, cols])
+        top = s.max(initial=0.0)
+        near = s[(s > RANK_RTOL * top / 100) & (s < RANK_RTOL * top * 100)]
         if near.size:
             raise ModelInvalid(f"{which} on {'degree' if which == 'd' else 'bidegree'} {key} "
-                               f"has a singular value {near[0] / s[0]:.3e} times its largest, "
+                               f"has a singular value {near[0] / top:.3e} times its largest, "
                                f"within a factor 100 of the rank cut {RANK_RTOL:g}")
-        return int(np.count_nonzero(s > RANK_RTOL * s[0]))
+        rank, zero = int(np.count_nonzero(s > RANK_RTOL * top)), int(np.sum(~cols))
+        image = np.zeros((len(rows), rank), dtype=complex)
+        image[rows] = u[:, :rank]
+        # the unit vectors of the zero columns, then the null right singular vectors
+        kernel = np.zeros((len(cols), len(cols) - rank), dtype=complex)
+        kernel[~cols, np.arange(zero)] = 1.0
+        kernel[cols, zero:] = vh[rank:].conj().T
+        for arr in (image, kernel):
+            arr.setflags(write=False)
+        return image, kernel
+
+    def rank(self, which, key):
+        """Rank of diff(which, key): the columns of its image basis."""
+        return self.bases(which, key)[0].shape[1]
 
     def harmonic_dim(self, which, key):
         """dim - rank(key) - rank(prev): the cohomology at key, which is the kernel

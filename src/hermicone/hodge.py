@@ -1,12 +1,13 @@
 """Hodge decompositions, projectors, torsion forms and the (n-1) root.
 
-The kernel of each Laplacian is cut once per bundle, by decomposition(bundle,
-which, key), at its metric-free dimension: the kernel_dim smallest eigenvalues,
-where kernel_dim is the algebra's harmonic_dim(which, key).  On these finite
-invariant complexes that dimension is a Lie-algebra cohomology number, the same
-at every metric, so no eigenvalue threshold decides it.  Every projector,
-potential and torsion below reads the decomposition's harmonic projector and
-Green operator.
+Each space's Hodge decomposition is made once per bundle, by decomposition(bundle,
+which, key), from the algebra's metric-free bases (ExteriorAlgebra.bases): the
+G-orthogonal projectors B (B^H G B)^-1 B^H G onto the image of the differential
+into the space and onto the kernel of the differential out of it, whose difference
+is the harmonic projector.  No eigensolver is involved: on these finite invariant
+complexes the images and kernels are the same at every metric, and the metric
+enters only through the Gram matrix G.  The Green operator solves the Laplacian
+plus its harmonic projector, which is invertible.
 
 The projectors onto the images of a differential and of its codifferential
 and the minimum-norm potential are written once over (which, key), as the
@@ -17,7 +18,6 @@ degree 3, torsion Gamma the "dbar" potential on (n-1, n-1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -26,33 +26,30 @@ from .exterior import Form, _complement, memo, neighbor
 from .metric import HermitianMetric
 
 
+def _projector(basis, gram):
+    """G-orthogonal projector B (B^H G B)^-1 B^H G onto the span of basis's columns."""
+    bg = basis.conj().T @ gram
+    return basis @ np.linalg.solve(bg @ basis, bg)
+
+
 class Decomposition:
-    """The Hodge decomposition of one Laplacian: its kernel is the kernel_dim (the
-    algebra's harmonic_dim) smallest eigenvalues, and gap the smallest eigenvalue
-    above them (inf if none).  The harmonic projector v v^H G over the kernel
-    eigenvectors and the Green operator v Lambda^-1 v^H G over the others are
-    built on first use."""
+    """The Hodge decomposition of one space as G-orthogonal projectors, G its Gram
+    matrix: image onto the image of diff(which, prev), kernel onto the kernel of
+    diff(which, key), and harmonic = kernel - image onto the kernel of the Laplacian,
+    of dimension kernel_dim (the algebra's harmonic_dim).  It keeps no reference to
+    the bundle, which would make every bundle cyclic garbage."""
 
     def __init__(self, bundle, which, key):
-        self.spectral = spec = bundle.spectral(which, key)
-        self.kernel_dim = bundle.alg.harmonic_dim(which, key)
-        self.mask = np.arange(spec.eigenvalues.size) < self.kernel_dim
-        self.gap = float(spec.eigenvalues[~self.mask].min(initial=np.inf))
-
-    @cached_property
-    def harmonic(self):
-        v = self.spectral.vectors[:, self.mask]
-        return v @ (v.conj().T @ self.spectral.gram)
-
-    @cached_property
-    def green(self):
-        v, lam = self.spectral.vectors[:, ~self.mask], self.spectral.eigenvalues[~self.mask]
-        return (v / lam) @ (v.conj().T @ self.spectral.gram)
+        alg, gram = bundle.alg, bundle.gram_for(which, key)
+        self.kernel_dim = alg.harmonic_dim(which, key)
+        self.image = _projector(alg.bases(which, neighbor(which, key, -1))[0], gram)
+        self.kernel = _projector(alg.bases(which, key)[1], gram)
+        self.harmonic = self.kernel - self.image
 
 
 @memo
 def decomposition(bundle, which, key):
-    """The Decomposition of the Laplacian of which at key, kept on the bundle."""
+    """The Decomposition of the space of which at key, kept on the bundle."""
     return Decomposition(bundle, which, key)
 
 
@@ -61,9 +58,13 @@ def harmonic_projector(bundle, which, key):
     return decomposition(bundle, which, key).harmonic
 
 
+@memo
 def green_operator(bundle, which, key):
-    """Pseudo-inverse of the Laplacian: zero on kernel, 1/lambda elsewhere."""
-    return decomposition(bundle, which, key).green
+    """Pseudo-inverse of the Laplacian, zero on its kernel, kept on the bundle: lap + P_h
+    is invertible, with inverse green + P_h, for the harmonic projector P_h."""
+    harmonic = harmonic_projector(bundle, which, key)
+    lap = bundle.laplacian(which, key)
+    return np.linalg.solve(lap + harmonic, np.eye(len(lap))) - harmonic
 
 
 def kernel_dimension(bundle, which, key):
@@ -73,20 +74,14 @@ def kernel_dimension(bundle, which, key):
 
 def image_projector(bundle, which, key):
     """G-orthogonal projector of the space at key onto the image of diff(which, .)."""
-    prev = neighbor(which, key, -1)
-    if bundle.dim(which, prev) == 0:
-        return np.zeros((bundle.dim(which, key),) * 2, dtype=complex)
-    return bundle.alg.diff(which, prev) @ green_operator(bundle, which, prev) \
-        @ bundle.codiff(which, key)
+    return decomposition(bundle, which, key).image
 
 
 def coimage_projector(bundle, which, key):
-    """G-orthogonal projector of the space at key onto the image of codiff(which, .)."""
-    nxt = neighbor(which, key, 1)
-    if bundle.dim(which, nxt) == 0:
-        return np.zeros((bundle.dim(which, key),) * 2, dtype=complex)
-    return bundle.codiff(which, nxt) @ green_operator(bundle, which, nxt) \
-        @ bundle.alg.diff(which, key)
+    """G-orthogonal projector of the space at key onto the image of codiff(which, .),
+    the complement of the kernel of diff(which, key)."""
+    kernel = decomposition(bundle, which, key).kernel
+    return np.eye(len(kernel)) - kernel
 
 
 # the per-complex names bind perfbench/tracing.py TARGETS; the package calls the above
@@ -211,13 +206,11 @@ class PotentialSolution:
 def potential(bundle, which, key, source_vec):
     """Minimum-norm solution at neighbor(which, key, -1) of diff(pot) = P_im(source)."""
     prev = neighbor(which, key, -1)
-    below = decomposition(bundle, which, prev)
     proj = image_projector(bundle, which, key) @ source_vec
     harm = harmonic_projector(bundle, which, key) @ source_vec
-    pot = below.green @ (bundle.codiff(which, key) @ proj)
+    pot = green_operator(bundle, which, prev) @ (bundle.codiff(which, key) @ proj)
     res_eq = _l2(bundle, which, key, bundle.alg.diff(which, prev) @ pot - proj)
-    ker_proj = below.harmonic + image_projector(bundle, which, prev)
-    res_ker = _l2(bundle, which, prev, ker_proj @ pot)
+    res_ker = _l2(bundle, which, prev, decomposition(bundle, which, prev).kernel @ pot)
     return PotentialSolution(pot, proj, harm, res_eq, res_ker)
 
 

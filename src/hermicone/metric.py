@@ -8,12 +8,14 @@ and the trace operators (adjoints of omega ^ ., whose matrices omega keeps).
 For each of the three complexes (which = "d" on total degrees, "del" and
 "dbar" on bidegrees) it keeps one codifferential codiff(which, key).  What a
 job reads once is formed on each call: the commutators [trace, gamma ^ .] of
-the variation formulas, each Laplacian laplacian(which, key) and its spectral
-data: numpy's eigh of the Laplacian reduced by the Gram's Cholesky factor
-(the Hermitian-definite pencil reduction), whose eigenvectors are
-G-orthonormal.  The bundle also carries the tolerance tol of its predicates
-and of its potentials' residual gates, and keeps the Hodge decompositions that
-hodge.decomposition makes from the spectral data, one per space.
+the variation formulas, each Laplacian laplacian(which, key), and the
+diagnostic spectral data of one: numpy's eigh of the Laplacian reduced by the
+Gram's Cholesky factor (the Hermitian-definite pencil reduction), whose
+eigenvectors are G-orthonormal.  No job reads the spectral data: the Hodge
+decompositions come from the algebra's metric-free bases.  The bundle also
+carries the tolerance tol of its predicates and of its potentials' residual
+gates, and keeps the Hodge decompositions and Green operators that hodge
+makes, one per space.
 
 Inner product conventions: <theta^j, theta^k> = (H^{-1})_{kj}, extended to
 monomials by determinant multiplicativity; matrices G satisfy
@@ -38,10 +40,6 @@ from .model import algebra_for, require_valid
 
 HERMITICITY_TOL = 1e-12
 DEFAULT_TOL = 1e-9  # the predicate and potential-residual tolerance of a bundle
-# spectral factors a space up to this dimension as a whole, a larger one per
-# bidegree block: one factorization of the block-diagonal Gram takes fewer numpy
-# calls, the blocks fewer flops (the blocks measured faster from N = 45 on)
-WHOLE_FACTOR_MAX = 32
 NORMAL_FLOAT_LOGS = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
@@ -147,12 +145,6 @@ def random_metric(n, rng):
     """Seeded H = B^H B + I / 2, comfortably positive definite."""
     b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return HermitianMetric(b.conj().T @ b + 0.5 * np.eye(n))
-
-
-def _cholesky_factor(g):
-    """L^H and L^{-H} for the Cholesky factor L of g = L L^H."""
-    up = np.linalg.cholesky(g).conj().T
-    return up, np.linalg.inv(up)
 
 
 def _adjoint(mat, g_src, g_tgt):
@@ -369,33 +361,22 @@ class OperatorBundle:
 
     def spectral(self, which, key):
         """Eigen-data of a Laplacian w.r.t. the pointwise Gram inner product, computed
-        on each call; hodge.decomposition keeps it, once per space.
+        on each call, a diagnostic: no job reads it.
 
         The generalized problem lap v = v diag(w), v^H G v = I, is reduced with the
         Cholesky factor G = L L^H: C = L^H lap L^{-H} is Hermitian, as lap is
         G-self-adjoint, and its eigenvectors y give v = L^{-H} y, G-orthonormal by
-        construction.  G is block diagonal by bidegree, and so is L: a space of more
-        than WHOLE_FACTOR_MAX dimensions is factored and transformed block by block,
-        a smaller one as a whole, which takes fewer numpy calls.
+        construction.
         """
         lap = self.laplacian(which, key)
         g = self.gram_for(which, key)
         if lap.size == 0:
             return SpectralData(which, key, np.zeros(0), np.zeros((0, 0), dtype=complex), g)
-        if len(lap) <= WHOLE_FACTOR_MAX:
-            factors = [(slice(None), *_cholesky_factor(g))]
-        else:
-            factors = [(sl, *_cholesky_factor(self.gram(*pq)))
-                       for pq, sl in self.alg.slices(key).items()]
-        c = np.empty_like(lap)
-        for sl, up, _ in factors:
-            c[sl] = up @ lap[sl]
-        for sl, _, up_inv in factors:
-            c[:, sl] = c[:, sl] @ up_inv
+        up = np.linalg.cholesky(g).conj().T
+        up_inv = np.linalg.inv(up)
+        c = (up @ lap) @ up_inv
         w, y = np.linalg.eigh(0.5 * (c + c.conj().T))
-        for sl, _, up_inv in factors:
-            y[sl] = up_inv @ y[sl]
-        return SpectralData(which, key, w, y, g)
+        return SpectralData(which, key, w, up_inv @ y, g)
 
 
 def build_bundle(model, metric, tol=DEFAULT_TOL):

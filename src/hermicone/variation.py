@@ -51,8 +51,8 @@ from .exterior import (DENSE_BUDGET, Form, conj_block_matrix, dim_pq, memo, neig
                        wedge_power)
 from .functionals import (SLICES, cone_slice, direction_slice, energy, evaluate,
                           normalization_integral)
-from .hodge import (Decomposition, decomposition, harmonic_projector, image_projector,
-                    torsion, torsion_space)
+from .hodge import (Decomposition, decomposition, green_operator, harmonic_projector,
+                    image_projector, torsion, torsion_space)
 from .metric import (DEFAULT_TOL, HermitianMetric, OperatorBundle, bundle_for_algebra,
                      random_metric)
 from .model import algebra_for
@@ -243,8 +243,8 @@ class ProjectorVariation:
     derivative is the unconditional two-term expression
     -(P dLap S + S dLap P); image_part keeps only -P dLap S, which agrees
     with the derivative exactly on inputs with vanishing kernel component.
-    decomposition is the Laplacian's hodge.Decomposition: its kernel
-    dimension, spectral gap and harmonic projector P.
+    decomposition is the space's hodge.Decomposition: its kernel dimension
+    and harmonic projector P.
     """
 
     which: str
@@ -267,7 +267,7 @@ def var_harmonic_projector(bundle, gamma, which, key):
     Linear Operators, II.2) at every metric.
     """
     dec = decomposition(bundle, which, key)
-    proj, green = dec.harmonic, dec.green
+    proj, green = dec.harmonic, green_operator(bundle, which, key)
     dlap = laplacian_variation_matrix(bundle, gamma, which, key)
     image_part = -proj @ dlap @ green
     derivative = image_part - green @ dlap @ proj
@@ -389,9 +389,8 @@ def _var_torsion_at(bundle, kind):
     det = bundle.det_h
     im_proj = image_projector(bundle, which, key)
     codiff = bundle.codiff(which, key)
-    green_prev = decomposition(bundle, which, prev).green
-    here = decomposition(bundle, which, key)
-    proj, green = here.harmonic, here.green
+    green_prev = green_operator(bundle, which, prev)
+    proj, green = harmonic_projector(bundle, which, key), green_operator(bundle, which, key)
     omega_src = report.source.part(key)
     green_src, proj_src = (green @ omega_src)[:, None], (proj @ omega_src)[:, None]
     tors_norm = float(np.sqrt(max(report.norm_sq, 0.0)))

@@ -8,7 +8,7 @@ import pytest
 
 from hermicone import cli, errors
 from hermicone.cli import main
-from hermicone.metric import HermitianMetric, random_metric
+from hermicone.metric import HermitianMetric, OperatorBundle, random_metric
 from hermicone.model import catalog
 
 
@@ -437,6 +437,33 @@ def test_rank_near_the_cut_exits_validation(tmp_path, capsys, eps, argv):
     assert err.startswith("error: d on degree ") and "rank cut 1e-10" in err
 
 
+def _straddle_model(tmp_path, eps):
+    path = tmp_path / f"straddle_{eps:g}.json"
+    path.write_text(json.dumps({"name": "straddle", "n": 4, "terms": [
+        {"i": 3, "kind": "mixed", "j": 1, "k": 1, "re": 1.0, "im": 0.0},
+        {"i": 4, "kind": "mixed", "j": 2, "k": 2, "re": eps, "im": 0.0}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6])
+def test_small_singular_values_above_the_cut_verify(tmp_path, capsys, eps):
+    # the projectors come from d's bases, not from the Laplacian's eigenvalue eps^2
+    code, out, err = run(capsys, "verify", "--model", _straddle_model(tmp_path, eps),
+                         "--metrics", "1")
+    assert code == 0, err
+    assert json.loads(out)["report"]["pass"]
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
+def test_small_singular_values_above_the_cut_evaluate(tmp_path, capsys, eps):
+    path = _straddle_model(tmp_path, eps)
+    report = run_json(capsys, "eval", "--model", path, "--functional", "F")["report"]
+    assert abs(report["value"] - 0.5) <= 1e-9
+    # the projector variation's resolvent still carries 1 / eps^2 (ROADMAP F)
+    code, _, _ = run(capsys, "varcheck", "--model", path, "--tuples", "2")
+    assert code == cli.EXIT_TOLERANCE
+
+
 # ----- one parser per process ------------------------------------------------------------
 
 
@@ -485,3 +512,46 @@ def test_no_state_leaks_between_main_calls(tmp_path, capsys):
         after = run(capsys, *second)
         assert alone[0] == 0 and alone[1], (first, alone)
         assert after == alone, first
+
+
+# ----- verify's audits in turn; no job reads the spectral diagnostic ------------------------
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def test_the_suite_error_surfaces_before_the_walk_error(capsys, monkeypatch):
+    argv = ("verify", "--catalog", "iwasawa", "--metrics", "1")
+    monkeypatch.setattr(cli, "three_space_residuals",
+                        _raise(errors.ToleranceFailure("walk failed")))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (cli.EXIT_TOLERANCE, "")
+    assert "walk failed" in err
+    monkeypatch.setattr(cli, "identity_suite", _raise(errors.DimensionMismatch("suite failed")))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert "suite failed" in err and "walk failed" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--catalog", "iwasawa", "--metrics", "1"),
+    ("torsion", "--catalog", "iwasawa"),
+    ("eval", "--catalog", "kodaira_thurston", "--functional", "Ftilde"),
+    ("eval", "--catalog", "iwasawa", "--functional", "G"),
+    ("varcheck", "--catalog", "iwasawa", "--tuples", "2"),
+    ("descend", "--catalog", "iwasawa", "--functional", "G", "--steps", "2"),
+], ids=lambda argv: argv[0])
+def test_no_job_reads_the_spectral_diagnostic(argv, capsys, monkeypatch):
+    called = []
+
+    def spectral(bundle, which, key):
+        called.append((which, key))
+        raise AssertionError("spectral called")
+
+    monkeypatch.setattr(OperatorBundle, "spectral", spectral)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert called == []

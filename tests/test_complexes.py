@@ -139,17 +139,23 @@ def test_laplacian_matches_written_formula(bundle):
         assert np.array_equal(bundle.laplacian(which, key), want), (which, key)
 
 
+def _written_projector(basis, g):
+    """B (B^H G B)^-1 B^H G, the G-orthogonal projector onto basis's columns."""
+    bg = basis.conj().T @ g
+    return basis @ np.linalg.solve(bg @ basis, bg)
+
+
 def test_projectors_match_written_formulas(bundle):
     for which, key in _cases(bundle):
         diff, gram, step = WRITTEN[which]
-        prev, nxt = step(key, -1), step(key, 1)
-        zero = np.zeros((gram(bundle, key).shape[0],) * 2, dtype=complex)
-        want_im = diff(bundle.alg, prev) @ green_operator(bundle, which, prev) \
-            @ _written_codiff(bundle, which, key) if _in_range(which, prev, bundle.n) else zero
-        want_coim = _written_codiff(bundle, which, nxt) @ green_operator(bundle, which, nxt) \
-            @ diff(bundle.alg, key) if _in_range(which, nxt, bundle.n) else zero
+        g = gram(bundle, key)
+        want_im = _written_projector(bundle.alg.bases(which, step(key, -1))[0], g)
+        want_ker = _written_projector(bundle.alg.bases(which, key)[1], g)
         assert np.array_equal(image_projector(bundle, which, key), want_im), (which, key)
-        assert np.array_equal(coimage_projector(bundle, which, key), want_coim), (which, key)
+        assert np.array_equal(coimage_projector(bundle, which, key),
+                              np.eye(len(g)) - want_ker), (which, key)
+        assert np.array_equal(harmonic_projector(bundle, which, key),
+                              want_ker - want_im), (which, key)
 
 
 def test_potential_matches_written_formula(bundle):
@@ -165,8 +171,7 @@ def test_potential_matches_written_formula(bundle):
         proj = image_projector(bundle, which, key) @ src
         pot = green_operator(bundle, which, prev) @ (_written_codiff(bundle, which, key) @ proj)
         eq = diff(bundle.alg, prev) @ pot - proj
-        ker = (harmonic_projector(bundle, which, prev) + image_projector(bundle, which, prev)) \
-            @ pot
+        ker = hodge.decomposition(bundle, which, prev).kernel @ pot
         l2 = [float(np.sqrt(max((v.conj() @ (gm @ v)).real * bundle.det_h, 0.0)))
               for v, gm in ((eq, g), (ker, gram(bundle, prev)))]
         assert np.array_equal(sol.projected_source, proj)
@@ -206,22 +211,21 @@ def catalog_bundle(request):
     return _bundle(*request.param)
 
 
-def test_harmonic_and_green_match_written_eigen_forms(catalog_bundle):
+def test_harmonic_and_green_match_written_projector_forms(catalog_bundle):
     b = catalog_bundle
     for which, key in _cases(b):
-        spec = b.spectral(which, key)
-        eigs, v, g = spec.eigenvalues, spec.vectors, spec.gram
-        kdim = b.alg.harmonic_dim(which, key)
-        m = np.arange(eigs.size) < kdim
         dec = hodge.decomposition(b, which, key)
         assert dec is hodge.decomposition(b, which, key), (which, key)
-        assert dec.kernel_dim == kdim == int(m.sum()), (which, key)
-        assert dec.gap == float(eigs[~m].min(initial=np.inf)), (which, key)
-        assert hodge.kernel_dimension(b, which, key) == kdim
-        assert np.array_equal(harmonic_projector(b, which, key),
-                              v[:, m] @ (v[:, m].conj().T @ g)), (which, key)
-        assert np.array_equal(green_operator(b, which, key),
-                              (v[:, ~m] / eigs[~m]) @ (v[:, ~m].conj().T @ g)), (which, key)
+        assert dec.kernel_dim == b.alg.harmonic_dim(which, key), (which, key)
+        assert hodge.kernel_dimension(b, which, key) == dec.kernel_dim
+        assert np.array_equal(harmonic_projector(b, which, key), dec.kernel - dec.image)
+        # the Laplacian plus its harmonic projector is invertible, with inverse
+        # green + harmonic
+        green, harmonic = green_operator(b, which, key), dec.harmonic
+        want = np.linalg.solve(b.laplacian(which, key) + harmonic,
+                               np.eye(len(harmonic))) - harmonic
+        assert green is green_operator(b, which, key), (which, key)
+        assert np.array_equal(green, want), (which, key)
 
 
 def test_kernel_cut_is_made_once_per_space(monkeypatch):
@@ -232,16 +236,19 @@ def test_kernel_cut_is_made_once_per_space(monkeypatch):
         return harmonic_dim(alg, which, key)
 
     monkeypatch.setattr(ExteriorAlgebra, "harmonic_dim", counting)
+    eighs, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: eighs.append(a) or eigh(*a, **kw))
     b = _bundle("iwasawa", 3)
     eval_G(b)
     eval_G(b)
-    # the source (2, 2), the torsion's space (2, 1) and its image space (2, 0)
-    assert len(counted) == 3
-    assert sorted(kept_keys(b, hodge.decomposition)) == [
-        ("dbar", (2, 0)), ("dbar", (2, 1)), ("dbar", (2, 2))]
-    # the ranks under the counts are kept on the algebra: a bundle at another metric
-    # runs no singular value decomposition
-    assert {("dbar", (2, q)) for q in range(3)} <= set(kept_keys(b.alg, ExteriorAlgebra.rank))
+    # the source (2, 2) and the torsion's space (2, 1), whose kernel projector and
+    # Green operator the potential reads; no eigensolver runs
+    assert len(counted) == 2 and eighs == []
+    assert sorted(kept_keys(b, hodge.decomposition)) == [("dbar", (2, 1)), ("dbar", (2, 2))]
+    assert sorted(kept_keys(b, hodge.green_operator)) == [("dbar", (2, 1))]
+    # the bases under them are kept on the algebra: a bundle at another metric runs
+    # no singular value decomposition
+    assert {("dbar", (2, q)) for q in range(3)} <= set(kept_keys(b.alg, ExteriorAlgebra.bases))
     svds, svd = [], np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.append(a) or svd(*a, **kw))
     eval_G(_bundle("iwasawa", 4))

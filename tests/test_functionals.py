@@ -143,12 +143,12 @@ def test_F_tilde_ingredients_expose_parts():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_near_degenerate_metrics_are_refused_not_evaluated(seed):
-    # H = U diag(1, eps) U^H on Kodaira-Thurston: every such metric is refused, by the
-    # rho potential's residual gate or a singular solve, never reported as a number
+    # H = U diag(1, eps) U^H on Kodaira-Thurston: every such metric is refused by the
+    # rho potential's residual gate, never reported as a number
     alg = algebra_for(catalog("kodaira_thurston"))
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     for e in range(5, 11):
         h = u @ np.diag([1.0, 10.0 ** -e]) @ u.conj().T
-        with pytest.raises((ToleranceFailure, np.linalg.LinAlgError)):
+        with pytest.raises(ToleranceFailure):
             eval_F(bundle_for_algebra(alg, HermitianMetric(0.5 * (h + h.conj().T))))

@@ -1,4 +1,4 @@
-"""Spectral decompositions, predicates, torsion potentials and the (n-1)-root."""
+"""Hodge decompositions, predicates, torsion potentials and the (n-1)-root."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hermicone.errors import (
     NotSKT,
 )
 from hermicone import hodge
-from hermicone.exterior import ExteriorAlgebra, Form, random_form, wedge, wedge_power
+from hermicone.exterior import ExteriorAlgebra, Form, neighbor, random_form, wedge, wedge_power
 from hermicone.hodge import (
     coimage_projector,
     green_operator,
@@ -63,6 +63,49 @@ def test_three_space_decomposition(name, k):
     b = seeded_bundle(name, seed=1)
     res = three_space_residuals(b, k)
     assert max(res.values()) <= 1e-10, res
+
+
+# the basis projectors against the eigen forms they replaced: the harmonic projector
+# v v^H G over the kernel eigenvectors of the spectral diagnostic, the Green operator
+# v Lambda^-1 v^H G over the others, and the codifferential-Green projectors
+# diff(prev) green(prev) codiff(key) and codiff(nxt) green(nxt) diff(key)
+CROSS_CHECK_TOL = 1e-11
+
+
+def _eigen_forms(b, which, key):
+    spec = b.spectral(which, key)
+    eigs, v, g = spec.eigenvalues, spec.vectors, spec.gram
+    m = np.arange(eigs.size) < b.alg.harmonic_dim(which, key)
+    return v[:, m] @ (v[:, m].conj().T @ g), (v[:, ~m] / eigs[~m]) @ (v[:, ~m].conj().T @ g)
+
+
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, "iwasawa_x_t1"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_basis_projectors_match_the_eigen_forms(name, seed):
+    model = make_model(name, 4, [(3, "holo", 1, 2, -1.25)]) if name == "iwasawa_x_t1" \
+        else catalog(name)
+    b = bundle_for_algebra(algebra_for(model), random_metric(model.n,
+                                                             np.random.default_rng(seed)))
+    n, worst = b.n, 0.0
+    spaces = [("d", k) for k in range(2 * n + 1)] + \
+        [("dbar", (p, q)) for p in range(n + 1) for q in range(n + 1)]
+    green = {space: _eigen_forms(b, *space)[1] for space in spaces}
+    for which, key in spaces:
+        prev, nxt = neighbor(which, key, -1), neighbor(which, key, 1)
+        size = b.dim(which, key)
+        image = b.alg.diff(which, prev) @ green[which, prev] @ b.codiff(which, key) \
+            if b.dim(which, prev) else np.zeros((size, size))
+        coimage = b.codiff(which, nxt) @ green[which, nxt] @ b.alg.diff(which, key) \
+            if b.dim(which, nxt) else np.zeros((size, size))
+        pairs = [(harmonic_projector(b, which, key), _eigen_forms(b, which, key)[0]),
+                 (green_operator(b, which, key), green[which, key]),
+                 (image_projector(b, which, key), image),
+                 (coimage_projector(b, which, key), coimage)]
+        for got, want in pairs:
+            err = np.max(np.abs(got - want), initial=0.0) / max(1.0, np.max(np.abs(want),
+                                                                              initial=0.0))
+            worst = max(worst, err)
+    assert worst <= CROSS_CHECK_TOL
 
 
 def test_first_betti_numbers_of_invariant_complex():

@@ -11,7 +11,7 @@ import pytest
 import hermicone
 from hermicone import cli, hodge
 from hermicone.exterior import ExteriorAlgebra, memo, random_form
-from hermicone.metric import OperatorBundle, bundle_for_algebra, random_metric
+from hermicone.metric import OperatorBundle, bundle_for_algebra, identity_suite, random_metric
 from hermicone.model import algebra_for, catalog
 from hermicone.variation import Directions, make_direction, var_F, variation_at
 
@@ -162,10 +162,12 @@ def test_a_direction_goes_with_its_variation_call():
 
 
 def test_an_audit_keeps_no_laplacian_spectrum_or_commutator():
-    # what verify reads once is formed on each call; the decompositions keep the spectra
+    # what verify reads once is formed on each call; the decompositions keep the
+    # projectors, and the walk needs no Green operator
     alg = ExteriorAlgebra(5, [(2, "mixed", 1, 1, 1.3)])  # Kodaira-Thurston x T^3
     bundle = bundle_for_algebra(alg, random_metric(5, np.random.default_rng(3)))
-    cli._audit(bundle, seed=5)
+    identity_suite(bundle, seed=5)
+    cli._three_space_walk(bundle)
     names = {fn.__name__ for owner in (bundle, alg) for fn, _ in owner._memo}
-    assert "decomposition" in names
-    assert not names & {"laplacian", "spectral", "commutator"}
+    assert {"decomposition", "bases"} <= names
+    assert not names & {"laplacian", "spectral", "commutator", "green_operator"}

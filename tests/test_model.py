@@ -291,11 +291,12 @@ def test_eval_g_densifies_only_the_blocks_it_reads(tmp_path, capsys, fresh_cache
     alg = algebra_for(model)
     # the gate reads d's sparse entries everywhere, but dense blocks only exist where
     # the predicates (d omega, del dbar omega, d omega_(n-1)) and the dbar complex
-    # around Gamma's (n-1, n-2) read them
+    # around Gamma's (n-1, n-2) read them: the bases of dbar out of (n-1, n-3..n-1)
+    # and the Laplacian on (n-1, n-2)
     predicates = {(1, 1), (1, 2), (n - 1, n - 1)}
-    gamma = {(n - 1, q) for q in range(n - 4, n)}
+    gamma = {(n - 1, q) for q in range(n - 3, n)}
     assert set(kept_keys(alg, ExteriorAlgebra.d_blocks)) == predicates | gamma
-    assert len(kept_keys(alg, ExteriorAlgebra.d_blocks)) == 6  # of 64 source bidegrees
+    assert len(kept_keys(alg, ExteriorAlgebra.d_blocks)) == 5  # of 64 source bidegrees
 
 
 def test_eval_g_at_n8_stays_small(tmp_path):

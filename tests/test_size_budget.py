@@ -37,7 +37,7 @@ def _largest_side(monkeypatch, tmp_path, model, argv, capsys):
     init, eigh = metric.OperatorBundle.__init__, np.linalg.eigh
     monkeypatch.setattr(metric.OperatorBundle, "__init__",
                         lambda self, *a, **k: init(self, *a, **k) or bundles.append(self))
-    # spectral's eigensolver, which the optimizer's constraint basis also calls
+    # the optimizer's constraint basis calls eigh; no Hodge decomposition does
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda a, *rest, **kw: eigh_sides.append(len(a)) or eigh(a, *rest, **kw))
     path = tmp_path / f"{model.name}.json"

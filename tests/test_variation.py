@@ -181,7 +181,7 @@ def test_projector_variation_applied_forms():
     var = var_harmonic_projector(b, gamma, "d", 3)
     dec = var.decomposition
     kernel = dec.harmonic @ vec
-    assert np.sqrt(max((kernel.conj() @ (dec.spectral.gram @ kernel)).real, 0.0)) <= 1e-10
+    assert np.sqrt(max((kernel.conj() @ (b.gram_for("d", 3) @ kernel)).real, 0.0)) <= 1e-10
     assert np.max(np.abs(var.image_part @ vec - var.derivative @ vec)) <= 1e-10
     assert var.kernel_dim >= 0
 

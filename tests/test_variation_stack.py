@@ -14,7 +14,8 @@ import pytest
 import hermicone.variation as variation
 from hermicone.exterior import Form, _wedge_arrays, dim_pq, memo, neighbor, wedge, wedge_power
 from hermicone.functionals import energy, normalization_integral
-from hermicone.hodge import decomposition, image_projector, torsion, torsion_space
+from hermicone.hodge import (green_operator, harmonic_projector, image_projector, torsion,
+                             torsion_space)
 from hermicone.metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra, random_metric
 from hermicone.model import algebra_for, catalog, make_model
 from hermicone.optimizer import _Objective, _random_feasible, constraint_basis, descend
@@ -119,9 +120,8 @@ def _torsion_at_1(b, kind):
     det = b.det_h
     im_proj = image_projector(b, which, key)
     codiff = b.codiff(which, key)
-    green_prev = decomposition(b, which, prev).green
-    here = decomposition(b, which, key)
-    proj, green = here.harmonic, here.green
+    green_prev = green_operator(b, which, prev)
+    proj, green = harmonic_projector(b, which, key), green_operator(b, which, key)
     omega_src = report.source.part(key)
     green_src, proj_src = green @ omega_src, proj @ omega_src
     tors_norm = float(np.sqrt(max(report.norm_sq, 0.0)))
