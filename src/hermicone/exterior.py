@@ -591,7 +591,7 @@ class ExteriorAlgebra:
         from one SVD, decided once per algebra, as both hold at every metric.  The image
         takes the singular vectors above RANK_RTOL * sigma_max.  A singular value within
         a factor 100 of the cut refuses the model (ModelInvalid): below the cut rounding
-        may decide the count, above it the projectors would carry 1 / sigma^2."""
+        may decide the count, above it the Green operator would carry 1 / sigma^2."""
         mat = self.diff(which, key) if self.dim(which, key) else \
             np.zeros((self.dim(which, neighbor(which, key, 1)), 0))
         # zero rows and columns add only zero singular values; dropping them makes the
@@ -615,15 +615,12 @@ class ExteriorAlgebra:
             arr.setflags(write=False)
         return image, kernel
 
-    def rank(self, which, key):
-        """Rank of diff(which, key): the columns of its image basis."""
-        return self.bases(which, key)[0].shape[1]
-
     def harmonic_dim(self, which, key):
-        """dim - rank(key) - rank(prev): the cohomology at key, which is the kernel
-        dimension of the Laplacian there at every metric."""
-        return self.dim(which, key) - self.rank(which, key) \
-            - self.rank(which, neighbor(which, key, -1))
+        """dim ker diff(key) - rank diff(prev), the columns of the two bases: the
+        cohomology at key, which is the kernel dimension of the Laplacian there at
+        every metric."""
+        return self.bases(which, key)[1].shape[1] \
+            - self.bases(which, neighbor(which, key, -1))[0].shape[1]
 
     def bidegrees(self, k):
         """Bidegrees of total degree k, p descending."""
