@@ -39,6 +39,6 @@ for k in (1, 2, 3):
     worst = max(three_space_residuals(bundle, k).values())
     print(f"three-space residual, degree {k}: {worst:.3e}")
 
-# the spectral data behind all of this: eigenvalues of the d-Laplacian
+# the spectral diagnostic: eigenvalues of the d-Laplacian, as many zeros as b_2 = 8
 spec = bundle.spectral("d", 2)
 print("\nsmallest degree-2 Laplacian eigenvalues:", np.round(spec.eigenvalues[:5], 6))

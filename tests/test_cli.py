@@ -459,7 +459,7 @@ def test_small_singular_values_above_the_cut_evaluate(tmp_path, capsys, eps):
     path = _straddle_model(tmp_path, eps)
     report = run_json(capsys, "eval", "--model", path, "--functional", "F")["report"]
     assert abs(report["value"] - 0.5) <= 1e-9
-    # the projector variation's resolvent still carries 1 / eps^2 (ROADMAP F)
+    # the projector variation's resolvent formula still carries 1 / eps^2
     code, _, _ = run(capsys, "varcheck", "--model", path, "--tuples", "2")
     assert code == cli.EXIT_TOLERANCE
 
