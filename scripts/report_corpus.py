@@ -21,7 +21,10 @@ metric, ``verify --metrics 2`` and ``varcheck --tuples 3`` on the four catalog
 models; two 5-step descents; and ``eval``, ``torsion`` and ``verify`` on three
 synthetic models (Iwasawa x T^1, Kodaira-Thurston x T^2, complex Heisenberg
 n = 5) read from model files, and ``varcheck --tuples 2`` on the first of
-them, so the operator-variation audit covers an n >= 4 model; ``eval`` of G
+them, so the operator-variation audit covers an n >= 4 model; ``varcheck
+--tuples 2`` on the n = 4 model d theta^3 = theta^11bar, d theta^4 = 1e-5
+theta^22bar, whose d has a singular value 1e-5 times its largest, above the
+rank cut; ``eval`` of G
 alone on Iwasawa x T^4 (n = 7) and on Iwasawa x T^5 (n = 8); two models with
 large structure coefficients whose d*d cancels, read from model files:
 ``eval`` of H on the n = 4 two-step model at scale 1000 and of G on Iwasawa
@@ -88,6 +91,9 @@ SCALED = {
     "two_step_s1000": (_two_step(1000.0, 0), "H"),
     "iwasawa_1e20": ((3, [(3, "holo", 1, 2, -1e20)]), "G"),
 }
+# d theta^3 = theta^1^thetabar^1, d theta^4 = eps theta^2^thetabar^2 at eps = 1e-5: the
+# Laplacian has an eigenvalue eps^2 that is no kernel
+STRADDLE = {"straddle_1e-5": (4, [(3, "mixed", 1, 1, 1.0), (4, "mixed", 2, 2, 1e-5)])}
 
 
 def _write_inputs(tmp):
@@ -103,7 +109,7 @@ def _write_inputs(tmp):
     path.write_text(json.dumps(nu.to_json_obj()))
     paths["nu:kodaira_thurston"] = str(path)
     scaled = {name: model for name, (model, _) in SCALED.items()}
-    for name, (n, terms) in {**SYNTHETIC, **LARGE, **scaled}.items():
+    for name, (n, terms) in {**SYNTHETIC, **LARGE, **scaled, **STRADDLE}.items():
         doc = {"name": name, "n": n,
                "terms": [{"i": i, "kind": kind, "j": j, "k": k,
                           "re": complex(c).real, "im": complex(c).imag}
@@ -140,6 +146,9 @@ def jobs(paths):
     out.append(("varcheck iwasawa_x_t1",
                 ["varcheck", "--model", paths["model:iwasawa_x_t1"], "--tuples", "2",
                  "--seed", "2"]))
+    for name in STRADDLE:
+        out.append((f"varcheck {name}",
+                    ["varcheck", "--model", paths[f"model:{name}"], "--tuples", "2"]))
     for name in LARGE:
         out.append((f"eval {name} G", ["eval", "--model", paths[f"model:{name}"],
                                        "--functional", "G"]))
