@@ -13,6 +13,9 @@ the degree-preserving commutator C = [trace, gamma ^ .]; in terms of it
 for each of the three codifferentials codiff(which, key) of the bundle
 (C block diagonal on a total degree), and the Laplacian variations
 assemble from these by the product rule, once for all three complexes.
+The Gram matrix moves by G C - tr(H^-1 Gamma) G, so each projector of a Hodge
+decomposition, from a metric-free basis, moves by P C (I - P): the energy
+variations need no Laplacian variation and no Green operator at the source.
 All matrix derivatives are exact (the model is finite dimensional); the
 finite-difference harness in this module exists to cross-check them.
 
@@ -51,8 +54,8 @@ from .exterior import (DENSE_BUDGET, Form, conj_block_matrix, dim_pq, memo, neig
                        wedge_power)
 from .functionals import (SLICES, cone_slice, direction_slice, energy, evaluate,
                           normalization_integral)
-from .hodge import (Decomposition, decomposition, green_operator, harmonic_projector,
-                    image_projector, torsion, torsion_space)
+from .hodge import (Decomposition, decomposition, green_operator, harmonic_projector, torsion,
+                    torsion_space)
 from .metric import (DEFAULT_TOL, HermitianMetric, OperatorBundle, bundle_for_algebra,
                      random_metric)
 from .model import algebra_for
@@ -238,13 +241,13 @@ def laplacian_variation_matrix(bundle, gamma, which, key):
 
 @dataclass
 class ProjectorVariation:
-    """Derivative data of the harmonic projector of one Laplacian.
+    """Derivative data of the harmonic projector P of one Laplacian.
 
-    derivative is the unconditional two-term expression
-    -(P dLap S + S dLap P); image_part keeps only -P dLap S, which agrees
-    with the derivative exactly on inputs with vanishing kernel component.
+    derivative is dP = K C (I - K) - Im C (I - Im), for the kernel and image
+    projectors K and Im; image_part is P dP (I - P), which agrees with the
+    derivative exactly on inputs with vanishing harmonic component.
     decomposition is the space's hodge.Decomposition: its kernel dimension
-    and harmonic projector P.
+    and its projectors.
     """
 
     which: str
@@ -261,16 +264,16 @@ class ProjectorVariation:
 def var_harmonic_projector(bundle, gamma, which, key):
     """Variation of the kernel projector of a Laplacian along omega + t gamma.
 
-    The kernel's dimension is the algebra's metric-free count, so 0 stays an
-    isolated eigenvalue of constant multiplicity along the path, and the
-    resolvent formula is the exact derivative (Kato, Perturbation Theory for
-    Linear Operators, II.2) at every metric.
+    The kernel and image projectors P = B (B^H G B)^-1 B^H G have metric-free
+    bases B, so dP = B (B^H G B)^-1 B^H dG (I - P) (Golub and Pereyra, The
+    differentiation of pseudo-inverses and nonlinear least squares problems
+    whose variables separate), which dG = G C - tr(H^-1 Gamma) G makes P C (I - P).
     """
     dec = decomposition(bundle, which, key)
-    proj, green = dec.harmonic, green_operator(bundle, which, key)
-    dlap = laplacian_variation_matrix(bundle, gamma, which, key)
-    image_part = -proj @ dlap @ green
-    derivative = image_part - green @ dlap @ proj
+    comm = _on_complex(OperatorBundle.commutator, bundle, gamma, which, key)
+    eye = np.eye(comm.shape[-1])
+    derivative = dec.kernel @ comm @ (eye - dec.kernel) - dec.image @ comm @ (eye - dec.image)
+    image_part = dec.harmonic @ derivative @ (eye - dec.harmonic)
     return ProjectorVariation(which, key, derivative, image_part, dec)
 
 
@@ -303,7 +306,7 @@ class FunctionalVariation:
 
     derivative is the exact directional derivative: the pairing summands
     plus the signed pairing of the torsion with the moving-projector
-    remainder (the resolvent formula for the projector derivative).
+    remainder (the closed-form projector derivative P C (I - P)).
     value is the bound-carrying diagnostic: it adds the nonnegative bound
     on that remainder instead of the signed pairing, so it is a derivative
     only where the projector source norm vanishes, and not linear in the
@@ -333,9 +336,9 @@ def variation_at(bundle, functional, nu=None, weight_bundle=None):
 
     Returns a map from a sequence of vetted Directions of one kind to their
     FunctionalVariations (without fd), in order, and from one Direction to
-    its own.  Every direction-independent ingredient (torsion, projectors,
-    Green operators) is computed once, and the directions run in one stacked
-    pass per chunk of the largest stack within DENSE_BUDGET; a Directions
+    its own.  Every direction-independent ingredient (torsion, projectors, the
+    potential's Green operator) is computed once, and the directions run in one
+    stacked pass per chunk of the largest stack within DENSE_BUDGET; a Directions
     stack keeps its direction-only work for the next bundle.  functional is
     "F", "F_tilde" (needs nu), "G" or "H" (needs weight_bundle).
     """
@@ -377,7 +380,8 @@ def _var_torsion_at(bundle, kind):
     The torsion is the minimal potential at prev of the image part of its
     source at key.  A metric direction gamma moves the source del(omega) by
     del(gamma); a volume direction moves the source omega_{n-1} by itself
-    and the metric by metric_direction_of_volume.
+    and the metric by metric_direction_of_volume.  The moving projector adds
+    -dP s = Im C (I - Im) s - K C (I - K) s (var_harmonic_projector).
     """
     alg, n = bundle.alg, bundle.n
     report = torsion(bundle, kind)
@@ -387,12 +391,12 @@ def _var_torsion_at(bundle, kind):
     tors_col = tors_vec[:, None]
     gram = bundle.gram_for(which, prev)
     det = bundle.det_h
-    im_proj = image_projector(bundle, which, key)
+    dec = decomposition(bundle, which, key)
     codiff = bundle.codiff(which, key)
     green_prev = green_operator(bundle, which, prev)
-    proj, green = harmonic_projector(bundle, which, key), green_operator(bundle, which, key)
     omega_src = report.source.part(key)
-    green_src, proj_src = (green @ omega_src)[:, None], (proj @ omega_src)[:, None]
+    # (I - P) s for the kernel and image projectors P
+    ker_rest, im_rest = ((omega_src - p @ omega_src)[:, None] for p in (dec.kernel, dec.image))
     tors_norm = float(np.sqrt(max(report.norm_sq, 0.0)))
     types = [(p, q, sl, bundle.gram(p, q)) for (p, q), sl in alg.slices(prev).items()]
     side = max(bundle.dim(which, k) for k in (prev, key, nxt))
@@ -405,7 +409,7 @@ def _var_torsion_at(bundle, kind):
             metric_dir = dirs.forms
             src_vec = dirs.del_forms(alg).part(key)
         # the minimal potential of each direction's source
-        eta = green_prev @ (codiff @ (im_proj @ src_vec[..., None]))
+        eta = green_prev @ (codiff @ (dec.image @ src_vec[..., None]))
         comm = _on_complex(OperatorBundle.commutator, bundle, metric_dir, which, prev)
 
         # two pairing summands per type of the torsion's space (the
@@ -416,8 +420,8 @@ def _var_torsion_at(bundle, kind):
 
         # moving-projector remainder: the value carries its norm bound,
         # the derivative its signed pairing
-        dlap = laplacian_variation_matrix(bundle, metric_dir, which, key)
-        a_vec = proj @ (dlap @ green_src) + green @ (dlap @ proj_src)
+        comm_key = _on_complex(OperatorBundle.commutator, bundle, metric_dir, which, key)
+        a_vec = dec.image @ (comm_key @ im_rest) - dec.kernel @ (comm_key @ ker_rest)
         lift = green_prev @ (codiff @ a_vec)
         gram_lift = gram @ lift
         lift_sq = _dots(lift, gram_lift)
@@ -614,15 +618,14 @@ def _check(rows, name, detail, got, want):
 def variation_battery(model, seed=0, tuples=20):
     """Finite-difference audit of every operator variation formula.
 
-    Tuple i draws a metric, a real direction and a bidegree from the
-    generator seeded with seed + i, then compares the closed-form
-    derivative matrices of star, trace, the three codifferentials, the
-    three Laplacians and the kernel projector against Richardson-extrapolated
-    central differences, plus the self-consistency rows (conjugation
-    symmetry, omega scalings, the perturbation oracle).  A tuple builds its
-    own bundle and one bundle per stencil point, which gives the differences
-    of every row before the next point's is built.  Returns VariationCheck
-    rows; callers assert on rel_err.
+    Tuple i draws a metric, a real direction and a bidegree from the generator
+    seeded with seed + i, then compares the closed-form derivative matrices of
+    star, trace, the Gram matrix, the three codifferentials, the three Laplacians
+    and the kernel projector against Richardson-extrapolated central differences,
+    plus the self-consistency rows (conjugation symmetry, omega scalings, the
+    perturbation oracle).  A tuple builds its own bundle and one bundle per
+    stencil point, which gives the differences of every row before the next
+    point's is built.  Returns VariationCheck rows; callers assert on rel_err.
     """
     alg = algebra_for(model)
     n = alg.n
@@ -645,7 +648,8 @@ def variation_battery(model, seed=0, tuples=20):
         # the projector's differences come from the same stencil bundles as the others
         pv = var_harmonic_projector(b, gamma, "d", k)
         complexes = (("del", (p, q)), ("dbar", (p, q)), ("d", k))
-        extracts = [lambda bb: bb.star_block(p, q), lambda bb: bb.trace_block(p, q)]
+        extracts = [lambda bb: bb.star_block(p, q), lambda bb: bb.trace_block(p, q),
+                    lambda bb: bb.gram(p, q)]
         extracts += [lambda bb, w=which, kk=key: bb.codiff(w, kk) for which, key in complexes]
         extracts += [lambda bb, w=which, kk=key: bb.laplacian(w, kk)
                      for which, key in complexes]
@@ -654,6 +658,11 @@ def variation_battery(model, seed=0, tuples=20):
 
         _check(rows, "star", tag, var_star_matrix(b, gamma, p, q), next(fds))
         _check(rows, "trace", tag, var_trace_matrix(b, gamma, p, q), next(fds))
+        # the premise of the projector derivative: dG = G (C - tr(H^-1 Gamma) I)
+        comm = b.commutator(gamma, p, q)
+        g = b.gram(p, q)
+        _check(rows, "gram", tag, g @ (comm - np.trace(b.h_inv @ gm) * np.eye(len(g))),
+               next(fds))
         for which, key in complexes:
             _check(rows, f"{which}_star", tag, var_codiff_matrix(b, gamma, which, key),
                    next(fds))
@@ -662,8 +671,6 @@ def variation_battery(model, seed=0, tuples=20):
                    laplacian_variation_matrix(b, gamma, which, key), next(fds))
 
         # commutator self-adjointness and the gamma = omega normalization
-        comm = b.commutator(gamma, p, q)
-        g = b.gram(p, q)
         _check(rows, "commutator_selfadjoint", tag, g @ comm, comm.conj().T @ g)
         comm_omega = b.commutator(omega, p, q)
         _check(rows, "commutator_omega", tag, comm_omega,

@@ -307,7 +307,8 @@ def loop_variation_battery(model, seed=0, tuples=20):
         met = random_metric(n, rng)
         b = bundle_for_algebra(alg, met)
         gm = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        gamma = HermitianMetric(0.5 * (gm + gm.conj().T)).form()
+        hm = 0.5 * (gm + gm.conj().T)
+        gamma = HermitianMetric(hm).form()
         omega = b.omega
         step = default_step(met)
         p = int(rng.integers(0, n + 1))
@@ -322,6 +323,11 @@ def loop_variation_battery(model, seed=0, tuples=20):
                     fd(lambda bb: bb.star_block(p, q)))
         _loop_check(rows, "trace", tag, var_trace_matrix(b, gamma, p, q),
                     fd(lambda bb: bb.trace_block(p, q)))
+        comm = b.commutator(gamma, p, q)
+        g = b.gram(p, q)
+        _loop_check(rows, "gram", tag,
+                    g @ (comm - np.trace(b.h_inv @ hm) * np.eye(len(g))),
+                    fd(lambda bb: bb.gram(p, q)))
         complexes = (("del", (p, q)), ("dbar", (p, q)), ("d", k))
         for which, key in complexes:
             _loop_check(rows, f"{which}_star", tag, var_codiff_matrix(b, gamma, which, key),
@@ -331,8 +337,6 @@ def loop_variation_battery(model, seed=0, tuples=20):
                         laplacian_variation_matrix(b, gamma, which, key),
                         fd(lambda bb: bb.laplacian(which, key)))
 
-        comm = b.commutator(gamma, p, q)
-        g = b.gram(p, q)
         _loop_check(rows, "commutator_selfadjoint", tag, g @ comm, comm.conj().T @ g)
         _loop_check(rows, "commutator_omega", tag, b.commutator(omega, p, q),
                     (n - p - q) * np.eye(dim_pq(n, p, q), dtype=complex))

@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
+from hermicone import hodge, optimizer, variation
 from hermicone.errors import (
     DirectionNotAdmissible,
     StepTooLarge,
 )
-from hermicone.exterior import Form, memo, random_form
-from hermicone.functionals import eval_F, eval_F_tilde, eval_G, eval_H
-from hermicone.hodge import root_n_minus_1
+from hermicone.exterior import Form, memo, neighbor, random_form
+from hermicone.functionals import energy, eval_F, eval_F_tilde, eval_G, eval_H
+from hermicone.hodge import root_n_minus_1, torsion_space
 from hermicone.cli import EXIT_TOLERANCE, _exit_code
 from hermicone.metric import HermitianMetric, build_bundle, bundle_for_algebra
 from hermicone.model import algebra_for, catalog
-from hermicone.optimizer import constraint_basis
+from hermicone.optimizer import constraint_basis, descend
 from hermicone.variation import (
     default_step,
     fd_derivative,
@@ -27,7 +28,7 @@ from hermicone.variation import (
     variation_battery,
 )
 
-from .conftest import seeded_bundle
+from .conftest import kept_keys, seeded_bundle
 from .oracles import projector_perturbation
 
 BATTERY_TOL = 1e-5
@@ -184,6 +185,27 @@ def test_projector_variation_applied_forms():
     assert np.sqrt(max((kernel.conj() @ (b.gram_for("d", 3) @ kernel)).real, 0.0)) <= 1e-10
     assert np.max(np.abs(var.image_part @ vec - var.derivative @ vec)) <= 1e-10
     assert var.kernel_dim >= 0
+
+
+@pytest.mark.parametrize("name,functional", [("kodaira_thurston", "F"),
+                                             ("kodaira_thurston", "F_tilde"),
+                                             ("iwasawa", "G")])
+def test_energy_gradients_vary_no_laplacian_and_keep_one_green_operator(
+        name, functional, monkeypatch):
+    # the moving projector's source is P C (I - P) s: a descent varies no Laplacian,
+    # and the only Green operator it forms is the potential's, one step below the source
+    def refuse(*args):
+        raise AssertionError("an energy gradient varied a Laplacian")
+
+    built, build = [], optimizer.bundle_for_algebra
+    monkeypatch.setattr(variation, "laplacian_variation_matrix", refuse)
+    monkeypatch.setattr(optimizer, "bundle_for_algebra",
+                        lambda *args: built.append(build(*args)) or built[-1])
+    trace = descend(catalog(name), functional, start="random", seed=0, steps=3)
+    assert trace.records and trace.termination != "NumericalStall"
+    which, key = torsion_space(energy(functional).torsion, built[0].n)
+    kept = {k for b in built for k in kept_keys(b, hodge.green_operator)}
+    assert kept == {(which, neighbor(which, key, -1))}
 
 
 def test_var_F_euler_identity_on_omega():

@@ -14,8 +14,7 @@ import pytest
 import hermicone.variation as variation
 from hermicone.exterior import Form, _wedge_arrays, dim_pq, memo, neighbor, wedge, wedge_power
 from hermicone.functionals import energy, normalization_integral
-from hermicone.hodge import (green_operator, harmonic_projector, image_projector, torsion,
-                             torsion_space)
+from hermicone.hodge import decomposition, green_operator, torsion, torsion_space
 from hermicone.metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra, random_metric
 from hermicone.model import algebra_for, catalog, make_model
 from hermicone.optimizer import _Objective, _random_feasible, constraint_basis, descend
@@ -65,38 +64,10 @@ def _commutator_1(b, gamma, p, q):
     return out
 
 
-def _star_comm_star_1(b, gamma, p, q):
-    n = b.n
-    mid = _commutator_1(b, gamma, n - q, n - p)
-    return b.star_block(n - q, n - p) @ mid @ b.star_block(p, q)
-
-
 def _on_complex_1(block, b, gamma, which, key):
     if which != "d":
         return block(b, gamma, *key)
     return _total_1(b.alg, lambda p, q: block(b, gamma, p, q), key)
-
-
-def _var_codiff_1(b, gamma, which, key):
-    prev = neighbor(which, key, -1)
-    if b.dim(which, prev) == 0:
-        return np.zeros((0, b.dim(which, key)), dtype=complex)
-    degree = key if which == "d" else sum(key)
-    sign = -1.0 if degree % 2 == 0 else 1.0
-    ds = b.codiff(which, key)
-    return ds @ _on_complex_1(_commutator_1, b, gamma, which, key) \
-        + sign * _on_complex_1(_star_comm_star_1, b, gamma, which, prev) @ ds
-
-
-def _laplacian_variation_1(b, gamma, which, key):
-    prev, nxt = neighbor(which, key, -1), neighbor(which, key, 1)
-    dim = b.dim(which, key)
-    out = np.zeros((dim, dim), dtype=complex)
-    if b.dim(which, prev):
-        out += b.alg.diff(which, prev) @ _var_codiff_1(b, gamma, which, key)
-    if b.dim(which, nxt):
-        out += _var_codiff_1(b, gamma, which, nxt) @ b.alg.diff(which, key)
-    return out
 
 
 def _metric_direction_of_volume_1(b, direction_form):
@@ -118,12 +89,11 @@ def _torsion_at_1(b, kind):
     tors_vec = report.torsion.part(prev)
     gram = b.gram_for(which, prev)
     det = b.det_h
-    im_proj = image_projector(b, which, key)
+    dec = decomposition(b, which, key)
     codiff = b.codiff(which, key)
     green_prev = green_operator(b, which, prev)
-    proj, green = harmonic_projector(b, which, key), green_operator(b, which, key)
     omega_src = report.source.part(key)
-    green_src, proj_src = green @ omega_src, proj @ omega_src
+    ker_rest, im_rest = omega_src - dec.kernel @ omega_src, omega_src - dec.image @ omega_src
     tors_norm = float(np.sqrt(max(report.norm_sq, 0.0)))
     types = [(p, q, sl, b.gram(p, q)) for (p, q), sl in alg.slices(prev).items()]
 
@@ -134,7 +104,7 @@ def _torsion_at_1(b, kind):
         else:
             metric_dir, src_dir = direction.form, alg.del_form(direction.form)
         src_vec = src_dir.part(key)
-        eta = green_prev @ (codiff @ (im_proj @ src_vec))
+        eta = green_prev @ (codiff @ (dec.image @ src_vec))
         comm = _on_complex_1(_commutator_1, b, metric_dir, which, prev)
         terms = {}
         total = 0.0 + 0.0j
@@ -145,8 +115,8 @@ def _torsion_at_1(b, kind):
             terms[f"eta_{kind}_{p}{q}"] = float(first.real)
             terms[f"{kind}_eta_comm_{p}{q}"] = float(second.real)
             total += first + second
-        dlap = _laplacian_variation_1(b, metric_dir, which, key)
-        a_vec = proj @ (dlap @ green_src) + green @ (dlap @ proj_src)
+        comm_key = _on_complex_1(_commutator_1, b, metric_dir, which, key)
+        a_vec = dec.image @ (comm_key @ im_rest) - dec.kernel @ (comm_key @ ker_rest)
         lift = green_prev @ (codiff @ a_vec)
         proj_term = 2.0 * tors_norm * (_gram_norm_1(gram, lift) * np.sqrt(det))
         pairing = float(2.0 * (tors_vec.conj() @ (gram @ lift)).real * det)
