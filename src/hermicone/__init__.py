@@ -24,7 +24,7 @@ from .metric import (HermitianMetric, OperatorBundle, build_bundle,
                      identity_suite, random_metric)
 from .hodge import (MetricPredicates, TorsionReport, coimage_projector,
                     green_operator, harmonic_projector, image_projector,
-                    kernel_dimension, potential, predicates, root_n_minus_1,
+                    potential, predicates, root_n_minus_1,
                     three_space_residuals, torsion_gamma, torsion_rho)
 from .functionals import (FunctionalValue, eval_F, eval_F_tilde, eval_G,
                           eval_H, normalization_integral)

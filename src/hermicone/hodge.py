@@ -67,11 +67,6 @@ def green_operator(bundle, which, key):
     return np.linalg.solve(lap + harmonic, np.eye(len(lap))) - harmonic
 
 
-def kernel_dimension(bundle, which, key):
-    """Dimension of ker of the chosen Laplacian: the algebra's count, with no eigh."""
-    return bundle.alg.harmonic_dim(which, key)
-
-
 def image_projector(bundle, which, key):
     """G-orthogonal projector of the space at key onto the image of diff(which, .)."""
     return decomposition(bundle, which, key).image
