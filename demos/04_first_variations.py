@@ -16,7 +16,7 @@ from hermicone import (
 )
 from hermicone.variation import make_direction
 
-# Every closed-form derivative (star, trace, codifferentials, Laplacians,
+# Every closed-form derivative (star, trace, Gram, codifferentials, Laplacians,
 # kernel projectors) is audited against Richardson central differences.
 rows = variation_battery(catalog("iwasawa"), seed=0, tuples=5)
 worst = max(rows, key=lambda r: r.rel_err)
@@ -56,5 +56,5 @@ gamma = make_direction(iw.alg, np.eye(3)).form
 pv = var_harmonic_projector(iw, gamma, "d", 3)
 vec = iw.alg.del_form(iw.omega).part(3)
 print("\nprojector variation: kernel dim", pv.kernel_dim,
-      " one-term vs two-term gap:",
+      " P dP (I - P) vs dP gap:",
       np.max(np.abs(pv.image_part @ vec - pv.derivative @ vec)))

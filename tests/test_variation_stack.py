@@ -1,9 +1,8 @@
 """Stacked variation passes: each direction gets the bits of its own pass.
 
-The oracle below is the one-direction code the stacked pass replaced, kept
-here verbatim in substance: one variation per Direction, wedge matrices
-summed by np.add.at, total matrices placed block by block, and the volume
-coefficient divided as a Python complex.
+The oracle below is one-direction code with the stacked pass's formulas: one
+variation per Direction, wedge matrices summed by np.add.at, total matrices
+placed block by block, and the volume coefficient divided as a Python complex.
 """
 
 import itertools
