@@ -101,11 +101,13 @@ def three_space_residuals(bundle, k):
 
     Each residual is formed in place in one of two N x N buffers, with the operations
     of its plain expression (in the comments) in their order, so with the same bits.
+    The Gram G of degree k is block diagonal, so G P and P^H G are taken block by
+    block of gram(p, q): the rows, and the columns, of each bidegree.
     """
     ph = harmonic_projector(bundle, "d", k)
     pd = image_projector(bundle, "d", k)
     pds = coimage_projector(bundle, "d", k)
-    g = bundle.gram_total(k)
+    blocks = [(sl, bundle.gram(*pq)) for pq, sl in bundle.alg.slices(k).items()]
     pairs = {"h_imd": (ph, pd), "h_imdstar": (ph, pds), "imd_imdstar": (pd, pds)}
     projs = {"h": ph, "imd": pd, "imdstar": pds}
     buf, other, mag = np.empty_like(ph), np.empty_like(ph), np.empty(ph.shape)
@@ -124,9 +126,13 @@ def three_space_residuals(bundle, k):
         np.matmul(proj, proj, out=buf)
         out[f"idem_{name}"] = worst(np.subtract(buf, proj, out=buf))  # proj @ proj - proj
     for name, proj in projs.items():
-        # g @ proj - proj^H @ g
-        np.matmul(np.conjugate(proj, out=buf).T, g, out=other)
-        np.matmul(g, proj, out=buf)
+        # g @ proj - proj^H @ g: columns sl of proj^H @ g are proj[sl]^H @ g_sl, and
+        # rows sl of g @ proj are g_sl @ proj[sl]
+        np.conjugate(proj, out=buf)
+        for sl, g in blocks:
+            np.matmul(buf[sl].T, g, out=other[:, sl])
+        for sl, g in blocks:
+            np.matmul(g, proj[sl], out=buf[sl])
         out[f"selfadj_{name}"] = worst(np.subtract(buf, other, out=buf))
     return out
 

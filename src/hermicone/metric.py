@@ -2,20 +2,26 @@
 
 A metric is the coefficient matrix H of omega = i sum_jk H_jk theta^j ^
 thetabar^k, Hermitian positive definite.  The bundle keeps (exterior.memo),
-per bidegree, the Gram matrices of the induced pointwise inner product, the
-Hodge star (permuted Gram rows: each monomial pairs only with its complement)
-and the trace operators (adjoints of omega ^ ., whose matrices omega keeps).
-For each of the three complexes (which = "d" on total degrees, "del" and
-"dbar" on bidegrees) it keeps one codifferential codiff(which, key).  What a
-job reads once is formed on each call: the commutators [trace, gamma ^ .] of
-the variation formulas, each Laplacian laplacian(which, key), and the
-diagnostic spectral data of one: numpy's eigh of the Laplacian reduced by the
-Gram's Cholesky factor (the Hermitian-definite pencil reduction), whose
-eigenvectors are G-orthonormal.  No job reads the spectral data: the Hodge
-decompositions come from the algebra's metric-free bases.  The bundle also
-carries the tolerance tol of its predicates and of its potentials' residual
-gates, and keeps the Hodge decompositions and Green operators that hodge
-makes, one per space.
+per bidegree, the Gram matrices of the induced pointwise inner product and
+their inverses, the Hodge star (permuted Gram rows: each monomial pairs only
+with its complement) and the trace operators (adjoints of omega ^ ., whose
+matrices omega keeps).  The (p, q) Gram matrix is kron(C_p, C_q^T), C_p the
+p-th compound of H^{-1}; compounds are multiplicative (Cauchy-Binet), so its
+inverse is the same product of the compounds of H, and every adjoint
+A^* = G_src^{-1} A^H G_tgt is two matrix products, with no solve.  For each
+of the three complexes (which = "d" on total degrees, "del" and "dbar" on
+bidegrees) it keeps one codifferential codiff(which, key); on a total degree
+it is assembled from the del^* and dbar^* blocks, as the total-degree Gram is
+block diagonal by bidegree and d = del + dbar, so no total-degree Gram is
+solved or inverted.  What a job reads once is formed on each call: the
+commutators [trace, gamma ^ .] of the variation formulas, each Laplacian
+laplacian(which, key), and the diagnostic spectral data of one: numpy's eigh
+of the Laplacian reduced by the Gram's Cholesky factor (the Hermitian-definite
+pencil reduction), whose eigenvectors are G-orthonormal.  No job reads the
+spectral data: the Hodge decompositions come from the algebra's metric-free
+bases.  The bundle also carries the tolerance tol of its predicates and of its
+potentials' residual gates, and keeps the Hodge decompositions and Green
+operators that hodge makes, one per space.
 
 Inner product conventions: <theta^j, theta^k> = (H^{-1})_{kj}, extended to
 monomials by determinant multiplicativity; matrices G satisfy
@@ -147,9 +153,20 @@ def random_metric(n, rng):
     return HermitianMetric(b.conj().T @ b + 0.5 * np.eye(n))
 
 
-def _adjoint(mat, g_src, g_tgt):
-    # A^* = G_src^{-1} A^H G_tgt; a stack of A gives the stack of adjoints
-    return np.linalg.solve(g_src, mat.conj().swapaxes(-1, -2) @ g_tgt)
+def _adjoint(mat, g_src_inv, g_tgt):
+    # A^* = G_src^{-1} (A^H G_tgt), two products; a stack of A gives the stack of adjoints
+    return g_src_inv @ (mat.conj().swapaxes(-1, -2) @ g_tgt)
+
+
+def _hermitian_kron(a, b):
+    """The Hermitian part of kron(a, b^T), kron as one broadcast product, the same
+    products as np.kron."""
+    b = b.T
+    g = (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    g += g.conj().T
+    g *= 0.5
+    return g
 
 
 @dataclass
@@ -175,6 +192,7 @@ class OperatorBundle:
         self.tol = tol
         self.h = np.asarray(metric.h)
         self.h_inv = np.linalg.inv(self.h)
+        self._h_pair = np.stack([self.h_inv, self.h])  # the compounds' source, see compounds
         self.det_h = float(np.linalg.det(self.h).real)
 
     @property
@@ -195,20 +213,23 @@ class OperatorBundle:
     # ----- inner products ---------------------------------------------------
 
     @memo
-    def compound(self, p):
-        """p-th compound of H^{-1}: C[I, K] = det(H^{-1}[I, K]) over p-subsets."""
+    def compounds(self, p):
+        """p-th compounds of H^{-1} and of H, stacked: [0][I, K] = det(H^{-1}[I, K]) and
+        [1][I, K] = det(H[I, K]) over p-subsets.  Compounds are multiplicative
+        (Cauchy-Binet), so the second is the inverse of the first."""
         combos = _combos(self.n, p)
         rows = np.array(combos, dtype=np.intp).reshape(len(combos), 1, p, 1)
-        return np.linalg.det(self.h_inv[rows, rows.transpose(1, 0, 3, 2)])
+        return np.linalg.det(self._h_pair[:, rows, rows.transpose(1, 0, 3, 2)])
 
     @memo
     def gram(self, p, q):
-        # <theta_I^thetabar_J, theta_K^thetabar_L> = C_p[I, K] * C_q[L, J]:
-        # kron(C_p, C_q^T) as one broadcast product, the same products as np.kron
-        a, b = self.compound(p), self.compound(q).T
-        g = (a[:, None, :, None] * b[None, :, None, :]).reshape(
-            a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-        return 0.5 * (g + g.conj().T)
+        # <theta_I^thetabar_J, theta_K^thetabar_L> = C_p[I, K] * C_q[L, J]: kron(C_p, C_q^T)
+        return _hermitian_kron(self.compounds(p)[0], self.compounds(q)[0])
+
+    @memo
+    def gram_inv(self, p, q):
+        """Inverse of gram(p, q) in closed form: kron(C_p(H), C_q(H)^T), no solve."""
+        return _hermitian_kron(self.compounds(p)[1], self.compounds(q)[1])
 
     @memo
     def gram_total(self, k):
@@ -277,7 +298,7 @@ class OperatorBundle:
         src = (p - a, q - b)
         if dim_pq(self.n, *src) == 0:
             return np.zeros(eta.vec.shape[:-1] + (0, dim_pq(self.n, p, q)), dtype=complex)
-        return _adjoint(eta.wedge_matrix(*src), self.gram(*src), self.gram(p, q))
+        return _adjoint(eta.wedge_matrix(*src), self.gram_inv(*src), self.gram(p, q))
 
     def mult_adjoint(self, eta, form):
         if not eta.bidegrees():
@@ -309,12 +330,26 @@ class OperatorBundle:
 
     @memo
     def codiff(self, which, key):
-        """Matrix of the adjoint of diff(which, .) from key to neighbor(which, key, -1)."""
+        """Matrix of the adjoint of diff(which, .) from key to neighbor(which, key, -1).
+
+        "d" is assembled from the bigraded blocks (_codiff_blocks): the Gram is block
+        diagonal and d = del + dbar (validation refuses an antiholomorphic term above
+        VALIDATION_TOL), so no total-degree Gram is solved or inverted."""
         prev = neighbor(which, key, -1)
+        if which == "d":
+            return self.alg.total(self._codiff_blocks, key, prev)
         if self.dim(which, prev) == 0:
             return np.zeros((0, self.dim(which, key)), dtype=complex)
-        return _adjoint(self.alg.diff(which, prev), self.gram_for(which, prev),
-                        self.gram_for(which, key))
+        return _adjoint(self.alg.diff(which, prev), self.gram_inv(*prev), self.gram(*key))
+
+    def _codiff_blocks(self, p, q):
+        """d^* from (p, q) as a block map: del^* and dbar^* where d has that component."""
+        blocks = {}
+        if p and (p, q) in self.alg.d_blocks(p - 1, q):
+            blocks[p - 1, q] = self.codiff("del", (p, q))
+        if q and (p, q) in self.alg.d_blocks(p, q - 1):
+            blocks[p, q - 1] = self.codiff("dbar", (p, q))
+        return blocks
 
     # the per-complex names bind perfbench/tracing.py TARGETS; the package calls codiff
     def del_star_block(self, p, q):

@@ -14,8 +14,7 @@ from hermicone.exterior import (ExteriorAlgebra, Form, _basis, _complement, dim_
 from hermicone.functionals import eval_G
 from hermicone.hodge import (coimage_projector, green_operator, harmonic_projector,
                              image_projector, potential)
-from hermicone.metric import (HermitianMetric, OperatorBundle, _adjoint, bundle_for_algebra,
-                              random_metric)
+from hermicone.metric import HermitianMetric, OperatorBundle, bundle_for_algebra, random_metric
 from hermicone.model import algebra_for, catalog, catalog_names, make_model
 from hermicone.variation import _on_complex, star_comm_star
 
@@ -82,11 +81,22 @@ def _in_range(which, key, n):
 
 
 def _written_codiff(b, which, key):
+    """G_prev^{-1} (diff^H G_key) with the closed-form inverse on a bidegree; on a total
+    degree the del^* and dbar^* blocks of each bidegree where d has that component."""
     diff, gram, step = WRITTEN[which]
     prev = step(key, -1)
     if not _in_range(which, prev, b.n):
         return np.zeros((0, gram(b, key).shape[0]), dtype=complex)
-    return _adjoint(diff(b.alg, prev), gram(b, prev), gram(b, key))
+    if which != "d":
+        return b.gram_inv(*prev) @ (diff(b.alg, prev).conj().T @ gram(b, key))
+    rows, cols = b.alg.slices(prev), b.alg.slices(key)
+    out = np.zeros((len(gram(b, prev)), len(gram(b, key))), dtype=complex)
+    for pq in cols:
+        for part in ("del", "dbar"):
+            src = WRITTEN[part][2](pq, -1)
+            if src in rows and pq in b.alg.d_blocks(*src):
+                out[rows[src], cols[pq]] = _written_codiff(b, part, pq)
+    return out
 
 
 def _cases(b):

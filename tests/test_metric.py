@@ -138,10 +138,74 @@ def test_gram_is_exactly_hermitian(n, seed):
     bundle = bundle_for_algebra(alg, random_metric(n, np.random.default_rng(seed)))
     grams = [bundle.gram(p, q) for p in range(n + 1) for q in range(n + 1)]
     grams += [bundle.gram_total(k) for k in range(2 * n + 1)]
+    grams += [bundle.gram_inv(p, q) for p in range(n + 1) for q in range(n + 1)]
     for g in grams:
         assert np.array_equal(g, g.conj().T)
         assert not np.diag(g).imag.any()
         assert (0.5 * (g + g.conj().T)).tobytes() == g.tobytes()
+
+
+# perfbench/models.py's synthetic families and its draw_coeffs and random_hermitian,
+# copied: Iwasawa x T^1 and KT x T^2 at n = 4, Heisenberg and KT x T^3 at n = 5
+SYNTHETIC_FAMILIES = {
+    "iwasawa_x_t1": (4, 1, lambda c: [(3, "holo", 1, 2, -c[0])]),
+    "kt_x_t2": (4, 1, lambda c: [(2, "mixed", 1, 1, c[0])]),
+    "heisenberg5": (5, 2, lambda c: [(5, "holo", 1, 2, c[0]), (5, "holo", 3, 4, c[1])]),
+    "kt_x_t3": (5, 1, lambda c: [(2, "mixed", 1, 1, c[0])]),
+}
+SYNTHETIC = [(name, seed) for name in SYNTHETIC_FAMILIES for seed in range(4)]
+
+
+def synthetic_bundle(name, seed):
+    """The benchmark's recipe: coefficients of magnitude in [0.5, 2] with a random
+    sign, then H = B^H B + 0.5 I with B complex Gaussian, from one generator."""
+    n, count, terms = SYNTHETIC_FAMILIES[name]
+    rng = np.random.default_rng(seed)
+    mags = rng.uniform(0.5, 2.0, size=count)
+    signs = rng.choice((-1.0, 1.0), size=count)
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = b.conj().T @ b + 0.5 * np.eye(n)
+    model = make_model(name, n, terms([float(m * s) for m, s in zip(mags, signs)]))
+    return bundle_for_algebra(algebra_for(model), HermitianMetric(h))
+
+
+GRAM_CASES = [("catalog", name, seed) for name in CATALOG_NAMES for seed in (None, 0, 1)] \
+    + [("synthetic", name, seed) for name, seed in SYNTHETIC]
+
+
+def _case_bundle(kind, name, seed):
+    return seeded_bundle(name, seed) if kind == "catalog" else synthetic_bundle(name, seed)
+
+
+@pytest.mark.parametrize("kind,name,seed", GRAM_CASES)
+def test_gram_inv_inverts_gram_at_every_bidegree(kind, name, seed):
+    # the closed form kron(C_p(H), C_q(H)^T) against the Gram: within a small
+    # multiple of eps * cond(G) (measured <= 17 eps * cond(G) on these cases)
+    b = _case_bundle(kind, name, seed)
+    for p in range(b.n + 1):
+        for q in range(b.n + 1):
+            g, g_inv = b.gram(p, q), b.gram_inv(p, q)
+            bound = 64 * np.finfo(float).eps * np.linalg.cond(g)
+            for prod in (g_inv @ g, g @ g_inv):
+                assert np.max(np.abs(prod - np.eye(len(g)))) <= bound, (p, q)
+
+
+@pytest.mark.parametrize("kind,name,seed", GRAM_CASES)
+def test_block_assembled_codiff_matches_the_dense_adjoint(kind, name, seed):
+    # codiff("d", k) from the del^* and dbar^* blocks against G^-1 d^H G solved with
+    # the total-degree Gram (measured <= 3.7e-13 relative on these cases)
+    b = _case_bundle(kind, name, seed)
+    for k in range(1, 2 * b.n + 1):
+        dense = np.linalg.solve(b.gram_total(k - 1),
+                                b.alg.d_total(k - 1).conj().T @ b.gram_total(k))
+        scale = np.max(np.abs(dense), initial=0.0)
+        assert np.max(np.abs(b.codiff("d", k) - dense), initial=0.0) <= 1e-12 * scale, k
+
+
+@pytest.mark.parametrize("name,seed", SYNTHETIC)
+def test_identity_suite_on_synthetic_bundles(name, seed):
+    res = identity_suite(synthetic_bundle(name, seed))
+    assert max(res.values()) <= IDENTITY_TOL, res
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)

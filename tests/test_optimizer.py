@@ -138,10 +138,12 @@ def test_descend_normalized_run_stays_on_slice():
 def test_descend_volume_functional_monotone():
     trace = descend(catalog("iwasawa"), "G", steps=30)
     assert trace.monotone
-    # two exact gradient steps drive the energy from 1 to rounding scale,
-    # where the exact gradient is at rounding scale too
+    # exact gradient steps drive the energy from 1 to rounding scale, where the
+    # exact gradient is at rounding scale too: three of them, as at iterate 1 the
+    # gradient norm rounds to 1 + 2^-52, so the first trial step 1 / |grad| falls
+    # just under 1 and the line search lands at 1/16, one step short of 0
     assert trace.termination == "GradientSmall"
-    assert len(trace.records) == 3
+    assert len(trace.records) == 4
     assert trace.final_value < 1e-30
     assert trace.final_value < trace.initial_value
     assert trace.final_value > 0.0

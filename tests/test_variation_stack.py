@@ -146,8 +146,7 @@ def _H_at_1(b, gamma_bundle):
             if dim_pq(n, *src) == 0:
                 return {src: np.zeros((0, dim_pq(n, p, q)), dtype=complex)}
             mat = _wedge_matrix_1(alg, eta, *src)
-            g_src, g_tgt = b.gram(*src), b.gram(p, q)
-            return {src: np.linalg.solve(g_src, mat.conj().T @ g_tgt)}
+            return {src: b.gram_inv(*src) @ (mat.conj().T @ b.gram(p, q))}
         return alg.apply(block, form)
 
     def at(direction):
