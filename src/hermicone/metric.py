@@ -192,7 +192,7 @@ class OperatorBundle:
         self.tol = tol
         self.h = np.asarray(metric.h)
         self.h_inv = np.linalg.inv(self.h)
-        self._h_pair = np.stack([self.h_inv, self.h])  # the compounds' source, see compounds
+        self._h_pair = np.stack([self.h_inv, self.h])  # compounds takes both in one det call
         self.det_h = float(np.linalg.det(self.h).real)
 
     @property
