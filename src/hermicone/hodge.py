@@ -9,6 +9,13 @@ complexes the images and kernels are the same at every metric, and the metric
 enters only through the Gram matrix G.  The Green operator solves the Laplacian
 plus its harmonic projector, which is invertible.
 
+The Green operator and the potentials take their codifferentials from
+potential_codiff, a solve against the computed Gram, not from the bundle's
+closed-form G^{-1}: the potential's kernel residual measures its potential
+against the computed G, and the Green operator amplifies the closed form's
+G G^{-1} - I ~ eps kappa(H) into it by the inverse of the Laplacian's
+smallest nonzero eigenvalue, where a solve's backward error does not show.
+
 The projectors onto the images of a differential and of its codifferential
 and the minimum-norm potential are written once over (which, key), as the
 bundle's codiff and laplacian are: torsion rho is the "d" potential on
@@ -18,6 +25,7 @@ degree 3, torsion Gamma the "dbar" potential on (n-1, n-1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -59,11 +67,22 @@ def harmonic_projector(bundle, which, key):
 
 
 @memo
+def potential_codiff(bundle, which, key):
+    """codiff(which, key) as G_prev^{-1} (diff^H G_key) by a solve with the Gram G_prev,
+    kept on the bundle: the codifferential of the Green operator and the potentials."""
+    prev = neighbor(which, key, -1)
+    if bundle.dim(which, prev) == 0:
+        return np.zeros((0, bundle.dim(which, key)), dtype=complex)
+    return np.linalg.solve(bundle.gram_for(which, prev),
+                           bundle.alg.diff(which, prev).conj().T @ bundle.gram_for(which, key))
+
+
+@memo
 def green_operator(bundle, which, key):
     """Pseudo-inverse of the Laplacian, zero on its kernel, kept on the bundle: lap + P_h
     is invertible, with inverse green + P_h, for the harmonic projector P_h."""
     harmonic = harmonic_projector(bundle, which, key)
-    lap = bundle.laplacian(which, key)
+    lap = bundle.laplacian(which, key, partial(potential_codiff, bundle))
     return np.linalg.solve(lap + harmonic, np.eye(len(lap))) - harmonic
 
 
@@ -209,7 +228,7 @@ def potential(bundle, which, key, source_vec):
     prev = neighbor(which, key, -1)
     proj = image_projector(bundle, which, key) @ source_vec
     harm = harmonic_projector(bundle, which, key) @ source_vec
-    pot = green_operator(bundle, which, prev) @ (bundle.codiff(which, key) @ proj)
+    pot = green_operator(bundle, which, prev) @ (potential_codiff(bundle, which, key) @ proj)
     res_eq = _l2(bundle, which, key, bundle.alg.diff(which, prev) @ pot - proj)
     res_ker = _l2(bundle, which, prev, decomposition(bundle, which, prev).kernel @ pot)
     return PotentialSolution(pot, proj, harm, res_eq, res_ker)

@@ -11,9 +11,13 @@ inverse is the same product of the compounds of H, and every adjoint
 A^* = G_src^{-1} A^H G_tgt is two matrix products, with no solve.  For each
 of the three complexes (which = "d" on total degrees, "del" and "dbar" on
 bidegrees) it keeps one codifferential codiff(which, key); on a total degree
-it is assembled from the del^* and dbar^* blocks, as the total-degree Gram is
-block diagonal by bidegree and d = del + dbar, so no total-degree Gram is
-solved or inverted.  What a job reads once is formed on each call: the
+it is assembled from the adjoints of the bidegree blocks of d, as the
+total-degree Gram is block diagonal by bidegree, so no total-degree Gram is
+solved or inverted.  The closed-form inverse is the exact inverse of the
+computed Gram only to ~eps kappa(H); hodge's Green operator and potentials,
+whose kernel residual gate measures against the computed Gram, solve for their
+codifferentials instead (hodge.potential_codiff).  What a job reads once is
+formed on each call: the
 commutators [trace, gamma ^ .] of the variation formulas, each Laplacian
 laplacian(which, key), and the diagnostic spectral data of one: numpy's eigh
 of the Laplacian reduced by the Gram's Cholesky factor (the Hermitian-definite
@@ -332,9 +336,8 @@ class OperatorBundle:
     def codiff(self, which, key):
         """Matrix of the adjoint of diff(which, .) from key to neighbor(which, key, -1).
 
-        "d" is assembled from the bigraded blocks (_codiff_blocks): the Gram is block
-        diagonal and d = del + dbar (validation refuses an antiholomorphic term above
-        VALIDATION_TOL), so no total-degree Gram is solved or inverted."""
+        "d" is assembled from the bigraded blocks (_codiff_blocks), as the Gram is
+        block diagonal, so no total-degree Gram is solved or inverted."""
         prev = neighbor(which, key, -1)
         if which == "d":
             return self.alg.total(self._codiff_blocks, key, prev)
@@ -343,12 +346,16 @@ class OperatorBundle:
         return _adjoint(self.alg.diff(which, prev), self.gram_inv(*prev), self.gram(*key))
 
     def _codiff_blocks(self, p, q):
-        """d^* from (p, q) as a block map: del^* and dbar^* where d has that component."""
+        """d^* from (p, q) as a block map: the adjoint of every block of d that lands on
+        (p, q).  The del and dbar blocks are codiff's own; any other is the trace of an
+        antiholomorphic term below VALIDATION_TOL, formed here."""
         blocks = {}
-        if p and (p, q) in self.alg.d_blocks(p - 1, q):
-            blocks[p - 1, q] = self.codiff("del", (p, q))
-        if q and (p, q) in self.alg.d_blocks(p, q - 1):
-            blocks[p, q - 1] = self.codiff("dbar", (p, q))
+        for src in self.alg.slices(p + q - 1) if p + q else ():
+            mat = self.alg.d_blocks(*src).get((p, q))
+            if mat is not None:
+                which = {(p - 1, q): "del", (p, q - 1): "dbar"}.get(src)
+                blocks[src] = self.codiff(which, (p, q)) if which else \
+                    _adjoint(mat, self.gram_inv(*src), self.gram(p, q))
         return blocks
 
     # the per-complex names bind perfbench/tracing.py TARGETS; the package calls codiff
@@ -375,20 +382,22 @@ class OperatorBundle:
     def d_star(self, form):
         return self.del_star(form) + self.dbar_star(form)
 
-    def laplacian(self, which, key):
+    def laplacian(self, which, key, codiff=None):
         """Matrix of diff codiff + codiff diff: which in {"d", "del", "dbar"}.
 
-        "d" takes a total degree k; "del"/"dbar" take a bidegree (p, q).
+        "d" takes a total degree k; "del"/"dbar" take a bidegree (p, q).  codiff(which,
+        key) gives the codifferentials, the bundle's own by default.
         """
+        codiff = codiff or self.codiff
         prev, nxt = neighbor(which, key, -1), neighbor(which, key, 1)
         mat = np.zeros((self.dim(which, key),) * 2, dtype=complex)
         if self.dim(which, prev):
-            down = self.alg.diff(which, prev) @ self.codiff(which, key)
+            down = self.alg.diff(which, prev) @ codiff(which, key)
             # d has always added its two terms directly, del/dbar onto zeros,
             # which may flip the sign of a zero entry: both sums are kept
             mat = down if which == "d" and self.dim(which, nxt) else mat + down
         if self.dim(which, nxt):
-            mat = mat + self.codiff(which, nxt) @ self.alg.diff(which, key)
+            mat = mat + codiff(which, nxt) @ self.alg.diff(which, key)
         return mat
 
     def gram_for(self, which, key):

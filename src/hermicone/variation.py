@@ -54,8 +54,8 @@ from .exterior import (DENSE_BUDGET, Form, conj_block_matrix, dim_pq, memo, neig
                        wedge_power)
 from .functionals import (SLICES, cone_slice, direction_slice, energy, evaluate,
                           normalization_integral)
-from .hodge import (Decomposition, decomposition, green_operator, harmonic_projector, torsion,
-                    torsion_space)
+from .hodge import (Decomposition, decomposition, green_operator, harmonic_projector,
+                    potential_codiff, torsion, torsion_space)
 from .metric import (DEFAULT_TOL, HermitianMetric, OperatorBundle, bundle_for_algebra,
                      random_metric)
 from .model import algebra_for
@@ -392,7 +392,7 @@ def _var_torsion_at(bundle, kind):
     gram = bundle.gram_for(which, prev)
     det = bundle.det_h
     dec = decomposition(bundle, which, key)
-    codiff = bundle.codiff(which, key)
+    codiff = potential_codiff(bundle, which, key)
     green_prev = green_operator(bundle, which, prev)
     omega_src = report.source.part(key)
     # (I - P) s for the kernel and image projectors P

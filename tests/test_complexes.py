@@ -82,7 +82,7 @@ def _in_range(which, key, n):
 
 def _written_codiff(b, which, key):
     """G_prev^{-1} (diff^H G_key) with the closed-form inverse on a bidegree; on a total
-    degree the del^* and dbar^* blocks of each bidegree where d has that component."""
+    degree the adjoint of each bidegree block of d, the same formula."""
     diff, gram, step = WRITTEN[which]
     prev = step(key, -1)
     if not _in_range(which, prev, b.n):
@@ -92,11 +92,21 @@ def _written_codiff(b, which, key):
     rows, cols = b.alg.slices(prev), b.alg.slices(key)
     out = np.zeros((len(gram(b, prev)), len(gram(b, key))), dtype=complex)
     for pq in cols:
-        for part in ("del", "dbar"):
-            src = WRITTEN[part][2](pq, -1)
-            if src in rows and pq in b.alg.d_blocks(*src):
-                out[rows[src], cols[pq]] = _written_codiff(b, part, pq)
+        for src in rows:
+            blk = b.alg.d_blocks(*src).get(pq)
+            if blk is not None:
+                out[rows[src], cols[pq]] = b.gram_inv(*src) @ (blk.conj().T @ b.gram(*pq))
     return out
+
+
+def _written_solved_codiff(b, which, key):
+    """diff^H G_key solved with G_prev: the codifferential of the Green operator and the
+    potentials."""
+    diff, gram, step = WRITTEN[which]
+    prev = step(key, -1)
+    if not _in_range(which, prev, b.n):
+        return np.zeros((0, gram(b, key).shape[0]), dtype=complex)
+    return np.linalg.solve(gram(b, prev), diff(b.alg, prev).conj().T @ gram(b, key))
 
 
 def _cases(b):
@@ -179,7 +189,8 @@ def test_potential_matches_written_formula(bundle):
         src = rng.standard_normal(g.shape[0]) + 1j * rng.standard_normal(g.shape[0])
         sol = potential(bundle, which, key, src)
         proj = image_projector(bundle, which, key) @ src
-        pot = green_operator(bundle, which, prev) @ (_written_codiff(bundle, which, key) @ proj)
+        pot = green_operator(bundle, which, prev) @ \
+            (_written_solved_codiff(bundle, which, key) @ proj)
         eq = diff(bundle.alg, prev) @ pot - proj
         ker = hodge.decomposition(bundle, which, prev).kernel @ pot
         l2 = [float(np.sqrt(max((v.conj() @ (gm @ v)).real * bundle.det_h, 0.0)))
@@ -228,11 +239,11 @@ def test_harmonic_and_green_match_written_projector_forms(catalog_bundle):
         assert dec is hodge.decomposition(b, which, key), (which, key)
         assert dec.kernel_dim == b.alg.harmonic_dim(which, key), (which, key)
         assert np.array_equal(harmonic_projector(b, which, key), dec.kernel - dec.image)
-        # the Laplacian plus its harmonic projector is invertible, with inverse
-        # green + harmonic
+        # the Laplacian of the solved codifferentials plus its harmonic projector is
+        # invertible, with inverse green + harmonic
         green, harmonic = green_operator(b, which, key), dec.harmonic
-        want = np.linalg.solve(b.laplacian(which, key) + harmonic,
-                               np.eye(len(harmonic))) - harmonic
+        lap = b.laplacian(which, key, lambda w, k: _written_solved_codiff(b, w, k))
+        want = np.linalg.solve(lap + harmonic, np.eye(len(harmonic))) - harmonic
         assert green is green_operator(b, which, key), (which, key)
         assert np.array_equal(green, want), (which, key)
 

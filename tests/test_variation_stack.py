@@ -89,7 +89,7 @@ def _torsion_at_1(b, kind):
     gram = b.gram_for(which, prev)
     det = b.det_h
     dec = decomposition(b, which, key)
-    codiff = b.codiff(which, key)
+    codiff = np.linalg.solve(gram, alg.diff(which, prev).conj().T @ b.gram_for(which, key))
     green_prev = green_operator(b, which, prev)
     omega_src = report.source.part(key)
     ker_rest, im_rest = omega_src - dec.kernel @ omega_src, omega_src - dec.image @ omega_src
