@@ -196,7 +196,6 @@ class OperatorBundle:
         self.tol = tol
         self.h = np.asarray(metric.h)
         self.h_inv = np.linalg.inv(self.h)
-        self._h_pair = np.stack([self.h_inv, self.h])  # compounds takes both in one det call
         self.det_h = float(np.linalg.det(self.h).real)
 
     @property
@@ -217,23 +216,23 @@ class OperatorBundle:
     # ----- inner products ---------------------------------------------------
 
     @memo
-    def compounds(self, p):
-        """p-th compounds of H^{-1} and of H, stacked: [0][I, K] = det(H^{-1}[I, K]) and
-        [1][I, K] = det(H[I, K]) over p-subsets.  Compounds are multiplicative
-        (Cauchy-Binet), so the second is the inverse of the first."""
+    def compound(self, p, of_h=False):
+        """p-th compound of H^{-1}, or of H when of_h: C[I, K] = det(M[I, K]) over
+        p-subsets.  Compounds are multiplicative (Cauchy-Binet), so the two are inverse
+        to each other; the second is formed only where an inverse Gram is read."""
         combos = _combos(self.n, p)
         rows = np.array(combos, dtype=np.intp).reshape(len(combos), 1, p, 1)
-        return np.linalg.det(self._h_pair[:, rows, rows.transpose(1, 0, 3, 2)])
+        return np.linalg.det((self.h if of_h else self.h_inv)[rows, rows.transpose(1, 0, 3, 2)])
 
     @memo
     def gram(self, p, q):
         # <theta_I^thetabar_J, theta_K^thetabar_L> = C_p[I, K] * C_q[L, J]: kron(C_p, C_q^T)
-        return _hermitian_kron(self.compounds(p)[0], self.compounds(q)[0])
+        return _hermitian_kron(self.compound(p), self.compound(q))
 
     @memo
     def gram_inv(self, p, q):
         """Inverse of gram(p, q) in closed form: kron(C_p(H), C_q(H)^T), no solve."""
-        return _hermitian_kron(self.compounds(p)[1], self.compounds(q)[1])
+        return _hermitian_kron(self.compound(p, True), self.compound(q, True))
 
     @memo
     def gram_total(self, k):
@@ -347,8 +346,8 @@ class OperatorBundle:
 
     def _codiff_blocks(self, p, q):
         """d^* from (p, q) as a block map: the adjoint of every block of d that lands on
-        (p, q).  The del and dbar blocks are codiff's own; any other is the trace of an
-        antiholomorphic term below VALIDATION_TOL, formed here."""
+        (p, q).  The del and dbar blocks are codiff's own; any other comes from an
+        antiholomorphic term below VALIDATION_TOL and is formed here."""
         blocks = {}
         for src in self.alg.slices(p + q - 1) if p + q else ():
             mat = self.alg.d_blocks(*src).get((p, q))
