@@ -34,7 +34,8 @@ print("\nidentity residuals:")
 for key, val in sorted(res.items()):
     print(f"  {key:20s} {val:.3e}")
 
-# degree by degree the space splits into harmonic + im(d) + im(d^*)
+# degree by degree the space splits into harmonic + im(d) + im(d^*): each projector
+# meets its defining equations on its own basis and agrees with d and d^*
 for k in (1, 2, 3):
     worst = max(three_space_residuals(bundle, k).values())
     print(f"three-space residual, degree {k}: {worst:.3e}")

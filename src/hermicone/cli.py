@@ -28,7 +28,7 @@ from .errors import (DegenerateDimension, DegreeOutOfRange, DimensionMismatch,
                      ToleranceFailure, UnknownCatalogName)
 from .exterior import DENSE_BUDGET
 from .functionals import energy, evaluate
-from .hodge import predicates, three_space_residuals, torsion
+from .hodge import basis_residuals, predicates, three_space_residuals, torsion
 from .metric import (DEFAULT_TOL, HermitianMetric, bundle_for_algebra, identity_suite,
                      random_metric)
 from .model import (algebra_for, catalog, catalog_names, parse_model,
@@ -228,10 +228,12 @@ def _cmd_verify(args):
         for k, worst in enumerate(walk):
             three_space[str(k)] = max(three_space.get(str(k), 0.0), worst)
 
+    bases = basis_residuals(alg)
     passed = (report.integrable and report.unimodular
               and report.d_squared_max_residual <= args.tol
               and all(v <= args.tol for v in families.values())
-              and all(v <= args.tol for v in three_space.values()))
+              and all(v <= args.tol for v in three_space.values())
+              and all(v <= args.tol for v in bases.values()))
     payload = {
         "validation": {
             "integrable": report.integrable,
@@ -244,6 +246,7 @@ def _cmd_verify(args):
         "metrics_checked": len(metrics),
         "identity_residuals": families,
         "three_space_residuals": three_space,
+        "basis_residuals": dict(bases),
         "threshold": args.tol,
         "pass": passed,
     }

@@ -115,44 +115,80 @@ def image_projector_dbar_star(bundle, p, q):
     return coimage_projector(bundle, "dbar", (p, q))
 
 
+# the seeded unit vectors three_space_residuals probes a space with
+PROBES = 3
+
+
+def _probes(rng, size):
+    """PROBES seeded complex unit vectors of length size, as columns."""
+    vecs = rng.standard_normal((size, PROBES)) + 1j * rng.standard_normal((size, PROBES))
+    return vecs / np.linalg.norm(vecs, axis=0) if size else vecs
+
+
+def _worst(x):
+    return float(np.max(np.abs(x), initial=0.0))
+
+
 def three_space_residuals(bundle, k):
-    """Residuals of harmonic + im(d) + im(d^*) = identity, mutually orthogonal.
+    """Residuals of the Hodge decomposition of degree k at the bundle's metric, each
+    on N x r products or on PROBES seeded unit vectors (seeded by k), none N x N x N.
 
-    Each residual is formed in place in one of two N x N buffers, with the operations
-    of its plain expression (in the comments) in their order, so with the same bits.
-    The Gram G of degree k is block diagonal, so G P and P^H G are taken block by
-    block of gram(p, q): the rows, and the columns, of each bidegree.
+    With Q and K the algebra's bases of im d(k - 1) and ker d(k), and G the Gram:
+    image_on_basis P_im Q - Q and image_orthogonal Q^H G (I - P_im) are P_im's
+    defining equations; kernel_on_basis P_ker K c - K c and kernel_orthogonal
+    K^H G (w - P_ker w) are P_ker's, on seeded c and w; harmonic_on_image P_h Q c; and
+    image_of_d P_im d(k - 1) u - d(k - 1) u and kernel_of_codiff P_ker codiff(k + 1) w
+    tie the projectors to the operators identity_suite audits, d and the assembled
+    codifferential, on seeded u and w.  The sum and the orthogonality of the three
+    spaces hold by construction, harmonic = kernel - image, and the bases' own facts
+    are the metric-free basis_residuals.  G is block diagonal, so G x is taken block
+    by block of gram(p, q).
     """
-    ph = harmonic_projector(bundle, "d", k)
-    pd = image_projector(bundle, "d", k)
-    pds = coimage_projector(bundle, "d", k)
-    blocks = [(sl, bundle.gram(*pq)) for pq, sl in bundle.alg.slices(k).items()]
-    pairs = {"h_imd": (ph, pd), "h_imdstar": (ph, pds), "imd_imdstar": (pd, pds)}
-    projs = {"h": ph, "imd": pd, "imdstar": pds}
-    buf, other, mag = np.empty_like(ph), np.empty_like(ph), np.empty(ph.shape)
+    alg, dec, rng = bundle.alg, decomposition(bundle, "d", k), np.random.default_rng(k)
+    image, kernel = alg.bases("d", k - 1)[0], alg.bases("d", k)[1]
 
-    def worst(x):
-        return float(np.max(np.abs(x, out=mag)))
+    def gram_times(x):
+        out = np.empty_like(x)
+        for pq, sl in alg.slices(k).items():
+            np.matmul(bundle.gram(*pq), x[sl], out=out[sl])
+        return out
 
-    # ph + pd + pds - I: x - 0 leaves every entry off the diagonal as it is
-    np.add(ph, pd, out=buf)
-    buf += pds
-    buf.reshape(-1)[::buf.shape[0] + 1] -= 1.0
-    out = {"sum_identity": worst(buf)}
-    for name, (a, b) in pairs.items():
-        out[name] = worst(np.matmul(a, b, out=buf))  # a @ b
-    for name, proj in projs.items():
-        np.matmul(proj, proj, out=buf)
-        out[f"idem_{name}"] = worst(np.subtract(buf, proj, out=buf))  # proj @ proj - proj
-    for name, proj in projs.items():
-        # g @ proj - proj^H @ g: columns sl of proj^H @ g are proj[sl]^H @ g_sl, and
-        # rows sl of g @ proj are g_sl @ proj[sl]
-        np.conjugate(proj, out=buf)
-        for sl, g in blocks:
-            np.matmul(buf[sl].T, g, out=other[:, sl])
-        for sl, g in blocks:
-            np.matmul(g, proj[sl], out=buf[sl])
-        out[f"selfadj_{name}"] = worst(np.subtract(buf, other, out=buf))
+    gq_h = gram_times(image).conj().T  # Q^H G, as G is Hermitian
+    qc, kc = image @ _probes(rng, image.shape[1]), kernel @ _probes(rng, kernel.shape[1])
+    w = _probes(rng, len(kernel))
+    down = alg.d_total(k - 1) @ _probes(rng, alg.dim("d", k - 1)) if k else w[:, :0]
+    up = bundle.codiff("d", k + 1) @ _probes(rng, alg.dim("d", k + 1)) \
+        if k < 2 * bundle.n else w[:, :0]
+    return {
+        "image_on_basis": _worst(dec.image @ image - image),
+        "image_orthogonal": _worst(gq_h - gq_h @ dec.image),
+        "kernel_on_basis": _worst(dec.kernel @ kc - kc),
+        "kernel_orthogonal": _worst(kernel.conj().T @ gram_times(w - dec.kernel @ w)),
+        "harmonic_on_image": _worst(dec.harmonic @ qc),
+        "image_of_d": _worst(dec.image @ down - down),
+        "kernel_of_codiff": _worst(dec.kernel @ up),
+    }
+
+
+@memo
+def basis_residuals(alg):
+    """Residuals of the metric-free facts the Hodge decompositions of "d" rest on, over
+    every degree k, kept on the algebra: with Q_k and K_k the orthonormal bases of
+    im d(k) and ker d(k), kernel_closed d(k) K_k, image_closed d(k + 1) Q_k (d o d
+    on the image), orthonormal Q^H Q - I and K^H K - I, and rank_nullity
+    |dim K_k + rank d(k) - N_k|, the count the harmonic dimensions are read from."""
+    out = dict.fromkeys(("kernel_closed", "image_closed", "orthonormal", "rank_nullity"), 0.0)
+    for k in range(2 * alg.n + 1):
+        image, kernel = alg.bases("d", k)
+        rows = {
+            "kernel_closed": _worst(alg.d_total(k) @ kernel),
+            "image_closed": _worst(alg.d_total(k + 1) @ image) if k < 2 * alg.n else 0.0,
+            "orthonormal": max(_worst(b.conj().T @ b - np.eye(b.shape[1]))
+                               for b in (image, kernel)),
+            "rank_nullity": float(abs(kernel.shape[1] + image.shape[1] - alg.dim("d", k))),
+        }
+        for name, value in rows.items():
+            out[name] = max(out[name], value)
     return out
 
 

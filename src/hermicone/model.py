@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import cmath
 import json
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,22 +45,18 @@ class ComplexLieModel:
 class ValidationReport:
     """Outcome of validate_model.
 
-    d_squared_vanishes is the decision of certified_d_squared, made from d's sparse
-    entries; d_squared_max_residual is the dense max |d_total(k+1) @ d_total(k)|,
-    computed on its first read (verify reports it).
+    d_squared_vanishes and d_squared_max_residual are the decision and the largest
+    |S| of certified_d_squared, made from d's sparse entries (verify reports the
+    latter).
     """
 
     integrable: bool
     d_squared_vanishes: bool
+    d_squared_max_residual: float
     unimodular: bool
     messages: list
     integrability_residual: float
     unimodularity_residual: float
-    algebra: ExteriorAlgebra = field(repr=False, compare=False)
-
-    @cached_property
-    def d_squared_max_residual(self):
-        return d_squared_residual(self.algebra)
 
     @property
     def all_passed(self):
@@ -194,16 +190,6 @@ def certified_d_squared(alg):
             float(size.max(initial=0.0)))
 
 
-def d_squared_residual(alg):
-    """max |d_total(k+1) @ d_total(k)| over k, from the dense products."""
-    dd_res = 0.0
-    for k in range(0, 2 * alg.n - 1):
-        comp = alg.d_total(k + 1) @ alg.d_total(k)
-        if comp.size:
-            dd_res = max(dd_res, float(np.max(np.abs(comp))))
-    return dd_res
-
-
 @lru_cache(maxsize=None)
 def validate_model(model):
     """Check integrability, d*d = 0 and unimodularity from d's sparse entries, with
@@ -234,11 +220,11 @@ def validate_model(model):
     return ValidationReport(
         integrable=integrable,
         d_squared_vanishes=dd_ok,
+        d_squared_max_residual=dd_res,
         unimodular=unimodular,
         messages=messages,
         integrability_residual=anti_res,
         unimodularity_residual=uni_res,
-        algebra=alg,
     )
 
 

@@ -45,6 +45,11 @@ def test_verify_passes_on_catalog_model(capsys):
     assert doc["report"]["validation"]["integrable"] is True
     assert doc["report"]["metrics_checked"] == 3
     assert max(doc["report"]["identity_residuals"].values()) <= 1e-10
+    assert sorted(doc["report"]["three_space_residuals"], key=int) == [str(k) for k in range(5)]
+    assert max(doc["report"]["three_space_residuals"].values()) <= 1e-10
+    assert sorted(doc["report"]["basis_residuals"]) == ["image_closed", "kernel_closed",
+                                                        "orthonormal", "rank_nullity"]
+    assert max(doc["report"]["basis_residuals"].values()) <= 1e-10
     assert len(doc["model_hash"]) == 64
 
 
