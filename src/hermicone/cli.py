@@ -246,7 +246,7 @@ def _cmd_verify(args):
         "metrics_checked": len(metrics),
         "identity_residuals": families,
         "three_space_residuals": three_space,
-        "basis_residuals": dict(bases),
+        "basis_residuals": bases,
         "threshold": args.tol,
         "pass": passed,
     }

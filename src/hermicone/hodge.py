@@ -124,10 +124,22 @@ def image_projector_dbar_star(bundle, p, q):
 PROBES = 3
 
 
-def _probes(rng, size):
-    """PROBES seeded complex unit vectors of length size, as columns."""
-    vecs = rng.standard_normal((size, PROBES)) + 1j * rng.standard_normal((size, PROBES))
-    return vecs / np.linalg.norm(vecs, axis=0)
+@memo
+def _probes(alg, k):
+    """The seeded vectors of three_space_residuals at degree k, kept on the algebra, as
+    they depend on it alone: Q c and K c on the bases Q of im d(k - 1) and K of
+    ker d(k), w in degree k, d(k - 1) u, and w' in degree k + 1, from PROBES unit
+    vectors c, w, u and w' each, seeded by k."""
+    rng = np.random.default_rng(k)
+
+    def unit(size):
+        vecs = rng.standard_normal((size, PROBES)) + 1j * rng.standard_normal((size, PROBES))
+        return vecs / np.linalg.norm(vecs, axis=0)
+
+    image, kernel = alg.bases("d", k - 1)[0], alg.bases("d", k)[1]
+    qc, kc, w = image @ unit(image.shape[1]), kernel @ unit(kernel.shape[1]), unit(len(kernel))
+    down = alg.d_total(k - 1) @ unit(alg.dim("d", k - 1)) if k else w[:, :0]
+    return qc, kc, w, down, unit(alg.dim("d", k + 1))
 
 
 def _worst(x):
@@ -136,21 +148,22 @@ def _worst(x):
 
 def three_space_residuals(bundle, k):
     """Residuals of the Hodge decomposition of degree k at the bundle's metric, each
-    on N x r products or on PROBES seeded unit vectors (seeded by k), none N x N x N.
+    on N x r products or on PROBES seeded unit vectors, none N x N x N.
 
     With Q and K the algebra's bases of im d(k - 1) and ker d(k), and G the Gram:
     image_on_basis P_im Q - Q and image_orthogonal Q^H G (I - P_im) are P_im's
     defining equations; kernel_on_basis P_ker K c - K c and kernel_orthogonal
     K^H G (w - P_ker w) are P_ker's, on seeded c and w; harmonic_on_image P_h Q c; and
-    image_of_d P_im d(k - 1) u - d(k - 1) u and kernel_of_codiff P_ker codiff(k + 1) w
+    image_of_d P_im d(k - 1) u - d(k - 1) u and kernel_of_codiff P_ker codiff(k + 1) w'
     tie the projectors to the operators identity_suite audits, d and the assembled
-    codifferential, on seeded u and w.  The sum and the orthogonality of the three
+    codifferential, on seeded u and w'.  The sum and the orthogonality of the three
     spaces hold by construction, harmonic = kernel - image, and the bases' own facts
     are the metric-free basis_residuals.  G is block diagonal, so G x is taken block
     by block of gram(p, q).
     """
-    alg, dec, rng = bundle.alg, decomposition(bundle, "d", k), np.random.default_rng(k)
+    alg, dec = bundle.alg, decomposition(bundle, "d", k)
     image, kernel = alg.bases("d", k - 1)[0], alg.bases("d", k)[1]
+    qc, kc, w, down, w_next = _probes(alg, k)
     blocks = [(sl, bundle.gram(*pq)) for pq, sl in alg.slices(k).items()]
 
     def gram_times(x):
@@ -160,11 +173,7 @@ def three_space_residuals(bundle, k):
         return out
 
     gq_h = gram_times(image).conj().T  # Q^H G, as G is Hermitian
-    qc, kc = image @ _probes(rng, image.shape[1]), kernel @ _probes(rng, kernel.shape[1])
-    w = _probes(rng, len(kernel))
-    down = alg.d_total(k - 1) @ _probes(rng, alg.dim("d", k - 1)) if k else w[:, :0]
-    up = bundle.codiff("d", k + 1) @ _probes(rng, alg.dim("d", k + 1)) \
-        if k < 2 * bundle.n else w[:, :0]
+    up = bundle.codiff("d", k + 1) @ w_next if k < 2 * bundle.n else w[:, :0]
     return {
         "image_on_basis": _worst(dec.image @ image - image),
         "image_orthogonal": _worst(gq_h - gq_h @ dec.image),
