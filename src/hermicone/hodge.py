@@ -139,7 +139,10 @@ def _probes(alg, k):
     image, kernel = alg.bases("d", k - 1)[0], alg.bases("d", k)[1]
     qc, kc, w = image @ unit(image.shape[1]), kernel @ unit(kernel.shape[1]), unit(len(kernel))
     down = alg.d_total(k - 1) @ unit(alg.dim("d", k - 1)) if k else w[:, :0]
-    return qc, kc, w, down, unit(alg.dim("d", k + 1))
+    out = qc, kc, w, down, unit(alg.dim("d", k + 1))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 def _worst(x):
