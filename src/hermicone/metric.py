@@ -391,12 +391,9 @@ class OperatorBundle:
         prev, nxt = neighbor(which, key, -1), neighbor(which, key, 1)
         mat = np.zeros((self.dim(which, key),) * 2, dtype=complex)
         if self.dim(which, prev):
-            down = self.alg.diff(which, prev) @ codiff(which, key)
-            # d has always added its two terms directly, del/dbar onto zeros,
-            # which may flip the sign of a zero entry: both sums are kept
-            mat = down if which == "d" and self.dim(which, nxt) else mat + down
+            mat += self.alg.diff(which, prev) @ codiff(which, key)
         if self.dim(which, nxt):
-            mat = mat + codiff(which, nxt) @ self.alg.diff(which, key)
+            mat += codiff(which, nxt) @ self.alg.diff(which, key)
         return mat
 
     def gram_for(self, which, key):
@@ -481,8 +478,6 @@ def identity_suite(bundle, seed=0):
     for p in range(n + 1):
         for q in range(n + 1):
             d = dim_pq(n, p, q)
-            if d == 0:
-                continue
             s_here = bundle.star_block(p, q)
             s_back = bundle.star_block(n - q, n - p)
             upd("star_star", np.max(np.abs(s_back @ s_here - (-1) ** (p + q) * np.eye(d))))

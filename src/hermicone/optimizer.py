@@ -13,18 +13,19 @@ finite differences only audit it (variation.fd_derivative in the tests).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (EmptyCone, InfeasibleStart, LineSearchFailure, NotPositive,
                      NotPositiveDefinite, SchemaError, ToleranceFailure)
-from .exterior import ExteriorAlgebra, Form, _combos
+from .exterior import ExteriorAlgebra, Form
 from .functionals import SLICES, cone_slice, energy, evaluate
 from .hodge import predicates
 from .metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra
 from .model import algebra_for
-from .variation import Directions, make_direction, variation_at
+from .variation import make_direction, variation_at
 
 NULLSPACE_RTOL = 1e-10
 DEGENERACY_RTOL = 1e-6
@@ -35,23 +36,21 @@ def _algebra_of(obj):
 
 
 def real_block_basis(n, p):
-    """Real basis of the conjugation-fixed subspace of Lambda^{p,p}.
+    """Real basis of the conjugation-fixed subspace of Lambda^{p,p}, one stacked Form.
 
-    Diagonal monomials enter once (times i when conjugation flips their
-    sign), off-diagonal ones as the two real combinations of e and conj(e).
+    The pairs (I, J), I <= J, run in basis order: diagonal monomials enter
+    once (times i when conjugation flips their sign), off-diagonal ones as the
+    two real combinations of e and conj(e).
     """
     s = -1.0 if (p * p) % 2 else 1.0  # conj(e_IJ) = s * e_JI
-    combos = _combos(n, p)
-    out = []
-    for a, I in enumerate(combos):
-        diag = Form.monomial(n, I, I, 1j if s < 0 else 1.0)
-        out.append(diag)
-        for J in combos[a + 1:]:
-            e_ij = Form.monomial(n, I, J, 1.0)
-            e_ji = Form.monomial(n, J, I, 1.0)
-            out.append(e_ij + s * e_ji)
-            out.append(1j * (e_ij - s * e_ji))
-    return out
+    size = math.comb(n, p)
+    i, j = np.triu_indices(size)
+    e_ij, e_ji = (np.eye(size * size)[a * size + b] for a, b in ((i, j), (j, i)))
+    diag = (i == j)[:, None]
+    # each pair's rows: its first combination, and off the diagonal its second
+    rows = np.stack([np.where(diag, (1j if s < 0 else 1.0) * e_ij, e_ij + s * e_ji),
+                     1j * (e_ij - s * e_ji)], axis=1)
+    return Form.at(n, (p, p), rows[np.hstack([np.ones_like(diag), ~diag])])
 
 
 @dataclass
@@ -74,7 +73,8 @@ class ConstraintBasis:
 
     @property
     def forms(self):
-        return [self._form(col) for col in self.matrix.T]
+        """The basis forms, one stacked Form."""
+        return self._form(self.matrix.T)
 
     def _form(self, block):
         return Form.at(self.reference.n, self.pq, block)
@@ -103,22 +103,22 @@ def constraint_basis(model, kind, probe=True):
     cone = cone_slice(kind)
     p = cone.degree(n)
     ambient = real_block_basis(n, p)
-    images = [cone.constraint(alg, f) for f in ambient]
+    images = cone.constraint(alg, ambient)
     # rows: the constraint's nonzero bidegrees, sorted, real parts above imaginary ones
-    keys = sorted({pq for img in images for pq in img.bidegrees()})
-    vals = np.array([np.concatenate([img.part(pq) for pq in keys]) for img in images]).T \
-        if keys else np.zeros((0, len(ambient)), dtype=complex)
+    keys = sorted(images.bidegrees())
+    vals = np.concatenate([images.part(pq) for pq in keys], axis=-1).T \
+        if keys else np.zeros((0, len(ambient.vec)), dtype=complex)
     mat = np.concatenate([vals.real, vals.imag])
     if np.any(mat):
         _, sing, vt = np.linalg.svd(mat)
-        keep = np.ones(len(ambient), dtype=bool)
+        keep = np.ones(len(ambient.vec), dtype=bool)
         keep[:sing.size] = sing <= NULLSPACE_RTOL * sing.max(initial=0.0)
         null = vt.T[:, keep]
     else:
-        null = np.eye(len(ambient))
+        null = np.eye(len(ambient.vec))
 
     reference = bundle_for_algebra(alg, HermitianMetric.identity(n))
-    ambient_blocks = np.stack([f.part((p, p)) for f in ambient], axis=1)
+    ambient_blocks = ambient.part((p, p)).T
     raw = ambient_blocks @ null
     # orthonormalize w.r.t. the real part of the reference L2 product
     gram = (raw.conj().T @ (reference.gram(p, p) @ raw) * reference.det_h).real
@@ -248,8 +248,7 @@ class _Objective:
         self.cone = SLICES[basis.kind]
         self.kind = self.cone.direction
         # one stack for the whole descent: its direction-only work is done once
-        self.directions = Directions(make_direction(alg, f, kind=self.kind, tol=tol)
-                                     for f in basis.forms)
+        self.directions = make_direction(alg, basis.forms, kind=self.kind, tol=tol)
         self.covector = self.directions.nu_integrals(alg, nu)
         self._last = None
 
@@ -303,8 +302,8 @@ class _Objective:
         try:
             x_r = self.retract(x) if self.normalize else x
             bundle = self._bundle(x_r)
-            at = variation_at(bundle, self.functional, self.nu, self.weight_bundle)
-            grad = np.array([var.derivative for var in at(self.directions)])
+            grad = variation_at(bundle, self.functional, self.nu,
+                                self.weight_bundle)(self.directions).derivative
         except _UNEVALUABLE:
             return None
         if self.normalize:
@@ -357,7 +356,8 @@ def descend(model, functional="F_tilde", start=None, nu=None,
     resolution near degenerate boundaries.  Termination is one of
     GradientSmall, PositivityBoundary, MaxIters, NumericalStall; the
     stall means either that the gradient is not evaluable at the iterate
-    (a kernel jump, a tolerance failure) or that the line search finds no
+    (a positivity, float-scale or tolerance failure, or a normalization
+    integral that is not positive) or that the line search finds no
     decrease above its floor.
     """
     alg = _algebra_of(model)

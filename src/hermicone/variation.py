@@ -19,12 +19,12 @@ variations need no Laplacian variation and no Green operator at the source.
 All matrix derivatives are exact (the model is finite dimensional); the
 finite-difference harness in this module exists to cross-check them.
 
-Directions run as stacks.  gamma may be one (1,1) form or a stack of them,
-a Form with a leading axis; every matrix above then carries that axis, and
-variation_at(...) maps a sequence of Directions (a Directions stack keeps
-its direction-only work) to their variations in one pass, walked in chunks
-whose stacked matrices stay within DENSE_BUDGET.  A direction gets the bits
-it gets alone, which three rules keep:
+A direction may be a stack.  gamma may be one (1,1) form or a stack of them,
+a Form with a leading axis; every matrix above then carries that axis.  A
+Direction is one vetted form or a stack of them, and variation_at(...) maps it
+to one FunctionalVariation whose fields are arrays over the stack, in one pass
+walked in chunks whose stacked matrices stay within DENSE_BUDGET.  Each form
+of a stack gets the bits it gets alone, which three rules keep:
 
 * a stack of vectors goes through one matrix-vector product per direction,
   A @ X[..., None], and one dot per direction, x[..., None, :] @ y[..., :, None];
@@ -35,16 +35,15 @@ it gets alone, which three rules keep:
   exactly one term (see Form.wedge_matrix).
 
 Work is kept where it belongs (exterior.memo): the matrices of gamma ^ . on
-gamma, and a Directions stack's forms, their del and their integrals on the
-stack.  A commutator [trace, gamma ^ .] depends on gamma and the bundle both,
-so no memo keeps it (a Form is no memo key): it is two products of kept
-matrices, formed again on each call.
+gamma, and a Direction's chunks, its del and its integrals on the Direction.
+A commutator [trace, gamma ^ .] depends on gamma and the bundle both, so no
+memo keeps it (a Form is no memo key): it is two products of kept matrices,
+formed again on each call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -100,85 +99,81 @@ def default_step(metric):
 # ----- directions -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class Direction:
-    """A variation direction: a real (p,p) form moving the datum of a SLICES cone."""
+    """A vetted variation direction, or a stack of them of one kind: a real (p,p) form
+    moving the datum of a SLICES cone, whose vec may carry a leading axis, as a Form's may.
+
+    A direction keeps the work that depends on it alone (its chunks, its del, its
+    integrals against a power of nu, which F_tilde and the descent's normalization
+    read), so a stack kept across bundles, as the descent keeps its slice basis, does
+    it once.
+    """
 
     kind: str  # "metric" for real (1,1), "volume" for real (n-1,n-1)
     form: Form
 
+    def chunks(self, size):
+        """The stack cut into stacks of at most size directions, each keeping its work.
+        A stack that fits is its own chunk and is not kept: its memo would hold it."""
+        return [self] if size >= len(self.form.vec) else self._cuts(size)
+
+    @memo
+    def _cuts(self, size):
+        vec = self.form.vec
+        return [Direction(self.kind, Form(self.form.n, vec[i:i + size].copy()))
+                for i in range(0, len(vec), size)]
+
+    @memo
+    def del_forms(self, alg):
+        return alg.del_form(self.form)
+
+    @memo
+    def nu_integrals(self, alg, nu):
+        """The real part of each form's integral against nu^(n-p), (p,p) the
+        direction's bidegree: a (1,1) direction pairs with nu^(n-1), a volume
+        direction with nu.  A view of the complex integrals: the descent's dot
+        product with a contiguous copy rounds otherwise."""
+        (p, _), = self.form.bidegrees()
+        return alg.integrate(wedge(self.form, wedge_power(nu.form(), alg.n - p))).real
+
 
 def make_direction(alg, obj, kind="metric", require=None, tol=DEFAULT_TOL):
-    """Build and vet a variation direction.
+    """Build and vet a variation direction, or a stack of them.
 
     kind names the SLICES direction kind: "metric" takes a real (1,1) form
-    or a Hermitian matrix, "volume" a real (n-1,n-1) form.  require names a
-    SLICES cone whose constraint the direction must keep ("skt": del dbar
-    = 0, "balanced": d = 0).  A zero direction, one of another type and a
-    violation raise DirectionNotAdmissible.
+    or a Hermitian matrix, "volume" a real (n-1,n-1) form; a Form with a
+    leading axis is a stack, vetted form by form into one Direction.  require
+    names a SLICES cone whose constraint each form must keep ("skt": del dbar
+    = 0, "balanced": d = 0).  A zero form (or an empty stack), one of another
+    type and a violation raise DirectionNotAdmissible; a violation names the
+    worst residual of the stack.
     """
     p = direction_slice(kind).degree(alg.n)
     if kind == "metric" and not isinstance(obj, Form):
         obj = HermitianMetric(obj).form()
     if not isinstance(obj, Form) or obj.n != alg.n:
         raise DimensionMismatch(f"{kind} direction must be a form over the same coframe")
-    if not obj.bidegrees():
+    if not obj.bidegrees() or not np.all(np.any(obj.vec, axis=-1)):
         raise DirectionNotAdmissible(f"{kind} direction is zero: there is nothing to vary along")
     if obj.bidegrees() != [(p, p)]:
         raise DirectionNotAdmissible(f"{kind} direction must be a ({p},{p}) form")
-    real_res = (obj - obj.conj()).max_abs()
-    if real_res > tol * (1.0 + obj.max_abs()):
-        raise DirectionNotAdmissible(f"{kind} direction is not real (residual {real_res:.3e})")
+    _refuse_residual(obj - obj.conj(), obj, tol, f"{kind} direction is not real")
     direction = Direction(kind, 0.5 * (obj + obj.conj()))
     if require is not None:
         cone = cone_slice(require)
-        res = cone.constraint(alg, direction.form).max_abs()
-        if res > tol * (1.0 + direction.form.max_abs()):
-            raise DirectionNotAdmissible(
-                f"direction leaves the {cone.name} constraint (residual {res:.3e})")
+        _refuse_residual(cone.constraint(alg, direction.form), direction.form, tol,
+                         f"direction leaves the {cone.name} constraint")
     return direction
 
 
-class Directions(tuple):
-    """Vetted directions of one kind, stacked: forms holds them on a leading axis.
-
-    The stack keeps the work that depends on the directions alone (their
-    forms with their wedge matrices, their del, their integrals against a power
-    of nu, which F_tilde and the descent's normalization read), so a stack kept
-    across bundles, as the descent keeps its slice basis, does it once.
-    """
-
-    def __new__(cls, directions):
-        self = super().__new__(cls, directions)
-        if len({d.kind for d in self}) > 1:
-            raise DirectionNotAdmissible("a stack holds directions of one kind")
-        return self
-
-    @cached_property
-    def forms(self):
-        return Form(self[0].form.n, np.stack([d.form.vec for d in self]))
-
-    def chunks(self, size):
-        """The stack cut into stacks of at most size directions, each keeping its work.
-        A stack that fits is its own chunk and is not kept: its memo would hold it."""
-        return [self] if size >= len(self) else self._cuts(size)
-
-    @memo
-    def _cuts(self, size):
-        return [Directions(self[i:i + size]) for i in range(0, len(self), size)]
-
-    @memo
-    def del_forms(self, alg):
-        return alg.del_form(self.forms)
-
-    @memo
-    def nu_integrals(self, alg, nu):
-        """The real part of each direction's integral against nu^(n-p), (p,p) the
-        directions' bidegree: a (1,1) direction pairs with nu^(n-1), a volume
-        direction with nu.  A view of the complex integrals: the descent's dot
-        product with a contiguous copy rounds otherwise."""
-        (p, _), = self.forms.bidegrees()
-        return alg.integrate(wedge(self.forms, wedge_power(nu.form(), alg.n - p))).real
+def _refuse_residual(residual, form, tol, what):
+    """DirectionNotAdmissible when a form of the stack has a residual form larger than
+    tol * (1 + its largest coefficient), naming the residual furthest past its bound."""
+    res = np.abs(residual.vec).max(axis=-1)
+    bound = tol * (1.0 + np.abs(form.vec).max(axis=-1))
+    if np.any(res > bound):
+        raise DirectionNotAdmissible(f"{what} (residual {res.flat[np.argmax(res / bound)]:.3e})")
 
 
 # ----- operator variations -----------------------------------------------------------
@@ -316,7 +311,8 @@ class FunctionalVariation:
     finite-difference harness on request; discrepancy then records
     fd - value, which stays at rounding level whenever the projector
     source norm vanishes.  imag_residual reports how far the assembled
-    pairing strays from being real.
+    pairing strays from being real.  The fields of one direction's variation
+    are floats, those of a stack's arrays over the stack, every term too.
     """
 
     kind: str
@@ -334,12 +330,12 @@ class FunctionalVariation:
 def variation_at(bundle, functional, nu=None, weight_bundle=None):
     """The first variation of one energy at a fixed bundle, as a map.
 
-    Returns a map from a sequence of vetted Directions of one kind to their
-    FunctionalVariations (without fd), in order, and from one Direction to
-    its own.  Every direction-independent ingredient (torsion, projectors, the
-    potential's Green operator) is computed once, and the directions run in one
-    stacked pass per chunk of the largest stack within DENSE_BUDGET; a Directions
-    stack keeps its direction-only work for the next bundle.  functional is
+    Returns a map from a vetted Direction to its FunctionalVariation (without
+    fd): floats for one form, which runs as a stack of one, and arrays over the
+    stack for a stack.  Every direction-independent ingredient (torsion,
+    projectors, the potential's Green operator) is computed once, and the stack
+    runs in one pass per chunk of the largest stack within DENSE_BUDGET; a
+    Direction keeps its direction-only work for the next bundle.  functional is
     "F", "F_tilde" (needs nu), "G" or "H" (needs weight_bundle).
     """
     kind = energy(functional).torsion
@@ -351,16 +347,28 @@ def variation_at(bundle, functional, nu=None, weight_bundle=None):
             body = _var_F_tilde_at(bundle, nu, body, report)
     size = max(1, DENSE_BUDGET // max(1, side * side))
 
-    def at(directions):
-        if isinstance(directions, Direction):
-            return at([directions])[0]
-        if not isinstance(directions, Directions):
-            directions = Directions(directions)
-        if not directions:
-            return []
-        return [var for chunk in directions.chunks(size) for var in body(chunk)]
+    def at(direction):
+        form = direction.form
+        if form.vec.ndim == 1:
+            var = at(Direction(direction.kind, Form(form.n, form.vec[None].copy())))
+            return _joined(lambda rows: float(rows[0][0]), [var])
+        parts = [body(chunk) for chunk in direction.chunks(size)]
+        return parts[0] if len(parts) == 1 else _joined(np.concatenate, parts)
 
     return at
+
+
+def _joined(op, variations):
+    """One FunctionalVariation whose every field is op of that field's list over
+    variations of one kind."""
+    first = variations[0]
+    return FunctionalVariation(
+        kind=first.kind,
+        value=op([v.value for v in variations]),
+        derivative=op([v.derivative for v in variations]),
+        terms={name: op([v.terms[name] for v in variations]) for name in first.terms},
+        imag_residual=op([v.imag_residual for v in variations]),
+    )
 
 
 def _dots(x, y):
@@ -369,13 +377,13 @@ def _dots(x, y):
 
 
 def _norm(sq):
-    """The norm of a squared Gram norm, negative rounding clipped."""
-    return float(np.sqrt(max(sq.real, 0.0)))
+    """The norms of squared Gram norms, negative rounding clipped."""
+    return np.sqrt(np.maximum(np.real(sq), 0.0))
 
 
 def _var_torsion_at(bundle, kind):
-    """(directions -> variations of ||torsion||^2, torsion report, widest matrix
-    side) at one bundle.
+    """(direction stack -> variation of ||torsion||^2, torsion report, widest
+    matrix side) at one bundle.
 
     The torsion is the minimal potential at prev of the image part of its
     source at key.  A metric direction gamma moves the source del(omega) by
@@ -397,16 +405,16 @@ def _var_torsion_at(bundle, kind):
     omega_src = report.source.part(key)
     # (I - P) s for the kernel and image projectors P
     ker_rest, im_rest = ((omega_src - p @ omega_src)[:, None] for p in (dec.kernel, dec.image))
-    tors_norm = float(np.sqrt(max(report.norm_sq, 0.0)))
+    tors_norm = float(_norm(report.norm_sq))
     types = [(p, q, sl, bundle.gram(p, q)) for (p, q), sl in alg.slices(prev).items()]
     side = max(bundle.dim(which, k) for k in (prev, key, nxt))
 
     def at(dirs):
-        if dirs[0].kind == "volume":
-            metric_dir = metric_direction_of_volume(bundle, dirs.forms)
-            src_vec = dirs.forms.part(key)
+        if dirs.kind == "volume":
+            metric_dir = metric_direction_of_volume(bundle, dirs.form)
+            src_vec = dirs.form.part(key)
         else:
-            metric_dir = dirs.forms
+            metric_dir = dirs.form
             src_vec = dirs.del_forms(alg).part(key)
         # the minimal potential of each direction's source
         eta = green_prev @ (codiff @ (dec.image @ src_vec[..., None]))
@@ -415,8 +423,13 @@ def _var_torsion_at(bundle, kind):
         # two pairing summands per type of the torsion's space (the
         # commutator preserves type)
         second_full = eta + comm @ tors_col
-        pairs = [(p, q, (tors_vec[sl].conj() @ (g @ eta[..., sl, :]))[..., 0],
-                  _dots(second_full[..., sl, :], g @ tors_col[sl])) for p, q, sl, g in types]
+        terms, total = {}, 0.0 + 0.0j
+        for p, q, sl, g in types:
+            first = (tors_vec[sl].conj() @ (g @ eta[..., sl, :]))[..., 0] * det
+            second = _dots(second_full[..., sl, :], g @ tors_col[sl]) * det
+            terms[f"eta_{kind}_{p}{q}"] = first.real
+            terms[f"{kind}_eta_comm_{p}{q}"] = second.real
+            total += first + second
 
         # moving-projector remainder: the value carries its norm bound,
         # the derivative its signed pairing
@@ -424,32 +437,19 @@ def _var_torsion_at(bundle, kind):
         a_vec = dec.image @ (comm_key @ im_rest) - dec.kernel @ (comm_key @ ker_rest)
         lift = green_prev @ (codiff @ a_vec)
         gram_lift = gram @ lift
-        lift_sq = _dots(lift, gram_lift)
-        pairing_raw = (tors_vec.conj() @ gram_lift)[..., 0]
-        src_sq = _dots(a_vec, bundle.gram_for(which, key) @ a_vec)
-
-        out = []
-        for i in range(len(dirs)):
-            terms = {}
-            total = 0.0 + 0.0j
-            for p, q, first_raw, second_raw in pairs:
-                first, second = first_raw[i] * det, second_raw[i] * det
-                terms[f"eta_{kind}_{p}{q}"] = float(first.real)
-                terms[f"{kind}_eta_comm_{p}{q}"] = float(second.real)
-                total += first + second
-            proj_term = 2.0 * tors_norm * (_norm(lift_sq[i]) * np.sqrt(det))
-            pairing = float(2.0 * pairing_raw[i].real * det)
-            terms["projector_term"] = float(proj_term)
-            terms["projector_pairing_signed"] = pairing
-            terms["projector_source_norm"] = float(_norm(src_sq[i]) * np.sqrt(det))
-            out.append(FunctionalVariation(
-                kind="F" if kind == "rho" else "G",
-                value=float(total.real + proj_term),
-                derivative=float(total.real + pairing),
-                terms=terms,
-                imag_residual=float(abs(total.imag)),
-            ))
-        return out
+        proj_term = 2.0 * tors_norm * (_norm(_dots(lift, gram_lift)) * np.sqrt(det))
+        pairing = 2.0 * (tors_vec.conj() @ gram_lift)[..., 0].real * det
+        terms["projector_term"] = proj_term
+        terms["projector_pairing_signed"] = pairing
+        terms["projector_source_norm"] = \
+            _norm(_dots(a_vec, bundle.gram_for(which, key) @ a_vec)) * np.sqrt(det)
+        return FunctionalVariation(
+            kind="F" if kind == "rho" else "G",
+            value=total.real + proj_term,
+            derivative=total.real + pairing,
+            terms=terms,
+            imag_residual=np.abs(total.imag),
+        )
 
     return at, report, side
 
@@ -462,20 +462,19 @@ def _var_H_at(bundle, gamma_bundle):
 
     def pairings(forms):
         """2 Re(i integral(form ^ u_bar ^ weight)) for each (1,0) form of a stack."""
-        return [2.0 * (1j * c).real for c in alg.integrate(wedge(wedge(forms, u_bar), weight))]
+        return 2.0 * (1j * alg.integrate(wedge(wedge(forms, u_bar), weight))).real
 
     def at(dirs):
         t1 = pairings(bundle.trace_contract(dirs.del_forms(alg)))
-        t2_form = bundle.mult_adjoint(dirs.forms, del_omega)
-        t2 = pairings(Form.at(n, (1, 0), np.broadcast_to(
-            t2_form.part((1, 0)), (len(dirs), n))))
-        return [FunctionalVariation(
+        t2_form = bundle.mult_adjoint(dirs.form, del_omega)
+        t2 = pairings(Form.at(n, (1, 0), np.broadcast_to(t2_form.part((1, 0)), t1.shape + (n,))))
+        return FunctionalVariation(
             kind="H",
-            value=float(a - b),
-            derivative=float(a - b),
-            terms={"trace_of_derivative": float(a), "adjoint_of_direction": float(b)},
-            imag_residual=0.0,
-        ) for a, b in zip(t1, t2)]
+            value=t1 - t2,
+            derivative=t1 - t2,
+            terms={"trace_of_derivative": t1, "adjoint_of_direction": t2},
+            imag_residual=np.zeros(t1.shape),
+        )
 
     return at
 
@@ -489,23 +488,22 @@ def _var_F_tilde_at(bundle, nu, var_f, report):
         raise NotPositive(f"normalization integral {denom:.3e} is not positive")
 
     def at(dirs):
-        bases = var_f(dirs)
-        out = []
-        for base, dir_int in zip(bases, dirs.nu_integrals(alg, nu)):
-            def quotient(d_f):
-                return float((d_f - n * (dir_int / denom) * f_val) / denom ** n)
+        base = var_f(dirs)
+        dir_int = dirs.nu_integrals(alg, nu)
 
-            terms = dict(base.terms)
-            terms.update({"unnormalized": base.value, "normalization": float(denom),
-                          "direction_integral": float(dir_int)})
-            out.append(FunctionalVariation(
-                kind="F_tilde",
-                value=quotient(base.value),
-                derivative=quotient(base.derivative),
-                terms=terms,
-                imag_residual=base.imag_residual,
-            ))
-        return out
+        def quotient(d_f):
+            return (d_f - n * (dir_int / denom) * f_val) / denom ** n
+
+        terms = dict(base.terms)
+        terms.update({"unnormalized": base.value, "normalization": np.full(dir_int.shape, denom),
+                      "direction_integral": dir_int})
+        return FunctionalVariation(
+            kind="F_tilde",
+            value=quotient(base.value),
+            derivative=quotient(base.derivative),
+            terms=terms,
+            imag_residual=base.imag_residual,
+        )
 
     return at
 

@@ -10,10 +10,11 @@ import pytest
 
 import hermicone
 from hermicone import cli, hodge
-from hermicone.exterior import ExteriorAlgebra, memo, random_form
-from hermicone.metric import OperatorBundle, bundle_for_algebra, identity_suite, random_metric
+from hermicone.exterior import ExteriorAlgebra, Form, memo, random_form
+from hermicone.metric import (HermitianMetric, OperatorBundle, bundle_for_algebra, identity_suite,
+                              random_metric)
 from hermicone.model import algebra_for, catalog
-from hermicone.variation import Directions, make_direction, var_F, variation_at
+from hermicone.variation import Direction, make_direction, var_F, variation_at
 
 from .conftest import seeded_bundle
 
@@ -55,9 +56,14 @@ def test_kept_arrays_are_read_only(get):
         mat += 1.0
 
 
+def _stack(*matrices):
+    """The stacked (1,1) forms of Hermitian matrices."""
+    return Form(len(matrices[0]), np.stack([HermitianMetric(m).form().vec for m in matrices]))
+
+
 def test_a_direction_stack_does_not_keep_its_bundle_alive():
     alg = algebra_for(catalog("kodaira_thurston"))
-    dirs = Directions([make_direction(alg, np.diag([1.0, 2.0])), make_direction(alg, np.eye(2))])
+    dirs = make_direction(alg, _stack(np.diag([1.0, 2.0]), np.eye(2)))
     for functional in ("F", "H"):
         bundle = bundle_for_algebra(alg, random_metric(2, np.random.default_rng(3)))
         variation_at(bundle, functional, weight_bundle=bundle)(dirs)
@@ -132,21 +138,21 @@ def test_variations_leave_no_entry_on_the_bundle_for_their_directions():
     kept = vary()
     assert [vary() for _ in range(20)] == [kept] * 20
     # a stack held across calls keeps its forms alive, and nothing on the bundle
-    held = Directions([make_direction(b.alg, np.eye(2))])
+    held = make_direction(b.alg, _stack(np.eye(2)))
     variation_at(b, "F")(held)
     gc.collect()
     assert len(b._memo) == kept
 
 
 def test_a_direction_goes_with_its_variation_call():
-    # a one-direction stack is its own chunk and is kept nowhere, so it needs no
-    # cyclic collection; the bundle's decompositions are built before collection
-    # stops.  Stacks that earlier tests keep alive are counted before the calls
+    # a one-form direction runs as a stack of one, its own chunk, kept nowhere: no
+    # cyclic collection is needed; the bundle's decompositions are built before collection
+    # stops.  Directions that earlier tests keep alive are counted before the calls
     b = seeded_bundle("kodaira_thurston", seed=5)
     rng = np.random.default_rng(5)
 
     def alive():
-        return sum(isinstance(obj, Directions) for obj in gc.get_objects())
+        return sum(isinstance(obj, Direction) for obj in gc.get_objects())
 
     var_F(b, make_direction(b.alg, np.eye(2)))
     gc.collect()

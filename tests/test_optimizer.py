@@ -5,7 +5,7 @@ import pytest
 
 from hermicone import variation
 from hermicone.errors import EmptyCone, InfeasibleStart, LineSearchFailure, ToleranceFailure
-from hermicone.exterior import wedge, wedge_power
+from hermicone.exterior import Form, _combos, wedge, wedge_power
 from hermicone.hodge import predicates
 from hermicone.metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra
 from hermicone.model import algebra_for, catalog
@@ -20,11 +20,38 @@ from hermicone.optimizer import _line_search, _Objective, _random_feasible  # no
 from hermicone.variation import fd_derivative
 
 
+def _rows(stack):
+    """The forms of a stacked Form, one Form each."""
+    return [Form(stack.n, vec.copy()) for vec in stack.vec]
+
+
 def test_real_block_basis_spans_real_forms():
     basis = real_block_basis(3, 1)
-    assert len(basis) == 9
-    for f in basis:
+    assert basis.vec.shape[0] == 9
+    for f in _rows(basis):
         assert f.is_real(1e-14)
+
+
+def _real_block_basis_loop(n, p):
+    """The per-monomial Form loop real_block_basis replaces, kept as its reference."""
+    s = -1.0 if (p * p) % 2 else 1.0
+    combos = _combos(n, p)
+    out = []
+    for a, I in enumerate(combos):
+        out.append(Form.monomial(n, I, I, 1j if s < 0 else 1.0))
+        for J in combos[a + 1:]:
+            e_ij = Form.monomial(n, I, J, 1.0)
+            e_ji = Form.monomial(n, J, I, 1.0)
+            out.append(e_ij + s * e_ji)
+            out.append(1j * (e_ij - s * e_ji))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_real_block_basis_matches_the_per_monomial_loop_bit_for_bit(n):
+    for p in range(n + 1):
+        want = np.stack([f.vec for f in _real_block_basis_loop(n, p)])
+        assert real_block_basis(n, p).vec.tobytes() == want.tobytes(), p
 
 
 @pytest.mark.parametrize("name,kind,dim", [
@@ -38,7 +65,7 @@ def test_constraint_slice_dimensions(name, kind, dim):
     assert basis.dimension == dim
     # every basis form satisfies the constraint and is real
     alg = algebra_for(catalog(name))
-    for f in basis.forms:
+    for f in _rows(basis.forms):
         assert f.is_real(1e-12)
         if kind == "skt":
             assert alg.del_form(alg.dbar_form(f)).max_abs() <= 1e-10
@@ -48,8 +75,8 @@ def test_constraint_slice_dimensions(name, kind, dim):
 
 def test_constraint_basis_orthonormal():
     basis = constraint_basis(catalog("kodaira_thurston"), "skt")
-    gram = np.array([[basis.reference.l2_inner(a, b).real for b in basis.forms]
-                     for a in basis.forms])
+    forms = _rows(basis.forms)
+    gram = np.array([[basis.reference.l2_inner(a, b).real for b in forms] for a in forms])
     assert np.max(np.abs(gram - np.eye(basis.dimension))) <= 1e-10
 
 
@@ -70,12 +97,13 @@ def test_slice_maps_match_form_loops(name, kind):
     basis = constraint_basis(alg, kind)
     rng = np.random.default_rng(3)
     x = rng.normal(size=basis.dimension)
-    loop = basis.forms[0] * 0.0
-    for c, f in zip(x, basis.forms):
+    forms = _rows(basis.forms)
+    loop = forms[0] * 0.0
+    for c, f in zip(x, forms):
         loop = loop + float(c) * f
     assert (basis.combine(x) - loop).max_abs() <= 1e-13
-    form = loop + 0.5 * basis.forms[-1]
-    want = [basis.reference.l2_inner(form, f).real for f in basis.forms]
+    form = loop + 0.5 * forms[-1]
+    want = [basis.reference.l2_inner(form, f).real for f in forms]
     assert np.max(np.abs(basis.coordinates(form) - want)) <= 1e-13
     functional = "F" if kind == "skt" else "G"
     nu = HermitianMetric(np.diag(np.arange(1.0, alg.n + 1.0)))

@@ -1,23 +1,25 @@
 """Stacked variation passes: each direction gets the bits of its own pass.
 
 The oracle below is one-direction code with the stacked pass's formulas: one
-variation per Direction, wedge matrices summed by np.add.at, total matrices
+variation per form of the stack, wedge matrices summed by np.add.at, total matrices
 placed block by block, and the volume coefficient divided as a Python complex.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 import hermicone.variation as variation
-from hermicone.exterior import Form, _wedge_arrays, dim_pq, memo, neighbor, wedge, wedge_power
+from hermicone.exterior import (Form, _conj_perm, _wedge_arrays, dim_pq, memo, neighbor,
+                                random_form, wedge, wedge_power)
 from hermicone.functionals import energy, normalization_integral
 from hermicone.hodge import decomposition, green_operator, torsion, torsion_space
 from hermicone.metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra, random_metric
 from hermicone.model import algebra_for, catalog, make_model
 from hermicone.optimizer import _Objective, _random_feasible, constraint_basis, descend
-from hermicone.variation import Directions, FunctionalVariation, make_direction, variation_at
+from hermicone.variation import Direction, FunctionalVariation, make_direction, variation_at
 
 MODELS = {name: catalog(name) for name in ("torus2", "torus3", "kodaira_thurston", "iwasawa")}
 # n = 4, where the volume coefficient divides by n - 1 = 3
@@ -199,8 +201,8 @@ def _oracle_at(b, functional, nu, weight_bundle):
 
 
 def _case(name, functional, seed):
-    """(bundle, nu, weight bundle, slice basis directions) at a seeded random point
-    of the functional's cone, with seeded random nu and weight metrics."""
+    """(bundle, nu, weight bundle, the slice basis as one Direction) at a seeded
+    random point of the functional's cone, with seeded random nu and weight metrics."""
     alg = algebra_for(MODELS[name])
     rng = np.random.default_rng(seed)
     spec = energy(functional)
@@ -209,34 +211,64 @@ def _case(name, functional, seed):
     weight = bundle_for_algebra(alg, random_metric(alg.n, rng))
     obj = _Objective(alg, basis, functional, nu, weight, DEFAULT_TOL, False)
     b = obj._bundle(_random_feasible(obj, basis, rng))
-    return b, nu, weight, list(obj.directions)
+    return b, nu, weight, obj.directions
+
+
+def _form_rows(stack):
+    """The forms of a stacked Form, one Form each."""
+    return [Form(stack.n, vec.copy()) for vec in stack.vec]
+
+
+def _form_stack(forms):
+    """One stacked Form of forms."""
+    return Form(forms[0].n, np.stack([f.vec for f in forms]))
+
+
+def _rows(direction):
+    """The forms of a Direction stack, one Direction each."""
+    return [Direction(direction.kind, form) for form in _form_rows(direction.form)]
+
+
+def _stacked(dirs):
+    """One Direction stacking the forms of one-form Directions."""
+    return Direction(dirs[0].kind, _form_stack([d.form for d in dirs]))
 
 
 def _bits(var):
+    """The bytes of every field of one direction's variation."""
     fields = [var.kind, np.float64(var.derivative).tobytes(), np.float64(var.value).tobytes(),
               np.float64(var.imag_residual).tobytes()]
     return fields + [(k, np.float64(v).tobytes()) for k, v in var.terms.items()]
 
 
+def _bits_each(var):
+    """_bits of each direction of a stack's variation, in stack order."""
+    return [_bits(FunctionalVariation(var.kind, var.value[i], var.derivative[i],
+                                      {k: v[i] for k, v in var.terms.items()},
+                                      var.imag_residual[i]))
+            for i in range(len(var.derivative))]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("name,functional", CASES)
 def test_stacked_pass_matches_the_one_direction_code_bit_for_bit(name, functional, seed):
-    b, nu, weight, dirs = _case(name, functional, seed)
-    got = variation_at(b, functional, nu, weight)(Directions(dirs))
+    b, nu, weight, stack = _case(name, functional, seed)
+    got = variation_at(b, functional, nu, weight)(stack)
     oracle = _oracle_at(b, functional, nu, weight)
-    assert [_bits(v) for v in got] == [_bits(oracle(d)) for d in dirs]
+    assert _bits_each(got) == [_bits(oracle(d)) for d in _rows(stack)]
 
 
 @pytest.mark.parametrize("name,functional", [("iwasawa", "G"), ("kodaira_thurston", "F_tilde"),
                                              ("iwasawa_x_t1", "G"),
                                              ("kodaira_thurston", "H")])
 def test_a_direction_gets_the_same_bits_in_any_stack(name, functional, monkeypatch):
-    b, nu, weight, dirs = _case(name, functional, 0)
+    b, nu, weight, stack = _case(name, functional, 0)
     at = variation_at(b, functional, nu, weight)
-    want = [_bits(v) for v in at(dirs)]
-    assert [_bits(v) for v in at(dirs[::-1])] == want[::-1]
+    want = _bits_each(at(stack))
+    dirs = _rows(stack)
+    assert _bits_each(at(_stacked(dirs[::-1]))) == want[::-1]
     half = len(dirs) // 2
-    assert [_bits(v) for v in at(dirs[:half]) + at(dirs[half:])] == want
+    assert _bits_each(at(_stacked(dirs[:half]))) + _bits_each(at(_stacked(dirs[half:]))) == want
     assert [_bits(at(d)) for d in dirs] == want
     # budgets that admit one and two directions' matrices per chunk
     kind = energy(functional).torsion
@@ -247,23 +279,83 @@ def test_a_direction_gets_the_same_bits_in_any_stack(name, functional, monkeypat
         side = max(b.dim(which, neighbor(which, key, s)) for s in (-1, 0, 1))
     for per_chunk in (1, 2):
         monkeypatch.setattr(variation, "DENSE_BUDGET", per_chunk * side ** 2)
-        stack = Directions(dirs)
+        stack = _stacked(dirs)
         chunked = variation_at(b, functional, nu, weight)(stack)
         assert len(stack.chunks(per_chunk)) == -(-len(dirs) // per_chunk)
-        assert [_bits(v) for v in chunked] == want, per_chunk
+        assert _bits_each(chunked) == want, per_chunk
 
 
-def test_a_stack_refuses_mixed_kinds():
-    b = bundle_for_algebra(algebra_for(catalog("iwasawa")), HermitianMetric.identity(3))
-    metric_dir = make_direction(b.alg, np.eye(3))
-    volume_dir = make_direction(b.alg, b.omega_power(2), kind="volume")
-    with pytest.raises(variation.DirectionNotAdmissible):
-        Directions([metric_dir, volume_dir])
+# ----- vetting a stack ----------------------------------------------------------------
 
 
-def test_empty_stack_gives_no_variations():
-    b = bundle_for_algebra(algebra_for(catalog("iwasawa")), HermitianMetric.identity(3))
-    assert variation_at(b, "G")([]) == []
+def _slice_forms(name, cone):
+    """The forms of a cone's slice basis, one Form each: good directions that keep
+    its constraint."""
+    return _form_rows(constraint_basis(algebra_for(catalog(name)), cone, probe=False).forms)
+
+
+def _bad_form(bad):
+    """One form that make_direction refuses as a metric direction keeping the
+    pluriclosed constraint on Iwasawa, and the refusal's message."""
+    if bad == "zero":
+        return Form.zero(3), "zero"
+    if bad == "non-real":
+        return 1j * _slice_forms("iwasawa", "skt")[0], "not real"
+    if bad == "off-type":
+        return random_form(3, [(2, 1)], np.random.default_rng(0), real=True), r"a \(1,1\) form"
+    # i theta^3 ^ thetabar^3 has del dbar equal to -theta^12 ^ thetabar^12
+    return HermitianMetric(np.diag([0.0, 0.0, 1.0])).form(), "pluriclosed constraint"
+
+
+@pytest.mark.parametrize("bad", ["zero", "non-real", "off-type", "constraint"])
+def test_a_stack_with_one_bad_form_is_refused(bad):
+    alg = algebra_for(catalog("iwasawa"))
+    good = _slice_forms("iwasawa", "skt")
+    form, message = _bad_form(bad)
+    make_direction(alg, _form_stack(good), require="skt")
+    with pytest.raises(variation.DirectionNotAdmissible, match=message):
+        make_direction(alg, _form_stack(good[:2] + [form] + good[2:]), require="skt")
+
+
+@pytest.mark.parametrize("bad", ["non-real", "constraint"])
+def test_a_refusal_names_the_worst_residual_of_the_stack(bad):
+    alg = algebra_for(catalog("iwasawa"))
+    good = _slice_forms("iwasawa", "skt")
+    form, message = _bad_form(bad)
+    small, large = (1.0 + 1e-3j) * good[0] if bad == "non-real" else 0.1 * form, 10.0 * form
+    worst = (large - large.conj()).max_abs() if bad == "non-real" else \
+        alg.del_form(alg.dbar_form(0.5 * (large + large.conj()))).max_abs()
+    # small is refused first in stack order; the message names large, furthest past its bound
+    with pytest.raises(variation.DirectionNotAdmissible,
+                       match=re.escape(f"{message} (residual {worst:.3e})")):
+        make_direction(alg, _form_stack([good[1], small, good[2], large]), require="skt")
+
+
+def test_an_empty_stack_is_refused():
+    # zero requested work is never a pass
+    alg = algebra_for(catalog("iwasawa"))
+    with pytest.raises(variation.DirectionNotAdmissible, match="zero"):
+        make_direction(alg, Form(3, np.zeros((0, 4 ** 3), dtype=complex)), kind="volume")
+
+
+@pytest.mark.parametrize("name,kind", [("iwasawa", "metric"), ("iwasawa", "volume"),
+                                       ("kt_x_t2", "metric"), ("iwasawa_x_t1", "volume")])
+def test_a_good_stack_vets_each_form_to_the_bits_it_gets_alone(name, kind):
+    alg = algebra_for(MODELS[name])
+    n = alg.n
+    p = 1 if kind == "metric" else n - 1
+    rng = np.random.default_rng(7)
+    forms = []
+    for _ in range(5):
+        # real up to a non-real part well within the tolerance, with signed zeros
+        vec = random_form(n, [(p, p)], rng, real=True).vec \
+            + 1e-12j * random_form(n, [(p, p)], rng).vec
+        zeros = np.flatnonzero(vec)[::4]
+        vec[zeros] = vec[_conj_perm(n)[0][zeros]] = complex(-0.0, -0.0)
+        forms.append(Form(n, vec))
+    stacked = make_direction(alg, _form_stack(forms), kind=kind).form.vec
+    for row, form in zip(stacked, forms):
+        assert row.tobytes() == make_direction(alg, form, kind=kind).form.vec.tobytes()
 
 
 # ----- placement --------------------------------------------------------------------
