@@ -4,12 +4,13 @@ from hermicone import catalog, constraint_basis, descend
 from hermicone.errors import EmptyCone
 
 # The feasible slices are null spaces of the constraint maps; both
-# nilmanifold-style models carry one nonempty cone and one empty cone.
+# nilmanifold-style models carry one nonempty cone and one empty cone, which
+# descent refuses before its first step.
 for name, kind in (("kodaira_thurston", "skt"), ("iwasawa", "balanced")):
     basis = constraint_basis(catalog(name), kind)
     print(f"{name} {kind} slice dimension: {basis.dimension}")
 try:
-    constraint_basis(catalog("iwasawa"), "skt")
+    descend(catalog("iwasawa"), "F")
 except EmptyCone as exc:
     print("iwasawa skt cone:", exc)
 

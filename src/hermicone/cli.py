@@ -60,8 +60,10 @@ class _CliFailure(Exception):
 
 # The size budget DENSE_BUDGET (exterior.py) admits every job at n <= 6, descend to
 # n = 7, eval and torsion to n = 8 (eval G and H to n = 9), and refuses verify and
-# varcheck from n = 7 on, where one total-degree Laplacian is 3432 x 3432 and a run
-# would take hours.
+# varcheck from n = 7 on.  Both hold N x N matrices of the middle total degree, N =
+# C(2n, n), 3432 at n = 7: verify the total-degree Gram (gram_total), the assembled
+# codiff("d") and the projectors of its three-space walk; varcheck its projector
+# derivative.
 
 
 def dense_side(subcommand, n, functional=None):

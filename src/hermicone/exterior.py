@@ -296,8 +296,9 @@ class Form:
     __slots__ = ("n", "vec", "_nonzero", "_support", "_memo")
 
     def __init__(self, n, vec=None):
-        """The form (or stack) with coefficient vector(s) vec, taken over; zero when vec
-        is None."""
+        """The form (or stack) with coefficient vector(s) vec, taken over and made
+        read-only, or, when a block must be zeroed, copied and left as it is; zero when
+        vec is None."""
         self.n = n = int(n)
         if vec is None:
             vec, nonzero = np.zeros(4 ** n, dtype=complex), np.zeros((n + 1) ** 2, dtype=bool)
@@ -311,10 +312,8 @@ class Form:
                 nonzero = np.logical_or.reduceat(vec, starts, axis=-1).reshape(
                     -1, starts.size).any(axis=0)
             if not all(nonzero.tolist()):
-                absent = _absent(n, nonzero.tobytes())
-                if vec.ndim > 1:
-                    absent = np.broadcast_to(absent, vec.shape)
-                np.putmask(vec, absent, 0)  # zero blocks read +0, no -0
+                # zero blocks read +0, no -0
+                vec = np.where(_absent(n, nonzero.tobytes()), 0j, vec)
         vec.setflags(write=False)
         self.vec, self._nonzero, self._support = vec, nonzero, None
 

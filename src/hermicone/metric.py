@@ -456,10 +456,18 @@ def _primitive_vectors(bundle, p, q, rng):
 def identity_suite(bundle, seed=0):
     """Residuals of the operator identities tying star, wedge and adjoints.
 
-    Returns a dict of max absolute residuals, one entry per identity family.
-    Keys: star_star, star_one, star_omega, star_lefschetz, commutator,
-    mult_adjoint_star, mult_adjoint_11, primitive_star, dstar_formula,
-    delstar_formula, dbarstar_formula, adjoint_pairing.
+    Returns a dict of max absolute residuals, one entry per identity family, each
+    taken block by block; no total-degree matrix is formed.
+    - star_star, star_lefschetz, commutator, mult_adjoint_star (three seeded (1,1)
+      probes) and primitive_star (two seeded primitive forms): the blocks at every
+      bidegree (p, q); mult_adjoint_11 on the probes; star_one and star_omega once.
+    - The codifferential families: every block of d from src to (p, q), with c its
+      block of d^* from (p, q) back to src (_codiff_blocks).  c = -star d star, the
+      mirrored block of d from (n - q, n - p) between two star blocks, is
+      delstar_formula on the del blocks, src = (p - 1, q), dbarstar_formula on the
+      dbar blocks, src = (p, q - 1), and dstar_formula on every block, an
+      antiholomorphic one below VALIDATION_TOL included; adjoint_pairing is
+      (gram(p, q) d - c^H gram(src)) det H on every block.
     """
     rng = np.random.default_rng(seed)
     alg, n = bundle.alg, bundle.n
@@ -506,13 +514,18 @@ def identity_suite(bundle, seed=0):
                     rhs = coeff * (pow_mat @ vec)
                     upd("primitive_star", np.max(np.abs(lhs - rhs)))
 
-            # del^* = -star dbar star and dbar^* = -star del star
-            for which, mirror in (("del", "dbar"), ("dbar", "del")):
-                if bundle.dim(which, neighbor(which, (p, q), -1)):
-                    lhs = bundle.codiff(which, (p, q))
-                    rhs = -bundle.star_block(*neighbor(mirror, (n - q, n - p), 1)) \
-                        @ alg.diff(mirror, (n - q, n - p)) @ s_here
-                    upd(f"{which}star_formula", np.max(np.abs(lhs - rhs)))
+            # d^* = -star d star and the L2 pairing, on each block of d landing on (p, q)
+            for src, cod in bundle._codiff_blocks(p, q).items():
+                back = (n - src[1], n - src[0])
+                mirror = alg.d_blocks(n - q, n - p).get(back)
+                rhs = 0.0 if mirror is None else -bundle.star_block(*back) @ mirror @ s_here
+                resid = np.max(np.abs(cod - rhs))
+                upd("dstar_formula", resid)
+                if src in ((p - 1, q), (p, q - 1)):
+                    upd("delstar_formula" if src[0] < p else "dbarstar_formula", resid)
+                pair = bundle.gram(p, q) @ alg.d_blocks(*src)[(p, q)] \
+                    - cod.conj().T @ bundle.gram(*src)
+                upd("adjoint_pairing", np.max(np.abs(pair)) * bundle.det_h)
 
     # (eta ^ .)^* = <., eta> on (1,1); the pairing stays one vector-matrix product per
     # probe, a 1 x N row each on the leading axis: one 3 x N product rounds otherwise
@@ -524,20 +537,5 @@ def identity_suite(bundle, seed=0):
     one = Form.scalar(n, 1.0)
     upd("star_one", (bundle.star(one) - bundle.det_h * alg.theta_form()).max_abs())
     upd("star_omega", (bundle.star(bundle.omega) - bundle.omega_power(n - 1)).max_abs())
-
-    # d^* = -(star d star) degree by degree, and the L2 pairing identity; each residual
-    # is formed in place, with the operations of its expression (in the comment) in
-    # their order, so with the same bits
-    for k in range(1, 2 * n + 1):
-        codiff = bundle.codiff("d", k)
-        # codiff - (-star_total(2n - k + 1)) @ d_total(2n - k) @ star_total(k)
-        rhs = bundle.star_total(2 * n - k + 1)
-        rhs = np.negative(rhs, out=rhs) @ alg.d_total(2 * n - k)
-        rhs = rhs @ bundle.star_total(k)
-        upd("dstar_formula", np.max(np.abs(np.subtract(codiff, rhs, out=rhs))))
-        # gram_total(k) @ d_total(k - 1) - codiff^H @ gram_total(k - 1)
-        pair = bundle.gram_total(k) @ alg.d_total(k - 1)
-        pair -= np.conjugate(codiff, out=rhs).T @ bundle.gram_total(k - 1)
-        upd("adjoint_pairing", np.max(np.abs(pair)) * bundle.det_h)
 
     return res

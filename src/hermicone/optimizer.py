@@ -89,14 +89,13 @@ class ConstraintBasis:
         return (pairing * ref.det_h).real
 
 
-def constraint_basis(model, kind, probe=True):
+def constraint_basis(model, kind):
     """Null space of the cone constraint over the real ambient basis.
 
     kind names a SLICES cone: "skt" works on real (1,1) forms with del dbar
     = 0; "balanced" on real (n-1,n-1) forms with d = 0.  The basis is
     orthonormal in the L2 product of the identity metric, its reference.
-    With probe=True the datum of the reference metric is projected onto the
-    slice and must stay positive, otherwise EmptyCone is raised.
+    An empty cone still has a slice: descend probes it for a positive point.
     """
     alg = _algebra_of(model)
     n = alg.n
@@ -129,14 +128,7 @@ def constraint_basis(model, kind, probe=True):
         coeffs = null @ (v / np.sqrt(w))
     else:
         coeffs = null
-    basis = ConstraintBasis(kind, (p, p), ambient_blocks @ coeffs, reference)
-    if probe:
-        proj = basis.combine(basis.coordinates(cone.datum(reference.metric)))
-        try:
-            cone.metric(alg, proj).check()
-        except (NotPositive, NotPositiveDefinite) as exc:
-            raise EmptyCone(cone.empty) from exc
-    return basis
+    return ConstraintBasis(kind, (p, p), ambient_blocks @ coeffs, reference)
 
 
 # ----- descent ---------------------------------------------------------------------
@@ -364,6 +356,13 @@ def descend(model, functional="F_tilde", start=None, nu=None,
     n = alg.n
     spec = energy(functional)
     basis = constraint_basis(alg, spec.slice)
+    # the reference metric's datum projected onto the slice must stay positive
+    cone = cone_slice(spec.slice)
+    datum = basis.combine(basis.coordinates(cone.datum(basis.reference.metric)))
+    try:
+        cone.metric(alg, datum).check()
+    except (NotPositive, NotPositiveDefinite) as exc:
+        raise EmptyCone(cone.empty) from exc
     if normalize is None:
         normalize = spec.normalize
     nu = nu if nu is not None else HermitianMetric.identity(n)

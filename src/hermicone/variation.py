@@ -121,7 +121,7 @@ class Direction:
     @memo
     def _cuts(self, size):
         vec = self.form.vec
-        return [Direction(self.kind, Form(self.form.n, vec[i:i + size].copy()))
+        return [Direction(self.kind, Form(self.form.n, vec[i:i + size]))
                 for i in range(0, len(vec), size)]
 
     @memo
@@ -350,7 +350,7 @@ def variation_at(bundle, functional, nu=None, weight_bundle=None):
     def at(direction):
         form = direction.form
         if form.vec.ndim == 1:
-            var = at(Direction(direction.kind, Form(form.n, form.vec[None].copy())))
+            var = at(Direction(direction.kind, Form(form.n, form.vec[None])))
             return _joined(lambda rows: float(rows[0][0]), [var])
         parts = [body(chunk) for chunk in direction.chunks(size)]
         return parts[0] if len(parts) == 1 else _joined(np.concatenate, parts)

@@ -101,3 +101,26 @@ def test_a_stack_resets_only_the_blocks_zero_in_every_form():
     assert alone.bidegrees() == [(1, 0)]
     assert not np.signbit(alone.part((1, 1)).real).any()
     assert not stack.vec.flags.writeable
+
+
+def test_a_form_zeroes_its_absent_blocks_in_a_copy_of_its_input():
+    # a row of a read-only stack that leaves (1,0) empty, with -0s there: the form of
+    # the row zeroes them in its own array, and the stack keeps them
+    lay = _layout(2)
+    rows = np.zeros((2, 16), dtype=complex)
+    rows[:, lay[(1, 1)]] = 1.0 + 2.0j
+    rows[0, lay[(1, 0)]] = complex(-0.0, -0.0)
+    rows[1, lay[(1, 0)]] = 3.0
+    stack = Form(2, rows)
+    row = Form(2, stack.vec[0])
+    assert row.bidegrees() == [(1, 1)]
+    assert not np.signbit(row.part((1, 0)).real).any()
+    assert np.signbit(stack.part((1, 0))[0].real).all()
+    assert not row.vec.flags.writeable and not stack.vec.flags.writeable
+    # a writable input comes back unchanged and writable
+    vec = rows[0].copy()
+    before = vec.tobytes()
+    form = Form(2, vec)
+    assert vec.tobytes() == before and vec.flags.writeable
+    assert form.vec is not vec and form.bidegrees() == [(1, 1)]
+    assert not np.signbit(form.part((1, 0)).real).any()

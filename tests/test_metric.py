@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from hermicone.errors import DimensionMismatch, NotPositiveDefinite, SchemaError
-from hermicone.exterior import Form, _basis, random_form, wedge, wedge_power
+from hermicone.exterior import ExteriorAlgebra, Form, _basis, random_form, wedge, wedge_power
 from hermicone.metric import (
     HermitianMetric,
+    OperatorBundle,
     bundle_for_algebra,
     identity_suite,
     random_metric,
@@ -403,3 +404,75 @@ def test_identity_suite_all_families(name, seed):
     assert len(res) == 12
     worst = max(res.values())
     assert worst <= IDENTITY_TOL, res
+
+
+def _dense_codiff_rows(b):
+    """identity_suite's dstar_formula and adjoint_pairing on the dense total-degree
+    matrices: the assembled codiff("d", k) against -star d star and the L2 pairing."""
+    alg, n, dstar, pairing = b.alg, b.n, 0.0, 0.0
+    for k in range(1, 2 * n + 1):
+        codiff = b.codiff("d", k)
+        rhs = -b.star_total(2 * n - k + 1) @ alg.d_total(2 * n - k) @ b.star_total(k)
+        dstar = max(dstar, np.max(np.abs(codiff - rhs)))
+        pair = b.gram_total(k) @ alg.d_total(k - 1) - codiff.conj().T @ b.gram_total(k - 1)
+        pairing = max(pairing, np.max(np.abs(pair)) * b.det_h)
+    return dstar, pairing
+
+
+def _anti_bundle(seed):
+    """Iwasawa with an antiholomorphic term below VALIDATION_TOL, at a seeded metric."""
+    model = make_model("iwasawa_anti", 3, [(3, "holo", 1, 2, -1.0), (3, "anti", 1, 2, 1e-13)])
+    return bundle_for_algebra(algebra_for(model), random_metric(3, np.random.default_rng(seed)))
+
+
+DENSE_CASES = [("catalog", name, seed) for name in CATALOG_NAMES for seed in (0, 1)] \
+    + [("synthetic", "iwasawa_x_t1", seed) for seed in (0, 1)] + [("anti", None, 4)]
+
+
+@pytest.mark.parametrize("kind,name,seed", DENSE_CASES)
+def test_dense_total_degree_codiff_rows(kind, name, seed):
+    # the block-assembled codiff("d") audited on the dense total-degree products that
+    # identity_suite leaves out; its block rows read the same residuals (measured
+    # <= 8.7e-21 apart on these cases)
+    b = _anti_bundle(seed) if kind == "anti" else _case_bundle(kind, name, seed)
+    dstar, pairing = _dense_codiff_rows(b)
+    assert dstar <= IDENTITY_TOL and pairing <= IDENTITY_TOL, (dstar, pairing)
+    res = identity_suite(b)
+    assert abs(res["dstar_formula"] - dstar) <= 1e-14, (res["dstar_formula"], dstar)
+    assert abs(res["adjoint_pairing"] - pairing) <= 1e-14, (res["adjoint_pairing"], pairing)
+
+
+def test_dstar_formula_covers_the_antiholomorphic_blocks():
+    # an antiholomorphic term below VALIDATION_TOL keeps its block of d, so codiff("d")
+    # carries its adjoint: a wrong adjoint there shows in dstar_formula and
+    # adjoint_pairing alone, as no del or dbar block changes
+    b = _anti_bundle(4)
+    assert max(identity_suite(b).values()) <= IDENTITY_TOL
+    blocks = b._codiff_blocks
+
+    def off_by_one(p, q):
+        return {src: cod if src in ((p - 1, q), (p, q - 1)) else cod + 1.0
+                for src, cod in blocks(p, q).items()}
+
+    b._codiff_blocks = off_by_one
+    res = identity_suite(b)
+    assert res["dstar_formula"] >= 0.5 and res["adjoint_pairing"] >= 0.5, res
+    assert res["delstar_formula"] <= IDENTITY_TOL and res["dbarstar_formula"] <= IDENTITY_TOL
+
+
+@pytest.mark.parametrize("kind,name,seed", [("catalog", "iwasawa", 1),
+                                            ("synthetic", "iwasawa_x_t1", 0)])
+def test_identity_suite_forms_no_total_degree_matrix(monkeypatch, kind, name, seed):
+    b = _case_bundle(kind, name, seed)
+
+    def refuse(*args):
+        raise AssertionError("a total-degree matrix was formed")
+
+    codiff = OperatorBundle.codiff
+    monkeypatch.setattr(OperatorBundle, "star_total", refuse)
+    monkeypatch.setattr(OperatorBundle, "gram_total", refuse)
+    monkeypatch.setattr(ExteriorAlgebra, "d_total", refuse)
+    monkeypatch.setattr(OperatorBundle, "codiff", lambda self, which, key: refuse() if
+                        which == "d" else codiff(self, which, key))
+    res = identity_suite(b)
+    assert len(res) == 12 and max(res.values()) <= IDENTITY_TOL, res

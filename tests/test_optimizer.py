@@ -117,13 +117,12 @@ def test_slice_maps_match_form_loops(name, kind):
 
 
 def test_empty_cone_probe():
-    # no invariant pluriclosed metric exists on this model
-    with pytest.raises(EmptyCone):
-        constraint_basis(catalog("iwasawa"), "skt")
-    basis = constraint_basis(catalog("iwasawa"), "skt", probe=False)
-    assert isinstance(basis, ConstraintBasis)
-    with pytest.raises(EmptyCone):
-        constraint_basis(catalog("kodaira_thurston"), "balanced")
+    # no invariant pluriclosed metric exists on Iwasawa, nor a balanced one on
+    # Kodaira-Thurston: each slice exists, and descend refuses it before its first step
+    for name, kind, functional in (("iwasawa", "skt", "F"), ("kodaira_thurston", "balanced", "G")):
+        assert isinstance(constraint_basis(catalog(name), kind), ConstraintBasis)
+        with pytest.raises(EmptyCone):
+            descend(catalog(name), functional, steps=0)
 
 
 def test_descend_rejects_nonpositive_start():

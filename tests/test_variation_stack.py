@@ -291,7 +291,7 @@ def test_a_direction_gets_the_same_bits_in_any_stack(name, functional, monkeypat
 def _slice_forms(name, cone):
     """The forms of a cone's slice basis, one Form each: good directions that keep
     its constraint."""
-    return _form_rows(constraint_basis(algebra_for(catalog(name)), cone, probe=False).forms)
+    return _form_rows(constraint_basis(algebra_for(catalog(name)), cone).forms)
 
 
 def _bad_form(bad):
