@@ -591,8 +591,12 @@ class ExteriorAlgebra:
         takes the singular vectors above RANK_RTOL * sigma_max.  A singular value within
         a factor 100 of the cut refuses the model (ModelInvalid): below the cut rounding
         may decide the count, above it the Green operator would carry 1 / sigma^2."""
-        mat = self.diff(which, key) if self.dim(which, key) else \
-            np.zeros((self.dim(which, neighbor(which, key, 1)), 0))
+        if not self.dim(which, key):
+            mat = np.zeros((self.dim(which, neighbor(which, key, 1)), 0))
+        elif which == "d":  # from the blocks, not kept: d_total is the job path's
+            mat = self.total(self.d_blocks, key, key + 1)
+        else:
+            mat = self.diff(which, key)
         # zero rows and columns add only zero singular values; dropping them makes the
         # n = 6 SVDs ~20x cheaper
         rows, cols = np.any(mat, axis=1), np.any(mat, axis=0)
@@ -656,6 +660,18 @@ class ExteriorAlgebra:
         for row, cols, blk in placed:
             mat[..., row, cols] = blk
         return mat
+
+    def total_times(self, op, k, k_out, cols):
+        """total(op, k, k_out) @ cols for columns cols over total degree k, without forming
+        the matrix: each block with entries multiplies its rows of cols and adds into its
+        target's rows, in layout order."""
+        rows = self.slices(k_out) if 0 <= k_out <= 2 * self.n else {}
+        out = np.zeros((self.dim_total(k_out) if rows else 0,) + cols.shape[1:], dtype=complex)
+        for pq, sl in self.slices(k).items():
+            for tgt, blk in op(*pq).items():
+                if tgt in rows and blk.size:
+                    out[rows[tgt]] += blk @ cols[sl]
+        return out
 
     def apply(self, op, form):
         """The block map op applied to a form: each nonzero block's nonzero images

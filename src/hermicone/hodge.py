@@ -24,7 +24,13 @@ degree 3, torsion Gamma the "dbar" potential on (n-1, n-1).
 verify audits the decompositions of "d" where the construction leaves room for
 error, per metric by three_space_residuals and once per algebra by
 basis_residuals; the sum and the orthogonality of the three spaces hold by
-construction and are left to the tests.
+construction and are left to the tests.  verify holds one degree at a time: the
+walk keeps each projector of the degree as its factors B, B^H G and M = B^H G B
+(_factors), with B^H G taken block by block of the bidegree Gram blocks, applies
+them to N x r and N x 3 columns and drops them once the degree is audited, and d and
+d^* reach the columns block by block (ExteriorAlgebra.total_times).  So verify forms
+no N x N projector, keeps no Decomposition and reads no total-degree matrix, and the
+job path's dense projectors keep their bits and their cost.
 """
 
 from __future__ import annotations
@@ -45,12 +51,29 @@ def _projector(basis, gram):
     return basis @ np.linalg.solve(bg @ basis, bg)
 
 
+def _factors(basis, gram):
+    """(B, B^H G, M = B^H G B): the projector B M^-1 B^H G onto the span of basis's
+    columns as its factors, G block diagonal with the (slice, block) pairs gram."""
+    bh = basis.conj().T
+    bg = np.empty(bh.shape, dtype=complex)
+    for sl, block in gram:
+        bg[:, sl] = bh[:, sl] @ block
+    return basis, bg, bg @ basis
+
+
+def _apply(factors, cols):
+    """P cols = B M^-1 (B^H G cols), the projector of factors applied without forming it."""
+    basis, bg, m = factors
+    return basis @ np.linalg.solve(m, bg @ cols)
+
+
 class Decomposition:
-    """The Hodge decomposition of one space as G-orthogonal projectors, G its Gram
-    matrix: image onto the image of diff(which, prev), kernel onto the kernel of
+    """The Hodge decomposition of one space as dense G-orthogonal projectors, G its
+    Gram matrix: image onto the image of diff(which, prev), kernel onto the kernel of
     diff(which, key), and harmonic = kernel - image onto the kernel of the Laplacian,
-    of dimension kernel_dim (the algebra's harmonic_dim).  It keeps no reference to
-    the bundle, which would make every bundle cyclic garbage."""
+    of dimension kernel_dim (the algebra's harmonic_dim).  The job path reads these;
+    verify's walk keeps the projectors as their factors instead (_factors).  It keeps
+    no reference to the bundle, which would make every bundle cyclic garbage."""
 
     def __init__(self, bundle, which, key):
         alg, gram = bundle.alg, bundle.gram_for(which, key)
@@ -138,7 +161,8 @@ def _probes(alg, k):
 
     image, kernel = alg.bases("d", k - 1)[0], alg.bases("d", k)[1]
     qc, kc, w = image @ unit(image.shape[1]), kernel @ unit(kernel.shape[1]), unit(len(kernel))
-    down = alg.d_total(k - 1) @ unit(alg.dim("d", k - 1)) if k else w[:, :0]
+    down = alg.total_times(alg.d_blocks, k - 1, k, unit(alg.dim("d", k - 1))) if k \
+        else w[:, :0]
     out = qc, kc, w, down, unit(alg.dim("d", k + 1))
     for arr in out:
         arr.setflags(write=False)
@@ -151,40 +175,44 @@ def _worst(x):
 
 def three_space_residuals(bundle, k):
     """Residuals of the Hodge decomposition of degree k at the bundle's metric, each
-    on N x r products or on PROBES seeded unit vectors, none N x N x N.
+    on the projectors' factors applied to N x r bases or to PROBES seeded unit vectors:
+    no N x N projector is formed.
 
     With Q and K the algebra's bases of im d(k - 1) and ker d(k), and G the Gram:
     image_on_basis P_im Q - Q and image_orthogonal Q^H G (I - P_im) are P_im's
     defining equations; kernel_on_basis P_ker K c - K c and kernel_orthogonal
     K^H G (w - P_ker w) are P_ker's, on seeded c and w; harmonic_on_image P_h Q c; and
     image_of_d P_im d(k - 1) u - d(k - 1) u and kernel_of_codiff P_ker codiff(k + 1) w'
-    tie the projectors to the operators identity_suite audits, d and the assembled
+    tie the projectors to the operators identity_suite audits, d and the
     codifferential, on seeded u and w'.  The sum and the orthogonality of the three
     spaces hold by construction, harmonic = kernel - image, and the bases' own facts
-    are the metric-free basis_residuals.  G is block diagonal, so G x is taken block
-    by block of gram(p, q).
+    are the metric-free basis_residuals.
+
+    The projectors are kept as their factors (_factors) for this degree alone, not as
+    the bundle's Decomposition: each reaches all of its columns through one solve with
+    M, and Q^H G (I - P_im) is B^H G - M M^-1 B^H G, as B = Q.  d(k - 1) u and
+    codiff(k + 1) w' are taken block by block of d and of d^*
+    (OperatorBundle._codiff_blocks).
     """
-    alg, dec = bundle.alg, decomposition(bundle, "d", k)
-    image, kernel = alg.bases("d", k - 1)[0], alg.bases("d", k)[1]
+    alg = bundle.alg
+    gram = [(sl, bundle.gram(*pq)) for pq, sl in alg.slices(k).items()]
+    image = alg.bases("d", k - 1)[0]
+    im_f, ker_f = _factors(image, gram), _factors(alg.bases("d", k)[1], gram)
     qc, kc, w, down, w_next = _probes(alg, k)
-    blocks = [(sl, bundle.gram(*pq)) for pq, sl in alg.slices(k).items()]
-
-    def gram_times(x):
-        out = np.empty_like(x)
-        for sl, g in blocks:
-            np.matmul(g, x[sl], out=out[sl])
-        return out
-
-    gq_h = gram_times(image).conj().T  # Q^H G, as G is Hermitian
-    up = bundle.codiff("d", k + 1) @ w_next if k < 2 * bundle.n else w[:, :0]
+    up = alg.total_times(bundle._codiff_blocks, k + 1, k, w_next) if k < 2 * bundle.n \
+        else w[:, :0]
+    r, s = image.shape[1], PROBES
+    im = _apply(im_f, np.hstack([image, qc, down]))
+    ker = _apply(ker_f, np.hstack([kc, w, qc, up]))
+    (_, bg_im, m_im), bg_ker = im_f, ker_f[1]
     return {
-        "image_on_basis": _worst(dec.image @ image - image),
-        "image_orthogonal": _worst(gq_h - gq_h @ dec.image),
-        "kernel_on_basis": _worst(dec.kernel @ kc - kc),
-        "kernel_orthogonal": _worst(kernel.conj().T @ gram_times(w - dec.kernel @ w)),
-        "harmonic_on_image": _worst(dec.harmonic @ qc),
-        "image_of_d": _worst(dec.image @ down - down),
-        "kernel_of_codiff": _worst(dec.kernel @ up),
+        "image_on_basis": _worst(im[:, :r] - image),
+        "image_orthogonal": _worst(bg_im - m_im @ np.linalg.solve(m_im, bg_im)),
+        "kernel_on_basis": _worst(ker[:, :s] - kc),
+        "kernel_orthogonal": _worst(bg_ker @ (w - ker[:, s:2 * s])),
+        "harmonic_on_image": _worst(ker[:, 2 * s:3 * s] - im[:, r:r + s]),
+        "image_of_d": _worst(im[:, r + s:] - down),
+        "kernel_of_codiff": _worst(ker[:, 3 * s:]),
     }
 
 
@@ -194,13 +222,15 @@ def basis_residuals(alg):
     every degree k, kept on the algebra: with Q_k and K_k the orthonormal bases of
     im d(k) and ker d(k), kernel_closed d(k) K_k, image_closed d(k + 1) Q_k (d o d
     on the image), orthonormal Q^H Q - I and K^H K - I, and rank_nullity
-    |dim K_k + rank d(k) - N_k|, the count the harmonic dimensions are read from."""
+    |dim K_k + rank d(k) - N_k|, the count the harmonic dimensions are read from.  d
+    reaches the bases block by block (ExteriorAlgebra.total_times)."""
     rows = []
     for k in range(2 * alg.n + 1):
         image, kernel = alg.bases("d", k)
         rows.append({
-            "kernel_closed": _worst(alg.d_total(k) @ kernel),
-            "image_closed": _worst(alg.d_total(k + 1) @ image) if k < 2 * alg.n else 0.0,
+            "kernel_closed": _worst(alg.total_times(alg.d_blocks, k, k + 1, kernel)),
+            "image_closed": _worst(alg.total_times(alg.d_blocks, k + 1, k + 2, image))
+            if k < 2 * alg.n else 0.0,
             "orthonormal": max(_worst(b.conj().T @ b - np.eye(b.shape[1]))
                                for b in (image, kernel)),
             "rank_nullity": float(abs(kernel.shape[1] + image.shape[1] - alg.dim("d", k))),

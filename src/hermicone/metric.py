@@ -25,7 +25,9 @@ pencil reduction), whose eigenvectors are G-orthonormal.  No job reads the
 spectral data: the Hodge decompositions come from the algebra's metric-free
 bases.  The bundle also carries the tolerance tol of its predicates and of its
 potentials' residual gates, and keeps the Hodge decompositions and Green
-operators that hodge makes, one per space.
+operators that hodge makes for a job, one per space.  verify keeps none of them,
+nor a total-degree Gram or an assembled "d" codifferential: it takes every
+total-degree product block by block.
 
 Inner product conventions: <theta^j, theta^k> = (H^{-1})_{kj}, extended to
 monomials by determinant multiplicativity; matrices G satisfy
@@ -236,6 +238,8 @@ class OperatorBundle:
 
     @memo
     def gram_total(self, k):
+        """The block-diagonal Gram of total degree k, for the job path's potentials and
+        norms; verify reads the blocks gram(p, q) alone."""
         return self.alg.total(lambda p, q: {(p, q): self.gram(p, q)}, k, k)
 
     def inner(self, u, v):
@@ -336,7 +340,8 @@ class OperatorBundle:
         """Matrix of the adjoint of diff(which, .) from key to neighbor(which, key, -1).
 
         "d" is assembled from the bigraded blocks (_codiff_blocks), as the Gram is
-        block diagonal, so no total-degree Gram is solved or inverted."""
+        block diagonal, so no total-degree Gram is solved or inverted; verify applies
+        those blocks to its columns instead (ExteriorAlgebra.total_times)."""
         prev = neighbor(which, key, -1)
         if which == "d":
             return self.alg.total(self._codiff_blocks, key, prev)

@@ -417,6 +417,21 @@ def test_total_matrices_match_offset_loops(block_bundle):
             assert _on_complex(block, b, gamma, "d", k).tobytes() == want.tobytes(), (k, block)
 
 
+def test_total_times_applies_the_total_matrix(block_bundle):
+    # the block products add in another order than the total matrix's, so to rounding
+    b, alg, n = block_bundle, block_bundle.alg, block_bundle.n
+    rng = np.random.default_rng(6)
+    for k in range(2 * n + 1):
+        size = (alg.dim_total(k), 3)
+        cols = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        for op, k_out, total in ((alg.d_blocks, k + 1, alg.d_total(k)),
+                                 (b._codiff_blocks, k - 1, b.codiff("d", k))):
+            got, want = alg.total_times(op, k, k_out, cols), total @ cols
+            assert got.shape == want.shape, (k, k_out)
+            scale = np.abs(total).sum(axis=1, initial=0.0)[:, None] * np.abs(cols).max()
+            assert np.all(np.abs(got - want) <= 1e-14 * scale), (k, k_out)
+
+
 def test_star_block_equals_the_solved_pairing(block_bundle):
     b = block_bundle
     for a, c in _bidegrees(b.n):

@@ -101,6 +101,42 @@ def test_the_three_spaces_sum_to_the_identity_and_are_orthogonal(name, seed):
         assert max(res.values()) <= 1e-10, (k, res)
 
 
+def _dense_three_space_rows(b, k):
+    """The seven rows of three_space_residuals on the dense projectors of the kept
+    decomposition(b, "d", k), the total-degree Gram and the assembled codiff("d")."""
+    dec, alg = hodge.decomposition(b, "d", k), b.alg
+    image, kernel = alg.bases("d", k - 1)[0], alg.bases("d", k)[1]
+    qc, kc, w, down, w_next = hodge._probes(alg, k)
+    g = b.gram_total(k)
+    gq_h = (g @ image).conj().T
+    up = b.codiff("d", k + 1) @ w_next if k < 2 * b.n else w[:, :0]
+    rows = {
+        "image_on_basis": dec.image @ image - image,
+        "image_orthogonal": gq_h - gq_h @ dec.image,
+        "kernel_on_basis": dec.kernel @ kc - kc,
+        "kernel_orthogonal": kernel.conj().T @ (g @ (w - dec.kernel @ w)),
+        "harmonic_on_image": dec.harmonic @ qc,
+        "image_of_d": dec.image @ down - down,
+        "kernel_of_codiff": dec.kernel @ up,
+    }
+    return {name: float(np.max(np.abs(x), initial=0.0)) for name, x in rows.items()}
+
+
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, "iwasawa_x_t1"])
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_factored_three_space_rows_match_the_dense_ones(name, seed):
+    # the walk applies each projector's factors to its columns; the dense projectors
+    # the job path reads give the same rows
+    model = _iwasawa_x_t1() if name == "iwasawa_x_t1" else catalog(name)
+    metric = HermitianMetric.identity(model.n) if seed is None else \
+        random_metric(model.n, np.random.default_rng(seed))
+    b = bundle_for_algebra(algebra_for(model), metric)
+    for k in range(2 * b.n + 1):
+        got, want = three_space_residuals(b, k), _dense_three_space_rows(b, k)
+        assert set(got) == set(want) == THREE_SPACE_ROWS
+        assert max(abs(got[row] - want[row]) for row in got) <= 1e-12, (k, got, want)
+
+
 @pytest.mark.parametrize("name,seed", SYNTHETIC)
 def test_three_space_rows_hold_on_the_synthetic_bundles(name, seed):
     # the benchmark's n = 4, 5 models at their random metrics: every row of every

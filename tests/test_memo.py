@@ -2,6 +2,7 @@
 
 import ast
 import gc
+import json
 import weakref
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hermicone import cli, hodge
 from hermicone.exterior import ExteriorAlgebra, Form, memo, random_form
 from hermicone.metric import (HermitianMetric, OperatorBundle, bundle_for_algebra, identity_suite,
                               random_metric)
-from hermicone.model import algebra_for, catalog
+from hermicone.model import algebra_for, catalog, make_model, serialize_model, validate_model
 from hermicone.variation import Direction, make_direction, var_F, variation_at
 
 from .conftest import seeded_bundle
@@ -168,12 +169,48 @@ def test_a_direction_goes_with_its_variation_call():
 
 
 def test_an_audit_keeps_no_laplacian_spectrum_or_commutator():
-    # what verify reads once is formed on each call; the decompositions keep the
-    # projectors, and the walk needs no Green operator
+    # what verify reads once is formed on each call: the walk keeps each degree's
+    # projector factors while it audits that degree, and no audit keeps a Hodge
+    # decomposition or a total-degree matrix, or needs a Green operator
     alg = ExteriorAlgebra(5, [(2, "mixed", 1, 1, 1.3)])  # Kodaira-Thurston x T^3
     bundle = bundle_for_algebra(alg, random_metric(5, np.random.default_rng(3)))
     identity_suite(bundle, seed=5)
     cli._three_space_walk(bundle)
-    names = {fn.__name__ for owner in (bundle, alg) for fn, _ in owner._memo}
-    assert {"decomposition", "bases"} <= names
-    assert not names & {"laplacian", "spectral", "commutator", "green_operator"}
+    hodge.basis_residuals(alg)
+    kept = [(fn.__name__, key) for owner in (bundle, alg) for fn, key in owner._memo]
+    names = {name for name, _ in kept}
+    assert "bases" in names
+    assert not names & {"laplacian", "spectral", "commutator", "green_operator",
+                        "decomposition", "gram_total", "d_total"}
+    assert not [key for name, key in kept if name == "codiff" and key[0] == "d"]
+
+
+@pytest.fixture
+def fresh_algebras():
+    """Per-model caches dropped before and after, so the job builds its own algebra."""
+    algebra_for.cache_clear()
+    validate_model.cache_clear()
+    yield
+    algebra_for.cache_clear()
+    validate_model.cache_clear()
+
+
+@pytest.mark.parametrize("n,terms", [
+    (4, [(3, "holo", 1, 2, -1.25)]),  # Iwasawa x T^1
+    (5, [(2, "mixed", 1, 1, 1.3)]),  # Kodaira-Thurston x T^3
+], ids=["iwasawa_x_t1", "kt_x_t3"])
+def test_verify_forms_no_total_degree_gram_codiff_d_or_decomposition(
+        n, terms, monkeypatch, tmp_path, capsys, fresh_algebras):
+    def refuse(*args):
+        raise AssertionError("verify formed a total-degree matrix or kept decomposition")
+
+    codiff = OperatorBundle.codiff
+    monkeypatch.setattr(hodge, "decomposition", refuse)
+    monkeypatch.setattr(OperatorBundle, "gram_total", refuse)
+    monkeypatch.setattr(ExteriorAlgebra, "d_total", refuse)
+    monkeypatch.setattr(OperatorBundle, "codiff", lambda self, which, key: refuse() if
+                        which == "d" else codiff(self, which, key))
+    path = tmp_path / "model.json"
+    path.write_text(serialize_model(make_model(f"verify{n}", n, terms)))
+    assert cli.main(["verify", "--model", str(path), "--metrics", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["pass"] is True

@@ -2,6 +2,7 @@
 
 import argparse
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,38 @@ def test_estimate_matches_the_largest_matrix_formed(n, monkeypatch, tmp_path, ca
         functional = argv[2] if argv[1:2] == ["--functional"] else None
         estimate = dense_side(argv[0], n, functional)
         assert formed == estimate if exact else formed <= estimate, (argv, formed, estimate)
+
+
+def test_verify_holds_one_degree_at_a_time(tmp_path, capsys):
+    # verify keeps no N x N projector, Gram or codifferential: its projector factors
+    # live for one degree.  Traced peak over the memory live before the call, caches
+    # cleared (the algebra's bases included) after a first run warmed the per-dimension
+    # tables: 28.7 MB with the kept dense projectors, 13.3 MB with the factors (numpy
+    # 2.4, one BLAS thread); the bound leaves ~35 % headroom over the second
+    path = tmp_path / "kt_x_t3.json"
+    path.write_text(serialize_model(make_model("kt_x_t3", 5, [(2, "mixed", 1, 1, 1.3)])))
+    argv = ["verify", "--model", str(path), "--metrics", "1"]
+
+    def run():
+        validate_model.cache_clear()
+        algebra_for.cache_clear()
+        try:
+            code = main(argv)
+            capsys.readouterr()
+        finally:
+            validate_model.cache_clear()
+            algebra_for.cache_clear()
+        return code
+
+    assert run() == 0
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        assert run() == 0
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18 * 2 ** 20, peak / 2 ** 20
 
 
 def _namespace(subcommand, functional=None):
