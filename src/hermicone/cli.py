@@ -61,9 +61,9 @@ class _CliFailure(Exception):
 # The size budget DENSE_BUDGET (exterior.py) admits every job at n <= 6, descend to
 # n = 7, eval and torsion to n = 8 (eval G and H to n = 9), and refuses verify and
 # varcheck from n = 7 on.  Both reach the middle total degree, N = C(2n, n), 3432 at
-# n = 7.  varcheck holds the N x N projectors of its projector derivative.  verify
-# forms no N x N projector, Gram or codifferential, one degree at a time, but it holds
-# the N x r basis of ker d(n) and its r x N factor B^H G, with r up to N (r = N on the
+# n = 7.  varcheck holds the N x N projectors of its projector derivative.  verify,
+# one degree at a time, forms no N x N projector, Gram or codifferential, but it keeps
+# the N x r basis of ker d(n) and forms its r x N factor B^H G, r up to N (r = N on the
 # flat torus), and the SVD of d(n) behind the basis, whose right factor is up to N x N.
 
 

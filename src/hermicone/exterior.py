@@ -663,7 +663,7 @@ class ExteriorAlgebra:
 
     def total_times(self, op, k, k_out, cols):
         """total(op, k, k_out) @ cols for columns cols over total degree k, without forming
-        the matrix: each block with entries multiplies its rows of cols and adds into its
+        the matrix: each non-empty block multiplies its rows of cols and adds into its
         target's rows, in layout order."""
         rows = self.slices(k_out) if 0 <= k_out <= 2 * self.n else {}
         out = np.zeros((self.dim_total(k_out) if rows else 0,) + cols.shape[1:], dtype=complex)

@@ -26,11 +26,10 @@ error, per metric by three_space_residuals and once per algebra by
 basis_residuals; the sum and the orthogonality of the three spaces hold by
 construction and are left to the tests.  verify holds one degree at a time: the
 walk keeps each projector of the degree as its factors B, B^H G and M = B^H G B
-(_factors), with B^H G taken block by block of the bidegree Gram blocks, applies
-them to N x r and N x 3 columns and drops them once the degree is audited, and d and
-d^* reach the columns block by block (ExteriorAlgebra.total_times).  So verify forms
-no N x N projector, keeps no Decomposition and reads no total-degree matrix, and the
-job path's dense projectors keep their bits and their cost.
+(_factors), B^H G by the bidegree Gram blocks, applies them to N x r and N x 3
+columns and drops them once the degree is audited; d and d^* reach the columns block
+by block (ExteriorAlgebra.total_times).  verify forms no N x N projector and keeps
+no Decomposition or total-degree matrix.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hermicone.metric import HermitianMetric, bundle_for_algebra, random_metric
-from hermicone.model import algebra_for, catalog, catalog_names, make_model
+from hermicone.model import algebra_for, catalog, catalog_names, make_model, validate_model
 
 CATALOG_NAMES = tuple(catalog_names())
 
@@ -23,6 +23,17 @@ def model(model_name):
 @pytest.fixture
 def algebra(model):
     return algebra_for(model)
+
+
+@pytest.fixture
+def fresh_caches():
+    """Drop the per-model caches before and after the test: the job builds its own
+    algebra, and an n = 6 algebra holds tens of MB."""
+    validate_model.cache_clear()
+    algebra_for.cache_clear()
+    yield
+    validate_model.cache_clear()
+    algebra_for.cache_clear()
 
 
 def kept_keys(obj, method):

@@ -14,7 +14,7 @@ from hermicone import cli, hodge
 from hermicone.exterior import ExteriorAlgebra, Form, memo, random_form
 from hermicone.metric import (HermitianMetric, OperatorBundle, bundle_for_algebra, identity_suite,
                               random_metric)
-from hermicone.model import algebra_for, catalog, make_model, serialize_model, validate_model
+from hermicone.model import algebra_for, catalog, make_model, serialize_model
 from hermicone.variation import Direction, make_direction, var_F, variation_at
 
 from .conftest import seeded_bundle
@@ -185,22 +185,12 @@ def test_an_audit_keeps_no_laplacian_spectrum_or_commutator():
     assert not [key for name, key in kept if name == "codiff" and key[0] == "d"]
 
 
-@pytest.fixture
-def fresh_algebras():
-    """Per-model caches dropped before and after, so the job builds its own algebra."""
-    algebra_for.cache_clear()
-    validate_model.cache_clear()
-    yield
-    algebra_for.cache_clear()
-    validate_model.cache_clear()
-
-
 @pytest.mark.parametrize("n,terms", [
     (4, [(3, "holo", 1, 2, -1.25)]),  # Iwasawa x T^1
     (5, [(2, "mixed", 1, 1, 1.3)]),  # Kodaira-Thurston x T^3
 ], ids=["iwasawa_x_t1", "kt_x_t3"])
 def test_verify_forms_no_total_degree_gram_codiff_d_or_decomposition(
-        n, terms, monkeypatch, tmp_path, capsys, fresh_algebras):
+        n, terms, monkeypatch, tmp_path, capsys, fresh_caches):
     def refuse(*args):
         raise AssertionError("verify formed a total-degree matrix or kept decomposition")
 

@@ -87,14 +87,6 @@ def test_iwasawa_differential_content():
     assert (d3 - expected).max_abs() == 0.0
 
 
-@pytest.fixture
-def fresh_caches():
-    """Drop the per-model caches after the test: an n = 6 algebra holds tens of MB."""
-    yield
-    validate_model.cache_clear()
-    algebra_for.cache_clear()
-
-
 def _dense_validation(model):
     """Decision and messages of validate_model from the dense total-degree products."""
     alg = algebra_for(model)

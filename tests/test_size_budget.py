@@ -88,7 +88,7 @@ def test_estimate_matches_the_largest_matrix_formed(n, monkeypatch, tmp_path, ca
         assert formed == estimate if exact else formed <= estimate, (argv, formed, estimate)
 
 
-def test_verify_holds_one_degree_at_a_time(tmp_path, capsys):
+def test_verify_holds_one_degree_at_a_time(tmp_path, capsys, fresh_caches):
     # verify keeps no N x N projector, Gram or codifferential: its projector factors
     # live for one degree.  Traced peak over the memory live before the call, caches
     # cleared (the algebra's bases included) after a first run warmed the per-dimension
@@ -101,12 +101,8 @@ def test_verify_holds_one_degree_at_a_time(tmp_path, capsys):
     def run():
         validate_model.cache_clear()
         algebra_for.cache_clear()
-        try:
-            code = main(argv)
-            capsys.readouterr()
-        finally:
-            validate_model.cache_clear()
-            algebra_for.cache_clear()
+        code = main(argv)
+        capsys.readouterr()
         return code
 
     assert run() == 0
