@@ -9,8 +9,7 @@ from hermicone import (
     constraint_basis,
     eval_F,
     eval_G,
-    var_F,
-    var_G,
+    first_variation,
     var_harmonic_projector,
     variation_battery,
 )
@@ -25,7 +24,7 @@ print(f"battery: {len(rows)} rows, worst rel err {worst.rel_err:.3e} "
 
 # dF(omega; omega) = n F, the Euler identity of a degree-n homogeneous energy
 kt = build_bundle(catalog("kodaira_thurston"), HermitianMetric.identity(2))
-var = var_F(kt, kt.metric.h, with_fd=True)
+var = first_variation(kt, "F", kt.metric.h, with_fd=True)
 print("\ndF(omega;omega) =", var.value, " n*F =", kt.n * eval_F(kt).value,
       " fd =", var.fd)
 
@@ -33,7 +32,7 @@ print("\ndF(omega;omega) =", var.value, " n*F =", kt.n * eval_F(kt).value,
 # nonnegative bound on the moving-projector remainder
 rng = np.random.default_rng(3)
 mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-var = var_F(kt, mat + mat.conj().T, with_fd=True)
+var = first_variation(kt, "F", mat + mat.conj().T, with_fd=True)
 print("\nrandom direction terms:")
 for key, val in var.terms.items():
     print(f"  {key:28s} {val: .6e}")
@@ -44,11 +43,11 @@ print("fd - value =", var.discrepancy)
 iw = build_bundle(catalog("iwasawa"), HermitianMetric.identity(3))
 basis = constraint_basis(catalog("iwasawa"), "balanced")
 direction = basis.combine(np.random.default_rng(4).normal(size=basis.dimension))
-vg = var_G(iw, direction, with_fd=True)
+vg = first_variation(iw, "G", direction, with_fd=True)
 print("\nvolume direction: value =", vg.value, " fd =", vg.fd)
 print("projector_term =", vg.terms["projector_term"],
       " signed pairing =", vg.terms["projector_pairing_signed"])
-print("dG(Omega;Omega) =", var_G(iw, iw.omega_power(2)).value,
+print("dG(Omega;Omega) =", first_variation(iw, "G", iw.omega_power(2)).value,
       " (n+1)/(n-1)*G =", 2.0 * eval_G(iw).value)
 
 # the projector derivative itself, applied to a form with no kernel part

@@ -30,8 +30,8 @@ from .functionals import (FunctionalValue, eval_F, eval_F_tilde, eval_G,
                           eval_H, normalization_integral)
 from .variation import (Direction, FunctionalVariation, ProjectorVariation,
                         VariationCheck, default_step, fd_derivative,
-                        make_direction, metric_direction_of_volume, var_F,
-                        var_F_tilde, var_G, var_H, var_harmonic_projector,
+                        first_variation, make_direction,
+                        metric_direction_of_volume, var_harmonic_projector,
                         variation_battery)
 from .optimizer import (ConstraintBasis, DescentTrace, IterationRecord,
                         constraint_basis, descend, real_block_basis)

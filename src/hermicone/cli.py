@@ -27,7 +27,7 @@ from .errors import (DegenerateDimension, DegreeOutOfRange, DimensionMismatch,
                      NotPositiveDefinite, NotSKT, SchemaError, StepTooLarge,
                      ToleranceFailure, UnknownCatalogName)
 from .exterior import DENSE_BUDGET
-from .functionals import energy, evaluate
+from .functionals import evaluate
 from .hodge import basis_residuals, predicates, three_space_residuals, torsion
 from .metric import (DEFAULT_TOL, HermitianMetric, bundle_for_algebra, identity_suite,
                      random_metric)
@@ -178,8 +178,8 @@ def _envelope(subcommand, model, source, seed, tolerances, payload):
     }
 
 
-def _emit_json(args, obj):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _write(args, text):
+    """Write a report to the --out file, or to stdout without one."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -187,21 +187,28 @@ def _emit_json(args, obj):
         sys.stdout.write(text)
 
 
+def _emit_json(args, obj):
+    _write(args, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
 def _emit_csv(args, fieldnames, rows):
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    writer.writerows(rows)
+    _write(args, buf.getvalue())
 
 
-def _predicates_payload(bundle):
-    return {k: v for k, v in asdict(predicates(bundle)).items() if k != "tol"}
+def _metric_job(args):
+    """What eval and torsion share: the model and its source, the bundle at --metric
+    and --tol, and the report's metric and predicates."""
+    model, source = _load_model(args)
+    alg = algebra_for(model)
+    metric = _load_metric(args, alg.n)
+    bundle = bundle_for_algebra(alg, metric, args.tol)
+    predicates_payload = {k: v for k, v in asdict(predicates(bundle)).items() if k != "tol"}
+    return model, source, bundle, {"metric": metric.to_json_obj(),
+                                   "predicates": predicates_payload}
 
 
 # ----- subcommands ---------------------------------------------------------------------
@@ -221,9 +228,9 @@ def _cmd_verify(args):
 
     families = {}
     three_space = {}
-    metrics = [HermitianMetric.identity(n)] + \
-        [random_metric(n, rng) for _ in range(args.metrics)]
-    for i, met in enumerate(metrics):
+    for i in range(args.metrics + 1):
+        # each random metric is drawn when it is audited, in the seeded order
+        met = random_metric(n, rng) if i else HermitianMetric.identity(n)
         bundle = bundle_for_algebra(alg, met)
         suite, walk = identity_suite(bundle, seed=args.seed + i), _three_space_walk(bundle)
         for key, val in suite.items():
@@ -246,7 +253,7 @@ def _cmd_verify(args):
             "unimodularity_residual": report.unimodularity_residual,
             "messages": report.messages,
         },
-        "metrics_checked": len(metrics),
+        "metrics_checked": args.metrics + 1,
         "identity_residuals": families,
         "three_space_residuals": three_space,
         "basis_residuals": bases,
@@ -277,13 +284,7 @@ def _torsion_payload(bundle, report):
 
 
 def _cmd_torsion(args):
-    model, source = _load_model(args)
-    alg = algebra_for(model)
-    metric = _load_metric(args, alg.n)
-    bundle = bundle_for_algebra(alg, metric, args.tol)
-    payload = {"metric": metric.to_json_obj(),
-               "predicates": _predicates_payload(bundle)}
-
+    model, source, bundle, payload = _metric_job(args)
     want = args.which
     reports = {}
     for kind, refusal in (("rho", NotSKT), ("gamma", NotBalanced)):
@@ -303,21 +304,14 @@ def _cmd_torsion(args):
 
 
 def _cmd_eval(args):
-    model, source = _load_model(args)
-    alg = algebra_for(model)
-    metric = _load_metric(args, alg.n)
-    bundle = bundle_for_algebra(alg, metric, args.tol)
-    functional = _FUNCTIONALS[args.functional]
-    nu = _load_metric(args, alg.n, "nu")
-    weight = bundle_for_algebra(alg, nu, args.tol) if energy(functional).weighted else None
-    result = evaluate(bundle, functional, nu, weight)
-    payload = {
+    model, source, bundle, payload = _metric_job(args)
+    # H's weight is the bundle of --nu at --tol, evaluate's default
+    result = evaluate(bundle, _FUNCTIONALS[args.functional], _load_metric(args, bundle.n, "nu"))
+    payload.update({
         "functional": args.functional,
         "value": result.value,
         "ingredients": {k: float(v) for k, v in result.ingredients.items()},
-        "metric": metric.to_json_obj(),
-        "predicates": _predicates_payload(bundle),
-    }
+    })
     _emit_json(args, _envelope("eval", model, source, args.seed,
                                {"tol": args.tol}, payload))
     return EXIT_OK

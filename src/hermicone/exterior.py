@@ -625,10 +625,6 @@ class ExteriorAlgebra:
         return self.bases(which, key)[1].shape[1] \
             - self.bases(which, neighbor(which, key, -1))[0].shape[1]
 
-    def bidegrees(self, k):
-        """Bidegrees of total degree k, p descending."""
-        return list(self.slices(k))
-
     def dim_total(self, k):
         """sum_p C(n, p) C(n, k - p) over the bidegrees of degree k, which is C(2n, k)."""
         sl = _slice(self.n, k)

@@ -16,7 +16,7 @@ from typing import Callable
 from .errors import NotPositive
 from .exterior import wedge, wedge_power
 from .hodge import root_n_minus_1, torsion_gamma, torsion_rho
-from .metric import HermitianMetric
+from .metric import HermitianMetric, bundle_for_algebra
 
 
 @dataclass
@@ -163,12 +163,22 @@ def eval_F_tilde(bundle, nu):
     return FunctionalValue("Ftilde", float(value), ing)
 
 
+def references(bundle, functional, nu=None, weight_bundle=None):
+    """(nu, weight_bundle) with their defaults: the identity metric for nu, and for
+    a weighted energy the bundle of nu at the bundle's tolerance."""
+    nu = nu if nu is not None else HermitianMetric.identity(bundle.n)
+    if weight_bundle is None and energy(functional).weighted:
+        weight_bundle = bundle_for_algebra(bundle.alg, nu, bundle.tol)
+    return nu, weight_bundle
+
+
 def evaluate(bundle, functional, nu=None, weight_bundle=None):
     """Value of the energy named functional (a key of ENERGIES) at bundle.
 
-    nu is the normalization metric of F_tilde, weight_bundle the weight of H.
+    nu is the normalization metric of F_tilde, weight_bundle the weight of H; they
+    default as references gives them, the identity and its bundle.
     """
-    energy(functional)
+    nu, weight_bundle = references(bundle, functional, nu, weight_bundle)
     if functional == "H":
         return eval_H(bundle, weight_bundle)
     if functional == "F_tilde":

@@ -212,9 +212,6 @@ class OperatorBundle:
         """omega^k / k!, from the products kept on omega."""
         return wedge_power(self.omega, k)
 
-    def integrate(self, form):
-        return self.alg.integrate(form)
-
     # ----- inner products ---------------------------------------------------
 
     @memo

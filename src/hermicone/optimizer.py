@@ -25,7 +25,7 @@ from .functionals import SLICES, cone_slice, energy, evaluate
 from .hodge import predicates
 from .metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra
 from .model import algebra_for
-from .variation import make_direction, variation_at
+from .variation import first_variation, make_direction
 
 NULLSPACE_RTOL = 1e-10
 DEGENERACY_RTOL = 1e-6
@@ -294,8 +294,8 @@ class _Objective:
         try:
             x_r = self.retract(x) if self.normalize else x
             bundle = self._bundle(x_r)
-            grad = variation_at(bundle, self.functional, self.nu,
-                                self.weight_bundle)(self.directions).derivative
+            grad = first_variation(bundle, self.functional, self.directions, self.nu,
+                                   self.weight_bundle).derivative
         except _UNEVALUABLE:
             return None
         if self.normalize:

@@ -21,8 +21,8 @@ finite-difference harness in this module exists to cross-check them.
 
 A direction may be a stack.  gamma may be one (1,1) form or a stack of them,
 a Form with a leading axis; every matrix above then carries that axis.  A
-Direction is one vetted form or a stack of them, and variation_at(...) maps it
-to one FunctionalVariation whose fields are arrays over the stack, in one pass
+Direction is one vetted form or a stack of them, and first_variation(...) maps
+it to one FunctionalVariation whose fields are arrays over the stack, in one pass
 walked in chunks whose stacked matrices stay within DENSE_BUDGET.  Each form
 of a stack gets the bits it gets alone, which three rules keep:
 
@@ -52,7 +52,7 @@ from .errors import (DimensionMismatch, DirectionNotAdmissible, NotPositive,
 from .exterior import (DENSE_BUDGET, Form, conj_block_matrix, dim_pq, memo, neighbor, wedge,
                        wedge_power)
 from .functionals import (SLICES, cone_slice, direction_slice, energy, evaluate,
-                          normalization_integral)
+                          normalization_integral, references)
 from .hodge import (Decomposition, decomposition, green_operator, harmonic_projector,
                     potential_codiff, torsion, torsion_space)
 from .metric import (DEFAULT_TOL, HermitianMetric, OperatorBundle, bundle_for_algebra,
@@ -327,35 +327,49 @@ class FunctionalVariation:
         return None if self.fd is None else float(self.fd - self.value)
 
 
-def variation_at(bundle, functional, nu=None, weight_bundle=None):
-    """The first variation of one energy at a fixed bundle, as a map.
+def first_variation(bundle, functional, direction, nu=None, weight_bundle=None, with_fd=False):
+    """The first variation of the energy named functional (a key of ENERGIES) at
+    bundle along direction, as evaluate gives its value.
 
-    Returns a map from a vetted Direction to its FunctionalVariation (without
-    fd): floats for one form, which runs as a stack of one, and arrays over the
-    stack for a stack.  Every direction-independent ingredient (torsion,
-    projectors, the potential's Green operator) is computed once, and the stack
-    runs in one pass per chunk of the largest stack within DENSE_BUDGET; a
-    Direction keeps its direction-only work for the next bundle.  functional is
-    "F", "F_tilde" (needs nu), "G" or "H" (needs weight_bundle).
+    Raw input is vetted against the energy's ENERGIES entry (make_direction); a
+    Direction only has its kind checked.  One form runs as a stack of one and gives
+    floats; a stack gives arrays over the stack, in one pass per chunk of the largest
+    stack within DENSE_BUDGET, every direction-independent ingredient (torsion,
+    projectors, the potential's Green operator) computed once; a Direction keeps its
+    direction-only work for the next bundle.  nu and weight_bundle default as in
+    evaluate.  with_fd adds the finite-difference audit of one form as fd.
     """
-    kind = energy(functional).torsion
-    if kind is None:
+    spec = energy(functional)
+    kind = SLICES[spec.slice].direction
+    if not isinstance(direction, Direction):
+        direction = make_direction(bundle.alg, direction, kind=kind,
+                                   require=spec.constraint, tol=bundle.tol)
+    elif direction.kind != kind:
+        raise DirectionNotAdmissible(f"this energy varies along {kind} "
+                                     f"directions, not {direction.kind} ones")
+    form = direction.form
+    if with_fd and form.vec.ndim > 1:
+        raise ValueError(f"the finite-difference audit takes one direction, "
+                         f"not a stack of {len(form.vec)}")
+    nu, weight_bundle = references(bundle, functional, nu, weight_bundle)
+    if spec.torsion is None:
         body, side = _var_H_at(bundle, weight_bundle), dim_pq(bundle.n, 2, 1)
     else:
-        body, report, side = _var_torsion_at(bundle, kind)
+        body, report, side = _var_torsion_at(bundle, spec.torsion)
         if functional == "F_tilde":
             body = _var_F_tilde_at(bundle, nu, body, report)
-    size = max(1, DENSE_BUDGET // max(1, side * side))
-
-    def at(direction):
-        form = direction.form
-        if form.vec.ndim == 1:
-            var = at(Direction(direction.kind, Form(form.n, form.vec[None])))
-            return _joined(lambda rows: float(rows[0][0]), [var])
+    if form.vec.ndim == 1:
+        var = body(Direction(direction.kind, Form(form.n, form.vec[None])))
+        out = _joined(lambda rows: float(rows[0][0]), [var])
+    else:
+        size = max(1, DENSE_BUDGET // max(1, side * side))
         parts = [body(chunk) for chunk in direction.chunks(size)]
-        return parts[0] if len(parts) == 1 else _joined(np.concatenate, parts)
-
-    return at
+        out = parts[0] if len(parts) == 1 else _joined(np.concatenate, parts)
+    if with_fd:
+        fd, = _fd_along(bundle, direction, default_step(bundle.metric),
+                        [lambda b: evaluate(b, functional, nu, weight_bundle).value])
+        out.fd = float(fd)
+    return out
 
 
 def _joined(op, variations):
@@ -506,50 +520,6 @@ def _var_F_tilde_at(bundle, nu, var_f, report):
         )
 
     return at
-
-
-def _variation(bundle, functional, direction, nu=None, weight_bundle=None, with_fd=False):
-    """The first variation of one energy along a direction vetted against its
-    ENERGIES entry (make_direction for raw input; a Direction only has its kind
-    checked), with the finite-difference audit on request."""
-    spec = energy(functional)
-    kind = SLICES[spec.slice].direction
-    if not isinstance(direction, Direction):
-        direction = make_direction(bundle.alg, direction, kind=kind,
-                                   require=spec.constraint, tol=bundle.tol)
-    elif direction.kind != kind:
-        raise DirectionNotAdmissible(f"this energy varies along {kind} "
-                                     f"directions, not {direction.kind} ones")
-    out = variation_at(bundle, functional, nu, weight_bundle)(direction)
-    if with_fd:
-        fd, = _fd_along(bundle, direction, default_step(bundle.metric),
-                        [lambda b: evaluate(b, functional, nu, weight_bundle).value])
-        out.fd = float(fd)
-    return out
-
-
-def var_F(bundle, direction, with_fd=False):
-    """First variation of the pluriclosed torsion energy along a real (1,1) direction.
-
-    The direction must keep del dbar omega = 0 to first order.  At
-    direction = omega the value equals n times the energy.
-    """
-    return _variation(bundle, "F", direction, with_fd=with_fd)
-
-
-def var_G(bundle, direction, with_fd=False):
-    """First variation of the coclosed torsion energy along a closed real (n-1,n-1) direction."""
-    return _variation(bundle, "G", direction, with_fd=with_fd)
-
-
-def var_H(bundle, gamma_bundle, direction, with_fd=False):
-    """First variation of the trace energy in its metric slot, weight fixed."""
-    return _variation(bundle, "H", direction, weight_bundle=gamma_bundle, with_fd=with_fd)
-
-
-def var_F_tilde(bundle, nu, direction, with_fd=False):
-    """First variation of the normalized pluriclosed energy."""
-    return _variation(bundle, "F_tilde", direction, nu=nu, with_fd=with_fd)
 
 
 def _fd_along(bundle, direction, step, extracts):

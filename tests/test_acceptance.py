@@ -20,10 +20,7 @@ from hermicone.metric import (
 from hermicone.model import algebra_for, catalog, catalog_names
 from hermicone.optimizer import constraint_basis, descend
 from hermicone.variation import (
-    var_F,
-    var_G,
-    var_H,
-    var_F_tilde,
+    first_variation,
     var_harmonic_projector,
     laplacian_variation_matrix,
     make_direction,
@@ -120,12 +117,12 @@ def test_criterion_3_scaling_laws():
 def test_criterion_4_euler_identities():
     kt = _bundles("kodaira_thurston", [None])[0]
     f = eval_F(kt).value
-    vf = var_F(kt, kt.metric.h, with_fd=True)
+    vf = first_variation(kt, "F", kt.metric.h, with_fd=True)
     rel_f = abs(vf.value - kt.n * f) / max(1.0, abs(kt.n * f))
     fd_f = abs(vf.fd - vf.value) / max(1.0, abs(vf.value))
     iw = _bundles("iwasawa", [None])[0]
     g = eval_G(iw).value
-    vg = var_G(iw, iw.omega_power(iw.n - 1), with_fd=True)
+    vg = first_variation(iw, "G", iw.omega_power(iw.n - 1), with_fd=True)
     want = (iw.n + 1.0) / (iw.n - 1.0) * g
     rel_g = abs(vg.value - want) / max(1.0, abs(want))
     fd_g = abs(vg.fd - vg.value) / max(1.0, abs(vg.value))
@@ -166,8 +163,8 @@ def test_criterion_6_certificates():
         b = _bundles(nm, [None])[0]
         flat_zero &= eval_F(b).value == 0.0 and eval_G(b).value == 0.0 \
             and eval_H(b, b).value == 0.0
-        flat_var = max(flat_var, abs(var_F(b, b.metric.h).value))
-        flat_var = max(flat_var, abs(var_G(b, b.omega_power(b.n - 1)).value))
+        flat_var = max(flat_var, abs(first_variation(b, "F", b.metric.h).value))
+        flat_var = max(flat_var, abs(first_variation(b, "G", b.omega_power(b.n - 1)).value))
     kt = _bundles("kodaira_thurston", [None])[0]
     kt_ok = (not predicates(kt).is_kahler) and eval_F(kt).value > 0
     iw = _bundles("iwasawa", [None])[0]
@@ -186,7 +183,7 @@ def test_criterion_7_first_variation_against_fd():
     for s in range(10):
         rng = np.random.default_rng(1000 + s)
         mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        var = var_F(kt, mat + mat.conj().T, with_fd=True)
+        var = first_variation(kt, "F", mat + mat.conj().T, with_fd=True)
         worst_a = max(worst_a, var.terms["projector_source_norm"])
         worst_rel = max(worst_rel, abs(var.fd - var.value)
                         / max(1.0, abs(var.value), abs(var.fd)))
@@ -197,7 +194,7 @@ def test_criterion_7_first_variation_against_fd():
     basis = constraint_basis(catalog("iwasawa"), "balanced")
     rng = np.random.default_rng(42)
     direction = basis.combine(rng.normal(size=basis.dimension))
-    vg = var_G(iw, direction, with_fd=True)
+    vg = first_variation(iw, "G", direction, with_fd=True)
     diag_ok = vg.terms["projector_term"] > 0 and vg.discrepancy is not None
     print(f"  remainder diagnostic: projector_term {vg.terms['projector_term']:.3e}, "
           f"signed pairing {vg.terms['projector_pairing_signed']:.3e}, "

@@ -53,6 +53,21 @@ def test_verify_passes_on_catalog_model(capsys):
     assert len(doc["model_hash"]) == 64
 
 
+def test_verify_draws_each_metric_when_it_audits_it(capsys, monkeypatch):
+    # the seeded draws keep their order, so the report is that of drawing them all first
+    log = []
+
+    def logged(name, func):
+        return lambda *args, **kwargs: log.append(name) or func(*args, **kwargs)
+
+    argv = ("verify", "--catalog", "kodaira_thurston", "--metrics", "3", "--seed", "4")
+    before = run(capsys, *argv)
+    monkeypatch.setattr(cli, "random_metric", logged("draw", cli.random_metric))
+    monkeypatch.setattr(cli, "identity_suite", logged("audit", cli.identity_suite))
+    assert run(capsys, *argv) == before
+    assert log == ["audit"] + ["draw", "audit"] * 3
+
+
 def test_eval_frozen_value_and_predicates(capsys):
     doc = run_json(capsys, "eval", "--catalog", "kodaira_thurston",
                    "--functional", "F")

@@ -136,7 +136,7 @@ def test_dim_is_zero_outside_the_complex(bundle):
 def test_dim_total_sums_the_bidegrees(n):
     alg = ExteriorAlgebra(n, [])
     for k in range(2 * n + 1):
-        assert alg.dim_total(k) == sum(dim_pq(n, p, q) for p, q in alg.bidegrees(k))
+        assert alg.dim_total(k) == sum(dim_pq(n, p, q) for p, q in alg.slices(k))
 
 
 def test_diff_is_the_written_differential(bundle):
@@ -410,7 +410,7 @@ def test_total_matrices_match_offset_loops(block_bundle):
         want = _placed(alg, k, 2 * n - k,
                        lambda p, q: [((n - q, n - p), b.star_block(p, q))])
         assert b.star_total(k).tobytes() == want.tobytes(), k
-        want = scipy.linalg.block_diag(*[b.gram(p, q) for p, q in alg.bidegrees(k)])
+        want = scipy.linalg.block_diag(*[b.gram(p, q) for p, q in alg.slices(k)])
         assert b.gram_total(k).tobytes() == want.tobytes(), k
         for block in (OperatorBundle.commutator, star_comm_star):
             want = _placed(alg, k, k, lambda p, q: [((p, q), block(b, gamma, p, q))])

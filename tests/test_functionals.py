@@ -9,6 +9,7 @@ from hermicone.functionals import (
     eval_F_tilde,
     eval_G,
     eval_H,
+    evaluate,
     normalization_integral,
 )
 from hermicone.metric import HermitianMetric, bundle_for_algebra, random_metric
@@ -152,3 +153,24 @@ def test_near_degenerate_metrics_are_refused_not_evaluated(seed):
         h = u @ np.diag([1.0, 10.0 ** -e]) @ u.conj().T
         with pytest.raises(ToleranceFailure):
             eval_F(bundle_for_algebra(alg, HermitianMetric(0.5 * (h + h.conj().T))))
+
+
+def _value_bits(result):
+    return [result.kind, np.float64(result.value).tobytes()] + \
+        [(k, np.float64(v).tobytes()) for k, v in result.ingredients.items()]
+
+
+@pytest.mark.parametrize("name,seed,functional", [("kodaira_thurston", 3, "F"),
+                                                  ("kodaira_thurston", 3, "F_tilde"),
+                                                  ("iwasawa", None, "G"),
+                                                  ("kodaira_thurston", 3, "H"),
+                                                  ("iwasawa", 4, "H")])
+def test_evaluate_defaults_to_the_identity_reference(name, seed, functional):
+    # nu = None is the identity metric, and H's weight the bundle of nu at the
+    # bundle's tolerance, as the CLI's --nu identity and descend take them
+    b = seeded_bundle(name, seed)
+    b = bundle_for_algebra(b.alg, b.metric, 1e-7)
+    nu = HermitianMetric.identity(b.n)
+    weight = bundle_for_algebra(b.alg, nu, b.tol) if functional == "H" else None
+    assert _value_bits(evaluate(b, functional)) == \
+        _value_bits(evaluate(b, functional, nu, weight))

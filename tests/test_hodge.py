@@ -240,7 +240,7 @@ def test_predicates_compute_their_residuals_once_per_bundle(monkeypatch):
 def test_d_potential_solves_projected_equation():
     b = seeded_bundle("iwasawa", seed=6)
     rng = np.random.default_rng(6)
-    src = random_form(b.n, b.alg.bidegrees(3), rng).part(3)
+    src = random_form(b.n, list(b.alg.slices(3)), rng).part(3)
     sol = potential(b, "d", 3, src)
     scale = np.linalg.norm(src)
     sol.check(DEFAULT_TOL, scale, "potential")
@@ -258,7 +258,7 @@ def test_minimum_norm_property_of_potential():
     # G-orthogonal to ker(d); verified via the projector onto that kernel
     b = seeded_bundle("kodaira_thurston", seed=7)
     rng = np.random.default_rng(7)
-    src = random_form(b.n, b.alg.bidegrees(2), rng).part(2)
+    src = random_form(b.n, list(b.alg.slices(2)), rng).part(2)
     sol = potential(b, "d", 2, src)
     ker = harmonic_projector(b, "d", 1) + image_projector(b, "d", 1)
     assert np.max(np.abs(ker @ sol.potential)) <= 1e-10

@@ -15,7 +15,7 @@ from hermicone.exterior import ExteriorAlgebra, Form, memo, random_form
 from hermicone.metric import (HermitianMetric, OperatorBundle, bundle_for_algebra, identity_suite,
                               random_metric)
 from hermicone.model import algebra_for, catalog, make_model, serialize_model
-from hermicone.variation import Direction, make_direction, var_F, variation_at
+from hermicone.variation import Direction, first_variation, make_direction
 
 from .conftest import seeded_bundle
 
@@ -67,7 +67,7 @@ def test_a_direction_stack_does_not_keep_its_bundle_alive():
     dirs = make_direction(alg, _stack(np.diag([1.0, 2.0]), np.eye(2)))
     for functional in ("F", "H"):
         bundle = bundle_for_algebra(alg, random_metric(2, np.random.default_rng(3)))
-        variation_at(bundle, functional, weight_bundle=bundle)(dirs)
+        first_variation(bundle, functional, dirs, weight_bundle=bundle)
         ref = weakref.ref(bundle)
         del bundle
         gc.collect()
@@ -132,7 +132,7 @@ def test_variations_leave_no_entry_on_the_bundle_for_their_directions():
     rng = np.random.default_rng(5)
 
     def vary():
-        var_F(b, make_direction(b.alg, np.diag(rng.uniform(1.0, 2.0, 2))))
+        first_variation(b, "F", make_direction(b.alg, np.diag(rng.uniform(1.0, 2.0, 2))))
         gc.collect()
         return len(b._memo)
 
@@ -140,7 +140,7 @@ def test_variations_leave_no_entry_on_the_bundle_for_their_directions():
     assert [vary() for _ in range(20)] == [kept] * 20
     # a stack held across calls keeps its forms alive, and nothing on the bundle
     held = make_direction(b.alg, _stack(np.eye(2)))
-    variation_at(b, "F")(held)
+    first_variation(b, "F", held)
     gc.collect()
     assert len(b._memo) == kept
 
@@ -155,13 +155,13 @@ def test_a_direction_goes_with_its_variation_call():
     def alive():
         return sum(isinstance(obj, Direction) for obj in gc.get_objects())
 
-    var_F(b, make_direction(b.alg, np.eye(2)))
+    first_variation(b, "F", make_direction(b.alg, np.eye(2)))
     gc.collect()
     before = alive()
     gc.disable()
     try:
         for _ in range(20):
-            var_F(b, make_direction(b.alg, np.diag(rng.uniform(1.0, 2.0, 2))))
+            first_variation(b, "F", make_direction(b.alg, np.diag(rng.uniform(1.0, 2.0, 2))))
         after = alive()
     finally:
         gc.enable()

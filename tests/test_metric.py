@@ -285,7 +285,7 @@ def test_volume_form_normalization():
     # total mass is det(H) for the flat model
     b = seeded_bundle("torus2", seed=7)
     det = np.linalg.det(b.metric.h).real
-    assert complex(b.integrate(b.omega_power(b.n))).real == pytest.approx(det, rel=1e-12)
+    assert complex(b.alg.integrate(b.omega_power(b.n))).real == pytest.approx(det, rel=1e-12)
 
 
 def test_omega_power_has_the_bits_of_wedge_power():
@@ -328,7 +328,7 @@ def test_star_encodes_l2_pairing():
     u = random_form(b.n, [(2, 1)], rng)
     v = random_form(b.n, [(2, 1)], rng)
     lhs = b.l2_inner(u, v)
-    rhs = complex(b.integrate(wedge(u, b.star(v).conj())))
+    rhs = complex(b.alg.integrate(wedge(u, b.star(v).conj())))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 

@@ -20,10 +20,7 @@ from hermicone.variation import (
     fd_derivative,
     make_direction,
     metric_direction_of_volume,
-    var_F,
-    var_F_tilde,
-    var_G,
-    var_H,
+    first_variation,
     var_harmonic_projector,
     variation_battery,
 )
@@ -67,18 +64,18 @@ def test_make_direction_vets_inputs():
 
 
 def test_zero_direction_is_refused():
-    # zero requested work is never a pass: var_F used to fail on it inside numpy
+    # zero requested work is never a pass: the variation of F used to fail on it inside numpy
     alg = algebra_for(catalog("kodaira_thurston"))
     with pytest.raises(DirectionNotAdmissible, match="zero") as info:
-        var_F(build_bundle(catalog("kodaira_thurston"), HermitianMetric.identity(2)),
-              make_direction(alg, Form.zero(2), kind="metric"))
+        first_variation(build_bundle(catalog("kodaira_thurston"), HermitianMetric.identity(2)),
+                        "F", make_direction(alg, Form.zero(2), kind="metric"))
     assert _exit_code(info.value) == EXIT_TOLERANCE
     b = seeded_bundle("iwasawa")
     for zero, kind in ((np.zeros((3, 3)), "metric"), (Form.zero(3), "volume")):
         with pytest.raises(DirectionNotAdmissible, match="zero"):
             make_direction(b.alg, zero, kind=kind)
     with pytest.raises(DirectionNotAdmissible, match="zero"):
-        var_G(b, Form.zero(3))
+        first_variation(b, "G", Form.zero(3))
 
 
 def test_make_direction_constraint_requirements():
@@ -137,7 +134,7 @@ def test_battery_tuple_i_draws_from_seed_plus_i():
 
 
 def test_variations_along_one_direction_build_each_wedge_matrix_once(monkeypatch):
-    from hermicone.variation import laplacian_variation_matrix, variation_at
+    from hermicone.variation import laplacian_variation_matrix
 
     built = []
     build = Form.wedge_matrix.__wrapped__
@@ -157,9 +154,8 @@ def test_variations_along_one_direction_build_each_wedge_matrix_once(monkeypatch
             assert built and len(built) == len(set(built)), (which, key)
 
     kt = seeded_bundle("kodaira_thurston", seed=5)
-    at = variation_at(kt, "F")
     built.clear()
-    at(make_direction(kt.alg, np.diag([1.0, 2.0])))
+    first_variation(kt, "F", make_direction(kt.alg, np.diag([1.0, 2.0])))
     assert built and len(built) == len(set(built))
 
 
@@ -212,7 +208,7 @@ def test_var_F_euler_identity_on_omega():
     # the energy is homogeneous of degree n, so dF(omega; omega) = n F
     b = seeded_bundle("kodaira_thurston", seed=0)
     f = eval_F(b).value
-    var = var_F(b, b.metric.h, with_fd=True)
+    var = first_variation(b, "F", b.metric.h, with_fd=True)
     assert var.value == pytest.approx(b.n * f, rel=1e-10)
     assert var.fd == pytest.approx(var.value, rel=1e-7)
     assert var.imag_residual <= 1e-12
@@ -223,7 +219,7 @@ def test_var_F_matches_fd_on_random_directions(seed):
     b = seeded_bundle("kodaira_thurston", seed=seed)
     rng = np.random.default_rng(100 + seed)
     mat = np.asarray(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    var = var_F(b, mat + mat.conj().T, with_fd=True)
+    var = first_variation(b, "F", mat + mat.conj().T, with_fd=True)
     # on this model the moving-projector source vanishes, so the value is sharp
     assert var.terms["projector_source_norm"] <= 1e-10
     assert var.fd == pytest.approx(var.value, rel=1e-5, abs=1e-8)
@@ -233,7 +229,7 @@ def test_var_G_euler_identity_on_volume():
     b = seeded_bundle("iwasawa", seed=0)
     g = eval_G(b).value
     n = b.n
-    var = var_G(b, b.omega_power(n - 1), with_fd=True)
+    var = first_variation(b, "G", b.omega_power(n - 1), with_fd=True)
     want = (n + 1.0) / (n - 1.0) * g
     assert var.value == pytest.approx(want, rel=1e-10)
     assert var.fd == pytest.approx(var.value, rel=1e-6)
@@ -248,7 +244,7 @@ def test_var_G_pairings_match_fd_on_closed_directions(seed):
     basis = constraint_basis(catalog("iwasawa"), "balanced")
     rng = np.random.default_rng(200 + seed)
     direction = basis.combine(rng.normal(size=basis.dimension))
-    var = var_G(b, direction, with_fd=True)
+    var = first_variation(b, "G", direction, with_fd=True)
     pairing = var.terms["eta_gamma_21"] + var.terms["gamma_eta_comm_21"]
     assert var.fd == pytest.approx(pairing, rel=1e-8, abs=1e-9)
     assert abs(var.terms["projector_pairing_signed"]) <= 1e-9
@@ -276,7 +272,7 @@ def test_var_G_derivative_is_exact_on_moving_projector(seed, direction_seed):
     basis = constraint_basis(catalog("iwasawa"), "balanced")
     rng = np.random.default_rng(direction_seed)
     direction = basis.combine(rng.normal(size=basis.dimension))
-    var = var_G(b, direction, with_fd=True)
+    var = first_variation(b, "G", direction, with_fd=True)
     assert var.terms["projector_term"] > 0.1
     assert abs(var.fd - var.value) > 0.1
     rel = abs(var.derivative - var.fd) / max(1.0, abs(var.derivative), abs(var.fd))
@@ -287,19 +283,19 @@ def test_derivative_equals_value_without_moving_projector():
     b = seeded_bundle("kodaira_thurston", seed=1)
     rng = np.random.default_rng(5)
     mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    var = var_F(b, mat + mat.conj().T, with_fd=True)
+    var = first_variation(b, "F", mat + mat.conj().T, with_fd=True)
     assert var.terms["projector_source_norm"] <= 1e-10
     assert var.derivative == pytest.approx(var.value, rel=1e-10, abs=1e-12)
     assert var.derivative == pytest.approx(var.fd, rel=1e-8, abs=1e-10)
     gamma = seeded_bundle("kodaira_thurston", seed=2)
-    var_h = var_H(b, gamma, mat + mat.conj().T)
+    var_h = first_variation(b, "H", mat + mat.conj().T, weight_bundle=gamma)
     assert var_h.derivative == var_h.value
 
 
 def test_var_H_zero_along_omega():
     b = seeded_bundle("kodaira_thurston", seed=3)
     gamma = seeded_bundle("kodaira_thurston", seed=4)
-    var = var_H(b, gamma, b.metric.h, with_fd=True)
+    var = first_variation(b, "H", b.metric.h, weight_bundle=gamma, with_fd=True)
     assert abs(var.value) <= 1e-10
     assert abs(var.fd) <= 1e-6
 
@@ -309,14 +305,14 @@ def test_var_H_matches_fd_on_random_directions():
     gamma = seeded_bundle("kodaira_thurston", seed=6)
     rng = np.random.default_rng(7)
     mat = np.asarray(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    var = var_H(b, gamma, mat + mat.conj().T, with_fd=True)
+    var = first_variation(b, "H", mat + mat.conj().T, weight_bundle=gamma, with_fd=True)
     assert var.fd == pytest.approx(var.value, rel=1e-5, abs=1e-8)
 
 
 def test_var_F_tilde_zero_along_omega():
     b = seeded_bundle("kodaira_thurston", seed=8)
     nu = HermitianMetric.identity(b.n)
-    var = var_F_tilde(b, nu, b.metric.h, with_fd=True)
+    var = first_variation(b, "F_tilde", b.metric.h, nu, with_fd=True)
     assert abs(var.value) <= 1e-10 * max(1.0, eval_F_tilde(b, nu).value)
     assert abs(var.fd) <= 1e-6
 
@@ -326,15 +322,59 @@ def test_var_F_tilde_matches_fd():
     nu = HermitianMetric.identity(b.n)
     rng = np.random.default_rng(9)
     mat = np.asarray(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    var = var_F_tilde(b, nu, mat + mat.conj().T, with_fd=True)
+    var = first_variation(b, "F_tilde", mat + mat.conj().T, nu, with_fd=True)
     assert var.fd == pytest.approx(var.value, rel=1e-5, abs=1e-9)
+
+
+def _variation_bits(var):
+    return [var.kind] + [np.float64(x).tobytes() for x in
+                         (var.value, var.derivative, var.imag_residual, var.fd)] + \
+        [(k, np.float64(v).tobytes()) for k, v in var.terms.items()]
+
+
+@pytest.mark.parametrize("name,seed,functional", [("kodaira_thurston", 3, "F"),
+                                                  ("kodaira_thurston", 3, "F_tilde"),
+                                                  ("iwasawa", None, "G"),
+                                                  ("kodaira_thurston", 3, "H")])
+def test_first_variation_defaults_to_the_identity_reference(name, seed, functional):
+    b = seeded_bundle(name, seed)
+    direction = b.omega_power(b.n - 1) if functional == "G" else np.diag([1.0, 2.0])
+    nu = HermitianMetric.identity(b.n)
+    weight = bundle_for_algebra(b.alg, nu, b.tol) if functional == "H" else None
+    got = first_variation(b, functional, direction, with_fd=True)
+    want = first_variation(b, functional, direction, nu, weight, with_fd=True)
+    assert _variation_bits(got) == _variation_bits(want)
+
+
+@pytest.mark.parametrize("functional", ["F", "F_tilde", "G", "H"])
+def test_first_variation_refuses_a_direction_of_the_other_kind(functional):
+    b = seeded_bundle("iwasawa")
+    wrong, right = ("metric", "volume") if functional == "G" else ("volume", "metric")
+    direction = make_direction(b.alg, b.omega_power(2), kind="volume") if wrong == "volume" \
+        else make_direction(b.alg, np.eye(3))
+    with pytest.raises(DirectionNotAdmissible,
+                       match=f"varies along {right} directions, not {wrong} ones"):
+        first_variation(b, functional, direction)
+
+
+def test_first_variation_refuses_the_fd_audit_of_a_stack(monkeypatch):
+    # the audit differences one form; a stack is refused before any variation work
+    def refuse(*args):
+        raise AssertionError("a refused call varied the energy")
+
+    b = seeded_bundle("kodaira_thurston", seed=1)
+    forms = constraint_basis(b.alg, "skt").forms
+    monkeypatch.setattr(variation, "_var_torsion_at", refuse)
+    for direction in (forms, make_direction(b.alg, forms)):
+        with pytest.raises(ValueError, match="not a stack of 4"):
+            first_variation(b, "F", direction, with_fd=True)
 
 
 def test_var_F_rejects_wrong_direction_kind():
     b = seeded_bundle("kodaira_thurston")
     vol = make_direction(b.alg, Form.monomial(2, (0,), (0,), 1j), kind="volume")
     with pytest.raises(DirectionNotAdmissible):
-        var_F(b, vol)
+        first_variation(b, "F", vol)
 
 
 def test_metric_direction_of_volume_is_root_derivative():

@@ -19,7 +19,7 @@ from hermicone.hodge import decomposition, green_operator, torsion, torsion_spac
 from hermicone.metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra, random_metric
 from hermicone.model import algebra_for, catalog, make_model
 from hermicone.optimizer import _Objective, _random_feasible, constraint_basis, descend
-from hermicone.variation import Direction, FunctionalVariation, make_direction, variation_at
+from hermicone.variation import Direction, FunctionalVariation, first_variation, make_direction
 
 MODELS = {name: catalog(name) for name in ("torus2", "torus3", "kodaira_thurston", "iwasawa")}
 # n = 4, where the volume coefficient divides by n - 1 = 3
@@ -253,7 +253,7 @@ def _bits_each(var):
 @pytest.mark.parametrize("name,functional", CASES)
 def test_stacked_pass_matches_the_one_direction_code_bit_for_bit(name, functional, seed):
     b, nu, weight, stack = _case(name, functional, seed)
-    got = variation_at(b, functional, nu, weight)(stack)
+    got = first_variation(b, functional, stack, nu, weight)
     oracle = _oracle_at(b, functional, nu, weight)
     assert _bits_each(got) == [_bits(oracle(d)) for d in _rows(stack)]
 
@@ -263,7 +263,10 @@ def test_stacked_pass_matches_the_one_direction_code_bit_for_bit(name, functiona
                                              ("kodaira_thurston", "H")])
 def test_a_direction_gets_the_same_bits_in_any_stack(name, functional, monkeypatch):
     b, nu, weight, stack = _case(name, functional, 0)
-    at = variation_at(b, functional, nu, weight)
+
+    def at(dirs):
+        return first_variation(b, functional, dirs, nu, weight)
+
     want = _bits_each(at(stack))
     dirs = _rows(stack)
     assert _bits_each(at(_stacked(dirs[::-1]))) == want[::-1]
@@ -280,7 +283,7 @@ def test_a_direction_gets_the_same_bits_in_any_stack(name, functional, monkeypat
     for per_chunk in (1, 2):
         monkeypatch.setattr(variation, "DENSE_BUDGET", per_chunk * side ** 2)
         stack = _stacked(dirs)
-        chunked = variation_at(b, functional, nu, weight)(stack)
+        chunked = first_variation(b, functional, stack, nu, weight)
         assert len(stack.chunks(per_chunk)) == -(-len(dirs) // per_chunk)
         assert _bits_each(chunked) == want, per_chunk
 
