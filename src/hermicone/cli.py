@@ -2,9 +2,14 @@
 
 Reports are deterministic JSON (sorted keys, no timestamps); CSV is a
 projection offered for the variation battery and descent traces.  Exit
-codes separate failure classes: 2 malformed input documents, 3 model
-validation, 4 metric predicate failures, 5 tolerance trouble or failed
-verification thresholds, 6 infeasible descents.
+codes separate failure classes: 2 malformed or unreadable input documents and
+unwritable reports, 3 model validation, 4 metric predicate failures, 5 tolerance
+trouble or failed verification thresholds, 6 infeasible descents.
+
+In one process, an eval or torsion job at the algebra, metric bits and --tol of the
+last such job reuses that job's operator bundle, with everything memoized on it; its
+report is byte-identical to a fresh process's.  A job of any other subcommand drops
+the kept bundle when it starts.
 """
 
 from __future__ import annotations
@@ -117,7 +122,7 @@ def _load_model(args):
         try:
             with open(args.model, "r", encoding="utf-8") as fh:
                 model = parse_model(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _CliFailure(EXIT_SCHEMA, f"cannot read model file: {exc}") from exc
         source = model.name
     _require_budget(args, model.n)
@@ -133,7 +138,7 @@ def _load_metric(args, n, option="metric"):
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             metric = HermitianMetric.from_json(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliFailure(EXIT_SCHEMA, f"cannot read {option} file: {exc}") from exc
     if metric.n != n:
         raise DimensionMismatch(
@@ -181,8 +186,11 @@ def _envelope(subcommand, model, source, seed, tolerances, payload):
 def _write(args, text):
     """Write a report to the --out file, or to stdout without one."""
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CliFailure(EXIT_SCHEMA, f"cannot write report: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -199,13 +207,23 @@ def _emit_csv(args, fieldnames, rows):
     _write(args, buf.getvalue())
 
 
+# The last eval or torsion job's bundle under (algebra, metric bits, --tol): one slot,
+# emptied when a job of any other subcommand starts.  The key holds the algebra, not
+# the model, so dropping algebra_for's cache ends reuse as a new process would.
+_KEPT = {}
+
+
 def _metric_job(args):
     """What eval and torsion share: the model and its source, the bundle at --metric
-    and --tol, and the report's metric and predicates."""
+    and --tol (the kept one at the same key), and the report's metric and predicates."""
     model, source = _load_model(args)
     alg = algebra_for(model)
     metric = _load_metric(args, alg.n)
-    bundle = bundle_for_algebra(alg, metric, args.tol)
+    key = (alg, metric.h.tobytes(), args.tol)
+    if key not in _KEPT:
+        _KEPT.clear()
+        _KEPT[key] = bundle_for_algebra(alg, metric, args.tol)
+    bundle = _KEPT[key]
     predicates_payload = {k: v for k, v in asdict(predicates(bundle)).items() if k != "tol"}
     return model, source, bundle, {"metric": metric.to_json_obj(),
                                    "predicates": predicates_payload}
@@ -481,6 +499,8 @@ def _exit_code(exc):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.func not in (_cmd_eval, _cmd_torsion):
+        _KEPT.clear()
     try:
         if getattr(args, "format", "json") == "csv" \
                 and args.subcommand not in ("varcheck", "descend"):

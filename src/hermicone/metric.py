@@ -79,7 +79,10 @@ class HermitianMetric:
     @classmethod
     def from_json(cls, text):
         """Parse "identity" plus n (handled by caller) or an n x n array of {re, im}."""
-        obj = json.loads(text) if isinstance(text, str) else text
+        try:
+            obj = json.loads(text) if isinstance(text, str) else text
+        except (ValueError, RecursionError) as exc:  # a digit or nesting limit, too
+            raise SchemaError(f"metric document is not valid JSON: {exc}") from None
         if not isinstance(obj, list) or not obj:
             raise SchemaError("metric document must be a non-empty array of rows")
         rows = []

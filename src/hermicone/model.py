@@ -112,7 +112,7 @@ def parse_model(text):
     """Parse the JSON model schema into a normalized ComplexLieModel."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a digit or nesting limit, too
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError("model document must be a JSON object")

@@ -4,6 +4,7 @@ import hermicone  # noqa: F401  isort: skip
 import numpy as np
 import pytest
 
+from hermicone import cli
 from hermicone.metric import HermitianMetric, bundle_for_algebra, random_metric
 from hermicone.model import algebra_for, catalog, catalog_names, make_model, validate_model
 
@@ -23,6 +24,15 @@ def model(model_name):
 @pytest.fixture
 def algebra(model):
     return algebra_for(model)
+
+
+@pytest.fixture(autouse=True)
+def no_kept_bundle():
+    """Empty the CLI's kept eval/torsion bundle before and after each test, so a test
+    that patches the job path builds its own bundle and none outlives its test."""
+    cli._KEPT.clear()
+    yield
+    cli._KEPT.clear()
 
 
 @pytest.fixture

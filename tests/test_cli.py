@@ -9,7 +9,7 @@ import pytest
 from hermicone import cli, errors
 from hermicone.cli import main
 from hermicone.metric import HermitianMetric, OperatorBundle, random_metric
-from hermicone.model import catalog
+from hermicone.model import algebra_for, catalog
 
 
 def run(capsys, *argv):
@@ -198,6 +198,34 @@ def test_exit_code_schema_errors(tmp_path, capsys):
     code, _, err = run(capsys, "eval", "--catalog", "torus2", "--functional", "F",
                        "--format", "csv")
     assert code == 2 and "CSV" in err
+
+
+def _one_error_line(err):
+    return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [
+    b"{", bytes(range(256))[::-1][:200], b"[" * 100000 + b"]" * 100000,
+    b'[[{"re": ' + b"1" * 5000 + b', "im": 0}]]'],
+    ids=("truncated", "not_utf8", "nested", "digits"))
+@pytest.mark.parametrize("option", ["--metric", "--nu", "--model"])
+def test_unreadable_input_files_exit_schema(tmp_path, capsys, option, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    source = () if option == "--model" else ("--catalog", "torus2")
+    code, out, err = run(capsys, "eval", "--functional", "F", *source, option, str(path))
+    assert (code, out) == (2, ""), err
+    assert _one_error_line(err), err
+
+
+@pytest.mark.parametrize("argv", [("eval", "--catalog", "torus2", "--functional", "F"),
+                                  ("catalog",)], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["missing_dir", "a_dir"])
+def test_unwritable_out_exits_schema(tmp_path, capsys, argv, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, ""), err
+    assert _one_error_line(err) and err.startswith("error: cannot write report: "), err
 
 
 def test_exit_code_validation_errors(tmp_path, capsys):
@@ -517,12 +545,15 @@ def _first_calls(tmp_path):
         (_eval_argv("--out", str(tmp_path / "report.json")), _eval_argv()),
         (varcheck + ("--format", "csv"), varcheck),
         (_eval_argv("--tol", "1e-6"), _eval_argv()),
+        (_eval_argv(), _eval_argv("--tol", "1e-6")),
+        (_eval_argv(), ("torsion", "--catalog", "kodaira_thurston")),
     ]
 
 
 def test_no_state_leaks_between_main_calls(tmp_path, capsys):
     for first, second in _first_calls(tmp_path):
         cli._build_parser.cache_clear()
+        cli._KEPT.clear()
         alone = run(capsys, *second)
         cli._build_parser.cache_clear()
         try:
@@ -533,6 +564,90 @@ def test_no_state_leaks_between_main_calls(tmp_path, capsys):
         after = run(capsys, *second)
         assert alone[0] == 0 and alone[1], (first, alone)
         assert after == alone, first
+
+
+# ----- the kept eval/torsion bundle ----------------------------------------------------------
+
+
+def _count_bundles(monkeypatch):
+    """The bundles the CLI builds from here on, one entry each."""
+    built = []
+    real = cli.bundle_for_algebra
+    monkeypatch.setattr(cli, "bundle_for_algebra",
+                        lambda *args: built.append(args) or real(*args))
+    return built
+
+
+def _kt_job(metric, *job):
+    return job + ("--catalog", "kodaira_thurston", "--metric", metric)
+
+
+def test_jobs_at_the_kept_key_reuse_its_bundle(tmp_path, capsys, monkeypatch):
+    metric = _random_metric_file(tmp_path, "kodaira_thurston")
+    jobs = [_kt_job(metric, "eval", "--functional", "F"),
+            _kt_job(metric, "eval", "--functional", "Ftilde"),
+            _kt_job(metric, "torsion")]
+    fresh = []
+    for argv in jobs:
+        algebra_for.cache_clear()  # a new algebra: the job cannot find a kept bundle
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 0], fresh
+    algebra_for.cache_clear()
+    built = _count_bundles(monkeypatch)
+    assert [run(capsys, *argv) for argv in jobs] == fresh
+    assert len(built) == 1 and len(cli._KEPT) == 1
+
+
+@pytest.mark.parametrize("change", ["metric_ulp", "tol", "model", "verify", "algebra_cache"])
+def test_a_job_off_the_kept_key_builds_its_own_bundle(tmp_path, capsys, monkeypatch, change):
+    h = random_metric(2, np.random.default_rng(5)).h
+    metric = write_metric(tmp_path, h)
+    first = _kt_job(metric, "eval", "--functional", "F")
+    second = {
+        "metric_ulp": _kt_job(write_metric(tmp_path, h * (1 + 2 ** -52), "ulp.json"),
+                              "eval", "--functional", "F"),
+        "tol": first + ("--tol", "1e-6"),
+        "model": ("eval", "--functional", "F", "--catalog", "torus2", "--metric", metric),
+    }.get(change, first)
+    assert run(capsys, *first)[0] == 0
+    if change == "verify":
+        assert run(capsys, "verify", "--catalog", "kodaira_thurston", "--metrics", "1")[0] == 0
+        assert not cli._KEPT
+    elif change == "algebra_cache":
+        algebra_for.cache_clear()
+    built = _count_bundles(monkeypatch)
+    code, _, err = run(capsys, *second)
+    assert code == 0, err
+    assert len(built) == 1 and len(cli._KEPT) == 1
+
+
+def test_a_refusal_repeats_on_the_kept_bundle(tmp_path, capsys, monkeypatch):
+    argv = _kt_job(_random_metric_file(tmp_path, "kodaira_thurston"),
+                   "torsion", "--which", "gamma")
+    first = run(capsys, *argv)
+    assert first[:2] == (cli.EXIT_PREDICATE, "") and _one_error_line(first[2]), first
+    built = _count_bundles(monkeypatch)
+    assert run(capsys, *argv) == first
+    assert built == []
+
+
+@pytest.mark.parametrize("argv,hook", [
+    (("verify", "--catalog", "torus2", "--metrics", "1"), "validate_model"),
+    (("varcheck", "--catalog", "torus2", "--tuples", "1"), "variation_battery"),
+    (("descend", "--catalog", "kodaira_thurston", "--functional", "F", "--steps", "1"),
+     "descend"),
+    (("catalog",), "catalog_names"),
+], ids=lambda v: v[0] if isinstance(v, tuple) else v)
+def test_other_subcommands_drop_the_kept_bundle_when_they_start(capsys, monkeypatch, argv,
+                                                                hook):
+    run_json(capsys, *_eval_argv())
+    assert len(cli._KEPT) == 1
+    seen = []
+    real = getattr(cli, hook)
+    monkeypatch.setattr(cli, hook, lambda *a, **k: seen.append(dict(cli._KEPT)) or real(*a, **k))
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert seen and seen[0] == {} and not cli._KEPT
 
 
 # ----- verify's audits in turn; no job reads the spectral diagnostic ------------------------

@@ -1,5 +1,6 @@
 """Fuzzed input documents through the in-process CLI: every outcome is exit 0 or a
-documented code 2-6, never a traceback."""
+documented code 2-6, never a traceback.  Raw text that is no JSON document at all
+(cut short, not UTF-8, nested or numbered past the reader's limits) exits 2."""
 
 import contextlib
 import io
@@ -112,12 +113,14 @@ _MODEL_JOBS = _JOBS[:5] + (("verify", "--metrics", "1"),
                            ("descend", "--functional", "Ftilde", "--steps", "2"))
 
 
-def _exit_code(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+def _run(argv):
+    """(exit code, stderr) of one in-process call."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
-            return main(argv)
+            return main(argv), err.getvalue()
         except SystemExit as exc:  # argparse's own refusal
-            return exc.code
+            return exc.code, err.getvalue()
 
 
 def _write(directory, name, doc):
@@ -136,7 +139,7 @@ def test_fuzzed_metric_documents_exit_with_a_documented_code(doc, job, as_nu):
     with tempfile.TemporaryDirectory() as tmp:
         path = _write(tmp, "metric.json", doc)
         option = "--nu" if as_nu and "--functional" in job else "--metric"
-        code = _exit_code(list(job) + ["--catalog", name, option, path])
+        code, _ = _run(list(job) + ["--catalog", name, option, path])
     assert code in DOCUMENTED_EXITS, (code, job, doc)
 
 
@@ -145,5 +148,46 @@ def test_fuzzed_metric_documents_exit_with_a_documented_code(doc, job, as_nu):
 def test_fuzzed_model_documents_exit_with_a_documented_code(doc, job):
     with tempfile.TemporaryDirectory() as tmp:
         path = _write(tmp, "model.json", doc)
-        code = _exit_code(list(job) + ["--model", path])
+        code, _ = _run(list(job) + ["--model", path])
     assert code in DOCUMENTED_EXITS, (code, job, doc)
+
+
+@st.composite
+def _raw_documents(draw):
+    """Bytes that no JSON reader accepts whole: a document cut short, random bytes with
+    a byte that is not UTF-8, nesting past the reader's depth, or an integer past
+    Python's digit limit."""
+    kind = draw(st.sampled_from(["truncated", "bytes", "nested", "digits"]))
+    if kind == "truncated":  # a proper prefix of an array or object is never complete
+        text = json.dumps(draw(st.one_of(_hermitian_positive(), _wild_metric(),
+                                         _catalog_variant())))
+        return text[:draw(st.integers(min_value=0, max_value=len(text) - 1))].encode()
+    if kind == "bytes":
+        raw = draw(st.binary(max_size=200))
+        cut = draw(st.integers(min_value=0, max_value=len(raw)))
+        return raw[:cut] + draw(st.sampled_from([b"\xff", b"\x80", b"\xc3"])) + raw[cut:]
+    if kind == "nested":
+        opener, closer = draw(st.sampled_from([("[", "]"), ('{"n":', "}")]))
+        depth = draw(st.integers(min_value=2_000, max_value=100_000))
+        return (opener * depth + "0" + closer * depth).encode()
+    digits = "1" * draw(st.integers(min_value=4_301, max_value=6_000))
+    return ('[[{"re": ' + digits + ', "im": 0}]]').encode()
+
+
+_RAW_CASES = ([("--model", job) for job in _MODEL_JOBS]
+              + [("--metric", job) for job in _JOBS]
+              + [("--nu", job) for job in _JOBS if "--functional" in job])
+
+
+@FUZZ
+@given(raw=_raw_documents(), case=st.sampled_from(_RAW_CASES))
+def test_raw_text_documents_exit_schema_with_one_error_line(raw, case):
+    option, job = case
+    source = [] if option == "--model" else ["--catalog", "kodaira_thurston"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        code, err = _run(list(job) + source + [option, path])
+    assert code == 2, (code, err, case, raw[:80])
+    assert err.startswith("error: ") and err.count("\n") == 1, (err, case)

@@ -57,6 +57,16 @@ def test_metric_from_json_rejects_malformed(doc):
         HermitianMetric.from_json(doc)
 
 
+# past the parser's nesting depth, or an integer past Python's digit limit
+_NOT_JSON = ("{", "[" * 100000 + "]" * 100000, '[[{"re": ' + "1" * 5000 + ', "im": 0}]]')
+
+
+@pytest.mark.parametrize("text", _NOT_JSON, ids=("truncated", "nested", "digits"))
+def test_metric_from_json_refuses_text_json_cannot_read(text):
+    with pytest.raises(SchemaError, match="^metric document is not valid JSON: "):
+        HermitianMetric.from_json(text)
+
+
 def test_metric_check_gates():
     bad_herm = np.eye(2) + 1e-6 * np.array([[0, 1], [0, 0]])
     # the gate scales with the largest entry, and a skew of 1e-6 fails it at any scale

@@ -60,6 +60,15 @@ def test_parse_model_schema_errors(doc):
         parse_model(doc)
 
 
+@pytest.mark.parametrize("text", ["{", "[" * 100000 + "]" * 100000,
+                                  '{"name": "x", "n": ' + "1" * 5000 + "}"],
+                         ids=("truncated", "nested", "digits"))
+def test_parse_model_refuses_text_json_cannot_read(text):
+    # the nesting and digit limits raise RecursionError and ValueError, not JSONDecodeError
+    with pytest.raises(SchemaError, match="^not valid JSON: "):
+        parse_model(text)
+
+
 def test_non_unimodular_detected():
     model = non_unimodular_model()
     report = validate_model(model)
