@@ -21,7 +21,9 @@ metric, ``verify --metrics 2`` and ``varcheck --tuples 3`` on the four catalog
 models; two 5-step descents; and ``eval``, ``torsion`` and ``verify`` on three
 synthetic models (Iwasawa x T^1, Kodaira-Thurston x T^2, complex Heisenberg
 n = 5) read from model files, and ``varcheck --tuples 2`` on the first of
-them, so the operator-variation audit covers an n >= 4 model; ``varcheck
+them, so the operator-variation audit covers an n >= 4 model; ``verify`` over
+many metrics, on Iwasawa at the default ``--metrics`` and on Iwasawa x T^1 at
+``--metrics 14``; ``varcheck
 --tuples 2`` on the n = 4 model d theta^3 = theta^11bar, d theta^4 = 1e-5
 theta^22bar, whose d has a singular value 1e-5 times its largest, above the
 rank cut; ``eval`` of G
@@ -143,6 +145,12 @@ def jobs(paths):
             out.append((f"eval {name} {fn}", ["eval", *src, "--functional", fn]))
         out.append((f"torsion {name}", ["torsion", *src]))
         out.append((f"verify {name}", ["verify", *src, "--metrics", "1", "--seed", "5"]))
+    # verify over many metrics: Iwasawa at the default --metrics, Iwasawa x T^1 at 15
+    out.append(("verify iwasawa default metrics",
+                ["verify", "--catalog", "iwasawa", "--seed", "1"]))
+    out.append(("verify iwasawa_x_t1 15 metrics",
+                ["verify", "--model", paths["model:iwasawa_x_t1"], "--metrics", "14",
+                 "--seed", "5"]))
     out.append(("varcheck iwasawa_x_t1",
                 ["varcheck", "--model", paths["model:iwasawa_x_t1"], "--tuples", "2",
                  "--seed", "2"]))
