@@ -70,6 +70,13 @@ class _CliFailure(Exception):
 # one degree at a time, forms no N x N projector, Gram or codifferential, but it keeps
 # the N x r basis of ker d(n) and forms its r x N factor B^H G, r up to N (r = N on the
 # flat torus), and the SVD of d(n) behind the basis, whose right factor is up to N x N.
+# verify audits its metrics in chunks, one bundle over a stack of c metrics each
+# (_verify_chunk).  Per metric the stack keeps the Gram blocks, their inverses, the star,
+# trace and del/dbar codifferential blocks, about 5 N^2 entries (n = 5: 5.2 MB, with
+# 0.8 MB more for the powers of omega), and the walk forms r x N factors and N x r
+# columns per degree.  c = max(1, DENSE_BUDGET // (64 N^2)) keeps c times 64 N^2
+# entries, a bound on all of it, within the budget: 163 metrics at n = 3, 13 at n = 4
+# and one from n = 5 on, where a second bundle would raise the job's peak memory.
 
 
 def dense_side(subcommand, n, functional=None):
@@ -237,20 +244,29 @@ def _three_space_walk(bundle):
     return [max(three_space_residuals(bundle, k).values()) for k in range(2 * bundle.n + 1)]
 
 
+def _verify_chunk(n):
+    """How many metrics verify audits in one stacked pass at dimension n (see the size
+    budget above): max(1, DENSE_BUDGET // (64 N^2)), N = C(2n, n)."""
+    return max(1, DENSE_BUDGET // (64 * math.comb(2 * n, n) ** 2))
+
+
 def _cmd_verify(args):
     model, source = _load_model(args)
     alg = algebra_for(model)
     n = alg.n
     report = validate_model(model)
     rng = np.random.default_rng(args.seed)
+    count, chunk = args.metrics + 1, _verify_chunk(n)
 
     families = {}
     three_space = {}
-    for i in range(args.metrics + 1):
-        # each random metric is drawn when it is audited, in the seeded order
-        met = random_metric(n, rng) if i else HermitianMetric.identity(n)
-        bundle = bundle_for_algebra(alg, met)
-        suite, walk = identity_suite(bundle, seed=args.seed + i), _three_space_walk(bundle)
+    for start in range(0, count, chunk):
+        # each chunk of metrics is drawn when it is audited, in the seeded order; a
+        # chunk of one is a bundle over that metric alone
+        hs = [random_metric(n, rng).h if i else HermitianMetric.identity(n).h
+              for i in range(start, min(start + chunk, count))]
+        bundle = bundle_for_algebra(alg, HermitianMetric(np.stack(hs) if hs[1:] else hs[0]))
+        suite, walk = identity_suite(bundle, seed=args.seed + start), _three_space_walk(bundle)
         for key, val in suite.items():
             families[key] = max(families.get(key, 0.0), val)
         for k, worst in enumerate(walk):

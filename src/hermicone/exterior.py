@@ -30,9 +30,9 @@ Conventions fixed here and used everywhere else:
   ExteriorAlgebra.total assembles its total-degree matrix; no other module
   places blocks by offset.
 * A Form may hold a stack of forms on leading axes, vec of shape (..., 4^n).
-  wedge (on its left), apply, Form.wedge_matrix and integrate then act on each
-  form of the stack and give it the bits it gets alone; a block map may likewise
-  carry matrices stacked on a leading axis.
+  wedge, apply, Form.wedge_matrix and integrate then act on each form of the
+  stack and give it the bits it gets alone; a block map may likewise carry
+  matrices stacked on a leading axis, as a bundle over a stack of metrics does.
 * The images and kernels of the differentials are metric-free: bases(which, key)
   keeps orthonormal bases of both, decided once per algebra from one SVD, and
   harmonic_dim(which, key), the Lie-algebra cohomology at key, is the kernel
@@ -451,12 +451,17 @@ def wedge(u, v):
     """Wedge product of two forms, canonically reordered with signs: one np.add.at per
     pair of nonzero blocks, each product formed from real and imaginary parts as the
     complex scalar product is (numpy's array kernel for complex a * b rounds otherwise).
-    u may be a stack, each of whose forms then wedges with v.
+    Either form may be a stack: a stack wedges each of its forms with the other form,
+    and two stacks on the same leading axes pair form i with form i; stacks on other
+    axes are refused (DimensionMismatch).
     """
     if u.n != v.n:
         raise DimensionMismatch("forms over different coframes")
+    lead_u, lead_v = u.vec.shape[:-1], v.vec.shape[:-1]
+    if lead_u and lead_v and lead_u != lead_v:
+        raise DimensionMismatch(f"stacks of shape {lead_u} and {lead_v} do not pair")
     n, lay = u.n, _layout(u.n)
-    out = np.zeros(u.vec.shape[:-1] + (4 ** n,), dtype=complex)
+    out = np.zeros((lead_u or lead_v) + (4 ** n,), dtype=complex)
     for p1, q1 in u.bidegrees():
         a = u.part((p1, q1))
         for p2, q2 in v.bidegrees():
@@ -464,8 +469,8 @@ def wedge(u, v):
             if table is None:
                 continue
             i1, i2, sign, t = table
-            x, y = sign * a.take(i1, axis=-1), v.part((p2, q2))[i2]
-            prod = np.empty(x.shape, dtype=complex)
+            x, y = sign * a.take(i1, axis=-1), v.part((p2, q2)).take(i2, axis=-1)
+            prod = np.empty(out.shape[:-1] + t.shape, dtype=complex)
             re, im = prod.real, prod.imag
             np.subtract(np.multiply(x.real, y.real, out=re), x.imag * y.imag, out=re)
             np.add(np.multiply(x.real, y.imag, out=im), x.imag * y.real, out=im)
@@ -477,9 +482,10 @@ def wedge(u, v):
 @memo
 def _product(u, k):
     """u^k undivided, kept on u: u^(k-1) ^ u, from u^1 = u with -0 read as +0 (the bits
-    of 1 ^ u)."""
+    of 1 ^ u); a stack gives a stack, u^0 one 1 per form."""
     if k < 2:
-        return Form(u.n, u.vec + 0.0) if k else Form.scalar(u.n, 1.0)
+        return Form(u.n, u.vec + 0.0) if k else \
+            Form.at(u.n, (0, 0), np.ones(u.vec.shape[:-1] + (1,)))
     return wedge(_product(u, k - 1), u)
 
 
@@ -640,17 +646,18 @@ class ExteriorAlgebra:
         """Matrix of d from total degree k to k + 1."""
         return self.total(self.d_blocks, k, k + 1)
 
-    def total(self, op, k, k_out):
+    def total(self, op, k, k_out, lead=()):
         """Matrix of the block map op from total degree k to total degree k_out.
 
         Blocks of op whose target has another total degree are left out; a
         k_out outside 0..2n gives a matrix with no rows.  Blocks stacked on a
-        leading axis give the stack of total matrices.
+        leading axis give the stack of total matrices; lead is that axis for a
+        map that places no block.
         """
         rows = self.slices(k_out) if 0 <= k_out <= 2 * self.n else {}
         placed = [(rows[tgt], cols, blk) for pq, cols in self.slices(k).items()
                   for tgt, blk in op(*pq).items() if tgt in rows]
-        lead = placed[0][2].shape[:-2] if placed else ()
+        lead = placed[0][2].shape[:-2] if placed else lead
         mat = np.zeros(lead + (self.dim_total(k_out) if rows else 0, self.dim_total(k)),
                        dtype=complex)
         for row, cols, blk in placed:
@@ -658,16 +665,22 @@ class ExteriorAlgebra:
         return mat
 
     def total_times(self, op, k, k_out, cols):
-        """total(op, k, k_out) @ cols for columns cols over total degree k, without forming
-        the matrix: each non-empty block multiplies its rows of cols and adds into its
-        target's rows, in layout order."""
+        """total(op, k, k_out) @ cols for the N x m columns cols over total degree k,
+        without forming the matrix: each non-empty block multiplies its rows of cols and
+        adds into its target's rows, in layout order.  Blocks stacked on a leading axis
+        give the stack of products."""
         rows = self.slices(k_out) if 0 <= k_out <= 2 * self.n else {}
-        out = np.zeros((self.dim_total(k_out) if rows else 0,) + cols.shape[1:], dtype=complex)
+        out = None
         for pq, sl in self.slices(k).items():
             for tgt, blk in op(*pq).items():
                 if tgt in rows and blk.size:
-                    out[rows[tgt]] += blk @ cols[sl]
-        return out
+                    img = blk @ cols[sl]
+                    if out is None:
+                        out = np.zeros(img.shape[:-2] + (self.dim_total(k_out),) + cols.shape[1:],
+                                       dtype=complex)
+                    out[..., rows[tgt], :] += img
+        return np.zeros((self.dim_total(k_out) if rows else 0,) + cols.shape[1:],
+                        dtype=complex) if out is None else out
 
     def apply(self, op, form):
         """The block map op applied to a form: each nonzero block's nonzero images

@@ -52,18 +52,26 @@ def _projector(basis, gram):
 
 def _factors(basis, gram):
     """(B, B^H G, M = B^H G B): the projector B M^-1 B^H G onto the span of basis's
-    columns as its factors, G block diagonal with the (slice, block) pairs gram."""
+    columns as its factors, G block diagonal with the (slice, block) pairs gram, whose
+    blocks may stack the Grams of several metrics on a leading axis."""
     bh = basis.conj().T
-    bg = np.empty(bh.shape, dtype=complex)
+    bg = np.empty(gram[0][1].shape[:-2] + bh.shape, dtype=complex)
     for sl, block in gram:
-        bg[:, sl] = bh[:, sl] @ block
+        bg[..., sl] = bh[:, sl] @ block
     return basis, bg, bg @ basis
 
 
 def _apply(factors, cols):
-    """P cols = B M^-1 (B^H G cols), the projector of factors applied without forming it."""
+    """P cols = B M^-1 (B^H G cols), the projector of factors applied without forming it;
+    stacked factors take a stack of columns, or one set of columns for every metric."""
     basis, bg, m = factors
     return basis @ np.linalg.solve(m, bg @ cols)
+
+
+def _side_by_side(*cols):
+    """The column blocks side by side, those shared by a stack broadcast over its axes."""
+    lead = np.broadcast_shapes(*(c.shape[:-2] for c in cols))
+    return np.concatenate([np.broadcast_to(c, lead + c.shape[-2:]) for c in cols], axis=-1)
 
 
 class Decomposition:
@@ -191,7 +199,8 @@ def three_space_residuals(bundle, k):
     the bundle's Decomposition: each reaches all of its columns through one solve with
     M, and Q^H G (I - P_im) is B^H G - M M^-1 B^H G, as B = Q.  d(k - 1) u and
     codiff(k + 1) w' are taken block by block of d and of d^*
-    (OperatorBundle._codiff_blocks).
+    (OperatorBundle._codiff_blocks).  On a bundle over a stack of metrics the bases and
+    the seeded vectors serve the whole stack, and each residual is the maximum over it.
     """
     alg = bundle.alg
     gram = [(sl, bundle.gram(*pq)) for pq, sl in alg.slices(k).items()]
@@ -202,16 +211,16 @@ def three_space_residuals(bundle, k):
         else w[:, :0]
     r, s = image.shape[1], PROBES
     im = _apply(im_f, np.hstack([image, qc, down]))
-    ker = _apply(ker_f, np.hstack([kc, w, qc, up]))
+    ker = _apply(ker_f, _side_by_side(kc, w, qc, up))
     (_, bg_im, m_im), bg_ker = im_f, ker_f[1]
     return {
-        "image_on_basis": _worst(im[:, :r] - image),
+        "image_on_basis": _worst(im[..., :r] - image),
         "image_orthogonal": _worst(bg_im - m_im @ np.linalg.solve(m_im, bg_im)),
-        "kernel_on_basis": _worst(ker[:, :s] - kc),
-        "kernel_orthogonal": _worst(bg_ker @ (w - ker[:, s:2 * s])),
-        "harmonic_on_image": _worst(ker[:, 2 * s:3 * s] - im[:, r:r + s]),
-        "image_of_d": _worst(im[:, r + s:] - down),
-        "kernel_of_codiff": _worst(ker[:, 3 * s:]),
+        "kernel_on_basis": _worst(ker[..., :s] - kc),
+        "kernel_orthogonal": _worst(bg_ker @ (w - ker[..., s:2 * s])),
+        "harmonic_on_image": _worst(ker[..., 2 * s:3 * s] - im[..., r:r + s]),
+        "image_of_d": _worst(im[..., r + s:] - down),
+        "kernel_of_codiff": _worst(ker[..., 3 * s:]),
     }
 
 

@@ -56,13 +56,14 @@ NORMAL_FLOAT_LOGS = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
 class HermitianMetric:
-    """Positive definite coefficient matrix of an invariant (1,1) metric form."""
+    """Positive definite coefficient matrix of an invariant (1,1) metric form, or a stack
+    of them on a leading axis, h of shape (c, n, n): the metrics of one bundle."""
 
     __slots__ = ("h", "_checked")
 
     def __init__(self, h):
         h = np.asarray(h, dtype=complex)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
             raise DimensionMismatch(f"metric matrix must be square, got shape {h.shape}")
         self.h = h.copy()
         self.h.setflags(write=False)
@@ -70,7 +71,7 @@ class HermitianMetric:
 
     @property
     def n(self):
-        return self.h.shape[0]
+        return self.h.shape[-1]
 
     @classmethod
     def identity(cls, n):
@@ -110,6 +111,11 @@ class HermitianMetric:
         float range; returns self.  Only the first passing call does the work."""
         if self._checked:
             return self
+        if self.h.ndim == 3:  # a stack: each metric on its own
+            for h in self.h:
+                HermitianMetric(h).check()
+            self._checked = True
+            return self
         if not np.all(np.isfinite(self.h)):
             raise SchemaError("metric entries must be finite")
         # entries near the float limit overflow here; the inf or nan is refused below
@@ -147,8 +153,9 @@ class HermitianMetric:
         return HermitianMetric(lam * self.h)
 
     def form(self):
-        """The metric form omega = i sum H_jk theta^j ^ thetabar^k."""
-        return Form.at(self.n, (1, 1), 1j * self.h.reshape(-1))
+        """The metric form omega = i sum H_jk theta^j ^ thetabar^k; a stack of them for
+        a stack of metrics."""
+        return Form.at(self.n, (1, 1), 1j * self.h.reshape(self.h.shape[:-2] + (-1,)))
 
     @classmethod
     def from_form(cls, form):
@@ -169,11 +176,11 @@ def _adjoint(mat, g_src_inv, g_tgt):
 
 def _hermitian_kron(a, b):
     """The Hermitian part of kron(a, b^T), kron as one broadcast product, the same
-    products as np.kron."""
-    b = b.T
-    g = (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-    g += g.conj().T
+    products as np.kron; stacks of a and b on a leading axis give the stack."""
+    b = b.swapaxes(-1, -2)
+    g = (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
+        a.shape[:-2] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+    g += g.conj().swapaxes(-1, -2)
     g *= 0.5
     return g
 
@@ -191,7 +198,12 @@ class SpectralData:
 
 
 class OperatorBundle:
-    """All metric-dependent operators of one (model, metric) pair, lazily cached."""
+    """All metric-dependent operators of one (model, metric) pair, lazily cached.
+
+    Over a stack of c metrics (verify's) every block carries the stack on its leading
+    axis, lead = (c,), with each metric's block bit for bit the one its own bundle
+    keeps; det_h is then the array of the c determinants.  A stack of forms per
+    metric, such as verify's probes, takes its axes after the metric axis."""
 
     def __init__(self, alg, metric, tol=DEFAULT_TOL):
         if alg.n != metric.n:
@@ -200,8 +212,10 @@ class OperatorBundle:
         self.metric = metric
         self.tol = tol
         self.h = np.asarray(metric.h)
+        self.lead = self.h.shape[:-2]
         self.h_inv = np.linalg.inv(self.h)
-        self.det_h = float(np.linalg.det(self.h).real)
+        det = np.linalg.det(self.h).real
+        self.det_h = det if self.lead else float(det)
 
     @property
     def n(self):
@@ -215,6 +229,13 @@ class OperatorBundle:
         """omega^k / k!, from the products kept on omega."""
         return wedge_power(self.omega, k)
 
+    def _lift(self, mat, ndim):
+        """A block of a stacked bundle with axes of length 1 after the metric axis, up to
+        ndim axes, so that a stack of forms per metric meets its own metric's block."""
+        if not self.lead or mat.ndim >= ndim:
+            return mat
+        return mat.reshape(self.lead + (1,) * (ndim - mat.ndim) + mat.shape[-2:])
+
     # ----- inner products ---------------------------------------------------
 
     @memo
@@ -224,7 +245,8 @@ class OperatorBundle:
         to each other; the second is formed only where an inverse Gram is read."""
         combos = _combos(self.n, p)
         rows = np.array(combos, dtype=np.intp).reshape(len(combos), 1, p, 1)
-        return np.linalg.det((self.h if of_h else self.h_inv)[rows, rows.transpose(1, 0, 3, 2)])
+        return np.linalg.det((self.h if of_h else self.h_inv)[..., rows,
+                                                               rows.transpose(1, 0, 3, 2)])
 
     @memo
     def gram(self, p, q):
@@ -270,8 +292,10 @@ class OperatorBundle:
         """
         comp, unit = _complement(self.n, b, a)
         sign, perm = _conj_table(self.n, a, b)
-        star = np.empty((len(comp),) * 2, dtype=complex)
-        star[comp] = self.det_h * (sign * self.gram(b, a)[perm].T) / unit[:, None]
+        det = self.det_h[..., None, None] if self.lead else self.det_h
+        star = np.empty(self.lead + (len(comp),) * 2, dtype=complex)
+        star[..., comp, :] = det * (sign * self.gram(b, a)[..., perm, :].swapaxes(-1, -2)) \
+            / unit[:, None]
         return star
 
     def star_blocks(self, p, q):
@@ -297,7 +321,7 @@ class OperatorBundle:
 
     def mult_adjoint_block(self, eta, p, q):
         """Adjoint of (eta ^ .) landing on Lambda^{p,q}, for homogeneous eta or a
-        stack of them (then one adjoint per form, on its leading axis).
+        stack of them (then one adjoint per form, on its leading axes).
 
         Maps (p,q) back to (p-a, q-b) when eta has bidegree (a,b).
         """
@@ -305,7 +329,9 @@ class OperatorBundle:
         src = (p - a, q - b)
         if dim_pq(self.n, *src) == 0:
             return np.zeros(eta.vec.shape[:-1] + (0, dim_pq(self.n, p, q)), dtype=complex)
-        return _adjoint(eta.wedge_matrix(*src), self.gram_inv(*src), self.gram(p, q))
+        mat = eta.wedge_matrix(*src)
+        return _adjoint(mat, self._lift(self.gram_inv(*src), mat.ndim),
+                        self._lift(self.gram(p, q), mat.ndim))
 
     def mult_adjoint(self, eta, form):
         if not eta.bidegrees():
@@ -324,9 +350,11 @@ class OperatorBundle:
         n, dim = self.n, dim_pq(self.n, p, q)
         out = np.zeros(gamma.vec.shape[:-1] + (dim, dim), dtype=complex)
         if p + 1 <= n and q + 1 <= n:
-            out += self.trace_block(p + 1, q + 1) @ gamma.wedge_matrix(p, q)
+            mat = gamma.wedge_matrix(p, q)
+            out += self._lift(self.trace_block(p + 1, q + 1), mat.ndim) @ mat
         if p >= 1 and q >= 1:
-            out -= gamma.wedge_matrix(p - 1, q - 1) @ self.trace_block(p, q)
+            mat = gamma.wedge_matrix(p - 1, q - 1)
+            out -= mat @ self._lift(self.trace_block(p, q), mat.ndim)
         return out
 
     # ----- codifferentials and Laplacians ----------------------------------------
@@ -344,9 +372,9 @@ class OperatorBundle:
         those blocks to its columns instead (ExteriorAlgebra.total_times)."""
         prev = neighbor(which, key, -1)
         if which == "d":
-            return self.alg.total(self._codiff_blocks, key, prev)
+            return self.alg.total(self._codiff_blocks, key, prev, self.lead)
         if self.dim(which, prev) == 0:
-            return np.zeros((0, self.dim(which, key)), dtype=complex)
+            return np.zeros(self.lead + (0, self.dim(which, key)), dtype=complex)
         return _adjoint(self.alg.diff(which, prev), self.gram_inv(*prev), self.gram(*key))
 
     def _codiff_blocks(self, p, q):
@@ -439,30 +467,40 @@ def bundle_for_algebra(alg, metric, tol=DEFAULT_TOL):
 # ----- identity suite ------------------------------------------------------------
 
 
-def _primitive_vectors(bundle, p, q, rng):
-    """Two random elements of ker(trace) at bidegree (p,q), none if it is 0."""
+def _primitive_vectors(bundle, p, q, rngs):
+    """Two random elements of ker(trace) at bidegree (p,q) per metric, drawn from that
+    metric's generator in rngs, as the rows of a (..., 2, d) array over the bundle's
+    leading axes; None if the space is 0.  A metric whose kernel is 0 draws nothing and
+    gets zero rows.  Each metric's rows are the columns of one product, so that a row
+    reaches its matrix-vector products with the stride it has alone."""
     lam = bundle.trace_block(p, q)
-    if lam.shape[1] == 0:
-        return []
-    if lam.shape[0] == 0:
-        basis_null = np.eye(lam.shape[1], dtype=complex)
+    rows, d = lam.shape[-2:]
+    if d == 0:
+        return None
+    if rows == 0:
+        nulls = [np.eye(d, dtype=complex)] * len(rngs)
     else:
         _, s, vh = np.linalg.svd(lam)
-        tol = (s[0] if s.size else 0.0) * 1e-12
-        rank = int(np.sum(s > tol))
-        basis_null = vh[rank:].conj().T
-    if basis_null.shape[1] == 0:
-        return []
-    coef = rng.standard_normal((basis_null.shape[1], 2)) \
-        + 1j * rng.standard_normal((basis_null.shape[1], 2))
-    return list((basis_null @ coef).T)
+        nulls = []
+        for sv, v in zip(s.reshape(len(rngs), -1), vh.reshape(len(rngs), d, d)):
+            tol = (sv[0] if sv.size else 0.0) * 1e-12
+            nulls.append(v[int(np.sum(sv > tol)):].conj().T)
+    cols = np.zeros((len(rngs), d, 2), dtype=complex)
+    for col, rng, null in zip(cols, rngs, nulls):
+        if null.shape[1]:
+            coef = rng.standard_normal((null.shape[1], 2)) \
+                + 1j * rng.standard_normal((null.shape[1], 2))
+            col[...] = null @ coef
+    return cols.reshape(bundle.lead + (d, 2)).swapaxes(-1, -2)
 
 
 def identity_suite(bundle, seed=0):
     """Residuals of the operator identities tying star, wedge and adjoints.
 
     Returns a dict of max absolute residuals, one entry per identity family, each
-    taken block by block; no total-degree matrix is formed.
+    taken block by block; no total-degree matrix is formed.  On a bundle over a stack
+    of metrics each family is the maximum over the stack, metric i drawing its probes
+    from seed + i, and each metric's residuals are the bits of its own bundle's.
     - star_star, star_lefschetz, commutator, mult_adjoint_star (three seeded (1,1)
       probes) and primitive_star (two seeded primitive forms): the blocks at every
       bidegree (p, q); mult_adjoint_11 on the probes; star_one and star_omega once.
@@ -474,7 +512,7 @@ def identity_suite(bundle, seed=0):
       antiholomorphic one below VALIDATION_TOL included; adjoint_pairing is
       (gram(p, q) d - c^H gram(src)) det H on every block.
     """
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed + i) for i in range(math.prod(bundle.lead))]
     alg, n = bundle.alg, bundle.n
     res = {k: 0.0 for k in (
         "star_star", "star_one", "star_omega", "star_lefschetz", "commutator",
@@ -482,11 +520,15 @@ def identity_suite(bundle, seed=0):
         "dstar_formula", "delstar_formula", "dbarstar_formula", "adjoint_pairing")}
 
     def upd(key, value):
-        res[key] = max(res[key], float(value))
+        res[key] = max(res[key], float(np.max(value)))
 
-    # the (1,1) probes' coefficients, one row per probe; each bidegree makes its own
+    def per_probe(mat):  # a block of the bundle against a stack of forms per metric
+        return mat[..., None, :, :]
+
+    # the (1,1) probes' coefficients, three rows per metric; each bidegree makes its own
     # stack of them, so the wedge matrices kept on that Form go with it
-    probes = np.stack([random_form(n, [(1, 1)], rng).part((1, 1)) for _ in range(3)])
+    probes = np.array([[random_form(n, [(1, 1)], rng).part((1, 1)) for _ in range(3)]
+                       for rng in rngs]).reshape(bundle.lead + (3, -1))
 
     for p in range(n + 1):
         for q in range(n + 1):
@@ -504,20 +546,21 @@ def identity_suite(bundle, seed=0):
                 comm = bundle.commutator(bundle.omega, p, q)
                 upd("commutator", np.max(np.abs(comm - (n - p - q) * np.eye(d))))
 
-                # one matrix product per probe, on the stack's leading axis
+                # one matrix product per probe, on the stack's probe axis
                 etas = Form.at(n, (1, 1), probes)
-                lhs = bundle.star_block(p + 1, q + 1) @ etas.wedge_matrix(p, q)
-                rhs = bundle.mult_adjoint_block(etas.conj(), n - q, n - p) @ s_here
+                lhs = per_probe(bundle.star_block(p + 1, q + 1)) @ etas.wedge_matrix(p, q)
+                rhs = bundle.mult_adjoint_block(etas.conj(), n - q, n - p) @ per_probe(s_here)
                 upd("mult_adjoint_star", np.max(np.abs(lhs - rhs)))
 
-            if p + q <= n:
+            vecs = _primitive_vectors(bundle, p, q, rngs) if p + q <= n else None
+            if vecs is not None:
                 kk = p + q
                 coeff = (-1) ** (kk * (kk + 1) // 2) * (1j) ** (p - q)
                 pow_mat = bundle.omega_power(n - p - q).wedge_matrix(p, q)
-                for vec in _primitive_vectors(bundle, p, q, rng):
-                    lhs = s_here @ vec
-                    rhs = coeff * (pow_mat @ vec)
-                    upd("primitive_star", np.max(np.abs(lhs - rhs)))
+                # one matrix-vector product per vector
+                lhs = (per_probe(s_here) @ vecs[..., None])[..., 0]
+                rhs = coeff * (per_probe(pow_mat) @ vecs[..., None])[..., 0]
+                upd("primitive_star", np.max(np.abs(lhs - rhs)))
 
             # d^* = -star d star and the L2 pairing, on each block of d landing on (p, q)
             for src, cod in bundle._codiff_blocks(p, q).items():
@@ -529,18 +572,19 @@ def identity_suite(bundle, seed=0):
                 if src in ((p - 1, q), (p, q - 1)):
                     upd("delstar_formula" if src[0] < p else "dbarstar_formula", resid)
                 pair = bundle.gram(p, q) @ alg.d_blocks(*src)[(p, q)] \
-                    - cod.conj().T @ bundle.gram(*src)
-                upd("adjoint_pairing", np.max(np.abs(pair)) * bundle.det_h)
+                    - cod.conj().swapaxes(-1, -2) @ bundle.gram(*src)
+                upd("adjoint_pairing", np.max(np.abs(pair), axis=(-2, -1)) * bundle.det_h)
 
     # (eta ^ .)^* = <., eta> on (1,1); the pairing stays one vector-matrix product per
-    # probe, a 1 x N row each on the leading axis: one 3 x N product rounds otherwise
+    # probe, a 1 x N row each on the leading axes: one 3 x N product rounds otherwise
     adj = bundle.mult_adjoint_block(Form.at(n, (1, 1), probes), 1, 1)
-    pairing = probes.conj()[..., None, :] @ bundle.gram(1, 1)
+    pairing = probes.conj()[..., None, :] @ per_probe(bundle.gram(1, 1))
     upd("mult_adjoint_11", np.max(np.abs(adj - pairing)))
 
     # star of the constant 1 and of omega
+    det = bundle.det_h[..., None] if bundle.lead else bundle.det_h
     one = Form.scalar(n, 1.0)
-    upd("star_one", (bundle.star(one) - bundle.det_h * alg.theta_form()).max_abs())
+    upd("star_one", (bundle.star(one) - alg.theta_form() * det).max_abs())
     upd("star_omega", (bundle.star(bundle.omega) - bundle.omega_power(n - 1)).max_abs())
 
     return res

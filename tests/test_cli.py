@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from hermicone import cli, errors
 from hermicone.cli import main
 from hermicone.metric import HermitianMetric, OperatorBundle, random_metric
-from hermicone.model import algebra_for, catalog
+from hermicone.model import algebra_for, catalog, make_model, serialize_model
 
 
 def run(capsys, *argv):
@@ -53,19 +54,35 @@ def test_verify_passes_on_catalog_model(capsys):
     assert len(doc["model_hash"]) == 64
 
 
-def test_verify_draws_each_metric_when_it_audits_it(capsys, monkeypatch):
-    # the seeded draws keep their order, so the report is that of drawing them all first
+def test_verify_draws_at_most_one_chunk_before_its_first_audit(capsys, monkeypatch, tmp_path):
+    # the seeded draws keep their order, so the report is that of drawing them all
+    # first; each chunk is drawn when it is audited, so memory stays bounded in --metrics
     log = []
 
     def logged(name, func):
         return lambda *args, **kwargs: log.append(name) or func(*args, **kwargs)
 
-    argv = ("verify", "--catalog", "kodaira_thurston", "--metrics", "3", "--seed", "4")
+    path = tmp_path / "iwasawa_x_t1.json"  # n = 4: 13 metrics a chunk
+    path.write_text(serialize_model(make_model("iwasawa_x_t1", 4, [(3, "holo", 1, 2, -1.25)])))
+    argv = ("verify", "--model", str(path), "--metrics", "20", "--seed", "4")
     before = run(capsys, *argv)
     monkeypatch.setattr(cli, "random_metric", logged("draw", cli.random_metric))
     monkeypatch.setattr(cli, "identity_suite", logged("audit", cli.identity_suite))
     assert run(capsys, *argv) == before
-    assert log == ["audit"] + ["draw", "audit"] * 3
+    chunk = cli._verify_chunk(4)
+    assert log.index("audit") <= chunk
+    assert log == ["draw"] * (chunk - 1) + ["audit"] + ["draw"] * (21 - chunk) + ["audit"]
+
+
+def test_verify_chunk_rule():
+    # every metric of a default job (--metrics 20) fits in one chunk up to n = 3; from
+    # n = 5 on a second bundle would raise the job's peak memory past its bound
+    chunks = {n: cli._verify_chunk(n) for n in range(1, 7)}
+    assert all(chunks[n] >= 21 for n in (1, 2, 3))
+    assert chunks[4] == 13
+    assert chunks[5] == chunks[6] == 1
+    for n, chunk in chunks.items():
+        assert chunk == 1 or 64 * chunk * math.comb(2 * n, n) ** 2 <= cli.DENSE_BUDGET
 
 
 def test_eval_frozen_value_and_predicates(capsys):

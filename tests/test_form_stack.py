@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hermicone.errors import DimensionMismatch
 from hermicone.exterior import Form, _layout, random_form, wedge
 from hermicone.metric import bundle_for_algebra, random_metric
 from hermicone.model import algebra_for, catalog, make_model
@@ -79,6 +80,31 @@ def test_matrices_of_a_homogeneous_stack_are_its_forms_matrices(n):
             if a <= 1 and b <= 1:
                 _same(bundle.mult_adjoint_block(stack, p, q),
                       [bundle.mult_adjoint_block(f, p, q) for f in forms])
+
+
+@pytest.mark.parametrize("n,pq", [(3, (1, 1)), (2, (1, 0)), (2, (1, 1))])
+def test_two_stacks_wedge_form_by_form(n, pq):
+    # row i of the product is form i ^ form i, and a single form on either side wedges
+    # with every form of the other; the two stacks of (1,0) forms at n = 2 have the
+    # shape of its wedge table, which once broadcast into a wrong form
+    rng = np.random.default_rng(11)
+    left, right = ([_with_signed_zeros(random_form(n, [pq], rng), rng) for _ in range(size)]
+                   for size in (4, 4))
+    _same(wedge(_stack(left), _stack(right)).vec, [wedge(u, v).vec for u, v in zip(left, right)])
+    _same(wedge(_stack(left[:2]), _stack(right[:2])).vec,
+          [wedge(u, v).vec for u, v in zip(left, right[:2])])
+    _same(wedge(left[0], _stack(right)).vec, [wedge(left[0], v).vec for v in right])
+    _same(wedge(_stack(left), right[0]).vec, [wedge(u, right[0]).vec for u in left])
+
+
+def test_stacks_on_other_axes_do_not_wedge():
+    rng = np.random.default_rng(12)
+    forms = [random_form(2, [(1, 0)], rng) for _ in range(4)]
+    grid = Form(2, np.stack([f.vec for f in forms]).reshape(2, 2, -1))
+    for u, v in ((_stack(forms), _stack(forms[:2])), (_stack(forms[:2]), _stack(forms[:3])),
+                 (_stack(forms), grid), (grid, _stack(forms[:2]))):
+        with pytest.raises(DimensionMismatch):
+            wedge(u, v)
 
 
 def test_a_stack_resets_only_the_blocks_zero_in_every_form():
