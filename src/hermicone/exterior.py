@@ -646,18 +646,17 @@ class ExteriorAlgebra:
         """Matrix of d from total degree k to k + 1."""
         return self.total(self.d_blocks, k, k + 1)
 
-    def total(self, op, k, k_out, lead=()):
+    def total(self, op, k, k_out):
         """Matrix of the block map op from total degree k to total degree k_out.
 
         Blocks of op whose target has another total degree are left out; a
         k_out outside 0..2n gives a matrix with no rows.  Blocks stacked on a
-        leading axis give the stack of total matrices; lead is that axis for a
-        map that places no block.
+        leading axis give the stack of total matrices.
         """
         rows = self.slices(k_out) if 0 <= k_out <= 2 * self.n else {}
         placed = [(rows[tgt], cols, blk) for pq, cols in self.slices(k).items()
                   for tgt, blk in op(*pq).items() if tgt in rows]
-        lead = placed[0][2].shape[:-2] if placed else lead
+        lead = placed[0][2].shape[:-2] if placed else ()
         mat = np.zeros(lead + (self.dim_total(k_out) if rows else 0, self.dim_total(k)),
                        dtype=complex)
         for row, cols, blk in placed:
@@ -670,17 +669,15 @@ class ExteriorAlgebra:
         adds into its target's rows, in layout order.  Blocks stacked on a leading axis
         give the stack of products."""
         rows = self.slices(k_out) if 0 <= k_out <= 2 * self.n else {}
-        out = None
+        out = np.zeros((self.dim_total(k_out) if rows else 0,) + cols.shape[1:], dtype=complex)
         for pq, sl in self.slices(k).items():
             for tgt, blk in op(*pq).items():
                 if tgt in rows and blk.size:
                     img = blk @ cols[sl]
-                    if out is None:
-                        out = np.zeros(img.shape[:-2] + (self.dim_total(k_out),) + cols.shape[1:],
-                                       dtype=complex)
+                    if out.ndim < img.ndim:  # the first block of a stack
+                        out = np.zeros(img.shape[:-2] + out.shape, dtype=complex)
                     out[..., rows[tgt], :] += img
-        return np.zeros((self.dim_total(k_out) if rows else 0,) + cols.shape[1:],
-                        dtype=complex) if out is None else out
+        return out
 
     def apply(self, op, form):
         """The block map op applied to a form: each nonzero block's nonzero images

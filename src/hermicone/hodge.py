@@ -22,14 +22,18 @@ bundle's codiff and laplacian are: torsion rho is the "d" potential on
 degree 3, torsion Gamma the "dbar" potential on (n-1, n-1).
 
 verify audits the decompositions of "d" where the construction leaves room for
-error, per metric by three_space_residuals and once per algebra by
+error, per chunk of metrics by three_space_residuals and once per algebra by
 basis_residuals; the sum and the orthogonality of the three spaces hold by
-construction and are left to the tests.  verify holds one degree at a time: the
-walk keeps each projector of the degree as its factors B, B^H G and M = B^H G B
-(_factors), B^H G by the bidegree Gram blocks, applies them to N x r and N x 3
-columns and drops them once the degree is audited; d and d^* reach the columns block
-by block (ExteriorAlgebra.total_times).  verify forms no N x N projector and keeps
-no Decomposition or total-degree matrix.
+construction and are left to the tests.  A chunk is one bundle over a stack of
+metrics (cli._verify_chunk): the walk runs once over the stack, every factor and
+column carries the stack on its leading axis, the metric-free bases and seeded
+vectors (_probes) serve the whole stack, and each row is the maximum over it, with
+each metric's values the bits of a walk of its own.  verify holds one degree at a
+time: the walk keeps each projector of the degree as its factors B, B^H G and
+M = B^H G B (_factors), B^H G by the bidegree Gram blocks, applies them to N x r
+and N x 3 columns and drops them once the degree is audited; d and d^* reach the
+columns block by block (ExteriorAlgebra.total_times).  verify forms no N x N
+projector and keeps no Decomposition or total-degree matrix.
 """
 
 from __future__ import annotations

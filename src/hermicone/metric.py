@@ -27,7 +27,11 @@ bases.  The bundle also carries the tolerance tol of its predicates and of its
 potentials' residual gates, and keeps the Hodge decompositions and Green
 operators that hodge makes for a job, one per space.  verify keeps none of them,
 nor a total-degree Gram or an assembled "d" codifferential: it takes every
-total-degree product block by block.
+total-degree product block by block, on one bundle over a stack of metrics per
+chunk, whose blocks carry the stack on a leading axis.  The kernels it runs on a
+stack (elementwise products, matmul, det, inv, solve and svd) give each metric the
+bits it gets alone, so the job path keeps stack-less bundles and verify's reports
+are those of one bundle per metric.
 
 Inner product conventions: <theta^j, theta^k> = (H^{-1})_{kj}, extended to
 monomials by determinant multiplicativity; matrices G satisfy
@@ -41,7 +45,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -169,6 +173,17 @@ def random_metric(n, rng):
     return HermitianMetric(b.conj().T @ b + 0.5 * np.eye(n))
 
 
+@lru_cache(maxsize=None)
+def _minors(n, p):
+    """The flat positions in an n x n matrix of its p x p minors over p-subsets I, K:
+    entry [I, K] is the p x p array of the positions of rows I and columns K."""
+    combos = _combos(n, p)
+    rows = np.array(combos, dtype=np.intp).reshape(len(combos), 1, p, 1)
+    flat = rows * n + rows.transpose(1, 0, 3, 2)
+    flat.setflags(write=False)
+    return flat
+
+
 def _adjoint(mat, g_src_inv, g_tgt):
     # A^* = G_src^{-1} (A^H G_tgt), two products; a stack of A gives the stack of adjoints
     return g_src_inv @ (mat.conj().swapaxes(-1, -2) @ g_tgt)
@@ -243,10 +258,8 @@ class OperatorBundle:
         """p-th compound of H^{-1}, or of H when of_h: C[I, K] = det(M[I, K]) over
         p-subsets.  Compounds are multiplicative (Cauchy-Binet), so the two are inverse
         to each other; the second is formed only where an inverse Gram is read."""
-        combos = _combos(self.n, p)
-        rows = np.array(combos, dtype=np.intp).reshape(len(combos), 1, p, 1)
-        return np.linalg.det((self.h if of_h else self.h_inv)[..., rows,
-                                                               rows.transpose(1, 0, 3, 2)])
+        mat = self.h if of_h else self.h_inv
+        return np.linalg.det(mat.reshape(self.lead + (-1,)).take(_minors(self.n, p), axis=-1))
 
     @memo
     def gram(self, p, q):
@@ -294,7 +307,7 @@ class OperatorBundle:
         sign, perm = _conj_table(self.n, a, b)
         det = self.det_h[..., None, None] if self.lead else self.det_h
         star = np.empty(self.lead + (len(comp),) * 2, dtype=complex)
-        star[..., comp, :] = det * (sign * self.gram(b, a)[..., perm, :].swapaxes(-1, -2)) \
+        star[..., comp, :] = det * (sign * self.gram(b, a).take(perm, axis=-2).swapaxes(-1, -2)) \
             / unit[:, None]
         return star
 
@@ -350,11 +363,9 @@ class OperatorBundle:
         n, dim = self.n, dim_pq(self.n, p, q)
         out = np.zeros(gamma.vec.shape[:-1] + (dim, dim), dtype=complex)
         if p + 1 <= n and q + 1 <= n:
-            mat = gamma.wedge_matrix(p, q)
-            out += self._lift(self.trace_block(p + 1, q + 1), mat.ndim) @ mat
+            out += self.trace_block(p + 1, q + 1) @ gamma.wedge_matrix(p, q)
         if p >= 1 and q >= 1:
-            mat = gamma.wedge_matrix(p - 1, q - 1)
-            out -= mat @ self._lift(self.trace_block(p, q), mat.ndim)
+            out -= gamma.wedge_matrix(p - 1, q - 1) @ self.trace_block(p, q)
         return out
 
     # ----- codifferentials and Laplacians ----------------------------------------
@@ -371,8 +382,9 @@ class OperatorBundle:
         block diagonal, so no total-degree Gram is solved or inverted; verify applies
         those blocks to its columns instead (ExteriorAlgebra.total_times)."""
         prev = neighbor(which, key, -1)
-        if which == "d":
-            return self.alg.total(self._codiff_blocks, key, prev, self.lead)
+        if which == "d":  # a map that places no block gives a matrix with no stack axis
+            mat = self.alg.total(self._codiff_blocks, key, prev)
+            return np.broadcast_to(mat, self.lead + mat.shape[-2:])
         if self.dim(which, prev) == 0:
             return np.zeros(self.lead + (0, self.dim(which, key)), dtype=complex)
         return _adjoint(self.alg.diff(which, prev), self.gram_inv(*prev), self.gram(*key))
@@ -523,7 +535,7 @@ def identity_suite(bundle, seed=0):
         res[key] = max(res[key], float(np.max(value)))
 
     def per_probe(mat):  # a block of the bundle against a stack of forms per metric
-        return mat[..., None, :, :]
+        return bundle._lift(mat, len(bundle.lead) + 3)
 
     # the (1,1) probes' coefficients, three rows per metric; each bidegree makes its own
     # stack of them, so the wedge matrices kept on that Form go with it
