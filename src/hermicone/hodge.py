@@ -73,9 +73,14 @@ def _apply(factors, cols):
 
 
 def _side_by_side(*cols):
-    """The column blocks side by side, those shared by a stack broadcast over its axes."""
-    lead = np.broadcast_shapes(*(c.shape[:-2] for c in cols))
-    return np.concatenate([np.broadcast_to(c, lead + c.shape[-2:]) for c in cols], axis=-1)
+    """The column blocks side by side, those shared by a stack repeated over its axis."""
+    lead = max((c.shape[:-2] for c in cols), key=len)
+    out = np.empty(lead + (len(cols[0]), sum(c.shape[-1] for c in cols)), dtype=complex)
+    start = 0
+    for c in cols:
+        out[..., start:start + c.shape[-1]] = c
+        start += c.shape[-1]
+    return out
 
 
 class Decomposition:

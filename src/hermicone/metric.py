@@ -532,7 +532,7 @@ def identity_suite(bundle, seed=0):
         "dstar_formula", "delstar_formula", "dbarstar_formula", "adjoint_pairing")}
 
     def upd(key, value):
-        res[key] = max(res[key], float(np.max(value)))
+        res[key] = max(res[key], float(value))
 
     def per_probe(mat):  # a block of the bundle against a stack of forms per metric
         return bundle._lift(mat, len(bundle.lead) + 3)
@@ -585,7 +585,7 @@ def identity_suite(bundle, seed=0):
                     upd("delstar_formula" if src[0] < p else "dbarstar_formula", resid)
                 pair = bundle.gram(p, q) @ alg.d_blocks(*src)[(p, q)] \
                     - cod.conj().swapaxes(-1, -2) @ bundle.gram(*src)
-                upd("adjoint_pairing", np.max(np.abs(pair), axis=(-2, -1)) * bundle.det_h)
+                upd("adjoint_pairing", np.max(np.max(np.abs(pair), axis=(-2, -1)) * bundle.det_h))
 
     # (eta ^ .)^* = <., eta> on (1,1); the pairing stays one vector-matrix product per
     # probe, a 1 x N row each on the leading axes: one 3 x N product rounds otherwise
