@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import NotPositive
+from .errors import DimensionMismatch, NotPositive
 from .exterior import wedge, wedge_power
 from .hodge import root_n_minus_1, torsion_gamma, torsion_rho
 from .metric import HermitianMetric, bundle_for_algebra
@@ -164,8 +164,10 @@ def eval_F_tilde(bundle, nu):
 
 
 def references(bundle, functional, nu=None, weight_bundle=None):
-    """(nu, weight_bundle) with their defaults: the identity metric for nu, and for
-    a weighted energy the bundle of nu at the bundle's tolerance."""
+    """(nu, weight_bundle) with their defaults, the identity metric for nu and for a weighted
+    energy the bundle of nu at the bundle's tolerance; a stacked bundle is refused."""
+    if bundle.lead:
+        raise DimensionMismatch(f"energies take one metric, not a stack of {bundle.lead[0]}")
     nu = nu if nu is not None else HermitianMetric.identity(bundle.n)
     if weight_bundle is None and energy(functional).weighted:
         weight_bundle = bundle_for_algebra(bundle.alg, nu, bundle.tol)

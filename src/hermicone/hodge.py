@@ -43,7 +43,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateDimension, NotBalanced, NotPositive, NotSKT, ToleranceFailure
+from .errors import (DegenerateDimension, DimensionMismatch, NotBalanced, NotPositive,
+                     NotSKT, ToleranceFailure)
 from .exterior import Form, _complement, memo, neighbor
 from .metric import HermitianMetric
 
@@ -280,9 +281,11 @@ def _predicate_residuals(bundle):
 
 
 def predicates(bundle, tol=None):
-    """Kahler / SKT / balanced flags with their defining residuals, at tol
-    (the bundle's tolerance by default).  The residuals depend on the metric
-    alone: they are computed once per bundle and kept on it."""
+    """Kahler / SKT / balanced flags with their defining residuals, at tol (the bundle's
+    tolerance by default), kept on the bundle: they depend on the metric alone.  A
+    bundle over a stack of metrics (verify's) has no one verdict: DimensionMismatch."""
+    if bundle.lead:
+        raise DimensionMismatch(f"predicates take one metric, not a stack of {bundle.lead[0]}")
     tol = bundle.tol if tol is None else tol
     d_omega, ddbar, d_pow = _predicate_residuals(bundle)
     return MetricPredicates(

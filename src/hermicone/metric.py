@@ -63,7 +63,7 @@ class HermitianMetric:
     """Positive definite coefficient matrix of an invariant (1,1) metric form, or a stack
     of them on a leading axis, h of shape (c, n, n): the metrics of one bundle."""
 
-    __slots__ = ("h", "_checked")
+    __slots__ = ("h", "_lambda_min")
 
     def __init__(self, h):
         h = np.asarray(h, dtype=complex)
@@ -71,7 +71,7 @@ class HermitianMetric:
             raise DimensionMismatch(f"metric matrix must be square, got shape {h.shape}")
         self.h = h.copy()
         self.h.setflags(write=False)
-        self._checked = False  # h is read-only, so a passing check() holds for good
+        self._lambda_min = None  # kept by a passing check(); h is read-only, so it holds
 
     @property
     def n(self):
@@ -112,13 +112,13 @@ class HermitianMetric:
 
     def check(self):
         """Refuse a metric that is not finite, Hermitian, positive definite and in
-        float range; returns self.  Only the first passing call does the work."""
-        if self._checked:
+        float range; returns self.  Only the first passing call does the work, and it
+        keeps the smallest eigenvalue it computed for min_eigenvalue."""
+        if self._lambda_min is not None:
             return self
         if self.h.ndim == 3:  # a stack: each metric on its own
-            for h in self.h:
-                HermitianMetric(h).check()
-            self._checked = True
+            self._lambda_min = np.array([HermitianMetric(h).check()._lambda_min
+                                         for h in self.h])
             return self
         if not np.all(np.isfinite(self.h)):
             raise SchemaError("metric entries must be finite")
@@ -147,11 +147,15 @@ class HermitianMetric:
             raise SchemaError(
                 f"metric scale overflows: eigenvalues {lo:.3e}..{hi:.3e} put "
                 "its Gram blocks outside the float range")
-        self._checked = True
+        self._lambda_min = lo
         return self
 
     def min_eigenvalue(self):
-        return float(np.linalg.eigvalsh(0.5 * (self.h + self.h.conj().T))[0])
+        """The smallest eigenvalue of 0.5 (H + H^H), each metric's for a checked stack:
+        the one check() kept (same expression, same bits), else computed here."""
+        if self._lambda_min is None:
+            return float(np.linalg.eigvalsh(0.5 * (self.h + self.h.conj().T))[0])
+        return self._lambda_min
 
     def scaled(self, lam):
         return HermitianMetric(lam * self.h)

@@ -14,7 +14,7 @@ finite differences only audit it (variation.fd_derivative in the tests).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,8 +172,6 @@ class DescentTrace:
     degenerating: bool
     constraint_dimension: int
     normalized: bool
-    tol: float
-    final_coordinates: np.ndarray = field(default=None, repr=False)
 
     @property
     def monotone(self):
@@ -214,9 +212,9 @@ class DescentTrace:
         return rows
 
 
-# SchemaError: a trial point whose scale leaves the float range
+# SchemaError: a scale past the float range; any error not listed stops the run
 _UNEVALUABLE = (NotPositive, NotPositiveDefinite, SchemaError, ToleranceFailure,
-                ValueError)
+                np.linalg.LinAlgError)
 
 
 class _Objective:
@@ -244,16 +242,6 @@ class _Objective:
         self.covector = self.directions.nu_integrals(alg, nu)
         self._last = None
 
-    def metric_at(self, x):
-        return self.cone.metric(self.alg, self.basis.combine(x)).check()
-
-    def min_eigenvalue(self, x):
-        try:
-            return self._bundle(self.retract(x) if self.normalize else x) \
-                .metric.min_eigenvalue()
-        except (NotPositive, NotPositiveDefinite, SchemaError, ValueError):
-            return -np.inf
-
     def normalization(self, x):
         return float(self.covector @ x)
 
@@ -261,24 +249,31 @@ class _Objective:
         """Rescale onto the unit normalization slice; the integral is linear."""
         c = self.normalization(x)
         if not c > 0:
-            raise ValueError("normalization integral is not positive")
+            raise NotPositive(f"normalization integral {c:.3e} is not positive")
         return x / c
 
     def constraint_residual(self, x):
         return self.cone.constraint(self.alg, self.basis.combine(x)).max_abs()
 
-    def _bundle(self, x):
-        """Bundle at an evaluation point.  The last one is kept: a trial
-        point's positivity check and value share it, and so do the
-        gradient and the record at an accepted iterate."""
-        key = x.tobytes()
-        if self._last is None or self._last[0] != key:
-            self._last = (key, bundle_for_algebra(self.alg, self.metric_at(x), self.tol))
+    def at(self, x):
+        """The bundle at x's evaluation point (x / c(x) with normalize on), None where
+        it is refused.  The last one is kept: a trial point's guard and value share it,
+        and so do the gradient and the record at an accepted iterate."""
+        try:
+            x = self.retract(x) if self.normalize else x
+            key = x.tobytes()
+            if self._last is None or self._last[0] != key:
+                metric = self.cone.metric(self.alg, self.basis.combine(x))
+                self._last = (key, bundle_for_algebra(self.alg, metric, self.tol))
+        except _UNEVALUABLE:
+            return None
         return self._last[1]
 
     def __call__(self, x):
+        bundle = self.at(x)
+        if bundle is None:
+            return None
         try:
-            bundle = self._bundle(self.retract(x) if self.normalize else x)
             return evaluate(bundle, self.functional, self.nu, self.weight_bundle).value
         except _UNEVALUABLE:
             return None
@@ -286,24 +281,25 @@ class _Objective:
     def gradient(self, x):
         """Exact slice gradient at x, None when it is not evaluable there.
 
-        One bundle at the (retracted) iterate; each entry is the closed-form
+        One bundle at the evaluation point x_r; each entry is the closed-form
         derivative along a basis form, all of them from one stacked variation
         pass.  With normalize on, the chain rule through x -> x / c(x) gives
         (g - covector (g . x_r)) / c(x).
         """
+        bundle = self.at(x)
+        if bundle is None:
+            return None
         try:
-            x_r = self.retract(x) if self.normalize else x
-            bundle = self._bundle(x_r)
             grad = first_variation(bundle, self.functional, self.directions, self.nu,
                                    self.weight_bundle).derivative
         except _UNEVALUABLE:
             return None
         if self.normalize:
-            grad = (grad - self.covector * (grad @ x_r)) / self.normalization(x)
+            grad = (grad - self.covector * (grad @ self.retract(x))) / self.normalization(x)
         return grad
 
 
-def _line_search(obj, x, grad, gnorm, value, alpha0):
+def _line_search(obj, x, grad, value, alpha0):
     """Halve the step until positivity and strict decrease both hold.
 
     Returns (candidate, value, alpha, backtracks) or raises
@@ -315,7 +311,7 @@ def _line_search(obj, x, grad, gnorm, value, alpha0):
     positivity_blocked = True
     while alpha >= LINESEARCH_FLOOR:
         cand = x - alpha * grad
-        if obj.min_eigenvalue(cand) > 0:
+        if obj.at(cand) is not None:
             positivity_blocked = False
             cand_val = obj(cand)
             if cand_val is not None and cand_val < value:
@@ -379,13 +375,9 @@ def descend(model, functional="F_tilde", start=None, nu=None,
         if residual > tol * (1.0 + start_form.max_abs()):
             raise InfeasibleStart(
                 f"starting point is outside the constraint slice (residual {residual:.3e})")
-        if obj.min_eigenvalue(x) <= 0:
+        if obj.at(x) is None:
             raise InfeasibleStart("starting point is not positive")
-    if normalize:
-        try:
-            x = obj.retract(x)
-        except ValueError as exc:
-            raise InfeasibleStart(str(exc)) from exc
+    x = obj.retract(x) if normalize else x  # c(x) > 0: at(x) retracted it
 
     value = obj(x)
     if value is None:
@@ -406,7 +398,7 @@ def descend(model, functional="F_tilde", start=None, nu=None,
             value=float(value),
             gradient_norm=gnorm,
             step_size=0.0,
-            min_eigenvalue=obj.min_eigenvalue(x),
+            min_eigenvalue=obj.at(x).metric.min_eigenvalue(),
             normalization_integral=obj.normalization(x),
             constraint_residual=obj.constraint_residual(x),
             backtracks=0,
@@ -421,7 +413,7 @@ def descend(model, functional="F_tilde", start=None, nu=None,
         if max_step is not None:
             alpha0 = min(alpha0, max_step)
         try:
-            cand, cand_val, alpha, bt = _line_search(obj, x, grad, gnorm, value, alpha0)
+            cand, cand_val, alpha, bt = _line_search(obj, x, grad, value, alpha0)
         except LineSearchFailure as exc:
             termination = "PositivityBoundary" if exc.positivity_blocked \
                 else "NumericalStall"
@@ -432,10 +424,10 @@ def descend(model, functional="F_tilde", start=None, nu=None,
         records[-1].step_size = alpha
         records[-1].backtracks = bt
 
-    final_bundle = obj._bundle(obj.retract(x) if normalize else x)
+    final_bundle = obj.at(x)
     preds = predicates(final_bundle, 1e-6)
-    h = final_bundle.metric.h
-    degen = bool(np.linalg.eigvalsh(h)[0] < DEGENERACY_RTOL * np.trace(h).real / n)
+    h, lam = final_bundle.metric.h, final_bundle.metric.min_eigenvalue()
+    degen = bool(lam < DEGENERACY_RTOL * np.trace(h).real / n)
     # a vanishing pluriclosed energy certifies a Kahler point; G and H have
     # no such converse, so the consistency gate only watches the F family
     floor = KAHLER_FLOOR_RTOL * (initial_value + 1.0)
@@ -456,8 +448,6 @@ def descend(model, functional="F_tilde", start=None, nu=None,
         degenerating=degen,
         constraint_dimension=basis.dimension,
         normalized=normalize,
-        tol=tol,
-        final_coordinates=x,
     )
 
 
@@ -477,6 +467,6 @@ def _random_feasible(obj, basis, rng):
     anchor = basis.coordinates(obj.cone.datum(basis.reference.metric))
     for _ in range(RANDOM_START_TRIES):
         x = anchor + 0.3 * rng.standard_normal(basis.dimension)
-        if obj.min_eigenvalue(x) > 0 and obj(x) is not None:
+        if obj(x) is not None:
             return x
     raise InfeasibleStart("no positive random start found in the slice")

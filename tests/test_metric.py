@@ -258,6 +258,29 @@ def test_star_equals_wedge_pairing_definition(name):
             assert np.array_equal(bundle.star_block(a, b), want), (a, b)
 
 
+def test_a_checked_metric_keeps_its_smallest_eigenvalue(monkeypatch):
+    # check() keeps the smallest eigenvalue it computes: min_eigenvalue then decomposes
+    # nothing and returns the bits of an unchecked copy, which computes it
+    rng = np.random.default_rng(5)
+    hs = [random_metric(n, rng).h for n in (1, 2, 3, 4)]
+    hs.append(hs[-1] + np.diag(np.full(3, 1e-14), 1))  # a skew under the Hermiticity gate
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    for h in hs:
+        want = HermitianMetric(h).min_eigenvalue()
+        assert len(calls) == 1
+        checked = HermitianMetric(h).check()
+        calls.clear()
+        assert checked.min_eigenvalue().hex() == want.hex()
+        assert calls == []
+    stack = HermitianMetric(np.stack(hs[3:])).check()
+    calls.clear()
+    assert [lam.hex() for lam in stack.min_eigenvalue()] == \
+        [HermitianMetric(h).min_eigenvalue().hex() for h in hs[3:]]
+    assert len(calls) == 2
+
+
 def test_random_metric_positive_definite():
     rng = np.random.default_rng(11)
     for _ in range(10):

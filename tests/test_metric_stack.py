@@ -4,10 +4,13 @@ its own bundle's, and each audit family is the maximum over the stack."""
 import numpy as np
 import pytest
 
-from hermicone.errors import NotPositiveDefinite
-from hermicone.hodge import three_space_residuals
+from hermicone.errors import DimensionMismatch, NotPositiveDefinite
+from hermicone.functionals import evaluate
+from hermicone.hodge import predicates, three_space_residuals, torsion
 from hermicone.metric import HermitianMetric, bundle_for_algebra, identity_suite, random_metric
 from hermicone.model import algebra_for, catalog, catalog_names, make_model
+from hermicone.optimizer import constraint_basis
+from hermicone.variation import first_variation
 
 MODELS = {**{name: catalog(name) for name in catalog_names()},
           "iwasawa_x_t1": make_model("iwasawa_x_t1", 4, [(3, "holo", 1, 2, -1.25)])}
@@ -81,3 +84,28 @@ def test_a_stack_is_checked_metric_by_metric():
     with pytest.raises(NotPositiveDefinite):
         stack.check()
     assert HermitianMetric(np.stack([good, 2 * good])).check().n == 2
+
+
+@pytest.mark.parametrize("entry", [
+    "predicates", "torsion rho", "torsion gamma",
+    *(f"{call} {functional}" for call in ("evaluate", "first_variation")
+      for functional in ("F", "F_tilde", "G", "H"))])
+def test_the_job_path_refuses_a_stacked_bundle(entry):
+    # a verdict, a torsion, an energy and its variation each read one metric: a bundle
+    # over two (verify's kind) is refused, where it gave one verdict from the stack's
+    # worst residuals or a numpy broadcast error
+    alg = algebra_for(MODELS["kodaira_thurston"])
+    rng = np.random.default_rng(2)
+    b = bundle_for_algebra(alg, HermitianMetric(np.stack([random_metric(alg.n, rng).h
+                                                         for _ in range(2)])))
+    call, arg = (entry.split() + [None])[:2]
+    with pytest.raises(DimensionMismatch, match="not a stack of 2"):
+        if call == "predicates":
+            predicates(b)
+        elif call == "torsion":
+            torsion(b, arg)
+        elif call == "evaluate":
+            evaluate(b, arg)
+        else:
+            kind = "balanced" if arg == "G" else "skt"
+            first_variation(b, arg, constraint_basis(alg, kind).forms)

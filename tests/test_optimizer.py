@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hermicone import variation
-from hermicone.errors import EmptyCone, InfeasibleStart, LineSearchFailure, ToleranceFailure
+from hermicone.errors import (EmptyCone, InfeasibleStart, LineSearchFailure, NotPositive,
+                              ToleranceFailure)
 from hermicone.exterior import Form, _combos, wedge, wedge_power
 from hermicone.hodge import predicates
 from hermicone.metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra
@@ -205,6 +206,46 @@ def test_descend_unevaluable_gradient_stalls(monkeypatch):
     assert trace.final_value == trace.initial_value
 
 
+def test_descend_stops_on_an_error_that_is_not_a_refusal(monkeypatch):
+    # only the refusals (positivity, float scale, tolerance, a singular solve) make a
+    # point unevaluable: a plain ValueError, as a numpy shape error from a bug raises,
+    # stops the run instead of ending it as a NumericalStall
+    def broken(bundle, kind):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(variation, "torsion", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        descend(catalog("iwasawa"), "G", steps=5)
+
+
+def test_descent_reads_the_eigenvalue_each_check_kept(monkeypatch):
+    # each point's positivity is decided once, by its metric's check(): the records
+    # and the degeneracy flag read the smallest eigenvalue it kept
+    inside, reads, decomposed = [], [], []
+    eigvalsh, min_eigenvalue = np.linalg.eigvalsh, HermitianMetric.min_eigenvalue
+
+    def counted(a, *args, **kwargs):
+        if inside:
+            decomposed.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    def watched(self):
+        inside.append(self)
+        try:
+            reads.append(min_eigenvalue(self))
+            return reads[-1]
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(HermitianMetric, "min_eigenvalue", watched)
+    trace = descend(catalog("iwasawa"), "G", start="random", seed=0, steps=5)
+    assert len(trace.records) == 6
+    assert reads[:6] == [r.min_eigenvalue for r in trace.records]
+    assert len(reads) == 7  # and once for the flag
+    assert decomposed == []
+
+
 def _objective(name, functional, normalize):
     alg = algebra_for(catalog(name))
     basis = constraint_basis(alg, "balanced" if functional == "G" else "skt")
@@ -215,7 +256,7 @@ def _objective(name, functional, normalize):
 
 def _fd_gradient(obj, x):
     # Richardson central differences of the composed objective per coordinate
-    step = 1e-3 * obj.min_eigenvalue(x)
+    step = 1e-3 * obj.at(x).metric.min_eigenvalue()
     eye = np.eye(x.size)
     return np.array([fd_derivative(lambda t, e=eye[a]: obj(x + t * e), step)
                      for a in range(x.size)])
@@ -294,39 +335,47 @@ def test_descend_H_functional_smoke():
 
 def test_line_search_guard_flags():
     class NeverPositive:
-        def min_eigenvalue(self, x):
-            return -1.0
+        def at(self, x):
+            return None
 
         def __call__(self, x):
             return 0.0
 
     with pytest.raises(LineSearchFailure) as info:
-        _line_search(NeverPositive(), np.zeros(2), np.ones(2), 1.0, 1.0, 1.0)
+        _line_search(NeverPositive(), np.zeros(2), np.ones(2), 1.0, 1.0)
     assert info.value.positivity_blocked
 
     class NoDecrease:
-        def min_eigenvalue(self, x):
-            return 1.0
+        def at(self, x):
+            return object()
 
         def __call__(self, x):
             return 1.0
 
     with pytest.raises(LineSearchFailure) as info:
-        _line_search(NoDecrease(), np.zeros(2), np.ones(2), 1.0, 1.0, 1.0)
+        _line_search(NoDecrease(), np.zeros(2), np.ones(2), 1.0, 1.0)
     assert not info.value.positivity_blocked
+
+
+def test_retract_refuses_a_nonpositive_normalization():
+    obj = _objective("kodaira_thurston", "F_tilde", True)
+    zero = np.zeros(obj.basis.dimension)
+    with pytest.raises(NotPositive, match="normalization integral"):
+        obj.retract(zero)
+    assert obj.at(zero) is None and obj(zero) is None and obj.gradient(zero) is None
 
 
 def test_line_search_accepts_decreasing_step():
     class Quadratic:
-        def min_eigenvalue(self, x):
-            return 1.0
+        def at(self, x):
+            return object()
 
         def __call__(self, x):
             return float(x @ x)
 
     x = np.array([1.0, 0.0])
     grad = np.array([2.0, 0.0])
-    cand, val, alpha, bt = _line_search(Quadratic(), x, grad, 2.0, 1.0, 0.25)
+    cand, val, alpha, bt = _line_search(Quadratic(), x, grad, 1.0, 0.25)
     assert val < 1.0
     assert cand[0] == pytest.approx(1.0 - alpha * 2.0)
     assert bt >= 0

@@ -210,7 +210,7 @@ def _case(name, functional, seed):
     nu = random_metric(alg.n, rng)
     weight = bundle_for_algebra(alg, random_metric(alg.n, rng))
     obj = _Objective(alg, basis, functional, nu, weight, DEFAULT_TOL, False)
-    b = obj._bundle(_random_feasible(obj, basis, rng))
+    b = obj.at(_random_feasible(obj, basis, rng))
     return b, nu, weight, obj.directions
 
 
