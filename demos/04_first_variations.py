@@ -54,6 +54,6 @@ print("dG(Omega;Omega) =", first_variation(iw, "G", iw.omega_power(2)).value,
 gamma = make_direction(iw.alg, np.eye(3)).form
 pv = var_harmonic_projector(iw, gamma, "d", 3)
 vec = iw.alg.del_form(iw.omega).part(3)
-print("\nprojector variation: kernel dim", pv.kernel_dim,
+print("\nprojector variation: kernel dim", iw.alg.harmonic_dim("d", 3),
       " P dP (I - P) vs dP gap:",
       np.max(np.abs(pv.image_part @ vec - pv.derivative @ vec)))

@@ -9,12 +9,14 @@ complexes the images and kernels are the same at every metric, and the metric
 enters only through the Gram matrix G.  The Green operator solves the Laplacian
 plus its harmonic projector, which is invertible.
 
-The Green operator and the potentials take their codifferentials from
-potential_codiff, a solve against the computed Gram, not from the bundle's
-closed-form G^{-1}: the potential's kernel residual measures its potential
-against the computed G, and the Green operator amplifies the closed form's
-G G^{-1} - I ~ eps kappa(H) into it by the inverse of the Laplacian's
-smallest nonzero eigenvalue, where a solve's backward error does not show.
+The Green operator and potential_map, the one composition green(prev) codiff(key)
+of the minimal potential (potential and variation's eta and lift call it), take
+their codifferentials from potential_codiff, a solve against the computed Gram,
+not from the bundle's closed-form G^{-1}: the potential's kernel residual
+measures its potential against the computed G, and the Green operator amplifies
+the closed form's G G^{-1} - I ~ eps kappa(H) into it by the inverse of the
+Laplacian's smallest nonzero eigenvalue, where a solve's backward error does not
+show.
 
 The projectors onto the images of a differential and of its codifferential
 and the minimum-norm potential are written once over (which, key), as the
@@ -88,13 +90,12 @@ class Decomposition:
     """The Hodge decomposition of one space as dense G-orthogonal projectors, G its
     Gram matrix: image onto the image of diff(which, prev), kernel onto the kernel of
     diff(which, key), and harmonic = kernel - image onto the kernel of the Laplacian,
-    of dimension kernel_dim (the algebra's harmonic_dim).  The job path reads these;
+    of dimension alg.harmonic_dim(which, key).  The job path reads these;
     verify's walk keeps the projectors as their factors instead (_factors).  It keeps
     no reference to the bundle, which would make every bundle cyclic garbage."""
 
     def __init__(self, bundle, which, key):
         alg, gram = bundle.alg, bundle.gram_for(which, key)
-        self.kernel_dim = alg.harmonic_dim(which, key)
         self.image = _projector(alg.bases(which, neighbor(which, key, -1))[0], gram)
         self.kernel = _projector(alg.bases(which, key)[1], gram)
         self.harmonic = self.kernel - self.image
@@ -129,6 +130,13 @@ def green_operator(bundle, which, key):
     harmonic = harmonic_projector(bundle, which, key)
     lap = bundle.laplacian(which, key, partial(potential_codiff, bundle))
     return np.linalg.solve(lap + harmonic, np.eye(len(lap))) - harmonic
+
+
+def potential_map(bundle, which, key, cols):
+    """The minimal potential at neighbor(which, key, -1) of a vector or a stack of
+    columns cols in the image of diff(which, .) at key: green(prev) (codiff(key) cols)."""
+    prev = neighbor(which, key, -1)
+    return green_operator(bundle, which, prev) @ (potential_codiff(bundle, which, key) @ cols)
 
 
 def image_projector(bundle, which, key):
@@ -330,7 +338,7 @@ def potential(bundle, which, key, source_vec):
     prev = neighbor(which, key, -1)
     proj = image_projector(bundle, which, key) @ source_vec
     harm = harmonic_projector(bundle, which, key) @ source_vec
-    pot = green_operator(bundle, which, prev) @ (potential_codiff(bundle, which, key) @ proj)
+    pot = potential_map(bundle, which, key, proj)
     res_eq = _l2(bundle, which, key, bundle.alg.diff(which, prev) @ pot - proj)
     res_ker = _l2(bundle, which, prev, decomposition(bundle, which, prev).kernel @ pot)
     return PotentialSolution(pot, proj, harm, res_eq, res_ker)
@@ -361,7 +369,6 @@ class TorsionReport:
     harmonic_source: Form
     residual_equation: float
     residual_kernel: float
-    tol: float
     norm_sq: float
     pure_norm_sq: dict = field(default_factory=dict)
 
@@ -416,7 +423,6 @@ def _torsion(bundle, kind):
         harmonic_source=Form.at(n, key, sol.harmonic_component),
         residual_equation=sol.residual_equation,
         residual_kernel=sol.residual_kernel,
-        tol=tol,
         norm_sq=bundle.l2_inner(form, form).real,
         pure_norm_sq=pure_norm_sq,
     )

@@ -154,7 +154,8 @@ class HermitianMetric:
         """The smallest eigenvalue of 0.5 (H + H^H), each metric's for a checked stack:
         the one check() kept (same expression, same bits), else computed here."""
         if self._lambda_min is None:
-            return float(np.linalg.eigvalsh(0.5 * (self.h + self.h.conj().T))[0])
+            lam = np.linalg.eigvalsh(0.5 * (self.h + self.h.conj().swapaxes(-1, -2)))[..., 0]
+            return lam if lam.ndim else float(lam)
         return self._lambda_min
 
     def scaled(self, lam):
@@ -434,15 +435,16 @@ class OperatorBundle:
         """Matrix of diff codiff + codiff diff: which in {"d", "del", "dbar"}.
 
         "d" takes a total degree k; "del"/"dbar" take a bidegree (p, q).  codiff(which,
-        key) gives the codifferentials, the bundle's own by default.
+        key) gives the codifferentials, the bundle's own by default, or stacks of them
+        (variation's derivatives along a stack of directions) the sum broadcasts over.
         """
         codiff = codiff or self.codiff
         prev, nxt = neighbor(which, key, -1), neighbor(which, key, 1)
         mat = np.zeros((self.dim(which, key),) * 2, dtype=complex)
         if self.dim(which, prev):
-            mat += self.alg.diff(which, prev) @ codiff(which, key)
+            mat = mat + self.alg.diff(which, prev) @ codiff(which, key)
         if self.dim(which, nxt):
-            mat += codiff(which, nxt) @ self.alg.diff(which, key)
+            mat = mat + codiff(which, nxt) @ self.alg.diff(which, key)
         return mat
 
     def gram_for(self, which, key):

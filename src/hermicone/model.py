@@ -239,6 +239,14 @@ def require_valid(model):
     return report
 
 
+def valid_algebra(obj):
+    """The algebra of a model that require_valid passes; an ExteriorAlgebra as given."""
+    if isinstance(obj, ExteriorAlgebra):
+        return obj
+    require_valid(obj)
+    return algebra_for(obj)
+
+
 _CATALOG = {
     "torus2": ("torus2", 2, ()),
     "torus3": ("torus3", 3, ()),

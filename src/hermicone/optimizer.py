@@ -20,19 +20,15 @@ import numpy as np
 
 from .errors import (EmptyCone, InfeasibleStart, LineSearchFailure, NotPositive,
                      NotPositiveDefinite, SchemaError, ToleranceFailure)
-from .exterior import ExteriorAlgebra, Form
+from .exterior import Form
 from .functionals import SLICES, cone_slice, energy, evaluate
 from .hodge import predicates
 from .metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra
-from .model import algebra_for
+from .model import valid_algebra
 from .variation import first_variation, make_direction
 
 NULLSPACE_RTOL = 1e-10
 DEGENERACY_RTOL = 1e-6
-
-
-def _algebra_of(obj):
-    return obj if isinstance(obj, ExteriorAlgebra) else algebra_for(obj)
 
 
 def real_block_basis(n, p):
@@ -95,9 +91,10 @@ def constraint_basis(model, kind):
     kind names a SLICES cone: "skt" works on real (1,1) forms with del dbar
     = 0; "balanced" on real (n-1,n-1) forms with d = 0.  The basis is
     orthonormal in the L2 product of the identity metric, its reference.
-    An empty cone still has a slice: descend probes it for a positive point.
+    An empty cone still has a slice: descend probes it for a positive point.  A
+    model is validated first (model.valid_algebra); an ExteriorAlgebra is not.
     """
-    alg = _algebra_of(model)
+    alg = valid_algebra(model)
     n = alg.n
     cone = cone_slice(kind)
     p = cone.degree(n)
@@ -346,9 +343,9 @@ def descend(model, functional="F_tilde", start=None, nu=None,
     stall means either that the gradient is not evaluable at the iterate
     (a positivity, float-scale or tolerance failure, or a normalization
     integral that is not positive) or that the line search finds no
-    decrease above its floor.
+    decrease above its floor.  model is validated as in constraint_basis.
     """
-    alg = _algebra_of(model)
+    alg = valid_algebra(model)
     n = alg.n
     spec = energy(functional)
     basis = constraint_basis(alg, spec.slice)

@@ -11,8 +11,8 @@ the degree-preserving commutator C = [trace, gamma ^ .]; in terms of it
     d/dt codiff_t = codiff C + (-1)^(k+1) (star C star) codiff  (on degree k)
 
 for each of the three codifferentials codiff(which, key) of the bundle
-(C block diagonal on a total degree), and the Laplacian variations
-assemble from these by the product rule, once for all three complexes.
+(C block diagonal on a total degree), and the Laplacian variations are
+the bundle's laplacian (the product rule) on these, for all three complexes.
 The Gram matrix moves by G C - tr(H^-1 Gamma) G, so each projector of a Hodge
 decomposition, from a metric-free basis, moves by P C (I - P): the energy
 variations need no Laplacian variation and no Green operator at the source.
@@ -43,7 +43,8 @@ formed again on each call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -53,11 +54,11 @@ from .exterior import (DENSE_BUDGET, Form, conj_block_matrix, dim_pq, memo, neig
                        wedge_power)
 from .functionals import (SLICES, cone_slice, direction_slice, energy, evaluate,
                           normalization_integral, references)
-from .hodge import (Decomposition, decomposition, green_operator, harmonic_projector,
-                    potential_codiff, torsion, torsion_space)
+from .hodge import (_worst, decomposition, harmonic_projector, potential_map, torsion,
+                    torsion_space)
 from .metric import (DEFAULT_TOL, HermitianMetric, OperatorBundle, bundle_for_algebra,
                      random_metric)
-from .model import algebra_for
+from .model import valid_algebra
 
 FD_REL_STEP = 1e-3
 
@@ -216,19 +217,13 @@ def var_codiff_matrix(bundle, gamma, which, key):
 
 
 def laplacian_variation_matrix(bundle, gamma, which, key):
-    """d/dt of the chosen Laplacian matrix along omega + t gamma.
+    """d/dt of the chosen Laplacian matrix along omega + t gamma: the bundle's
+    laplacian, the product rule, on the codifferentials' variations.
 
     which "del"/"dbar" take a bidegree key, "d" a total degree; the result
-    acts on the same space as the Laplacian itself.
+    acts on the same space as the Laplacian itself, one per form of a stack gamma.
     """
-    prev, nxt = neighbor(which, key, -1), neighbor(which, key, 1)
-    dim = bundle.dim(which, key)
-    out = np.zeros(gamma.vec.shape[:-1] + (dim, dim), dtype=complex)
-    if bundle.dim(which, prev):
-        out += bundle.alg.diff(which, prev) @ var_codiff_matrix(bundle, gamma, which, key)
-    if bundle.dim(which, nxt):
-        out += var_codiff_matrix(bundle, gamma, which, nxt) @ bundle.alg.diff(which, key)
-    return out
+    return bundle.laplacian(which, key, partial(var_codiff_matrix, bundle, gamma))
 
 
 # ----- kernel projector variation ---------------------------------------------------
@@ -240,20 +235,15 @@ class ProjectorVariation:
 
     derivative is dP = K C (I - K) - Im C (I - Im), for the kernel and image
     projectors K and Im; image_part is P dP (I - P), which agrees with the
-    derivative exactly on inputs with vanishing harmonic component.
-    decomposition is the space's hodge.Decomposition: its kernel dimension
-    and its projectors.
+    derivative exactly on inputs with vanishing harmonic component.  P itself
+    is hodge.harmonic_projector(bundle, which, key), and its rank
+    alg.harmonic_dim(which, key).
     """
 
     which: str
     key: object
     derivative: np.ndarray
     image_part: np.ndarray
-    decomposition: Decomposition = field(repr=False)
-
-    @property
-    def kernel_dim(self):
-        return self.decomposition.kernel_dim
 
 
 def var_harmonic_projector(bundle, gamma, which, key):
@@ -269,7 +259,7 @@ def var_harmonic_projector(bundle, gamma, which, key):
     eye = np.eye(comm.shape[-1])
     derivative = dec.kernel @ comm @ (eye - dec.kernel) - dec.image @ comm @ (eye - dec.image)
     image_part = dec.harmonic @ derivative @ (eye - dec.harmonic)
-    return ProjectorVariation(which, key, derivative, image_part, dec)
+    return ProjectorVariation(which, key, derivative, image_part)
 
 
 # ----- induced metric direction of a volume-level path --------------------------------
@@ -414,11 +404,10 @@ def _var_torsion_at(bundle, kind):
     gram = bundle.gram_for(which, prev)
     det = bundle.det_h
     dec = decomposition(bundle, which, key)
-    codiff = potential_codiff(bundle, which, key)
-    green_prev = green_operator(bundle, which, prev)
     omega_src = report.source.part(key)
-    # (I - P) s for the kernel and image projectors P
-    ker_rest, im_rest = ((omega_src - p @ omega_src)[:, None] for p in (dec.kernel, dec.image))
+    # (I - P) s for the kernel and image projectors P; the report keeps P_im s
+    ker_rest = (omega_src - dec.kernel @ omega_src)[:, None]
+    im_rest = (omega_src - report.projected_source.part(key))[:, None]
     tors_norm = float(_norm(report.norm_sq))
     types = [(p, q, sl, bundle.gram(p, q)) for (p, q), sl in alg.slices(prev).items()]
     side = max(bundle.dim(which, k) for k in (prev, key, nxt))
@@ -431,7 +420,7 @@ def _var_torsion_at(bundle, kind):
             metric_dir = dirs.form
             src_vec = dirs.del_forms(alg).part(key)
         # the minimal potential of each direction's source
-        eta = green_prev @ (codiff @ (dec.image @ src_vec[..., None]))
+        eta = potential_map(bundle, which, key, dec.image @ src_vec[..., None])
         comm = _on_complex(OperatorBundle.commutator, bundle, metric_dir, which, prev)
 
         # two pairing summands per type of the torsion's space (the
@@ -449,7 +438,7 @@ def _var_torsion_at(bundle, kind):
         # the derivative its signed pairing
         comm_key = _on_complex(OperatorBundle.commutator, bundle, metric_dir, which, key)
         a_vec = dec.image @ (comm_key @ im_rest) - dec.kernel @ (comm_key @ ker_rest)
-        lift = green_prev @ (codiff @ a_vec)
+        lift = potential_map(bundle, which, key, a_vec)
         gram_lift = gram @ lift
         proj_term = 2.0 * tors_norm * (_norm(_dots(lift, gram_lift)) * np.sqrt(det))
         pairing = 2.0 * (tors_vec.conj() @ gram_lift)[..., 0].real * det
@@ -573,14 +562,9 @@ class VariationCheck:
         }
 
 
-def _amax(x):
-    arr = np.asarray(x)
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
-
-
 def _check(rows, name, detail, got, want):
-    rows.append(VariationCheck(name, detail, _amax(got), _amax(want),
-                               _amax(np.asarray(got) - np.asarray(want))))
+    rows.append(VariationCheck(name, detail, _worst(got), _worst(want),
+                               _worst(np.asarray(got) - np.asarray(want))))
 
 
 def variation_battery(model, seed=0, tuples=20):
@@ -593,9 +577,10 @@ def variation_battery(model, seed=0, tuples=20):
     plus the self-consistency rows (conjugation symmetry, omega scalings, the
     perturbation oracle).  A tuple builds its own bundle and one bundle per
     stencil point, which gives the differences of every row before the next
-    point's is built.  Returns VariationCheck rows; callers assert on rel_err.
+    point's is built.  Returns VariationCheck rows; callers assert on rel_err.  A
+    model is validated first (model.valid_algebra); an ExteriorAlgebra is not.
     """
-    alg = algebra_for(model)
+    alg = valid_algebra(model)
     n = alg.n
     rows = []
     for idx in range(tuples):
@@ -671,7 +656,7 @@ def variation_battery(model, seed=0, tuples=20):
         dimk = alg.dim_total(k)
         if dimk:
             v = rng.standard_normal(dimk) + 1j * rng.standard_normal(dimk)
-            v0 = v - pv.decomposition.harmonic @ v
+            v0 = v - harmonic_projector(b, "d", k) @ v
             _check(rows, "projector_deflated", tag, pv.image_part @ v0, fd @ v0)
             _check(rows, "projector_oracle", tag, pv.image_part @ v0,
                    pv.derivative @ v0)

@@ -358,7 +358,7 @@ def loop_variation_battery(model, seed=0, tuples=20):
         dimk = alg.dim_total(k)
         if dimk:
             v = rng.standard_normal(dimk) + 1j * rng.standard_normal(dimk)
-            v0 = v - pv.decomposition.harmonic @ v
+            v0 = v - harmonic_projector(b, "d", k) @ v
             _loop_check(rows, "projector_deflated", tag, pv.image_part @ v0, fd_proj @ v0)
             _loop_check(rows, "projector_oracle", tag, pv.image_part @ v0,
                         pv.derivative @ v0)

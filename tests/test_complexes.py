@@ -241,7 +241,8 @@ def test_harmonic_and_green_match_written_projector_forms(catalog_bundle):
     for which, key in _cases(b):
         dec = hodge.decomposition(b, which, key)
         assert dec is hodge.decomposition(b, which, key), (which, key)
-        assert dec.kernel_dim == b.alg.harmonic_dim(which, key), (which, key)
+        assert abs(np.trace(dec.harmonic) - b.alg.harmonic_dim(which, key)) <= 1e-8, \
+            (which, key)
         assert np.array_equal(harmonic_projector(b, which, key), dec.kernel - dec.image)
         # the Laplacian of the solved codifferentials plus its harmonic projector is
         # invertible, with inverse green + harmonic
@@ -253,13 +254,13 @@ def test_harmonic_and_green_match_written_projector_forms(catalog_bundle):
 
 
 def test_kernel_cut_is_made_once_per_space(monkeypatch):
-    counted, harmonic_dim = [], ExteriorAlgebra.harmonic_dim
+    counted, init = [], hodge.Decomposition.__init__
 
-    def counting(alg, which, key):
+    def counting(dec, bundle, which, key):
         counted.append((which, key))
-        return harmonic_dim(alg, which, key)
+        init(dec, bundle, which, key)
 
-    monkeypatch.setattr(ExteriorAlgebra, "harmonic_dim", counting)
+    monkeypatch.setattr(hodge.Decomposition, "__init__", counting)
     eighs, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: eighs.append(a) or eigh(*a, **kw))
     b = _bundle("iwasawa", 3)
@@ -301,14 +302,14 @@ def test_harmonic_dims_are_the_cohomology(name):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_kernel_dim_eigenvalues_lie_below_the_spectrum(seed):
-    # at a random metric, the kernel_dim smallest eigenvalues are the ones at rounding
+    # at a random metric, the harmonic_dim smallest eigenvalues are the ones at rounding
     # level and no others: the metric-free count and the spectrum agree
     for name in catalog_names():
         b = _bundle(name, seed)
         for which, key in _cases(b):
             eigs = b.spectral(which, key).eigenvalues
             below = np.count_nonzero(eigs <= 1e-9 * eigs.max(initial=0.0))
-            assert below == hodge.decomposition(b, which, key).kernel_dim, (name, which, key)
+            assert below == b.alg.harmonic_dim(which, key), (name, which, key)
 
 
 # ----- block maps: ExteriorAlgebra.apply / total against the loops they replaced ---------

@@ -86,6 +86,17 @@ def test_a_stack_is_checked_metric_by_metric():
     assert HermitianMetric(np.stack([good, 2 * good])).check().n == 2
 
 
+def test_an_unchecked_stack_has_the_smallest_eigenvalues_check_keeps():
+    # each metric's Hermitian part: the last two axes of the stack are transposed
+    rng = np.random.default_rng(3)
+    h = np.stack([random_metric(3, rng).h for _ in range(2)])
+    got = HermitianMetric(h).min_eigenvalue()
+    kept = HermitianMetric(h).check().min_eigenvalue()
+    assert got.shape == (2,) and got.tobytes() == kept.tobytes()
+    one = HermitianMetric(h[1])
+    assert one.min_eigenvalue() == one.check().min_eigenvalue() == kept[1]
+
+
 @pytest.mark.parametrize("entry", [
     "predicates", "torsion rho", "torsion gamma",
     *(f"{call} {functional}" for call in ("evaluate", "first_variation")

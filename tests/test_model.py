@@ -13,12 +13,14 @@ from .oracles import loop_derivation_table
 from hermicone import exterior as exterior_module
 from hermicone import model as model_module
 from hermicone.cli import main
-from hermicone.errors import (ModelNotUnimodular, SchemaError,
+from hermicone.errors import (ModelInvalid, ModelNotUnimodular, SchemaError,
                               UnknownCatalogName)
 from hermicone.exterior import ExteriorAlgebra, dim_pq
 from hermicone.model import (VALIDATION_TOL, algebra_for, catalog, catalog_names,
                              certified_d_squared, make_model,
                              parse_model, require_valid, serialize_model, validate_model)
+from hermicone.optimizer import constraint_basis, descend
+from hermicone.variation import variation_battery
 
 
 def test_catalog_names_fixed():
@@ -345,3 +347,17 @@ def test_eval_g_at_n8_stays_small(tmp_path):
     code, peak_kb = map(int, run.stdout.split())
     assert code == 0
     assert peak_kb / 1024 < 300
+
+
+@pytest.mark.parametrize("model", [make_model("bad", 2, [(2, "anti", 1, 2, 1.0)]),
+                                   make_model("nonuni", 2, [(2, "mixed", 1, 2, 1.0)])],
+                         ids=["antiholomorphic", "d_squared"])
+def test_the_python_api_refuses_an_invalid_model(model):
+    # the Python entries refuse what build_bundle and the CLI refuse; an algebra is
+    # taken as validated by its caller
+    calls = (lambda m: descend(m, "F", steps=2), lambda m: constraint_basis(m, "skt"),
+             lambda m: variation_battery(m, tuples=1))
+    for call in calls:
+        with pytest.raises(ModelInvalid):
+            call(model)
+    assert constraint_basis(algebra_for(model), "skt").dimension >= 0

@@ -288,6 +288,24 @@ def test_a_direction_gets_the_same_bits_in_any_stack(name, functional, monkeypat
         assert _bits_each(chunked) == want, per_chunk
 
 
+@pytest.mark.parametrize("name", ["kodaira_thurston", "iwasawa", "iwasawa_x_t1"])
+def test_laplacian_variation_of_a_stack_is_each_directions_bit_for_bit(name):
+    # the bundle's laplacian sums a stack of codifferential variations by broadcasting
+    alg = algebra_for(MODELS[name])
+    rng = np.random.default_rng(6)
+    b = bundle_for_algebra(alg, random_metric(alg.n, rng))
+    stack = _form_stack([random_form(alg.n, [(1, 1)], rng, real=True) for _ in range(3)])
+    keys = [(p, q) for p in range(alg.n + 1) for q in range(alg.n + 1)]
+    cases = [("d", k) for k in range(2 * alg.n + 1)] \
+        + [(which, pq) for which in ("del", "dbar") for pq in keys]
+    for which, key in cases:
+        got = variation.laplacian_variation_matrix(b, stack, which, key)
+        want = [variation.laplacian_variation_matrix(b, one, which, key)
+                for one in _form_rows(stack)]
+        assert got.shape == (3,) + want[0].shape, (which, key)
+        assert [row.tobytes() for row in got] == [w.tobytes() for w in want], (which, key)
+
+
 # ----- vetting a stack ----------------------------------------------------------------
 
 
