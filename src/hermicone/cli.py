@@ -72,11 +72,11 @@ class _CliFailure(Exception):
 # flat torus), and the SVD of d(n) behind the basis, whose right factor is up to N x N.
 # verify audits its metrics in chunks, one bundle over a stack of c metrics each
 # (_verify_chunk).  Per metric the stack keeps the Gram blocks, their inverses, the star,
-# trace and del/dbar codifferential blocks, about 5 N^2 entries (n = 5: 5.2 MB, with
-# 0.8 MB more for the powers of omega), and the walk forms r x N factors and N x r
-# columns per degree.  c = max(1, DENSE_BUDGET // (64 N^2)) keeps c times 64 N^2
-# entries, a bound on all of it, within the budget: 163 metrics at n = 3, 13 at n = 4
-# and one from n = 5 on, where a second bundle would raise the job's peak memory.
+# trace and d^* blocks, about 5 N^2 entries (n = 5: 5.2 MB, with 0.8 MB more for the
+# powers of omega), and the walk forms r x N factors and N x r columns per degree.
+# c = max(1, DENSE_BUDGET // (64 N^2)) keeps c times 64 N^2 entries, a bound on all of
+# it, within the budget: 163 metrics at n = 3, 13 at n = 4 and one from n = 5 on, where
+# a second bundle would raise the job's peak memory.
 
 
 def dense_side(subcommand, n, functional=None):

@@ -39,9 +39,10 @@ Conventions fixed here and used everywhere else:
   dimension of that space's Laplacian at every metric.
 * Work that depends on one object alone is kept on it by memo: d and its bases on its
   algebra, the matrices of form ^ . and the powers of a form on the form, the
-  metric operators on their bundle.  A kept array is read-only.  No key holds
-  a Form: an entry would keep the form alive as long as its owner, so work on
-  a form and a bundle together (a commutator) is formed again on each call.
+  metric operators on their bundle.  A kept array is read-only, inside a kept tuple,
+  dict or object too.  No key holds a Form: an entry would keep the form alive as
+  long as its owner, so work on a form and a bundle together (a commutator) is
+  formed again on each call.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache, wraps
+from inspect import signature
 
 import numpy as np
 
@@ -63,11 +65,16 @@ RANK_RTOL = 1e-10
 
 
 def memo(method):
-    """Keep method(self, *key) in self._memo, built on the first call with that key.
-    An array result is made read-only, as every caller shares it.  A Form key is
-    refused (TypeError): its entry would keep the form alive for the owner's life."""
+    """Keep method(self, *key) in self._memo, built on the first call with that key;
+    keywords are bound to their positions, so a keyword call finds the positional
+    call's entry.  A kept array is made read-only, as every caller shares it, and so
+    is each array in a kept tuple or dict and each array attribute of a kept object.
+    A Form key is refused (TypeError): its entry would keep the form alive for the
+    owner's life."""
     @wraps(method)
-    def kept(self, *key):
+    def kept(self, *key, **named):
+        if named:
+            return kept(self, *signature(method).bind(self, *key, **named).args[1:])
         try:
             return self._memo[method, key]
         except KeyError:
@@ -82,8 +89,11 @@ def memo(method):
         if any(isinstance(k, Form) for k in key):
             raise TypeError(f"{method.__qualname__} cannot be kept under a Form key")
         out = self._memo[method, key] = method(self, *key)
-        if isinstance(out, np.ndarray):
-            out.setflags(write=False)
+        members = out.values() if isinstance(out, dict) else out if isinstance(out, tuple) \
+            else getattr(out, "__dict__", {}).values()
+        for arr in (out, *members):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
         return out
     return kept
 
@@ -571,7 +581,6 @@ class ExteriorAlgebra:
         top = found[0][1].start
         mat = np.zeros((found[-1][1].stop - top, src.stop - src.start), dtype=complex)
         mat[rows - top, cols[lo:hi] - src.start] = vals[lo:hi]
-        mat.setflags(write=False)
         return {tgt: mat[sl.start - top:sl.stop - top] for tgt, sl in found}
 
     def diff(self, which, key):
@@ -620,8 +629,6 @@ class ExteriorAlgebra:
         kernel = np.zeros((len(cols), len(cols) - rank), dtype=complex)
         kernel[~cols, np.arange(zero)] = 1.0
         kernel[cols, zero:] = vh[rank:].conj().T
-        for arr in (image, kernel):
-            arr.setflags(write=False)
         return image, kernel
 
     def harmonic_dim(self, which, key):

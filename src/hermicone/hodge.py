@@ -90,9 +90,10 @@ class Decomposition:
     """The Hodge decomposition of one space as dense G-orthogonal projectors, G its
     Gram matrix: image onto the image of diff(which, prev), kernel onto the kernel of
     diff(which, key), and harmonic = kernel - image onto the kernel of the Laplacian,
-    of dimension alg.harmonic_dim(which, key).  The job path reads these;
-    verify's walk keeps the projectors as their factors instead (_factors).  It keeps
-    no reference to the bundle, which would make every bundle cyclic garbage."""
+    of dimension alg.harmonic_dim(which, key), read-only once kept (decomposition).
+    The job path reads these; verify's walk keeps the projectors as their factors
+    instead (_factors).  It keeps no reference to the bundle, which would make every
+    bundle cyclic garbage."""
 
     def __init__(self, bundle, which, key):
         alg, gram = bundle.alg, bundle.gram_for(which, key)
@@ -188,10 +189,7 @@ def _probes(alg, k):
     qc, kc, w = image @ unit(image.shape[1]), kernel @ unit(kernel.shape[1]), unit(len(kernel))
     down = alg.total_times(alg.d_blocks, k - 1, k, unit(alg.dim("d", k - 1))) if k \
         else w[:, :0]
-    out = qc, kc, w, down, unit(alg.dim("d", k + 1))
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    return qc, kc, w, down, unit(alg.dim("d", k + 1))
 
 
 def _worst(x):

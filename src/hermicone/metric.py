@@ -8,20 +8,21 @@ with its complement) and the trace operators (adjoints of omega ^ ., whose
 matrices omega keeps).  The (p, q) Gram matrix is kron(C_p, C_q^T), C_p the
 p-th compound of H^{-1}; compounds are multiplicative (Cauchy-Binet), so its
 inverse is the same product of the compounds of H, and every adjoint
-A^* = G_src^{-1} A^H G_tgt is two matrix products, with no solve.  For each
-of the three complexes (which = "d" on total degrees, "del" and "dbar" on
-bidegrees) it keeps one codifferential codiff(which, key); on a total degree
-it is assembled from the adjoints of the bidegree blocks of d, as the
-total-degree Gram is block diagonal by bidegree, so no total-degree Gram is
-solved or inverted.  The closed-form inverse is the exact inverse of the
-computed Gram only to ~eps kappa(H); hodge's Green operator and potentials,
-whose kernel residual gate measures against the computed Gram, solve for their
-codifferentials instead (hodge.potential_codiff).  What a job reads once is
-formed on each call: the
-commutators [trace, gamma ^ .] of the variation formulas, each Laplacian
-laplacian(which, key), and the diagnostic spectral data of one: numpy's eigh
-of the Laplacian reduced by the Gram's Cholesky factor (the Hermitian-definite
-pencil reduction), whose eigenvectors are G-orthonormal.  No job reads the
+A^* = G_src^{-1} A^H G_tgt is two matrix products, with no solve.  The adjoints of
+the blocks of d are formed in one place and kept as one block map, d^* from (p, q)
+(_codiff_blocks): a block for each block of d that lands on (p, q), del, dbar or
+antiholomorphic.  Every codifferential reads it: codiff(which, key) of the three
+complexes (which = "d" on total degrees, "del" and "dbar" on bidegrees) takes its
+block, or on a total degree places them all, as the total-degree Gram is block
+diagonal by bidegree, so no total-degree Gram is solved or inverted; d_star applies
+it to a form and verify to its columns.  The closed-form inverse is the exact
+inverse of the computed Gram only to ~eps kappa(H); hodge's Green operator and
+potentials, whose kernel residual gate measures against the computed Gram, solve for
+their codifferentials instead (hodge.potential_codiff).  What a job reads once is
+formed on each call: the commutators [trace, gamma ^ .] of the variation formulas,
+each Laplacian laplacian(which, key), and the diagnostic spectral data of one:
+numpy's eigh of the Laplacian reduced by the Gram's Cholesky factor (the
+Hermitian-definite pencil reduction), whose eigenvectors are G-orthonormal.  No job reads the
 spectral data: the Hodge decompositions come from the algebra's metric-free
 bases.  The bundle also carries the tolerance tol of its predicates and of its
 potentials' residual gates, and keeps the Hodge decompositions and Green
@@ -381,30 +382,29 @@ class OperatorBundle:
 
     @memo
     def codiff(self, which, key):
-        """Matrix of the adjoint of diff(which, .) from key to neighbor(which, key, -1).
-
-        "d" is assembled from the bigraded blocks (_codiff_blocks), as the Gram is
-        block diagonal, so no total-degree Gram is solved or inverted; verify applies
-        those blocks to its columns instead (ExteriorAlgebra.total_times)."""
+        """Matrix of the adjoint of diff(which, .) from key to neighbor(which, key, -1),
+        read off the kept d^* blocks (_codiff_blocks): "del" and "dbar" take their one
+        block, zeros where d has none, and "d" places every block of its total degree,
+        as the Gram is block diagonal, so no total-degree Gram is solved or inverted;
+        verify applies those blocks to its columns instead (ExteriorAlgebra.total_times)."""
         prev = neighbor(which, key, -1)
         if which == "d":  # a map that places no block gives a matrix with no stack axis
             mat = self.alg.total(self._codiff_blocks, key, prev)
             return np.broadcast_to(mat, self.lead + mat.shape[-2:])
-        if self.dim(which, prev) == 0:
-            return np.zeros(self.lead + (0, self.dim(which, key)), dtype=complex)
-        return _adjoint(self.alg.diff(which, prev), self.gram_inv(*prev), self.gram(*key))
+        mat = self._codiff_blocks(*key).get(prev) if self.dim(which, prev) else None
+        return np.zeros(self.lead + (self.dim(which, prev), self.dim(which, key)),
+                        dtype=complex) if mat is None else mat
 
+    @memo
     def _codiff_blocks(self, p, q):
-        """d^* from (p, q) as a block map: the adjoint of every block of d that lands on
-        (p, q).  The del and dbar blocks are codiff's own; any other comes from an
-        antiholomorphic term below VALIDATION_TOL and is formed here."""
+        """d^* from (p, q) as a block map, kept: the adjoint of every block of d that
+        lands on (p, q), the del and dbar blocks and any antiholomorphic one, from a term
+        below VALIDATION_TOL.  The one place where an adjoint of d is formed."""
         blocks = {}
         for src in self.alg.slices(p + q - 1) if p + q else ():
             mat = self.alg.d_blocks(*src).get((p, q))
             if mat is not None:
-                which = {(p - 1, q): "del", (p, q - 1): "dbar"}.get(src)
-                blocks[src] = self.codiff(which, (p, q)) if which else \
-                    _adjoint(mat, self.gram_inv(*src), self.gram(p, q))
+                blocks[src] = _adjoint(mat, self.gram_inv(*src), self.gram(p, q))
         return blocks
 
     # the per-complex names bind perfbench/tracing.py TARGETS; the package calls codiff
@@ -417,19 +417,9 @@ class OperatorBundle:
     def d_star_total(self, k):
         return self.codiff("d", k)
 
-    def _bigraded_codiff(self, which, form):
-        """del^* or dbar^* of a form, block by block."""
-        return self.alg.apply(
-            lambda p, q: {neighbor(which, (p, q), -1): self.codiff(which, (p, q))}, form)
-
-    def del_star(self, form):
-        return self._bigraded_codiff("del", form)
-
-    def dbar_star(self, form):
-        return self._bigraded_codiff("dbar", form)
-
     def d_star(self, form):
-        return self.del_star(form) + self.dbar_star(form)
+        """d^* of a form, every kept block of d^* applied (_codiff_blocks)."""
+        return self.alg.apply(self._codiff_blocks, form)
 
     def laplacian(self, which, key, codiff=None):
         """Matrix of diff codiff + codiff diff: which in {"d", "del", "dbar"}.

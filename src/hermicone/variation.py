@@ -240,8 +240,6 @@ class ProjectorVariation:
     alg.harmonic_dim(which, key).
     """
 
-    which: str
-    key: object
     derivative: np.ndarray
     image_part: np.ndarray
 
@@ -259,7 +257,7 @@ def var_harmonic_projector(bundle, gamma, which, key):
     eye = np.eye(comm.shape[-1])
     derivative = dec.kernel @ comm @ (eye - dec.kernel) - dec.image @ comm @ (eye - dec.image)
     image_part = dec.harmonic @ derivative @ (eye - dec.harmonic)
-    return ProjectorVariation(which, key, derivative, image_part)
+    return ProjectorVariation(derivative, image_part)
 
 
 # ----- induced metric direction of a volume-level path --------------------------------

@@ -204,3 +204,84 @@ def test_verify_forms_no_total_degree_gram_codiff_d_or_decomposition(
     path.write_text(serialize_model(make_model(f"verify{n}", n, terms)))
     assert cli.main(["verify", "--model", str(path), "--metrics", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["report"]["pass"] is True
+
+
+def test_a_keyword_call_finds_the_positional_entry():
+    b = seeded_bundle("iwasawa", seed=1)
+    for kept, named in ((b.gram(1, 1), lambda: b.gram(p=1, q=1)),
+                        (b.codiff("d", 2), lambda: b.codiff("d", key=2)),
+                        (b.compound(2, True), lambda: b.compound(2, of_h=True)),
+                        (hodge.green_operator(b, "d", 2),
+                         lambda: hodge.green_operator(b, "d", key=2))):
+        assert named() is kept
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        b.gram(1, 1, r=1)
+
+
+def kept_arrays(owners):
+    """(where, array) for each array the memo tables of owners hold, once each: an entry,
+    a tuple, list or dict member, an attribute of a kept object, or a kept Form's vector
+    and entries, at any depth."""
+    seen = set()
+
+    def entries(owner, where):
+        for (fn, key), value in getattr(owner, "_memo", {}).items():
+            yield from walk(value, where + (fn.__name__, key))
+
+    def walk(value, where):
+        if id(value) in seen:
+            return
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            yield where, value
+        elif isinstance(value, Form):
+            yield from walk(value.vec, where + ("vec",))
+            yield from entries(value, where)
+        else:
+            members = enumerate(value) if isinstance(value, (tuple, list)) \
+                else value.items() if isinstance(value, dict) \
+                else vars(value).items() if hasattr(value, "__dict__") else ()
+            for name, member in members:
+                yield from walk(member, where + (name,))
+
+    for owner in owners:
+        yield from entries(owner, (type(owner).__name__,))
+
+
+def _writable_kept_arrays(owners):
+    return [where for where, arr in kept_arrays(owners) if arr.flags.writeable]
+
+
+def test_every_array_a_job_keeps_is_read_only(monkeypatch, tmp_path, capsys, fresh_caches):
+    # every bundle, algebra, form and direction the jobs make is held, and each memo
+    # table is walked once all jobs have run
+    owners = []
+    for cls in (OperatorBundle, ExteriorAlgebra, Form, Direction):
+        def recording(self, *args, _init=cls.__init__, **kwargs):
+            owners.append(self)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", recording)
+    path = tmp_path / "iwasawa_anti.json"
+    path.write_text(serialize_model(make_model(
+        "iwasawa_anti", 3, [(3, "holo", 1, 2, -1.0), (3, "anti", 1, 2, 1e-13)])))
+    sources = [(["--catalog", name], "G" if name == "iwasawa" else "F")
+               for name in ("iwasawa", "kodaira_thurston", "torus2", "torus3")]
+    for source, functional in sources + [(["--model", str(path)], "G")]:
+        for job in (["eval", "--functional", functional], ["torsion"],
+                    ["verify", "--metrics", "2"], ["varcheck", "--tuples", "2"],
+                    ["descend", "--functional", functional, "--steps", "3"]):
+            assert cli.main(job + source) == 0, (job, source)
+    capsys.readouterr()
+    kinds = {type(owner) for owner in owners if getattr(owner, "_memo", None)}
+    assert kinds == {OperatorBundle, ExteriorAlgebra, Form, Direction}
+    assert _writable_kept_arrays(owners) == []
+    assert any(fn.__name__ == "_codiff_blocks" for owner in owners
+               for fn, _ in getattr(owner, "_memo", {}))
+
+
+def test_the_walk_finds_a_writable_kept_array():
+    b = seeded_bundle("kodaira_thurston", seed=5)
+    b.gram(1, 1)
+    hidden = np.zeros(2)
+    b._memo[OperatorBundle.gram.__wrapped__, (0, 0)] = ({"block": [hidden]},)
+    assert _writable_kept_arrays([b]) == [("OperatorBundle", "gram", (0, 0), 0, "block", 0)]

@@ -179,7 +179,12 @@ def test_projector_variation_applied_forms():
     kernel = hodge.harmonic_projector(b, "d", 3) @ vec
     assert np.sqrt(max((kernel.conj() @ (b.gram_for("d", 3) @ kernel)).real, 0.0)) <= 1e-10
     assert np.max(np.abs(var.image_part @ vec - var.derivative @ vec)) <= 1e-10
-    assert b.alg.harmonic_dim("d", 3) >= 0
+    # image_part = P dP (I - P) vanishes on the harmonic part of any vector
+    rng = np.random.default_rng(4)
+    w = rng.standard_normal(len(vec)) + 1j * rng.standard_normal(len(vec))
+    harmonic = hodge.harmonic_projector(b, "d", 3) @ w
+    assert np.max(np.abs(harmonic)) >= 1e-3 and np.max(np.abs(var.image_part)) >= 1e-3
+    assert np.max(np.abs(var.image_part @ harmonic)) <= 1e-12
 
 
 @pytest.mark.parametrize("name,functional", [("kodaira_thurston", "F"),
