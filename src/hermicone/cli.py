@@ -32,14 +32,14 @@ from .errors import (DegenerateDimension, DegreeOutOfRange, DimensionMismatch,
                      NotPositiveDefinite, NotSKT, SchemaError, StepTooLarge,
                      ToleranceFailure, UnknownCatalogName)
 from .exterior import DENSE_BUDGET
-from .functionals import evaluate
+from .functionals import energy, evaluate
 from .hodge import basis_residuals, predicates, three_space_residuals, torsion
 from .metric import (DEFAULT_TOL, HermitianMetric, bundle_for_algebra, identity_suite,
                      random_metric)
 from .model import (algebra_for, catalog, catalog_names, parse_model,
                     require_valid, serialize_model, validate_model)
 from .optimizer import descend
-from .variation import variation_battery
+from .variation import BATTERY_THRESHOLD, ORACLE_THRESHOLD, variation_battery
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -49,8 +49,6 @@ EXIT_TOLERANCE = 5
 EXIT_INFEASIBLE = 6
 
 IDENTITY_THRESHOLD = 1e-10
-BATTERY_THRESHOLD = 1e-5
-ORACLE_THRESHOLD = 1e-6
 
 _FUNCTIONALS = {"F": "F", "G": "G", "H": "H", "Ftilde": "F_tilde"}
 
@@ -93,15 +91,16 @@ def dense_side(subcommand, n, functional=None):
 
     if subcommand in ("verify", "varcheck"):
         return math.comb(2 * n, n)
+    reads = energy(_FUNCTIONALS[functional]).torsion if functional else None
     rho = math.comb(2 * n, min(4, n))
     if subcommand == "descend":
         widest = bideg(n // 2, (n + 1) // 2)
-        return max(widest, rho) if functional in ("F", "Ftilde") else widest
+        return max(widest, rho) if reads == "rho" else widest
     predicates = max(bideg(1, 1), bideg(2, 2))
     gamma = max(bideg(n - 1, q) for q in range(max(0, n - 4), n + 1))
     if subcommand == "torsion":
         return max(predicates, rho, gamma)
-    return max(predicates, {"F": rho, "Ftilde": rho, "G": gamma, "H": 0}[functional])
+    return max(predicates, {"rho": rho, "gamma": gamma, None: 0}[reads])
 
 
 def _require_budget(args, n):
@@ -354,13 +353,7 @@ def _cmd_eval(args):
 def _cmd_varcheck(args):
     model, source = _load_model(args)
     rows = variation_battery(model, seed=args.seed, tuples=args.tuples)
-
-    def threshold_for(name):
-        return ORACLE_THRESHOLD if name in ("projector_oracle",
-                                            "omega_scaling_projector") \
-            else BATTERY_THRESHOLD
-
-    failures = [r for r in rows if r.rel_err > threshold_for(r.name)]
+    failures = [r for r in rows if r.rel_err > r.threshold]
     worst = {}
     for r in rows:
         worst[r.name] = max(worst.get(r.name, 0.0), r.rel_err)

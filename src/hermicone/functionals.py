@@ -160,7 +160,7 @@ def eval_F_tilde(bundle, nu):
     value = f.value / integral ** bundle.n
     ing = dict(f.ingredients)
     ing.update({"F": f.value, "normalization_integral": float(integral)})
-    return FunctionalValue("Ftilde", float(value), ing)
+    return FunctionalValue("F_tilde", float(value), ing)
 
 
 def references(bundle, functional, nu=None, weight_bundle=None):

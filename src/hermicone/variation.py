@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import methodcaller
 
 import numpy as np
 
@@ -528,15 +529,19 @@ def _fd_along(bundle, direction, step, extracts):
 
 # ----- the check battery ---------------------------------------------------------------
 
+BATTERY_THRESHOLD = 1e-5  # the threshold of every row but the two below
+ORACLE_THRESHOLD = 1e-6  # of the exact oracle rows projector_oracle, omega_scaling_projector
+
 
 @dataclass
 class VariationCheck:
-    """One audited derivative: closed form against its reference.
+    """One audited derivative: closed form against its reference, judged at threshold.
 
     analytic and fd record the largest magnitudes of the two sides (fd is
     a finite difference for most rows, an independent closed form for the
     self-consistency rows).  rel_err divides by max(1, analytic, fd) so
-    rows whose entries are tiny are judged on absolute error.
+    rows whose entries are tiny are judged on absolute error.  to_row() leaves
+    threshold out: a report states the two thresholds once.
     """
 
     name: str
@@ -544,6 +549,7 @@ class VariationCheck:
     analytic: float
     fd: float
     abs_err: float
+    threshold: float
 
     @property
     def rel_err(self):
@@ -560,9 +566,9 @@ class VariationCheck:
         }
 
 
-def _check(rows, name, detail, got, want):
+def _check(rows, name, detail, got, want, threshold=BATTERY_THRESHOLD):
     rows.append(VariationCheck(name, detail, _worst(got), _worst(want),
-                               _worst(np.asarray(got) - np.asarray(want))))
+                               _worst(np.asarray(got) - np.asarray(want)), threshold))
 
 
 def variation_battery(model, seed=0, tuples=20):
@@ -573,10 +579,13 @@ def variation_battery(model, seed=0, tuples=20):
     star, trace, the Gram matrix, the three codifferentials, the three Laplacians
     and the kernel projector against Richardson-extrapolated central differences,
     plus the self-consistency rows (conjugation symmetry, omega scalings, the
-    perturbation oracle).  A tuple builds its own bundle and one bundle per
-    stencil point, which gives the differences of every row before the next
-    point's is built.  Returns VariationCheck rows; callers assert on rel_err.  A
-    model is validated first (model.valid_algebra); an ExteriorAlgebra is not.
+    perturbation oracle).  Each differenced row is one entry of a table in report
+    order: name, closed form and the matrix it is differenced against.  A tuple
+    builds its own bundle and one bundle per stencil point, which gives the
+    differences of every row before the next point's is built.  Every row carries
+    its threshold, ORACLE_THRESHOLD on projector_oracle and omega_scaling_projector
+    and BATTERY_THRESHOLD on the rest.  A model is validated first
+    (model.valid_algebra); an ExteriorAlgebra is not.
     """
     alg = valid_algebra(model)
     n = alg.n
@@ -588,38 +597,34 @@ def variation_battery(model, seed=0, tuples=20):
         gm = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         gm = 0.5 * (gm + gm.conj().T)
         gamma = HermitianMetric(gm).form()
-        along = Direction("metric", gamma)
         omega = b.omega
-        step = default_step(met)
         p = int(rng.integers(0, n + 1))
         q = int(rng.integers(0, n + 1))
         k = p + q
         tag = f"tuple {idx} (p,q)=({p},{q})"
-
-        # the projector's differences come from the same stencil bundles as the others
-        pv = var_harmonic_projector(b, gamma, "d", k)
-        complexes = (("del", (p, q)), ("dbar", (p, q)), ("d", k))
-        extracts = [lambda bb: bb.star_block(p, q), lambda bb: bb.trace_block(p, q),
-                    lambda bb: bb.gram(p, q)]
-        extracts += [lambda bb, w=which, kk=key: bb.codiff(w, kk) for which, key in complexes]
-        extracts += [lambda bb, w=which, kk=key: bb.laplacian(w, kk)
-                     for which, key in complexes]
-        extracts.append(lambda bb: harmonic_projector(bb, "d", k))
-        fds = iter(_fd_along(b, along, step, extracts))
-
-        _check(rows, "star", tag, var_star_matrix(b, gamma, p, q), next(fds))
-        _check(rows, "trace", tag, var_trace_matrix(b, gamma, p, q), next(fds))
-        # the premise of the projector derivative: dG = G (C - tr(H^-1 Gamma) I)
         comm = b.commutator(gamma, p, q)
         g = b.gram(p, q)
-        _check(rows, "gram", tag, g @ (comm - np.trace(b.h_inv @ gm) * np.eye(len(g))),
-               next(fds))
-        for which, key in complexes:
-            _check(rows, f"{which}_star", tag, var_codiff_matrix(b, gamma, which, key),
-                   next(fds))
-        for which, key in complexes:
-            _check(rows, f"laplacian_{which}", tag,
-                   laplacian_variation_matrix(b, gamma, which, key), next(fds))
+        complexes = (("del", (p, q)), ("dbar", (p, q)), ("d", k))
+        differenced = [
+            ("star", partial(var_star_matrix, gamma=gamma, p=p, q=q),
+             methodcaller("star_block", p, q)),
+            ("trace", partial(var_trace_matrix, gamma=gamma, p=p, q=q),
+             methodcaller("trace_block", p, q)),
+            # the premise of the projector derivative: dG = G (C - tr(H^-1 Gamma) I)
+            ("gram", lambda bb: g @ (comm - np.trace(bb.h_inv @ gm) * np.eye(len(g))),
+             methodcaller("gram", p, q)),
+            *[(f"{w}_star", partial(var_codiff_matrix, gamma=gamma, which=w, key=key),
+               methodcaller("codiff", w, key)) for w, key in complexes],
+            *[(f"laplacian_{w}",
+               partial(laplacian_variation_matrix, gamma=gamma, which=w, key=key),
+               methodcaller("laplacian", w, key)) for w, key in complexes],
+        ]
+        # the projector's differences come from the same stencil bundles as the others
+        *fds, fd_proj = _fd_along(b, Direction("metric", gamma), default_step(met),
+                                  [extract for _, _, extract in differenced]
+                                  + [lambda bb: harmonic_projector(bb, "d", k)])
+        for (name, closed, _), fd in zip(differenced, fds):
+            _check(rows, name, tag, closed(b), fd)
 
         # commutator self-adjointness and the gamma = omega normalization
         _check(rows, "commutator_selfadjoint", tag, g @ comm, comm.conj().T @ g)
@@ -649,16 +654,16 @@ def variation_battery(model, seed=0, tuples=20):
         # projector derivative: full two-term formula against differences,
         # one-term restriction on a deflated vector, and the exact
         # vanishing of the derivative along omega itself
-        fd = next(fds)
-        _check(rows, "projector", tag, pv.derivative, fd)
+        pv = var_harmonic_projector(b, gamma, "d", k)
+        _check(rows, "projector", tag, pv.derivative, fd_proj)
         dimk = alg.dim_total(k)
         if dimk:
             v = rng.standard_normal(dimk) + 1j * rng.standard_normal(dimk)
             v0 = v - harmonic_projector(b, "d", k) @ v
-            _check(rows, "projector_deflated", tag, pv.image_part @ v0, fd @ v0)
+            _check(rows, "projector_deflated", tag, pv.image_part @ v0, fd_proj @ v0)
             _check(rows, "projector_oracle", tag, pv.image_part @ v0,
-                   pv.derivative @ v0)
+                   pv.derivative @ v0, ORACLE_THRESHOLD)
         pv_omega = var_harmonic_projector(b, omega, "d", k)
         _check(rows, "omega_scaling_projector", tag, pv_omega.derivative,
-               np.zeros_like(pv_omega.derivative))
+               np.zeros_like(pv_omega.derivative), ORACLE_THRESHOLD)
     return rows

@@ -288,13 +288,14 @@ def _loop_fd_row(bundle, gamma, step, extract):
         alg, cone.metric(alg, base + t * gamma), bundle.tol)), step)
 
 
-def _loop_check(rows, name, detail, got, want):
+def _loop_check(rows, name, detail, got, want, threshold):
     got, want = np.asarray(got), np.asarray(want)
 
     def amax(x):
         return float(np.max(np.abs(x))) if x.size else 0.0
 
-    rows.append(VariationCheck(name, detail, amax(got), amax(want), amax(got - want)))
+    rows.append(VariationCheck(name, detail, amax(got), amax(want), amax(got - want),
+                               threshold))
 
 
 def loop_variation_battery(model, seed=0, tuples=20):
@@ -319,50 +320,53 @@ def loop_variation_battery(model, seed=0, tuples=20):
         def fd(extract):
             return _loop_fd_row(b, gamma, step, extract)
 
+        # every row at the battery's threshold but the two exact oracle rows
+        fd_row, oracle_row = 1e-5, 1e-6
         _loop_check(rows, "star", tag, var_star_matrix(b, gamma, p, q),
-                    fd(lambda bb: bb.star_block(p, q)))
+                    fd(lambda bb: bb.star_block(p, q)), fd_row)
         _loop_check(rows, "trace", tag, var_trace_matrix(b, gamma, p, q),
-                    fd(lambda bb: bb.trace_block(p, q)))
+                    fd(lambda bb: bb.trace_block(p, q)), fd_row)
         comm = b.commutator(gamma, p, q)
         g = b.gram(p, q)
         _loop_check(rows, "gram", tag,
                     g @ (comm - np.trace(b.h_inv @ hm) * np.eye(len(g))),
-                    fd(lambda bb: bb.gram(p, q)))
+                    fd(lambda bb: bb.gram(p, q)), fd_row)
         complexes = (("del", (p, q)), ("dbar", (p, q)), ("d", k))
         for which, key in complexes:
             _loop_check(rows, f"{which}_star", tag, var_codiff_matrix(b, gamma, which, key),
-                        fd(lambda bb: bb.codiff(which, key)))
+                        fd(lambda bb: bb.codiff(which, key)), fd_row)
         for which, key in complexes:
             _loop_check(rows, f"laplacian_{which}", tag,
                         laplacian_variation_matrix(b, gamma, which, key),
-                        fd(lambda bb: bb.laplacian(which, key)))
+                        fd(lambda bb: bb.laplacian(which, key)), fd_row)
 
-        _loop_check(rows, "commutator_selfadjoint", tag, g @ comm, comm.conj().T @ g)
+        _loop_check(rows, "commutator_selfadjoint", tag, g @ comm, comm.conj().T @ g, fd_row)
         _loop_check(rows, "commutator_omega", tag, b.commutator(omega, p, q),
-                    (n - p - q) * np.eye(dim_pq(n, p, q), dtype=complex))
+                    (n - p - q) * np.eye(dim_pq(n, p, q), dtype=complex), fd_row)
         if q >= 1:
             mirrored = conj_block_matrix(n, q - 1, p) \
                 @ var_codiff_matrix(b, gamma, "del", (q, p)).conj() @ conj_block_matrix(n, p, q)
             _loop_check(rows, "conjugation_symmetry", tag,
-                        var_codiff_matrix(b, gamma, "dbar", (p, q)), mirrored)
+                        var_codiff_matrix(b, gamma, "dbar", (p, q)), mirrored, fd_row)
         _loop_check(rows, "omega_scaling_star", tag, var_star_matrix(b, omega, p, q),
-                    (n - k) * b.star_block(p, q))
+                    (n - k) * b.star_block(p, q), fd_row)
         _loop_check(rows, "omega_scaling_d_star", tag, var_codiff_matrix(b, omega, "d", k),
-                    -b.codiff("d", k))
+                    -b.codiff("d", k), fd_row)
         _loop_check(rows, "omega_scaling_laplacian", tag,
-                    laplacian_variation_matrix(b, omega, "d", k), -b.laplacian("d", k))
+                    laplacian_variation_matrix(b, omega, "d", k), -b.laplacian("d", k), fd_row)
 
         pv = var_harmonic_projector(b, gamma, "d", k)
         fd_proj = fd(lambda bb: harmonic_projector(bb, "d", k))
-        _loop_check(rows, "projector", tag, pv.derivative, fd_proj)
+        _loop_check(rows, "projector", tag, pv.derivative, fd_proj, fd_row)
         dimk = alg.dim_total(k)
         if dimk:
             v = rng.standard_normal(dimk) + 1j * rng.standard_normal(dimk)
             v0 = v - harmonic_projector(b, "d", k) @ v
-            _loop_check(rows, "projector_deflated", tag, pv.image_part @ v0, fd_proj @ v0)
+            _loop_check(rows, "projector_deflated", tag, pv.image_part @ v0, fd_proj @ v0,
+                        fd_row)
             _loop_check(rows, "projector_oracle", tag, pv.image_part @ v0,
-                        pv.derivative @ v0)
+                        pv.derivative @ v0, oracle_row)
         pv_omega = var_harmonic_projector(b, omega, "d", k)
         _loop_check(rows, "omega_scaling_projector", tag, pv_omega.derivative,
-                    np.zeros_like(pv_omega.derivative))
+                    np.zeros_like(pv_omega.derivative), oracle_row)
     return rows

@@ -20,6 +20,7 @@ from hermicone.metric import (
 from hermicone.model import algebra_for, catalog, catalog_names
 from hermicone.optimizer import constraint_basis, descend
 from hermicone.variation import (
+    ORACLE_THRESHOLD,
     first_variation,
     var_harmonic_projector,
     laplacian_variation_matrix,
@@ -138,7 +139,7 @@ def test_criterion_5_variation_battery():
     for name in catalog_names():
         rows = variation_battery(catalog(name), seed=0, tuples=20)
         for r in rows:
-            if r.name in ("projector_oracle", "omega_scaling_projector"):
+            if r.threshold == ORACLE_THRESHOLD:
                 worst_oracle = max(worst_oracle, r.rel_err)
             else:
                 worst = max(worst, r.rel_err)

@@ -11,6 +11,7 @@ from hermicone import cli, errors
 from hermicone.cli import main
 from hermicone.metric import HermitianMetric, OperatorBundle, random_metric
 from hermicone.model import algebra_for, catalog, make_model, serialize_model
+from hermicone.variation import BATTERY_THRESHOLD, ORACLE_THRESHOLD, VariationCheck
 
 
 def run(capsys, *argv):
@@ -129,6 +130,20 @@ def test_varcheck_json_and_determinism_across_threads(capsys):
     assert doc["report"]["pass"] is True
     assert doc["report"]["failures"] == 0
     assert max(doc["report"]["worst_rel_err"].values()) <= 1e-5
+
+
+@pytest.mark.parametrize("oracle_err,code,failures", [(2e-6, cli.EXIT_TOLERANCE, 1),
+                                                       (5e-7, cli.EXIT_OK, 0)])
+def test_varcheck_fails_each_row_at_its_own_threshold(capsys, monkeypatch, oracle_err, code,
+                                                      failures):
+    # a difference row at 2e-6 is within its 1e-5; an oracle row there is over its 1e-6
+    rows = [VariationCheck("star", "tuple 0", 0.5, 0.5, 2e-6, BATTERY_THRESHOLD),
+            VariationCheck("projector_oracle", "tuple 0", 0.5, 0.5, oracle_err,
+                           ORACLE_THRESHOLD)]
+    monkeypatch.setattr(cli, "variation_battery", lambda *a, **k: rows)
+    got, out, _ = run(capsys, "varcheck", "--catalog", "torus2", "--tuples", "1")
+    report = json.loads(out)["report"]
+    assert (got, report["failures"], report["pass"]) == (code, failures, not failures)
 
 
 def test_varcheck_csv_projection(capsys):

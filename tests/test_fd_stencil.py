@@ -20,7 +20,7 @@ from hermicone.variation import Direction, _fd_along, variation_battery
 
 from .oracles import loop_variation_battery
 
-FIELDS = ("name", "detail", "analytic", "fd", "abs_err")
+FIELDS = ("name", "detail", "analytic", "fd", "abs_err", "threshold")
 
 
 def _model(name):
