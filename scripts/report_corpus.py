@@ -35,7 +35,12 @@ seven more 5-step descents that cover both slices: H from a random start, H
 weighted by a seeded ``--nu`` metric file, G normalized from the identity, F
 from a metric file, G on the n = 2 torus (whose volume datum is a (1,1) form),
 and the two refused at the feasibility probe (G on Kodaira-Thurston, F on
-Iwasawa).  Three descents run
+Iwasawa).  The n = 4 model ``twin_12bar`` (d theta^3 = d theta^4 = i theta^1 ^
+thetabar^2), read from a model file, whose pluriclosed cone is empty though
+its projected reference metric passes the feasibility probe, gives two
+refusals: ``torsion`` at a seeded metric file, which is neither pluriclosed nor
+balanced, and a random-start F descent that finds no positive start.  Three
+descents run
 the slice gradient longer or higher: 40 steps of Ftilde on Kodaira-Thurston
 and of G on Iwasawa, and 3 steps of G on Iwasawa x T^1 (n = 4).  Input files
 go to a temporary directory, whose path appears in no report.  ``hermicone``
@@ -96,6 +101,9 @@ SCALED = {
 # d theta^3 = theta^1^thetabar^1, d theta^4 = eps theta^2^thetabar^2 at eps = 1e-5: the
 # Laplacian has an eigenvalue eps^2 that is no kernel
 STRADDLE = {"straddle_1e-5": (4, [(3, "mixed", 1, 1, 1.0), (4, "mixed", 2, 2, 1e-5)])}
+# d theta^3 = d theta^4 = i theta^1^thetabar^2: an empty pluriclosed cone whose projected
+# reference metric has lambda_min ~ 6e-17, so the feasibility probe passes it
+TWIN = {"twin_12bar": (4, [(3, "mixed", 1, 2, 1j), (4, "mixed", 1, 2, 1j)])}
 
 
 def _write_inputs(tmp):
@@ -106,12 +114,16 @@ def _write_inputs(tmp):
         path = tmp / f"metric_{name}.json"
         path.write_text(json.dumps(metric.to_json_obj()))
         paths[f"metric:{name}"] = str(path)
+    for name, (n, _) in TWIN.items():
+        path = tmp / f"metric_{name}.json"
+        path.write_text(json.dumps(random_metric(n, np.random.default_rng(0)).to_json_obj()))
+        paths[f"metric:{name}"] = str(path)
     nu = random_metric(2, np.random.default_rng(7))
     path = tmp / "nu_kodaira_thurston.json"
     path.write_text(json.dumps(nu.to_json_obj()))
     paths["nu:kodaira_thurston"] = str(path)
     scaled = {name: model for name, (model, _) in SCALED.items()}
-    for name, (n, terms) in {**SYNTHETIC, **LARGE, **scaled, **STRADDLE}.items():
+    for name, (n, terms) in {**SYNTHETIC, **LARGE, **scaled, **STRADDLE, **TWIN}.items():
         doc = {"name": name, "n": n,
                "terms": [{"i": i, "kind": kind, "j": j, "k": k,
                           "re": complex(c).real, "im": complex(c).imag}
@@ -201,6 +213,13 @@ def jobs(paths):
     out.append(("descend iwasawa_x_t1 G",
                 ["descend", "--model", paths["model:iwasawa_x_t1"], "--functional", "G",
                  "--metric", "random", "--seed", "10", "--steps", "3"]))
+    # refused: a metric neither pluriclosed nor balanced (exit 4), and no positive
+    # random start in a slice the feasibility probe passes (exit 6)
+    for name in TWIN:
+        src = ["--model", paths[f"model:{name}"]]
+        out.append((f"torsion {name}", ["torsion", *src, "--metric", paths[f"metric:{name}"]]))
+        out.append((f"descend {name} F random",
+                    ["descend", *src, "--functional", "F", "--metric", "random"]))
     return out
 
 
