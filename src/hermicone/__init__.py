@@ -10,13 +10,11 @@ if "numpy" not in _sys.modules:
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, "1")
 
-from .errors import (DegenerateDimension, DegreeOutOfRange, DimensionMismatch,
-                     DirectionNotAdmissible, EmptyCone, HermiconeError,
-                     InfeasibleStart, LineSearchFailure, ModelInvalid,
-                     ModelNotUnimodular, NotBalanced, NotPositive,
-                     NotPositiveDefinite, NotSKT, SchemaError, StepTooLarge,
-                     ToleranceFailure, UnknownCatalogName)
-from .exterior import ExteriorAlgebra, Form, basis, random_form, wedge, wedge_power
+from .errors import (DegreeOutOfRange, DimensionMismatch, DirectionNotAdmissible,
+                     EmptyCone, HermiconeError, InfeasibleStart, ModelInvalid,
+                     ModelNotUnimodular, NotBalanced, NotPositive, NotSKT,
+                     SchemaError, StepTooLarge, ToleranceFailure, UnknownCatalogName)
+from .exterior import ExteriorAlgebra, Form, random_form, wedge, wedge_power
 from .model import (ComplexLieModel, StructureTerm, ValidationReport,
                     algebra_for, catalog, catalog_names, make_model, parse_model,
                     serialize_model, validate_model)

@@ -26,10 +26,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import (DegenerateDimension, DegreeOutOfRange, DimensionMismatch,
-                     DirectionNotAdmissible, EmptyCone, InfeasibleStart, LineSearchFailure,
-                     ModelInvalid, ModelNotUnimodular, NotBalanced, NotPositive,
-                     NotPositiveDefinite, NotSKT, SchemaError, StepTooLarge,
+from .errors import (DegreeOutOfRange, DimensionMismatch, DirectionNotAdmissible,
+                     EmptyCone, InfeasibleStart, ModelInvalid, ModelNotUnimodular,
+                     NotBalanced, NotPositive, NotSKT, SchemaError, StepTooLarge,
                      ToleranceFailure, UnknownCatalogName)
 from .exterior import DENSE_BUDGET
 from .functionals import energy, evaluate
@@ -488,12 +487,12 @@ def _build_parser():
 _ERROR_CODES = (
     (SchemaError, EXIT_SCHEMA),
     ((ModelInvalid, ModelNotUnimodular, UnknownCatalogName, DimensionMismatch,
-      DegreeOutOfRange, DegenerateDimension), EXIT_VALIDATION),
-    ((NotSKT, NotBalanced, NotPositive, NotPositiveDefinite), EXIT_PREDICATE),
+      DegreeOutOfRange), EXIT_VALIDATION),
+    ((NotSKT, NotBalanced, NotPositive), EXIT_PREDICATE),
     # a singular solve: a badly scaled metric whose Gram blocks underflow
     ((ToleranceFailure, DirectionNotAdmissible, StepTooLarge, np.linalg.LinAlgError),
      EXIT_TOLERANCE),
-    ((InfeasibleStart, EmptyCone, LineSearchFailure), EXIT_INFEASIBLE),
+    ((InfeasibleStart, EmptyCone), EXIT_INFEASIBLE),
 )
 
 

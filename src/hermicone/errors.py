@@ -18,7 +18,8 @@ class DegreeOutOfRange(HermiconeError):
 
 
 class DimensionMismatch(HermiconeError):
-    """Operands built over different coframe dimensions."""
+    """Operands built over different coframe dimensions, or a dimension the operation
+    does not take (n < 2 for the volume root)."""
 
 
 class ModelInvalid(HermiconeError):
@@ -28,10 +29,6 @@ class ModelInvalid(HermiconeError):
 
 class ModelNotUnimodular(ModelInvalid):
     """d does not vanish on top-minus-one degree; integration by parts is unavailable."""
-
-
-class NotPositiveDefinite(HermiconeError):
-    """Metric coefficient matrix is not Hermitian positive definite."""
 
 
 class ToleranceFailure(HermiconeError):
@@ -47,11 +44,8 @@ class NotBalanced(HermiconeError):
 
 
 class NotPositive(HermiconeError):
-    """Form is not strictly positive."""
-
-
-class DegenerateDimension(HermiconeError):
-    """Operation requires complex dimension at least 2."""
+    """A point is not positive: a metric matrix that is not Hermitian positive definite,
+    or a form or normalization integral that is not strictly positive."""
 
 
 class StepTooLarge(HermiconeError):
@@ -64,10 +58,6 @@ class DirectionNotAdmissible(HermiconeError):
 
 class InfeasibleStart(HermiconeError):
     """Descent start point violates the cone constraints."""
-
-
-class LineSearchFailure(HermiconeError):
-    """Backtracking found no acceptable step above the floor."""
 
 
 class EmptyCone(HermiconeError):

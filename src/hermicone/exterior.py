@@ -4,7 +4,7 @@ Conventions fixed here and used everywhere else:
 
 * A monomial is theta_I ^ thetabar_J, holomorphic factors left of the conjugated
   ones; I and J are n-bit masks, bit i for 0-based index i (increasing index
-  tuples appear only at the public edge: basis, to_entries, Form.monomial).
+  tuples appear only at the public edge: to_entries, from_entries, Form.monomial).
 * The basis of Lambda^{p,q} runs over (I, J) in lexicographic order, I major.
   _index(n) holds the masks of every coefficient and the position pos[I, J] of
   every mask pair; each table (wedge, d, conj, complement) is whole-array lookups
@@ -211,18 +211,11 @@ def neighbor(which, key, s):
     return (p + s, q) if which == "del" else (p, q + s)
 
 
-def basis(model_or_n, p, q):
-    """Ordered monomial basis of Lambda^{p,q} as (I, J) pairs, 0-based."""
-    n = getattr(model_or_n, "n", model_or_n)
-    if not (0 <= p <= n and 0 <= q <= n):
-        raise DegreeOutOfRange(f"bidegree ({p}, {q}) outside 0..{n}")
-    return list(_basis(n, p, q))
-
-
 @lru_cache(maxsize=None)
 def _wedge_arrays(n, p1, q1, p2, q2):
     """Sparse table for Lambda^{p1,q1} x Lambda^{p2,q2} -> Lambda^{p1+p2,q1+q2}: the
-    index arrays i1, i2, sign, target_index in (i1, i2) order, None if empty.
+    index arrays i1, i2, sign, target_index in (i1, i2) order; None when p1 + p2 or
+    q1 + q2 exceeds n, and never empty otherwise.
 
     The sign combines the two merge signs with (-1)^(p2*q1) for moving the
     second holomorphic group across the first antiholomorphic one.
@@ -232,8 +225,6 @@ def _wedge_arrays(n, p1, q1, p2, q2):
     I, J, pos = _index(n)
     a, b = _slice(n, (p1, q1)), _slice(n, (p2, q2))
     i1, i2 = np.nonzero(((I[a, None] & I[b]) | (J[a, None] & J[b])) == 0)
-    if not i1.size:
-        return None
     I1, J1, I2, J2 = I[a][i1], J[a][i1], I[b][i2], J[b][i2]
     sign = _merge_sign(n, I1, I2) * _merge_sign(n, J1, J2) * (-1) ** (p2 * q1)
     return i1, i2, sign, pos[I1 | I2, J1 | J2] - _slice(n, (p1 + p2, q1 + q2)).start
@@ -394,9 +385,6 @@ class Form:
     def __sub__(self, other):
         return self + (-1.0) * other
 
-    def __neg__(self):
-        return (-1.0) * self
-
     def __mul__(self, scalar):
         if isinstance(scalar, Form):
             return NotImplemented
@@ -451,10 +439,6 @@ class Form:
                                        f"({len(I)}, {len(J)}) of its indices")
             out[_position(n, I, J)] += complex(e["re"], e.get("im", 0.0))
         return cls(n, out)
-
-    def __repr__(self):
-        keys = ", ".join(f"({p},{q})" for p, q in sorted(self.bidegrees()))
-        return f"Form(n={self.n}, blocks=[{keys}])"
 
 
 def wedge(u, v):

@@ -45,8 +45,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import (DegenerateDimension, DimensionMismatch, NotBalanced, NotPositive,
-                     NotSKT, ToleranceFailure)
+from .errors import DimensionMismatch, NotBalanced, NotPositive, NotSKT, ToleranceFailure
 from .exterior import Form, _complement, memo, neighbor
 from .metric import HermitianMetric
 
@@ -116,10 +115,9 @@ def harmonic_projector(bundle, which, key):
 @memo
 def potential_codiff(bundle, which, key):
     """codiff(which, key) as G_prev^{-1} (diff^H G_key) by a solve with the Gram G_prev,
-    kept on the bundle: the codifferential of the Green operator and the potentials."""
+    kept on the bundle: the codifferential of the Green operator and the potentials.
+    Every caller takes it where the space at prev is not 0."""
     prev = neighbor(which, key, -1)
-    if bundle.dim(which, prev) == 0:
-        return np.zeros((0, bundle.dim(which, key)), dtype=complex)
     return np.linalg.solve(bundle.gram_for(which, prev),
                            bundle.alg.diff(which, prev).conj().T @ bundle.gram_for(which, key))
 
@@ -476,7 +474,7 @@ def root_n_minus_1(alg, form):
     """
     n = alg.n
     if n < 2:
-        raise DegenerateDimension("root requires n >= 2")
+        raise DimensionMismatch("root requires n >= 2")
     b = matrix_of_top_minus_one(alg, form)
     herm_res = float(np.max(np.abs(b - b.conj().T)))
     if herm_res > 1e-9 * max(1.0, float(np.max(np.abs(b)))):

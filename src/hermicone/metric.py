@@ -50,7 +50,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, SchemaError
+from .errors import DimensionMismatch, NotPositive, SchemaError
 from .exterior import (Form, _combos, _complement, _conj_table, dim_pq, memo, neighbor,
                        random_form, wedge_power)
 from .model import algebra_for, require_valid
@@ -130,8 +130,8 @@ class HermitianMetric:
             sym = 0.5 * (self.h + self.h.conj().T)
         # relative to the largest entry: rounding leaves a skew ~ eps * max|H|
         if skew > HERMITICITY_TOL * scale:
-            raise NotPositiveDefinite(f"metric matrix is not Hermitian: skew {skew:.3e} "
-                                      f"exceeds {HERMITICITY_TOL:g} * max(1, max |H|)")
+            raise NotPositive(f"metric matrix is not Hermitian: skew {skew:.3e} "
+                              f"exceeds {HERMITICITY_TOL:g} * max(1, max |H|)")
         try:
             lam = np.linalg.eigvalsh(sym)
         except np.linalg.LinAlgError as exc:
@@ -140,7 +140,7 @@ class HermitianMetric:
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise SchemaError("metric matrix overflows: its eigenvalues are not finite")
         if lo <= 0:
-            raise NotPositiveDefinite("metric matrix is not positive definite")
+            raise NotPositive("metric matrix is not positive definite")
         # the (p, q) Gram block scales as H^-(p+q), up to det(H)^-2 on (n, n):
         # refuse scales at which lambda_max^2n or lambda_min^-2n is not a normal float
         logs = (2 * self.n * math.log(hi), -2 * self.n * math.log(lo))
@@ -353,8 +353,8 @@ class OperatorBundle:
                         self._lift(self.gram(p, q), mat.ndim))
 
     def mult_adjoint(self, eta, form):
-        if not eta.bidegrees():
-            return Form.zero(self.n)
+        """(eta ^ .)^* applied to a form, for a nonzero homogeneous eta (make_direction
+        refuses a zero direction)."""
         (a, b), = eta.bidegrees()
         return self.alg.apply(
             lambda p, q: {(p - a, q - b): self.mult_adjoint_block(eta, p, q)}, form)
@@ -376,10 +376,6 @@ class OperatorBundle:
 
     # ----- codifferentials and Laplacians ----------------------------------------
 
-    def dim(self, which, key):
-        """Dimension of the space at key in the complex of which; 0 outside it."""
-        return self.alg.dim(which, key)
-
     @memo
     def codiff(self, which, key):
         """Matrix of the adjoint of diff(which, .) from key to neighbor(which, key, -1),
@@ -391,8 +387,8 @@ class OperatorBundle:
         if which == "d":  # a map that places no block gives a matrix with no stack axis
             mat = self.alg.total(self._codiff_blocks, key, prev)
             return np.broadcast_to(mat, self.lead + mat.shape[-2:])
-        mat = self._codiff_blocks(*key).get(prev) if self.dim(which, prev) else None
-        return np.zeros(self.lead + (self.dim(which, prev), self.dim(which, key)),
+        mat = self._codiff_blocks(*key).get(prev) if self.alg.dim(which, prev) else None
+        return np.zeros(self.lead + (self.alg.dim(which, prev), self.alg.dim(which, key)),
                         dtype=complex) if mat is None else mat
 
     @memo
@@ -430,10 +426,10 @@ class OperatorBundle:
         """
         codiff = codiff or self.codiff
         prev, nxt = neighbor(which, key, -1), neighbor(which, key, 1)
-        mat = np.zeros((self.dim(which, key),) * 2, dtype=complex)
-        if self.dim(which, prev):
+        mat = np.zeros((self.alg.dim(which, key),) * 2, dtype=complex)
+        if self.alg.dim(which, prev):
             mat = mat + self.alg.diff(which, prev) @ codiff(which, key)
-        if self.dim(which, nxt):
+        if self.alg.dim(which, nxt):
             mat = mat + codiff(which, nxt) @ self.alg.diff(which, key)
         return mat
 
@@ -478,13 +474,11 @@ def bundle_for_algebra(alg, metric, tol=DEFAULT_TOL):
 def _primitive_vectors(bundle, p, q, rngs):
     """Two random elements of ker(trace) at bidegree (p,q) per metric, drawn from that
     metric's generator in rngs, as the rows of a (..., 2, d) array over the bundle's
-    leading axes; None if the space is 0.  A metric whose kernel is 0 draws nothing and
-    gets zero rows.  Each metric's rows are the columns of one product, so that a row
-    reaches its matrix-vector products with the stride it has alone."""
+    leading axes.  A metric whose kernel is 0 draws nothing and gets zero rows.  Each
+    metric's rows are the columns of one product, so that a row reaches its
+    matrix-vector products with the stride it has alone."""
     lam = bundle.trace_block(p, q)
     rows, d = lam.shape[-2:]
-    if d == 0:
-        return None
     if rows == 0:
         nulls = [np.eye(d, dtype=complex)] * len(rngs)
     else:
@@ -560,8 +554,8 @@ def identity_suite(bundle, seed=0):
                 rhs = bundle.mult_adjoint_block(etas.conj(), n - q, n - p) @ per_probe(s_here)
                 upd("mult_adjoint_star", np.max(np.abs(lhs - rhs)))
 
-            vecs = _primitive_vectors(bundle, p, q, rngs) if p + q <= n else None
-            if vecs is not None:
+            if p + q <= n:
+                vecs = _primitive_vectors(bundle, p, q, rngs)
                 kk = p + q
                 coeff = (-1) ** (kk * (kk + 1) // 2) * (1j) ** (p - q)
                 pow_mat = bundle.omega_power(n - p - q).wedge_matrix(p, q)

@@ -4,7 +4,7 @@ The feasible sets are linear slices of a positivity cone: pluriclosed
 metrics (del dbar omega = 0) parametrized by real (1,1) forms, and
 coclosed volume data (d Omega = 0) parametrized by real (n-1,n-1) forms.
 Both slices are computed once as SVD null spaces over an explicit real
-basis, then orthonormalized against a reference inner product, and the
+basis, then orthonormalized in the L2 product of the identity metric, and the
 energies are minimized by projected gradient descent with a backtracking
 line search that never leaves the positivity cone.  The slice gradient
 is the exact closed-form first variation from the variation module;
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (EmptyCone, InfeasibleStart, LineSearchFailure, NotPositive,
-                     NotPositiveDefinite, SchemaError, ToleranceFailure)
+from .errors import EmptyCone, InfeasibleStart, NotPositive, SchemaError, ToleranceFailure
 from .exterior import Form
 from .functionals import SLICES, cone_slice, energy, evaluate
 from .hodge import predicates
@@ -55,13 +54,15 @@ class ConstraintBasis:
 
     The columns of matrix are the (p,p) blocks of the basis forms, which
     span the null space of the constraint map inside the ambient real
-    basis.  Orthonormality is w.r.t. Re of the reference L2 product.
+    basis.  Orthonormality is w.r.t. Re of the L2 product of the identity
+    metric, whose Gram blocks are exactly I and det H exactly 1.0: the
+    Euclidean product of the coefficient vectors.
     """
 
     kind: str
     pq: tuple
     matrix: np.ndarray
-    reference: object
+    n: int
 
     @property
     def dimension(self):
@@ -73,16 +74,14 @@ class ConstraintBasis:
         return self._form(self.matrix.T)
 
     def _form(self, block):
-        return Form.at(self.reference.n, self.pq, block)
+        return Form.at(self.n, self.pq, block)
 
     def combine(self, x):
         return self._form(self.matrix @ np.asarray(x, dtype=float))
 
     def coordinates(self, form):
-        """Reference-orthogonal coordinates of a form (exact when it lies in the slice)."""
-        ref = self.reference
-        pairing = self.matrix.conj().T @ (ref.gram(*self.pq) @ form.part(self.pq))
-        return (pairing * ref.det_h).real
+        """Orthogonal coordinates of a form (exact when it lies in the slice)."""
+        return (self.matrix.conj().T @ form.part(self.pq)).real
 
 
 def constraint_basis(model, kind):
@@ -90,7 +89,7 @@ def constraint_basis(model, kind):
 
     kind names a SLICES cone: "skt" works on real (1,1) forms with del dbar
     = 0; "balanced" on real (n-1,n-1) forms with d = 0.  The basis is
-    orthonormal in the L2 product of the identity metric, its reference.
+    orthonormal in the L2 product of the identity metric.
     An empty cone still has a slice: descend probes it for a positive point.  A
     model is validated first (model.valid_algebra); an ExteriorAlgebra is not.
     """
@@ -113,19 +112,14 @@ def constraint_basis(model, kind):
     else:
         null = np.eye(len(ambient.vec))
 
-    reference = bundle_for_algebra(alg, HermitianMetric.identity(n))
     ambient_blocks = ambient.part((p, p)).T
     raw = ambient_blocks @ null
-    # orthonormalize w.r.t. the real part of the reference L2 product
-    gram = (raw.conj().T @ (reference.gram(p, p) @ raw) * reference.det_h).real
-    if null.shape[1]:
-        w, v = np.linalg.eigh(0.5 * (gram + gram.T))
-        if w.min(initial=1.0) <= 0:
-            raise ToleranceFailure("constraint basis Gram matrix is not positive")
-        coeffs = null @ (v / np.sqrt(w))
-    else:
-        coeffs = null
-    return ConstraintBasis(kind, (p, p), ambient_blocks @ coeffs, reference)
+    # orthonormalize w.r.t. the real part of the identity metric's L2 product
+    gram = (raw.conj().T @ raw).real
+    w, v = np.linalg.eigh(0.5 * (gram + gram.T))
+    if w.min(initial=1.0) <= 0:
+        raise ToleranceFailure("constraint basis Gram matrix is not positive")
+    return ConstraintBasis(kind, (p, p), ambient_blocks @ (null @ (v / np.sqrt(w))), n)
 
 
 # ----- descent ---------------------------------------------------------------------
@@ -210,8 +204,7 @@ class DescentTrace:
 
 
 # SchemaError: a scale past the float range; any error not listed stops the run
-_UNEVALUABLE = (NotPositive, NotPositiveDefinite, SchemaError, ToleranceFailure,
-                np.linalg.LinAlgError)
+_UNEVALUABLE = (NotPositive, SchemaError, ToleranceFailure, np.linalg.LinAlgError)
 
 
 class _Objective:
@@ -299,27 +292,23 @@ class _Objective:
 def _line_search(obj, x, grad, value, alpha0):
     """Halve the step until positivity and strict decrease both hold.
 
-    Returns (candidate, value, alpha, backtracks) or raises
-    LineSearchFailure once no step above the floor satisfies both guards;
-    the exception carries whether positivity was the blocking guard.
+    Returns (candidate, value, alpha, backtracks), or, once no step above the
+    floor satisfies both guards, the termination that ends the descent:
+    "PositivityBoundary" when no trial point was positive, else "NumericalStall".
     """
     alpha = alpha0
     bt = 0
-    positivity_blocked = True
+    termination = "PositivityBoundary"
     while alpha >= LINESEARCH_FLOOR:
         cand = x - alpha * grad
         if obj.at(cand) is not None:
-            positivity_blocked = False
+            termination = "NumericalStall"
             cand_val = obj(cand)
             if cand_val is not None and cand_val < value:
                 return cand, cand_val, alpha, bt
         alpha *= 0.5
         bt += 1
-    exc = LineSearchFailure(
-        f"no step in [{LINESEARCH_FLOOR:.0e}, {alpha0:.3e}] satisfies "
-        "positivity and monotone decrease")
-    exc.positivity_blocked = positivity_blocked
-    raise exc
+    return termination
 
 
 def descend(model, functional="F_tilde", start=None, nu=None,
@@ -327,11 +316,11 @@ def descend(model, functional="F_tilde", start=None, nu=None,
             normalize=None, max_step=None):
     """Projected gradient descent of one torsion energy inside its cone.
 
-    start is a HermitianMetric (metric functionals) or an (n-1,n-1) Form
-    ("G"); None starts from the identity data, "random" from a seeded
-    positive point in the slice.  normalize rescales every iterate to a
-    unit normalization integral against nu (the default for F_tilde; an
-    option for the others, including the volume normalization for G).
+    start is a HermitianMetric, whose slice datum starts the descent; None
+    starts from the identity, "random" from a seeded positive point in the
+    slice.  normalize rescales every iterate to a unit normalization
+    integral against nu (the default for F_tilde; an option for the others,
+    including the volume normalization for G).
     nu (the identity by default) is also the weight of H, as in evaluate.
     The slice gradient is exact: the closed-form first variation
     (FunctionalVariation.derivative) along each basis form, at one bundle
@@ -343,18 +332,19 @@ def descend(model, functional="F_tilde", start=None, nu=None,
     stall means either that the gradient is not evaluable at the iterate
     (a positivity, float-scale or tolerance failure, or a normalization
     integral that is not positive) or that the line search finds no
-    decrease above its floor.  model is validated as in constraint_basis.
+    decrease above its floor; PositivityBoundary, that no trial point of the
+    line search was positive.  model is validated as in constraint_basis.
     """
     alg = valid_algebra(model)
     n = alg.n
     spec = energy(functional)
     basis = constraint_basis(alg, spec.slice)
-    # the reference metric's datum projected onto the slice must stay positive
+    # the identity's datum projected onto the slice must stay positive
     cone = cone_slice(spec.slice)
-    datum = basis.combine(basis.coordinates(cone.datum(basis.reference.metric)))
+    datum = basis.combine(basis.coordinates(cone.datum(HermitianMetric.identity(n))))
     try:
         cone.metric(alg, datum).check()
-    except (NotPositive, NotPositiveDefinite) as exc:
+    except NotPositive as exc:
         raise EmptyCone(cone.empty) from exc
     if normalize is None:
         normalize = spec.normalize
@@ -366,7 +356,7 @@ def descend(model, functional="F_tilde", start=None, nu=None,
     if isinstance(start, str) and start == "random":
         x = _random_feasible(obj, basis, rng)
     else:
-        start_form = _start_form(obj.cone, start, n)
+        start_form = obj.cone.datum(HermitianMetric.identity(n) if start is None else start)
         x = basis.coordinates(start_form)
         residual = (basis.combine(x) - start_form).max_abs()
         if residual > tol * (1.0 + start_form.max_abs()):
@@ -409,12 +399,11 @@ def descend(model, functional="F_tilde", start=None, nu=None,
         alpha0 = min(step_size * 4.0, 1.0 / max(gnorm, 1e-12))
         if max_step is not None:
             alpha0 = min(alpha0, max_step)
-        try:
-            cand, cand_val, alpha, bt = _line_search(obj, x, grad, value, alpha0)
-        except LineSearchFailure as exc:
-            termination = "PositivityBoundary" if exc.positivity_blocked \
-                else "NumericalStall"
+        step = _line_search(obj, x, grad, value, alpha0)
+        if isinstance(step, str):
+            termination = step
             break
+        cand, cand_val, alpha, bt = step
         x = obj.retract(cand) if normalize else cand
         value = cand_val
         step_size = alpha
@@ -448,20 +437,8 @@ def descend(model, functional="F_tilde", start=None, nu=None,
     )
 
 
-def _start_form(cone, start, n):
-    """The slice datum of a start point: a Form as it is, else the datum of a
-    metric (a HermitianMetric, a Hermitian matrix, or the identity for None)."""
-    if isinstance(start, Form):
-        return start
-    if start is None:
-        start = HermitianMetric.identity(n)
-    elif not isinstance(start, HermitianMetric):
-        start = HermitianMetric(np.asarray(start))
-    return cone.datum(start)
-
-
 def _random_feasible(obj, basis, rng):
-    anchor = basis.coordinates(obj.cone.datum(basis.reference.metric))
+    anchor = basis.coordinates(obj.cone.datum(HermitianMetric.identity(basis.n)))
     for _ in range(RANDOM_START_TRIES):
         x = anchor + 0.3 * rng.standard_normal(basis.dimension)
         if obj(x) is not None:

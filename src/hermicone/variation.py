@@ -49,8 +49,7 @@ from operator import methodcaller
 
 import numpy as np
 
-from .errors import (DimensionMismatch, DirectionNotAdmissible, NotPositive,
-                     NotPositiveDefinite, StepTooLarge)
+from .errors import DimensionMismatch, DirectionNotAdmissible, NotPositive, StepTooLarge
 from .exterior import (DENSE_BUDGET, Form, conj_block_matrix, dim_pq, memo, neighbor, wedge,
                        wedge_power)
 from .functionals import (SLICES, cone_slice, direction_slice, energy, evaluate,
@@ -82,7 +81,7 @@ def fd_derivative(func, step):
     try:
         d1 = _each(lambda a, b: (a - b) * (0.5 / step), func(step), func(-step))
         d2 = _each(lambda a, b: (a - b) * (1.0 / step), func(0.5 * step), func(-0.5 * step))
-    except (NotPositiveDefinite, NotPositive) as exc:
+    except NotPositive as exc:
         raise StepTooLarge(
             f"positivity lost inside the difference stencil (step {step:.3e})") from exc
     return _each(lambda a, b: (4.0 / 3.0) * a - (1.0 / 3.0) * b, d2, d1)
@@ -208,8 +207,8 @@ def var_trace_matrix(bundle, gamma, p, q):
 def var_codiff_matrix(bundle, gamma, which, key):
     """d/dt of codiff(which, key): codiff C + (-1)^(k+1) (star C star) codiff on degree k."""
     prev = neighbor(which, key, -1)
-    if bundle.dim(which, prev) == 0:
-        return np.zeros(gamma.vec.shape[:-1] + (0, bundle.dim(which, key)), dtype=complex)
+    if bundle.alg.dim(which, prev) == 0:
+        return np.zeros(gamma.vec.shape[:-1] + (0, bundle.alg.dim(which, key)), dtype=complex)
     degree = key if which == "d" else sum(key)
     sign = -1.0 if degree % 2 == 0 else 1.0
     ds = bundle.codiff(which, key)
@@ -409,7 +408,7 @@ def _var_torsion_at(bundle, kind):
     im_rest = (omega_src - report.projected_source.part(key))[:, None]
     tors_norm = float(_norm(report.norm_sq))
     types = [(p, q, sl, bundle.gram(p, q)) for (p, q), sl in alg.slices(prev).items()]
-    side = max(bundle.dim(which, k) for k in (prev, key, nxt))
+    side = max(alg.dim(which, k) for k in (prev, key, nxt))
 
     def at(dirs):
         if dirs.kind == "volume":

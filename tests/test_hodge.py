@@ -175,11 +175,11 @@ def test_basis_projectors_match_the_eigen_forms(name, seed):
     green = {space: _eigen_forms(b, *space)[1] for space in spaces}
     for which, key in spaces:
         prev, nxt = neighbor(which, key, -1), neighbor(which, key, 1)
-        size = b.dim(which, key)
+        size = b.alg.dim(which, key)
         image = b.alg.diff(which, prev) @ green[which, prev] @ b.codiff(which, key) \
-            if b.dim(which, prev) else np.zeros((size, size))
+            if b.alg.dim(which, prev) else np.zeros((size, size))
         coimage = b.codiff(which, nxt) @ green[which, nxt] @ b.alg.diff(which, key) \
-            if b.dim(which, nxt) else np.zeros((size, size))
+            if b.alg.dim(which, nxt) else np.zeros((size, size))
         pairs = [(harmonic_projector(b, which, key), _eigen_forms(b, which, key)[0]),
                  (green_operator(b, which, key), green[which, key]),
                  (image_projector(b, which, key), image),

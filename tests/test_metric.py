@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from hermicone.errors import DimensionMismatch, NotPositiveDefinite, SchemaError
+from hermicone.errors import DimensionMismatch, NotPositive, SchemaError
 from hermicone.exterior import (ExteriorAlgebra, Form, _basis, neighbor, random_form, wedge,
                                 wedge_power)
 from hermicone.metric import (
@@ -72,10 +72,10 @@ def test_metric_check_gates():
     bad_herm = np.eye(2) + 1e-6 * np.array([[0, 1], [0, 0]])
     # the gate scales with the largest entry, and a skew of 1e-6 fails it at any scale
     for scale in (1.0, 1e3):
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotPositive):
             HermitianMetric(scale * bad_herm).check()
     not_pd = np.diag([1.0, -0.5])
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NotPositive):
         HermitianMetric(not_pd).check()
     HermitianMetric.identity(4).check()
 
@@ -98,7 +98,7 @@ def test_metric_check_rejects_overflow():
 
 
 def test_failing_metric_check_raises_on_every_call():
-    for h, error in ((np.diag([1.0, -1.0]), NotPositiveDefinite),
+    for h, error in ((np.diag([1.0, -1.0]), NotPositive),
                      (np.diag([1e308, 1.0]), SchemaError)):
         metric = HermitianMetric(h)
         for _ in range(3):

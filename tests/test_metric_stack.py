@@ -4,7 +4,7 @@ its own bundle's, and each audit family is the maximum over the stack."""
 import numpy as np
 import pytest
 
-from hermicone.errors import DimensionMismatch, NotPositiveDefinite
+from hermicone.errors import DimensionMismatch, NotPositive
 from hermicone.functionals import evaluate
 from hermicone.hodge import predicates, three_space_residuals, torsion
 from hermicone.metric import HermitianMetric, bundle_for_algebra, identity_suite, random_metric
@@ -81,7 +81,7 @@ def test_audits_of_a_stack_are_the_maxima_of_its_metrics_audits(name):
 def test_a_stack_is_checked_metric_by_metric():
     good = random_metric(2, np.random.default_rng(1)).h
     stack = HermitianMetric(np.stack([good, -good]))
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NotPositive):
         stack.check()
     assert HermitianMetric(np.stack([good, 2 * good])).check().n == 2
 

@@ -279,7 +279,7 @@ def test_a_direction_gets_the_same_bits_in_any_stack(name, functional, monkeypat
         side = dim_pq(b.n, 2, 1)
     else:
         which, key = torsion_space(kind, b.n)
-        side = max(b.dim(which, neighbor(which, key, s)) for s in (-1, 0, 1))
+        side = max(b.alg.dim(which, neighbor(which, key, s)) for s in (-1, 0, 1))
     for per_chunk in (1, 2):
         monkeypatch.setattr(variation, "DENSE_BUDGET", per_chunk * side ** 2)
         stack = _stacked(dirs)
