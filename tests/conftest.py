@@ -68,3 +68,13 @@ def non_unimodular_model():
     parts fails; used to exercise the unimodularity gate.
     """
     return make_model("halfdensity", 2, [(1, "mixed", 1, 1, 1.0)])
+
+
+def twin_12bar():
+    """The n = 4 model d theta^3 = d theta^4 = i theta^1 ^ thetabar^2.
+
+    Its pluriclosed cone is empty, yet its reference metric projected onto the SKT
+    slice has lambda_min ~ 6e-17 > 0, so the feasibility probe passes it; a seeded
+    random metric is neither pluriclosed nor balanced.
+    """
+    return make_model("twin_12bar", 4, [(3, "mixed", 1, 2, 1j), (4, "mixed", 1, 2, 1j)])
