@@ -1,5 +1,5 @@
 """Refusals that the rest of the suite does not reach, each pinned to its documented
-exit code or error class."""
+exit code or error class, and the degenerate inputs beside them."""
 
 import json
 
