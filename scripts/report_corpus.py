@@ -1,9 +1,10 @@
 """Fixed corpus of hermicone CLI reports, hashed for byte-identity checks.
 
 Runs a fixed list of in-process ``hermicone.cli.main`` jobs and prints, per
-job, its exit code, the sha256 of its stdout report and its label, then
-one digest over all of those lines and one over the lines of every job
-but the descents.  A change that claims to leave every report unchanged
+job, its exit code, the sha256 of its stdout report, the sha256 of its
+stderr (a refusal's message; empty on success) and its label, then one
+digest over all of those lines and one over the lines of every job but the
+descents.  A change that claims to leave every report unchanged
 must print the same corpus digest as its parent; a change to descent
 alone must print the same non-descend digest:
 
@@ -40,11 +41,12 @@ thetabar^2), read from a model file, whose pluriclosed cone is empty though
 its projected reference metric passes the feasibility probe, gives two
 refusals: ``torsion`` at a seeded metric file, which is neither pluriclosed nor
 balanced, and a random-start F descent that finds no positive start.  Three
-descents run
-the slice gradient longer or higher: 40 steps of Ftilde on Kodaira-Thurston
-and of G on Iwasawa, and 3 steps of G on Iwasawa x T^1 (n = 4).  Input files
-go to a temporary directory, whose path appears in no report.  ``hermicone``
-is imported from this checkout's ``src/`` and BLAS runs on one thread, unless
+descents run the slice gradient longer or higher: 40 steps of Ftilde on
+Kodaira-Thurston and of G on Iwasawa, and 3 steps of G on Iwasawa x T^1
+(n = 4).  The CSV projections of ``varcheck`` and ``descend`` run on
+Kodaira-Thurston, and ``catalog`` lists the built-in models.  Input files go
+to a temporary directory, whose path appears in no report.  ``hermicone`` is
+imported from this checkout's ``src/`` and BLAS runs on one thread, unless
 the caller set the variables.
 """
 
@@ -220,18 +222,26 @@ def jobs(paths):
         out.append((f"torsion {name}", ["torsion", *src, "--metric", paths[f"metric:{name}"]]))
         out.append((f"descend {name} F random",
                     ["descend", *src, "--functional", "F", "--metric", "random"]))
+    out.append(("varcheck kodaira_thurston csv",
+                ["varcheck", "--catalog", "kodaira_thurston", "--tuples", "3", "--seed", "2",
+                 "--format", "csv"]))
+    out.append(("descend kodaira_thurston F csv",
+                ["descend", "--catalog", "kodaira_thurston", "--functional", "F",
+                 "--metric", "random", "--seed", "3", "--steps", "5", "--format", "csv"]))
+    out.append(("catalog", ["catalog"]))
     return out
 
 
 def run_job(argv):
-    """(exit code, sha256 of stdout) of one in-process CLI call."""
+    """(exit code, sha256 of stdout, sha256 of stderr) of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except Exception as exc:  # noqa: BLE001 - an uncaught error is a result too
             code = f"raised {type(exc).__name__}"
-    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    return (code, *(hashlib.sha256(stream.getvalue().encode("utf-8")).hexdigest()
+                    for stream in (out, err)))
 
 
 def _digest(lines):
@@ -242,8 +252,8 @@ def main_corpus():
     lines, others = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for label, job_argv in jobs(_write_inputs(Path(tmp))):
-            code, digest = run_job(job_argv)
-            lines.append(f"{code}\t{digest}\t{label}")
+            code, out_digest, err_digest = run_job(job_argv)
+            lines.append(f"{code}\t{out_digest}\t{err_digest}\t{label}")
             if job_argv[0] != "descend":
                 others.append(lines[-1])
             print(lines[-1], flush=True)
