@@ -32,7 +32,7 @@ from .errors import (DegreeOutOfRange, DimensionMismatch, DirectionNotAdmissible
                      ToleranceFailure, UnknownCatalogName)
 from .exterior import DENSE_BUDGET
 from .functionals import energy, evaluate
-from .hodge import basis_residuals, predicates, three_space_residuals, torsion
+from .hodge import TORSIONS, basis_residuals, predicates, three_space_residuals, torsion
 from .metric import (DEFAULT_TOL, HermitianMetric, bundle_for_algebra, identity_suite,
                      random_metric)
 from .model import (algebra_for, catalog, catalog_names, parse_model,
@@ -319,11 +319,11 @@ def _cmd_torsion(args):
     model, source, bundle, payload = _metric_job(args)
     want = args.which
     reports = {}
-    for kind, refusal in (("rho", NotSKT), ("gamma", NotBalanced)):
+    for kind, cone in TORSIONS.items():
         if want in (kind, "both"):
             try:
                 reports[kind] = _torsion_payload(bundle, torsion(bundle, kind))
-            except refusal:
+            except cone.error:
                 if want == kind:
                     raise
     if not reports:

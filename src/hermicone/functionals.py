@@ -5,17 +5,16 @@ G(omega_{n-1}) = ||Gamma||^2 on balanced metrics, zero exactly on Kahler ones.
 H(omega, gamma_{n-1}) = ||trace_omega(del omega)||^2 in the gamma L2 norm,
 zero exactly on balanced omega, invariant under scaling of omega.
 Ftilde_nu(omega) = F(omega) / (int omega ^ nu_{n-1})^n is scale invariant.
-SLICES describes the two cones the energies are varied and descended over.
+ENERGIES names the hodge.CONES entry each energy is varied and descended over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import DimensionMismatch, NotPositive
 from .exterior import wedge, wedge_power
-from .hodge import root_n_minus_1, torsion_gamma, torsion_rho
+from .hodge import CONES, torsion_gamma, torsion_rho
 from .metric import HermitianMetric, bundle_for_algebra
 
 
@@ -26,49 +25,16 @@ class FunctionalValue:
     ingredients: dict
 
 
-@dataclass(frozen=True)
-class Slice:
-    """One metric cone as a linear slice of real (p,p) data, read by the
-    constraint bases, the descent, make_direction and the difference paths.
-
-    The datum of a metric is omega on the pluriclosed cone and omega_{n-1}
-    on the balanced one; the slice is the kernel of constraint, a variation
-    direction moves the datum linearly, and metric maps a datum back.
-    """
-
-    name: str  # the constraint, as error messages name it
-    empty: str  # why the feasibility probe finds the cone empty
-    direction: str  # "metric" for real (1,1) directions, "volume" for (n-1,n-1) ones
-    degree: Callable  # n -> p
-    datum: Callable  # HermitianMetric -> its datum form
-    metric: Callable  # (alg, datum form) -> HermitianMetric, for the caller to check()
-    constraint: Callable  # (alg, form) -> the form that vanishes on the slice
-
-
-SLICES = {
-    "skt": Slice("pluriclosed", "projected reference metric is not positive definite",
-                 "metric", lambda n: 1,
-                 lambda metric: metric.form(),
-                 lambda alg, form: HermitianMetric.from_form(form),
-                 lambda alg, form: alg.del_form(alg.dbar_form(form))),
-    "balanced": Slice("coclosed", "projected reference volume datum is not positive",
-                      "volume", lambda n: n - 1,
-                      lambda metric: wedge_power(metric.form(), metric.n - 1),
-                      lambda alg, form: root_n_minus_1(alg, form),
-                      lambda alg, form: alg.d_form(form)),
-}
-
-
 def cone_slice(kind):
-    """The SLICES entry of a cone name; ValueError for an unknown one."""
-    if kind not in SLICES:
+    """The CONES entry of a cone name; ValueError for an unknown one."""
+    if kind not in CONES:
         raise ValueError(f"unknown constraint kind {kind!r}")
-    return SLICES[kind]
+    return CONES[kind]
 
 
 def direction_slice(kind):
-    """The SLICES entry whose variation directions are of this kind."""
-    for entry in SLICES.values():
+    """The CONES entry whose variation directions are of this kind."""
+    for entry in CONES.values():
         if entry.direction == kind:
             return entry
     raise ValueError(f"unknown direction kind {kind!r}")
@@ -78,19 +44,23 @@ def direction_slice(kind):
 class Energy:
     """What differs between the energies: variation, descent and the CLI read it here."""
 
-    torsion: str | None  # "rho" or "gamma", whose squared norm the energy is; None for H
-    constraint: str | None  # what a variation direction must keep: "skt", "balanced", None
-    slice: str  # the SLICES cone a descent moves in, whose kind its directions are
+    slice: str  # the CONES entry a descent moves in, whose kind its directions are
+    of_torsion: bool  # the squared norm of the cone's torsion, varied along the cone only
     normalize: bool = False  # the descent's default
     weighted: bool = False  # measured against a second metric's bundle
     certifies_kahler: bool = False  # its vanishing certifies a Kahler point
 
+    @property
+    def torsion(self):
+        """The torsion whose squared norm the energy is, a key of TORSIONS; None for H."""
+        return CONES[self.slice].torsion if self.of_torsion else None
+
 
 ENERGIES = {
-    "F": Energy("rho", "skt", "skt", certifies_kahler=True),
-    "F_tilde": Energy("rho", "skt", "skt", normalize=True, certifies_kahler=True),
-    "G": Energy("gamma", "balanced", "balanced"),
-    "H": Energy(None, None, "skt", weighted=True),
+    "F": Energy("skt", True, certifies_kahler=True),
+    "F_tilde": Energy("skt", True, normalize=True, certifies_kahler=True),
+    "G": Energy("balanced", True),
+    "H": Energy("skt", False, weighted=True),
 }
 
 
@@ -145,18 +115,19 @@ def eval_H(bundle_omega, bundle_gamma):
 
 
 def normalization_integral(bundle, nu):
-    """int omega ^ nu_{n-1} for a positive reference metric nu."""
+    """int omega ^ nu_{n-1} for a positive reference metric nu; NotPositive unless > 0."""
     alg = bundle.alg
     nu_pow = wedge_power(nu.form(), alg.n - 1)
-    return alg.integrate(wedge(bundle.omega, nu_pow)).real
+    integral = alg.integrate(wedge(bundle.omega, nu_pow)).real
+    if integral <= 0:
+        raise NotPositive(f"normalization integral {integral:.3e} is not positive")
+    return integral
 
 
 def eval_F_tilde(bundle, nu):
     """Scale-invariant F / (int omega ^ nu_{n-1})^n."""
     f = eval_F(bundle)
     integral = normalization_integral(bundle, nu)
-    if integral <= 0:
-        raise NotPositive(f"normalization integral {integral:.3e} is not positive")
     value = f.value / integral ** bundle.n
     ing = dict(f.ingredients)
     ing.update({"F": f.value, "normalization_integral": float(integral)})

@@ -23,6 +23,10 @@ and the minimum-norm potential are written once over (which, key), as the
 bundle's codiff and laplacian are: torsion rho is the "d" potential on
 degree 3, torsion Gamma the "dbar" potential on (n-1, n-1).
 
+CONES states each metric cone once with its torsion (TORSIONS, by torsion name):
+the SKT cone with rho, the balanced cone with Gamma.  Every module reads a cone's
+datum, constraint, metric map, torsion space, source, flag and refusal there.
+
 verify audits the decompositions of "d" where the construction leaves room for
 error, per chunk of metrics by three_space_residuals and once per algebra by
 basis_residuals; the sum and the orthogonality of the three spaces hold by
@@ -42,11 +46,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotBalanced, NotPositive, NotSKT, ToleranceFailure
-from .exterior import Form, _complement, memo, neighbor
+from .exterior import Form, _complement, memo, neighbor, wedge_power
 from .metric import HermitianMetric
 
 
@@ -260,6 +265,50 @@ def basis_residuals(alg):
     return {name: max(row[name] for row in rows) for name in rows[0]}
 
 
+# ----- the two cones -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Cone:
+    """One metric cone and its torsion.  The cone is the slice ker constraint of real
+    (p,p) data, omega's datum omega or omega_{n-1}; its torsion, the minimal potential
+    below space(n) of source's image part, is refused as error off the cone."""
+
+    name: str  # the constraint, as error messages name it
+    empty: str  # why the feasibility probe finds the cone empty
+    direction: str  # "metric" for real (1,1) directions, "volume" for (n-1,n-1) ones
+    degree: Callable  # n -> p
+    datum: Callable  # metric form omega -> its datum form
+    metric: Callable  # (alg, datum form) -> HermitianMetric, for the caller to check()
+    constraint: Callable  # (alg, form) -> the form that vanishes on the slice
+    torsion: str  # the torsion's name, a key of TORSIONS
+    flag: str  # the MetricPredicates flag of the cone
+    residual: str  # the MetricPredicates residual behind flag
+    error: type  # the refusal of the torsion off the cone
+    what: str  # the residual, as error's message names it
+    space: Callable  # n -> (which, key) of the space holding the torsion's source
+    source: Callable  # bundle -> the source form
+
+
+# the root is looked up when called, so a traced root_n_minus_1 sees the descent's calls
+CONES = {
+    "skt": Cone("pluriclosed", "projected reference metric is not positive definite",
+                "metric", lambda n: 1, lambda omega: omega,
+                lambda alg, form: HermitianMetric.from_form(form),
+                lambda alg, form: alg.del_form(alg.dbar_form(form)),
+                "rho", "is_skt", "ddbar_omega_residual", NotSKT, "dd-bar of omega",
+                lambda n: ("d", 3), lambda bundle: bundle.alg.del_form(bundle.omega)),
+    "balanced": Cone("coclosed", "projected reference volume datum is not positive",
+                     "volume", lambda n: n - 1, lambda omega: wedge_power(omega, omega.n - 1),
+                     lambda alg, form: root_n_minus_1(alg, form),
+                     lambda alg, form: alg.d_form(form),
+                     "gamma", "is_balanced", "d_omega_power_residual", NotBalanced,
+                     "d of omega_(n-1)", lambda n: ("dbar", (n - 1, n - 1)),
+                     lambda bundle: bundle.omega_power(bundle.n - 1)),
+}
+TORSIONS = {cone.torsion: cone for cone in CONES.values()}
+
+
 # ----- predicates -----------------------------------------------------------------
 
 
@@ -276,12 +325,11 @@ class MetricPredicates:
 
 @memo
 def _predicate_residuals(bundle):
-    """max |d omega|, max |del dbar omega| and max |d omega_(n-1)|, kept on the bundle."""
+    """max |d omega| and each cone's max |constraint(datum(omega))|, kept on the bundle."""
     alg, omega = bundle.alg, bundle.omega
-    return tuple(float(form.max_abs()) for form in (
-        alg.d_form(omega),
-        alg.del_form(alg.dbar_form(omega)),
-        alg.d_form(bundle.omega_power(bundle.n - 1))))
+    return (float(alg.d_form(omega).max_abs()),
+            *(float(cone.constraint(alg, cone.datum(omega)).max_abs())
+              for cone in CONES.values()))
 
 
 def predicates(bundle, tol=None):
@@ -291,16 +339,11 @@ def predicates(bundle, tol=None):
     if bundle.lead:
         raise DimensionMismatch(f"predicates take one metric, not a stack of {bundle.lead[0]}")
     tol = bundle.tol if tol is None else tol
-    d_omega, ddbar, d_pow = _predicate_residuals(bundle)
-    return MetricPredicates(
-        is_kahler=bool(d_omega <= tol),
-        is_skt=bool(ddbar <= tol),
-        is_balanced=bool(d_pow <= tol),
-        d_omega_residual=d_omega,
-        ddbar_omega_residual=ddbar,
-        d_omega_power_residual=d_pow,
-        tol=tol,
-    )
+    d_omega, *residuals = _predicate_residuals(bundle)
+    fields = {"is_kahler": bool(d_omega <= tol), "d_omega_residual": d_omega}
+    for cone, res in zip(CONES.values(), residuals):
+        fields.update({cone.flag: bool(res <= tol), cone.residual: res})
+    return MetricPredicates(tol=tol, **fields)
 
 
 # ----- torsion potentials ------------------------------------------------------------
@@ -369,38 +412,19 @@ class TorsionReport:
     pure_norm_sq: dict = field(default_factory=dict)
 
 
-def torsion_space(kind, n):
-    """(which, key) of the space holding the source of torsion kind.
-
-    The torsion itself is the minimal potential one step down, at
-    neighbor(which, key, -1): rho on degree 2, Gamma on (n-1, n-2).
-    """
-    return ("d", 3) if kind == "rho" else ("dbar", (n - 1, n - 1))
-
-
-# per torsion: the predicate flag it needs, the residual and error reported when the
-# flag is off, the residual's name, and the source form whose image part it solves for
-_TORSIONS = {
-    "rho": ("is_skt", "ddbar_omega_residual", NotSKT, "dd-bar of omega",
-            lambda bundle: bundle.alg.del_form(bundle.omega)),
-    "gamma": ("is_balanced", "d_omega_power_residual", NotBalanced, "d of omega_(n-1)",
-              lambda bundle: bundle.omega_power(bundle.n - 1)),
-}
-
-
 @memo
 def _torsion(bundle, kind):
     """The minimal torsion potential of kind, with its source and residuals, kept on
     the bundle: a descent's gradient reuses the report its line search built."""
-    flag, residual, error, what, source_of = _TORSIONS[kind]
-    tol = bundle.tol
+    cone, tol = TORSIONS[kind], bundle.tol
     pred = predicates(bundle)
-    if not getattr(pred, flag):
-        raise error(f"{what} has residual {getattr(pred, residual):.3e} > {tol:.1e}")
+    if not getattr(pred, cone.flag):
+        raise cone.error(f"{cone.what} has residual {getattr(pred, cone.residual):.3e} "
+                         f"> {tol:.1e}")
     n = bundle.n
-    which, key = torsion_space(kind, n)
+    which, key = cone.space(n)
     prev = neighbor(which, key, -1)
-    source = source_of(bundle)
+    source = cone.source(bundle)
     vec = source.part(key)
     sol = potential(bundle, which, key, vec)
     sol.check(tol, _l2(bundle, which, key, vec), f"torsion {kind}")

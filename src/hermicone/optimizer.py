@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import EmptyCone, InfeasibleStart, NotPositive, SchemaError, ToleranceFailure
 from .exterior import Form
-from .functionals import SLICES, cone_slice, energy, evaluate
+from .functionals import cone_slice, energy, evaluate
 from .hodge import predicates
 from .metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra
 from .model import valid_algebra
@@ -87,7 +87,7 @@ class ConstraintBasis:
 def constraint_basis(model, kind):
     """Null space of the cone constraint over the real ambient basis.
 
-    kind names a SLICES cone: "skt" works on real (1,1) forms with del dbar
+    kind names a hodge.CONES cone: "skt" works on real (1,1) forms with del dbar
     = 0; "balanced" on real (n-1,n-1) forms with d = 0.  The basis is
     orthonormal in the L2 product of the identity metric.
     An empty cone still has a slice: descend probes it for a positive point.  A
@@ -225,7 +225,7 @@ class _Objective:
         self.weight_bundle = weight_bundle
         self.tol = tol
         self.normalize = normalize
-        self.cone = SLICES[basis.kind]
+        self.cone = cone_slice(basis.kind)
         self.kind = self.cone.direction
         # one stack for the whole descent: its direction-only work is done once
         self.directions = make_direction(alg, basis.forms, kind=self.kind, tol=tol)
@@ -341,7 +341,7 @@ def descend(model, functional="F_tilde", start=None, nu=None,
     basis = constraint_basis(alg, spec.slice)
     # the identity's datum projected onto the slice must stay positive
     cone = cone_slice(spec.slice)
-    datum = basis.combine(basis.coordinates(cone.datum(HermitianMetric.identity(n))))
+    datum = basis.combine(basis.coordinates(cone.datum(HermitianMetric.identity(n).form())))
     try:
         cone.metric(alg, datum).check()
     except NotPositive as exc:
@@ -356,7 +356,8 @@ def descend(model, functional="F_tilde", start=None, nu=None,
     if isinstance(start, str) and start == "random":
         x = _random_feasible(obj, basis, rng)
     else:
-        start_form = obj.cone.datum(HermitianMetric.identity(n) if start is None else start)
+        start = HermitianMetric.identity(n) if start is None else start
+        start_form = obj.cone.datum(start.form())
         x = basis.coordinates(start_form)
         residual = (basis.combine(x) - start_form).max_abs()
         if residual > tol * (1.0 + start_form.max_abs()):
@@ -438,7 +439,7 @@ def descend(model, functional="F_tilde", start=None, nu=None,
 
 
 def _random_feasible(obj, basis, rng):
-    anchor = basis.coordinates(obj.cone.datum(HermitianMetric.identity(basis.n)))
+    anchor = basis.coordinates(obj.cone.datum(HermitianMetric.identity(basis.n).form()))
     for _ in range(RANDOM_START_TRIES):
         x = anchor + 0.3 * rng.standard_normal(basis.dimension)
         if obj(x) is not None:

@@ -52,10 +52,10 @@ import numpy as np
 from .errors import DimensionMismatch, DirectionNotAdmissible, NotPositive, StepTooLarge
 from .exterior import (DENSE_BUDGET, Form, conj_block_matrix, dim_pq, memo, neighbor, wedge,
                        wedge_power)
-from .functionals import (SLICES, cone_slice, direction_slice, energy, evaluate,
+from .functionals import (cone_slice, direction_slice, energy, evaluate,
                           normalization_integral, references)
-from .hodge import (_worst, decomposition, harmonic_projector, potential_map, torsion,
-                    torsion_space)
+from .hodge import (CONES, TORSIONS, _worst, decomposition, harmonic_projector,
+                    potential_map, torsion)
 from .metric import (DEFAULT_TOL, HermitianMetric, OperatorBundle, bundle_for_algebra,
                      random_metric)
 from .model import valid_algebra
@@ -103,7 +103,7 @@ def default_step(metric):
 @dataclass
 class Direction:
     """A vetted variation direction, or a stack of them of one kind: a real (p,p) form
-    moving the datum of a SLICES cone, whose vec may carry a leading axis, as a Form's may.
+    moving the datum of a hodge.CONES cone, whose vec may carry a leading axis, as a Form's may.
 
     A direction keeps the work that depends on it alone (its chunks, its del, its
     integrals against a power of nu, which F_tilde and the descent's normalization
@@ -142,10 +142,10 @@ class Direction:
 def make_direction(alg, obj, kind="metric", require=None, tol=DEFAULT_TOL):
     """Build and vet a variation direction, or a stack of them.
 
-    kind names the SLICES direction kind: "metric" takes a real (1,1) form
+    kind names a CONES direction kind: "metric" takes a real (1,1) form
     or a Hermitian matrix, "volume" a real (n-1,n-1) form; a Form with a
     leading axis is a stack, vetted form by form into one Direction.  require
-    names a SLICES cone whose constraint each form must keep ("skt": del dbar
+    names a CONES cone whose constraint each form must keep ("skt": del dbar
     = 0, "balanced": d = 0).  A zero form (or an empty stack), one of another
     type and a violation raise DirectionNotAdmissible; a violation names the
     worst residual of the stack.
@@ -328,10 +328,11 @@ def first_variation(bundle, functional, direction, nu=None, weight_bundle=None, 
     evaluate.  with_fd adds the finite-difference audit of one form as fd.
     """
     spec = energy(functional)
-    kind = SLICES[spec.slice].direction
+    kind = CONES[spec.slice].direction
     if not isinstance(direction, Direction):
         direction = make_direction(bundle.alg, direction, kind=kind,
-                                   require=spec.constraint, tol=bundle.tol)
+                                   require=spec.slice if spec.of_torsion else None,
+                                   tol=bundle.tol)
     elif direction.kind != kind:
         raise DirectionNotAdmissible(f"this energy varies along {kind} "
                                      f"directions, not {direction.kind} ones")
@@ -343,7 +344,7 @@ def first_variation(bundle, functional, direction, nu=None, weight_bundle=None, 
     if spec.torsion is None:
         body, side = _var_H_at(bundle, weight_bundle), dim_pq(bundle.n, 2, 1)
     else:
-        body, report, side = _var_torsion_at(bundle, spec.torsion)
+        body, report, side = _var_torsion_at(bundle, functional)
         if functional == "F_tilde":
             body = _var_F_tilde_at(bundle, nu, body, report)
     if form.vec.ndim == 1:
@@ -383,9 +384,9 @@ def _norm(sq):
     return np.sqrt(np.maximum(np.real(sq), 0.0))
 
 
-def _var_torsion_at(bundle, kind):
-    """(direction stack -> variation of ||torsion||^2, torsion report, widest
-    matrix side) at one bundle.
+def _var_torsion_at(bundle, functional):
+    """(direction stack -> variation of ||torsion||^2, the torsion energy named
+    functional, torsion report, widest matrix side) at one bundle.
 
     The torsion is the minimal potential at prev of the image part of its
     source at key.  A metric direction gamma moves the source del(omega) by
@@ -393,9 +394,9 @@ def _var_torsion_at(bundle, kind):
     and the metric by metric_direction_of_volume.  The moving projector adds
     -dP s = Im C (I - Im) s - K C (I - K) s (var_harmonic_projector).
     """
-    alg, n = bundle.alg, bundle.n
+    alg, n, kind = bundle.alg, bundle.n, energy(functional).torsion
     report = torsion(bundle, kind)
-    which, key = torsion_space(kind, n)
+    which, key = TORSIONS[kind].space(n)
     prev, nxt = neighbor(which, key, -1), neighbor(which, key, 1)
     tors_vec = report.torsion.part(prev)
     tors_col = tors_vec[:, None]
@@ -445,7 +446,7 @@ def _var_torsion_at(bundle, kind):
         terms["projector_source_norm"] = \
             _norm(_dots(a_vec, bundle.gram_for(which, key) @ a_vec)) * np.sqrt(det)
         return FunctionalVariation(
-            kind="F" if kind == "rho" else "G",
+            kind=functional,
             value=total.real + proj_term,
             derivative=total.real + pairing,
             terms=terms,
@@ -485,8 +486,6 @@ def _var_F_tilde_at(bundle, nu, var_f, report):
     alg, n = bundle.alg, bundle.n
     f_val = float(report.norm_sq)  # eval_F(bundle).value
     denom = normalization_integral(bundle, nu)
-    if denom <= 0:
-        raise NotPositive(f"normalization integral {denom:.3e} is not positive")
 
     def at(dirs):
         base = var_f(dirs)
@@ -517,7 +516,7 @@ def _fd_along(bundle, direction, step, extracts):
     point; every extract reads it, and it is dropped before the next point's."""
     alg = bundle.alg
     cone = direction_slice(direction.kind)
-    base = cone.datum(bundle.metric)
+    base = cone.datum(bundle.omega)
 
     def at(t):
         moved = bundle_for_algebra(alg, cone.metric(alg, base + t * direction.form), bundle.tol)

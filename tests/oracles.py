@@ -283,7 +283,7 @@ def loop_fd(func, step):
 def _loop_fd_row(bundle, gamma, step, extract):
     """loop_fd of extract(bundle at omega + t gamma), four fresh bundles for one row."""
     alg, cone = bundle.alg, direction_slice("metric")
-    base = cone.datum(bundle.metric)
+    base = cone.datum(bundle.metric.form())
     return loop_fd(lambda t: extract(bundle_for_algebra(
         alg, cone.metric(alg, base + t * gamma), bundle.tol)), step)
 

@@ -269,7 +269,7 @@ def test_gamma_potential_keeps_headroom_under_its_gate_at_large_kappa():
     # closed-form G^-1 there the kernel residual read up to 0.82 of the gate on these
     # metrics, kappa(H) = 1e5 (measured <= 0.14 with the solve)
     alg = algebra_for(catalog("iwasawa"))
-    which, key = hodge.torsion_space("gamma", 3)
+    which, key = hodge.TORSIONS["gamma"].space(3)
     rng = np.random.default_rng(0)
     for _ in range(20):
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))

@@ -10,7 +10,7 @@ from hermicone.errors import (
 )
 from hermicone.exterior import Form, memo, neighbor, random_form
 from hermicone.functionals import ENERGIES, energy, eval_F, eval_F_tilde, eval_G, eval_H, evaluate
-from hermicone.hodge import root_n_minus_1, torsion_space
+from hermicone.hodge import TORSIONS, root_n_minus_1
 from hermicone.cli import EXIT_TOLERANCE, _exit_code
 from hermicone.metric import HermitianMetric, build_bundle, bundle_for_algebra
 from hermicone.model import algebra_for, catalog
@@ -213,7 +213,7 @@ def test_energy_gradients_vary_no_laplacian_and_keep_one_green_operator(
                         lambda *args: built.append(build(*args)) or built[-1])
     trace = descend(catalog(name), functional, start="random", seed=0, steps=3)
     assert trace.records and trace.termination != "NumericalStall"
-    which, key = torsion_space(energy(functional).torsion, built[0].n)
+    which, key = TORSIONS[energy(functional).torsion].space(built[0].n)
     kept = {k for b in built for k in kept_keys(b, hodge.green_operator)}
     assert kept == {(which, neighbor(which, key, -1))}
 

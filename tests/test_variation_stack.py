@@ -15,7 +15,7 @@ import hermicone.variation as variation
 from hermicone.exterior import (Form, _conj_perm, _wedge_arrays, dim_pq, memo, neighbor,
                                 random_form, wedge, wedge_power)
 from hermicone.functionals import energy, normalization_integral
-from hermicone.hodge import decomposition, green_operator, torsion, torsion_space
+from hermicone.hodge import TORSIONS, decomposition, green_operator, torsion
 from hermicone.metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra, random_metric
 from hermicone.model import algebra_for, catalog, make_model
 from hermicone.optimizer import _Objective, _random_feasible, constraint_basis, descend
@@ -85,7 +85,7 @@ def _gram_norm_1(gram, vec):
 def _torsion_at_1(b, kind):
     alg = b.alg
     report = torsion(b, kind)
-    which, key = torsion_space(kind, b.n)
+    which, key = TORSIONS[kind].space(b.n)
     prev = neighbor(which, key, -1)
     tors_vec = report.torsion.part(prev)
     gram = b.gram_for(which, prev)
@@ -278,7 +278,7 @@ def test_a_direction_gets_the_same_bits_in_any_stack(name, functional, monkeypat
     if kind is None:
         side = dim_pq(b.n, 2, 1)
     else:
-        which, key = torsion_space(kind, b.n)
+        which, key = TORSIONS[kind].space(b.n)
         side = max(b.alg.dim(which, neighbor(which, key, s)) for s in (-1, 0, 1))
     for per_chunk in (1, 2):
         monkeypatch.setattr(variation, "DENSE_BUDGET", per_chunk * side ** 2)
