@@ -114,11 +114,9 @@ def constraint_basis(model, kind):
 
     ambient_blocks = ambient.part((p, p)).T
     raw = ambient_blocks @ null
-    # orthonormalize w.r.t. the real part of the identity metric's L2 product
+    # orthonormalize in Re of the identity's L2 product; Re(A^H A) = diag(1 or 2), so w >= 1
     gram = (raw.conj().T @ raw).real
     w, v = np.linalg.eigh(0.5 * (gram + gram.T))
-    if w.min(initial=1.0) <= 0:
-        raise ToleranceFailure("constraint basis Gram matrix is not positive")
     return ConstraintBasis(kind, (p, p), ambient_blocks @ (null @ (v / np.sqrt(w))), n)
 
 
