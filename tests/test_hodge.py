@@ -1,5 +1,7 @@
 """Hodge decompositions, predicates, torsion potentials and the (n-1)-root."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,31 @@ def test_predicate_residuals_consistent():
     assert pred.ddbar_omega_residual <= pred.tol
     assert pred.d_omega_residual > pred.tol
     assert pred.d_omega_power_residual > pred.tol
+
+
+# the paper's pairing: SKT metrics with rho, balanced metrics with Gamma
+CONE_TORSIONS = {"skt": ("rho", "is_skt", NotSKT),
+                 "balanced": ("gamma", "is_balanced", NotBalanced)}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("kind", sorted(hodge.CONES))
+def test_each_cone_gives_its_predicate_and_its_torsion_refusal(kind, name):
+    # the residual a cone's flag reads is its constraint on its datum of omega, and its
+    # torsion is refused with its error exactly where the flag is off: Iwasawa is off
+    # the SKT cone, Kodaira-Thurston off the balanced one (test_predicates_on_catalog)
+    cone, b = hodge.CONES[kind], seeded_bundle(name, seed=2)
+    assert (cone.torsion, cone.flag, cone.error) == CONE_TORSIONS[kind]
+    assert hodge.TORSIONS[cone.torsion] is cone
+    pred = predicates(b)
+    residual = getattr(pred, cone.residual)
+    assert residual == cone.constraint(b.alg, cone.datum(b.omega)).max_abs()
+    assert getattr(pred, cone.flag) == (residual <= pred.tol)
+    if getattr(pred, cone.flag):
+        assert torsion(b, cone.torsion).kind == cone.torsion
+    else:
+        with pytest.raises(cone.error, match=re.escape(cone.what)):
+            torsion(b, cone.torsion)
 
 
 def test_predicates_compute_their_residuals_once_per_bundle(monkeypatch):
