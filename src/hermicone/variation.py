@@ -54,8 +54,8 @@ from .exterior import (DENSE_BUDGET, Form, conj_block_matrix, dim_pq, memo, neig
                        wedge_power)
 from .functionals import (cone_slice, direction_slice, energy, evaluate,
                           normalization_integral, references)
-from .hodge import (CONES, TORSIONS, _worst, decomposition, harmonic_projector,
-                    potential_map, torsion)
+from .hodge import (TORSIONS, _worst, decomposition, harmonic_projector, potential_map,
+                    torsion)
 from .metric import (DEFAULT_TOL, HermitianMetric, OperatorBundle, bundle_for_algebra,
                      random_metric)
 from .model import valid_algebra
@@ -328,7 +328,7 @@ def first_variation(bundle, functional, direction, nu=None, weight_bundle=None, 
     evaluate.  with_fd adds the finite-difference audit of one form as fd.
     """
     spec = energy(functional)
-    kind = CONES[spec.slice].direction
+    kind = cone_slice(spec.slice).direction
     if not isinstance(direction, Direction):
         direction = make_direction(bundle.alg, direction, kind=kind,
                                    require=spec.slice if spec.of_torsion else None,
