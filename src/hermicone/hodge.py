@@ -271,8 +271,8 @@ def basis_residuals(alg):
 @dataclass(frozen=True)
 class Cone:
     """One metric cone and its torsion.  The cone is the slice ker constraint of real
-    (p,p) data, omega's datum omega or omega_{n-1}; its torsion, the minimal potential
-    below space(n) of source's image part, is refused as error off the cone."""
+    (p,p) data, the datum of omega (omega itself, or omega_{n-1}); its torsion, the minimal
+    potential below space(n) of source's image part, is refused as error off the cone."""
 
     name: str  # the constraint, as error messages name it
     empty: str  # why the feasibility probe finds the cone empty
