@@ -277,14 +277,7 @@ def _cmd_verify(args):
               and all(v <= args.tol for v in three_space.values())
               and all(v <= args.tol for v in bases.values()))
     payload = {
-        "validation": {
-            "integrable": report.integrable,
-            "unimodular": report.unimodular,
-            "d_squared_max_residual": report.d_squared_max_residual,
-            "integrability_residual": report.integrability_residual,
-            "unimodularity_residual": report.unimodularity_residual,
-            "messages": report.messages,
-        },
+        "validation": {k: v for k, v in asdict(report).items() if k != "d_squared_vanishes"},
         "metrics_checked": args.metrics + 1,
         "identity_residuals": families,
         "three_space_residuals": three_space,
@@ -356,13 +349,13 @@ def _cmd_varcheck(args):
     worst = {}
     for r in rows:
         worst[r.name] = max(worst.get(r.name, 0.0), r.rel_err)
+    table = [r.to_row() for r in rows]
     if args.format == "csv":
-        _emit_csv(args, ["name", "detail", "analytic", "fd", "abs_err", "rel_err"],
-                  [r.to_row() for r in rows])
+        _emit_csv(args, list(table[0]), table)
     else:
         payload = {
             "tuples": args.tuples,
-            "rows": [r.to_row() for r in rows],
+            "rows": table,
             "worst_rel_err": worst,
             "failures": len(failures),
             "pass": not failures,
@@ -377,13 +370,7 @@ def _cmd_descend(args):
     model, source = _load_model(args)
     alg = algebra_for(model)
     functional = _FUNCTIONALS[args.functional]
-    spec = args.metric or "identity"
-    if spec == "identity":
-        start = None
-    elif spec == "random":
-        start = "random"
-    else:
-        start = _load_metric(args, alg.n)
+    start = "random" if args.metric == "random" else _load_metric(args, alg.n)
     normalize = {"auto": None, "on": True, "off": False}[args.normalize]
     nu = _load_metric(args, alg.n, "nu")
     trace = descend(model, functional=functional, start=start, nu=nu,

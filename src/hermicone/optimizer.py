@@ -172,24 +172,11 @@ class DescentTrace:
         return max((r.constraint_residual for r in self.records), default=0.0)
 
     def to_jsonable(self):
-        return {
-            "functional": self.functional,
-            "kind": self.kind,
-            "seed": self.seed,
-            "termination": self.termination,
-            "initial_value": self.initial_value,
-            "final_value": self.final_value,
-            "final_matrix_real": np.real(self.final_matrix).tolist(),
-            "final_matrix_imag": np.imag(self.final_matrix).tolist(),
-            "reached_kahler": self.reached_kahler,
-            "kahler_consistent": self.kahler_consistent,
-            "degenerating": self.degenerating,
-            "constraint_dimension": self.constraint_dimension,
-            "normalized": self.normalized,
-            "monotone": self.monotone,
-            "max_constraint_residual": self.max_constraint_residual,
-            "iterations": [r.to_jsonable() for r in self.records],
-        }
+        out = {k: v for k, v in vars(self).items() if k not in ("records", "final_matrix")}
+        return {**out, "iterations": [r.to_jsonable() for r in self.records],
+                "final_matrix_real": np.real(self.final_matrix).tolist(),
+                "final_matrix_imag": np.imag(self.final_matrix).tolist(),
+                "monotone": self.monotone, "max_constraint_residual": self.max_constraint_residual}
 
     def csv_rows(self):
         """One flat dict per iteration, coefficients split into c0, c1, ..."""

@@ -538,8 +538,8 @@ class VariationCheck:
     analytic and fd record the largest magnitudes of the two sides (fd is
     a finite difference for most rows, an independent closed form for the
     self-consistency rows).  rel_err divides by max(1, analytic, fd) so
-    rows whose entries are tiny are judged on absolute error.  to_row() leaves
-    threshold out: a report states the two thresholds once.
+    rows whose entries are tiny are judged on absolute error.  to_row() is the
+    fields but threshold, then rel_err: a report states the two thresholds once.
     """
 
     name: str
@@ -554,14 +554,8 @@ class VariationCheck:
         return self.abs_err / max(1.0, self.analytic, self.fd)
 
     def to_row(self):
-        return {
-            "name": self.name,
-            "detail": self.detail,
-            "analytic": self.analytic,
-            "fd": self.fd,
-            "abs_err": self.abs_err,
-            "rel_err": self.rel_err,
-        }
+        row = {k: v for k, v in vars(self).items() if k != "threshold"}
+        return {**row, "rel_err": self.rel_err}
 
 
 def _check(rows, name, detail, got, want, threshold=BATTERY_THRESHOLD):

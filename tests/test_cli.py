@@ -45,6 +45,10 @@ def test_verify_passes_on_catalog_model(capsys):
     assert doc["subcommand"] == "verify"
     assert doc["report"]["pass"] is True
     assert doc["report"]["validation"]["integrable"] is True
+    # the ValidationReport fields but the flag d_squared_vanishes, which pass reads as the residual
+    assert set(doc["report"]["validation"]) == {
+        "integrable", "unimodular", "d_squared_max_residual", "integrability_residual",
+        "unimodularity_residual", "messages"}
     assert doc["report"]["metrics_checked"] == 3
     assert max(doc["report"]["identity_residuals"].values()) <= 1e-10
     assert sorted(doc["report"]["three_space_residuals"], key=int) == [str(k) for k in range(5)]

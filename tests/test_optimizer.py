@@ -317,6 +317,11 @@ def test_descend_trace_serialization_shapes():
     trace = descend(catalog("kodaira_thurston"), "F", steps=2, normalize=False)
     doc = trace.to_jsonable()
     assert doc["functional"] == "F" and doc["kind"] == "metric"
+    assert set(doc) == {"functional", "kind", "seed", "termination", "iterations",
+                        "initial_value", "final_value", "final_matrix_real", "final_matrix_imag",
+                        "reached_kahler", "kahler_consistent", "degenerating",
+                        "constraint_dimension", "normalized", "monotone",
+                        "max_constraint_residual"}
     assert len(doc["iterations"]) == len(trace.records)
     assert doc["monotone"] is True
     it0 = doc["iterations"][0]
