@@ -467,7 +467,9 @@ def torsion_gamma(bundle):
 
 
 def torsion(bundle, kind):
-    """torsion_rho or torsion_gamma by kind ("rho" or "gamma")."""
+    """torsion_rho or torsion_gamma by kind ("rho" or "gamma"); ValueError for another."""
+    if kind not in TORSIONS:
+        raise ValueError(f"unknown torsion kind {kind!r}")
     return torsion_rho(bundle) if kind == "rho" else torsion_gamma(bundle)
 
 
@@ -494,7 +496,8 @@ def matrix_of_top_minus_one(alg, form):
 def root_n_minus_1(alg, form):
     """Unique positive metric H with (omega_H)_{n-1} equal to the given form.
 
-    Solves det(H) H^{-1} = B, i.e. H = det(B)^{1/(n-1)} B^{-1}.
+    Solves det(H) H^{-1} = B, i.e. H = det(B)^{1/(n-1)} B^{-1}, and returns it
+    checked: B is positive exactly when H is, so check() alone decides it.
     """
     n = alg.n
     if n < 2:
@@ -505,9 +508,8 @@ def root_n_minus_1(alg, form):
         raise NotPositive(f"pairing matrix is not Hermitian (residual {herm_res:.3e}); "
                           "input form is not real")
     b = 0.5 * (b + b.conj().T)
-    eigs = np.linalg.eigvalsh(b)
-    if eigs[0] <= 0:
-        raise NotPositive(f"pairing matrix has min eigenvalue {eigs[0]:.3e}")
     det_b = float(np.linalg.det(b).real)
+    if det_b <= 0:  # the root would not be real
+        raise NotPositive(f"pairing matrix has determinant {det_b:.3e}")
     h = det_b ** (1.0 / (n - 1)) * np.linalg.inv(b)
-    return HermitianMetric(0.5 * (h + h.conj().T))
+    return HermitianMetric(0.5 * (h + h.conj().T)).check()

@@ -371,6 +371,13 @@ def test_torsion_kind_gates():
         torsion_gamma(seeded_bundle("kodaira_thurston", seed=1))
 
 
+@pytest.mark.parametrize("kind", ["Rho", "skt", "both"])
+def test_torsion_refuses_an_unknown_kind(kind):
+    b = seeded_bundle("torus2")
+    with pytest.raises(ValueError, match=f"unknown torsion kind '{kind}'"):
+        torsion(b, kind)
+
+
 def test_frozen_torsion_norms_identity_metric():
     # values computed once from the closed-form potentials and pinned
     kt = torsion_rho(seeded_bundle("kodaira_thurston"))
@@ -424,6 +431,16 @@ def test_root_rejects_bad_input():
     b = bundle_for_algebra(alg, m)
     with pytest.raises(NotPositive):
         root_n_minus_1(alg, b.omega_power(alg.n - 1) * -1.0)
+
+
+def test_balanced_point_decides_positivity_once(monkeypatch):
+    # the root's metric comes checked, so the bundle over it decomposes nothing again
+    alg = algebra_for(catalog("iwasawa"))
+    top = wedge_power(random_metric(alg.n, np.random.default_rng(31)).form(), alg.n - 1)
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    bundle_for_algebra(alg, root_n_minus_1(alg, top))
+    assert len(calls) == 1
 
 
 def test_root_inverse_of_power_map():
