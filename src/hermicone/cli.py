@@ -30,7 +30,7 @@ from .errors import (DegreeOutOfRange, DimensionMismatch, DirectionNotAdmissible
                      EmptyCone, InfeasibleStart, ModelInvalid, ModelNotUnimodular,
                      NotBalanced, NotPositive, NotSKT, SchemaError, StepTooLarge,
                      ToleranceFailure, UnknownCatalogName)
-from .exterior import DENSE_BUDGET
+from .exterior import DENSE_BUDGET, metrics_per_stack
 from .functionals import energy, evaluate
 from .hodge import TORSIONS, basis_residuals, predicates, three_space_residuals, torsion
 from .metric import (DEFAULT_TOL, HermitianMetric, bundle_for_algebra, identity_suite,
@@ -67,13 +67,21 @@ class _CliFailure(Exception):
 # one degree at a time, forms no N x N projector, Gram or codifferential, but it keeps
 # the N x r basis of ker d(n) and forms its r x N factor B^H G, r up to N (r = N on the
 # flat torus), and the SVD of d(n) behind the basis, whose right factor is up to N x N.
-# verify audits its metrics in chunks, one bundle over a stack of c metrics each
-# (_verify_chunk).  Per metric the stack keeps the Gram blocks, their inverses, the star,
-# trace and d^* blocks, about 5 N^2 entries (n = 5: 5.2 MB, with 0.8 MB more for the
-# powers of omega), and the walk forms r x N factors and N x r columns per degree.
-# c = max(1, DENSE_BUDGET // (64 N^2)) keeps c times 64 N^2 entries, a bound on all of
-# it, within the budget: 163 metrics at n = 3, 13 at n = 4 and one from n = 5 on, where
-# a second bundle would raise the job's peak memory.
+# Both jobs stack metrics on one bundle, at most c = exterior.metrics_per_stack(n) =
+# max(1, DENSE_BUDGET // (64 N^2)) of them, so that c times 64 N^2 entries, a bound on
+# what a job keeps and forms per metric, stays within the budget: 163 metrics at n = 3,
+# 13 at n = 4 and one from n = 5 on, where a second bundle would raise the job's peak
+# memory.  verify audits its metrics in chunks of c.  Per metric its stack keeps the
+# Gram blocks, their inverses, the star, trace and d^* blocks, about 5 N^2 entries
+# (n = 5: 5.2 MB, with 0.8 MB more for the powers of omega), and the walk forms r x N
+# factors and N x r columns per degree.  varcheck differences a tuple on one bundle over
+# min(4, c) of its four stencil metrics (variation.stencil_stack): per metric the
+# blocks of the tuple's bidegree and degree, the total-degree Gram, the three N x N
+# projectors of its Decomposition and the values it reads, the "d" codifferential and
+# Laplacian and the harmonic projector.  A tuple's differences at the middle degree
+# peaked at 19-20 N^2 entries with one metric per bundle and 40-43 N^2 with four
+# (tracemalloc; n = 4: 1.5 -> 3.2 MiB), within 64 N^2 per metric; from n = 5 on the
+# stencil keeps one metric per bundle, so an n = 5 or 6 varcheck holds what it held.
 
 
 def dense_side(subcommand, n, functional=None):
@@ -242,19 +250,13 @@ def _three_space_walk(bundle):
     return [max(three_space_residuals(bundle, k).values()) for k in range(2 * bundle.n + 1)]
 
 
-def _verify_chunk(n):
-    """How many metrics verify audits in one stacked pass at dimension n (see the size
-    budget above): max(1, DENSE_BUDGET // (64 N^2)), N = C(2n, n)."""
-    return max(1, DENSE_BUDGET // (64 * math.comb(2 * n, n) ** 2))
-
-
 def _cmd_verify(args):
     model, source = _load_model(args)
     alg = algebra_for(model)
     n = alg.n
     report = validate_model(model)
     rng = np.random.default_rng(args.seed)
-    count, chunk = args.metrics + 1, _verify_chunk(n)
+    count, chunk = args.metrics + 1, metrics_per_stack(n)
 
     families = {}
     three_space = {}

@@ -64,6 +64,13 @@ DENSE_BUDGET = 2 ** 22
 RANK_RTOL = 1e-10
 
 
+def metrics_per_stack(n):
+    """How many metrics one bundle over a stack holds at dimension n, verify's chunks
+    and varcheck's stencil alike: max(1, DENSE_BUDGET // (64 N^2)), N = C(2n, n), 64 N^2
+    entries a bound on what a job keeps and forms per metric (see cli's size budget)."""
+    return max(1, DENSE_BUDGET // (64 * math.comb(2 * n, n) ** 2))
+
+
 def memo(method):
     """Keep method(self, *key) in self._memo, built on the first call with that key;
     keywords are bound to their positions, so a keyword call finds the positional

@@ -31,8 +31,8 @@ verify audits the decompositions of "d" where the construction leaves room for
 error, per chunk of metrics by three_space_residuals and once per algebra by
 basis_residuals; the sum and the orthogonality of the three spaces hold by
 construction and are left to the tests.  A chunk is one bundle over a stack of
-metrics (cli._verify_chunk): the walk runs once over the stack, every factor and
-column carries the stack on its leading axis, the metric-free bases and seeded
+metrics (exterior.metrics_per_stack): the walk runs once over the stack, every factor
+and column carries the stack on its leading axis, the metric-free bases and seeded
 vectors (_probes) serve the whole stack, and each row is the maximum over it, with
 each metric's values the bits of a walk of its own.  verify holds one degree at a
 time: the walk keeps each projector of the degree as its factors B, B^H G and

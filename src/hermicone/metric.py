@@ -29,10 +29,11 @@ potentials' residual gates, and keeps the Hodge decompositions and Green
 operators that hodge makes for a job, one per space.  verify keeps none of them,
 nor a total-degree Gram or an assembled "d" codifferential: it takes every
 total-degree product block by block, on one bundle over a stack of metrics per
-chunk, whose blocks carry the stack on a leading axis.  The kernels it runs on a
-stack (elementwise products, matmul, det, inv, solve and svd) give each metric the
-bits it gets alone, so the job path keeps stack-less bundles and verify's reports
-are those of one bundle per metric.
+chunk, whose blocks carry the stack on a leading axis; varcheck's stencil reads its
+rows on one bundle over a tuple's four stencil metrics the same way.  The kernels
+they run on a stack (elementwise products, matmul, det, inv, solve and svd) give each
+metric the bits it gets alone, so the job path keeps stack-less bundles and the
+reports of both are those of one bundle per metric.
 
 Inner product conventions: <theta^j, theta^k> = (H^{-1})_{kj}, extended to
 monomials by determinant multiplicativity; matrices G satisfy
@@ -221,10 +222,10 @@ class SpectralData:
 class OperatorBundle:
     """All metric-dependent operators of one (model, metric) pair, lazily cached.
 
-    Over a stack of c metrics (verify's) every block carries the stack on its leading
-    axis, lead = (c,), with each metric's block bit for bit the one its own bundle
-    keeps; det_h is then the array of the c determinants.  A stack of forms per
-    metric, such as verify's probes, takes its axes after the metric axis."""
+    Over a stack of c metrics (verify's, varcheck's stencil) every block carries the
+    stack on its leading axis, lead = (c,), with each metric's block bit for bit the one
+    its own bundle keeps; det_h is then the array of the c determinants.  A stack of
+    forms per metric, such as verify's probes, takes its axes after the metric axis."""
 
     def __init__(self, alg, metric, tol=DEFAULT_TOL):
         if alg.n != metric.n:

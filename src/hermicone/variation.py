@@ -17,7 +17,8 @@ The Gram matrix moves by G C - tr(H^-1 Gamma) G, so each projector of a Hodge
 decomposition, from a metric-free basis, moves by P C (I - P): the energy
 variations need no Laplacian variation and no Green operator at the source.
 All matrix derivatives are exact (the model is finite dimensional); the
-finite-difference harness in this module exists to cross-check them.
+finite-difference harness in this module exists to cross-check them, on one bundle
+over the stack of a tuple's four stencil metrics, as verify stacks its metrics.
 
 A direction may be a stack.  gamma may be one (1,1) form or a stack of them,
 a Form with a leading axis; every matrix above then carries that axis.  A
@@ -43,6 +44,7 @@ formed again on each call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from operator import methodcaller
@@ -50,8 +52,8 @@ from operator import methodcaller
 import numpy as np
 
 from .errors import DimensionMismatch, DirectionNotAdmissible, NotPositive, StepTooLarge
-from .exterior import (DENSE_BUDGET, Form, conj_block_matrix, dim_pq, memo, neighbor, wedge,
-                       wedge_power)
+from .exterior import (DENSE_BUDGET, Form, conj_block_matrix, dim_pq, memo, metrics_per_stack,
+                       neighbor, wedge, wedge_power)
 from .functionals import (cone_slice, direction_slice, energy, evaluate,
                           normalization_integral, references)
 from .hodge import (TORSIONS, _worst, decomposition, harmonic_projector, potential_map,
@@ -61,6 +63,7 @@ from .metric import (DEFAULT_TOL, HermitianMetric, OperatorBundle, bundle_for_al
 from .model import valid_algebra
 
 FD_REL_STEP = 1e-3
+STENCIL = (1.0, -1.0, 0.5, -0.5)  # the stencil points in units of the step, in call order
 
 
 # ----- finite differences ----------------------------------------------------------
@@ -73,11 +76,11 @@ def fd_derivative(func, step):
     of them, which is differenced element by element with the same operations:
     d1 = (f(h) - f(-h)) * (0.5 / h), d2 = (f(h/2) - f(-h/2)) * (1 / h), then
     (4/3) d2 - (1/3) d1.  func is called once per stencil point, in the order
-    h, -h, h/2, -h/2.  A positivity failure at any probe point is reported as
-    StepTooLarge.
+    h, -h, h/2, -h/2 (STENCIL).  A step that is not finite and positive is a
+    ValueError; a positivity failure at any probe point is reported as StepTooLarge.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
     try:
         d1 = _each(lambda a, b: (a - b) * (0.5 / step), func(step), func(-step))
         d2 = _each(lambda a, b: (a - b) * (1.0 / step), func(0.5 * step), func(-0.5 * step))
@@ -325,7 +328,8 @@ def first_variation(bundle, functional, direction, nu=None, weight_bundle=None, 
     stack within DENSE_BUDGET, every direction-independent ingredient (torsion,
     projectors, the potential's Green operator) computed once; a Direction keeps its
     direction-only work for the next bundle.  nu and weight_bundle default as in
-    evaluate.  with_fd adds the finite-difference audit of one form as fd.
+    evaluate.  with_fd adds the finite-difference audit of one form as fd: the battery's
+    stencil (_fd_along), with one bundle per point, as evaluate takes one metric.
     """
     spec = energy(functional)
     kind = cone_slice(spec.slice).direction
@@ -356,7 +360,7 @@ def first_variation(bundle, functional, direction, nu=None, weight_bundle=None, 
         out = parts[0] if len(parts) == 1 else _joined(np.concatenate, parts)
     if with_fd:
         fd, = _fd_along(bundle, direction, default_step(bundle.metric),
-                        [lambda b: evaluate(b, functional, nu, weight_bundle).value])
+                        [lambda b: evaluate(b, functional, nu, weight_bundle).value], stack=1)
         out.fd = float(fd)
     return out
 
@@ -508,19 +512,43 @@ def _var_F_tilde_at(bundle, nu, var_f, report):
     return at
 
 
-def _fd_along(bundle, direction, step, extracts):
+def stencil_stack(n):
+    """How many stencil points one bundle of _fd_along holds at dimension n: all four
+    while exterior.metrics_per_stack admits them (n <= 4), one from n = 5 on."""
+    return min(len(STENCIL), metrics_per_stack(n))
+
+
+def _fd_along(bundle, direction, step, extracts, stack=None):
     """Central differences of each extract(bundle at t) along the direction's metric
     path, as a list in the order of extracts: the datum of the direction's slice
     (omega, or omega_{n-1}) moves by t * direction and maps back to a metric, whose
-    bundle is built at the bundle's tolerance.  One bundle is built per stencil
-    point; every extract reads it, and it is dropped before the next point's."""
+    bundle is built at the bundle's tolerance.
+
+    One bundle is built over a stack of stack metrics (stencil_stack(n) by default),
+    the stencil points in fd_derivative's call order, and every extract reads it once;
+    slice i of each value is point i's, with the bits of a bundle of its own (see
+    metric), and goes to fd_derivative when it calls for that point.  A stack of one is
+    a bundle over that metric alone, dropped before the next point's, as first_variation's
+    audit needs: its energy takes one metric.  A NotPositive anywhere in a stack is
+    fd_derivative's StepTooLarge."""
     alg = bundle.alg
     cone = direction_slice(direction.kind)
     base = cone.datum(bundle.omega)
+    points = [t * step for t in STENCIL]
+    stack = stack or stencil_stack(alg.n)
+    values = {}
 
     def at(t):
-        moved = bundle_for_algebra(alg, cone.metric(alg, base + t * direction.form), bundle.tol)
-        return [extract(moved) for extract in extracts]
+        if t not in values:
+            chunk = points[points.index(t):][:stack]
+            metrics = [cone.metric(alg, base + s * direction.form) for s in chunk]
+            moved = bundle_for_algebra(
+                alg, HermitianMetric(np.stack([m.h for m in metrics])) if chunk[1:]
+                else metrics[0], bundle.tol)
+            read = [extract(moved) for extract in extracts]
+            values.update({s: [v[i] for v in read] if chunk[1:] else read
+                           for i, s in enumerate(chunk)})
+        return values.pop(t)
 
     return fd_derivative(at, step)
 
@@ -573,8 +601,9 @@ def variation_battery(model, seed=0, tuples=20):
     plus the self-consistency rows (conjugation symmetry, omega scalings, the
     perturbation oracle).  Each differenced row is one entry of a table in report
     order: name, closed form and the matrix it is differenced against.  A tuple
-    builds its own bundle and one bundle per stencil point, which gives the
-    differences of every row before the next point's is built.  Every row carries
+    builds its own bundle and one bundle over its four stencil metrics (_fd_along; one
+    bundle per point from n = 5 on, stencil_stack), which gives the differences of
+    every row, and no stencil bundle outlives its tuple.  Every row carries
     its threshold, ORACLE_THRESHOLD on projector_oracle and omega_scaling_projector
     and BATTERY_THRESHOLD on the rest.  A model is validated first
     (model.valid_algebra); an ExteriorAlgebra is not.
@@ -611,7 +640,7 @@ def variation_battery(model, seed=0, tuples=20):
                partial(laplacian_variation_matrix, gamma=gamma, which=w, key=key),
                methodcaller("laplacian", w, key)) for w, key in complexes],
         ]
-        # the projector's differences come from the same stencil bundles as the others
+        # the projector's differences come from the same stencil bundle as the others
         *fds, fd_proj = _fd_along(b, Direction("metric", gamma), default_step(met),
                                   [extract for _, _, extract in differenced]
                                   + [lambda bb: harmonic_projector(bb, "d", k)])

@@ -74,7 +74,7 @@ def test_verify_draws_at_most_one_chunk_before_its_first_audit(capsys, monkeypat
     monkeypatch.setattr(cli, "random_metric", logged("draw", cli.random_metric))
     monkeypatch.setattr(cli, "identity_suite", logged("audit", cli.identity_suite))
     assert run(capsys, *argv) == before
-    chunk = cli._verify_chunk(4)
+    chunk = cli.metrics_per_stack(4)
     assert log.index("audit") <= chunk
     assert log == ["draw"] * (chunk - 1) + ["audit"] + ["draw"] * (21 - chunk) + ["audit"]
 
@@ -82,10 +82,10 @@ def test_verify_draws_at_most_one_chunk_before_its_first_audit(capsys, monkeypat
 def test_verify_chunk_rule():
     # every metric of a default job (--metrics 20) fits in one chunk up to n = 3; from
     # n = 5 on a second bundle would raise the job's peak memory past its bound
-    chunks = {n: cli._verify_chunk(n) for n in range(1, 7)}
+    chunks = {n: cli.metrics_per_stack(n) for n in range(1, 7)}
     assert all(chunks[n] >= 21 for n in (1, 2, 3))
-    assert chunks[4] == 13
-    assert chunks[5] == chunks[6] == 1
+    assert (chunks[3], chunks[4], chunks[5]) == (163, 13, 1)
+    assert chunks[6] == 1
     for n, chunk in chunks.items():
         assert chunk == 1 or 64 * chunk * math.comb(2 * n, n) ** 2 <= cli.DENSE_BUDGET
 

@@ -44,6 +44,9 @@ def test_fd_derivative_reports_positivity_loss():
         fd_derivative(at, 0.5)
     with pytest.raises(ValueError):
         fd_derivative(lambda t: t, 0.0)
+    for step in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            fd_derivative(lambda t: t * t + t, step)
 
 
 def test_default_step_tracks_smallest_eigenvalue():
