@@ -71,6 +71,9 @@ def metrics_per_stack(n):
     return max(1, DENSE_BUDGET // (64 * math.comb(2 * n, n) ** 2))
 
 
+_MISS = object()  # memo's marker of a key not kept yet
+
+
 def memo(method):
     """Keep method(self, *key) in self._memo, built on the first call with that key;
     keywords are bound to their positions, so a keyword call finds the positional
@@ -83,9 +86,7 @@ def memo(method):
         if named:
             return kept(self, *signature(method).bind(self, *key, **named).args[1:])
         try:
-            return self._memo[method, key]
-        except KeyError:
-            pass
+            out = self._memo.get((method, key), _MISS)
         except AttributeError:
             self._memo = {}
             return kept(self, *key)
@@ -93,8 +94,11 @@ def memo(method):
             key = tuple(k if k.__hash__ else tuple(k) for k in key)
             hash(key)  # anything deeper stays refused
             return kept(self, *key)
-        if any(isinstance(k, Form) for k in key):
-            raise TypeError(f"{method.__qualname__} cannot be kept under a Form key")
+        if out is not _MISS:
+            return out
+        for k in key:
+            if isinstance(k, Form):
+                raise TypeError(f"{method.__qualname__} cannot be kept under a Form key")
         out = self._memo[method, key] = method(self, *key)
         members = out.values() if isinstance(out, dict) else out if isinstance(out, tuple) \
             else getattr(out, "__dict__", {}).values()

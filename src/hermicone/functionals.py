@@ -10,7 +10,9 @@ ENERGIES names the hodge.CONES entry each energy is varied and descended over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from .errors import DimensionMismatch, NotPositive
 from .exterior import wedge, wedge_power
@@ -20,9 +22,16 @@ from .metric import HermitianMetric, bundle_for_algebra
 
 @dataclass
 class FunctionalValue:
+    """An energy's value, and the ingredients the eval report reads with it, built by
+    build on first read: a descent's trial point is judged on the value alone."""
+
     kind: str
     value: float
-    ingredients: dict
+    build: Callable = field(repr=False)
+
+    @cached_property
+    def ingredients(self):
+        return self.build()
 
 
 def cone_slice(kind):
@@ -73,14 +82,16 @@ def energy(functional):
 
 def _torsion_energy(bundle, rep, kind):
     """||torsion||^2 with its source norms, residuals and pure-type norms."""
-    ing = {
-        "projected_source_norm": bundle.l2_norm(rep.projected_source),
-        "harmonic_source_norm": bundle.l2_norm(rep.harmonic_source),
-        "residual_equation": rep.residual_equation,
-        "residual_kernel": rep.residual_kernel,
-    }
-    ing.update({f"norm_sq_{p}{q}": v for (p, q), v in rep.pure_norm_sq.items()})
-    return FunctionalValue(kind, float(rep.norm_sq), ing)
+    def ingredients():
+        ing = {
+            "projected_source_norm": bundle.l2_norm(rep.projected_source),
+            "harmonic_source_norm": bundle.l2_norm(rep.harmonic_source),
+            "residual_equation": rep.residual_equation,
+            "residual_kernel": rep.residual_kernel,
+        }
+        ing.update({f"norm_sq_{p}{q}": v for (p, q), v in rep.pure_norm_sq.items()})
+        return ing
+    return FunctionalValue(kind, float(rep.norm_sq), ingredients)
 
 
 def eval_F(bundle):
@@ -103,15 +114,18 @@ def eval_H(bundle_omega, bundle_gamma):
     alg = bundle_omega.alg
     n = alg.n
     u = bundle_omega.trace_contract(alg.del_form(bundle_omega.omega))
-    ubar = bundle_omega.trace_contract(alg.dbar_form(bundle_omega.omega))
     norm_form = bundle_gamma.l2_inner(u, u).real
-    gamma_pow = bundle_gamma.omega_power(n - 1)
-    wedge_val = 1j * alg.integrate(wedge(wedge(u, ubar), gamma_pow))
-    return FunctionalValue("H", float(norm_form), {
-        "wedge_form": float(wedge_val.real),
-        "cross_check_residual": float(abs(norm_form - wedge_val)),
-        "trace_norm": bundle_gamma.l2_norm(u),
-    })
+
+    def ingredients():
+        ubar = bundle_omega.trace_contract(alg.dbar_form(bundle_omega.omega))
+        gamma_pow = bundle_gamma.omega_power(n - 1)
+        wedge_val = 1j * alg.integrate(wedge(wedge(u, ubar), gamma_pow))
+        return {
+            "wedge_form": float(wedge_val.real),
+            "cross_check_residual": float(abs(norm_form - wedge_val)),
+            "trace_norm": bundle_gamma.l2_norm(u),
+        }
+    return FunctionalValue("H", float(norm_form), ingredients)
 
 
 def normalization_integral(bundle, nu):
@@ -129,9 +143,8 @@ def eval_F_tilde(bundle, nu):
     f = eval_F(bundle)
     integral = normalization_integral(bundle, nu)
     value = f.value / integral ** bundle.n
-    ing = dict(f.ingredients)
-    ing.update({"F": f.value, "normalization_integral": float(integral)})
-    return FunctionalValue("F_tilde", float(value), ing)
+    return FunctionalValue("F_tilde", float(value), lambda: {
+        **f.ingredients, "F": f.value, "normalization_integral": float(integral)})
 
 
 def references(bundle, functional, nu=None, weight_bundle=None):
@@ -149,7 +162,11 @@ def evaluate(bundle, functional, nu=None, weight_bundle=None):
     """Value of the energy named functional (a key of ENERGIES) at bundle.
 
     nu is the normalization metric of F_tilde, weight_bundle the weight of H; they
-    default as references gives them, the identity and its bundle.
+    default as references gives them, the identity and its bundle.  The value is
+    computed here, with what decides it: the torsion's guard and residual gate, or H's
+    trace.  The ingredients (source norms, residuals, pure-type norms, H's wedge
+    cross-check) are computed on their first read, by the same expressions, so the eval
+    report's bits do not depend on when; a descent's trial point never reads them.
     """
     nu, weight_bundle = references(bundle, functional, nu, weight_bundle)
     if functional == "H":

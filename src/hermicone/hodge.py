@@ -45,7 +45,7 @@ projector and keeps no Decomposition or total-degree matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -324,24 +324,30 @@ class MetricPredicates:
 
 
 @memo
-def _predicate_residuals(bundle):
-    """max |d omega| and each cone's max |constraint(datum(omega))|, kept on the bundle."""
+def _residual(bundle, torsion):
+    """max |constraint(datum(omega))| of the cone of torsion (a key of TORSIONS), or max
+    |d omega| for torsion None, kept on the bundle: each is read where it is needed,
+    torsion's guard its own cone's alone.  A bundle over a stack of metrics (verify's) has
+    no one verdict: DimensionMismatch."""
+    if bundle.lead:
+        raise DimensionMismatch(f"predicates take one metric, not a stack of {bundle.lead[0]}")
     alg, omega = bundle.alg, bundle.omega
-    return (float(alg.d_form(omega).max_abs()),
-            *(float(cone.constraint(alg, cone.datum(omega)).max_abs())
-              for cone in CONES.values()))
+    if torsion is None:
+        return float(alg.d_form(omega).max_abs())
+    cone = TORSIONS[torsion]
+    return float(cone.constraint(alg, cone.datum(omega)).max_abs())
 
 
 def predicates(bundle, tol=None):
     """Kahler / SKT / balanced flags with their defining residuals, at tol (the bundle's
-    tolerance by default), kept on the bundle: they depend on the metric alone.  A
-    bundle over a stack of metrics (verify's) has no one verdict: DimensionMismatch."""
-    if bundle.lead:
-        raise DimensionMismatch(f"predicates take one metric, not a stack of {bundle.lead[0]}")
+    tolerance by default).  Each residual is kept on the bundle (_residual), as it
+    depends on the metric alone, so eval, torsion and descend's final flags read the
+    floats torsion's guard read.  A bundle over a stack of metrics is refused."""
     tol = bundle.tol if tol is None else tol
-    d_omega, *residuals = _predicate_residuals(bundle)
+    d_omega = _residual(bundle, None)
     fields = {"is_kahler": bool(d_omega <= tol), "d_omega_residual": d_omega}
-    for cone, res in zip(CONES.values(), residuals):
+    for kind, cone in TORSIONS.items():
+        res = _residual(bundle, kind)
         fields.update({cone.flag: bool(res <= tol), cone.residual: res})
     return MetricPredicates(tol=tol, **fields)
 
@@ -401,26 +407,50 @@ def _l2(bundle, which, key, vec):
 
 @dataclass
 class TorsionReport:
+    """The torsion of kind at one metric, with its source and its potential's residuals.
+
+    What only a report reads is built on first read from what the report keeps, with the
+    bits a build at once would give: harmonic_source, the form of harmonic_component
+    (the harmonic part of the source's coefficients), and pure_norm_sq, the squared
+    norms of the torsion's pure-type parts where its space has more than one type
+    (types), by l2, the bundle's l2_inner on those types (OperatorBundle.l2_inner_on).
+    A descent's trial point reads norm_sq alone.  The report is kept on its bundle and
+    holds no reference to it."""
+
     kind: str
     torsion: Form
     source: Form
     projected_source: Form
-    harmonic_source: Form
+    harmonic_component: np.ndarray
     residual_equation: float
     residual_kernel: float
     norm_sq: float
-    pure_norm_sq: dict = field(default_factory=dict)
+    types: tuple
+    l2: Callable = field(repr=False)
+
+    @cached_property
+    def harmonic_source(self):
+        n = self.torsion.n
+        return Form.at(n, TORSIONS[self.kind].space(n)[1], self.harmonic_component)
+
+    @cached_property
+    def pure_norm_sq(self):
+        n, form = self.torsion.n, self.torsion
+        parts = {pq: Form.at(n, pq, form.part(pq)) for pq in self.types}
+        return {pq: float(self.l2(part, part).real) for pq, part in parts.items()}
 
 
 @memo
 def _torsion(bundle, kind):
     """The minimal torsion potential of kind, with its source and residuals, kept on
-    the bundle: a descent's gradient reuses the report its line search built."""
+    the bundle: a descent's gradient reuses the report its line search built.  Its guard
+    reads the residual of kind's cone alone (_residual); the other cone's and d omega's
+    are left to predicates, and the pure-type norms and the harmonic source form to
+    their first read (TorsionReport)."""
     cone, tol = TORSIONS[kind], bundle.tol
-    pred = predicates(bundle)
-    if not getattr(pred, cone.flag):
-        raise cone.error(f"{cone.what} has residual {getattr(pred, cone.residual):.3e} "
-                         f"> {tol:.1e}")
+    res = _residual(bundle, kind)
+    if not res <= tol:
+        raise cone.error(f"{cone.what} has residual {res:.3e} > {tol:.1e}")
     n = bundle.n
     which, key = cone.space(n)
     prev = neighbor(which, key, -1)
@@ -429,22 +459,19 @@ def _torsion(bundle, kind):
     sol = potential(bundle, which, key, vec)
     sol.check(tol, _l2(bundle, which, key, vec), f"torsion {kind}")
     form = Form.at(n, prev, sol.potential)
-    # the norms of the pure-type parts, where the torsion's space has more than one type
-    types, pure_norm_sq = bundle.alg.slices(prev), {}
-    if len(types) > 1:
-        for pq in types:
-            part = Form.at(n, pq, form.part(pq))
-            pure_norm_sq[pq] = float(bundle.l2_inner(part, part).real)
+    types = tuple(bundle.alg.slices(prev))
+    types = types if len(types) > 1 else ()
     return TorsionReport(
         kind=kind,
         torsion=form,
         source=source,
         projected_source=Form.at(n, key, sol.projected_source),
-        harmonic_source=Form.at(n, key, sol.harmonic_component),
+        harmonic_component=sol.harmonic_component,
         residual_equation=sol.residual_equation,
         residual_kernel=sol.residual_kernel,
         norm_sq=bundle.l2_inner(form, form).real,
-        pure_norm_sq=pure_norm_sq,
+        types=types,
+        l2=bundle.l2_inner_on(types),
     )
 
 

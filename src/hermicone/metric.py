@@ -219,6 +219,15 @@ class SpectralData:
     gram: np.ndarray
 
 
+def _pairing(gram, u, v):
+    """sum over the bidegrees (p, q) of u or v of v^H gram(p, q) u, gram giving the Gram
+    block of a bidegree: the pointwise product of OperatorBundle.inner."""
+    total = 0.0 + 0.0j
+    for key in set(u.bidegrees()) | set(v.bidegrees()):
+        total += v.part(key).conj() @ (gram(*key) @ u.part(key))
+    return complex(total)
+
+
 class OperatorBundle:
     """All metric-dependent operators of one (model, metric) pair, lazily cached.
 
@@ -288,13 +297,17 @@ class OperatorBundle:
         """Pointwise Hermitian product, summed over shared bidegrees."""
         if u.n != self.n or v.n != self.n:
             raise DimensionMismatch("form dimension does not match bundle")
-        total = 0.0 + 0.0j
-        for key in set(u.bidegrees()) | set(v.bidegrees()):
-            total += v.part(key).conj() @ (self.gram(*key) @ u.part(key))
-        return complex(total)
+        return _pairing(self.gram, u, v)
 
     def l2_inner(self, u, v):
         return self.inner(u, v) * self.det_h
+
+    def l2_inner_on(self, types):
+        """l2_inner of forms of the bidegrees types alone, as a function that keeps their
+        Gram blocks and det(H), not the bundle: a report kept on the bundle reads it later,
+        and a reference back would make every bundle cyclic garbage."""
+        blocks, det = {pq: self.gram(*pq) for pq in types}, self.det_h
+        return lambda u, v: _pairing(lambda p, q: blocks[p, q], u, v) * det
 
     def l2_norm(self, u):
         val = self.l2_inner(u, u).real

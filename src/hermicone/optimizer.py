@@ -200,6 +200,12 @@ class _Objective:
     constant along rays and monotone line searches survive the rescaling
     of accepted iterates.  The normalization integral is linear in the
     coordinates: covector holds its value on each basis form.
+
+    A trial point costs its bundle and its value: the line search judges it on
+    the value alone, so the energy's ingredients, the pure-type norms and the other
+    cone's residual are never formed there (evaluate).  The bundle of the iterate
+    whose gradient was taken last is kept beside the last one, so a trial point
+    that rounds back onto the iterate builds no second bundle.
     """
 
     def __init__(self, alg, basis, functional, nu, weight_bundle, tol, normalize):
@@ -215,7 +221,7 @@ class _Objective:
         # one stack for the whole descent: its direction-only work is done once
         self.directions = make_direction(alg, basis.forms, kind=self.kind, tol=tol)
         self.covector = self.directions.nu_integrals(alg, nu)
-        self._last = None
+        self._last = self._iterate = None
 
     def normalization(self, x):
         return float(self.covector @ x)
@@ -233,13 +239,19 @@ class _Objective:
     def at(self, x):
         """The bundle at x's evaluation point (x / c(x) with normalize on), None where
         it is refused.  The last one is kept: a trial point's guard and value share it,
-        and so do the gradient and the record at an accepted iterate."""
+        and so do the gradient and the record at an accepted iterate.  So is the
+        iterate's (gradient), which a trial point equal to it reads again; the last one
+        is dropped before the next is built, so no more than two are held."""
         try:
             x = self.retract(x) if self.normalize else x
             key = x.tobytes()
             if self._last is None or self._last[0] != key:
-                metric = self.cone.metric(self.alg, self.basis.combine(x))
-                self._last = (key, bundle_for_algebra(self.alg, metric, self.tol))
+                if self._iterate is not None and self._iterate[0] == key:
+                    self._last = self._iterate
+                else:
+                    self._last = None
+                    metric = self.cone.metric(self.alg, self.basis.combine(x))
+                    self._last = (key, bundle_for_algebra(self.alg, metric, self.tol))
         except _UNEVALUABLE:
             return None
         return self._last[1]
@@ -264,6 +276,7 @@ class _Objective:
         bundle = self.at(x)
         if bundle is None:
             return None
+        self._iterate = self._last
         try:
             grad = first_variation(bundle, self.functional, self.directions, self.nu,
                                    self.weight_bundle).derivative
