@@ -32,7 +32,8 @@ from .errors import (DegreeOutOfRange, DimensionMismatch, DirectionNotAdmissible
                      ToleranceFailure, UnknownCatalogName)
 from .exterior import DENSE_BUDGET, metrics_per_stack
 from .functionals import energy, evaluate
-from .hodge import TORSIONS, basis_residuals, predicates, three_space_residuals, torsion
+from .hodge import (TORSIONS, basis_residuals, predicates, pure_norm_sq, three_space_residuals,
+                    torsion)
 from .metric import (DEFAULT_TOL, HermitianMetric, bundle_for_algebra, identity_suite,
                      random_metric)
 from .model import (algebra_for, catalog, catalog_names, parse_model,
@@ -303,9 +304,10 @@ def _torsion_payload(bundle, report):
             bundle.l2_inner(report.harmonic_source, report.harmonic_source).real),
         "torsion": report.torsion.to_entries(),
     }
-    if report.pure_norm_sq:
+    pure = pure_norm_sq(bundle, report.kind)
+    if pure:
         support = report.torsion.bidegrees()
-        payload["pure_part_norm_sq"] = {f"{p}{q}": v for (p, q), v in report.pure_norm_sq.items()
+        payload["pure_part_norm_sq"] = {f"{p}{q}": v for (p, q), v in pure.items()
                                         if (p, q) in support}
     return payload
 

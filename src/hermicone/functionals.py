@@ -16,7 +16,7 @@ from typing import Callable
 
 from .errors import DimensionMismatch, NotPositive
 from .exterior import wedge, wedge_power
-from .hodge import CONES, torsion_gamma, torsion_rho
+from .hodge import CONES, pure_norm_sq, torsion_gamma, torsion_rho
 from .metric import HermitianMetric, bundle_for_algebra
 
 
@@ -89,7 +89,7 @@ def _torsion_energy(bundle, rep, kind):
             "residual_equation": rep.residual_equation,
             "residual_kernel": rep.residual_kernel,
         }
-        ing.update({f"norm_sq_{p}{q}": v for (p, q), v in rep.pure_norm_sq.items()})
+        ing.update({f"norm_sq_{p}{q}": v for (p, q), v in pure_norm_sq(bundle, rep.kind).items()})
         return ing
     return FunctionalValue(kind, float(rep.norm_sq), ingredients)
 

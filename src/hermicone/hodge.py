@@ -21,7 +21,9 @@ show.
 The projectors onto the images of a differential and of its codifferential
 and the minimum-norm potential are written once over (which, key), as the
 bundle's codiff and laplacian are: torsion rho is the "d" potential on
-degree 3, torsion Gamma the "dbar" potential on (n-1, n-1).
+degree 3, torsion Gamma the "dbar" potential on (n-1, n-1).  A torsion's report, its
+pure-type norms and each predicate residual are kept on the bundle by memo, as the
+decompositions are, and none of them refers back to it.
 
 CONES states each metric cone once with its torsion (TORSIONS, by torsion name):
 the SKT cone with rho, the balanced cone with Gamma.  Every module reads a cone's
@@ -44,7 +46,7 @@ projector and keeps no Decomposition or total-degree matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable
 
@@ -409,13 +411,11 @@ def _l2(bundle, which, key, vec):
 class TorsionReport:
     """The torsion of kind at one metric, with its source and its potential's residuals.
 
-    What only a report reads is built on first read from what the report keeps, with the
-    bits a build at once would give: harmonic_source, the form of harmonic_component
-    (the harmonic part of the source's coefficients), and pure_norm_sq, the squared
-    norms of the torsion's pure-type parts where its space has more than one type
-    (types), by l2, the bundle's l2_inner on those types (OperatorBundle.l2_inner_on).
-    A descent's trial point reads norm_sq alone.  The report is kept on its bundle and
-    holds no reference to it."""
+    harmonic_source, the form of harmonic_component (the harmonic part of the source's
+    coefficients), is built on first read, with the bits a build at once would give; the
+    pure-type norms are kept on the bundle beside the report (pure_norm_sq).  A descent's
+    trial point reads norm_sq alone.  The report is kept on its bundle and holds no
+    reference to it."""
 
     kind: str
     torsion: Form
@@ -425,19 +425,11 @@ class TorsionReport:
     residual_equation: float
     residual_kernel: float
     norm_sq: float
-    types: tuple
-    l2: Callable = field(repr=False)
 
     @cached_property
     def harmonic_source(self):
         n = self.torsion.n
         return Form.at(n, TORSIONS[self.kind].space(n)[1], self.harmonic_component)
-
-    @cached_property
-    def pure_norm_sq(self):
-        n, form = self.torsion.n, self.torsion
-        parts = {pq: Form.at(n, pq, form.part(pq)) for pq in self.types}
-        return {pq: float(self.l2(part, part).real) for pq, part in parts.items()}
 
 
 @memo
@@ -445,8 +437,8 @@ def _torsion(bundle, kind):
     """The minimal torsion potential of kind, with its source and residuals, kept on
     the bundle: a descent's gradient reuses the report its line search built.  Its guard
     reads the residual of kind's cone alone (_residual); the other cone's and d omega's
-    are left to predicates, and the pure-type norms and the harmonic source form to
-    their first read (TorsionReport)."""
+    are left to predicates, the pure-type norms to pure_norm_sq and the harmonic source
+    form to its first read (TorsionReport)."""
     cone, tol = TORSIONS[kind], bundle.tol
     res = _residual(bundle, kind)
     if not res <= tol:
@@ -459,8 +451,6 @@ def _torsion(bundle, kind):
     sol = potential(bundle, which, key, vec)
     sol.check(tol, _l2(bundle, which, key, vec), f"torsion {kind}")
     form = Form.at(n, prev, sol.potential)
-    types = tuple(bundle.alg.slices(prev))
-    types = types if len(types) > 1 else ()
     return TorsionReport(
         kind=kind,
         torsion=form,
@@ -470,8 +460,6 @@ def _torsion(bundle, kind):
         residual_equation=sol.residual_equation,
         residual_kernel=sol.residual_kernel,
         norm_sq=bundle.l2_inner(form, form).real,
-        types=types,
-        l2=bundle.l2_inner_on(types),
     )
 
 
@@ -498,6 +486,20 @@ def torsion(bundle, kind):
     if kind not in TORSIONS:
         raise ValueError(f"unknown torsion kind {kind!r}")
     return torsion_rho(bundle) if kind == "rho" else torsion_gamma(bundle)
+
+
+@memo
+def pure_norm_sq(bundle, kind):
+    """The squared L2 norms of the pure-type parts of the torsion of kind, by bidegree,
+    where its space has more than one type (else empty), kept on the bundle: the eval
+    and torsion reports read them, a descent's trial point never does."""
+    form = torsion(bundle, kind).torsion
+    which, key = TORSIONS[kind].space(bundle.n)
+    types = bundle.alg.slices(neighbor(which, key, -1))
+    if len(types) < 2:
+        return {}
+    parts = {pq: Form.at(bundle.n, pq, form.part(pq)) for pq in types}
+    return {pq: float(bundle.l2_inner(part, part).real) for pq, part in parts.items()}
 
 
 # ----- Michelsohn root ------------------------------------------------------------------

@@ -114,42 +114,48 @@ class HermitianMetric:
 
     def check(self):
         """Refuse a metric that is not finite, Hermitian, positive definite and in
-        float range; returns self.  Only the first passing call does the work, and it
-        keeps the smallest eigenvalue it computed for min_eigenvalue."""
+        float range, tested in that order, or a stack in which one metric fails a test:
+        each runs once over the stack, the first test failed is raised; returns self.
+        Only the first passing call does the work, and it keeps the smallest eigenvalue
+        for min_eigenvalue, each metric's for a stack, with the bits of its own check."""
         if self._lambda_min is not None:
             return self
-        if self.h.ndim == 3:  # a stack: each metric on its own
-            self._lambda_min = np.array([HermitianMetric(h).check()._lambda_min
-                                         for h in self.h])
-            return self
-        if not np.all(np.isfinite(self.h)):
+        h = self.h
+        if not np.isfinite(h).all():
             raise SchemaError("metric entries must be finite")
-        # entries near the float limit overflow here; the inf or nan is refused below
-        with np.errstate(over="ignore", invalid="ignore"):
-            skew = np.max(np.abs(self.h - self.h.conj().T))
-            scale = max(1.0, float(np.max(np.abs(self.h))))
-            sym = 0.5 * (self.h + self.h.conj().T)
-        # relative to the largest entry: rounding leaves a skew ~ eps * max|H|
-        if skew > HERMITICITY_TOL * scale:
-            raise NotPositive(f"metric matrix is not Hermitian: skew {skew:.3e} "
-                              f"exceeds {HERMITICITY_TOL:g} * max(1, max |H|)")
-        try:
-            lam = np.linalg.eigvalsh(sym)
-        except np.linalg.LinAlgError as exc:
-            raise SchemaError(f"metric matrix has no eigenvalues: {exc}") from None
-        lo, hi = float(lam[0]), float(lam[-1])
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise SchemaError("metric matrix overflows: its eigenvalues are not finite")
-        if lo <= 0:
-            raise NotPositive("metric matrix is not positive definite")
-        # the (p, q) Gram block scales as H^-(p+q), up to det(H)^-2 on (n, n):
-        # refuse scales at which lambda_max^2n or lambda_min^-2n is not a normal float
-        logs = (2 * self.n * math.log(hi), -2 * self.n * math.log(lo))
-        if not all(NORMAL_FLOAT_LOGS[0] <= x <= NORMAL_FLOAT_LOGS[1] for x in logs):
+        # entries near the float limit overflow here, and the logarithm of an eigenvalue
+        # that is not positive is not finite: each is refused below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            hh = h.conj().swapaxes(-1, -2)
+            skew = np.abs(h - hh).max(axis=(-2, -1))
+            sym = 0.5 * (h + hh)
+            # relative to the largest entry: rounding leaves a skew ~ eps * max|H|; a skew
+            # of 0, the usual case on a descent's path, passes at any scale
+            if np.count_nonzero(skew):
+                bad = skew > HERMITICITY_TOL * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+                if np.count_nonzero(bad):
+                    raise NotPositive(f"metric matrix is not Hermitian: skew "
+                                      f"{skew[bad][0]:.3e} exceeds {HERMITICITY_TOL:g} "
+                                      "* max(1, max |H|)")
+            try:
+                lam = np.linalg.eigvalsh(sym)
+            except np.linalg.LinAlgError as exc:
+                raise SchemaError(f"metric matrix has no eigenvalues: {exc}") from None
+            lo, hi = lam[..., 0], lam[..., -1]
+            # the (p, q) Gram block scales as H^-(p+q), up to det(H)^-2 on (n, n): refuse
+            # scales at which lambda_max^2n or lambda_min^-2n is not a normal float
+            logs = (2 * self.n * np.log(hi), -2 * self.n * np.log(lo))
+        low, high = NORMAL_FLOAT_LOGS
+        inside = (low <= logs[0]) & (logs[0] <= high) & (low <= logs[1]) & (logs[1] <= high)
+        if np.count_nonzero(inside) < inside.size:  # all tests hold where both logs do
+            if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+                raise SchemaError("metric matrix overflows: its eigenvalues are not finite")
+            if np.count_nonzero(lo <= 0):
+                raise NotPositive("metric matrix is not positive definite")
             raise SchemaError(
-                f"metric scale overflows: eigenvalues {lo:.3e}..{hi:.3e} put "
-                "its Gram blocks outside the float range")
-        self._lambda_min = lo
+                f"metric scale overflows: eigenvalues {lo[~inside][0]:.3e}..{hi[~inside][0]:.3e} "
+                "put its Gram blocks outside the float range")
+        self._lambda_min = lo if lo.ndim else float(lo)
         return self
 
     def min_eigenvalue(self):
@@ -217,15 +223,6 @@ class SpectralData:
     eigenvalues: np.ndarray
     vectors: np.ndarray
     gram: np.ndarray
-
-
-def _pairing(gram, u, v):
-    """sum over the bidegrees (p, q) of u or v of v^H gram(p, q) u, gram giving the Gram
-    block of a bidegree: the pointwise product of OperatorBundle.inner."""
-    total = 0.0 + 0.0j
-    for key in set(u.bidegrees()) | set(v.bidegrees()):
-        total += v.part(key).conj() @ (gram(*key) @ u.part(key))
-    return complex(total)
 
 
 class OperatorBundle:
@@ -297,17 +294,13 @@ class OperatorBundle:
         """Pointwise Hermitian product, summed over shared bidegrees."""
         if u.n != self.n or v.n != self.n:
             raise DimensionMismatch("form dimension does not match bundle")
-        return _pairing(self.gram, u, v)
+        total = 0.0 + 0.0j
+        for key in set(u.bidegrees()) | set(v.bidegrees()):
+            total += v.part(key).conj() @ (self.gram(*key) @ u.part(key))
+        return complex(total)
 
     def l2_inner(self, u, v):
         return self.inner(u, v) * self.det_h
-
-    def l2_inner_on(self, types):
-        """l2_inner of forms of the bidegrees types alone, as a function that keeps their
-        Gram blocks and det(H), not the bundle: a report kept on the bundle reads it later,
-        and a reference back would make every bundle cyclic garbage."""
-        blocks, det = {pq: self.gram(*pq) for pq in types}, self.det_h
-        return lambda u, v: _pairing(lambda p, q: blocks[p, q], u, v) * det
 
     def l2_norm(self, u):
         val = self.l2_inner(u, u).real

@@ -203,9 +203,8 @@ class _Objective:
 
     A trial point costs its bundle and its value: the line search judges it on
     the value alone, so the energy's ingredients, the pure-type norms and the other
-    cone's residual are never formed there (evaluate).  The bundle of the iterate
-    whose gradient was taken last is kept beside the last one, so a trial point
-    that rounds back onto the iterate builds no second bundle.
+    cone's residual are never formed there (evaluate).  Only the last bundle is
+    kept: the line search stops before a trial point equal to the iterate.
     """
 
     def __init__(self, alg, basis, functional, nu, weight_bundle, tol, normalize):
@@ -221,7 +220,7 @@ class _Objective:
         # one stack for the whole descent: its direction-only work is done once
         self.directions = make_direction(alg, basis.forms, kind=self.kind, tol=tol)
         self.covector = self.directions.nu_integrals(alg, nu)
-        self._last = self._iterate = None
+        self._last = None
 
     def normalization(self, x):
         return float(self.covector @ x)
@@ -239,19 +238,13 @@ class _Objective:
     def at(self, x):
         """The bundle at x's evaluation point (x / c(x) with normalize on), None where
         it is refused.  The last one is kept: a trial point's guard and value share it,
-        and so do the gradient and the record at an accepted iterate.  So is the
-        iterate's (gradient), which a trial point equal to it reads again; the last one
-        is dropped before the next is built, so no more than two are held."""
+        and so do the gradient and the record at an accepted iterate."""
         try:
             x = self.retract(x) if self.normalize else x
             key = x.tobytes()
             if self._last is None or self._last[0] != key:
-                if self._iterate is not None and self._iterate[0] == key:
-                    self._last = self._iterate
-                else:
-                    self._last = None
-                    metric = self.cone.metric(self.alg, self.basis.combine(x))
-                    self._last = (key, bundle_for_algebra(self.alg, metric, self.tol))
+                metric = self.cone.metric(self.alg, self.basis.combine(x))
+                self._last = (key, bundle_for_algebra(self.alg, metric, self.tol))
         except _UNEVALUABLE:
             return None
         return self._last[1]
@@ -276,7 +269,6 @@ class _Objective:
         bundle = self.at(x)
         if bundle is None:
             return None
-        self._iterate = self._last
         try:
             grad = first_variation(bundle, self.functional, self.directions, self.nu,
                                    self.weight_bundle).derivative
@@ -293,12 +285,16 @@ def _line_search(obj, x, grad, value, alpha0):
     Returns (candidate, value, alpha, backtracks), or, once no step above the
     floor satisfies both guards, the termination that ends the descent:
     "PositivityBoundary" when no trial point was positive, else "NumericalStall".
+    A trial point equal to the iterate x ends it as a stall: rounding is monotone, so
+    every smaller step gives x too, and a step that does not move x is no progress.
     """
     alpha = alpha0
     bt = 0
     termination = "PositivityBoundary"
     while alpha >= LINESEARCH_FLOOR:
         cand = x - alpha * grad
+        if np.array_equal(cand, x):
+            return "NumericalStall"
         if obj.at(cand) is not None:
             termination = "NumericalStall"
             cand_val = obj(cand)
@@ -373,6 +369,7 @@ def descend(model, functional="F_tilde", start=None, nu=None,
     termination = "MaxIters"
     step_size = 1.0
     for it in range(steps + 1):
+        bundle = obj.at(x)  # the iterate's, for its record and the final predicates
         grad = obj.gradient(x)
         if grad is None:
             termination = "NumericalStall"
@@ -384,7 +381,7 @@ def descend(model, functional="F_tilde", start=None, nu=None,
             value=float(value),
             gradient_norm=gnorm,
             step_size=0.0,
-            min_eigenvalue=obj.at(x).metric.min_eigenvalue(),
+            min_eigenvalue=bundle.metric.min_eigenvalue(),
             normalization_integral=obj.normalization(x),
             constraint_residual=obj.constraint_residual(x),
             backtracks=0,
@@ -409,9 +406,8 @@ def descend(model, functional="F_tilde", start=None, nu=None,
         records[-1].step_size = alpha
         records[-1].backtracks = bt
 
-    final_bundle = obj.at(x)
-    preds = predicates(final_bundle, 1e-6)
-    h, lam = final_bundle.metric.h, final_bundle.metric.min_eigenvalue()
+    preds = predicates(bundle, 1e-6)
+    h, lam = bundle.metric.h, bundle.metric.min_eigenvalue()
     degen = bool(lam < DEGENERACY_RTOL * np.trace(h).real / n)
     # a vanishing pluriclosed energy certifies a Kahler point; G and H have
     # no such converse, so the consistency gate only watches the F family

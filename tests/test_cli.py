@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from hermicone import cli, errors
+from hermicone import cli, errors, hodge
 from hermicone.cli import main
 from hermicone.metric import HermitianMetric, OperatorBundle, random_metric
 from hermicone.model import algebra_for, catalog, make_model, serialize_model
@@ -665,6 +665,31 @@ def test_a_refusal_repeats_on_the_kept_bundle(tmp_path, capsys, monkeypatch):
     built = _count_bundles(monkeypatch)
     assert run(capsys, *argv) == first
     assert built == []
+
+
+def test_an_eval_then_a_torsion_job_compute_the_pure_type_norms_once(tmp_path, capsys,
+                                                                       monkeypatch):
+    # eval --functional F reports rho's pure-type norms among its ingredients and torsion
+    # reports them again: both read the entry hodge.pure_norm_sq keeps on the kept bundle
+    stored = []
+
+    class Recording(dict):
+        def __setitem__(self, key, value):
+            stored.append(key)
+            super().__setitem__(key, value)
+
+    init = OperatorBundle.__init__
+    monkeypatch.setattr(OperatorBundle, "__init__", lambda self, *args: setattr(
+        self, "_memo", Recording()) or init(self, *args))
+    cli._KEPT.clear()
+    metric = _random_metric_file(tmp_path, "kodaira_thurston")
+    evaluated = run_json(capsys, *_kt_job(metric, "eval", "--functional", "F"))
+    reported = run_json(capsys, *_kt_job(metric, "torsion"))["report"]["torsion"]["rho"]
+    assert len(cli._KEPT) == 1
+    assert [key for fn, key in stored if fn is hodge.pure_norm_sq.__wrapped__] == [("rho",)]
+    pure = {key[len("norm_sq_"):]: v for key, v in evaluated["report"]["ingredients"].items()
+            if key.startswith("norm_sq_")}
+    assert reported["pure_part_norm_sq"] and reported["pure_part_norm_sq"].items() <= pure.items()
 
 
 @pytest.mark.parametrize("argv,hook", [

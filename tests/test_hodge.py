@@ -318,7 +318,7 @@ def test_torsion_rho_matches_dense_oracle(seed):
     assert rep.residual_equation <= 1e-9
     assert rep.residual_kernel <= 1e-9
     assert rep.norm_sq >= 0
-    assert set(rep.pure_norm_sq) == {(2, 0), (1, 1), (0, 2)}
+    assert set(hodge.pure_norm_sq(b, "rho")) == {(2, 0), (1, 1), (0, 2)}
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1, 2])

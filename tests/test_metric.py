@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -275,11 +276,34 @@ def test_a_checked_metric_keeps_its_smallest_eigenvalue(monkeypatch):
         calls.clear()
         assert checked.min_eigenvalue().hex() == want.hex()
         assert calls == []
-    stack = HermitianMetric(np.stack(hs[3:])).check()
-    calls.clear()
-    assert [lam.hex() for lam in stack.min_eigenvalue()] == \
-        [HermitianMetric(h).min_eigenvalue().hex() for h in hs[3:]]
-    assert len(calls) == 2
+    # a stack of 2 and one of 21 (a default verify job's one chunk at n = 3): one eigvalsh
+    # over the whole stack, and each metric keeps the bits of its own check
+    for stack in (hs[3:], [random_metric(3, rng).h for _ in range(20)] + [hs[2]]):
+        calls.clear()
+        checked = HermitianMetric(np.stack(stack)).check()
+        assert len(calls) == 1
+        assert [lam.hex() for lam in checked.min_eigenvalue()] == \
+            [HermitianMetric(h).check().min_eigenvalue().hex() for h in stack]
+
+
+@pytest.mark.parametrize("failing,error,message", [
+    ((0, 1, 2, 3, 4), SchemaError, "entries must be finite"),
+    ((1, 2, 3, 4), NotPositive, "not Hermitian: skew 1.000e-06 "),
+    ((2, 3, 4), SchemaError, "eigenvalues are not finite"),
+    ((3, 4), NotPositive, "not positive definite"),
+    ((4,), SchemaError, "eigenvalues 1.000e-200..1.000e-200 put"),
+])
+def test_a_stack_raises_the_first_test_one_of_its_metrics_fails(failing, error, message):
+    # one metric failing each test, in the documented order; the stack holds good metrics
+    # around those that fail, the last failing test first, so that order is not stack order
+    bad = [np.diag([np.nan, 1.0]), np.eye(2) + np.diag([1e-6], 1), np.diag([1e308, 1.0]),
+           np.diag([1.0, -1.0]), 1e-200 * np.eye(2)]
+    good = random_metric(2, np.random.default_rng(7)).h
+    stack = [good, *(bad[i] for i in reversed(failing)), good]
+    with pytest.raises(error, match=re.escape(message)):
+        HermitianMetric(np.stack(stack)).check()
+    with pytest.raises(error, match=re.escape(message)):
+        HermitianMetric(bad[failing[0]]).check()
 
 
 def test_random_metric_positive_definite():

@@ -1,6 +1,7 @@
 """What a descent's trial point computes: its value alone.  The energy's ingredients, the
-torsion's pure-type norms and harmonic source form and the residuals its guard does not
-read are built on their first read, with the bits an eager computation gives."""
+torsion's pure-type norms (hodge.pure_norm_sq) and harmonic source form and the residuals
+its guard does not read are built on their first read, with the bits an eager computation
+gives."""
 
 import gc
 import weakref
@@ -12,7 +13,8 @@ import pytest
 from hermicone import functionals, hodge
 from hermicone.exterior import Form, neighbor, wedge
 from hermicone.functionals import ENERGIES, FunctionalValue, evaluate
-from hermicone.hodge import CONES, TORSIONS, harmonic_projector, predicates, torsion
+from hermicone.hodge import (CONES, TORSIONS, harmonic_projector, predicates, pure_norm_sq,
+                             torsion)
 from hermicone.metric import (DEFAULT_TOL, HermitianMetric, OperatorBundle, bundle_for_algebra,
                               random_metric)
 from hermicone.model import algebra_for, catalog
@@ -51,10 +53,11 @@ def test_a_trial_point_computes_its_value_alone(name, functional, seed, monkeypa
     kind = ENERGIES[functional].torsion
     # the guard read its own cone's residual; d omega's and the other cone's wait
     assert kept_keys(bundle, hodge._residual) == ([(kind,)] if kind else [])
+    assert kept_keys(bundle, pure_norm_sq) == []
     if kind:
         report, = [out for (fn, key), out in bundle._memo.items()
                    if fn is hodge._torsion.__wrapped__]
-        assert not {"pure_norm_sq", "harmonic_source"} & set(vars(report))
+        assert "harmonic_source" not in vars(report)
         assert torsion(bundle, kind) is report
 
 
@@ -125,8 +128,9 @@ def test_first_reads_give_the_eager_bits(name, seed):
     for kind, cone in TORSIONS.items():
         if not getattr(pred, cone.flag):
             continue
-        rep, want = torsion(bundle_for_algebra(alg, metric), kind), torsion(fresh, kind)
-        assert _bits(rep.pure_norm_sq) == _bits(_eager_pure(fresh, want))
+        lazy = bundle_for_algebra(alg, metric)
+        rep, want = torsion(lazy, kind), torsion(fresh, kind)
+        assert _bits(pure_norm_sq(lazy, kind)) == _bits(_eager_pure(fresh, want))
         which, key = cone.space(alg.n)
         harmonic = harmonic_projector(fresh, which, key) @ want.source.part(key)
         assert rep.harmonic_source.vec.tobytes() == Form.at(alg.n, key, harmonic).vec.tobytes()
@@ -134,11 +138,12 @@ def test_first_reads_give_the_eager_bits(name, seed):
 
 
 def test_a_torsion_report_keeps_no_reference_to_its_bundle():
-    # the report is kept on the bundle: its lazy fields read the Gram blocks it keeps,
-    # so a bundle is freed by reference counting, read or not, with no cyclic collection
+    # the report and the pure-type norms are kept on the bundle and refer to nothing of
+    # it, so a bundle is freed by reference counting, read or not, with no cyclic collection
     b = seeded_bundle("kodaira_thurston", seed=4)
     ingredients = evaluate(b, "F").ingredients
-    assert torsion(b, "rho").pure_norm_sq and "norm_sq_11" in ingredients
+    assert torsion(b, "rho").harmonic_source and pure_norm_sq(b, "rho")
+    assert "norm_sq_11" in ingredients
     ref = weakref.ref(b)
     gc.disable()
     try:
@@ -149,10 +154,11 @@ def test_a_torsion_report_keeps_no_reference_to_its_bundle():
 
 
 def test_a_stalled_line_search_builds_one_bundle_per_distinct_point(monkeypatch):
-    # the Iwasawa G run from seed 12 stalls in line searches whose trial points round
-    # back onto the iterate: each positive point, the iterate included, is built once
-    built, points = [], []
-    init, at = OperatorBundle.__init__, _Objective.at
+    # the Iwasawa G run from seed 12 stalls where its step rounds back onto the iterate:
+    # the line search stops there, so no trial point repeats the iterate and each
+    # positive point is built once
+    built, points, calls = [], [], []
+    init, at, call = OperatorBundle.__init__, _Objective.at, _Objective.__call__
 
     def counted(self, *args, **kwargs):
         built.append(1)
@@ -166,8 +172,9 @@ def test_a_stalled_line_search_builds_one_bundle_per_distinct_point(monkeypatch)
 
     monkeypatch.setattr(OperatorBundle, "__init__", counted)
     monkeypatch.setattr(_Objective, "at", watched)
+    monkeypatch.setattr(_Objective, "__call__", lambda self, x: calls.append(1) or call(self, x))
     trace = descend(catalog("iwasawa"), "G", start="random", seed=12, steps=40)
-    assert trace.termination == "NumericalStall"
+    assert trace.termination == "NumericalStall" and len(calls) == 99
     runs = [p for i, p in enumerate(points) if i == 0 or points[i - 1] != p]
-    assert len(runs) > len(set(points))  # a point is met again after another one
+    assert len(runs) == len(set(points))
     assert len(built) == len(set(points))
