@@ -123,38 +123,35 @@ class HermitianMetric:
         h = self.h
         if not np.isfinite(h).all():
             raise SchemaError("metric entries must be finite")
-        # entries near the float limit overflow here, and the logarithm of an eigenvalue
-        # that is not positive is not finite: each is refused below
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # entries near the float limit overflow here; the inf or nan is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
             hh = h.conj().swapaxes(-1, -2)
             skew = np.abs(h - hh).max(axis=(-2, -1))
+            scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
             sym = 0.5 * (h + hh)
-            # relative to the largest entry: rounding leaves a skew ~ eps * max|H|; a skew
-            # of 0, the usual case on a descent's path, passes at any scale
-            if np.count_nonzero(skew):
-                bad = skew > HERMITICITY_TOL * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
-                if np.count_nonzero(bad):
-                    raise NotPositive(f"metric matrix is not Hermitian: skew "
-                                      f"{skew[bad][0]:.3e} exceeds {HERMITICITY_TOL:g} "
-                                      "* max(1, max |H|)")
-            try:
-                lam = np.linalg.eigvalsh(sym)
-            except np.linalg.LinAlgError as exc:
-                raise SchemaError(f"metric matrix has no eigenvalues: {exc}") from None
-            lo, hi = lam[..., 0], lam[..., -1]
-            # the (p, q) Gram block scales as H^-(p+q), up to det(H)^-2 on (n, n): refuse
-            # scales at which lambda_max^2n or lambda_min^-2n is not a normal float
-            logs = (2 * self.n * np.log(hi), -2 * self.n * np.log(lo))
+        # relative to the largest entry: rounding leaves a skew ~ eps * max|H|
+        bad = skew > HERMITICITY_TOL * scale
+        if np.count_nonzero(bad):
+            raise NotPositive(f"metric matrix is not Hermitian: skew {skew[bad][0]:.3e} "
+                              f"exceeds {HERMITICITY_TOL:g} * max(1, max |H|)")
+        try:
+            lam = np.linalg.eigvalsh(sym)
+        except np.linalg.LinAlgError as exc:
+            raise SchemaError(f"metric matrix has no eigenvalues: {exc}") from None
+        lo, hi = lam[..., 0], lam[..., -1]
+        if not np.isfinite(lam).all():
+            raise SchemaError("metric matrix overflows: its eigenvalues are not finite")
+        if np.count_nonzero(lo <= 0):
+            raise NotPositive("metric matrix is not positive definite")
+        # the (p, q) Gram block scales as H^-(p+q), up to det(H)^-2 on (n, n):
+        # refuse scales at which lambda_max^2n or lambda_min^-2n is not a normal float
         low, high = NORMAL_FLOAT_LOGS
-        inside = (low <= logs[0]) & (logs[0] <= high) & (low <= logs[1]) & (logs[1] <= high)
-        if np.count_nonzero(inside) < inside.size:  # all tests hold where both logs do
-            if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-                raise SchemaError("metric matrix overflows: its eigenvalues are not finite")
-            if np.count_nonzero(lo <= 0):
-                raise NotPositive("metric matrix is not positive definite")
+        logs = (2 * self.n * np.log(hi), -2 * self.n * np.log(lo))
+        out = (logs[0] < low) | (logs[0] > high) | (logs[1] < low) | (logs[1] > high)
+        if np.count_nonzero(out):
             raise SchemaError(
-                f"metric scale overflows: eigenvalues {lo[~inside][0]:.3e}..{hi[~inside][0]:.3e} "
-                "put its Gram blocks outside the float range")
+                f"metric scale overflows: eigenvalues {lo[out][0]:.3e}..{hi[out][0]:.3e} put "
+                "its Gram blocks outside the float range")
         self._lambda_min = lo if lo.ndim else float(lo)
         return self
 

@@ -286,7 +286,11 @@ def _line_search(obj, x, grad, value, alpha0):
     floor satisfies both guards, the termination that ends the descent:
     "PositivityBoundary" when no trial point was positive, else "NumericalStall".
     A trial point equal to the iterate x ends it as a stall: rounding is monotone, so
-    every smaller step gives x too, and a step that does not move x is no progress.
+    every smaller step gives x too.  Without normalisation such a point has the
+    iterate's value and cannot decrease it.  With normalisation on, obj(x) evaluates at
+    retract(x), which can differ from x by rounding and read below value there: the
+    search stops all the same, where halving on would accept that rounding-scale move
+    as a step.
     """
     alpha = alpha0
     bt = 0
@@ -368,8 +372,9 @@ def descend(model, functional="F_tilde", start=None, nu=None,
     records = []
     termination = "MaxIters"
     step_size = 1.0
+    bundle = obj.at(x)  # the iterate's, for its record and the final predicates
     for it in range(steps + 1):
-        bundle = obj.at(x)  # the iterate's, for its record and the final predicates
+        bundle = obj.at(x)
         grad = obj.gradient(x)
         if grad is None:
             termination = "NumericalStall"

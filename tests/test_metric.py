@@ -282,7 +282,10 @@ def test_a_checked_metric_keeps_its_smallest_eigenvalue(monkeypatch):
         calls.clear()
         checked = HermitianMetric(np.stack(stack)).check()
         assert len(calls) == 1
-        assert [lam.hex() for lam in checked.min_eigenvalue()] == \
+        calls.clear()
+        lams = checked.min_eigenvalue()
+        assert calls == []
+        assert [lam.hex() for lam in lams] == \
             [HermitianMetric(h).check().min_eigenvalue().hex() for h in stack]
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hermicone import variation
+from hermicone import optimizer, variation
 from hermicone.errors import EmptyCone, InfeasibleStart, NotPositive, ToleranceFailure
 from hermicone.exterior import Form, _combos, wedge, wedge_power
 from hermicone.hodge import predicates
@@ -126,6 +126,15 @@ def test_empty_cone_probe():
         assert isinstance(constraint_basis(catalog(name), kind), ConstraintBasis)
         with pytest.raises(EmptyCone):
             descend(catalog(name), functional, steps=0)
+
+
+def test_descend_with_no_steps_reports_its_start():
+    # steps below 0 take no gradient and record nothing; the verdict is the start's
+    for steps in (-1, -5):
+        trace = descend(catalog("iwasawa"), "G", steps=steps)
+        assert trace.termination == "MaxIters" and trace.records == []
+        assert trace.final_value == trace.initial_value == 1.0
+        assert not trace.reached_kahler
 
 
 def test_descend_rejects_nonpositive_start():
@@ -359,6 +368,25 @@ def test_line_search_guard_flags():
             return 1.0
 
     assert _line_search(NoDecrease(), np.zeros(2), np.ones(2), 1.0, 1.0) == "NumericalStall"
+
+
+def test_a_normalized_line_search_stops_at_its_iterate(monkeypatch):
+    # with normalisation on, obj(x) evaluates at retract(x), which can differ from x by
+    # rounding: in KT F_tilde from seed 2 a line search starts where obj(x) < value.  A
+    # trial point equal to x still ends the search as a stall, where a search that kept
+    # halving would accept that rounding-scale move onto retract(x) as a step
+    searches = []
+    line_search = optimizer._line_search
+    monkeypatch.setattr(optimizer, "_line_search", lambda obj, x, grad, value, alpha0:
+                        searches.append((obj, x, value)) or line_search(obj, x, grad, value,
+                                                                        alpha0))
+    descend(catalog("kodaira_thurston"), "F_tilde", start="random", seed=2, steps=40)
+    below = [(obj, x, value) for obj, x, value in searches if obj(x) < value]
+    assert below
+    obj, x, value = below[0]
+    assert not np.array_equal(obj.retract(x), x)
+    # every trial point x - alpha * 1e-20 x rounds onto x
+    assert _line_search(obj, x, 1e-20 * x, value, 1.0) == "NumericalStall"
 
 
 def test_retract_refuses_a_nonpositive_normalization():
