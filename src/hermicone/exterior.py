@@ -377,9 +377,6 @@ class Form:
         out.real[..., perm], out.imag[..., perm] = sign * self.vec.real, -sign * self.vec.imag
         return Form(self.n, out)
 
-    def is_real(self, tol=1e-12):
-        return (self - self.conj()).max_abs() <= tol
-
     def __add__(self, other):
         if not isinstance(other, Form):
             return NotImplemented

@@ -193,13 +193,13 @@ _UNEVALUABLE = (NotPositive, SchemaError, ToleranceFailure, np.linalg.LinAlgErro
 
 
 class _Objective:
-    """Coordinates -> energy value, None when the point is not admissible.
+    """Slice coordinates -> energy value at that point, None when it is not admissible.
 
-    With normalize on, evaluation happens at the rescaled representative
-    with unit normalization integral, so the composed objective is
-    constant along rays and monotone line searches survive the rescaling
-    of accepted iterates.  The normalization integral is linear in the
-    coordinates: covector holds its value on each basis form.
+    With normalize on, the descent moves on the unit normalization slice: point(x) =
+    x / c(x) turns coordinates into an evaluation point, for the line search's trial
+    points and the descent's start alone.  Every other method reads x as it is given,
+    so an accepted iterate is the point whose value the line search accepted.  The
+    normalization integral c is linear: covector holds its value on each basis form.
 
     A trial point costs its bundle and its value: the line search judges it on
     the value alone, so the energy's ingredients, the pure-type norms and the other
@@ -225,22 +225,22 @@ class _Objective:
     def normalization(self, x):
         return float(self.covector @ x)
 
-    def retract(self, x):
-        """Rescale onto the unit normalization slice; the integral is linear."""
+    def point(self, x):
+        """x's evaluation point: x / c(x) with normalize on, None where c(x) <= 0; x
+        itself with normalize off."""
+        if not self.normalize:
+            return x
         c = self.normalization(x)
-        if not c > 0:
-            raise NotPositive(f"normalization integral {c:.3e} is not positive")
-        return x / c
+        return x / c if c > 0 else None
 
     def constraint_residual(self, x):
         return self.cone.constraint(self.alg, self.basis.combine(x)).max_abs()
 
     def at(self, x):
-        """The bundle at x's evaluation point (x / c(x) with normalize on), None where
-        it is refused.  The last one is kept: a trial point's guard and value share it,
-        and so do the gradient and the record at an accepted iterate."""
+        """The bundle at x, None where it is refused.  The last one is kept: a trial
+        point's guard and value share it, and so do the gradient and the record at the
+        iterate the line search accepted there."""
         try:
-            x = self.retract(x) if self.normalize else x
             key = x.tobytes()
             if self._last is None or self._last[0] != key:
                 metric = self.cone.metric(self.alg, self.basis.combine(x))
@@ -261,10 +261,10 @@ class _Objective:
     def gradient(self, x):
         """Exact slice gradient at x, None when it is not evaluable there.
 
-        One bundle at the evaluation point x_r; each entry is the closed-form
-        derivative along a basis form, all of them from one stacked variation
-        pass.  With normalize on, the chain rule through x -> x / c(x) gives
-        (g - covector (g . x_r)) / c(x).
+        One bundle at x; each entry is the closed-form derivative along a basis form,
+        all of them from one stacked variation pass.  With normalize on, x is an
+        evaluation point (c(x) = 1 up to rounding) and the chain rule through
+        x -> x / c(x) gives (g - covector (g . x)) / c(x).
         """
         bundle = self.at(x)
         if bundle is None:
@@ -275,7 +275,7 @@ class _Objective:
         except _UNEVALUABLE:
             return None
         if self.normalize:
-            grad = (grad - self.covector * (grad @ self.retract(x))) / self.normalization(x)
+            grad = (grad - self.covector * (grad @ x)) / self.normalization(x)
         return grad
 
 
@@ -285,21 +285,19 @@ def _line_search(obj, x, grad, value, alpha0):
     Returns (candidate, value, alpha, backtracks), or, once no step above the
     floor satisfies both guards, the termination that ends the descent:
     "PositivityBoundary" when no trial point was positive, else "NumericalStall".
-    A trial point equal to the iterate x ends it as a stall: rounding is monotone, so
-    every smaller step gives x too.  Without normalisation such a point has the
-    iterate's value and cannot decrease it.  With normalisation on, obj(x) evaluates at
-    retract(x), which can differ from x by rounding and read below value there: the
-    search stops all the same, where halving on would accept that rounding-scale move
-    as a step.
+    The trial point is the evaluation point of x - alpha grad (obj.point), and a step
+    that rounds onto x is no step: it ends the search as a stall, as every smaller one
+    would.
     """
     alpha = alpha0
     bt = 0
     termination = "PositivityBoundary"
     while alpha >= LINESEARCH_FLOOR:
-        cand = x - alpha * grad
-        if np.array_equal(cand, x):
+        step = x - alpha * grad
+        if np.array_equal(step, x):
             return "NumericalStall"
-        if obj.at(cand) is not None:
+        cand = obj.point(step)
+        if cand is not None and obj.at(cand) is not None:
             termination = "NumericalStall"
             cand_val = obj(cand)
             if cand_val is not None and cand_val < value:
@@ -316,9 +314,10 @@ def descend(model, functional="F_tilde", start=None, nu=None,
 
     start is a HermitianMetric, whose slice datum starts the descent; None
     starts from the identity, "random" from a seeded positive point in the
-    slice.  normalize rescales every iterate to a unit normalization
-    integral against nu (the default for F_tilde; an option for the others,
-    including the volume normalization for G).
+    slice.  normalize rescales the start and every trial point to a unit
+    normalization integral against nu (the default for F_tilde; an option for
+    the others, including the volume normalization for G), so each iterate is
+    the point whose value the line search accepted.
     nu (the identity by default) is also the weight of H, as in evaluate.
     The slice gradient is exact: the closed-form first variation
     (FunctionalVariation.derivative) along each basis form, at one bundle
@@ -328,10 +327,10 @@ def descend(model, functional="F_tilde", start=None, nu=None,
     resolution near degenerate boundaries.  Termination is one of
     GradientSmall, PositivityBoundary, MaxIters, NumericalStall; the
     stall means either that the gradient is not evaluable at the iterate
-    (a positivity, float-scale or tolerance failure, or a normalization
-    integral that is not positive) or that the line search finds no
-    decrease above its floor; PositivityBoundary, that no trial point of the
-    line search was positive.  model is validated as in constraint_basis.
+    (a positivity, float-scale or tolerance failure) or that the line search
+    finds no decrease above its floor; PositivityBoundary, that no trial point
+    of the line search was positive (or had a positive normalization integral).
+    model is validated as in constraint_basis.
     """
     alg = valid_algebra(model)
     n = alg.n
@@ -361,9 +360,9 @@ def descend(model, functional="F_tilde", start=None, nu=None,
         if residual > tol * (1.0 + start_form.max_abs()):
             raise InfeasibleStart(
                 f"starting point is outside the constraint slice (residual {residual:.3e})")
-        if obj.at(x) is None:
+        x = obj.point(x)
+        if x is None or obj.at(x) is None:
             raise InfeasibleStart("starting point is not positive")
-    x = obj.retract(x) if normalize else x  # c(x) > 0: at(x) retracted it
 
     value = obj(x)
     if value is None:
@@ -404,11 +403,8 @@ def descend(model, functional="F_tilde", start=None, nu=None,
         if isinstance(step, str):
             termination = step
             break
-        cand, cand_val, alpha, bt = step
-        x = obj.retract(cand) if normalize else cand
-        value = cand_val
-        step_size = alpha
-        records[-1].step_size = alpha
+        x, value, step_size, bt = step
+        records[-1].step_size = step_size
         records[-1].backtracks = bt
 
     preds = predicates(bundle, 1e-6)
@@ -438,9 +434,10 @@ def descend(model, functional="F_tilde", start=None, nu=None,
 
 
 def _random_feasible(obj, basis, rng):
+    """The evaluation point of the first seeded draw whose energy is evaluable there."""
     anchor = basis.coordinates(obj.cone.datum(HermitianMetric.identity(basis.n).form()))
     for _ in range(RANDOM_START_TRIES):
-        x = anchor + 0.3 * rng.standard_normal(basis.dimension)
-        if obj(x) is not None:
+        x = obj.point(anchor + 0.3 * rng.standard_normal(basis.dimension))
+        if x is not None and obj(x) is not None:
             return x
     raise InfeasibleStart("no positive random start found in the slice")

@@ -341,7 +341,8 @@ def first_variation(bundle, functional, direction, nu=None, weight_bundle=None, 
         raise DirectionNotAdmissible(f"this energy varies along {kind} "
                                      f"directions, not {direction.kind} ones")
     form = direction.form
-    if with_fd and form.vec.ndim > 1:
+    one = form.vec.ndim == 1
+    if with_fd and not one:
         raise ValueError(f"the finite-difference audit takes one direction, "
                          f"not a stack of {len(form.vec)}")
     nu, weight_bundle = references(bundle, functional, nu, weight_bundle)
@@ -351,13 +352,10 @@ def first_variation(bundle, functional, direction, nu=None, weight_bundle=None, 
         body, report, side = _var_torsion_at(bundle, functional)
         if functional == "F_tilde":
             body = _var_F_tilde_at(bundle, nu, body, report)
-    if form.vec.ndim == 1:
-        var = body(Direction(direction.kind, Form(form.n, form.vec[None])))
-        out = _joined(lambda rows: float(rows[0][0]), [var])
-    else:
-        size = max(1, DENSE_BUDGET // max(1, side * side))
-        parts = [body(chunk) for chunk in direction.chunks(size)]
-        out = parts[0] if len(parts) == 1 else _joined(np.concatenate, parts)
+    stack = Direction(direction.kind, Form(form.n, form.vec[None])) if one else direction
+    parts = [body(chunk) for chunk in stack.chunks(max(1, DENSE_BUDGET // max(1, side * side)))]
+    out = _joined(lambda rows: float(rows[0][0]), parts) if one \
+        else parts[0] if len(parts) == 1 else _joined(np.concatenate, parts)
     if with_fd:
         fd, = _fd_along(bundle, direction, default_step(bundle.metric),
                         [lambda b: evaluate(b, functional, nu, weight_bundle).value], stack=1)

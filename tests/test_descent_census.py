@@ -26,6 +26,9 @@ def test_descents_match_the_committed_census():
     got_runs, want_runs = _runs(got), _runs(want)
     moved = sorted(label for label in got_runs.keys() | want_runs.keys()
                    if got_runs.get(label) != want_runs.get(label))
-    assert not moved, f"descents moved: {moved}"
+    # each moved run's committed and new line, so the moved lines can be read off a failure
+    assert not moved, "descents moved:\n" + "\n".join(
+        f"{label}\n  want {want_runs.get(label)}\n  got  {got_runs.get(label)}"
+        for label in moved)
     assert got[-1] == want[-1]
     assert len(want_runs) == 40

@@ -231,7 +231,7 @@ def test_entries_roundtrip():
 def test_real_random_form():
     rng = np.random.default_rng(47)
     u = random_form(3, [(1, 1)], rng, real=True)
-    assert u.is_real()
+    assert (u - u.conj()).max_abs() <= 1e-12
     assert (u.conj() - u).max_abs() <= 1e-15
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hermicone import optimizer, variation
-from hermicone.errors import EmptyCone, InfeasibleStart, NotPositive, ToleranceFailure
+from hermicone.errors import EmptyCone, InfeasibleStart, ToleranceFailure
 from hermicone.exterior import Form, _combos, wedge, wedge_power
 from hermicone.hodge import predicates
 from hermicone.metric import DEFAULT_TOL, HermitianMetric, bundle_for_algebra
@@ -29,7 +29,7 @@ def test_real_block_basis_spans_real_forms():
     basis = real_block_basis(3, 1)
     assert basis.vec.shape[0] == 9
     for f in _rows(basis):
-        assert f.is_real(1e-14)
+        assert (f - f.conj()).max_abs() <= 1e-14
 
 
 def _real_block_basis_loop(n, p):
@@ -66,7 +66,7 @@ def test_constraint_slice_dimensions(name, kind, dim):
     # every basis form satisfies the constraint and is real
     alg = algebra_for(catalog(name))
     for f in _rows(basis.forms):
-        assert f.is_real(1e-12)
+        assert (f - f.conj()).max_abs() <= 1e-12
         if kind == "skt":
             assert alg.del_form(alg.dbar_form(f)).max_abs() <= 1e-10
         else:
@@ -266,10 +266,11 @@ def _objective(name, functional, normalize):
 
 
 def _fd_gradient(obj, x):
-    # Richardson central differences of the composed objective per coordinate
+    # Richardson central differences, per coordinate, of the objective composed with
+    # the map to evaluation points, x -> x / c(x) with normalize on
     step = 1e-3 * obj.at(x).metric.min_eigenvalue()
     eye = np.eye(x.size)
-    return np.array([fd_derivative(lambda t, e=eye[a]: obj(x + t * e), step)
+    return np.array([fd_derivative(lambda t, e=eye[a]: obj(obj.point(x + t * e)), step)
                      for a in range(x.size)])
 
 
@@ -283,7 +284,8 @@ def _fd_gradient(obj, x):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_exact_slice_gradient_matches_fd(name, functional, normalize, seed):
     obj = _objective(name, functional, normalize)
-    # raw random points: with normalize on, c(x) != 1 exercises the chain rule
+    # evaluation points, as a descent's iterates are: with normalize on, c(x) = 1 up to
+    # rounding and the chain rule through x -> x / c(x) is exercised
     x = _random_feasible(obj, obj.basis, np.random.default_rng(seed))
     grad = obj.gradient(x)
     fd = _fd_gradient(obj, x)
@@ -351,6 +353,9 @@ def test_descend_H_functional_smoke():
 
 def test_line_search_guard_flags():
     class NeverPositive:
+        def point(self, x):
+            return x
+
         def at(self, x):
             return None
 
@@ -361,6 +366,9 @@ def test_line_search_guard_flags():
         == "PositivityBoundary"
 
     class NoDecrease:
+        def point(self, x):
+            return x
+
         def at(self, x):
             return object()
 
@@ -370,35 +378,47 @@ def test_line_search_guard_flags():
     assert _line_search(NoDecrease(), np.zeros(2), np.ones(2), 1.0, 1.0) == "NumericalStall"
 
 
-def test_a_normalized_line_search_stops_at_its_iterate(monkeypatch):
-    # with normalisation on, obj(x) evaluates at retract(x), which can differ from x by
-    # rounding: in KT F_tilde from seed 2 a line search starts where obj(x) < value.  A
-    # trial point equal to x still ends the search as a stall, where a search that kept
-    # halving would accept that rounding-scale move onto retract(x) as a step
-    searches = []
-    line_search = optimizer._line_search
-    monkeypatch.setattr(optimizer, "_line_search", lambda obj, x, grad, value, alpha0:
-                        searches.append((obj, x, value)) or line_search(obj, x, grad, value,
-                                                                        alpha0))
-    descend(catalog("kodaira_thurston"), "F_tilde", start="random", seed=2, steps=40)
-    below = [(obj, x, value) for obj, x, value in searches if obj(x) < value]
-    assert below
-    obj, x, value = below[0]
-    assert not np.array_equal(obj.retract(x), x)
-    # every trial point x - alpha * 1e-20 x rounds onto x
-    assert _line_search(obj, x, 1e-20 * x, value, 1.0) == "NumericalStall"
+@pytest.mark.parametrize("name,functional", [("kodaira_thurston", "F_tilde"),
+                                             ("iwasawa", "G")])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_normalized_iterate_is_the_point_its_value_was_read_at(name, functional, seed,
+                                                                  monkeypatch):
+    # every line search starts at an iterate whose value is obj(x), bit for bit, and the
+    # gradient and record at an accepted iterate read the bundle its trial point built
+    events = []
+    line_search, build = optimizer._line_search, optimizer.bundle_for_algebra
+
+    def searched(obj, x, grad, value, alpha0):
+        events.append(("search", obj, x, value))
+        step = line_search(obj, x, grad, value, alpha0)
+        events.append(("accepted",) if isinstance(step, tuple) else ("stopped",))
+        return step
+
+    monkeypatch.setattr(optimizer, "_line_search", searched)
+    monkeypatch.setattr(optimizer, "bundle_for_algebra",
+                        lambda *args: events.append(("built",)) or build(*args))
+    descend(catalog(name), functional, start="random", seed=seed, steps=40, normalize=True)
+    kinds = [event[0] for event in events]
+    assert kinds.count("accepted") >= 3
+    # between an acceptance and the next search, no bundle is built
+    assert all(kinds[i + 1] != "built" for i, kind in enumerate(kinds[:-1])
+               if kind == "accepted")
+    for _, obj, x, value in (event for event in events if event[0] == "search"):
+        assert np.float64(obj(x)).tobytes() == np.float64(value).tobytes()
 
 
-def test_retract_refuses_a_nonpositive_normalization():
+def test_point_refuses_a_nonpositive_normalization():
     obj = _objective("kodaira_thurston", "F_tilde", True)
     zero = np.zeros(obj.basis.dimension)
-    with pytest.raises(NotPositive, match="normalization integral"):
-        obj.retract(zero)
+    assert obj.point(zero) is None
     assert obj.at(zero) is None and obj(zero) is None and obj.gradient(zero) is None
 
 
 def test_line_search_accepts_decreasing_step():
     class Quadratic:
+        def point(self, x):
+            return x
+
         def at(self, x):
             return object()
 
