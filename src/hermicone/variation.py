@@ -354,8 +354,10 @@ def first_variation(bundle, functional, direction, nu=None, weight_bundle=None, 
             body = _var_F_tilde_at(bundle, nu, body, report)
     stack = Direction(direction.kind, Form(form.n, form.vec[None])) if one else direction
     parts = [body(chunk) for chunk in stack.chunks(max(1, DENSE_BUDGET // max(1, side * side)))]
-    out = _joined(lambda rows: float(rows[0][0]), parts) if one \
-        else parts[0] if len(parts) == 1 else _joined(np.concatenate, parts)
+    if one:
+        out = _joined(lambda rows: float(rows[0][0]), parts)
+    else:
+        out = parts[0] if len(parts) == 1 else _joined(np.concatenate, parts)
     if with_fd:
         fd, = _fd_along(bundle, direction, default_step(bundle.metric),
                         [lambda b: evaluate(b, functional, nu, weight_bundle).value], stack=1)
