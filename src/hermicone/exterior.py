@@ -16,10 +16,10 @@ Conventions fixed here and used everywhere else:
   reads it and Form.at(n, key, vec) builds the form supported on it.
 * The base volume Theta = (i theta^1^thetabar^1) ^ ... ^ (i theta^n^thetabar^n)
   integrates to 1.
-* Three complexes share one vocabulary: which = "d" steps a total degree k,
-  "del" and "dbar" step a bidegree (p, q) in p or in q (see neighbor); every
-  codifferential, Laplacian, projector and potential is written once over
-  (which, key).
+* Three complexes share one vocabulary: a space is its key, a degree k or a
+  bidegree (p, q), and which only steps the key: "d" steps k, "del" and "dbar"
+  step p or q (see neighbor).  Every differential, codifferential, Gram,
+  Laplacian, projector and potential is written once over (which, key).
 * d is stored once per algebra as sparse entries over the layout, d_sparse =
   (rows, cols, values) sorted by column, each summed in Leibniz order onto +0
   and free of zeros.  d_blocks(p, q) densifies one source's blocks from its
@@ -27,8 +27,8 @@ Conventions fixed here and used everywhere else:
   builds only their blocks; the model gate reads the entries alone.
 * A bigraded operator is a block map op(p, q) -> {target bidegree: matrix}
   (d_blocks is one).  ExteriorAlgebra.apply runs a block map on a form and
-  ExteriorAlgebra.total assembles its total-degree matrix; no other module
-  places blocks by offset.
+  ExteriorAlgebra.total places its blocks between the spaces at any two keys,
+  degree or bidegree; no other module places blocks by offset.
 * A Form may hold a stack of forms on leading axes, vec of shape (..., 4^n).
   wedge, apply, Form.wedge_matrix and integrate then act on each form of the
   stack and give it the bits it gets alone; a block map may likewise carry
@@ -164,10 +164,12 @@ def _slice(n, key):
 
 @lru_cache(maxsize=None)
 def _slices(n, key):
-    """ExteriorAlgebra.slices: {bidegree: slice} within the space at key, shared."""
-    lay, start = _layout(n), _slice(n, key).start
+    """ExteriorAlgebra.slices: {bidegree: slice} within the space at key, shared; none
+    off the layout."""
+    lay = _layout(n)
     pqs = [pq for pq in _blocks(n)[0] if sum(pq) == key] if isinstance(key, int) else [key]
-    return {pq: slice(lay[pq].start - start, lay[pq].stop - start) for pq in pqs}
+    return {pq: slice(lay[pq].start - lay[key].start, lay[pq].stop - lay[key].start)
+            for pq in pqs if pq in lay}
 
 
 @lru_cache(maxsize=None)
@@ -575,35 +577,32 @@ class ExteriorAlgebra:
         mat[rows - top, cols[lo:hi] - src.start] = vals[lo:hi]
         return {tgt: mat[sl.start - top:sl.stop - top] for tgt, sl in found}
 
+    @memo
     def diff(self, which, key):
-        """Matrix of d on total degree key, or of del / dbar (a component of d) on bidegree key."""
+        """Matrix of the differential of which from the space at key to the next
+        (neighbor): d on a total degree, d_total; del or dbar on a bidegree, its one
+        block of d (total), zeros where d has none."""
         if which == "d":
             return self.d_total(key)
-        tgt = neighbor(which, key, 1)
-        mat = self.d_blocks(*key).get(tgt)
-        return np.zeros((dim_pq(self.n, *tgt), dim_pq(self.n, *key)), dtype=complex) \
-            if mat is None else mat
+        return self.total(self.d_blocks, key, neighbor(which, key, 1))
 
-    def dim(self, which, key):
-        """Dimension of the space at key in the complex of which; 0 outside it."""
-        if which == "d":
-            return self.dim_total(key) if 0 <= key <= 2 * self.n else 0
-        return dim_pq(self.n, *key)
+    def dim(self, key):
+        """Dimension of the space at a degree k or a bidegree (p, q): the size of its
+        layout slice, 0 off the layout."""
+        sl = _layout(self.n).get(key if key.__hash__ else tuple(key))
+        return 0 if sl is None else sl.stop - sl.start
 
     @memo
     def bases(self, which, key):
         """(image, kernel): orthonormal bases, as columns, of the image of diff(which, key)
         in the space at neighbor(which, key, 1) and of its kernel in the space at key,
-        from one SVD, decided once per algebra, as both hold at every metric.  The image
-        takes the singular vectors above RANK_RTOL * sigma_max.  A singular value within
-        a factor 100 of the cut refuses the model (ModelInvalid): below the cut rounding
-        may decide the count, above it the Green operator would carry 1 / sigma^2."""
-        if not self.dim(which, key):
-            mat = np.zeros((self.dim(which, neighbor(which, key, 1)), 0))
-        elif which == "d":  # from the blocks, not kept: d_total is the job path's
-            mat = self.total(self.d_blocks, key, key + 1)
-        else:
-            mat = self.diff(which, key)
+        from one SVD of the blocks of d placed between the two (total), decided once per
+        algebra, as both hold at every metric.  The image takes the singular vectors
+        above RANK_RTOL * sigma_max.  A singular value within a factor 100 of the cut
+        refuses the model (ModelInvalid): below the cut rounding may decide the count,
+        above it the Green operator would carry 1 / sigma^2."""
+        # "d" too is placed from the blocks and not kept: d_total is the job path's
+        mat = self.total(self.d_blocks, key, neighbor(which, key, 1))
         # zero rows and columns add only zero singular values; dropping them makes the
         # n = 6 SVDs ~20x cheaper
         rows, cols = np.any(mat, axis=1), np.any(mat, axis=0)
@@ -611,8 +610,9 @@ class ExteriorAlgebra:
         top = s.max(initial=0.0)
         near = s[(s > RANK_RTOL * top / 100) & (s < RANK_RTOL * top * 100)]
         if near.size:
-            raise ModelInvalid(f"{which} on {'degree' if which == 'd' else 'bidegree'} {key} "
-                               f"has a singular value {near[0] / top:.3e} times its largest, "
+            space = "bidegree" if isinstance(key, tuple) else "degree"
+            raise ModelInvalid(f"{which} on {space} {key} has a singular value "
+                               f"{near[0] / top:.3e} times its largest, "
                                f"within a factor 100 of the rank cut {RANK_RTOL:g}")
         rank, zero = int(np.count_nonzero(s > RANK_RTOL * top)), int(np.sum(~cols))
         image = np.zeros((len(rows), rank), dtype=complex)
@@ -630,14 +630,9 @@ class ExteriorAlgebra:
         return self.bases(which, key)[1].shape[1] \
             - self.bases(which, neighbor(which, key, -1))[0].shape[1]
 
-    def dim_total(self, k):
-        """sum_p C(n, p) C(n, k - p) over the bidegrees of degree k, which is C(2n, k)."""
-        sl = _slice(self.n, k)
-        return sl.stop - sl.start
-
     def slices(self, key):
         """The slices of the bidegree blocks inside a coefficient vector of the space
-        at a degree k or a bidegree (p, q), read off the layout."""
+        at a degree k or a bidegree (p, q), read off the layout; none off it."""
         return _slices(self.n, int(key) if isinstance(key, (int, np.integer)) else tuple(key))
 
     @memo
@@ -645,31 +640,34 @@ class ExteriorAlgebra:
         """Matrix of d from total degree k to k + 1."""
         return self.total(self.d_blocks, k, k + 1)
 
-    def total(self, op, k, k_out):
-        """Matrix of the block map op from total degree k to total degree k_out.
-
-        Blocks of op whose target has another total degree are left out; a
-        k_out outside 0..2n gives a matrix with no rows.  Blocks stacked on a
-        leading axis give the stack of total matrices.
+    def total(self, op, key, key_out):
+        """Matrix of the block map op from the space at key to the space at key_out,
+        each a degree k or a bidegree (p, q): every block of op from a bidegree of key
+        to one of key_out, placed at their slices; blocks to other targets are left
+        out, and a key off the layout gives no columns or rows.  Where one block fills
+        the matrix it is that block itself, not a copy.  Blocks stacked on a leading
+        axis give the stack of matrices.
         """
-        rows = self.slices(k_out) if 0 <= k_out <= 2 * self.n else {}
-        placed = [(rows[tgt], cols, blk) for pq, cols in self.slices(k).items()
+        rows = self.slices(key_out)
+        cols = self.slices(key) if rows else {}  # no block is formed for no rows
+        placed = [(rows[tgt], sl, blk) for pq, sl in cols.items()
                   for tgt, blk in op(*pq).items() if tgt in rows]
+        if len(placed) == len(rows) == len(cols) == 1:
+            return placed[0][2]
         lead = placed[0][2].shape[:-2] if placed else ()
-        mat = np.zeros(lead + (self.dim_total(k_out) if rows else 0, self.dim_total(k)),
-                       dtype=complex)
-        for row, cols, blk in placed:
-            mat[..., row, cols] = blk
+        mat = np.zeros(lead + (self.dim(key_out), self.dim(key)), dtype=complex)
+        for row, sl, blk in placed:
+            mat[..., row, sl] = blk
         return mat
 
-    def total_times(self, op, k, k_out, cols):
-        """total(op, k, k_out) @ cols for the N x m columns cols over total degree k,
-        without forming the matrix: each non-empty block multiplies its rows of cols and
-        adds into its target's rows, in layout order.  Blocks stacked on a leading axis
-        give the stack of products."""
-        rows = self.slices(k_out) if 0 <= k_out <= 2 * self.n else {}
-        out = np.zeros((self.dim_total(k_out) if rows else 0,) + cols.shape[1:], dtype=complex)
-        for pq, sl in self.slices(k).items():
+    def total_times(self, op, key, key_out, cols):
+        """total(op, key, key_out) @ cols for the N x m columns cols over the space at
+        key, without forming the matrix: each non-empty block multiplies its rows of
+        cols and adds into its target's rows, in layout order.  Blocks stacked on a
+        leading axis give the stack of products."""
+        rows = self.slices(key_out)
+        out = np.zeros((self.dim(key_out),) + cols.shape[1:], dtype=complex)
+        for pq, sl in self.slices(key).items():
             for tgt, blk in op(*pq).items():
                 if tgt in rows and blk.size:
                     img = blk @ cols[sl]

@@ -102,7 +102,7 @@ class Decomposition:
     bundle cyclic garbage."""
 
     def __init__(self, bundle, which, key):
-        alg, gram = bundle.alg, bundle.gram_for(which, key)
+        alg, gram = bundle.alg, bundle.gram_total(key)
         self.image = _projector(alg.bases(which, neighbor(which, key, -1))[0], gram)
         self.kernel = _projector(alg.bases(which, key)[1], gram)
         self.harmonic = self.kernel - self.image
@@ -125,8 +125,8 @@ def potential_codiff(bundle, which, key):
     kept on the bundle: the codifferential of the Green operator and the potentials.
     Every caller takes it where the space at prev is not 0."""
     prev = neighbor(which, key, -1)
-    return np.linalg.solve(bundle.gram_for(which, prev),
-                           bundle.alg.diff(which, prev).conj().T @ bundle.gram_for(which, key))
+    return np.linalg.solve(bundle.gram_total(prev),
+                           bundle.alg.diff(which, prev).conj().T @ bundle.gram_total(key))
 
 
 @memo
@@ -192,9 +192,9 @@ def _probes(alg, k):
 
     image, kernel = alg.bases("d", k - 1)[0], alg.bases("d", k)[1]
     qc, kc, w = image @ unit(image.shape[1]), kernel @ unit(kernel.shape[1]), unit(len(kernel))
-    down = alg.total_times(alg.d_blocks, k - 1, k, unit(alg.dim("d", k - 1))) if k \
+    down = alg.total_times(alg.d_blocks, k - 1, k, unit(alg.dim(k - 1))) if k \
         else w[:, :0]
-    return qc, kc, w, down, unit(alg.dim("d", k + 1))
+    return qc, kc, w, down, unit(alg.dim(k + 1))
 
 
 def _worst(x):
@@ -262,7 +262,7 @@ def basis_residuals(alg):
             if k < 2 * alg.n else 0.0,
             "orthonormal": max(_worst(b.conj().T @ b - np.eye(b.shape[1]))
                                for b in (image, kernel)),
-            "rank_nullity": float(abs(kernel.shape[1] + image.shape[1] - alg.dim("d", k))),
+            "rank_nullity": float(abs(kernel.shape[1] + image.shape[1] - alg.dim(k))),
         })
     return {name: max(row[name] for row in rows) for name in rows[0]}
 
@@ -386,8 +386,8 @@ def potential(bundle, which, key, source_vec):
     proj = image_projector(bundle, which, key) @ source_vec
     harm = harmonic_projector(bundle, which, key) @ source_vec
     pot = potential_map(bundle, which, key, proj)
-    res_eq = _l2(bundle, which, key, bundle.alg.diff(which, prev) @ pot - proj)
-    res_ker = _l2(bundle, which, prev, decomposition(bundle, which, prev).kernel @ pot)
+    res_eq = _l2(bundle, key, bundle.alg.diff(which, prev) @ pot - proj)
+    res_ker = _l2(bundle, prev, decomposition(bundle, which, prev).kernel @ pot)
     return PotentialSolution(pot, proj, harm, res_eq, res_ker)
 
 
@@ -400,9 +400,9 @@ def dbar_potential(bundle, source_vec, pq):
     return potential(bundle, "dbar", pq, source_vec)
 
 
-def _l2(bundle, which, key, vec):
+def _l2(bundle, key, vec):
     """L2 norm of a coefficient vector at key: sqrt of its Gram pairing times det(H)."""
-    g = bundle.gram_for(which, key)
+    g = bundle.gram_total(key)
     val = (vec.conj() @ (g @ vec)).real * bundle.det_h
     return float(np.sqrt(max(val, 0.0)))
 
@@ -449,7 +449,7 @@ def _torsion(bundle, kind):
     source = cone.source(bundle)
     vec = source.part(key)
     sol = potential(bundle, which, key, vec)
-    sol.check(tol, _l2(bundle, which, key, vec), f"torsion {kind}")
+    sol.check(tol, _l2(bundle, key, vec), f"torsion {kind}")
     form = Form.at(n, prev, sol.potential)
     return TorsionReport(
         kind=kind,

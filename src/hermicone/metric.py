@@ -12,8 +12,8 @@ A^* = G_src^{-1} A^H G_tgt is two matrix products, with no solve.  The adjoints 
 the blocks of d are formed in one place and kept as one block map, d^* from (p, q)
 (_codiff_blocks): a block for each block of d that lands on (p, q), del, dbar or
 antiholomorphic.  Every codifferential reads it: codiff(which, key) of the three
-complexes (which = "d" on total degrees, "del" and "dbar" on bidegrees) takes its
-block, or on a total degree places them all, as the total-degree Gram is block
+complexes places its blocks from the space at key (ExteriorAlgebra.total), a
+bidegree's one block or all of a degree's, as the total-degree Gram is block
 diagonal by bidegree, so no total-degree Gram is solved or inverted; d_star applies
 it to a form and verify to its columns.  The closed-form inverse is the exact
 inverse of the computed Gram only to ~eps kappa(H); hodge's Green operator and
@@ -282,10 +282,11 @@ class OperatorBundle:
         return _hermitian_kron(self.compound(p, True), self.compound(q, True))
 
     @memo
-    def gram_total(self, k):
-        """The block-diagonal Gram of total degree k, for the job path's potentials and
-        norms; verify reads the blocks gram(p, q) alone."""
-        return self.alg.total(lambda p, q: {(p, q): self.gram(p, q)}, k, k)
+    def gram_total(self, key):
+        """The Gram of the space at a degree k or a bidegree (p, q), its blocks gram(p, q)
+        placed on the diagonal (total): gram(p, q) itself on a bidegree.  The job path's
+        potentials and norms read it; verify reads the blocks gram(p, q) alone."""
+        return self.alg.total(lambda p, q: {(p, q): self.gram(p, q)}, key, key)
 
     def inner(self, u, v):
         """Pointwise Hermitian product, summed over shared bidegrees."""
@@ -382,18 +383,14 @@ class OperatorBundle:
 
     @memo
     def codiff(self, which, key):
-        """Matrix of the adjoint of diff(which, .) from key to neighbor(which, key, -1),
-        read off the kept d^* blocks (_codiff_blocks): "del" and "dbar" take their one
-        block, zeros where d has none, and "d" places every block of its total degree,
-        as the Gram is block diagonal, so no total-degree Gram is solved or inverted;
-        verify applies those blocks to its columns instead (ExteriorAlgebra.total_times)."""
-        prev = neighbor(which, key, -1)
-        if which == "d":  # a map that places no block gives a matrix with no stack axis
-            mat = self.alg.total(self._codiff_blocks, key, prev)
-            return np.broadcast_to(mat, self.lead + mat.shape[-2:])
-        mat = self._codiff_blocks(*key).get(prev) if self.alg.dim(which, prev) else None
-        return np.zeros(self.lead + (self.alg.dim(which, prev), self.alg.dim(which, key)),
-                        dtype=complex) if mat is None else mat
+        """Matrix of the adjoint of diff(which, .) from key to neighbor(which, key, -1):
+        the kept d^* blocks (_codiff_blocks) placed between the two spaces (total), as
+        the Gram is block diagonal, so no total-degree Gram is solved or inverted; on a
+        bidegree its one block, zeros where d has none.  verify applies the blocks to
+        its columns instead (ExteriorAlgebra.total_times)."""
+        mat = self.alg.total(self._codiff_blocks, key, neighbor(which, key, -1))
+        # a map that places no block gives a matrix with no stack axis
+        return np.broadcast_to(mat, self.lead + mat.shape[-2:]) if self.lead else mat
 
     @memo
     def _codiff_blocks(self, p, q):
@@ -401,7 +398,7 @@ class OperatorBundle:
         lands on (p, q), the del and dbar blocks and any antiholomorphic one, from a term
         below VALIDATION_TOL.  The one place where an adjoint of d is formed."""
         blocks = {}
-        for src in self.alg.slices(p + q - 1) if p + q else ():
+        for src in self.alg.slices(p + q - 1):
             mat = self.alg.d_blocks(*src).get((p, q))
             if mat is not None:
                 blocks[src] = _adjoint(mat, self.gram_inv(*src), self.gram(p, q))
@@ -430,15 +427,12 @@ class OperatorBundle:
         """
         codiff = codiff or self.codiff
         prev, nxt = neighbor(which, key, -1), neighbor(which, key, 1)
-        mat = np.zeros((self.alg.dim(which, key),) * 2, dtype=complex)
-        if self.alg.dim(which, prev):
+        mat = np.zeros((self.alg.dim(key),) * 2, dtype=complex)
+        if self.alg.dim(prev):
             mat = mat + self.alg.diff(which, prev) @ codiff(which, key)
-        if self.alg.dim(which, nxt):
+        if self.alg.dim(nxt):
             mat = mat + codiff(which, nxt) @ self.alg.diff(which, key)
         return mat
-
-    def gram_for(self, which, key):
-        return self.gram_total(key) if which == "d" else self.gram(*key)
 
     def spectral(self, which, key):
         """Eigen-data of a Laplacian w.r.t. the pointwise Gram inner product, computed
@@ -450,7 +444,7 @@ class OperatorBundle:
         construction.
         """
         lap = self.laplacian(which, key)
-        g = self.gram_for(which, key)
+        g = self.gram_total(key)
         if lap.size == 0:
             return SpectralData(which, key, np.zeros(0), np.zeros((0, 0), dtype=complex), g)
         up = np.linalg.cholesky(g).conj().T

@@ -190,10 +190,9 @@ def star_comm_star(bundle, gamma, p, q):
     return bundle.star_block(n - q, n - p) @ mid @ bundle.star_block(p, q)
 
 
-def _on_complex(block, bundle, gamma, which, key):
-    """block(bundle, gamma, p, q) at key: itself on a bidegree, block diagonal on a degree."""
-    if which != "d":
-        return block(bundle, gamma, *key)
+def _on_complex(block, bundle, gamma, key):
+    """block(bundle, gamma, p, q) on the space at key, placed on the diagonal (total):
+    itself on a bidegree, block diagonal on a degree."""
     return bundle.alg.total(lambda p, q: {(p, q): block(bundle, gamma, p, q)}, key, key)
 
 
@@ -209,14 +208,11 @@ def var_trace_matrix(bundle, gamma, p, q):
 
 def var_codiff_matrix(bundle, gamma, which, key):
     """d/dt of codiff(which, key): codiff C + (-1)^(k+1) (star C star) codiff on degree k."""
-    prev = neighbor(which, key, -1)
-    if bundle.alg.dim(which, prev) == 0:
-        return np.zeros(gamma.vec.shape[:-1] + (0, bundle.alg.dim(which, key)), dtype=complex)
-    degree = key if which == "d" else sum(key)
+    degree = sum(key) if isinstance(key, tuple) else key
     sign = -1.0 if degree % 2 == 0 else 1.0
     ds = bundle.codiff(which, key)
-    return ds @ _on_complex(OperatorBundle.commutator, bundle, gamma, which, key) \
-        + sign * _on_complex(star_comm_star, bundle, gamma, which, prev) @ ds
+    return ds @ _on_complex(OperatorBundle.commutator, bundle, gamma, key) \
+        + sign * _on_complex(star_comm_star, bundle, gamma, neighbor(which, key, -1)) @ ds
 
 
 def laplacian_variation_matrix(bundle, gamma, which, key):
@@ -256,7 +252,7 @@ def var_harmonic_projector(bundle, gamma, which, key):
     whose variables separate), which dG = G C - tr(H^-1 Gamma) G makes P C (I - P).
     """
     dec = decomposition(bundle, which, key)
-    comm = _on_complex(OperatorBundle.commutator, bundle, gamma, which, key)
+    comm = _on_complex(OperatorBundle.commutator, bundle, gamma, key)
     eye = np.eye(comm.shape[-1])
     derivative = dec.kernel @ comm @ (eye - dec.kernel) - dec.image @ comm @ (eye - dec.image)
     image_part = dec.harmonic @ derivative @ (eye - dec.harmonic)
@@ -404,7 +400,7 @@ def _var_torsion_at(bundle, functional):
     prev, nxt = neighbor(which, key, -1), neighbor(which, key, 1)
     tors_vec = report.torsion.part(prev)
     tors_col = tors_vec[:, None]
-    gram = bundle.gram_for(which, prev)
+    gram = bundle.gram_total(prev)
     det = bundle.det_h
     dec = decomposition(bundle, which, key)
     omega_src = report.source.part(key)
@@ -413,7 +409,7 @@ def _var_torsion_at(bundle, functional):
     im_rest = (omega_src - report.projected_source.part(key))[:, None]
     tors_norm = float(_norm(report.norm_sq))
     types = [(p, q, sl, bundle.gram(p, q)) for (p, q), sl in alg.slices(prev).items()]
-    side = max(alg.dim(which, k) for k in (prev, key, nxt))
+    side = max(alg.dim(k) for k in (prev, key, nxt))
 
     def at(dirs):
         if dirs.kind == "volume":
@@ -424,7 +420,7 @@ def _var_torsion_at(bundle, functional):
             src_vec = dirs.del_forms(alg).part(key)
         # the minimal potential of each direction's source
         eta = potential_map(bundle, which, key, dec.image @ src_vec[..., None])
-        comm = _on_complex(OperatorBundle.commutator, bundle, metric_dir, which, prev)
+        comm = _on_complex(OperatorBundle.commutator, bundle, metric_dir, prev)
 
         # two pairing summands per type of the torsion's space (the
         # commutator preserves type)
@@ -439,7 +435,7 @@ def _var_torsion_at(bundle, functional):
 
         # moving-projector remainder: the value carries its norm bound,
         # the derivative its signed pairing
-        comm_key = _on_complex(OperatorBundle.commutator, bundle, metric_dir, which, key)
+        comm_key = _on_complex(OperatorBundle.commutator, bundle, metric_dir, key)
         a_vec = dec.image @ (comm_key @ im_rest) - dec.kernel @ (comm_key @ ker_rest)
         lift = potential_map(bundle, which, key, a_vec)
         gram_lift = gram @ lift
@@ -448,7 +444,7 @@ def _var_torsion_at(bundle, functional):
         terms["projector_term"] = proj_term
         terms["projector_pairing_signed"] = pairing
         terms["projector_source_norm"] = \
-            _norm(_dots(a_vec, bundle.gram_for(which, key) @ a_vec)) * np.sqrt(det)
+            _norm(_dots(a_vec, bundle.gram_total(key) @ a_vec)) * np.sqrt(det)
         return FunctionalVariation(
             kind=functional,
             value=total.real + proj_term,
@@ -677,7 +673,7 @@ def variation_battery(model, seed=0, tuples=20):
         # vanishing of the derivative along omega itself
         pv = var_harmonic_projector(b, gamma, "d", k)
         _check(rows, "projector", tag, pv.derivative, fd_proj)
-        dimk = alg.dim_total(k)
+        dimk = alg.dim(k)
         if dimk:
             v = rng.standard_normal(dimk) + 1j * rng.standard_normal(dimk)
             v0 = v - harmonic_projector(b, "d", k) @ v

@@ -358,7 +358,7 @@ def loop_variation_battery(model, seed=0, tuples=20):
         pv = var_harmonic_projector(b, gamma, "d", k)
         fd_proj = fd(lambda bb: harmonic_projector(bb, "d", k))
         _loop_check(rows, "projector", tag, pv.derivative, fd_proj, fd_row)
-        dimk = alg.dim_total(k)
+        dimk = alg.dim(k)
         if dimk:
             v = rng.standard_normal(dimk) + 1j * rng.standard_normal(dimk)
             v0 = v - harmonic_projector(b, "d", k) @ v

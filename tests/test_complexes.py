@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 from hermicone import hodge
+from hermicone.errors import ModelInvalid
 from hermicone.exterior import (ExteriorAlgebra, Form, _basis, _complement, dim_pq, neighbor,
                                 random_form, wedge)
 from hermicone.functionals import eval_G
@@ -126,17 +127,17 @@ def test_neighbor_steps_each_complex():
 
 
 def test_dim_is_zero_outside_the_complex(bundle):
-    n = bundle.n
-    assert bundle.alg.dim("d", -1) == bundle.alg.dim("d", 2 * n + 1) == 0
-    assert bundle.alg.dim("del", (n + 1, 0)) == bundle.alg.dim("dbar", (0, -1)) == 0
-    assert bundle.alg.dim("d", n) == bundle.alg.dim_total(n)
+    n, alg = bundle.n, bundle.alg
+    assert alg.dim(-1) == alg.dim(2 * n + 1) == 0
+    assert alg.dim((n + 1, 0)) == alg.dim((0, -1)) == 0
+    assert alg.dim(n) == math.comb(2 * n, n) and alg.dim((1, n)) == n
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_dim_total_sums_the_bidegrees(n):
     alg = ExteriorAlgebra(n, [])
     for k in range(2 * n + 1):
-        assert alg.dim_total(k) == sum(dim_pq(n, p, q) for p, q in alg.slices(k))
+        assert alg.dim(k) == sum(dim_pq(n, p, q) for p, q in alg.slices(k))
 
 
 def test_diff_is_the_written_differential(bundle):
@@ -218,10 +219,10 @@ def test_per_complex_names_are_the_generic_operators(bundle):
                           image_projector(b, "dbar", (1, 1)))
     assert np.array_equal(hodge.image_projector_dbar_star(b, 1, 0),
                           coimage_projector(b, "dbar", (1, 0)))
-    src = np.arange(b.alg.dim_total(2), dtype=complex)
+    src = np.arange(b.alg.dim(2), dtype=complex)
     assert np.array_equal(hodge.d_potential(b, src, 2).potential,
                           potential(b, "d", 2, src).potential)
-    src = np.arange(b.alg.dim("dbar", (1, 1)), dtype=complex)
+    src = np.arange(b.alg.dim((1, 1)), dtype=complex)
     assert np.array_equal(hodge.dbar_potential(b, src, (1, 1)).potential,
                           potential(b, "dbar", (1, 1), src).potential)
 
@@ -337,18 +338,37 @@ def _blockwise(alg, form, target, matrix):
     return out
 
 
+def _space(n, key):
+    """The bidegrees of the space at a degree or a bidegree key, p descending; none off
+    the algebra."""
+    pqs = [key] if isinstance(key, tuple) else [(p, key - p) for p in range(n, -1, -1)]
+    return [(p, q) for p, q in pqs if 0 <= p <= n and 0 <= q <= n]
+
+
+def _offsets(n, key):
+    """{bidegree: offset} over the space at key, and its dimension."""
+    pqs = _space(n, key)
+    ends = np.cumsum([0] + [dim_pq(n, *pq) for pq in pqs]).tolist()
+    return dict(zip(pqs, ends)), ends[-1]
+
+
 def _placed(alg, k, k_out, blocks):
-    """The per-operator offset loop: the (target, matrix) pairs of blocks(p, q) into k_out."""
-    mat = np.zeros((alg.dim_total(k_out) if k_out <= 2 * alg.n else 0, alg.dim_total(k)),
-                   dtype=complex)
-    roff = {pq: sl.start for pq, sl in alg.slices(k_out).items()} if k_out <= 2 * alg.n else {}
-    for pq, cols in alg.slices(k).items():
-        c0 = cols.start
-        for tgt, blk in blocks(*pq):
-            if tgt in roff:
-                r0 = roff[tgt]
-                mat[r0:r0 + blk.shape[0], c0:c0 + blk.shape[1]] = blk
+    """The per-operator offset loop: the (target, matrix) pairs of blocks(p, q) from the
+    space at k into the space at k_out, each a degree or a bidegree; a stack of blocks
+    gives a stack."""
+    (roff, rows), (coff, cols) = _offsets(alg.n, k_out), _offsets(alg.n, k)
+    found = [(roff[tgt], coff[pq], blk) for pq in coff for tgt, blk in blocks(*pq)
+             if tgt in roff]
+    mat = np.zeros((found[0][2].shape[:-2] if found else ()) + (rows, cols), dtype=complex)
+    for r0, c0, blk in found:
+        mat[..., r0:r0 + blk.shape[-2], c0:c0 + blk.shape[-1]] = blk
     return mat
+
+
+def _filling(n, k, k_out, blocks):
+    """The one block of blocks(p, q) that fills the matrix from k to k_out, else None."""
+    src, tgt = _space(n, k), _space(n, k_out)
+    return dict(blocks(*src[0])).get(tgt[0]) if len(src) == len(tgt) == 1 else None
 
 
 def _solved_star(b, a, c):
@@ -414,7 +434,64 @@ def test_total_matrices_match_offset_loops(block_bundle):
         assert b.gram_total(k).tobytes() == want.tobytes(), k
         for block in (OperatorBundle.commutator, star_comm_star):
             want = _placed(alg, k, k, lambda p, q: [((p, q), block(b, gamma, p, q))])
-            assert _on_complex(block, b, gamma, "d", k).tobytes() == want.tobytes(), (k, block)
+            assert _on_complex(block, b, gamma, k).tobytes() == want.tobytes(), (k, block)
+
+
+def _spaces(which, n):
+    """Every key of the complex of which, then each key one step outside it."""
+    keys = _keys(which, n)
+    outside = dict.fromkeys(neighbor(which, key, s) for key in keys for s in (-1, 1))
+    return keys + [key for key in outside if key not in keys]
+
+
+def _bases_or_refusal(alg, which, key):
+    try:
+        return [(m.shape, m.tobytes()) for m in alg.bases(which, key)]
+    except ModelInvalid as exc:
+        return str(exc)
+
+
+def _check_placement(b):
+    """diff, codiff, gram_total and bases on every space and one step outside each
+    complex: the offset loop's matrices byte for byte, and where one block fills the
+    matrix, total gives that block itself."""
+    alg, n = b.alg, b.n
+    looped = ExteriorAlgebra(n, alg.terms)  # its bases place the blocks of d by the loop
+    looped.total = lambda op, k, k_out: _placed(looped, k, k_out, lambda p, q: op(p, q).items())
+
+    def gram(p, q):
+        return {(p, q): b.gram(p, q)}
+
+    for which in WRITTEN:
+        for key in _spaces(which, n):
+            # codiff broadcasts a placement with no stack axis over the bundle's stack
+            cases = ((alg.diff(which, key), alg.d_blocks, neighbor(which, key, 1), ()),
+                     (b.codiff(which, key), b._codiff_blocks, neighbor(which, key, -1), b.lead),
+                     (b.gram_total(key), gram, key, ()))
+            for got, op, k_out, lead in cases:
+                want = _placed(alg, key, k_out, lambda p, q: op(p, q).items())
+                want = np.broadcast_to(want, lead + want.shape[-2:]) if lead else want
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), \
+                    (which, key, k_out)
+                fill = _filling(n, key, k_out, lambda p, q: op(p, q).items())
+                if fill is not None:
+                    assert alg.total(op, key, k_out) is fill, (which, key, k_out)
+            assert alg.dim(key) == _offsets(n, key)[1], key
+            assert _bases_or_refusal(alg, which, key) == _bases_or_refusal(looped, which, key)
+
+
+def test_every_space_places_its_blocks_by_its_key(block_bundle):
+    _check_placement(block_bundle)
+
+
+@pytest.mark.parametrize("name", ["kodaira_thurston", "iwasawa_x_t1"])
+def test_a_stack_places_its_blocks_by_its_key(name):
+    alg = algebra_for(_model(name))
+    rng = np.random.default_rng(8)
+    h = [HermitianMetric.identity(alg.n).h] + [random_metric(alg.n, rng).h for _ in range(2)]
+    b = bundle_for_algebra(alg, HermitianMetric(np.stack(h)))
+    assert b.lead == (3,)
+    _check_placement(b)
 
 
 def test_total_times_applies_the_total_matrix(block_bundle):
@@ -422,7 +499,7 @@ def test_total_times_applies_the_total_matrix(block_bundle):
     b, alg, n = block_bundle, block_bundle.alg, block_bundle.n
     rng = np.random.default_rng(6)
     for k in range(2 * n + 1):
-        size = (alg.dim_total(k), 3)
+        size = (alg.dim(k), 3)
         cols = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         for op, k_out, total in ((alg.d_blocks, k + 1, alg.d_total(k)),
                                  (b._codiff_blocks, k - 1, b.codiff("d", k))):

@@ -138,7 +138,7 @@ def test_d_total_matches_oracle_on_every_monomial(name):
     alg = algebra_for(model)
     for k in range(2 * model.n):
         mat = alg.d_total(k)
-        for col, unit in enumerate(np.eye(alg.dim_total(k))):
+        for col, unit in enumerate(np.eye(alg.dim(k))):
             want = naive_d(model, Form.at(model.n, k, unit)).part(k + 1)
             assert np.max(np.abs(mat[:, col] - want)) <= 1e-14, (k, col)
 
@@ -211,7 +211,7 @@ def test_vector_roundtrip_and_offsets():
     k = 3
     u = random_form(model.n, [(p, q) for p, q in alg.slices(k)], rng)
     vec = u.part(k)
-    assert vec.shape == (alg.dim_total(k),)
+    assert vec.shape == (alg.dim(k),)
     back = Form.at(model.n, k, vec)
     assert (back - u).max_abs() == 0.0
     # blocks ordered by descending holomorphic degree
@@ -325,7 +325,7 @@ def test_one_layout_for_degrees_and_bidegrees(n):
         u = _random_support_form(n, rng)
         for k in range(2 * n + 1):
             assert _same_bits(u.part(k), np.concatenate([u.part(pq) for pq in alg.slices(k)]))
-            v = rng.standard_normal(alg.dim_total(k)) + 1j * rng.standard_normal(alg.dim_total(k))
+            v = rng.standard_normal(alg.dim(k)) + 1j * rng.standard_normal(alg.dim(k))
             assert _same_bits(Form.at(n, k, v).part(k), v)
         for pq in keys:
             v = rng.standard_normal(dim_pq(n, *pq)) + 1j * rng.standard_normal(dim_pq(n, *pq))

@@ -40,7 +40,7 @@ from .test_metric import SYNTHETIC, synthetic_bundle
 def test_harmonic_projector_properties(which, key):
     b = seeded_bundle("iwasawa", seed=3)
     p = harmonic_projector(b, which, key)
-    g = b.gram_for(which, key)
+    g = b.gram_total(key)
     lap = b.laplacian(which, key)
     assert np.max(np.abs(p @ p - p)) <= 1e-11
     assert np.max(np.abs(g @ p - p.conj().T @ g)) <= 1e-11
@@ -177,11 +177,11 @@ def test_basis_projectors_match_the_eigen_forms(name, seed):
     green = {space: _eigen_forms(b, *space)[1] for space in spaces}
     for which, key in spaces:
         prev, nxt = neighbor(which, key, -1), neighbor(which, key, 1)
-        size = b.alg.dim(which, key)
+        size = b.alg.dim(key)
         image = b.alg.diff(which, prev) @ green[which, prev] @ b.codiff(which, key) \
-            if b.alg.dim(which, prev) else np.zeros((size, size))
+            if b.alg.dim(prev) else np.zeros((size, size))
         coimage = b.codiff(which, nxt) @ green[which, nxt] @ b.alg.diff(which, key) \
-            if b.alg.dim(which, nxt) else np.zeros((size, size))
+            if b.alg.dim(nxt) else np.zeros((size, size))
         pairs = [(harmonic_projector(b, which, key), _eigen_forms(b, which, key)[0]),
                  (green_operator(b, which, key), green[which, key]),
                  (image_projector(b, which, key), image),
@@ -304,7 +304,7 @@ def test_gamma_potential_keeps_headroom_under_its_gate_at_large_kappa():
         b = bundle_for_algebra(alg, HermitianMetric(0.5 * (h + h.conj().T)))
         src = b.omega_power(2).part(key)
         sol = potential(b, which, key, src)
-        gate = b.tol * (1.0 + hodge._l2(b, which, key, src))
+        gate = b.tol * (1.0 + hodge._l2(b, key, src))
         assert max(sol.residual_equation, sol.residual_kernel) <= 0.25 * gate
 
 

@@ -421,7 +421,7 @@ def test_laplacian_selfadjoint_and_psd(which):
     b = seeded_bundle("iwasawa", seed=8)
     key = 2 if which == "d" else (1, 1)
     lap = b.laplacian(which, key)
-    g = b.gram_for(which, key)
+    g = b.gram_total(key)
     sym = g @ lap
     assert np.max(np.abs(sym - sym.conj().T)) <= 1e-10
     w = np.linalg.eigvalsh((sym + sym.conj().T) / 2)

@@ -190,7 +190,7 @@ def test_projector_variation_applied_forms():
     vec = b.alg.del_form(b.omega).part(3)  # lies in im(d), no kernel component
     var = var_harmonic_projector(b, gamma, "d", 3)
     kernel = hodge.harmonic_projector(b, "d", 3) @ vec
-    assert np.sqrt(max((kernel.conj() @ (b.gram_for("d", 3) @ kernel)).real, 0.0)) <= 1e-10
+    assert np.sqrt(max((kernel.conj() @ (b.gram_total(3) @ kernel)).real, 0.0)) <= 1e-10
     assert np.max(np.abs(var.image_part @ vec - var.derivative @ vec)) <= 1e-10
     # image_part = P dP (I - P) vanishes on the harmonic part of any vector
     rng = np.random.default_rng(4)

@@ -47,7 +47,7 @@ def _wedge_matrix_1(alg, form, p, q):
 
 
 def _total_1(alg, blocks, k):
-    dim = alg.dim_total(k)
+    dim = alg.dim(k)
     mat = np.zeros((dim, dim), dtype=complex)
     for pq, sl in alg.slices(k).items():
         mat[sl, sl] = blocks(*pq)
@@ -88,10 +88,10 @@ def _torsion_at_1(b, kind):
     which, key = TORSIONS[kind].space(b.n)
     prev = neighbor(which, key, -1)
     tors_vec = report.torsion.part(prev)
-    gram = b.gram_for(which, prev)
+    gram = b.gram_total(prev)
     det = b.det_h
     dec = decomposition(b, which, key)
-    codiff = np.linalg.solve(gram, alg.diff(which, prev).conj().T @ b.gram_for(which, key))
+    codiff = np.linalg.solve(gram, alg.diff(which, prev).conj().T @ b.gram_total(key))
     green_prev = green_operator(b, which, prev)
     omega_src = report.source.part(key)
     ker_rest, im_rest = omega_src - dec.kernel @ omega_src, omega_src - dec.image @ omega_src
@@ -124,7 +124,7 @@ def _torsion_at_1(b, kind):
         terms["projector_term"] = float(proj_term)
         terms["projector_pairing_signed"] = pairing
         terms["projector_source_norm"] = float(
-            _gram_norm_1(b.gram_for(which, key), a_vec) * np.sqrt(det))
+            _gram_norm_1(b.gram_total(key), a_vec) * np.sqrt(det))
         return FunctionalVariation(
             kind="F" if kind == "rho" else "G",
             value=float(total.real + proj_term),
@@ -279,7 +279,7 @@ def test_a_direction_gets_the_same_bits_in_any_stack(name, functional, monkeypat
         side = dim_pq(b.n, 2, 1)
     else:
         which, key = TORSIONS[kind].space(b.n)
-        side = max(b.alg.dim(which, neighbor(which, key, s)) for s in (-1, 0, 1))
+        side = max(b.alg.dim(neighbor(which, key, s)) for s in (-1, 0, 1))
     for per_chunk in (1, 2):
         monkeypatch.setattr(variation, "DENSE_BUDGET", per_chunk * side ** 2)
         stack = _stacked(dirs)
