@@ -389,7 +389,7 @@ class OperatorBundle:
         bidegree its one block, zeros where d has none.  verify applies the blocks to
         its columns instead (ExteriorAlgebra.total_times)."""
         mat = self.alg.total(self._codiff_blocks, key, neighbor(which, key, -1))
-        # a map that places no block gives a matrix with no stack axis
+        # on a stack, a map that places no block gives a matrix with no stack axis
         return np.broadcast_to(mat, self.lead + mat.shape[-2:]) if self.lead else mat
 
     @memo
